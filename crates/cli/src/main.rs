@@ -612,8 +612,10 @@ fn cmd_lab_run(args: &Args) -> Result<(), String> {
     // so it gets ~64K virtual cores — roomy enough that queues track the
     // diurnal peaks instead of growing without bound; the small day
     // (~23 rps) still wants a couple hundred cores for the same reason.
-    // Few fat nodes rather than many thin ones: the per-arrival balancer
-    // view is O(nodes), so node count is the lab's main throughput knob.
+    // The split into 8 fat nodes is history, kept so committed results
+    // stay comparable: the balancers read an incrementally maintained
+    // cluster index, so `--nodes` changes what is simulated (per-node
+    // memory pressure, queueing behind few cores), not how fast.
     let (def_nodes, def_cores, def_mem) = match scale {
         "paper" => (8usize, 8_192usize, 4_194_304.0f64),
         _ => (8, 32, 65_536.0),

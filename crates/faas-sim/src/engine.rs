@@ -18,9 +18,10 @@
 //! (~10⁹ invocations) without materializing the request vector.
 
 use crate::cluster::ClusterConfig;
+use crate::index::{ClusterIndex, QueuedReq, Sandbox};
 use crate::keepalive::{IdleSandbox, KeepAlivePolicy};
 use crate::metrics::SimMetrics;
-use crate::scheduler::{LoadBalancer, NodeView};
+use crate::scheduler::LoadBalancer;
 use faasrail_core::{Arrival, ArrivalCursor, ScheduleSource};
 use faasrail_stats::sampler::{LogNormal, Sampler};
 use faasrail_stats::seeded_rng;
@@ -29,7 +30,7 @@ use faasrail_telemetry::{
 };
 use faasrail_workloads::{WorkloadId, WorkloadPool};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// A node-level fault injected into the virtual cluster — the simulator's
 /// counterpart of the gateway's seeded connection faults. Crashes model a
@@ -99,26 +100,6 @@ struct Event {
     at_us: u64,
     seq: u64,
     kind: EventKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Sandbox {
-    workload: WorkloadId,
-    memory_mb: f64,
-    last_used_us: u64,
-    init_cost_ms: f64,
-    uses: u64,
-    stamp: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct QueuedReq {
-    /// Arrival sequence number (0-based, schedule order) — the span `seq`.
-    arrival_seq: u64,
-    /// Originating Function, carried through for the span.
-    function_index: u32,
-    arrived_us: u64,
-    workload: WorkloadId,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -192,22 +173,6 @@ impl RunSlab {
     }
 }
 
-struct Node {
-    free_memory_mb: f64,
-    busy_cores: usize,
-    /// Idle sandboxes, bucketed by workload id (`WorkloadId` indexes the
-    /// pool, so buckets are dense). Warm lookup and the balancer's warm
-    /// count are O(1) instead of scanning one flat vector per arrival.
-    idle: Vec<Vec<Sandbox>>,
-    queue: VecDeque<QueuedReq>,
-}
-
-impl Node {
-    fn idle_len(&self) -> usize {
-        self.idle.iter().map(Vec::len).sum()
-    }
-}
-
 /// Account a sandbox's idle time up to `now_us` when it leaves the idle
 /// set (reuse, eviction, expiry, crash).
 fn account_idle(metrics: &mut SimMetrics, s: &Sandbox, now_us: u64) {
@@ -222,7 +187,9 @@ struct Engine<'a> {
     jitter: Option<LogNormal>,
     rng: rand::rngs::StdRng,
     slow: Vec<f64>,
-    nodes: Vec<Node>,
+    /// Nodes, queues and idle sandboxes — all cluster state a balancer or
+    /// a keep-alive policy can see.
+    index: ClusterIndex,
     heap: BinaryHeap<Reverse<Event>>,
     /// Internal event sequence; crashes are pushed first so that, among
     /// equal timestamps, a crash fires before any Finish/Expire/Prewarm —
@@ -230,11 +197,10 @@ struct Engine<'a> {
     seq: u64,
     next_stamp: u64,
     running: RunSlab,
-    /// Requests queued across all nodes, maintained incrementally so
-    /// `max_queue` needs no per-arrival scan.
-    queued_total: u64,
-    /// Scratch for the per-arrival balancer view (allocated once).
-    views: Vec<NodeView>,
+    /// Scratch for the eviction view a keep-alive policy picks its victim
+    /// from, and each entry's position among its workload's sandboxes.
+    idle_view: Vec<IdleSandbox>,
+    idle_view_at: Vec<usize>,
     metrics: SimMetrics,
 }
 
@@ -253,7 +219,7 @@ impl Engine<'_> {
         now_us: u64,
         policy: &mut dyn KeepAlivePolicy,
     ) -> bool {
-        if self.nodes[node_idx].busy_cores >= self.cluster.cores_per_node {
+        if self.index.node(node_idx).busy_cores >= self.cluster.cores_per_node {
             return false;
         }
         let w = self.pool.get(req.workload).expect("workload in pool");
@@ -262,45 +228,31 @@ impl Engine<'_> {
             service_ms *= j.sample(&mut self.rng);
         }
 
-        let node = &mut self.nodes[node_idx];
-        let bucket = req.workload.0 as usize;
-        let (sandbox, cold) = if let Some(mut s) = node.idle[bucket].pop() {
+        let (sandbox, cold) = if let Some(mut s) =
+            self.index.take_idle(req.workload, node_idx, None)
+        {
             account_idle(&mut self.metrics, &s, now_us);
             s.uses += 1;
             (s, false)
         } else {
             // Need memory for a new sandbox; evict per policy while short.
-            while node.free_memory_mb < w.memory_mb {
-                // The policy sees one flat view (bucket-major order) and
-                // answers with an index into it; map that back to a
-                // (bucket, position) pair. Eviction is the cold path — the
-                // flat view is only ever built here.
-                let mut idle_view: Vec<IdleSandbox> = Vec::with_capacity(node.idle_len());
-                let mut locations: Vec<(u32, u32)> = Vec::with_capacity(idle_view.capacity());
-                for (b, sandboxes) in node.idle.iter().enumerate() {
-                    for (pos, s) in sandboxes.iter().enumerate() {
-                        idle_view.push(IdleSandbox {
-                            workload: s.workload,
-                            memory_mb: s.memory_mb,
-                            last_used_ms: s.last_used_us / 1_000,
-                            init_cost_ms: s.init_cost_ms,
-                            uses: s.uses,
-                        });
-                        locations.push((b as u32, pos as u32));
-                    }
-                }
-                match policy.pick_victim(&idle_view, now_us / 1_000) {
-                    Some(victim) => {
-                        let (b, pos) = locations[victim];
-                        let s = node.idle[b as usize].swap_remove(pos as usize);
-                        account_idle(&mut self.metrics, &s, now_us);
-                        node.free_memory_mb += s.memory_mb;
-                        self.metrics.evictions += 1;
-                    }
-                    None => return false,
-                }
+            // Eviction is the cold path: the flat view the policy indexes
+            // into is only ever built here.
+            while self.index.node(node_idx).free_memory_mb < w.memory_mb {
+                self.index.idle_view(node_idx, &mut self.idle_view, &mut self.idle_view_at);
+                let Some(victim) = policy.pick_victim(&self.idle_view, now_us / 1_000) else {
+                    return false;
+                };
+                let (workload, pos) = (self.idle_view[victim].workload, self.idle_view_at[victim]);
+                let s = self
+                    .index
+                    .take_idle(workload, node_idx, Some(pos))
+                    .expect("the victim came from this node's view");
+                account_idle(&mut self.metrics, &s, now_us);
+                self.index.update(node_idx, |n| n.free_memory_mb += s.memory_mb);
+                self.metrics.evictions += 1;
             }
-            node.free_memory_mb -= w.memory_mb;
+            self.index.update(node_idx, |n| n.free_memory_mb -= w.memory_mb);
             self.next_stamp += 1;
             (
                 Sandbox {
@@ -315,7 +267,7 @@ impl Engine<'_> {
             )
         };
 
-        node.busy_cores += 1;
+        self.index.update(node_idx, |n| n.busy_cores += 1);
         let total_ms = service_ms + if cold { sandbox.init_cost_ms } else { 0.0 };
         if cold {
             self.metrics.cold_starts += 1;
@@ -339,14 +291,28 @@ impl Engine<'_> {
         true
     }
 
+    /// Debug builds re-derive the index from scratch between events: each
+    /// of a run's first 1024 (most unit and property test cases end
+    /// sooner), then every 1024th, because the audit costs O(state) and
+    /// debug-build tests elsewhere replay millions of events.
+    fn audit(&self) {
+        let events = self.metrics.sim_events;
+        if cfg!(debug_assertions) && (events < 1024 || events.is_multiple_of(1024)) {
+            let mut running_mb = vec![0.0; self.cluster.nodes];
+            for run in self.running.slots.iter().filter_map(|slot| slot.1.as_ref()) {
+                running_mb[run.node as usize] += run.sandbox.memory_mb;
+            }
+            self.index.audit(&running_mb);
+        }
+    }
+
     /// Start as many queued requests as now fit (FIFO head-of-line).
     fn drain_queue(&mut self, node_idx: usize, now_us: u64, policy: &mut dyn KeepAlivePolicy) {
-        while let Some(&front) = self.nodes[node_idx].queue.front() {
+        while let Some(&front) = self.index.node(node_idx).queue.front() {
             if self.try_start(node_idx, front, now_us, policy) {
                 let waited = (now_us - front.arrived_us) as f64 / 1e6;
                 self.metrics.queue_wait.record(waited.max(1e-9));
-                self.nodes[node_idx].queue.pop_front();
-                self.queued_total -= 1;
+                self.index.update(node_idx, |n| n.queue.pop_front());
             } else {
                 break;
             }
@@ -413,14 +379,7 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
             .then(|| LogNormal::new(0.0, opts.service_jitter_sigma)),
         rng: seeded_rng(opts.seed),
         slow: vec![1.0f64; cluster.nodes],
-        nodes: (0..cluster.nodes)
-            .map(|_| Node {
-                free_memory_mb: cluster.memory_mb_per_node,
-                busy_cores: 0,
-                idle: vec![Vec::new(); pool.len()],
-                queue: VecDeque::new(),
-            })
-            .collect(),
+        index: ClusterIndex::new(cluster, pool.len()),
         // The heap holds the *active horizon* only — at most one Finish
         // per busy core, plus scheduled faults and a bounded population of
         // expiry/prewarm timers — never the whole schedule.
@@ -428,8 +387,8 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
         seq: 0,
         next_stamp: 0,
         running: RunSlab::with_capacity(total_cores),
-        queued_total: 0,
-        views: Vec::with_capacity(cluster.nodes),
+        idle_view: Vec::new(),
+        idle_view_at: Vec::new(),
         metrics,
     };
 
@@ -448,6 +407,7 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
     let mut last_us = 0u64;
 
     loop {
+        engine.audit();
         // Interleave the arrival stream with the internal event heap;
         // arrivals win ties (see `EventKind`).
         let take_arrival = match (&pending, engine.heap.peek()) {
@@ -467,24 +427,13 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
 
             engine.metrics.arrivals += 1;
             policy.on_arrival(workload, now_us / 1_000);
-            let bucket = workload.0 as usize;
-            engine.views.clear();
-            for n in &engine.nodes {
-                engine.views.push(NodeView {
-                    warm_for_workload: n.idle[bucket].len(),
-                    free_memory_mb: n.free_memory_mb,
-                    running: n.busy_cores,
-                    queued: n.queue.len(),
-                    cores: cluster.cores_per_node,
-                });
-            }
-            let target = balancer.pick_node(workload, &engine.views).min(engine.nodes.len() - 1);
+            let target = balancer.pick(workload, &engine.index).min(cluster.nodes - 1);
             let req = QueuedReq { arrival_seq, function_index, arrived_us: now_us, workload };
             arrival_seq += 1;
             if !engine.try_start(target, req, now_us, policy) {
-                engine.nodes[target].queue.push_back(req);
-                engine.queued_total += 1;
-                engine.metrics.max_queue = engine.metrics.max_queue.max(engine.queued_total);
+                engine.index.update(target, |n| n.queue.push_back(req));
+                engine.metrics.max_queue =
+                    engine.metrics.max_queue.max(engine.index.queued_total());
             }
             continue;
         }
@@ -499,8 +448,7 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
                 let Some(run) = engine.running.remove(key) else { continue };
                 debug_assert_eq!(run.node, node);
                 debug_assert!(run.started_cold || run.sandbox.uses >= 1);
-                let n = &mut engine.nodes[node as usize];
-                n.busy_cores -= 1;
+                engine.index.update(node as usize, |n| n.busy_cores -= 1);
                 engine.metrics.completions += 1;
                 // Response includes queueing and (for cold starts) the
                 // sandbox creation delay by construction.
@@ -530,7 +478,7 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
                 s.stamp = engine.next_stamp;
                 let stamp = s.stamp;
                 let workload = s.workload;
-                engine.nodes[node as usize].idle[workload.0 as usize].push(s);
+                engine.index.push_idle(node as usize, s);
                 if let Some(ttl_ms) = policy.idle_ttl_ms(workload) {
                     engine.push_event(
                         now_us + ttl_ms * 1_000,
@@ -542,12 +490,14 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
                 engine.drain_queue(node as usize, now_us, policy);
             }
             EventKind::Expire { node, workload, stamp } => {
-                let n = &mut engine.nodes[node as usize];
-                let bucket = &mut n.idle[workload.0 as usize];
-                if let Some(pos) = bucket.iter().position(|s| s.stamp == stamp) {
-                    let s = bucket.swap_remove(pos);
+                let idle = engine.index.idle(workload, node as usize);
+                if let Some(pos) = idle.iter().position(|s| s.stamp == stamp) {
+                    let s = engine
+                        .index
+                        .take_idle(workload, node as usize, Some(pos))
+                        .expect("just found at pos");
                     account_idle(&mut engine.metrics, &s, now_us);
-                    n.free_memory_mb += s.memory_mb;
+                    engine.index.update(node as usize, |n| n.free_memory_mb += s.memory_mb);
                     engine.metrics.expirations += 1;
                     // Predictive prewarming: re-create the sandbox shortly
                     // before the workload's expected next arrival. Only
@@ -571,31 +521,35 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
             }
             EventKind::Prewarm { node, workload } => {
                 let w = pool.get(workload).expect("workload in pool");
-                let n = &mut engine.nodes[node as usize];
-                let bucket = &mut n.idle[workload.0 as usize];
-                if bucket.is_empty() && n.free_memory_mb >= w.memory_mb {
-                    n.free_memory_mb -= w.memory_mb;
+                let node = node as usize;
+                if engine.index.idle(workload, node).is_empty()
+                    && engine.index.node(node).free_memory_mb >= w.memory_mb
+                {
+                    engine.index.update(node, |n| n.free_memory_mb -= w.memory_mb);
                     engine.next_stamp += 1;
                     let stamp = engine.next_stamp;
-                    bucket.push(Sandbox {
-                        workload,
-                        memory_mb: w.memory_mb,
-                        last_used_us: now_us,
-                        init_cost_ms: cluster.cold_start.delay_ms(w.memory_mb),
-                        uses: 0,
-                        stamp,
-                    });
+                    engine.index.push_idle(
+                        node,
+                        Sandbox {
+                            workload,
+                            memory_mb: w.memory_mb,
+                            last_used_us: now_us,
+                            init_cost_ms: cluster.cold_start.delay_ms(w.memory_mb),
+                            uses: 0,
+                            stamp,
+                        },
+                    );
                     engine.metrics.prewarms += 1;
                     if let Some(ttl_ms) = policy.idle_ttl_ms(workload) {
                         engine.push_event(
                             now_us + ttl_ms * 1_000,
-                            EventKind::Expire { node, workload, stamp },
+                            EventKind::Expire { node: node as u32, workload, stamp },
                         );
                     }
                 }
             }
             EventKind::Crash { node } => {
-                if node as usize >= engine.nodes.len() {
+                if node as usize >= cluster.nodes {
                     continue;
                 }
                 // In-flight invocations die with the node; their Finish
@@ -621,37 +575,24 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
                         }));
                     }
                 }
-                let n = &mut engine.nodes[node as usize];
-                n.busy_cores = 0;
                 // Warm state is gone: account idle time up to the crash,
-                // then drop every sandbox.
-                for bucket in &mut n.idle {
-                    for s in bucket.drain(..) {
-                        engine.metrics.idle_mb_ms +=
-                            s.memory_mb * (now_us - s.last_used_us) as f64 / 1_000.0;
-                        engine.metrics.sandboxes_lost += 1;
-                    }
-                }
-                n.free_memory_mb = cluster.memory_mb_per_node;
-                // Queued work on the node is lost too.
-                engine.metrics.killed += n.queue.len() as u64;
-                engine.queued_total -= n.queue.len() as u64;
-                n.queue.clear();
+                // then drop every sandbox. Queued work is lost too.
+                let metrics = &mut engine.metrics;
+                metrics.killed += engine.index.crash(node as usize, |s| {
+                    account_idle(metrics, &s, now_us);
+                    metrics.sandboxes_lost += 1;
+                });
             }
         }
     }
 
     // Finalize idle-memory accounting for sandboxes still warm at the end.
     metrics = engine.metrics;
-    for n in &engine.nodes {
-        for bucket in &n.idle {
-            for s in bucket {
-                metrics.idle_mb_ms += s.memory_mb * (last_us - s.last_used_us) as f64 / 1_000.0;
-            }
-        }
-        // Anything still queued never ran (cluster too small).
-        metrics.starved += n.queue.len() as u64;
+    for s in (0..cluster.nodes).flat_map(|node| engine.index.idle_on(node)) {
+        account_idle(&mut metrics, s, last_us);
     }
+    // Anything still queued never ran (cluster too small).
+    metrics.starved = engine.index.queued_total();
     metrics.duration_ms = last_us as f64 / 1_000.0;
     metrics.total_cores = total_cores as u64;
     sink.emit(&TelemetryEvent::RunEnd(RunSummary {

@@ -14,6 +14,7 @@
 
 pub mod cluster;
 pub mod engine;
+mod index;
 pub mod keepalive;
 pub mod metrics;
 pub mod registry;
@@ -22,6 +23,7 @@ pub mod scheduler;
 
 pub use cluster::{ClusterConfig, ColdStartModel};
 pub use engine::{simulate, simulate_observed, NodeFault, SimOptions};
+pub use index::ClusterIndex;
 pub use keepalive::{
     FixedTtl, GreedyDual, HybridHistogram, IdleSandbox, KeepAlivePolicy, LruPolicy,
 };

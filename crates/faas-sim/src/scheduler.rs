@@ -1,8 +1,9 @@
 //! Cluster-level load balancers (paper §2.2, "Cluster-level policies").
 
+use crate::index::ClusterIndex;
 use faasrail_workloads::WorkloadId;
 
-/// A node's state, as presented to a load balancer.
+/// A node's state, as presented to a slice-based load balancer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeView {
     /// Idle warm sandboxes for the request's workload on this node.
@@ -18,9 +19,21 @@ pub struct NodeView {
 }
 
 /// A cluster load balancer.
+///
+/// To write one, implement [`pick_node`](Self::pick_node): it sees every
+/// node and costs O(nodes) per arrival. When the decision can be read off
+/// the [`ClusterIndex`] instead, also override [`pick`](Self::pick) — it
+/// must choose exactly what `pick_node` would, only faster.
 pub trait LoadBalancer: Send {
-    /// Pick a node index for the request.
+    /// Pick a node index for the request, given one view per node.
     fn pick_node(&mut self, workload: WorkloadId, nodes: &[NodeView]) -> usize;
+
+    /// Pick a node index for the request. This is what the engine calls,
+    /// once per arrival; the default materialises the node views and asks
+    /// [`pick_node`](Self::pick_node).
+    fn pick(&mut self, workload: WorkloadId, cluster: &ClusterIndex) -> usize {
+        self.pick_node(workload, &cluster.node_views(workload))
+    }
 
     /// Balancer name for reports.
     fn name(&self) -> &'static str;
@@ -32,11 +45,21 @@ pub struct RoundRobin {
     next: usize,
 }
 
-impl LoadBalancer for RoundRobin {
-    fn pick_node(&mut self, _workload: WorkloadId, nodes: &[NodeView]) -> usize {
-        let n = self.next % nodes.len();
+impl RoundRobin {
+    fn advance(&mut self, nodes: usize) -> usize {
+        let n = self.next % nodes;
         self.next = self.next.wrapping_add(1);
         n
+    }
+}
+
+impl LoadBalancer for RoundRobin {
+    fn pick_node(&mut self, _workload: WorkloadId, nodes: &[NodeView]) -> usize {
+        self.advance(nodes.len())
+    }
+
+    fn pick(&mut self, _workload: WorkloadId, cluster: &ClusterIndex) -> usize {
+        self.advance(cluster.node_count())
     }
 
     fn name(&self) -> &'static str {
@@ -56,6 +79,10 @@ impl LoadBalancer for LeastLoaded {
             .min_by_key(|(_, n)| n.running + n.queued)
             .map(|(i, _)| i)
             .expect("non-empty cluster")
+    }
+
+    fn pick(&mut self, _workload: WorkloadId, cluster: &ClusterIndex) -> usize {
+        cluster.least_loaded()
     }
 
     fn name(&self) -> &'static str {
@@ -79,6 +106,10 @@ impl LoadBalancer for WarmFirst {
         warm.unwrap_or_else(|| LeastLoaded.pick_node(_workload, nodes))
     }
 
+    fn pick(&mut self, workload: WorkloadId, cluster: &ClusterIndex) -> usize {
+        cluster.least_loaded_warm(workload).unwrap_or_else(|| cluster.least_loaded())
+    }
+
     fn name(&self) -> &'static str {
         "warm-first"
     }
@@ -90,11 +121,21 @@ impl LoadBalancer for WarmFirst {
 #[derive(Debug, Default)]
 pub struct HashAffinity;
 
-impl LoadBalancer for HashAffinity {
-    fn pick_node(&mut self, workload: WorkloadId, nodes: &[NodeView]) -> usize {
+impl HashAffinity {
+    fn home(workload: WorkloadId, nodes: usize) -> usize {
         // Fibonacci hashing of the id.
         let h = (workload.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % nodes.len()
+        (h >> 32) as usize % nodes
+    }
+}
+
+impl LoadBalancer for HashAffinity {
+    fn pick_node(&mut self, workload: WorkloadId, nodes: &[NodeView]) -> usize {
+        Self::home(workload, nodes.len())
+    }
+
+    fn pick(&mut self, workload: WorkloadId, cluster: &ClusterIndex) -> usize {
+        Self::home(workload, cluster.node_count())
     }
 
     fn name(&self) -> &'static str {

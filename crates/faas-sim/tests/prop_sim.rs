@@ -1,7 +1,8 @@
 //! Property tests over the discrete-event engine: conservation laws must
 //! hold for arbitrary request traces, cluster shapes, and policies, and
 //! the lazy arrival stream must be indistinguishable from the trace it
-//! materializes to.
+//! materializes to, and a balancer's indexed `pick` from its `pick_node`
+//! over a slice of node views.
 
 use faasrail_core::{
     generate_requests, materialize, ArrivalCursor, ArrivalStream, ExperimentSpec, IatModel,
@@ -9,7 +10,7 @@ use faasrail_core::{
 };
 use faasrail_faas_sim::{
     simulate, ClusterConfig, FixedTtl, GreedyDual, HybridHistogram, KeepAlivePolicy, LeastLoaded,
-    LoadBalancer, LruPolicy, RoundRobin, SimOptions, WarmFirst,
+    LoadBalancer, LruPolicy, NodeFault, NodeView, RoundRobin, SimOptions, WarmFirst,
 };
 use faasrail_workloads::{CostModel, WorkloadId, WorkloadPool};
 use proptest::prelude::*;
@@ -32,11 +33,12 @@ fn arb_trace() -> impl Strategy<Value = RequestTrace> {
 }
 
 fn policy(which: u8) -> Box<dyn KeepAlivePolicy> {
-    match which % 4 {
+    match which % 5 {
         0 => Box::new(FixedTtl::ten_minutes()),
         1 => Box::new(LruPolicy),
         2 => Box::new(GreedyDual),
-        _ => Box::new(HybridHistogram::new()),
+        3 => Box::new(HybridHistogram::new()),
+        _ => Box::new(HybridHistogram::new().with_prewarming()),
     }
 }
 
@@ -46,6 +48,22 @@ fn balancer(which: u8) -> Box<dyn LoadBalancer> {
         1 => Box::new(LeastLoaded),
         2 => Box::new(WarmFirst),
         _ => Box::new(faasrail_faas_sim::HashAffinity),
+    }
+}
+
+/// Forwards `pick_node` and `name` only, so the engine reaches the wrapped
+/// balancer through the trait's default `pick`: node views materialised
+/// from the index, then the slice scan. That path is the oracle for the
+/// in-tree balancers' indexed `pick`, and out-of-tree balancers run on it.
+struct SliceOnly(Box<dyn LoadBalancer>);
+
+impl LoadBalancer for SliceOnly {
+    fn pick_node(&mut self, workload: WorkloadId, nodes: &[NodeView]) -> usize {
+        self.0.pick_node(workload, nodes)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
     }
 }
 
@@ -206,5 +224,54 @@ proptest! {
             simulate(&eager, &pool, &cluster, b.as_mut(), p.as_mut(), &SimOptions::default())
         };
         prop_assert_eq!(run_lazy, run_eager);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn indexed_pick_equals_slice_pick(
+        trace in arb_trace(),
+        nodes in 1usize..97,
+        cores in 1usize..4,
+        // From one large sandbox per node (constant eviction) to roomy.
+        memory in 300.0f64..4_096.0,
+        pol in 0u8..5,
+        bal in 0u8..4,
+        jitter in 0u8..2,
+        faults in proptest::collection::vec((0usize..96, 0u64..600_000, 0u8..3, 1.0f64..4.0), 0..4),
+    ) {
+        let pool = vanilla();
+        let cluster = ClusterConfig {
+            nodes,
+            cores_per_node: cores,
+            memory_mb_per_node: memory,
+            ..Default::default()
+        };
+        let opts = SimOptions {
+            service_jitter_sigma: if jitter == 0 { 0.0 } else { 0.3 },
+            seed: 7,
+            node_faults: faults
+                .into_iter()
+                .map(|(node, at_ms, kind, slow)| NodeFault {
+                    node: (node % nodes) as u32,
+                    crash_at_ms: (kind != 1).then_some(at_ms),
+                    slow_factor: if kind == 0 { 1.0 } else { slow },
+                })
+                .collect(),
+        };
+        let indexed =
+            simulate(&trace, &pool, &cluster, balancer(bal).as_mut(), policy(pol).as_mut(), &opts);
+        let oracle = simulate(
+            &trace,
+            &pool,
+            &cluster,
+            &mut SliceOnly(balancer(bal)),
+            policy(pol).as_mut(),
+            &opts,
+        );
+        prop_assert_eq!(&indexed, &oracle);
+        prop_assert_eq!(indexed.completions + indexed.starved + indexed.killed, indexed.arrivals);
     }
 }
