@@ -10,7 +10,7 @@
 use faasrail_core::{Request, RequestTrace};
 use faasrail_stats::seeded_rng;
 use faasrail_trace::{Trace, MINUTES_PER_DAY};
-use faasrail_workloads::{WorkloadId, WorkloadPool};
+use faasrail_workloads::WorkloadPool;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -60,30 +60,13 @@ pub fn generate(trace: &Trace, pool: &WorkloadPool, cfg: &RandomSamplingConfig) 
         if sampled_total == 0 { 0.0 } else { cfg.target_invocations as f64 / sampled_total as f64 };
 
     // Nearest-workload mapping.
-    let mut by_ms: Vec<(f64, WorkloadId)> =
-        pool.workloads().iter().map(|w| (w.mean_ms, w.id)).collect();
-    by_ms.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-    let nearest = |d: f64| -> WorkloadId {
-        let pos = by_ms.partition_point(|&(ms, _)| ms < d);
-        match (pos.checked_sub(1).and_then(|i| by_ms.get(i)), by_ms.get(pos)) {
-            (Some(a), Some(b)) => {
-                if (a.0 - d).abs() <= (b.0 - d).abs() {
-                    a.1
-                } else {
-                    b.1
-                }
-            }
-            (Some(a), None) => a.1,
-            (None, Some(b)) => b.1,
-            (None, None) => unreachable!("pool non-empty"),
-        }
-    };
+    let index = pool.runtime_index();
 
     let compress = cfg.duration_minutes as f64 / MINUTES_PER_DAY as f64;
     let mut requests = Vec::new();
     for &i in &indices {
         let f = &trace.functions[i];
-        let workload = nearest(f.avg_duration_ms);
+        let workload = index.entries()[index.nearest(f.avg_duration_ms)].id;
         for &(minute, count) in f.minutes.entries() {
             // Stochastic rounding of the scaled count.
             let scaled = count as f64 * factor;

@@ -76,20 +76,22 @@ fn top_share_of_counts(counts: &mut [u64], frac: f64) -> f64 {
 pub fn evaluate(trace: &Trace, requests: &RequestTrace, pool: &WorkloadPool) -> Representativity {
     assert!(!requests.is_empty(), "cannot evaluate an empty request trace");
 
+    // Requests per pool Workload, by id: both duration properties need only
+    // these counts, not one value per request.
+    let mut per_workload = vec![0u64; pool.len()];
+    for r in &requests.requests {
+        *per_workload.get_mut(r.workload.0 as usize).expect("workload in pool") += 1;
+    }
+    let used = || pool.workloads().iter().zip(&per_workload).filter(|&(_, &n)| n > 0);
+
     // (i) distinct workloads used vs distinct trace functions.
-    let mut used: Vec<u32> = requests.requests.iter().map(|r| r.workload.0).collect();
-    used.sort_unstable();
-    used.dedup();
-    let used_durs: Vec<f64> = used
-        .iter()
-        .map(|&i| pool.get(faasrail_workloads::WorkloadId(i)).expect("in pool").mean_ms)
-        .collect();
+    let used_durs: Vec<f64> = used().map(|(w, _)| w.mean_ms).collect();
     let ks_workload_durations =
         ks_distance(&functions_duration_ecdf(trace), &Ecdf::new(&used_durs));
 
-    // (iii) invocation durations.
-    let generated =
-        WeightedEcdf::new(requests.expected_durations(pool).into_iter().map(|d| (d, 1.0)));
+    // (iii) invocation durations. `WeightedEcdf` sums the weights of equal
+    // values, so a Workload's count stands for that many unit-weight points.
+    let generated = WeightedEcdf::new(used().map(|(w, &n)| (w.mean_ms, n as f64)));
     let ks_invocation_durations =
         ks_distance_weighted(&invocations_duration_wecdf(trace), &generated);
 

@@ -14,7 +14,8 @@ use crate::aggregate::Aggregation;
 use faasrail_workloads::WorkloadKind;
 use faasrail_workloads::{WorkloadId, WorkloadPool};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::ops::Range;
 
 /// How the selection pass balances candidates.
 ///
@@ -106,6 +107,29 @@ impl FunctionMapping {
     }
 }
 
+/// Position of the first minimum of `(load(pos), score(pos))` over `band`,
+/// which must not be empty. The selection rule both execution modes share:
+/// least-loaded candidate first, `score` among equally loaded ones, and the
+/// earliest (shortest-runtime) position among full ties.
+pub(crate) fn first_min<L: PartialOrd>(
+    band: Range<usize>,
+    load: impl Fn(usize) -> L,
+    score: impl Fn(usize) -> f64,
+) -> usize {
+    band.reduce(|best, pos| {
+        let ord = load(pos)
+            .partial_cmp(&load(best))
+            .expect("finite")
+            .then_with(|| score(pos).partial_cmp(&score(best)).expect("finite"));
+        if ord == Ordering::Less {
+            pos
+        } else {
+            best
+        }
+    })
+    .expect("non-empty candidate band")
+}
+
 /// Map every aggregated Function to one pool Workload.
 pub fn map_functions(
     agg: &Aggregation,
@@ -115,96 +139,56 @@ pub fn map_functions(
     assert!(cfg.error_threshold >= 0.0, "negative error threshold");
     assert!(!pool.is_empty(), "empty workload pool");
 
-    // Pool sorted by mean runtime for range/nearest queries.
-    struct Candidate {
-        ms: f64,
-        id: WorkloadId,
-        memory_mb: f64,
-    }
-    let mut by_ms: Vec<Candidate> = pool
-        .workloads()
-        .iter()
-        .map(|w| Candidate { ms: w.mean_ms, id: w.id, memory_mb: w.memory_mb })
-        .collect();
-    by_ms.sort_by(|a, b| a.ms.partial_cmp(&b.ms).expect("finite"));
+    let index = pool.runtime_index();
+    let by_ms = index.entries();
+    let totals: Vec<u64> = agg.functions.iter().map(|f| f.total_invocations()).collect();
 
     // Process Functions in descending invocation order so the busiest
     // Functions get first pick of under-used benchmark types.
     let mut order: Vec<usize> = (0..agg.functions.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(agg.functions[i].total_invocations()));
+    order.sort_by_key(|&i| std::cmp::Reverse(totals[i]));
 
-    let mut variant_weight: BTreeMap<WorkloadId, f64> = BTreeMap::new();
-    let mut variant_count: BTreeMap<WorkloadId, u64> = BTreeMap::new();
+    // Selection state per Workload variant, by position in `by_ms`.
+    let mut variant_weight = vec![0.0f64; by_ms.len()];
+    let mut variant_count = vec![0u64; by_ms.len()];
     let mut assignments = Vec::with_capacity(agg.functions.len());
 
     for idx in order {
         let f = &agg.functions[idx];
         let d = f.avg_duration_ms;
         let f_mem = f.memory_mb;
-        let lo = d * (1.0 - cfg.error_threshold);
-        let hi = d * (1.0 + cfg.error_threshold);
-        let start = by_ms.partition_point(|c| c.ms < lo);
-        let end = by_ms.partition_point(|c| c.ms <= hi);
+        let band = index.band(d, cfg.error_threshold);
+        let fallback = band.is_empty();
 
-        // Tie-break score among equally-loaded candidates: relative duration
-        // error plus (optionally) a log-memory mismatch term.
-        let score = |c: &Candidate| -> f64 {
-            let dur_err = if d > 0.0 { (c.ms - d).abs() / d } else { 0.0 };
-            if cfg.memory_weight > 0.0 && f_mem > 0.0 && c.memory_mb > 0.0 {
-                dur_err + cfg.memory_weight * (c.memory_mb / f_mem).ln().abs()
-            } else {
-                dur_err
-            }
-        };
-
-        let (chosen, fallback) = if start < end {
-            let candidates = &by_ms[start..end];
-            let pick = match cfg.balance {
-                BalanceStrategy::NearestOnly => candidates
-                    .iter()
-                    .min_by(|a, b| score(a).partial_cmp(&score(b)).expect("finite"))
-                    .expect("non-empty candidate range"),
-                BalanceStrategy::ByInvocations | BalanceStrategy::ByFunctionCount => candidates
-                    .iter()
-                    .min_by(|a, b| {
-                        let load = |w: WorkloadId| match cfg.balance {
-                            BalanceStrategy::ByInvocations => {
-                                variant_weight.get(&w).copied().unwrap_or(0.0)
-                            }
-                            _ => variant_count.get(&w).copied().unwrap_or(0) as f64,
-                        };
-                        let (la, lb) = (load(a.id), load(b.id));
-                        la.partial_cmp(&lb)
-                            .expect("finite")
-                            .then_with(|| score(a).partial_cmp(&score(b)).expect("finite"))
-                    })
-                    .expect("non-empty candidate range"),
-            };
-            (pick, false)
+        let pos = if fallback {
+            index.nearest(d)
         } else {
-            // Nearest neighbour: compare the two workloads flanking `d`.
-            let pos = by_ms.partition_point(|c| c.ms < d);
-            let nearest = match (pos.checked_sub(1).map(|i| &by_ms[i]), by_ms.get(pos)) {
-                (Some(a), Some(b)) => {
-                    if (a.ms - d).abs() <= (b.ms - d).abs() {
-                        a
-                    } else {
-                        b
-                    }
+            // Tie-break score among equally-loaded candidates: relative
+            // duration error plus (optionally) a log-memory mismatch term.
+            let score = |pos: usize| -> f64 {
+                let c = &by_ms[pos];
+                let dur_err = if d > 0.0 { (c.mean_ms - d).abs() / d } else { 0.0 };
+                if cfg.memory_weight > 0.0 && f_mem > 0.0 && c.memory_mb > 0.0 {
+                    dur_err + cfg.memory_weight * (c.memory_mb / f_mem).ln().abs()
+                } else {
+                    dur_err
                 }
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => unreachable!("pool verified non-empty"),
             };
-            (nearest, true)
+            let load = |pos: usize| match cfg.balance {
+                BalanceStrategy::ByInvocations => variant_weight[pos],
+                BalanceStrategy::ByFunctionCount => variant_count[pos] as f64,
+                BalanceStrategy::NearestOnly => 0.0,
+            };
+            first_min(band, load, score)
         };
 
-        *variant_weight.entry(chosen.id).or_insert(0.0) += f.total_invocations() as f64;
-        *variant_count.entry(chosen.id).or_insert(0) += 1;
+        let chosen = &by_ms[pos];
+        variant_weight[pos] += totals[idx] as f64;
+        variant_count[pos] += 1;
         assignments.push(Assignment {
             function_index: idx as u32,
             workload: chosen.id,
-            rel_error: if d > 0.0 { (chosen.ms - d).abs() / d } else { 0.0 },
+            rel_error: if d > 0.0 { (chosen.mean_ms - d).abs() / d } else { 0.0 },
             fallback,
         });
     }
@@ -215,11 +199,10 @@ pub fn map_functions(
     let fallbacks = assignments.iter().filter(|a| a.fallback).count();
     let mean_rel_error =
         assignments.iter().map(|a| a.rel_error).sum::<f64>() / functions.max(1) as f64;
-    let total_weight: f64 =
-        agg.functions.iter().map(|f| f.total_invocations() as f64).sum::<f64>().max(1.0);
+    let total_weight: f64 = totals.iter().map(|&t| t as f64).sum::<f64>().max(1.0);
     let weighted_rel_error = assignments
         .iter()
-        .map(|a| a.rel_error * agg.functions[a.function_index as usize].total_invocations() as f64)
+        .map(|a| a.rel_error * totals[a.function_index as usize] as f64)
         .sum::<f64>()
         / total_weight;
     let max_rel_error = assignments.iter().map(|a| a.rel_error).fold(0.0, f64::max);
@@ -249,6 +232,16 @@ mod tests {
         let agg = aggregate(&trace, DurationResolution::Millisecond);
         let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
         (agg, pool)
+    }
+
+    #[test]
+    fn first_min_orders_by_load_then_score_then_position() {
+        let load = [3u64, 1, 1, 1, 2];
+        let score = [0.0, 0.5, 0.2, 0.2, 0.0];
+        assert_eq!(first_min(0..5, |p| load[p], |p| score[p]), 2);
+        assert_eq!(first_min(3..5, |p| load[p], |p| score[p]), 3);
+        assert_eq!(first_min(0..5, |_| 0u64, |p| score[p]), 0, "equal loads: score alone");
+        assert_eq!(first_min(4..5, |p| load[p], |p| score[p]), 4);
     }
 
     #[test]

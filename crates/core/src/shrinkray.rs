@@ -109,28 +109,21 @@ pub fn shrink(
 
     // Variable-inputs extension: same-benchmark pool Workloads within the
     // mapping threshold, nearest first.
-    let mut pool_by_ms: Vec<(f64, faasrail_workloads::WorkloadId)> =
-        pool.workloads().iter().map(|w| (w.mean_ms, w.id)).collect();
-    pool_by_ms.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+    let index = pool.runtime_index();
     let alternates_for = |i: usize, chosen: faasrail_workloads::WorkloadId| -> Vec<_> {
         if cfg.max_alternates == 0 {
             return Vec::new();
         }
         let chosen_kind = pool.get(chosen).expect("mapped workload").kind();
         let d = agg.functions[i].avg_duration_ms;
-        let lo = d * (1.0 - cfg.mapping.error_threshold);
-        let hi = d * (1.0 + cfg.mapping.error_threshold);
-        let start = pool_by_ms.partition_point(|&(ms, _)| ms < lo);
-        let end = pool_by_ms.partition_point(|&(ms, _)| ms <= hi);
-        let mut cands: Vec<(f64, faasrail_workloads::WorkloadId)> = pool_by_ms[start..end]
+        let mut cands: Vec<_> = index.entries()[index.band(d, cfg.mapping.error_threshold)]
             .iter()
-            .filter(|&&(_, id)| {
-                id != chosen && pool.get(id).expect("in pool").kind() == chosen_kind
-            })
-            .copied()
+            .filter(|e| e.id != chosen && e.kind == chosen_kind)
             .collect();
-        cands.sort_by(|a, b| (a.0 - d).abs().partial_cmp(&(b.0 - d).abs()).expect("finite"));
-        cands.into_iter().take(cfg.max_alternates).map(|(_, id)| id).collect()
+        cands.sort_by(|a, b| {
+            (a.mean_ms - d).abs().partial_cmp(&(b.mean_ms - d).abs()).expect("finite")
+        });
+        cands.into_iter().take(cfg.max_alternates).map(|e| e.id).collect()
     };
 
     let entries: Vec<SpecEntry> = series

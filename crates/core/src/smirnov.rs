@@ -9,7 +9,7 @@
 //! invocation-runtime distribution while leaving the load pattern synthetic
 //! and tunable.
 
-use crate::mapping::{BalanceStrategy, MappingConfig};
+use crate::mapping::{first_min, BalanceStrategy, MappingConfig};
 use crate::request::{Request, RequestTrace};
 use crate::spec::IatModel;
 use faasrail_stats::ecdf::WeightedEcdf;
@@ -17,10 +17,11 @@ use faasrail_stats::sampler::{Exponential, Sampler};
 use faasrail_stats::seeded_rng;
 use faasrail_trace::summarize::invocations_duration_wecdf;
 use faasrail_trace::Trace;
-use faasrail_workloads::{WorkloadId, WorkloadKind, WorkloadPool};
+use faasrail_workloads::{WorkloadKind, WorkloadPool};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// Configuration for a Smirnov-mode run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,18 +72,17 @@ pub fn generate(
     let wecdf: WeightedEcdf = invocations_duration_wecdf(trace);
     let mut rng = seeded_rng(cfg.seed);
 
-    // Pool sorted by runtime for candidate-range queries.
-    let mut by_ms: Vec<(f64, WorkloadId, WorkloadKind)> =
-        pool.workloads().iter().map(|w| (w.mean_ms, w.id, w.kind())).collect();
-    by_ms.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+    let index = pool.runtime_index();
+    let by_ms = index.entries();
+    let nearest_only = cfg.mapping.balance == BalanceStrategy::NearestOnly;
 
-    // Candidate-range cache keyed by the sampled duration quantized to 0.1 ms
+    // Candidate-band cache keyed by the sampled duration quantized to 0.1 ms
     // (the ECDF's inverse is piecewise linear, so nearby samples share
-    // candidates).
-    let mut range_cache: HashMap<u64, (usize, usize)> = HashMap::new();
-    // Balance load per Workload *variant* (see `mapping::BalanceStrategy`).
-    let mut variant_load: BTreeMap<WorkloadId, u64> = BTreeMap::new();
-    let mut counts_by_kind: BTreeMap<WorkloadKind, u64> = BTreeMap::new();
+    // candidates). A band is that of the first duration seen in its bucket.
+    let mut range_cache: HashMap<u64, Range<usize>> = HashMap::new();
+    // Requests per Workload *variant* (see `mapping::BalanceStrategy`), by
+    // position in `by_ms`.
+    let mut variant_load = vec![0u64; by_ms.len()];
     let mut within = 0usize;
     let mut err_sum = 0.0f64;
 
@@ -108,51 +108,23 @@ pub fn generate(
 
         // 2. Map the sampled duration to a Workload.
         let key = (d * 10.0).round() as u64;
-        let (start, end) = *range_cache.entry(key).or_insert_with(|| {
-            let lo = d * (1.0 - cfg.mapping.error_threshold);
-            let hi = d * (1.0 + cfg.mapping.error_threshold);
-            (
-                by_ms.partition_point(|&(ms, _, _)| ms < lo),
-                by_ms.partition_point(|&(ms, _, _)| ms <= hi),
-            )
-        });
-        let chosen = if start < end {
-            within += 1;
-            let candidates = &by_ms[start..end];
-            match cfg.mapping.balance {
-                BalanceStrategy::NearestOnly => candidates
-                    .iter()
-                    .min_by(|a, b| (a.0 - d).abs().partial_cmp(&(b.0 - d).abs()).expect("finite"))
-                    .expect("non-empty"),
-                _ => candidates
-                    .iter()
-                    .min_by(|a, b| {
-                        let la = variant_load.get(&a.1).copied().unwrap_or(0);
-                        let lb = variant_load.get(&b.1).copied().unwrap_or(0);
-                        la.cmp(&lb).then_with(|| {
-                            (a.0 - d).abs().partial_cmp(&(b.0 - d).abs()).expect("finite")
-                        })
-                    })
-                    .expect("non-empty"),
-            }
+        let band = range_cache
+            .entry(key)
+            .or_insert_with(|| index.band(d, cfg.mapping.error_threshold))
+            .clone();
+        let pos = if band.is_empty() {
+            index.nearest(d)
         } else {
-            let pos = by_ms.partition_point(|&(ms, _, _)| ms < d);
-            match (pos.checked_sub(1).map(|i| &by_ms[i]), by_ms.get(pos)) {
-                (Some(a), Some(b)) => {
-                    if (a.0 - d).abs() <= (b.0 - d).abs() {
-                        a
-                    } else {
-                        b
-                    }
-                }
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => unreachable!("pool is non-empty"),
-            }
+            within += 1;
+            first_min(
+                band,
+                |pos| if nearest_only { 0 } else { variant_load[pos] },
+                |pos| (by_ms[pos].mean_ms - d).abs(),
+            )
         };
-        *variant_load.entry(chosen.1).or_insert(0) += 1;
-        *counts_by_kind.entry(chosen.2).or_insert(0) += 1;
-        err_sum += if d > 0.0 { (chosen.0 - d).abs() / d } else { 0.0 };
+        let chosen = &by_ms[pos];
+        variant_load[pos] += 1;
+        err_sum += if d > 0.0 { (chosen.mean_ms - d).abs() / d } else { 0.0 };
 
         // 3. Arrival time under the configured IAT model.
         let at_ms = match cfg.iat {
@@ -173,16 +145,20 @@ pub fn generate(
         };
         requests.push(Request {
             at_ms,
-            workload: chosen.1,
+            workload: chosen.id,
             // Smirnov requests have no originating trace Function; carry the
             // workload id for grouping.
-            function_index: chosen.1 .0,
+            function_index: chosen.id.0,
         });
     }
 
     requests.sort_by_key(|r| (r.at_ms, r.function_index));
     let duration_minutes = requests.last().map(|r| (r.at_ms / 60_000) as usize + 1).unwrap_or(1);
 
+    let mut counts_by_kind: BTreeMap<WorkloadKind, u64> = BTreeMap::new();
+    for (entry, &n) in by_ms.iter().zip(&variant_load).filter(|&(_, &n)| n > 0) {
+        *counts_by_kind.entry(entry.kind).or_insert(0) += n;
+    }
     let report = SmirnovReport {
         counts_by_kind,
         within_threshold_fraction: within as f64 / cfg.num_invocations as f64,

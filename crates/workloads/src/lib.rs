@@ -23,5 +23,5 @@ pub mod registry;
 
 pub use cost_model::{CostModel, KindCost};
 pub use input::WorkloadInput;
-pub use pool::{Workload, WorkloadId, WorkloadPool};
+pub use pool::{RuntimeEntry, RuntimeIndex, Workload, WorkloadId, WorkloadPool};
 pub use registry::{ResourceProfile, Suite, WorkloadKind};

@@ -14,6 +14,7 @@ use crate::registry::WorkloadKind;
 use faasrail_stats::ecdf::Ecdf;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Identifier of a Workload within a pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -269,6 +270,23 @@ impl WorkloadPool {
         out
     }
 
+    /// The pool's runtime-sorted view, for candidate-band and nearest
+    /// queries (paper §3.1.3).
+    pub fn runtime_index(&self) -> RuntimeIndex {
+        let mut entries: Vec<RuntimeEntry> = self
+            .workloads
+            .iter()
+            .map(|w| RuntimeEntry {
+                mean_ms: w.mean_ms,
+                id: w.id,
+                kind: w.kind(),
+                memory_mb: w.memory_mb,
+            })
+            .collect();
+        entries.sort_by(|a, b| a.mean_ms.partial_cmp(&b.mean_ms).expect("finite"));
+        RuntimeIndex { entries }
+    }
+
     /// Serialize to JSON (the pool registration artifact).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("pool serializes")
@@ -277,6 +295,53 @@ impl WorkloadPool {
     /// Deserialize from JSON.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(s)
+    }
+}
+
+/// What a [`RuntimeIndex`] keeps of one Workload.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RuntimeEntry {
+    pub mean_ms: f64,
+    pub id: WorkloadId,
+    pub kind: WorkloadKind,
+    pub memory_mb: f64,
+}
+
+/// A pool's Workloads stably sorted by mean runtime (equal runtimes keep
+/// pool order). Every mapping step queries it by *position*, so per-Workload
+/// selection state can live in plain vectors aligned with [`Self::entries`].
+#[derive(Debug, Clone)]
+pub struct RuntimeIndex {
+    entries: Vec<RuntimeEntry>,
+}
+
+impl RuntimeIndex {
+    /// The entries in ascending-runtime order; never empty.
+    pub fn entries(&self) -> &[RuntimeEntry] {
+        &self.entries
+    }
+
+    /// Positions whose runtime lies within `d × (1 ± threshold)`, both edges
+    /// inclusive. Empty when no Workload does; callers then fall back to
+    /// [`Self::nearest`].
+    pub fn band(&self, d: f64, threshold: f64) -> Range<usize> {
+        let (lo, hi) = (d * (1.0 - threshold), d * (1.0 + threshold));
+        self.entries.partition_point(|e| e.mean_ms < lo)
+            ..self.entries.partition_point(|e| e.mean_ms <= hi)
+    }
+
+    /// Position of the Workload whose runtime is closest to `d`: the nearer
+    /// of the two entries flanking `d`, the lower one when equidistant.
+    pub fn nearest(&self, d: f64) -> usize {
+        let above = self.entries.partition_point(|e| e.mean_ms < d);
+        if above == 0 {
+            return 0;
+        }
+        let below = above - 1;
+        match self.entries.get(above) {
+            Some(e) if (self.entries[below].mean_ms - d).abs() > (e.mean_ms - d).abs() => above,
+            _ => below,
+        }
     }
 }
 
@@ -406,6 +471,76 @@ mod tests {
             assert!((16.0..=2_048.0).contains(&w.memory_mb));
             assert!(w.mean_ms > 0.0);
         }
+    }
+
+    /// A pool with the given runtimes, in that order.
+    fn pool_of(runtimes: &[f64]) -> WorkloadPool {
+        WorkloadPool::from_workloads(
+            runtimes
+                .iter()
+                .map(|&mean_ms| Workload {
+                    id: WorkloadId(0),
+                    input: WorkloadInput::vanilla(WorkloadKind::Pyaes),
+                    mean_ms,
+                    memory_mb: 64.0,
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn runtime_index_sorts_stably_and_carries_the_pool_fields() {
+        let index = pool_of(&[5.0, 3.0, 5.0, 3.0]).runtime_index();
+        let ids: Vec<u32> = index.entries().iter().map(|e| e.id.0).collect();
+        assert_eq!(ids, [1, 3, 0, 2], "equal runtimes keep pool order");
+
+        let pool = modelled();
+        let index = pool.runtime_index();
+        assert_eq!(index.entries().len(), pool.len());
+        assert!(index.entries().windows(2).all(|w| w[0].mean_ms <= w[1].mean_ms));
+        for e in index.entries() {
+            let w = pool.get(e.id).unwrap();
+            assert_eq!((e.mean_ms, e.kind, e.memory_mb), (w.mean_ms, w.kind(), w.memory_mb));
+        }
+    }
+
+    #[test]
+    fn band_includes_both_edges() {
+        // 100 × (1 ± 0.5) is exactly [50, 150].
+        let index = pool_of(&[49.999, 50.0, 100.0, 150.0, 150.001]).runtime_index();
+        assert_eq!(index.band(100.0, 0.5), 1..4);
+        assert_eq!(index.band(100.0, 0.0), 2..3);
+        // Duplicates of an edge value are all inside.
+        let index = pool_of(&[50.0, 50.0, 150.0, 150.0]).runtime_index();
+        assert_eq!(index.band(100.0, 0.5), 0..4);
+    }
+
+    #[test]
+    fn empty_band_falls_back_to_nearest() {
+        let index = pool_of(&[10.0, 1_000.0]).runtime_index();
+        assert!(index.band(100.0, 0.1).is_empty());
+        assert_eq!(index.nearest(100.0), 0);
+        assert_eq!(index.nearest(900.0), 1);
+        // `d == 0` has an empty band at any threshold and maps to the
+        // shortest Workload.
+        assert!(index.band(0.0, 0.5).is_empty());
+        assert_eq!(index.nearest(0.0), 0);
+    }
+
+    #[test]
+    fn nearest_prefers_the_lower_flank_and_clamps_at_the_ends() {
+        let index = pool_of(&[10.0, 30.0, 30.0, 70.0]).runtime_index();
+        assert_eq!(index.nearest(20.0), 0, "equidistant flanks: the lower one");
+        assert_eq!(index.nearest(20.001), 1);
+        assert_eq!(index.nearest(30.0), 1, "an exact hit on duplicates: the first");
+        assert_eq!(
+            index.nearest(50.0),
+            2,
+            "equidistant, and the lower flank is the later duplicate"
+        );
+        assert_eq!(index.nearest(1.0), 0, "below the first entry");
+        assert_eq!(index.nearest(1e9), 3, "above the last entry");
+        assert_eq!(pool_of(&[42.0]).runtime_index().nearest(7.0), 0);
     }
 
     #[test]
