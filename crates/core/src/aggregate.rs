@@ -9,7 +9,6 @@
 
 use faasrail_trace::{MinuteSeries, Trace, MINUTES_PER_DAY};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Resolution at which durations are considered "the same".
 ///
@@ -95,44 +94,74 @@ impl Aggregation {
 }
 
 /// Aggregate a trace's functions by quantized mean duration.
+///
+/// Expects a trace that passed [`faasrail_trace::validate`]: minutes ascend
+/// within each series, so its first and last entry bound its active span.
 pub fn aggregate(trace: &Trace, resolution: DurationResolution) -> Aggregation {
-    struct Acc {
-        members: Vec<u32>,
-        minutes: Vec<u64>,
-        mem_weighted: f64,
-        weight: f64,
-    }
-    let mut groups: BTreeMap<u64, Acc> = BTreeMap::new();
-    for (i, f) in trace.functions.iter().enumerate() {
-        let key = resolution.key(f.avg_duration_ms);
-        let acc = groups.entry(key).or_insert_with(|| Acc {
-            members: Vec::new(),
-            minutes: vec![0u64; MINUTES_PER_DAY],
-            mem_weighted: 0.0,
-            weight: 0.0,
-        });
-        acc.members.push(i as u32);
-        for &(m, c) in f.minutes.entries() {
-            acc.minutes[m as usize] += c as u64;
-        }
-        let mem = trace.app(f.app).map(|a| a.memory_mb).unwrap_or(170.0);
-        // Weight memory by invocations, falling back to plain averaging for
-        // groups of never-invoked functions.
-        let w = f.total_invocations().max(1) as f64;
-        acc.mem_weighted += mem * w;
-        acc.weight += w;
-    }
+    // `(key, index)` pairs are unique, so the unstable sort is deterministic
+    // and leaves each group's members in ascending index order — the order
+    // the `f64` memory sums below have always been taken in.
+    let mut keyed: Vec<(u64, u32)> = trace
+        .functions
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (resolution.key(f.avg_duration_ms), i as u32))
+        .collect();
+    keyed.sort_unstable();
 
-    let functions = groups
-        .into_iter()
-        .map(|(key, acc)| AggregatedFunction {
-            key,
-            avg_duration_ms: resolution.ms(key),
-            members: acc.members,
-            minutes: MinuteSeries::from_dense(&acc.minutes),
-            memory_mb: acc.mem_weighted / acc.weight,
+    // The one dense day every multi-member group is summed in; all-zero
+    // between groups.
+    let mut day = [0u64; MINUTES_PER_DAY];
+    let functions = keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|group| {
+            let key = group[0].0;
+            // A lone member's series already is the group's sum.
+            let lone = group.len() == 1;
+            let (mut mem_weighted, mut weight) = (0.0, 0.0);
+            let (mut first, mut last) = (MINUTES_PER_DAY, 0);
+            for &(_, i) in group {
+                let f = &trace.functions[i as usize];
+                let entries = f.minutes.entries();
+                let total = if lone {
+                    f.minutes.total()
+                } else {
+                    if let (Some(&(lo, _)), Some(&(hi, _))) = (entries.first(), entries.last()) {
+                        first = first.min(lo as usize);
+                        last = last.max(hi as usize);
+                    }
+                    entries.iter().fold(0u64, |total, &(m, c)| {
+                        day[m as usize] += c as u64;
+                        total + c as u64
+                    })
+                };
+                let mem = trace.app(f.app).map(|a| a.memory_mb).unwrap_or(170.0);
+                // Weight memory by invocations, falling back to plain averaging
+                // for groups of never-invoked functions.
+                let w = total.max(1) as f64;
+                mem_weighted += mem * w;
+                weight += w;
+            }
+            let minutes = if lone {
+                trace.functions[group[0].1 as usize].minutes.clone()
+            } else if first > last {
+                MinuteSeries::default()
+            } else {
+                let active = &mut day[first..=last];
+                let minutes = MinuteSeries::from_dense_window(first, active);
+                active.fill(0);
+                minutes
+            };
+            AggregatedFunction {
+                key,
+                avg_duration_ms: resolution.ms(key),
+                members: group.iter().map(|&(_, i)| i).collect(),
+                minutes,
+                memory_mb: mem_weighted / weight,
+            }
         })
         .collect();
+    debug_assert!(day.iter().all(|&c| c == 0), "a series' first and last entry bound it");
     Aggregation { resolution, functions }
 }
 

@@ -18,8 +18,8 @@ use crate::request::RequestTrace;
 use faasrail_stats::ecdf::{Ecdf, WeightedEcdf};
 use faasrail_stats::timeseries::{fano_factor, normalize_peak, rebin_sum};
 use faasrail_stats::{ks_distance, ks_distance_weighted};
-use faasrail_trace::summarize::{functions_duration_ecdf, invocations_duration_wecdf};
-use faasrail_trace::Trace;
+use faasrail_trace::summarize::functions_duration_ecdf;
+use faasrail_trace::{Trace, MINUTES_PER_DAY};
 use faasrail_workloads::WorkloadPool;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -76,6 +76,23 @@ fn top_share_of_counts(counts: &mut [u64], frac: f64) -> f64 {
 pub fn evaluate(trace: &Trace, requests: &RequestTrace, pool: &WorkloadPool) -> Representativity {
     assert!(!requests.is_empty(), "cannot evaluate an empty request trace");
 
+    // The trace's sparse minute entries are by far the largest input; walk
+    // them once for every figure below that is drawn from them.
+    let mut trace_day = vec![0u64; MINUTES_PER_DAY];
+    let fn_totals: Vec<u64> = trace
+        .functions
+        .iter()
+        .map(|f| {
+            let mut total = 0u64;
+            for &(m, c) in f.minutes.entries() {
+                trace_day[m as usize] += c as u64;
+                total += c as u64;
+            }
+            total
+        })
+        .collect();
+    let invoked = || trace.functions.iter().zip(&fn_totals).filter(|&(_, &t)| t > 0);
+
     // Requests per pool Workload, by id: both duration properties need only
     // these counts, not one value per request.
     let mut per_workload = vec![0u64; pool.len()];
@@ -92,8 +109,8 @@ pub fn evaluate(trace: &Trace, requests: &RequestTrace, pool: &WorkloadPool) -> 
     // (iii) invocation durations. `WeightedEcdf` sums the weights of equal
     // values, so a Workload's count stands for that many unit-weight points.
     let generated = WeightedEcdf::new(used().map(|(w, &n)| (w.mean_ms, n as f64)));
-    let ks_invocation_durations =
-        ks_distance_weighted(&invocations_duration_wecdf(trace), &generated);
+    let in_trace = WeightedEcdf::new(invoked().map(|(f, &t)| (f.avg_duration_ms, t as f64)));
+    let ks_invocation_durations = ks_distance_weighted(&in_trace, &generated);
 
     // (ii) popularity by originating function.
     let mut by_fn: HashMap<u32, u64> = HashMap::new();
@@ -101,8 +118,7 @@ pub fn evaluate(trace: &Trace, requests: &RequestTrace, pool: &WorkloadPool) -> 
         *by_fn.entry(r.function_index).or_insert(0) += 1;
     }
     let mut gen_counts: Vec<u64> = by_fn.into_values().collect();
-    let mut trace_counts: Vec<u64> =
-        trace.functions.iter().map(|f| f.total_invocations()).filter(|&t| t > 0).collect();
+    let mut trace_counts: Vec<u64> = invoked().map(|(_, &t)| t).collect();
     let top1_share_error = (top_share_of_counts(&mut trace_counts, 0.01)
         - top_share_of_counts(&mut gen_counts, 0.01))
     .abs();
@@ -112,19 +128,20 @@ pub fn evaluate(trace: &Trace, requests: &RequestTrace, pool: &WorkloadPool) -> 
 
     // (iv) load over time.
     let minutes = requests.duration_minutes;
+    let generated_minutes = requests.per_minute_counts();
     let load_shape_mae = if minutes >= 2 {
-        let want = normalize_peak(&rebin_sum(&trace.aggregate_minutes(), minutes));
-        let have = normalize_peak(&requests.per_minute_counts());
+        let want = normalize_peak(&rebin_sum(&trace_day, minutes));
+        let have = normalize_peak(&generated_minutes);
         want.iter().zip(&have).map(|(a, b)| (a - b).abs()).sum::<f64>() / minutes as f64
     } else {
         f64::NAN
     };
-    let trace_fano = fano_factor(&trace.aggregate_minutes());
-    let gen_fano = fano_factor(&requests.per_minute_counts());
+    let trace_fano = fano_factor(&trace_day);
+    let gen_fano = fano_factor(&generated_minutes);
     // Compare relative overdispersion (Fano scales with the mean, so
     // normalize each by its mean rate first).
-    let trace_rel = trace_fano
-        / (trace.total_invocations() as f64 / faasrail_trace::MINUTES_PER_DAY as f64).max(1e-9);
+    let trace_total: u64 = fn_totals.iter().sum();
+    let trace_rel = trace_fano / (trace_total as f64 / MINUTES_PER_DAY as f64).max(1e-9);
     let gen_rel = gen_fano / (requests.len() as f64 / minutes.max(1) as f64).max(1e-9);
     let burstiness_ratio = gen_rel / trace_rel.max(1e-12);
 

@@ -8,7 +8,7 @@
 //! per-function popularity (Fig. 10) survive the downsampling as faithfully
 //! as integer counts allow.
 
-use faasrail_stats::timeseries::apportion_largest_remainder;
+use faasrail_stats::timeseries::{apportion_in_place, ApportionScratch};
 use serde::{Deserialize, Serialize};
 
 /// Report of a rate-scaling pass.
@@ -24,8 +24,10 @@ pub struct ScaleReport {
     pub total_before: u64,
     /// Total requests after scaling.
     pub total_after: u64,
-    /// Functions whose scaled series became all-zero (popularity lost —
-    /// the inevitable misrepresentation the paper acknowledges).
+    /// Functions with requests before scaling whose scaled series became
+    /// all-zero (popularity lost — the inevitable misrepresentation the
+    /// paper acknowledges). A Function that was already silent, e.g. outside
+    /// a Minute Range window, was not silenced by scaling and is not counted.
     pub silenced_functions: usize,
 }
 
@@ -43,13 +45,20 @@ pub fn scale_request_rate(series: &mut [Vec<u64>], target_peak_per_minute: u64) 
     assert!(!series.is_empty(), "no functions to scale");
     let minutes = series[0].len();
     assert!(series.iter().all(|s| s.len() == minutes), "ragged minute series");
+    let functions = series.len();
 
-    // Aggregate per-minute totals.
+    // Apportionment works on one minute across all Functions, so turn the
+    // series minute-major: each minute's column becomes one contiguous run.
+    let mut columns = vec![0u64; minutes * functions];
     let mut totals = vec![0u64; minutes];
-    for s in series.iter() {
-        for (t, &v) in totals.iter_mut().zip(s.iter()) {
-            *t += v;
+    let audible = |s: &[u64]| s.iter().any(|&v| v > 0) as usize;
+    let mut audible_before = 0;
+    for (f, s) in series.iter().enumerate() {
+        for (m, &v) in s.iter().enumerate() {
+            columns[m * functions + f] = v;
+            totals[m] += v;
         }
+        audible_before += audible(s);
     }
     let peak_before = totals.iter().copied().max().expect("non-empty");
     assert!(peak_before > 0, "all-zero trace cannot be rate-scaled");
@@ -58,33 +67,32 @@ pub fn scale_request_rate(series: &mut [Vec<u64>], target_peak_per_minute: u64) 
     let factor = target_peak_per_minute as f64 / peak_before as f64;
 
     // Scale each minute's aggregate total, then apportion it across the
-    // functions active that minute.
-    let mut column = vec![0u64; series.len()];
-    for m in 0..minutes {
-        let scaled_total = ((totals[m] as f64) * factor).round() as u64;
-        // Floor guarantee: never exceed the target even with rounding.
-        let scaled_total = scaled_total.min(target_peak_per_minute);
-        for (f, s) in series.iter().enumerate() {
-            column[f] = s[m];
-        }
-        if totals[m] == 0 {
+    // functions active that minute. Apportionment hands out exactly the
+    // scaled total, so that is also the minute's total afterwards.
+    let mut scratch = ApportionScratch::default();
+    let (mut peak_after, mut total_after) = (0u64, 0u64);
+    for (column, &total) in columns.chunks_exact_mut(functions).zip(&totals) {
+        if total == 0 {
             continue;
         }
-        let scaled = apportion_largest_remainder(&column, scaled_total);
-        for (f, s) in series.iter_mut().enumerate() {
-            s[m] = scaled[f];
-        }
+        let scaled_total = ((total as f64) * factor).round() as u64;
+        // Floor guarantee: never exceed the target even with rounding.
+        let scaled_total = scaled_total.min(target_peak_per_minute);
+        apportion_in_place(column, scaled_total, &mut scratch);
+        peak_after = peak_after.max(scaled_total);
+        total_after += scaled_total;
     }
 
-    let mut totals_after = vec![0u64; minutes];
-    for s in series.iter() {
-        for (t, &v) in totals_after.iter_mut().zip(s.iter()) {
-            *t += v;
+    // A zero count stays zero, so every Function heard afterwards was heard
+    // before, and the difference is the Functions scaling silenced.
+    let mut audible_after = 0;
+    for (f, s) in series.iter_mut().enumerate() {
+        for (m, v) in s.iter_mut().enumerate() {
+            *v = columns[m * functions + f];
         }
+        audible_after += audible(s);
     }
-    let peak_after = totals_after.iter().copied().max().expect("non-empty");
-    let total_after: u64 = totals_after.iter().sum();
-    let silenced_functions = series.iter().filter(|s| s.iter().all(|&v| v == 0)).count();
+    let silenced_functions = audible_before - audible_after;
 
     ScaleReport { peak_before, peak_after, factor, total_before, total_after, silenced_functions }
 }
@@ -144,6 +152,23 @@ mod tests {
         let report = scale_request_rate(&mut series, 20);
         assert_eq!(report.silenced_functions, 1);
         assert!(series[1].iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn a_function_outside_the_window_was_not_silenced_by_scaling() {
+        use crate::TimeScaling;
+        let window = TimeScaling::MinuteRange { start: 600, experiment_minutes: 30 };
+        let day = |minute: usize, count: u64| {
+            let mut day = vec![0u64; 1440];
+            day[minute] = count;
+            window.apply(&day)
+        };
+        // One busy Function, one the scaling rounds away, one whose only
+        // invocation falls before the window opens.
+        let mut series = vec![day(610, 10_000), day(610, 1), day(100, 50)];
+        let report = scale_request_rate(&mut series, 20);
+        assert!(series[1].iter().chain(&series[2]).all(|&v| v == 0));
+        assert_eq!(report.silenced_functions, 1);
     }
 
     #[test]

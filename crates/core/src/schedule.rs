@@ -210,7 +210,7 @@ impl ScheduleModel {
         iat: IatModel,
     ) -> Result<ScheduleModel, ShrinkError> {
         faasrail_trace::validate(trace)?;
-        if trace.total_invocations() == 0 {
+        if trace.active_functions().next().is_none() {
             return Err(ShrinkError::EmptyTrace);
         }
         let resolution = DurationResolution::for_trace(trace);

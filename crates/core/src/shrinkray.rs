@@ -91,7 +91,8 @@ pub fn shrink(
     if cfg.max_rps <= 0.0 {
         return Err(ShrinkError::Config("max_rps must be positive".into()));
     }
-    if trace.total_invocations() == 0 {
+    // `validate` has refused zero counts, so no entries means no invocations.
+    if trace.active_functions().next().is_none() {
         return Err(ShrinkError::EmptyTrace);
     }
 
@@ -318,6 +319,31 @@ mod tests {
                 .map(|r| r.workload)
                 .collect();
             assert!(used.len() > 1, "rotation should use multiple inputs");
+        }
+    }
+
+    #[test]
+    fn malformed_minute_series_from_json_is_an_error_not_a_panic() {
+        // Deserialization bypasses `MinuteSeries::new`: a minute past the
+        // day's end, descending minutes and a zero count all reach `shrink`.
+        let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
+        let cfg = ShrinkRayConfig::new(30, 10.0);
+        let mut trace = generate(&AzureTraceConfig::small(77));
+        let victim = trace.functions[3].id.0;
+        // With no daily roll-up to disagree with, nothing else notices.
+        trace.functions[3].daily.clear();
+        let sound = serde_json::to_string(&trace).expect("serializes");
+        let minutes = serde_json::to_string(&trace.functions[3].minutes).expect("serializes");
+        assert_eq!(sound.matches(&minutes).count(), 1, "the series to corrupt is unique");
+        for entries in ["[[1440,5]]", "[[9,1],[4,1]]", "[[4,0]]"] {
+            let json = sound.replace(&minutes, &format!("{{\"entries\":{entries}}}"));
+            let trace: Trace = serde_json::from_str(&json).expect("parses");
+            let want = ShrinkError::Trace(faasrail_trace::ValidationError::BadMinuteSeries {
+                function: victim,
+            });
+            assert_eq!(shrink(&trace, &pool, &cfg).err(), Some(want.clone()), "{entries}");
+            let model = crate::ScheduleModel::from_trace_day(&trace, &pool, &cfg.mapping, cfg.iat);
+            assert_eq!(model.err(), Some(want), "{entries}");
         }
     }
 

@@ -92,15 +92,46 @@ impl MinuteSeries {
 
     /// Build from a dense 1440-length (or shorter) count array.
     pub fn from_dense(counts: &[u64]) -> Self {
-        assert!(counts.len() <= MINUTES_PER_DAY, "more than {MINUTES_PER_DAY} minutes");
-        MinuteSeries {
-            entries: counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(m, &c)| (m as u16, u32::try_from(c).expect("per-minute count fits u32")))
-                .collect(),
+        Self::from_dense_window(0, counts)
+    }
+
+    /// Build from a dense window of the day: `counts[i]` is the count at
+    /// minute `first + i`.
+    ///
+    /// # Panics
+    /// Panics if the window ends past the day or a count exceeds `u32`.
+    pub fn from_dense_window(first: usize, counts: &[u64]) -> Self {
+        assert!(first + counts.len() <= MINUTES_PER_DAY, "more than {MINUTES_PER_DAY} minutes");
+        let active = counts.iter().filter(|&&c| c > 0).count();
+        // Every cell is written at the cursor and only a non-zero one moves
+        // it: on a half-empty day a `c > 0` branch mispredicts every other
+        // cell. The spare slot is where the cursor rests after the last one.
+        let mut entries = vec![(0u16, 0u32); active + 1];
+        let mut at = 0;
+        let mut widest = 0u64;
+        for (minute, &c) in (first..).zip(counts) {
+            entries[at] = (minute as u16, c as u32);
+            at += (c > 0) as usize;
+            widest |= c;
         }
+        u32::try_from(widest).expect("per-minute count fits u32");
+        entries.truncate(active);
+        MinuteSeries { entries }
+    }
+
+    /// The day's total, or `None` if the entries break the type's invariants
+    /// (strictly ascending minutes below 1440, positive counts). A series
+    /// that was deserialized has not been through [`MinuteSeries::new`].
+    pub fn checked_total(&self) -> Option<u64> {
+        let mut total = 0u64;
+        let mut earliest = 0usize;
+        let mut sound = true;
+        for &(m, c) in &self.entries {
+            sound &= (m as usize >= earliest) & (c > 0);
+            earliest = m as usize + 1;
+            total += c as u64;
+        }
+        (sound && earliest <= MINUTES_PER_DAY).then_some(total)
     }
 
     /// The sparse `(minute, count)` entries.
@@ -268,6 +299,27 @@ mod tests {
         assert_eq!(s.get(100), 1);
         assert_eq!(s.get(101), 0);
         assert_eq!(s.dense(), dense);
+    }
+
+    #[test]
+    fn minute_series_from_a_window_of_the_day() {
+        let s = MinuteSeries::from_dense_window(1436, &[0, 3, 0, 7]);
+        assert_eq!(s, MinuteSeries::new(vec![(1437, 3), (1439, 7)]));
+        assert_eq!(s.checked_total(), Some(10));
+        assert!(MinuteSeries::from_dense_window(1440, &[]).is_empty());
+        assert!(MinuteSeries::from_dense_window(7, &[0, 0]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 1440 minutes")]
+    fn minute_series_window_must_end_within_the_day() {
+        MinuteSeries::from_dense_window(1438, &[1, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-minute count fits u32")]
+    fn minute_series_rejects_counts_past_u32() {
+        MinuteSeries::from_dense(&[1, u32::MAX as u64 + 1, 0]);
     }
 
     #[test]

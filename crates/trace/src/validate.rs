@@ -4,7 +4,7 @@
 //! user code); the shrink ray assumes these invariants, so every entry point
 //! can cheaply verify them first.
 
-use crate::model::Trace;
+use crate::model::{Trace, MINUTES_PER_DAY};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -25,6 +25,10 @@ pub enum ValidationError {
     BadMemory { app: u32, value_mb: f64 },
     /// `selected_day` out of range.
     SelectedDayOutOfRange { selected: usize, num_days: usize },
+    /// A function's minute series is not strictly ascending, names a minute
+    /// past the day's end, or holds a zero count (only a deserialized trace
+    /// can: [`crate::MinuteSeries::new`] refuses all three).
+    BadMinuteSeries { function: u32 },
 }
 
 impl fmt::Display for ValidationError {
@@ -49,6 +53,11 @@ impl fmt::Display for ValidationError {
             ValidationError::SelectedDayOutOfRange { selected, num_days } => {
                 write!(f, "selected day {selected} out of range for {num_days} days")
             }
+            ValidationError::BadMinuteSeries { function } => write!(
+                f,
+                "function {function}: minute series must have strictly ascending minutes \
+                 below {MINUTES_PER_DAY} and positive counts"
+            ),
         }
     }
 }
@@ -82,6 +91,9 @@ pub fn validate(trace: &Trace) -> Result<(), ValidationError> {
                 value_ms: f.avg_duration_ms,
             });
         }
+        let Some(total) = f.minutes.checked_total() else {
+            return Err(ValidationError::BadMinuteSeries { function: f.id.0 });
+        };
         if !f.daily.is_empty() {
             if f.daily.len() != trace.num_days {
                 return Err(ValidationError::DailyLengthMismatch {
@@ -91,7 +103,7 @@ pub fn validate(trace: &Trace) -> Result<(), ValidationError> {
                 });
             }
             let day = &f.daily[trace.selected_day];
-            if day.invocations != f.minutes.total() || day.avg_duration_ms != f.avg_duration_ms {
+            if day.invocations != total || day.avg_duration_ms != f.avg_duration_ms {
                 return Err(ValidationError::SelectedDayInconsistent { function: f.id.0 });
             }
         }
@@ -170,6 +182,22 @@ mod tests {
         let mut t = base_trace();
         t.selected_day = 5;
         assert!(matches!(validate(&t), Err(ValidationError::SelectedDayOutOfRange { .. })));
+    }
+
+    #[test]
+    fn detects_bad_minute_series() {
+        // Only deserialization can build these; `MinuteSeries::new` panics.
+        for entries in ["[[1440,5]]", "[[7,1],[3,1]]", "[[3,1],[3,1]]", "[[3,0]]"] {
+            let mut t = base_trace();
+            t.functions[0].daily.clear();
+            t.functions[0].minutes =
+                serde_json::from_str(&format!("{{\"entries\":{entries}}}")).expect("parses");
+            assert_eq!(
+                validate(&t),
+                Err(ValidationError::BadMinuteSeries { function: 0 }),
+                "{entries}"
+            );
+        }
     }
 
     #[test]
