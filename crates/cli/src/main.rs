@@ -715,7 +715,7 @@ fn cmd_bench_run(args: &Args, saturate: bool) -> Result<(), String> {
     // pooled, multiplexed) route through one enum so the closure below has
     // a single concrete type.
     enum BenchBackend {
-        Http(HttpBackend),
+        Http(Box<HttpBackend>),
         Mux(MuxHttpBackend),
     }
     impl Backend for BenchBackend {
@@ -832,10 +832,10 @@ fn cmd_bench_run(args: &Args, saturate: bool) -> Result<(), String> {
                 breaker: BreakerConfig::tripping(0, std::time::Duration::from_millis(1_000)),
                 ..HttpBackendConfig::default()
             };
-            BenchBackend::Http(
+            BenchBackend::Http(Box::new(
                 HttpBackend::connect(&target, http_cfg)
                     .map_err(|e| format!("resolving {target}: {e}"))?,
-            )
+            ))
         }
     };
 

@@ -1,15 +1,19 @@
-//! Minimal, dependency-free HTTP/1.1 framing — exactly the subset the
-//! gateway needs: request/status lines, headers, `Content-Length` body
-//! framing, and keep-alive negotiation. Both sides are generic over
-//! [`BufRead`]/[`Write`] so the framing is unit-testable against in-memory
-//! buffers and reusable by the server and the client.
+//! Blocking HTTP/1.1 framing over [`BufRead`]/[`Write`]: adapters that put
+//! `faasrail_reactor::http1` — the one parser and encoder of the dialect —
+//! behind owned [`Request`]/[`Response`] values, for the threaded server,
+//! the pooled client, the fleet console and tests against in-memory
+//! buffers. What is accepted, refused and emitted is `http1`'s to say.
 
-use std::io::{self, BufRead, Read, Write};
+/// The codec these functions adapt, for callers that hold their own buffers.
+pub use faasrail_reactor::http1;
+use http1::{ParseError, ReqHead, RespHead};
+use std::io::{self, BufRead, ErrorKind, Write};
+use std::ops::Range;
 
 /// Cap on the total bytes of a request/status line plus headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Cap on a framed body.
-pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+pub use http1::MAX_BODY_BYTES;
 
 /// The trace-context propagation header: 1–16 lowercase hex digits
 /// carrying the client-assigned per-invocation trace id (see
@@ -45,150 +49,80 @@ pub struct Response {
     pub body: Vec<u8>,
 }
 
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+/// The trace id a request head carries. A malformed id reads as `None`:
+/// tracing is observability, never a reason to refuse a request.
+pub(crate) fn trace_id(buf: &[u8], head: &ReqHead) -> Option<u64> {
+    let value = std::str::from_utf8(&buf[head.trace.clone()?]).ok()?;
+    faasrail_telemetry::parse_trace_id(value)
 }
 
-/// Read one CRLF-terminated line, enforcing the shared head-size budget.
-/// Returns `None` on clean EOF before any byte.
-fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> io::Result<Option<String>> {
-    let mut buf = Vec::new();
-    let mut take = Read::take(&mut *r, *budget as u64 + 1);
-    let n = take.read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if n > *budget {
-        return Err(invalid("header section too large"));
-    }
-    *budget -= n;
-    if buf.last() != Some(&b'\n') {
-        return Err(invalid("line not newline-terminated"));
-    }
-    buf.pop();
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf).map(Some).map_err(|_| invalid("non-UTF-8 header line"))
-}
-
-/// Parsed header-section summary shared by request and response paths.
-struct HeadInfo {
-    content_length: usize,
-    keep_alive: bool,
-    retry_after: Option<u64>,
-    content_type: Option<String>,
-    trace_id: Option<u64>,
-}
-
-/// Shared header-section parse. `keep_alive` starts from the HTTP-version
-/// default and is overridden by a `Connection` header; a `Retry-After`
-/// header (delta-seconds form only) is surfaced for client-side backoff.
-fn read_headers<R: BufRead>(
+/// Pull one framed message off `r`: its parsed head and exactly its
+/// `total_len` bytes, so a pipelined successor stays in the reader.
+/// `Ok(None)` is EOF before the first byte; EOF any later is
+/// `UnexpectedEof`, and a head the parser refuses is `InvalidData`.
+fn read_message<R: BufRead, H>(
     r: &mut R,
-    budget: &mut usize,
-    version_keep_alive: bool,
-) -> io::Result<HeadInfo> {
-    let mut info = HeadInfo {
-        content_length: 0,
-        keep_alive: version_keep_alive,
-        retry_after: None,
-        content_type: None,
-        trace_id: None,
-    };
+    parse: fn(&[u8], usize) -> Result<Option<H>, ParseError>,
+    total_len: fn(&H) -> usize,
+) -> io::Result<Option<(H, Vec<u8>)>> {
+    let mut msg = Vec::new();
     loop {
-        let line = read_line(r, budget)?.ok_or_else(|| invalid("EOF inside headers"))?;
-        if line.is_empty() {
-            return Ok(info);
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(invalid(format!("malformed header line: {line}")));
+        let chunk = match r.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        match name.as_str() {
-            "content-length" => {
-                info.content_length = value
-                    .parse::<usize>()
-                    .map_err(|_| invalid(format!("bad content-length: {value}")))?;
-                if info.content_length > MAX_BODY_BYTES {
-                    return Err(invalid("body too large"));
-                }
+        if chunk.is_empty() {
+            return if msg.is_empty() { Ok(None) } else { Err(ErrorKind::UnexpectedEof.into()) };
+        }
+        let before = msg.len();
+        msg.extend_from_slice(chunk);
+        match parse(&msg, MAX_HEAD_BYTES) {
+            Ok(Some(head)) => {
+                // The head ends in this chunk (no earlier one held its
+                // blank line), so `total > before`.
+                let total = total_len(&head);
+                let have = msg.len().min(total);
+                r.consume(have - before);
+                msg.resize(total, 0);
+                r.read_exact(&mut msg[have..])?;
+                return Ok(Some((head, msg)));
             }
-            "connection" => {
-                let v = value.to_ascii_lowercase();
-                if v.contains("close") {
-                    info.keep_alive = false;
-                } else if v.contains("keep-alive") {
-                    info.keep_alive = true;
-                }
-            }
-            // HTTP-date form is ignored (the gateway only emits seconds).
-            "retry-after" => info.retry_after = value.parse::<u64>().ok(),
-            "content-type" => info.content_type = Some(value.to_string()),
-            // Malformed ids parse to None rather than erroring: tracing is
-            // observability, never a reason to refuse a request.
-            "x-faasrail-trace" => info.trace_id = faasrail_telemetry::parse_trace_id(value),
-            _ => {}
+            Ok(None) => r.consume(msg.len() - before),
+            Err(e) => return Err(io::Error::new(ErrorKind::InvalidData, e)),
         }
     }
 }
 
-fn read_body<R: BufRead>(r: &mut R, len: usize) -> io::Result<Vec<u8>> {
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(body)
+fn text(msg: &[u8], range: Range<usize>) -> String {
+    String::from_utf8_lossy(&msg[range]).into_owned()
 }
 
 /// Parse one request off the connection. `Ok(None)` means the peer closed
 /// the connection cleanly between requests (normal keep-alive shutdown).
 pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Request>> {
-    let mut budget = MAX_HEAD_BYTES;
-    let Some(line) = read_line(r, &mut budget)? else {
+    let Some((head, mut msg)) = read_message(r, http1::parse_request, ReqHead::total_len)? else {
         return Ok(None);
     };
-    let mut parts = line.split_ascii_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return Err(invalid(format!("malformed request line: {line}")));
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(invalid(format!("unsupported version: {version}")));
-    }
-    let version_keep_alive = version != "HTTP/1.0";
-    let info = read_headers(r, &mut budget, version_keep_alive)?;
-    let body = read_body(r, info.content_length)?;
-    Ok(Some(Request {
-        method: method.to_string(),
-        path: path.to_string(),
-        keep_alive: info.keep_alive,
-        trace_id: info.trace_id,
-        body,
-    }))
+    let method = text(&msg, head.method.clone());
+    let path = text(&msg, head.path.clone());
+    let trace_id = trace_id(&msg, &head);
+    msg.drain(..head.head_len);
+    Ok(Some(Request { method, path, keep_alive: head.keep_alive, trace_id, body: msg }))
 }
 
 /// Parse one response off the connection (client side).
 pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
-    let mut budget = MAX_HEAD_BYTES;
-    let line = read_line(r, &mut budget)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "EOF before status line"))?;
-    let mut parts = line.split_ascii_whitespace();
-    let (Some(version), Some(code)) = (parts.next(), parts.next()) else {
-        return Err(invalid(format!("malformed status line: {line}")));
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(invalid(format!("unsupported version: {version}")));
-    }
-    let status = code.parse::<u16>().map_err(|_| invalid(format!("bad status code: {code}")))?;
-    let version_keep_alive = version != "HTTP/1.0";
-    let info = read_headers(r, &mut budget, version_keep_alive)?;
-    let body = read_body(r, info.content_length)?;
+    let (head, mut msg) = read_message(r, http1::parse_response, RespHead::total_len)?
+        .ok_or_else(|| io::Error::new(ErrorKind::UnexpectedEof, "EOF before status line"))?;
+    let content_type = head.content_type.clone().map(|range| text(&msg, range));
+    msg.drain(..head.head_len);
     Ok(Response {
-        status,
-        keep_alive: info.keep_alive,
-        retry_after: info.retry_after,
-        content_type: info.content_type,
-        body,
+        status: head.status,
+        keep_alive: head.keep_alive,
+        retry_after: head.retry_after,
+        content_type,
+        body: msg,
     })
 }
 
@@ -204,6 +138,13 @@ pub fn status_reason(status: u16) -> &'static str {
         503 => "Service Unavailable",
         _ => "Status",
     }
+}
+
+/// A head staged in memory, then the body: two writes, not one per field.
+fn write_message<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> io::Result<()> {
+    w.write_all(head)?;
+    w.write_all(body)?;
+    w.flush()
 }
 
 /// Serialize a response with `Content-Length` framing.
@@ -226,24 +167,18 @@ pub fn write_response_with<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+    let mut head = Vec::with_capacity(128);
+    let reason = status_reason(status);
+    http1::write_response_head(
+        &mut head,
         status,
-        status_reason(status),
+        reason,
         content_type,
         body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
-    w.flush()
+        keep_alive,
+        extra_headers,
+    )?;
+    write_message(w, &head, body)
 }
 
 /// Serialize a request with `Content-Length` framing (client side).
@@ -271,22 +206,18 @@ pub fn write_request_with<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: {}\r\n",
+    let mut head = Vec::with_capacity(192);
+    http1::write_request_head(
+        &mut head,
+        method,
+        path,
+        host,
+        content_type,
         body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
-    w.flush()
+        keep_alive,
+        extra_headers,
+    )?;
+    write_message(w, &head, body)
 }
 
 #[cfg(test)]

@@ -6,28 +6,29 @@
 //! supplies both ends of that wire without adding any dependency beyond the
 //! workspace's:
 //!
-//! * [`Gateway`] — an HTTP/1.1 server (bounded thread pool over
-//!   `std::net::TcpListener`, keep-alive, `Content-Length` framing) that
-//!   exposes any `Backend` at `POST /invoke`, plus `GET /healthz` and
-//!   `GET /stats`;
+//! * [`crate::core`] — the request contract, once and socket-free: routes
+//!   (`POST /invoke`, `GET /healthz`, `/stats`, `/metrics`), status codes,
+//!   the seeded [`FaultConfig`] bands (dropped connections, injected
+//!   `500`s, black-hole stalls, straggler delays), the `429` +
+//!   `Retry-After` shed reply, [`GatewayStats`], and the one `ServerSpan`
+//!   per invocation. A server parses a request, asks `core` what to do
+//!   with it, and does that;
+//! * [`Gateway`] and [`ReactorGateway`] — the two transports that carry
+//!   the contract out: a bounded pool of threads blocking on keep-alive
+//!   connections over `std::net::TcpListener`, and `faasrail-reactor`'s
+//!   epoll event loop (N `SO_REUSEPORT` shards, per-connection deadlines
+//!   on a timer wheel, a bounded handler pool). Both shed when their
+//!   bounded queue of admitted work ([`GatewayConfig::queue_capacity`])
+//!   is full, so overload is an explicit signal instead of a stalled OS
+//!   accept backlog;
+//! * [`http`] — blocking `BufRead`/`Write` adapters over
+//!   `faasrail_reactor::http1`, the only parser and encoder of the wire
+//!   dialect in the workspace;
 //! * [`HttpBackend`] — a `Backend` implementation that ships invocations to
 //!   such a gateway with connection pooling, per-request deadlines, seeded
 //!   capped-exponential retry ([`RetryPolicy`]) for transport failures,
 //!   `429`s and `5xx`s, and an optional [`CircuitBreaker`] that fails fast
 //!   (as `OutcomeClass::Shed`) while the upstream is unhealthy;
-//! * [`FaultConfig`] — deterministic, seeded fault injection on the server
-//!   side (dropped connections, injected `500`s, black-hole stalls, and
-//!   straggler delays) so retry, deadline, and breaker behaviour are all
-//!   testable under controlled fault rates;
-//! * admission control — the server sheds connections with `429` +
-//!   `Retry-After` when its bounded pending-work queue is full
-//!   ([`GatewayConfig::queue_capacity`]), so overload is an explicit signal
-//!   instead of a stalled OS accept backlog;
-//! * [`ReactorGateway`] — the same server contract re-implemented on
-//!   `faasrail-reactor`'s epoll event loop: N readiness-driven shards
-//!   (`SO_REUSEPORT`) plus a bounded handler pool, with per-connection
-//!   idle/slow-loris deadlines on a timer wheel and allocation-free HTTP
-//!   parse/encode on the hot path;
 //! * [`MuxHttpBackend`] — a multiplexed client `Backend`: one reactor
 //!   thread drives a fixed pool of pipelined connections, so thousands of
 //!   in-flight invocations need neither a thread nor a socket each.
@@ -40,6 +41,7 @@
 pub mod backoff;
 pub mod breaker;
 pub mod client;
+pub mod core;
 pub mod http;
 pub mod mux;
 pub mod reactor_server;
@@ -48,7 +50,8 @@ pub mod server;
 pub use backoff::{mix_fraction, RetryPolicy, SplitMix64};
 pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use client::{ClientStats, HttpBackend, HttpBackendConfig};
+pub use core::{FaultConfig, GatewayConfig, GatewayStats, StageMetrics};
 pub use http::TRACE_HEADER;
 pub use mux::{MuxConfig, MuxHttpBackend};
 pub use reactor_server::{ReactorGateway, ReactorHandle};
-pub use server::{FaultConfig, Gateway, GatewayConfig, GatewayHandle, GatewayStats, StageMetrics};
+pub use server::{Gateway, GatewayHandle};

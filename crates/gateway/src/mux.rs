@@ -564,3 +564,71 @@ impl Drop for MuxHttpBackend {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use faasrail_telemetry::OutcomeClass;
+    use faasrail_workloads::{WorkloadId, WorkloadInput};
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_response_announcing_more_than_the_body_cap_fails_the_connection_unbuffered() {
+        const IN_FLIGHT: usize = 3;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Answers the pipelined requests with one head that promises 100 GB,
+        // then dribbles "body" for as long as the client keeps taking it.
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let (mut seen, mut chunk) = (Vec::new(), [0u8; 4096]);
+            while seen.windows(12).filter(|w| w == b"POST /invoke").count() < IN_FLIGHT {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "client hung up before sending {IN_FLIGHT} requests");
+                seen.extend_from_slice(&chunk[..n]);
+            }
+            stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n").unwrap();
+            let deadline = Instant::now() + Duration::from_secs(12);
+            let mut taken = 0;
+            while Instant::now() < deadline {
+                match stream.write(&[b'x'; 4096]) {
+                    Ok(n) => taken += n,
+                    Err(_) => break,
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            taken
+        });
+
+        let cfg = MuxConfig {
+            connections: 1,
+            pipeline_depth: IN_FLIGHT,
+            request_timeout: Duration::from_secs(20),
+            ..MuxConfig::default()
+        };
+        let client = Arc::new(MuxHttpBackend::new(addr, cfg).unwrap());
+        let request = InvocationRequest {
+            workload: WorkloadId(7),
+            input: WorkloadInput::Pyaes { bytes: 1024 },
+            function_index: 0,
+            scheduled_at_ms: 0,
+            trace_id: 0,
+        };
+        let started = Instant::now();
+        let callers: Vec<_> = (0..IN_FLIGHT)
+            .map(|_| {
+                let client = Arc::clone(&client);
+                std::thread::spawn(move || client.invoke(&request))
+            })
+            .collect();
+        for caller in callers {
+            let result = caller.join().unwrap();
+            assert_eq!(result.outcome(), OutcomeClass::Transport, "{result:?}");
+        }
+        assert!(started.elapsed() < Duration::from_secs(5), "failed at the head, not a deadline");
+        assert_eq!(client.stats().transport_errors.load(Ordering::Relaxed), IN_FLIGHT as u64);
+        let taken = server.join().unwrap();
+        assert!(taken < http::MAX_BODY_BYTES, "the client took {taken} bytes of a refused body");
+    }
+}

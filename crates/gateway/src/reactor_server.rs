@@ -21,28 +21,25 @@
 //!   is reaped after `cfg.head_read_timeout` — without stalling anyone
 //!   else, because no shard thread ever blocks on one socket.
 //!
-//! ## Contract parity with the threaded server
-//!
-//! Endpoints (`/invoke`, `/healthz`, `/stats`, `/metrics`), status codes,
-//! fault-injection semantics, [`GatewayStats`] counters, and
-//! [`ServerSpan`] stage semantics all match; the shared `tests/` suites run
-//! against both constructions. Differences are intentional and invisible
-//! on the wire: shedding happens at request dispatch instead of at accept
-//! (both look like `429` + `Retry-After` + close to a client), and the
-//! pool queue wait maps onto the span's `queue_wait` stage where the
-//! threaded server put its accept-queue wait. Shed requests emit no span,
-//! so trace joins still count them as orphans.
+//! What is served, refused, injected and traced is [`crate::core`]'s
+//! contract, shared with the threaded server. Two differences are the
+//! transport's own, and invisible on the wire: shedding happens when an
+//! invocation is dispatched instead of when a connection is accepted (a
+//! client sees `429` + `Retry-After` + close either way), so
+//! `queue_depth` counts queued invocations rather than queued
+//! connections, and the pool-queue wait is what a span's `queue_wait`
+//! stage holds.
 
+use crate::core::{micros_since, Arrival, Core, Reply, Step};
 use crate::http;
-use crate::server::{Fault, GatewayConfig, GatewayStats, StageMetrics};
+use crate::{GatewayConfig, GatewayStats, StageMetrics};
 use faasrail_loadgen::{Backend, InvocationRequest};
 use faasrail_reactor::http1;
 use faasrail_reactor::{
     bind_listeners, Interest, Listener, Poller, ReadBuf, TimerWheel, Waker, WriteBuf,
 };
-use faasrail_telemetry::{
-    EventSink, NullSink, OutcomeClass, ServerFault, ServerSpan, TelemetryEvent,
-};
+use faasrail_telemetry::{EventSink, ServerSpan};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -70,64 +67,15 @@ fn token_gen(token: u64) -> u32 {
     (token >> 32) as u32
 }
 
-fn micros_since(epoch: Instant) -> u64 {
-    epoch.elapsed().as_micros() as u64
-}
-
-/// Span fields accumulated before the final (handler-end, flushed) stamps.
-/// The reactor's analog of the threaded server's `SpanDraft`.
-#[derive(Debug, Clone)]
-struct Draft {
-    trace_id: u64,
-    seq: u64,
-    worker: u64,
-    accepted_us: u64,
-    dequeued_us: u64,
-    handler_start_us: u64,
-    queue_depth: u64,
-    service_ms: f64,
-    outcome: OutcomeClass,
-    fault: Option<ServerFault>,
-    cold_start: bool,
-}
-
-impl Draft {
-    fn emit(
-        self,
-        stages: &StageMetrics,
-        sink: &dyn EventSink,
-        handler_end_us: u64,
-        flushed_us: u64,
-    ) {
-        let span = ServerSpan {
-            trace_id: self.trace_id,
-            seq: self.seq,
-            worker: self.worker,
-            accepted_us: self.accepted_us,
-            dequeued_us: self.dequeued_us,
-            handler_start_us: self.handler_start_us,
-            handler_end_us,
-            flushed_us: flushed_us.max(handler_end_us),
-            queue_depth: self.queue_depth,
-            service_ms: self.service_ms,
-            outcome: self.outcome,
-            fault: self.fault,
-            cold_start: self.cold_start,
-        };
-        stages.record(&span);
-        sink.emit(&TelemetryEvent::ServerSpan(span));
-    }
-}
-
 /// One `/invoke` awaiting a handler thread.
 struct Job {
     shard: usize,
     token: u64,
     inv: InvocationRequest,
-    draft: Draft,
-    /// Injected-delay jobs carry pre-stamped dequeue/handler-start times so
-    /// the parked delay lands in the service stage (where the threaded
-    /// server's in-handler sleep puts it).
+    span: ServerSpan,
+    /// Injected-delay jobs keep the dequeue/handler-start stamps they got
+    /// at routing, so the parked delay lands in the service stage (where
+    /// the threaded server's in-handler sleep puts it).
     preset_stamps: bool,
     keep: bool,
 }
@@ -135,11 +83,8 @@ struct Job {
 /// A finished invocation travelling back to its shard.
 struct Completion {
     token: u64,
-    keep: bool,
-    /// Serialized 200 body (pooled; returned to [`BufPool`] after staging).
-    body: Vec<u8>,
-    draft: Draft,
-    handler_end_us: u64,
+    /// The `200`; its body is pooled (back to [`BufPool`] after staging).
+    reply: Reply,
 }
 
 /// Free-list of response-body buffers so steady-state completions reuse
@@ -279,19 +224,24 @@ impl Mailbox {
 
 /// Everything shared by shards, handler threads, and the handle.
 struct Shared {
-    cfg: GatewayConfig,
-    backend: Arc<dyn Backend>,
-    stats: Arc<GatewayStats>,
-    stages: Arc<StageMetrics>,
-    sink: Arc<dyn EventSink>,
+    core: Core,
     pool: Pool,
     bodies: BufPool,
     mailboxes: Vec<Arc<Mailbox>>,
-    epoch: Instant,
-    shutdown: AtomicBool,
 }
 
 impl Shared {
+    /// A `200` whose connection is gone: the work still has its span
+    /// (nothing reached the wire, so it counts as flushed now).
+    fn discard(&self, reply: Reply) {
+        if let Some(span) = reply.span {
+            self.core.emit(span, micros_since(self.core.epoch));
+        }
+        if let Cow::Owned(body) = reply.body {
+            self.bodies.put(body);
+        }
+    }
+
     fn wake_all(&self) {
         for mailbox in &self.mailboxes {
             mailbox.force_wake();
@@ -302,8 +252,7 @@ impl Shared {
 /// A span waiting for its response bytes to reach the socket. Emitted once
 /// the connection's flushed-byte counter passes `done_at`.
 struct PendingSpan {
-    draft: Draft,
-    handler_end_us: u64,
+    span: ServerSpan,
     done_at: u64,
 }
 
@@ -318,7 +267,7 @@ enum ConnState {
     Delayed { until: Instant, job: Option<Box<Job>> },
     /// Injected stall: the socket is held open and silent until `until`,
     /// then closed without a response.
-    Stalled { until: Instant, draft: Option<Box<Draft>> },
+    Stalled { until: Instant, span: Option<Box<ServerSpan>> },
 }
 
 struct Conn {
@@ -363,20 +312,12 @@ enum Parsed {
     Close,
 }
 
-enum Route {
-    Invoke,
-    Healthz,
-    Stats,
-    Metrics,
-    NotFound,
-}
-
 enum TimerAction {
     Nothing,
     Rearm(Instant),
     Close,
     /// Stall expired: emit the parked span, then close silently.
-    FinishStall(Box<Draft>),
+    FinishStall(Box<ServerSpan>),
     /// Injected delay expired: the job re-enters the pool, bypassing the
     /// admission bound it already passed.
     DispatchDelayed(Box<Job>),
@@ -400,7 +341,7 @@ impl Shard {
         poller.add(listener.raw_fd(), Interest::READ, TOKEN_LISTENER)?;
         let mailbox = Arc::clone(&shared.mailboxes[id]);
         poller.add(mailbox.waker.fd(), Interest::READ, TOKEN_WAKER)?;
-        let epoch = shared.epoch;
+        let epoch = shared.core.epoch;
         Ok(Shard {
             id,
             poller,
@@ -423,7 +364,7 @@ impl Shard {
         let mut completions: Vec<Completion> = Vec::new();
         let mut fired: Vec<u64> = Vec::new();
         loop {
-            let shutting_down = self.shared.shutdown.load(Ordering::SeqCst);
+            let shutting_down = self.shared.core.shutdown.load(Ordering::SeqCst);
             // A coarse tick keeps the wheel honest; park indefinitely only
             // when no deadline can possibly be pending.
             let timeout = if shutting_down {
@@ -466,7 +407,7 @@ impl Shard {
             for token in fired.drain(..) {
                 self.on_timer(token);
             }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.shared.core.shutdown.load(Ordering::SeqCst) {
                 if let Some(l) = self.listener.take() {
                     let _ = self.poller.delete(l.raw_fd());
                 }
@@ -495,10 +436,10 @@ impl Shard {
     }
 
     fn install(&mut self, stream: TcpStream) {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
+        if self.shared.core.shutdown.load(Ordering::SeqCst) {
             return; // late straggler during shutdown: drop before counting
         }
-        self.shared.stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
+        self.shared.core.stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
         stream.set_nodelay(true).ok();
         let slot = match self.free.pop() {
             Some(slot) => slot,
@@ -511,7 +452,7 @@ impl Shard {
         let gen = self.gens[slot];
         let token = conn_token(slot, gen);
         if self.poller.add(stream.as_raw_fd(), Interest::EDGE_RW, token).is_err() {
-            self.shared.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
+            self.shared.core.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
             self.free.push(slot);
             return;
         }
@@ -524,7 +465,7 @@ impl Shard {
             flushed_bytes: 0,
             pending_spans: VecDeque::new(),
             state: ConnState::Ready,
-            accepted_us: micros_since(self.shared.epoch),
+            accepted_us: micros_since(self.shared.core.epoch),
             served: 0,
             idle_since: now,
             head_since: None,
@@ -532,9 +473,9 @@ impl Shard {
             read_closed: false,
             close_after_flush: false,
         };
-        self.shared.stats.connections_active.fetch_add(1, Ordering::Relaxed);
+        self.shared.core.stats.connections_active.fetch_add(1, Ordering::Relaxed);
         self.conns[slot] = Some(conn);
-        let read_timeout = self.shared.cfg.read_timeout;
+        let read_timeout = self.shared.core.cfg.read_timeout;
         arm(
             &mut self.wheel,
             self.conns[slot].as_mut().expect("just installed"),
@@ -615,312 +556,107 @@ impl Shard {
     /// Try to parse and handle exactly one request off the read buffer.
     fn parse_one(&mut self, slot: usize) -> Parsed {
         let shared = Arc::clone(&self.shared);
-        let stats = &shared.stats;
-        let head;
-        let route;
-        let keep;
-        let accepted_us;
-        {
-            let conn = self.conns[slot].as_mut().expect("checked alive");
-            match http1::parse_request(conn.rbuf.filled(), http::MAX_HEAD_BYTES) {
-                Ok(Some(h)) if h.content_length > http::MAX_BODY_BYTES => {
-                    // Same refusal the threaded parser produces for a body
-                    // beyond the shared cap: 400 and close.
-                    stats.http_400.fetch_add(1, Ordering::Relaxed);
-                    respond(conn, 400, "text/plain", b"bad request: body too large", false);
-                    conn.close_after_flush = true;
-                    return Parsed::Stop;
-                }
-                Ok(Some(h)) if conn.rbuf.len() < h.total_len() => {
-                    // Complete head, incomplete body: same slow-loris
-                    // budget as a dribbling head.
-                    if conn.read_closed {
-                        return Parsed::Close; // truncated mid-request
-                    }
-                    if conn.head_since.is_none() {
-                        conn.head_since = Some(Instant::now());
-                    }
-                    let deadline =
-                        conn.head_since.expect("just set") + shared.cfg.head_read_timeout;
-                    arm(&mut self.wheel, conn, deadline);
-                    return Parsed::Stop;
-                }
-                Ok(Some(h)) => head = h,
-                Ok(None) => {
-                    if conn.rbuf.is_empty() {
-                        conn.head_since = None;
-                        if conn.read_closed {
-                            // Clean close between requests (after any
-                            // staged response drains).
-                            if conn.wbuf.is_empty() {
-                                return Parsed::Close;
-                            }
-                            conn.close_after_flush = true;
-                        }
-                    } else if conn.read_closed {
-                        // EOF mid-head: close silently, like the threaded
-                        // server's read-error path.
+        let core = &shared.core;
+        let conn = self.conns[slot].as_mut().expect("checked alive");
+        let head = match http1::parse_request(conn.rbuf.filled(), http::MAX_HEAD_BYTES) {
+            Ok(Some(head)) if conn.rbuf.len() >= head.total_len() => head,
+            Err(refused) => {
+                stage(conn, core.bad_request(&refused));
+                return Parsed::Stop;
+            }
+            Ok(None) if conn.rbuf.is_empty() => {
+                conn.head_since = None;
+                if conn.read_closed {
+                    // Clean close between requests (after any staged
+                    // response drains).
+                    if conn.wbuf.is_empty() {
                         return Parsed::Close;
-                    } else {
-                        if conn.head_since.is_none() {
-                            conn.head_since = Some(Instant::now());
-                        }
-                        let deadline =
-                            conn.head_since.expect("just set") + shared.cfg.head_read_timeout;
-                        arm(&mut self.wheel, conn, deadline);
                     }
-                    return Parsed::Stop;
-                }
-                Err(kind) => {
-                    stats.http_400.fetch_add(1, Ordering::Relaxed);
-                    let msg: &[u8] = match kind {
-                        http1::ParseError::TooLarge => b"bad request: header section too large",
-                        http1::ParseError::BadContentLength => b"bad request: bad content-length",
-                        http1::ParseError::Malformed => b"bad request: malformed request head",
-                    };
-                    respond(conn, 400, "text/plain", msg, false);
                     conn.close_after_flush = true;
-                    return Parsed::Stop;
                 }
+                return Parsed::Stop;
             }
-            conn.head_since = None;
-            conn.idle_since = Instant::now();
-            conn.served += 1;
-            stats.requests.fetch_add(1, Ordering::Relaxed);
-            // Keep-alive follow-ups never waited for admission; their
-            // accepted stamp collapses to the parse instant (mirrors the
-            // threaded server).
-            accepted_us =
-                if conn.served == 1 { conn.accepted_us } else { micros_since(shared.epoch) };
-            keep = head.keep_alive && !shared.shutdown.load(Ordering::Relaxed);
-            let buf = conn.rbuf.filled();
-            route = match (&buf[head.method.clone()], &buf[head.path.clone()]) {
-                (b"POST", b"/invoke") => Route::Invoke,
-                (b"GET", b"/healthz") => Route::Healthz,
-                (b"GET", b"/stats") => Route::Stats,
-                (b"GET", b"/metrics") => Route::Metrics,
-                _ => Route::NotFound,
-            };
-        }
-        match route {
-            Route::Invoke => {
-                self.handle_invoke(slot, &head, accepted_us, keep);
-                return Parsed::Continue;
+            // Part of a request is in, head or body.
+            Ok(_) => {
+                if conn.read_closed {
+                    return Parsed::Close; // cut short by EOF: no answer
+                }
+                // The slow-loris clock runs from the request's first byte.
+                let since = *conn.head_since.get_or_insert_with(Instant::now);
+                arm(&mut self.wheel, conn, since + core.cfg.head_read_timeout);
+                return Parsed::Stop;
             }
-            Route::Healthz => {
-                let build = faasrail_telemetry::BuildInfo::current();
-                let body = format!(
-                    "{{\"status\":\"ok\",\"queue_depth\":{},\"shed\":{},\"version\":\"{}\",\"git_sha\":\"{}\"}}",
-                    stats.queue_depth.load(Ordering::Relaxed),
-                    stats.shed.load(Ordering::Relaxed),
-                    build.version,
-                    build.git_sha,
-                );
-                let conn = self.conns[slot].as_mut().expect("checked alive");
-                respond(conn, 200, "application/json", body.as_bytes(), keep);
-            }
-            Route::Stats => {
-                let conn = self.conns[slot].as_mut().expect("checked alive");
-                stats.max_requests_per_connection.fetch_max(conn.served, Ordering::Relaxed);
-                respond(conn, 200, "application/json", stats.to_json().as_bytes(), keep);
-            }
-            Route::Metrics => {
-                let mut text = stats.to_prometheus();
-                text.push_str(&shared.stages.to_prometheus());
-                let conn = self.conns[slot].as_mut().expect("checked alive");
-                stats.max_requests_per_connection.fetch_max(conn.served, Ordering::Relaxed);
-                respond(
-                    conn,
-                    200,
-                    faasrail_telemetry::prometheus::CONTENT_TYPE,
-                    text.as_bytes(),
-                    keep,
-                );
-            }
-            Route::NotFound => {
-                stats.http_404.fetch_add(1, Ordering::Relaxed);
-                let conn = self.conns[slot].as_mut().expect("checked alive");
-                respond(conn, 404, "text/plain", b"not found", keep);
-            }
-        }
-        let conn = self.conns[slot].as_mut().expect("checked alive");
-        conn.rbuf.consume(head.total_len());
-        if !keep {
-            conn.close_after_flush = true;
-        }
-        Parsed::Continue
-    }
-
-    /// Route one `POST /invoke`: fault decision, admission, dispatch.
-    /// Consumes the request's bytes from the read buffer.
-    fn handle_invoke(&mut self, slot: usize, head: &http1::ReqHead, accepted_us: u64, keep: bool) {
-        let shared = Arc::clone(&self.shared);
-        let stats = &shared.stats;
-        let shard_id = self.id;
-        let conn = self.conns[slot].as_mut().expect("checked alive");
-        let n = stats.invocations.fetch_add(1, Ordering::Relaxed);
-        let now_us = micros_since(shared.epoch);
-        let total_len = head.total_len();
-
+        };
+        conn.head_since = None;
+        conn.idle_since = Instant::now();
+        conn.served += 1;
+        let now_us = micros_since(core.epoch);
         let buf = conn.rbuf.filled();
-        let header_trace = head
-            .trace
-            .clone()
-            .and_then(|r| std::str::from_utf8(&buf[r]).ok())
-            .and_then(faasrail_telemetry::parse_trace_id)
-            .unwrap_or(0);
-        let parsed = serde_json::from_slice::<InvocationRequest>(&buf[head.body_range()]);
-
-        let mut draft = Draft {
-            trace_id: header_trace,
-            seq: n,
-            worker: shard_id as u64,
-            accepted_us,
+        let step = core.route(Arrival {
+            method: &buf[head.method.clone()],
+            path: &buf[head.path.clone()],
+            keep_alive: head.keep_alive,
+            trace_id: http::trace_id(buf, &head),
+            body: &buf[head.body_range()],
+            served: conn.served,
+            // Keep-alive follow-ups never waited for admission; their
+            // accepted stamp collapses to the parse instant (as in the
+            // threaded server).
+            accepted_us: if conn.served == 1 { conn.accepted_us } else { now_us },
+            // Until a handler thread picks the invocation up and says
+            // otherwise.
             dequeued_us: now_us,
-            handler_start_us: now_us,
-            queue_depth: stats.queue_depth.load(Ordering::Relaxed),
-            service_ms: 0.0,
-            outcome: OutcomeClass::Ok,
-            fault: None,
-            cold_start: false,
-        };
-
-        let mut fault = shared.cfg.fault.decide(n);
-        let mut preset_stamps = false;
-        let mut delay_until = None;
-        if let Fault::Delay = fault {
-            // Injected straggler: park on the wheel, then serve normally.
-            // Pre-stamp dequeue/handler-start so the delay lands in the
-            // service stage, exactly where the threaded server's
-            // in-handler sleep puts it.
-            stats.faults_delayed.fetch_add(1, Ordering::Relaxed);
-            draft.fault = Some(ServerFault::Delay);
-            preset_stamps = true;
-            delay_until = Some(Instant::now() + Duration::from_millis(shared.cfg.fault.latency_ms));
-            fault = Fault::None;
-        }
-
-        match fault {
-            Fault::Delay => unreachable!("rewritten to Fault::None above"),
-            Fault::Drop => {
-                stats.faults_dropped.fetch_add(1, Ordering::Relaxed);
-                draft.fault = Some(ServerFault::Drop);
-                // The client sees a broken connection: transport.
-                draft.outcome = OutcomeClass::Transport;
-                let now = micros_since(shared.epoch);
-                draft.emit(&shared.stages, &*shared.sink, now, now);
-                conn.rbuf.consume(total_len);
-                conn.close_after_flush = true; // vanish without a response
-                return;
+            queue_depth: core.stats.queue_depth.load(Ordering::Relaxed),
+            worker: self.id as u64,
+        });
+        conn.rbuf.consume(head.total_len());
+        match step {
+            Step::Reply(reply) => {
+                stage(conn, reply);
             }
-            Fault::Stall => {
-                // Black hole: hold the socket open and silent, then close
-                // without a response — the client's deadline, not its
-                // retry logic, has to catch this.
-                stats.faults_stalled.fetch_add(1, Ordering::Relaxed);
-                draft.fault = Some(ServerFault::Stall);
-                draft.outcome = OutcomeClass::Timeout;
-                let until = Instant::now() + Duration::from_millis(shared.cfg.fault.stall_ms);
-                conn.rbuf.consume(total_len);
-                conn.state = ConnState::Stalled { until, draft: Some(Box::new(draft)) };
-                arm(&mut self.wheel, conn, until);
-                return;
-            }
-            Fault::Error => {
-                stats.faults_errored.fetch_add(1, Ordering::Relaxed);
-                draft.fault = Some(ServerFault::Error);
-                draft.outcome = OutcomeClass::Transport;
-                let handler_end = micros_since(shared.epoch);
-                respond(conn, 500, "text/plain", b"injected fault", keep);
-                conn.pending_spans.push_back(PendingSpan {
-                    draft,
-                    handler_end_us: handler_end,
-                    done_at: conn.wbuf.bytes_staged(),
-                });
-                conn.rbuf.consume(total_len);
-                if !keep {
-                    conn.close_after_flush = true;
+            Step::Invoke { inv, span, delay, keep } => {
+                let preset_stamps = delay.is_some();
+                let job = Job { shard: self.id, token: conn.token, inv, span, preset_stamps, keep };
+                if let Some(delay) = delay {
+                    let until = Instant::now() + delay;
+                    conn.state = ConnState::Delayed { until, job: Some(Box::new(job)) };
+                    arm(&mut self.wheel, conn, until);
+                } else if shared.pool.dispatch(job, false, &core.stats).is_ok() {
+                    conn.state = ConnState::Busy;
+                } else {
+                    stage(conn, core.shed()); // admission queue full
                 }
-                return;
             }
-            Fault::None => {}
-        }
-
-        let inv = match parsed {
-            Ok(inv) => inv,
-            Err(e) => {
-                stats.http_400.fetch_add(1, Ordering::Relaxed);
-                // The body never became an invocation; from the client's
-                // side this is a non-retryable transport-class failure.
-                draft.outcome = OutcomeClass::Transport;
-                let handler_end = micros_since(shared.epoch);
-                let msg = format!("bad invocation request: {e}");
-                respond(conn, 400, "text/plain", msg.as_bytes(), keep);
-                conn.pending_spans.push_back(PendingSpan {
-                    draft,
-                    handler_end_us: handler_end,
-                    done_at: conn.wbuf.bytes_staged(),
-                });
-                conn.rbuf.consume(total_len);
-                if !keep {
-                    conn.close_after_flush = true;
-                }
-                return;
-            }
-        };
-        if draft.trace_id == 0 {
-            draft.trace_id = inv.trace_id;
-        }
-        conn.rbuf.consume(total_len);
-
-        let job = Job { shard: shard_id, token: conn.token, inv, draft, preset_stamps, keep };
-        if let Some(until) = delay_until {
-            conn.state = ConnState::Delayed { until, job: Some(Box::new(job)) };
-            arm(&mut self.wheel, conn, until);
-            return;
-        }
-        match shared.pool.dispatch(job, false, stats) {
-            Ok(()) => conn.state = ConnState::Busy,
-            Err(_refused) => {
-                // Admission queue full: shed with the same 429 the
-                // threaded server sends — and *no* span, so trace joins
-                // see an orphan, exactly like a shed-at-accept.
-                stats.shed.fetch_add(1, Ordering::Relaxed);
-                respond_shed(conn);
+            Step::Vanish { span, hold } if hold.is_zero() => {
+                core.close(span);
                 conn.close_after_flush = true;
             }
+            Step::Vanish { span, hold } => {
+                let until = Instant::now() + hold;
+                conn.state = ConnState::Stalled { until, span: Some(Box::new(span)) };
+                arm(&mut self.wheel, conn, until);
+            }
         }
+        Parsed::Continue
     }
 
     // ---- completions ----------------------------------------------------
 
     fn on_completion(&mut self, completion: Completion) {
         let shared = Arc::clone(&self.shared);
-        let token = completion.token;
-        if !self.conn_alive(token) {
-            // The connection died while the backend ran; the work still
-            // deserves its span (nothing hit the wire: flush time = now).
-            let now = micros_since(shared.epoch);
-            completion.draft.emit(&shared.stages, &*shared.sink, completion.handler_end_us, now);
-            shared.bodies.put(completion.body);
+        if !self.conn_alive(completion.token) {
+            shared.discard(completion.reply); // died while the backend ran
             return;
         }
-        let slot = token_slot(token);
+        let slot = token_slot(completion.token);
         {
             let conn = self.conns[slot].as_mut().expect("checked alive");
             conn.state = ConnState::Ready;
             conn.idle_since = Instant::now();
-            respond(conn, 200, "application/json", &completion.body, completion.keep);
-            conn.pending_spans.push_back(PendingSpan {
-                draft: completion.draft,
-                handler_end_us: completion.handler_end_us,
-                done_at: conn.wbuf.bytes_staged(),
-            });
-            if !completion.keep {
-                conn.close_after_flush = true;
+            if let Cow::Owned(body) = stage(conn, completion.reply) {
+                shared.bodies.put(body);
             }
-            shared.bodies.put(completion.body);
-            arm(&mut self.wheel, conn, Instant::now() + shared.cfg.read_timeout);
+            arm(&mut self.wheel, conn, Instant::now() + shared.core.cfg.read_timeout);
         }
         // Pipelined follow-ups may already be buffered.
         if !self.advance_conn(slot) || !self.try_flush(slot) {
@@ -941,9 +677,9 @@ impl Shard {
             let conn = self.conns[slot].as_mut().expect("checked alive");
             conn.armed_until = None;
             match &mut conn.state {
-                ConnState::Stalled { until, draft } => {
+                ConnState::Stalled { until, span } => {
                     if now >= *until {
-                        TimerAction::FinishStall(draft.take().expect("stall draft emitted once"))
+                        TimerAction::FinishStall(span.take().expect("stall span emitted once"))
                     } else {
                         TimerAction::Rearm(*until)
                     }
@@ -962,9 +698,10 @@ impl Shard {
                 ConnState::Busy => TimerAction::Nothing,
                 ConnState::Ready => {
                     let deadline = if conn.rbuf.is_empty() {
-                        conn.idle_since + shared.cfg.read_timeout
+                        conn.idle_since + shared.core.cfg.read_timeout
                     } else {
-                        conn.head_since.unwrap_or(conn.idle_since) + shared.cfg.head_read_timeout
+                        conn.head_since.unwrap_or(conn.idle_since)
+                            + shared.core.cfg.head_read_timeout
                     };
                     if now >= deadline {
                         // Idle keep-alive expiry, or a reaped slow loris —
@@ -984,14 +721,13 @@ impl Shard {
                 arm(&mut self.wheel, conn, deadline);
             }
             TimerAction::Close => self.close_conn(slot),
-            TimerAction::FinishStall(draft) => {
-                let now_us = micros_since(shared.epoch);
-                draft.emit(&shared.stages, &*shared.sink, now_us, now_us);
+            TimerAction::FinishStall(span) => {
+                shared.core.close(*span);
                 self.close_conn(slot);
             }
             TimerAction::DispatchDelayed(job) => {
                 // Forced: the request passed admission when it arrived.
-                if shared.pool.dispatch(*job, true, &shared.stats).is_err() {
+                if shared.pool.dispatch(*job, true, &shared.core.stats).is_err() {
                     unreachable!("forced dispatch cannot be refused");
                 }
             }
@@ -1012,13 +748,13 @@ impl Shard {
                     Err(_) => return false,
                 }
             }
-            let now_us = micros_since(shared.epoch);
+            let now_us = micros_since(shared.core.epoch);
             while let Some(front) = conn.pending_spans.front() {
                 if front.done_at > conn.flushed_bytes {
                     break;
                 }
-                let span = conn.pending_spans.pop_front().expect("checked front");
-                span.draft.emit(&shared.stages, &*shared.sink, span.handler_end_us, now_us);
+                let pending = conn.pending_spans.pop_front().expect("checked front");
+                shared.core.emit(pending.span, now_us);
             }
             conn.close_after_flush && conn.wbuf.is_empty()
         };
@@ -1032,8 +768,8 @@ impl Shard {
         let Some(conn) = self.conns[slot].take() else { return };
         self.gens[slot] = self.gens[slot].wrapping_add(1);
         self.free.push(slot);
-        let shared = &self.shared;
-        let stats = &shared.stats;
+        let core = &self.shared.core;
+        let stats = &core.stats;
         let _ = self.poller.delete(conn.stream.as_raw_fd());
         stats.connections_active.fetch_sub(1, Ordering::Relaxed);
         stats.connections_closed.fetch_add(1, Ordering::Relaxed);
@@ -1041,12 +777,12 @@ impl Shard {
         // Responses that never fully reached the wire still get their
         // spans (flush stamped now), mirroring the threaded server's
         // emit-then-propagate-the-write-error ordering.
-        let now_us = micros_since(shared.epoch);
-        for span in conn.pending_spans {
-            span.draft.emit(&shared.stages, &*shared.sink, span.handler_end_us, now_us);
+        let now_us = micros_since(core.epoch);
+        for pending in conn.pending_spans {
+            core.emit(pending.span, now_us);
         }
-        if let ConnState::Stalled { draft: Some(draft), .. } = conn.state {
-            draft.emit(&shared.stages, &*shared.sink, now_us, now_us);
+        if let ConnState::Stalled { span: Some(span), .. } = conn.state {
+            core.close(*span);
         }
         // A ConnState::Delayed job dies with its connection un-invoked
         // (nothing ran, nothing answered): no span, like a shed. A Busy
@@ -1071,66 +807,41 @@ impl Shard {
 
 // ---- response encoding (no per-request allocation) ----------------------
 
-fn respond(conn: &mut Conn, status: u16, content_type: &str, body: &[u8], keep: bool) {
+/// Stage `reply` in the connection's write buffer; its span waits there
+/// for the flush. The body comes back for whoever recycles it.
+fn stage(conn: &mut Conn, reply: Reply) -> Cow<'static, [u8]> {
     let _ = http1::write_response_head(
         &mut conn.wbuf,
-        status,
-        http::status_reason(status),
-        content_type,
-        body.len(),
-        keep,
-        &[],
+        reply.status,
+        http::status_reason(reply.status),
+        reply.content_type,
+        reply.body.len(),
+        reply.keep,
+        reply.extra_headers,
     );
-    let _ = conn.wbuf.write_all(body);
-}
-
-/// The wire-identical twin of the threaded server's `shed_connection`.
-fn respond_shed(conn: &mut Conn) {
-    let body: &[u8] = b"shedding load: admission queue full";
-    let _ = http1::write_response_head(
-        &mut conn.wbuf,
-        429,
-        http::status_reason(429),
-        "text/plain",
-        body.len(),
-        false,
-        &[("Retry-After", "1")],
-    );
-    let _ = conn.wbuf.write_all(body);
+    let _ = conn.wbuf.write_all(&reply.body);
+    if let Some(span) = reply.span {
+        conn.pending_spans.push_back(PendingSpan { span, done_at: conn.wbuf.bytes_staged() });
+    }
+    if !reply.keep {
+        conn.close_after_flush = true;
+    }
+    reply.body
 }
 
 // ---- handler pool -------------------------------------------------------
 
 fn handler_loop(shared: Arc<Shared>, worker: u64) {
-    while let Some(mut job) = shared.pool.pop(&shared.stats) {
-        let now = micros_since(shared.epoch);
+    let core = &shared.core;
+    while let Some(mut job) = shared.pool.pop(&core.stats) {
         if !job.preset_stamps {
-            job.draft.dequeued_us = now;
-            job.draft.handler_start_us = now;
+            let now = micros_since(core.epoch);
+            job.span.dequeued_us = now;
+            job.span.handler_start_us = now;
         }
-        job.draft.worker = worker;
-        let result = shared.backend.invoke(&job.inv);
-        if result.ok {
-            shared.stats.invocations_ok.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shared.stats.invocations_failed.fetch_add(1, Ordering::Relaxed);
-        }
-        job.draft.service_ms = result.service_ms;
-        job.draft.outcome = result.outcome();
-        job.draft.cold_start = result.cold_start;
-        let handler_end = micros_since(shared.epoch);
-        let mut body = shared.bodies.take();
-        if serde_json::to_writer(&mut body, &result).is_err() {
-            body.clear();
-            body.extend_from_slice(b"{\"ok\":false}");
-        }
-        shared.mailboxes[job.shard].deliver(Completion {
-            token: job.token,
-            keep: job.keep,
-            body,
-            draft: job.draft,
-            handler_end_us: handler_end,
-        });
+        job.span.worker = worker;
+        let reply = core.run_invoke(&job.inv, job.span, job.keep, shared.bodies.take());
+        shared.mailboxes[job.shard].deliver(Completion { token: job.token, reply });
     }
 }
 
@@ -1164,7 +875,7 @@ impl ReactorGateway {
         cfg: GatewayConfig,
         shards: usize,
     ) -> io::Result<ReactorGateway> {
-        assert!(cfg.workers > 0, "need at least one handler worker");
+        let core = Core::new(backend, cfg);
         let shards = shards.max(1);
         let addr = addr
             .to_socket_addrs()?
@@ -1175,26 +886,17 @@ impl ReactorGateway {
         for _ in 0..shards {
             mailboxes.push(Arc::new(Mailbox::new()?));
         }
-        let shared = Arc::new(Shared {
-            pool: Pool::new(cfg.queue_capacity),
-            cfg,
-            backend,
-            stats: Arc::new(GatewayStats::default()),
-            stages: Arc::new(StageMetrics::new()),
-            sink: Arc::new(NullSink),
-            bodies: BufPool::default(),
-            mailboxes,
-            epoch: Instant::now(),
-            shutdown: AtomicBool::new(false),
-        });
+        let pool = Pool::new(cfg.queue_capacity);
+        let shared = Arc::new(Shared { core, pool, bodies: BufPool::default(), mailboxes });
         Ok(ReactorGateway { listeners, addr, shared })
     }
 
     /// Install an [`EventSink`] receiving one [`ServerSpan`] per
-    /// `POST /invoke` (default: [`NullSink`]).
+    /// `POST /invoke` (default: `NullSink`).
     pub fn with_trace_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
         Arc::get_mut(&mut self.shared)
             .expect("with_trace_sink must be called before spawn/run")
+            .core
             .sink = sink;
         self
     }
@@ -1206,12 +908,12 @@ impl ReactorGateway {
 
     /// Shared counters (live; safe to read while serving).
     pub fn stats(&self) -> Arc<GatewayStats> {
-        Arc::clone(&self.shared.stats)
+        Arc::clone(&self.shared.core.stats)
     }
 
     /// Per-stage residency histograms (live; safe to read while serving).
     pub fn stage_metrics(&self) -> Arc<StageMetrics> {
-        Arc::clone(&self.shared.stages)
+        Arc::clone(&self.shared.core.stages)
     }
 
     /// Serve until shut down, blocking the calling thread.
@@ -1224,7 +926,7 @@ impl ReactorGateway {
             shard_threads.push(std::thread::spawn(move || shard.run()));
         }
         let mut handler_threads = Vec::new();
-        for worker in 0..shared.cfg.workers {
+        for worker in 0..shared.core.cfg.workers {
             let shared = Arc::clone(&shared);
             handler_threads.push(std::thread::spawn(move || handler_loop(shared, worker as u64)));
         }
@@ -1243,11 +945,10 @@ impl ReactorGateway {
         for mailbox in &shared.mailboxes {
             mailbox.drain(&mut leftovers);
         }
-        let now = micros_since(shared.epoch);
         for completion in leftovers {
-            completion.draft.emit(&shared.stages, &*shared.sink, completion.handler_end_us, now);
+            shared.discard(completion.reply);
         }
-        shared.sink.flush();
+        shared.core.sink.flush();
     }
 
     /// Serve on a background thread; returns a handle for address, stats,
@@ -1276,12 +977,12 @@ impl ReactorHandle {
 
     /// Live counters.
     pub fn stats(&self) -> &GatewayStats {
-        &self.shared.stats
+        &self.shared.core.stats
     }
 
     /// Stop accepting, drain in-flight work, and join the server threads.
     pub fn stop(self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.core.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake_all();
         let _ = self.join.join();
     }

@@ -1,369 +1,31 @@
-//! The gateway server: any [`Backend`] behind a real wire.
+//! The threaded gateway server: any [`Backend`] behind a real wire, on a
+//! dependency-free HTTP/1.1 server over `std::net::TcpListener`.
 //!
-//! A dependency-free HTTP/1.1 server over `std::net::TcpListener`:
-//! thread-per-connection handling drawn from a **bounded** worker pool (a
-//! full pool applies backpressure at `accept` instead of spawning without
-//! limit), keep-alive connections, and `Content-Length` framing. Endpoints:
-//!
-//! * `POST /invoke` — a [`InvocationRequest`] JSON body; replies `200` with
-//!   the backend's [`InvocationResult`] (application failures travel as
-//!   `ok: false` bodies, not HTTP errors);
-//! * `GET /healthz` — liveness probe, as JSON with live queue depth,
-//!   shed total, and build provenance (version + git sha) so load
-//!   balancers see overload — and operators see *what's deployed* —
-//!   without scraping;
-//! * `GET /stats` — aggregate and per-connection counters as JSON;
-//! * `GET /metrics` — the same counters in Prometheus text format (0.0.4)
-//!   plus per-stage residency histograms (queue wait / service / flush /
-//!   total), scrapeable by standard monitoring tooling.
-//!
-//! A seeded [`FaultConfig`] can drop or 5xx a deterministic fraction of
-//! invocations — the harness for exercising client-side retry under
-//! controlled fault rates.
-//!
-//! **Distributed tracing.** Every `POST /invoke` emits a [`ServerSpan`]
-//! (accepted → dequeued → handler → flushed, with the queue depth at
-//! admission, worker id, and fault classification) into an optional
-//! [`EventSink`] installed with [`Gateway::with_trace_sink`]. The span is
-//! tagged with the client's trace id from the `X-FaaSRail-Trace` header
-//! (falling back to the request body), so a client-side JSONL log and the
-//! server-side one can be merged by `faasrail_telemetry::join_spans` into
-//! an end-to-end decomposition. Shed connections never produce a span —
-//! the gateway refused them before reading a request — which is exactly
-//! what lets the join count them as orphans.
+//! What is served, refused, injected and traced is [`crate::core`]'s
+//! contract. This file is the transport: an accept loop feeding a
+//! **bounded** queue of connections (`cfg.queue_capacity`; a connection
+//! arriving with it full is shed with `429` there and then, so overload
+//! is an immediate signal instead of peers timing out in the OS backlog),
+//! and `cfg.workers` threads that each take one connection at a time and
+//! block on it — reading through `RequestClock`, sleeping out injected
+//! delays and stalls in place, writing each reply before reading on.
 
-use crate::backoff::mix_fraction;
+use crate::core::{micros_since, Arrival, Core, Reply, Step};
 use crate::http;
-use faasrail_loadgen::{Backend, InvocationRequest};
-use faasrail_telemetry::{
-    EventSink, LogHistogram, NullSink, OutcomeClass, PromText, ServerFault, ServerSpan,
-    TelemetryEvent,
-};
-use parking_lot::Mutex;
-use std::io::{self, BufReader, ErrorKind};
+use crate::{GatewayConfig, GatewayStats, StageMetrics};
+use faasrail_loadgen::Backend;
+use faasrail_telemetry::EventSink;
+use std::io::{self, BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Seeded fault injection: each invocation draws a deterministic uniform
-/// variate from (`seed`, invocation index) and the unit interval is carved
-/// into consecutive fault bands — `drop_fraction` closes the connection
-/// without replying, then `error_fraction` replies `500`, then
-/// `stall_fraction` black-holes the connection (reads the request, holds
-/// the socket open for `stall_ms`, closes without a byte of response —
-/// exercising the client's deadline rather than its retry path), then
-/// `latency_fraction` delays the response by `latency_ms` but answers
-/// normally (a straggler, not a failure).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultConfig {
-    /// Fraction of invocations whose connection is dropped mid-request.
-    pub drop_fraction: f64,
-    /// Fraction of invocations answered with an injected `500`.
-    pub error_fraction: f64,
-    /// Fraction of invocations black-holed: the connection stays open,
-    /// silent, for `stall_ms`, then closes without a response.
-    pub stall_fraction: f64,
-    /// How long a stalled connection is held before closing, ms.
-    pub stall_ms: u64,
-    /// Fraction of invocations delayed by `latency_ms` before a normal
-    /// response (injected stragglers).
-    pub latency_fraction: f64,
-    /// Injected straggler delay, ms.
-    pub latency_ms: u64,
-    /// Seed for the fault stream.
-    pub seed: u64,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            drop_fraction: 0.0,
-            error_fraction: 0.0,
-            stall_fraction: 0.0,
-            stall_ms: 1_000,
-            latency_fraction: 0.0,
-            latency_ms: 100,
-            seed: 1,
-        }
-    }
-}
-
-pub(crate) enum Fault {
-    None,
-    Drop,
-    Error,
-    Stall,
-    Delay,
-}
-
-impl FaultConfig {
-    pub(crate) fn decide(&self, invocation: u64) -> Fault {
-        let total =
-            self.drop_fraction + self.error_fraction + self.stall_fraction + self.latency_fraction;
-        if total <= 0.0 {
-            return Fault::None;
-        }
-        let u = mix_fraction(self.seed, invocation);
-        let mut edge = self.drop_fraction;
-        if u < edge {
-            return Fault::Drop;
-        }
-        edge += self.error_fraction;
-        if u < edge {
-            return Fault::Error;
-        }
-        edge += self.stall_fraction;
-        if u < edge {
-            return Fault::Stall;
-        }
-        edge += self.latency_fraction;
-        if u < edge {
-            return Fault::Delay;
-        }
-        Fault::None
-    }
-}
-
-/// Gateway server configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GatewayConfig {
-    /// Connection-handler threads. Each keep-alive connection occupies one
-    /// worker for its lifetime, so size this at or above the expected
-    /// client concurrency.
-    pub workers: usize,
-    /// Bound on connections accepted but not yet picked up by a worker
-    /// (the admission-control queue). A connection arriving with the queue
-    /// full is *shed*: answered `429 Too Many Requests` with `Retry-After`
-    /// and closed, instead of letting accept backpressure stall the OS
-    /// backlog and silently time peers out.
-    pub queue_capacity: usize,
-    /// Idle keep-alive timeout: a connection with no request for this long
-    /// is closed (also bounds how long shutdown waits on idle peers).
-    pub read_timeout: Duration,
-    /// Budget for receiving one request *head* once its first byte has
-    /// arrived. A peer dribbling a header byte at a time (slow loris) is
-    /// reaped after this long without stalling other connections. Enforced
-    /// by the reactor server; the threaded server's per-read `read_timeout`
-    /// already bounds each socket read.
-    pub head_read_timeout: Duration,
-    /// Fault injection (off by default).
-    pub fault: FaultConfig,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            workers: 64,
-            queue_capacity: 64,
-            read_timeout: Duration::from_secs(30),
-            head_read_timeout: Duration::from_secs(10),
-            fault: FaultConfig::default(),
-        }
-    }
-}
-
-/// Aggregate and per-connection counters, updated lock-free.
-#[derive(Debug, Default)]
-pub struct GatewayStats {
-    pub connections_accepted: AtomicU64,
-    pub connections_active: AtomicU64,
-    pub connections_closed: AtomicU64,
-    /// All HTTP requests parsed (any endpoint).
-    pub requests: AtomicU64,
-    /// `POST /invoke` requests reaching the fault/backend stage.
-    pub invocations: AtomicU64,
-    pub invocations_ok: AtomicU64,
-    pub invocations_failed: AtomicU64,
-    /// Connections refused with `429` because the admission queue was full.
-    pub shed: AtomicU64,
-    /// Connections accepted but not yet picked up by a worker (gauge).
-    pub queue_depth: AtomicU64,
-    pub faults_dropped: AtomicU64,
-    pub faults_errored: AtomicU64,
-    pub faults_stalled: AtomicU64,
-    pub faults_delayed: AtomicU64,
-    pub http_400: AtomicU64,
-    pub http_404: AtomicU64,
-    /// Most requests any single connection has served (keep-alive depth).
-    pub max_requests_per_connection: AtomicU64,
-}
-
-impl GatewayStats {
-    /// Render the counters as a flat JSON object (stable key order).
-    pub fn to_json(&self) -> String {
-        let closed = self.connections_closed.load(Ordering::Relaxed);
-        let requests = self.requests.load(Ordering::Relaxed);
-        let mean_per_conn = if closed == 0 { 0.0 } else { requests as f64 / closed as f64 };
-        format!(
-            concat!(
-                "{{\"connections_accepted\":{},\"connections_active\":{},",
-                "\"connections_closed\":{},\"requests\":{},\"invocations\":{},",
-                "\"invocations_ok\":{},\"invocations_failed\":{},",
-                "\"shed\":{},\"queue_depth\":{},",
-                "\"faults_dropped\":{},\"faults_errored\":{},",
-                "\"faults_stalled\":{},\"faults_delayed\":{},",
-                "\"http_400\":{},\"http_404\":{},",
-                "\"max_requests_per_connection\":{},",
-                "\"mean_requests_per_closed_connection\":{:.3}}}"
-            ),
-            self.connections_accepted.load(Ordering::Relaxed),
-            self.connections_active.load(Ordering::Relaxed),
-            closed,
-            requests,
-            self.invocations.load(Ordering::Relaxed),
-            self.invocations_ok.load(Ordering::Relaxed),
-            self.invocations_failed.load(Ordering::Relaxed),
-            self.shed.load(Ordering::Relaxed),
-            self.queue_depth.load(Ordering::Relaxed),
-            self.faults_dropped.load(Ordering::Relaxed),
-            self.faults_errored.load(Ordering::Relaxed),
-            self.faults_stalled.load(Ordering::Relaxed),
-            self.faults_delayed.load(Ordering::Relaxed),
-            self.http_400.load(Ordering::Relaxed),
-            self.http_404.load(Ordering::Relaxed),
-            self.max_requests_per_connection.load(Ordering::Relaxed),
-            mean_per_conn,
-        )
-    }
-
-    /// Render the counters in Prometheus text format (0.0.4), for
-    /// `GET /metrics`.
-    pub fn to_prometheus(&self) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut p = PromText::new();
-        p.counter(
-            "faasrail_gateway_connections_accepted_total",
-            "TCP connections accepted.",
-            load(&self.connections_accepted),
-        );
-        p.counter(
-            "faasrail_gateway_connections_closed_total",
-            "Connections fully handled and closed.",
-            load(&self.connections_closed),
-        );
-        p.gauge(
-            "faasrail_gateway_connections_active",
-            "Connections currently held by a handler worker.",
-            load(&self.connections_active) as f64,
-        );
-        p.counter(
-            "faasrail_gateway_requests_total",
-            "HTTP requests parsed (any endpoint).",
-            load(&self.requests),
-        );
-        p.counter(
-            "faasrail_gateway_invocations_total",
-            "POST /invoke requests reaching the fault/backend stage.",
-            load(&self.invocations),
-        );
-        p.counter_vec(
-            "faasrail_gateway_invocation_results_total",
-            "Backend invocation outcomes.",
-            "result",
-            &[("ok", load(&self.invocations_ok)), ("failed", load(&self.invocations_failed))],
-        );
-        p.counter(
-            "faasrail_gateway_shed_total",
-            "Connections refused with 429 at admission.",
-            load(&self.shed),
-        );
-        p.gauge(
-            "faasrail_gateway_queue_depth",
-            "Connections accepted but not yet picked up by a worker.",
-            load(&self.queue_depth) as f64,
-        );
-        p.counter_vec(
-            "faasrail_gateway_faults_injected_total",
-            "Injected faults, by kind.",
-            "kind",
-            &[
-                ("drop", load(&self.faults_dropped)),
-                ("error", load(&self.faults_errored)),
-                ("stall", load(&self.faults_stalled)),
-                ("delay", load(&self.faults_delayed)),
-            ],
-        );
-        p.counter_vec(
-            "faasrail_gateway_http_errors_total",
-            "Error responses, by status code.",
-            "code",
-            &[("400", load(&self.http_400)), ("404", load(&self.http_404))],
-        );
-        p.gauge(
-            "faasrail_gateway_max_requests_per_connection",
-            "Most requests any single connection has served.",
-            load(&self.max_requests_per_connection) as f64,
-        );
-        p.finish()
-    }
-}
-
-/// Per-stage server-side residency histograms, fed from every emitted
-/// [`ServerSpan`] and rendered on `GET /metrics`. Coarse mutexes are fine
-/// here: one `record` per invocation, far off the per-byte hot path.
-pub struct StageMetrics {
-    queue_wait: Mutex<LogHistogram>,
-    service: Mutex<LogHistogram>,
-    flush: Mutex<LogHistogram>,
-    total: Mutex<LogHistogram>,
-}
-
-impl StageMetrics {
-    pub(crate) fn new() -> StageMetrics {
-        StageMetrics {
-            queue_wait: Mutex::new(LogHistogram::latency_seconds()),
-            service: Mutex::new(LogHistogram::latency_seconds()),
-            flush: Mutex::new(LogHistogram::latency_seconds()),
-            total: Mutex::new(LogHistogram::latency_seconds()),
-        }
-    }
-
-    pub(crate) fn record(&self, span: &ServerSpan) {
-        self.queue_wait.lock().record(span.queue_wait_s());
-        self.service.lock().record(span.handler_s());
-        self.flush.lock().record(span.flush_s());
-        self.total.lock().record(span.total_s());
-    }
-
-    /// Render the four stage histograms in Prometheus text format.
-    pub fn to_prometheus(&self) -> String {
-        let mut p = PromText::new();
-        p.histogram(
-            "faasrail_gateway_stage_queue_wait_seconds",
-            "Accept to worker dequeue (admission queue wait).",
-            &self.queue_wait.lock(),
-        );
-        p.histogram(
-            "faasrail_gateway_stage_service_seconds",
-            "Handler start to handler end (backend execution).",
-            &self.service.lock(),
-        );
-        p.histogram(
-            "faasrail_gateway_stage_flush_seconds",
-            "Handler end to response flushed.",
-            &self.flush.lock(),
-        );
-        p.histogram(
-            "faasrail_gateway_stage_total_seconds",
-            "Accept to response flushed (total server residency).",
-            &self.total.lock(),
-        );
-        p.finish()
-    }
-}
 
 /// The gateway: a bound listener plus the backend it exposes.
 pub struct Gateway {
     listener: TcpListener,
     addr: SocketAddr,
-    backend: Arc<dyn Backend>,
-    cfg: GatewayConfig,
-    stats: Arc<GatewayStats>,
-    stages: Arc<StageMetrics>,
-    trace_sink: Arc<dyn EventSink>,
-    epoch: Instant,
-    shutdown: Arc<AtomicBool>,
+    core: Arc<Core>,
 }
 
 /// One accepted connection in flight from the accept loop to a worker.
@@ -383,26 +45,18 @@ impl Gateway {
         backend: Arc<dyn Backend>,
         cfg: GatewayConfig,
     ) -> io::Result<Gateway> {
-        assert!(cfg.workers > 0, "need at least one connection worker");
+        let core = Arc::new(Core::new(backend, cfg));
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        Ok(Gateway {
-            listener,
-            addr,
-            backend,
-            cfg,
-            stats: Arc::new(GatewayStats::default()),
-            stages: Arc::new(StageMetrics::new()),
-            trace_sink: Arc::new(NullSink),
-            epoch: Instant::now(),
-            shutdown: Arc::new(AtomicBool::new(false)),
-        })
+        Ok(Gateway { listener, addr, core })
     }
 
-    /// Install an [`EventSink`] receiving one [`ServerSpan`] per
-    /// `POST /invoke`. Defaults to [`NullSink`] (tracing off, zero cost).
+    /// Install an [`EventSink`] receiving one `ServerSpan` per
+    /// `POST /invoke`. Defaults to `NullSink` (tracing off, zero cost).
     pub fn with_trace_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.trace_sink = sink;
+        Arc::get_mut(&mut self.core)
+            .expect("with_trace_sink must be called before spawn/run")
+            .sink = sink;
         self
     }
 
@@ -413,48 +67,28 @@ impl Gateway {
 
     /// Shared counters (live; safe to read while serving).
     pub fn stats(&self) -> Arc<GatewayStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.core.stats)
     }
 
     /// Per-stage residency histograms (live; safe to read while serving).
     pub fn stage_metrics(&self) -> Arc<StageMetrics> {
-        Arc::clone(&self.stages)
+        Arc::clone(&self.core.stages)
     }
 
-    /// Serve until shut down, blocking the calling thread. Connections are
-    /// fanned out to `cfg.workers` handler threads through a bounded queue
-    /// of `cfg.queue_capacity`; when the queue is full the connection is
-    /// shed with a `429` instead of stalling `accept` — overload surfaces
-    /// to clients as an explicit, immediate signal rather than as peers
-    /// silently timing out in the OS backlog.
+    /// Serve until shut down, blocking the calling thread.
     pub fn run(self) {
-        let capacity = self.cfg.queue_capacity.max(1);
+        let core = &*self.core;
+        let stats = &*core.stats;
+        let capacity = core.cfg.queue_capacity.max(1);
         let (tx, rx) = crossbeam::channel::bounded::<ConnMeta>(capacity);
-        let epoch = self.epoch;
         std::thread::scope(|scope| {
-            for worker in 0..self.cfg.workers {
+            for worker in 0..core.cfg.workers as u64 {
                 let rx = rx.clone();
-                let backend = Arc::clone(&self.backend);
-                let stats = Arc::clone(&self.stats);
-                let stages = Arc::clone(&self.stages);
-                let sink = Arc::clone(&self.trace_sink);
-                let shutdown = Arc::clone(&self.shutdown);
-                let cfg = self.cfg;
                 scope.spawn(move || {
-                    let ctx = WorkerCtx {
-                        backend: &*backend,
-                        stats: &stats,
-                        stages: &stages,
-                        sink: &*sink,
-                        cfg: &cfg,
-                        shutdown: &shutdown,
-                        epoch,
-                        worker: worker as u64,
-                    };
                     while let Ok(conn) = rx.recv() {
                         stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
                         stats.connections_active.fetch_add(1, Ordering::Relaxed);
-                        let _ = handle_connection(conn, &ctx);
+                        handle_connection(conn, core, worker);
                         stats.connections_active.fetch_sub(1, Ordering::Relaxed);
                         stats.connections_closed.fetch_add(1, Ordering::Relaxed);
                     }
@@ -463,37 +97,36 @@ impl Gateway {
             drop(rx);
 
             loop {
-                if self.shutdown.load(Ordering::SeqCst) {
+                if core.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
-                        self.stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                        if self.shutdown.load(Ordering::SeqCst) {
+                        stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
+                        if core.shutdown.load(Ordering::SeqCst) {
                             break; // the shutdown wake-up connection itself
                         }
-                        let depth = self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                        let conn = ConnMeta { stream, accepted_us: micros_since(epoch), depth };
-                        match tx.try_send(conn) {
+                        let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+                        let accepted_us = micros_since(core.epoch);
+                        match tx.try_send(ConnMeta { stream, accepted_us, depth }) {
                             Ok(()) => {}
                             Err(crossbeam::channel::TrySendError::Full(conn)) => {
-                                self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                                self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                                shed_connection(conn.stream);
+                                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                                shed_connection(conn.stream, core);
                             }
                             Err(crossbeam::channel::TrySendError::Disconnected(_)) => break,
                         }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
                     Err(_) => {
-                        if self.shutdown.load(Ordering::SeqCst) {
+                        if core.shutdown.load(Ordering::SeqCst) {
                             break;
                         }
                     }
                 }
             }
             drop(tx); // workers drain queued connections, then exit
-            self.trace_sink.flush();
+            core.sink.flush();
         });
     }
 
@@ -501,18 +134,16 @@ impl Gateway {
     /// and shutdown.
     pub fn spawn(self) -> GatewayHandle {
         let addr = self.addr;
-        let stats = Arc::clone(&self.stats);
-        let shutdown = Arc::clone(&self.shutdown);
+        let core = Arc::clone(&self.core);
         let join = std::thread::spawn(move || self.run());
-        GatewayHandle { addr, stats, shutdown, join }
+        GatewayHandle { addr, core, join }
     }
 }
 
 /// Handle to a gateway serving on a background thread.
 pub struct GatewayHandle {
     addr: SocketAddr,
-    stats: Arc<GatewayStats>,
-    shutdown: Arc<AtomicBool>,
+    core: Arc<Core>,
     join: std::thread::JoinHandle<()>,
 }
 
@@ -524,7 +155,7 @@ impl GatewayHandle {
 
     /// Live counters.
     pub fn stats(&self) -> &GatewayStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Stop accepting, drain, and join the server thread.
@@ -534,302 +165,152 @@ impl GatewayHandle {
     /// pooled connections before calling this to avoid waiting out the
     /// timeout.
     pub fn stop(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.core.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         let _ = self.join.join();
     }
 }
 
-/// Refuse a connection the admission queue has no room for: `429` with a
-/// `Retry-After` hint, then close. Runs on the accept thread, so the write
-/// gets a short timeout — a peer too slow to take a two-line response
-/// isn't worth stalling admission for.
-fn shed_connection(stream: TcpStream) {
+/// Write `reply`, then emit its span (a response that failed to reach the
+/// wire still has one). `Ok(keep)` says whether the connection lives on.
+fn send(stream: &TcpStream, core: &Core, reply: Reply) -> io::Result<bool> {
+    let written = http::write_response_with(
+        &mut &*stream,
+        reply.status,
+        reply.content_type,
+        reply.extra_headers,
+        &reply.body,
+        reply.keep,
+    );
+    if let Some(span) = reply.span {
+        core.emit(span, micros_since(core.epoch));
+    }
+    written.map(|()| reply.keep)
+}
+
+/// Refuse a connection the admission queue has no room for. Runs on the
+/// accept thread, so the write gets a short timeout — a peer too slow to
+/// take a two-line response isn't worth stalling admission for.
+fn shed_connection(stream: TcpStream, core: &Core) {
     stream.set_nodelay(true).ok();
     stream.set_write_timeout(Some(Duration::from_millis(100))).ok();
-    let _ = http::write_response_with(
-        &mut (&stream),
-        429,
-        "text/plain",
-        &[("Retry-After", "1")],
-        b"shedding load: admission queue full",
-        false,
-    );
+    let _ = send(&stream, core, core.shed());
 }
 
-/// Everything a handler worker needs besides the connection itself.
-struct WorkerCtx<'a> {
-    backend: &'a dyn Backend,
-    stats: &'a GatewayStats,
-    stages: &'a StageMetrics,
-    sink: &'a dyn EventSink,
+/// The socket as the request parser reads it, under the two read
+/// deadlines: `read_timeout` while no byte of the next request has
+/// arrived, and from its first byte on whatever is left of
+/// `head_read_timeout` (if that is less), so a peer dribbling a request
+/// holds its worker no longer than the budget. A request that arrives in
+/// one read — the usual case — never touches the socket's timeout.
+struct RequestClock<'a> {
+    stream: &'a TcpStream,
     cfg: &'a GatewayConfig,
-    shutdown: &'a AtomicBool,
-    epoch: Instant,
-    worker: u64,
+    /// When the request being read got its first byte.
+    started: Option<Instant>,
+    /// The timeout the socket carries now (zero: none set yet).
+    armed: Duration,
 }
 
-fn micros_since(epoch: Instant) -> u64 {
-    epoch.elapsed().as_micros() as u64
-}
-
-/// Mutable per-invocation span state, finalized and emitted on every exit
-/// path of the `/invoke` arm (including the ones that `break` without a
-/// response — a dropped connection still deserves a server-side record).
-struct SpanDraft {
-    trace_id: u64,
-    seq: u64,
-    accepted_us: u64,
-    dequeued_us: u64,
-    handler_start_us: u64,
-    queue_depth: u64,
-    service_ms: f64,
-    outcome: OutcomeClass,
-    fault: Option<ServerFault>,
-    cold_start: bool,
-}
-
-impl SpanDraft {
-    /// Stamp the handler-end and flush times and emit through the sink +
-    /// stage histograms.
-    fn finish(self, ctx: &WorkerCtx, handler_end_us: u64, flushed_us: u64) {
-        let span = ServerSpan {
-            trace_id: self.trace_id,
-            seq: self.seq,
-            worker: ctx.worker,
-            accepted_us: self.accepted_us,
-            dequeued_us: self.dequeued_us,
-            handler_start_us: self.handler_start_us,
-            handler_end_us,
-            flushed_us: flushed_us.max(handler_end_us),
-            queue_depth: self.queue_depth,
-            service_ms: self.service_ms,
-            outcome: self.outcome,
-            fault: self.fault,
-            cold_start: self.cold_start,
+impl Read for RequestClock<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = match self.started {
+            None => self.cfg.read_timeout,
+            Some(started) => self
+                .cfg
+                .head_read_timeout
+                .saturating_sub(started.elapsed())
+                .min(self.cfg.read_timeout),
         };
-        ctx.stages.record(&span);
-        ctx.sink.emit(&TelemetryEvent::ServerSpan(span));
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        if left != self.armed {
+            self.stream.set_read_timeout(Some(left))?;
+            self.armed = left;
+        }
+        let n = (&mut &*self.stream).read(buf)?;
+        if n > 0 && self.started.is_none() {
+            self.started = Some(Instant::now());
+        }
+        Ok(n)
     }
 }
 
-/// Serve one connection until it closes (client close, idle timeout,
-/// malformed request, injected drop, or shutdown).
-fn handle_connection(conn: ConnMeta, ctx: &WorkerCtx) -> io::Result<()> {
-    let stream = conn.stream;
-    let stats = ctx.stats;
-    let dequeued_us = micros_since(ctx.epoch);
+/// Serve one connection until it closes (client close, read deadline,
+/// refused head, injected drop or stall, write failure, or shutdown).
+fn handle_connection(conn: ConnMeta, core: &Core, worker: u64) {
+    let stream = &conn.stream;
+    let dequeued_us = micros_since(core.epoch);
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(ctx.cfg.read_timeout)).ok();
-    let mut reader = BufReader::new(&stream);
-    let mut served_here: u64 = 0;
+    let clock = RequestClock { stream, cfg: &core.cfg, started: None, armed: Duration::ZERO };
+    let mut reader = BufReader::new(clock);
+    let mut served: u64 = 0;
 
     loop {
+        // A pipelined request already in the buffer has begun arriving.
+        reader.get_mut().started = (!reader.buffer().is_empty()).then(Instant::now);
         let req = match http::read_request(&mut reader) {
-            Ok(Some(r)) => r,
-            Ok(None) => break, // clean close between requests
+            Ok(Some(req)) => req,
             Err(e) if e.kind() == ErrorKind::InvalidData => {
-                stats.http_400.fetch_add(1, Ordering::Relaxed);
-                let _ = http::write_response(
-                    &mut (&stream),
-                    400,
-                    "text/plain",
-                    format!("bad request: {e}").as_bytes(),
-                    false,
-                );
+                let _ = send(stream, core, core.bad_request(&e));
                 break;
             }
-            // Idle timeout, reset, or mid-request EOF: just close.
-            Err(_) => break,
+            // Clean close between requests, a read deadline, a reset, or
+            // EOF mid-request: just close.
+            Ok(None) | Err(_) => break,
         };
+        served += 1;
         // Keep-alive requests after the first never waited in the admission
         // queue, and the worker was already blocked on the socket before the
         // client even sent them — so their accepted/dequeued stamps collapse
-        // to the moment the head finished reading. Idle keep-alive gaps must
-        // not masquerade as queue wait or read time: the client→server
+        // to the moment the request finished reading. Idle keep-alive gaps
+        // must not masquerade as queue wait or read time: the client→server
         // transfer shows up in the join's `net_out` stage instead.
-        let (accepted_us, req_dequeued_us, depth) = if served_here == 0 {
+        let (accepted_us, dequeued_us, queue_depth) = if served == 1 {
             (conn.accepted_us, dequeued_us, conn.depth)
         } else {
-            let now = micros_since(ctx.epoch);
+            let now = micros_since(core.epoch);
             (now, now, 0)
         };
-        served_here += 1;
-        stats.requests.fetch_add(1, Ordering::Relaxed);
-        let keep = req.keep_alive && !ctx.shutdown.load(Ordering::Relaxed);
-
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/invoke") => {
-                let n = stats.invocations.fetch_add(1, Ordering::Relaxed);
-                let mut draft = SpanDraft {
-                    // Header id wins; fall back to the body's below once
-                    // (and if) the body parses.
-                    trace_id: req.trace_id.unwrap_or(0),
-                    seq: n,
-                    accepted_us,
-                    dequeued_us: req_dequeued_us,
-                    handler_start_us: micros_since(ctx.epoch),
-                    queue_depth: depth,
-                    service_ms: 0.0,
-                    outcome: OutcomeClass::Ok,
-                    fault: None,
-                    cold_start: false,
-                };
-                let mut fault = ctx.cfg.fault.decide(n);
-                if let Fault::Delay = fault {
-                    // Injected straggler: delay, then serve normally. The
-                    // sleep lands inside the handler stage, where a real
-                    // straggler's time would.
-                    stats.faults_delayed.fetch_add(1, Ordering::Relaxed);
-                    draft.fault = Some(ServerFault::Delay);
-                    std::thread::sleep(Duration::from_millis(ctx.cfg.fault.latency_ms));
-                    fault = Fault::None;
-                }
-                match fault {
-                    Fault::Delay => unreachable!("rewritten to Fault::None above"),
-                    Fault::Drop => {
-                        stats.faults_dropped.fetch_add(1, Ordering::Relaxed);
-                        draft.fault = Some(ServerFault::Drop);
-                        // The client sees a broken connection: transport.
-                        draft.outcome = OutcomeClass::Transport;
-                        let now = micros_since(ctx.epoch);
-                        draft.finish(ctx, now, now);
-                        break; // vanish without a response
-                    }
-                    Fault::Stall => {
-                        // Black hole: hold the socket open and silent, then
-                        // close without a response — the client's deadline,
-                        // not its retry logic, has to catch this.
-                        stats.faults_stalled.fetch_add(1, Ordering::Relaxed);
-                        draft.fault = Some(ServerFault::Stall);
-                        draft.outcome = OutcomeClass::Timeout;
-                        std::thread::sleep(Duration::from_millis(ctx.cfg.fault.stall_ms));
-                        let now = micros_since(ctx.epoch);
-                        draft.finish(ctx, now, now);
-                        break;
-                    }
-                    Fault::Error => {
-                        stats.faults_errored.fetch_add(1, Ordering::Relaxed);
-                        draft.fault = Some(ServerFault::Error);
-                        draft.outcome = OutcomeClass::Transport;
-                        let handler_end = micros_since(ctx.epoch);
-                        let res = http::write_response(
-                            &mut (&stream),
-                            500,
-                            "text/plain",
-                            b"injected fault",
-                            keep,
-                        );
-                        draft.finish(ctx, handler_end, micros_since(ctx.epoch));
-                        res?;
-                    }
-                    Fault::None => match serde_json::from_slice::<InvocationRequest>(&req.body) {
-                        Ok(inv) => {
-                            if draft.trace_id == 0 {
-                                draft.trace_id = inv.trace_id;
-                            }
-                            let result = ctx.backend.invoke(&inv);
-                            if result.ok {
-                                stats.invocations_ok.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                stats.invocations_failed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            draft.service_ms = result.service_ms;
-                            draft.outcome = result.outcome();
-                            draft.cold_start = result.cold_start;
-                            let handler_end = micros_since(ctx.epoch);
-                            let body = serde_json::to_vec(&result)
-                                .unwrap_or_else(|_| b"{\"ok\":false}".to_vec());
-                            let res = http::write_response(
-                                &mut (&stream),
-                                200,
-                                "application/json",
-                                &body,
-                                keep,
-                            );
-                            draft.finish(ctx, handler_end, micros_since(ctx.epoch));
-                            res?;
-                        }
-                        Err(e) => {
-                            stats.http_400.fetch_add(1, Ordering::Relaxed);
-                            // The body never became an invocation; from the
-                            // client's side this is a non-retryable
-                            // transport-class failure.
-                            draft.outcome = OutcomeClass::Transport;
-                            let handler_end = micros_since(ctx.epoch);
-                            let res = http::write_response(
-                                &mut (&stream),
-                                400,
-                                "text/plain",
-                                format!("bad invocation request: {e}").as_bytes(),
-                                keep,
-                            );
-                            draft.finish(ctx, handler_end, micros_since(ctx.epoch));
-                            res?;
-                        }
-                    },
-                }
+        let reply = match core.route(Arrival {
+            method: req.method.as_bytes(),
+            path: req.path.as_bytes(),
+            keep_alive: req.keep_alive,
+            trace_id: req.trace_id,
+            body: &req.body,
+            served,
+            accepted_us,
+            dequeued_us,
+            queue_depth,
+            worker,
+        }) {
+            Step::Reply(reply) => reply,
+            Step::Invoke { inv, span, delay, keep } => {
+                std::thread::sleep(delay.unwrap_or_default());
+                core.run_invoke(&inv, span, keep, Vec::new())
             }
-            ("GET", "/healthz") => {
-                let build = faasrail_telemetry::BuildInfo::current();
-                let body = format!(
-                    "{{\"status\":\"ok\",\"queue_depth\":{},\"shed\":{},\"version\":\"{}\",\"git_sha\":\"{}\"}}",
-                    stats.queue_depth.load(Ordering::Relaxed),
-                    stats.shed.load(Ordering::Relaxed),
-                    build.version,
-                    build.git_sha,
-                );
-                http::write_response(
-                    &mut (&stream),
-                    200,
-                    "application/json",
-                    body.as_bytes(),
-                    keep,
-                )?;
+            Step::Vanish { span, hold } => {
+                std::thread::sleep(hold);
+                core.close(span);
+                break;
             }
-            ("GET", "/stats") => {
-                stats.max_requests_per_connection.fetch_max(served_here, Ordering::Relaxed);
-                http::write_response(
-                    &mut (&stream),
-                    200,
-                    "application/json",
-                    stats.to_json().as_bytes(),
-                    keep,
-                )?;
-            }
-            ("GET", "/metrics") => {
-                stats.max_requests_per_connection.fetch_max(served_here, Ordering::Relaxed);
-                let mut text = stats.to_prometheus();
-                text.push_str(&ctx.stages.to_prometheus());
-                http::write_response(
-                    &mut (&stream),
-                    200,
-                    faasrail_telemetry::prometheus::CONTENT_TYPE,
-                    text.as_bytes(),
-                    keep,
-                )?;
-            }
-            _ => {
-                stats.http_404.fetch_add(1, Ordering::Relaxed);
-                http::write_response(&mut (&stream), 404, "text/plain", b"not found", keep)?;
-            }
-        }
-
-        if !keep {
+        };
+        if !matches!(send(stream, core, reply), Ok(true)) {
             break;
         }
     }
-    stats.max_requests_per_connection.fetch_max(served_here, Ordering::Relaxed);
-    Ok(())
+    core.stats.max_requests_per_connection.fetch_max(served, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::{HttpBackend, HttpBackendConfig};
-    use faasrail_loadgen::{InvocationResult, NoopBackend};
-    use faasrail_telemetry::RingSink;
+    use crate::FaultConfig;
+    use faasrail_loadgen::{InvocationRequest, InvocationResult, NoopBackend};
+    use faasrail_telemetry::{OutcomeClass, RingSink, ServerFault, ServerSpan, TelemetryEvent};
     use faasrail_workloads::{WorkloadId, WorkloadInput};
     use std::io::BufReader;
 
@@ -989,34 +470,6 @@ mod tests {
             "keep-alive should confine 5 invocations to very few connections"
         );
         handle.stop();
-    }
-
-    #[test]
-    fn fault_decide_is_deterministic_and_proportional() {
-        let f = FaultConfig {
-            drop_fraction: 0.1,
-            error_fraction: 0.2,
-            stall_fraction: 0.1,
-            latency_fraction: 0.1,
-            seed: 11,
-            ..FaultConfig::default()
-        };
-        let classify = |n: u64| match f.decide(n) {
-            Fault::Drop => 0u8,
-            Fault::Error => 1,
-            Fault::Stall => 2,
-            Fault::Delay => 3,
-            Fault::None => 4,
-        };
-        let first: Vec<u8> = (0..2_000).map(classify).collect();
-        let second: Vec<u8> = (0..2_000).map(classify).collect();
-        assert_eq!(first, second, "same seed, same fault pattern");
-        let count = |c: u8| first.iter().filter(|&&x| x == c).count();
-        let (drops, errors, stalls, delays) = (count(0), count(1), count(2), count(3));
-        assert!((100..300).contains(&drops), "~10% drops expected, got {drops}/2000");
-        assert!((250..550).contains(&errors), "~20% errors expected, got {errors}/2000");
-        assert!((100..300).contains(&stalls), "~10% stalls expected, got {stalls}/2000");
-        assert!((100..300).contains(&delays), "~10% delays expected, got {delays}/2000");
     }
 
     #[test]

@@ -22,7 +22,6 @@
 
 use crate::backend::{Backend, InvocationRequest, InvocationResult};
 use crate::metrics::RunMetrics;
-use crossbeam::channel;
 use faasrail_core::RequestTrace;
 use faasrail_telemetry::{
     EventSink, InvocationSpan, NullSink, Recorder, RunInfo, RunSummary, TelemetryEvent,
@@ -30,6 +29,7 @@ use faasrail_telemetry::{
 use faasrail_workloads::WorkloadPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How dispatch instants are derived from the trace timestamps.
@@ -309,15 +309,24 @@ pub fn replay_resumed<B: Backend>(
     };
 
     let start = Instant::now();
-    let (tx, rx) = channel::unbounded::<Job>();
+    // An unpaced run queues its whole trace within milliseconds. `std`'s
+    // channel holds the backlog in fixed-size blocks, so memory follows
+    // the depth; a ring that doubles takes a second queue's worth the
+    // moment the backlog crosses a power of two, which a few percent of
+    // backend speed decides. The receiver is not `Clone`: one worker waits
+    // for its job under the lock, the others wait for the lock. The
+    // workers own it between them, so once the last is gone `send` fails.
+    let (tx, rx) = mpsc::channel::<Job>();
+    let rx = Arc::new(Mutex::new(rx));
     let metrics = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(cfg.workers);
         for worker in 0..cfg.workers {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             handles.push(scope.spawn(move || {
                 let mut local = RunMetrics::new();
                 let from_pickup = matches!(cfg.pacing, Pacing::ClosedLoop);
-                while let Ok(job) = rx.recv() {
+                let next = || rx.lock().unwrap_or_else(PoisonError::into_inner).recv().ok();
+                while let Some(job) = next() {
                     let picked_up = Instant::now();
                     let result = invoke_isolated(backend, &job.req);
                     let completed = Instant::now();

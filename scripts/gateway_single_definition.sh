@@ -1,0 +1,36 @@
+#!/usr/bin/env bash
+# The gateway's contract is defined once, in crates/gateway/src/core.rs, and
+# its wire dialect once, in crates/reactor/src/http1.rs. Fail if a piece of
+# either turns up again in a transport or in the blocking adapters, then print
+# what each file weighs (lines above its first `#[cfg(test)]`).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+
+fail=0
+refuse() { # file, owner, patterns...
+    local file=$1 owner=$2 pat
+    shift 2
+    for pat in "$@"; do
+        if nontest "$file" | grep -nF -- "$pat"; then
+            echo "error: $file: \`$pat\` belongs in $owner" >&2
+            fail=1
+        fi
+    done
+}
+
+for transport in crates/gateway/src/server.rs crates/gateway/src/reactor_server.rs; do
+    refuse "$transport" crates/gateway/src/core.rs \
+        'Fault::' 'ServerSpan {' '"/healthz"' '"bad invocation request'
+done
+refuse crates/gateway/src/http.rs crates/reactor/src/http1.rs "split_once(':')" '"content-length"'
+
+total=0
+for file in crates/gateway/src/*.rs crates/reactor/src/http1.rs; do
+    lines=$(nontest "$file" | wc -l)
+    total=$((total + lines))
+    printf '%6d %s\n' "$lines" "$file"
+done
+printf '%6d non-test lines\n' "$total"
+exit "$fail"

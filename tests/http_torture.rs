@@ -13,22 +13,30 @@
 //!    connection is closed.
 //! 4. **Malformed request lines** — garbage before the first CRLF is a
 //!    400 in both servers, never a hang or a silent close.
-//! 5. **Slow loris** (reactor) — a peer that starts a head and stalls is
-//!    reaped after `head_read_timeout` without stalling other connections.
+//! 5. **Slow loris** — a peer that starts a head and stalls is reaped
+//!    after `head_read_timeout` without stalling other connections.
 //! 6. **Multiplexed client e2e** — `MuxHttpBackend`'s pipelined pool
 //!    replays cleanly against both servers.
+//! 7. **One codec, one core** — the cases where the two servers used to
+//!    differ (a signed `Content-Length`, non-UTF-8 header bytes, a head cut
+//!    by EOF, a malformed body in the delay band), and one scripted
+//!    conversation whose response bytes must be identical across them.
 
 mod common;
 
-use common::{spawn_server, ServerMode};
+use common::{spawn_server, spawn_server_with_sink, ServerMode};
 use faasrail::gateway::http::{read_response, write_request, MAX_HEAD_BYTES};
-use faasrail::gateway::{GatewayConfig, MuxConfig, MuxHttpBackend};
-use faasrail::loadgen::{replay, NoopBackend, Pacing, ReplayConfig};
+use faasrail::gateway::{FaultConfig, GatewayConfig, MuxConfig, MuxHttpBackend};
+use faasrail::loadgen::{
+    replay, InvocationRequest, InvocationResult, NoopBackend, Pacing, ReplayConfig,
+};
 use faasrail::prelude::*;
+use faasrail::telemetry::RingSink;
 use faasrail::workloads::WorkloadId;
 use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn default_server(mode: ServerMode) -> common::AnyHandle {
@@ -166,9 +174,18 @@ fn malformed_request_line_gets_the_same_status_from_both_servers() {
 // without collateral damage to well-behaved connections.
 
 #[test]
-fn slow_loris_is_reaped_without_stalling_other_connections() {
+fn slow_loris_is_reaped_without_stalling_other_connections_threaded() {
+    slow_loris_is_reaped_without_stalling_other_connections(ServerMode::Threaded);
+}
+
+#[test]
+fn slow_loris_is_reaped_without_stalling_other_connections_reactor() {
+    slow_loris_is_reaped_without_stalling_other_connections(ServerMode::Reactor);
+}
+
+fn slow_loris_is_reaped_without_stalling_other_connections(mode: ServerMode) {
     let handle = spawn_server(
-        ServerMode::Reactor,
+        mode,
         Arc::new(NoopBackend),
         GatewayConfig {
             workers: 2,
@@ -207,6 +224,8 @@ fn slow_loris_is_reaped_without_stalling_other_connections() {
         Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {} // RST also fine
         other => panic!("loris socket should be closed, got {other:?}"),
     }
+    // The threaded server's stop waits for open keep-alive connections.
+    drop((polite, polite_reader));
     handle.stop();
 }
 
@@ -256,4 +275,250 @@ fn mux_client_replays_cleanly(mode: ServerMode) {
     assert!(reuses > 0, "{mode:?}: pipelined connections must be reused");
     drop(client);
     handle.stop();
+}
+
+// 7. One codec and one core under both servers.
+
+/// Everything the server sends until it closes (or resets) the connection.
+fn read_until_closed(stream: &TcpStream) -> Vec<u8> {
+    let mut got = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match (&*stream).read(&mut chunk) {
+            Ok(0) | Err(_) => return got,
+            Ok(n) => got.extend_from_slice(&chunk[..n]),
+        }
+    }
+}
+
+fn invoke_request(body: &[u8], connection: &str) -> Vec<u8> {
+    let mut raw = format!(
+        "POST /invoke HTTP/1.1\r\nHost: torture\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(body);
+    raw
+}
+
+fn valid_invocation() -> Vec<u8> {
+    let req = InvocationRequest {
+        workload: WorkloadId(7),
+        input: WorkloadInput::Pyaes { bytes: 1024 },
+        function_index: 3,
+        scheduled_at_ms: 12,
+        trace_id: 0,
+    };
+    serde_json::to_vec(&req).expect("request serializes")
+}
+
+#[test]
+fn signed_content_length_is_refused_by_both_servers() {
+    for mode in ServerMode::BOTH {
+        let handle = default_server(mode);
+        let raw = b"GET /healthz HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello";
+        assert_eq!(status_for_raw(&handle, raw, "signed content-length"), 400, "{mode:?}");
+        handle.stop();
+    }
+}
+
+#[test]
+fn non_utf8_bytes_in_an_unknown_header_are_served_by_both_servers() {
+    for mode in ServerMode::BOTH {
+        let handle = default_server(mode);
+        let stream = connect(&handle);
+        (&stream)
+            .write_all(
+                b"GET /healthz HTTP/1.1\r\nX-Blob: \xff\xfe\x80\r\nConnection: close\r\n\r\n",
+            )
+            .expect("write request");
+        let resp = read_response(&mut BufReader::new(&stream)).expect("a response");
+        assert_eq!(resp.status, 200, "{mode:?}");
+        handle.stop();
+    }
+}
+
+#[test]
+fn a_head_cut_by_half_close_is_closed_without_a_byte_by_both_servers() {
+    for mode in ServerMode::BOTH {
+        let handle = default_server(mode);
+        let stream = connect(&handle);
+        (&stream).write_all(b"GET /healthz HTTP/1.1\r\nHost: tor").expect("partial head");
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let mut got = Vec::new();
+        let end = (&stream).read_to_end(&mut got);
+        assert!(end.is_ok(), "{mode:?}: a clean close, got {end:?}");
+        assert_eq!(got, b"", "{mode:?}: no response to half a head");
+        assert_eq!(handle.stats().http_400.load(Ordering::Relaxed), 0, "{mode:?}");
+        handle.stop();
+    }
+}
+
+#[test]
+fn a_malformed_body_in_the_delay_band_is_a_plain_400_in_both_servers() {
+    for mode in ServerMode::BOTH {
+        let sink = Arc::new(RingSink::with_capacity(16));
+        let fault = FaultConfig { latency_fraction: 1.0, latency_ms: 3_000, ..Default::default() };
+        let handle = spawn_server_with_sink(
+            mode,
+            Arc::new(NoopBackend),
+            GatewayConfig { workers: 2, fault, ..Default::default() },
+            Some(Arc::clone(&sink) as Arc<dyn EventSink>),
+        );
+        let stream = connect(&handle);
+        let started = Instant::now();
+        (&stream).write_all(&invoke_request(b"{ not json", "close")).expect("write request");
+        let resp = read_response(&mut BufReader::new(&stream)).expect("a response");
+        assert_eq!(resp.status, 400, "{mode:?}");
+        assert!(
+            started.elapsed() < Duration::from_millis(1_500),
+            "{mode:?}: answered after {:?}, so the 3 s delay was served first",
+            started.elapsed()
+        );
+        handle.stop(); // joins the server: the span has been emitted
+        let events = sink.events();
+        let [TelemetryEvent::ServerSpan(span)] = &events[..] else {
+            panic!("{mode:?}: one span expected, got {events:?}");
+        };
+        assert_eq!(span.fault, None, "{mode:?}");
+        assert_eq!(span.outcome, OutcomeClass::Transport, "{mode:?}");
+    }
+}
+
+/// A backend that holds every invocation until the gate opens.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+    entered: AtomicUsize,
+}
+
+impl Backend for Gate {
+    fn invoke(&self, _req: &InvocationRequest) -> InvocationResult {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        let mut open = self.open.lock().expect("gate lock");
+        while !*open {
+            open = self.opened.wait(open).expect("gate lock");
+        }
+        InvocationResult::success(0.0, false)
+    }
+
+    fn name(&self) -> &str {
+        "gate"
+    }
+}
+
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The bytes of a shed: one worker held at the gate, one admission slot
+/// taken, and a third arrival refused.
+fn shed_bytes(mode: ServerMode) -> Vec<u8> {
+    let gate = Arc::new(Gate::default());
+    let handle = spawn_server(
+        mode,
+        Arc::clone(&gate) as Arc<dyn Backend>,
+        GatewayConfig { workers: 1, queue_capacity: 1, ..Default::default() },
+    );
+    let invoke = invoke_request(&valid_invocation(), "close");
+    let a = connect(&handle);
+    (&a).write_all(&invoke).expect("first invocation");
+    wait_until("the worker is inside the backend", || gate.entered.load(Ordering::SeqCst) == 1);
+    let b = connect(&handle);
+    (&b).write_all(&invoke).expect("second invocation");
+    wait_until("the admission queue is full", || {
+        handle.stats().queue_depth.load(Ordering::Relaxed) == 1
+    });
+    let c = connect(&handle);
+    // The threaded server refuses at accept; a request written at a socket
+    // it has already closed would turn its FIN into a reset.
+    if mode == ServerMode::Reactor {
+        (&c).write_all(&invoke).expect("third invocation");
+    }
+    let shed = read_until_closed(&c);
+    assert_eq!(handle.stats().shed.load(Ordering::Relaxed), 1, "{mode:?}");
+
+    *gate.open.lock().expect("gate lock") = true;
+    gate.opened.notify_all();
+    for admitted in [&a, &b] {
+        let resp = read_response(&mut BufReader::new(admitted)).expect("admitted response");
+        assert_eq!(resp.status, 200, "{mode:?}");
+    }
+    handle.stop();
+    shed
+}
+
+/// One scripted conversation, as the response bytes of each connection.
+fn conversation(mode: ServerMode) -> Vec<Vec<u8>> {
+    let handle = default_server(mode);
+    let exchange = |raw: &[u8]| {
+        let stream = connect(&handle);
+        (&stream).write_all(raw).expect("write script");
+        read_until_closed(&stream)
+    };
+    // A valid invocation, one whose body does not decode, and an unknown
+    // path, pipelined on one keep-alive connection.
+    let mut pipelined = invoke_request(&valid_invocation(), "keep-alive");
+    pipelined.extend(invoke_request(b"{ not json", "keep-alive"));
+    pipelined.extend_from_slice(b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n");
+    let oversized_body = b"POST /invoke HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n";
+    let replies = vec![
+        exchange(&pipelined),
+        exchange(b"THIS IS NOT HTTP\r\n\r\n"),
+        exchange(&oversized_head()),
+        exchange(oversized_body),
+    ];
+    handle.stop();
+    replies
+}
+
+#[test]
+fn a_scripted_conversation_gets_identical_bytes_from_both_servers() {
+    let threaded = conversation(ServerMode::Threaded);
+    let reactor = conversation(ServerMode::Reactor);
+    let text = |replies: &[Vec<u8>]| -> Vec<String> {
+        replies.iter().map(|r| String::from_utf8_lossy(r).into_owned()).collect()
+    };
+    assert_eq!(text(&threaded), text(&reactor));
+
+    // And they are the bytes this contract has always put on the wire.
+    let result = serde_json::to_string(&InvocationResult::success(0.0, false)).expect("serializes");
+    let pipelined = text(&threaded)[0].clone();
+    let ok = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+         Connection: keep-alive\r\n\r\n{result}",
+        result.len()
+    );
+    assert!(pipelined.starts_with(&ok), "{pipelined}");
+    assert!(pipelined.contains("HTTP/1.1 400 Bad Request\r\n"), "{pipelined}");
+    assert!(pipelined.contains("\r\n\r\nbad invocation request: "), "{pipelined}");
+    let not_found = "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\nContent-Length: 9\r\n\
+                     Connection: close\r\n\r\nnot found";
+    assert!(pipelined.ends_with(not_found), "{pipelined}");
+    for (reply, why) in text(&threaded)[1..].iter().zip([
+        "malformed head",
+        "header section too large",
+        "body too large",
+    ]) {
+        let body = format!("bad request: {why}");
+        let want = format!(
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(reply, &want);
+    }
+
+    let shed = shed_bytes(ServerMode::Threaded);
+    assert_eq!(
+        String::from_utf8_lossy(&shed),
+        "HTTP/1.1 429 Too Many Requests\r\nContent-Type: text/plain\r\nContent-Length: 35\r\n\
+         Connection: close\r\nRetry-After: 1\r\n\r\nshedding load: admission queue full"
+    );
+    assert_eq!(shed, shed_bytes(ServerMode::Reactor));
 }
