@@ -6,10 +6,9 @@
 //! selling point), but no real computation, memory pattern, or I/O exists
 //! behind it — which is exactly the gap FaaSRail closes.
 
-use faasrail_stats::seeded_rng;
+use faasrail_stats::{seeded_rng, Rng};
 use faasrail_trace::summarize::functions_duration_ecdf;
 use faasrail_trace::Trace;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -43,7 +42,7 @@ pub fn fabricate(trace: &Trace, count: usize, seed: u64) -> Vec<BusyLoopFunction
     (0..count)
         .map(|i| BusyLoopFunction {
             id: i as u32,
-            duration_ms: ecdf.inverse_interp(rng.gen::<f64>()),
+            duration_ms: ecdf.inverse_interp(rng.next_f64()),
         })
         .collect()
 }

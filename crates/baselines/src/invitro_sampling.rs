@@ -9,10 +9,8 @@
 //! workloads, and the window discards the rest of the day's trends.
 
 use faasrail_core::{Request, RequestTrace};
-use faasrail_stats::seeded_rng;
+use faasrail_stats::{seeded_rng, Rng};
 use faasrail_trace::{Trace, MINUTES_PER_DAY};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use std::collections::BTreeMap;
 
 /// Configuration for the In-Vitro-style baseline.
@@ -77,7 +75,7 @@ pub fn generate(trace: &Trace, cfg: &InVitroConfig) -> InVitroSample {
     let mut sampled: Vec<usize> = Vec::new();
     for members in strata.values_mut() {
         let take = ((members.len() as f64 * frac).round() as usize).clamp(1, members.len());
-        members.shuffle(&mut rng);
+        rng.shuffle(members);
         sampled.extend(members.iter().take(take));
     }
     sampled.sort_unstable();
@@ -108,13 +106,13 @@ pub fn generate(trace: &Trace, cfg: &InVitroConfig) -> InVitroSample {
             }
             let scaled = count as f64 * factor;
             let mut n = scaled.floor() as u64;
-            if rng.gen::<f64>() < scaled.fract() {
+            if rng.next_f64() < scaled.fract() {
                 n += 1;
             }
             let exp_minute = (minute as usize - cfg.window_start) as u64;
             for _ in 0..n {
                 requests.push(Request {
-                    at_ms: exp_minute * 60_000 + rng.gen_range(0..60_000),
+                    at_ms: exp_minute * 60_000 + rng.range(0..60_000),
                     workload: faasrail_workloads::WorkloadId(f.id.0),
                     function_index: f.id.0,
                 });
@@ -192,10 +190,9 @@ mod tests {
         // Uniform baseline at the same scale, via the random-sampling
         // generator's function choice (trace durations, not pool mapping).
         let uniform = {
-            use rand::seq::SliceRandom;
             let mut rng = faasrail_stats::seeded_rng(2);
             let mut idx: Vec<usize> = (0..trace.functions.len()).collect();
-            idx.shuffle(&mut rng);
+            rng.shuffle(&mut idx);
             idx.truncate(200);
             WeightedEcdf::new(idx.iter().filter_map(|&i| {
                 let f = &trace.functions[i];

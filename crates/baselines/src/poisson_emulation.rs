@@ -8,9 +8,8 @@
 
 use faasrail_core::{Request, RequestTrace};
 use faasrail_stats::sampler::{Exponential, Sampler};
-use faasrail_stats::seeded_rng;
+use faasrail_stats::{seeded_rng, Rng};
 use faasrail_workloads::WorkloadPool;
-use rand::Rng;
 
 /// Configuration for the plain-Poisson baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,7 +38,7 @@ pub fn generate(pool: &WorkloadPool, cfg: &PoissonEmulationConfig) -> RequestTra
     let mut requests = Vec::new();
     let mut t = gap.sample(&mut rng);
     while (t as u64) < end_ms {
-        let w = pool.workloads()[rng.gen_range(0..pool.len())].id;
+        let w = pool.workloads()[rng.range(0..pool.len())].id;
         requests.push(Request { at_ms: t as u64, workload: w, function_index: w.0 });
         t += gap.sample(&mut rng);
     }

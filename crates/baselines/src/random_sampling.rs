@@ -8,11 +8,9 @@
 //! and produces sparse, spike-dominated load.
 
 use faasrail_core::{Request, RequestTrace};
-use faasrail_stats::seeded_rng;
+use faasrail_stats::{seeded_rng, Rng};
 use faasrail_trace::{Trace, MINUTES_PER_DAY};
 use faasrail_workloads::WorkloadPool;
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// Configuration for the random-sampling baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +50,7 @@ pub fn generate(trace: &Trace, pool: &WorkloadPool, cfg: &RandomSamplingConfig) 
     // Sample functions uniformly (the defining flaw: the skewed head is
     // almost surely missed).
     let mut indices: Vec<usize> = (0..trace.functions.len()).collect();
-    indices.shuffle(&mut rng);
+    rng.shuffle(&mut indices);
     indices.truncate(cfg.sample_functions.min(trace.functions.len()));
 
     let sampled_total: u64 = indices.iter().map(|&i| trace.functions[i].total_invocations()).sum();
@@ -71,12 +69,12 @@ pub fn generate(trace: &Trace, pool: &WorkloadPool, cfg: &RandomSamplingConfig) 
             // Stochastic rounding of the scaled count.
             let scaled = count as f64 * factor;
             let mut n = scaled.floor() as u64;
-            if rng.gen::<f64>() < scaled.fract() {
+            if rng.next_f64() < scaled.fract() {
                 n += 1;
             }
             let target_minute = (minute as f64 * compress) as u64;
             for _ in 0..n {
-                let off = rng.gen_range(0..60_000u64);
+                let off = rng.range(0..60_000u64);
                 requests.push(Request {
                     at_ms: target_minute * 60_000 + off,
                     workload,

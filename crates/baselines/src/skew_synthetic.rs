@@ -7,9 +7,8 @@
 
 use faasrail_core::{Request, RequestTrace};
 use faasrail_stats::sampler::{Exponential, Sampler};
-use faasrail_stats::seeded_rng;
+use faasrail_stats::{seeded_rng, Rng};
 use faasrail_workloads::WorkloadPool;
-use rand::Rng;
 
 /// Configuration for the skew-synthetic baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,11 +47,8 @@ pub fn generate(pool: &WorkloadPool, cfg: &SkewSyntheticConfig) -> RequestTrace 
     let mut requests = Vec::new();
     let mut t = gap.sample(&mut rng);
     while (t as u64) < end_ms {
-        let idx = if rng.gen::<f64>() < cfg.hot_share {
-            0
-        } else {
-            1 + rng.gen_range(0..cfg.cold_functions)
-        };
+        let idx =
+            if rng.next_f64() < cfg.hot_share { 0 } else { 1 + rng.range(0..cfg.cold_functions) };
         let w = pool.workloads()[idx].id;
         requests.push(Request { at_ms: t as u64, workload: w, function_index: w.0 });
         t += gap.sample(&mut rng);

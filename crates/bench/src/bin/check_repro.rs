@@ -2,6 +2,12 @@
 //! EXPERIMENTS.md, checked programmatically. Exits non-zero on any failure,
 //! so `cargo run -p faasrail-bench --bin check_repro` is a one-command
 //! reproduction audit (use `FAASRAIL_SCALE=paper` for the full-scale run).
+//!
+//! Every claim is a statistic of seeded synthetic traces, so a single seed
+//! can land a tail draw outside a bound the generator meets on the whole
+//! (one popular Function mapped to `lr_training` moves its share tenfold).
+//! Each claim is therefore computed for the five seeds `seed..seed + 5` and
+//! asserted on their median; the per-seed values are printed beside it.
 
 use faasrail_baselines::poisson_emulation::{self, PoissonEmulationConfig};
 use faasrail_bench::*;
@@ -13,34 +19,67 @@ use faasrail_stats::ecdf::WeightedEcdf;
 use faasrail_stats::timeseries::{normalize_peak, rebin_sum};
 use faasrail_stats::{ks_distance, ks_distance_weighted};
 use faasrail_trace::summarize::{functions_duration_ecdf, invocations_duration_wecdf, top_share};
-use faasrail_workloads::WorkloadKind;
+use faasrail_workloads::{WorkloadKind, WorkloadPool};
 
-struct Auditor {
-    failures: u32,
-    checks: u32,
+/// Seeds per claim: `seed..seed + SEEDS`.
+const SEEDS: u64 = 5;
+
+/// One claim's value under one seed, with the bounds it must meet.
+struct Claim {
+    name: &'static str,
+    value: f64,
+    lo: f64,
+    hi: f64,
 }
 
+struct Auditor(Vec<Claim>);
+
 impl Auditor {
-    fn check(&mut self, name: &str, value: f64, lo: f64, hi: f64) {
-        self.checks += 1;
-        let ok = (lo..=hi).contains(&value);
-        if !ok {
-            self.failures += 1;
-        }
-        println!("{} {name}: {value:.4} (expected [{lo}, {hi}])", if ok { "PASS" } else { "FAIL" });
+    fn check(&mut self, name: &'static str, value: f64, lo: f64, hi: f64) {
+        self.0.push(Claim { name, value, lo, hi });
     }
 }
 
 fn main() -> std::process::ExitCode {
     let scale = Scale::from_env();
     let seed = seed_from_env();
-    let paper = scale == Scale::Paper;
-    let mut a = Auditor { failures: 0, checks: 0 };
+    println!("# reproduction audit at {scale:?} scale, median over seeds {seed}..{}", seed + SEEDS);
+    let (pool, vanilla) = pools();
+    let runs: Vec<Vec<Claim>> =
+        (seed..seed + SEEDS).map(|s| audit(scale, s, &pool, &vanilla)).collect();
 
-    println!("# reproduction audit at {scale:?} scale, seed {seed}");
+    let mut failures = 0;
+    for (i, claim) in runs[0].iter().enumerate() {
+        let mut values: Vec<f64> = runs.iter().map(|run| run[i].value).collect();
+        let per_seed = values.iter().map(|v| format!("{v:.4}")).collect::<Vec<_>>().join(" ");
+        values.sort_by(f64::total_cmp);
+        let median = values[values.len() / 2];
+        let ok = (claim.lo..=claim.hi).contains(&median);
+        failures += !ok as usize;
+        println!(
+            "{} {}: {median:.4} (expected [{}, {}]; per seed: {per_seed})",
+            if ok { "PASS" } else { "FAIL" },
+            claim.name,
+            claim.lo,
+            claim.hi
+        );
+    }
+    let checks = runs[0].len();
+    println!("# audit complete: {}/{checks} checks passed", checks - failures);
+    if failures == 0 {
+        std::process::ExitCode::SUCCESS
+    } else {
+        std::process::ExitCode::FAILURE
+    }
+}
+
+/// Every claim's value under one seed.
+fn audit(scale: Scale, seed: u64, pool: &WorkloadPool, vanilla: &WorkloadPool) -> Vec<Claim> {
+    let paper = scale == Scale::Paper;
+    let mut a = Auditor(Vec::new());
+
     let azure = azure_trace(scale, seed);
     let huawei = huawei_trace(scale, seed);
-    let (pool, vanilla) = pools();
 
     // --- Input fidelity (§"Inputs" of EXPERIMENTS.md) ---
     let fe = functions_duration_ecdf(&azure);
@@ -78,7 +117,7 @@ fn main() -> std::process::ExitCode {
     a.check("KS improvement pool vs vanilla (paper: large)", ks_vanilla / ks_pool, 2.0, 100.0);
 
     // --- Figs 8-10: Spec mode ---
-    let (spec, _) = shrink(&azure, &pool, &ShrinkRayConfig::new(120, 20.0)).expect("shrink");
+    let (spec, _) = shrink(&azure, pool, &ShrinkRayConfig::new(120, 20.0)).expect("shrink");
     a.check("spec peak/budget", spec.peak_per_minute() as f64 / 1_200.0, 0.90, 1.0);
     let reqs = generate_requests(&spec, seed);
     let day_shape = normalize_peak(&rebin_sum(&azure.aggregate_minutes(), 120));
@@ -94,25 +133,25 @@ fn main() -> std::process::ExitCode {
     a.check("Fig9 KS(azure, spec mapped)", ks_distance_weighted(&we, &spec_mapped), 0.0, 0.15);
 
     // --- Fig 1 (baselines must be visibly worse) ---
-    let poisson = poisson_emulation::generate(&vanilla, &PoissonEmulationConfig::paper_fig1(seed));
+    let poisson = poisson_emulation::generate(vanilla, &PoissonEmulationConfig::paper_fig1(seed));
     let poisson_w =
-        WeightedEcdf::new(poisson.expected_durations(&vanilla).into_iter().map(|d| (d, 1.0)));
+        WeightedEcdf::new(poisson.expected_durations(vanilla).into_iter().map(|d| (d, 1.0)));
     let ks_base = ks_distance_weighted(&we, &poisson_w);
     a.check("Fig1 plain-Poisson KS (paper: far)", ks_base, 0.25, 1.0);
 
     // --- Fig 11: Smirnov ---
     let n = if paper { 120_408 } else { 40_000 };
     let cfg = SmirnovConfig { num_invocations: n, ..SmirnovConfig::paper_default(seed) };
-    let (sreq, _) = smirnov::generate(&azure, &pool, &cfg);
-    let sm = WeightedEcdf::new(sreq.expected_durations(&pool).into_iter().map(|d| (d, 1.0)));
+    let (sreq, _) = smirnov::generate(&azure, pool, &cfg);
+    let sm = WeightedEcdf::new(sreq.expected_durations(pool).into_iter().map(|d| (d, 1.0)));
     a.check("Fig11a KS(azure, smirnov)", ks_distance_weighted(&we, &sm), 0.0, 0.10);
     let hwe = invocations_duration_wecdf(&huawei);
-    let (hreq, hrep) = smirnov::generate(&huawei, &pool, &cfg);
-    let hm = WeightedEcdf::new(hreq.expected_durations(&pool).into_iter().map(|d| (d, 1.0)));
+    let (hreq, hrep) = smirnov::generate(&huawei, pool, &cfg);
+    let hm = WeightedEcdf::new(hreq.expected_durations(pool).into_iter().map(|d| (d, 1.0)));
     a.check("Fig11b KS(huawei, smirnov)", ks_distance_weighted(&hwe, &hm), 0.0, 0.15);
 
     // --- Fig 12: benchmark balance ---
-    let counts = reqs.counts_by_kind(&pool);
+    let counts = reqs.counts_by_kind(pool);
     let total: u64 = counts.values().sum();
     let share = |k: WorkloadKind, c: &std::collections::BTreeMap<WorkloadKind, u64>| {
         c.get(&k).copied().unwrap_or(0) as f64 / total.max(1) as f64
@@ -133,11 +172,5 @@ fn main() -> std::process::ExitCode {
     let aes = hrep.counts_by_kind.get(&WorkloadKind::Pyaes).copied().unwrap_or(0) as f64
         / h_total.max(1) as f64;
     a.check("Fig12b pyaes share (paper ~0.48)", aes, 0.30, 0.75);
-
-    println!("# audit complete: {}/{} checks passed", a.checks - a.failures, a.checks);
-    if a.failures == 0 {
-        std::process::ExitCode::SUCCESS
-    } else {
-        std::process::ExitCode::FAILURE
-    }
+    a.0
 }

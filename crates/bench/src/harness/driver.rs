@@ -226,18 +226,15 @@ where
 mod tests {
     use super::*;
     use crate::harness::report::LatencyQuantiles;
+    use faasrail_stats::rng::mix64;
 
     /// A deterministic synthetic server: p99 grows past the knee, error
     /// rate climbs when well past it. Seeded "jitter" is a pure hash of
     /// the probed rate, so the model is noisy-looking but reproducible.
     fn model(knee_rps: f64, seed: u64) -> impl FnMut(f64) -> RateRun {
         move |rps: f64| {
-            let jitter = {
-                let mut z = seed ^ rps.to_bits();
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                (z >> 40) as f64 / (1u64 << 24) as f64 // [0, 1)
-            };
+            // [0, 1)
+            let jitter = (mix64(seed ^ rps.to_bits()) >> 40) as f64 / (1u64 << 24) as f64;
             let load = rps / knee_rps;
             // The p99 steps past the 50 ms criterion exactly at the knee,
             // so the knee is the acceptance boundary the search must find.

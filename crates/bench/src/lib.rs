@@ -1,4 +1,4 @@
-//! Shared machinery for the figure-regeneration binaries and benches.
+//! Shared machinery for the figure-regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` (see DESIGN.md §3 for the index). Binaries print

@@ -202,13 +202,13 @@ mod tests {
     /// baselines crate (which depends on this one).
     fn faasrail_baselines_shim(pool: &WorkloadPool) -> RequestTrace {
         use faasrail_stats::sampler::{Exponential, Sampler};
-        use rand::Rng;
+        use faasrail_stats::Rng;
         let mut rng = faasrail_stats::seeded_rng(5);
         let gap = Exponential::from_mean(50.0);
         let mut t = 0.0;
         let mut requests = Vec::new();
         while (t as u64) < 120 * 60_000 {
-            let w = pool.workloads()[rng.gen_range(0..pool.len())].id;
+            let w = pool.workloads()[rng.range(0..pool.len())].id;
             requests.push(crate::Request { at_ms: t as u64, workload: w, function_index: w.0 });
             t += gap.sample(&mut rng);
         }

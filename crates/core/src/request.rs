@@ -130,6 +130,27 @@ mod tests {
         }
     }
 
+    /// Digests of the parent commit's output, captured before the cell
+    /// generator moved to `faasrail_stats::rng`: the request stream of a
+    /// `(spec, seed)` must not change.
+    #[test]
+    fn request_streams_are_the_ones_generated_before_the_rng_port() {
+        let golden = [
+            (IatModel::Poisson, 582, 0x36dc_b634_9227_a03d_u64),
+            (IatModel::UniformRandom, 570, 0x2621_5d45_3bf4_326c),
+            (IatModel::Equidistant, 570, 0x120a_2403_e4dc_96b5),
+            (IatModel::Bursty { cv: 1.5 }, 711, 0x9f18_9fb7_c247_af0d),
+        ];
+        let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x100_0000_01B3);
+        for (iat, len, digest) in golden {
+            let t = generate_requests(&spec(iat), 7);
+            let got = t.requests.iter().fold(0xcbf2_9ce4_8422_2325, |h, r| {
+                fnv(fnv(fnv(h, r.at_ms), r.workload.0 as u64), r.function_index as u64)
+            });
+            assert_eq!((t.requests.len(), got), (len, digest), "{iat:?}: digest {got:#018x}");
+        }
+    }
+
     #[test]
     fn deterministic_under_seed() {
         let s = spec(IatModel::Poisson);

@@ -29,10 +29,10 @@ use crate::error::ShrinkError;
 use crate::mapping::{map_functions, MappingConfig};
 use crate::request::{Request, RequestTrace, MS_PER_MINUTE};
 use crate::spec::{ExperimentSpec, IatModel};
+use faasrail_stats::rng::{mix64_pair, Rng, SplitMix64};
 use faasrail_stats::sampler::{Exponential, Gamma, Sampler};
 use faasrail_trace::Trace;
 use faasrail_workloads::{WorkloadId, WorkloadPool};
-use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -253,59 +253,12 @@ impl ScheduleModel {
 // Deterministic per-cell RNG.
 // ---------------------------------------------------------------------------
 
-/// A minimal splitmix64 RNG.
-///
-/// Each (function, minute) cell gets its own instance, so any cell can be
+/// Mix `(seed, function_index, minute)` into one cell seed. Each
+/// (function, minute) cell gets its own [`SplitMix64`], so any cell can be
 /// expanded independently of every other — the property that makes lazy
-/// streaming, materialization, and re-streaming all agree exactly. The
-/// sequence is fixed by this implementation (not by an external crate), so
-/// schedules are reproducible across rand versions and platforms.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seed the generator.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-}
-
-impl RngCore for SplitMix64 {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-/// Mix `(seed, function_index, minute)` into one cell seed (splitmix64
-/// finalizer over the packed coordinates).
+/// streaming, materialization, and re-streaming all agree exactly.
 fn cell_seed(seed: u64, function_index: u32, minute: u32) -> u64 {
-    let packed = ((function_index as u64) << 32) | minute as u64;
-    let mut z = seed ^ packed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64_pair(seed, ((function_index as u64) << 32) | minute as u64)
 }
 
 /// Expand one (entry, minute) cell into `buf` as `(at_ms, workload)` pairs
@@ -351,7 +304,7 @@ fn expand_cell(
         }
         IatModel::UniformRandom => {
             for _ in 0..count {
-                let off = rng.gen_range(0..MS_PER_MINUTE);
+                let off = rng.range(0..MS_PER_MINUTE);
                 buf.push((minute_start + off, next_workload()));
             }
             // Workloads were assigned in generation order; the stable sort
@@ -654,17 +607,6 @@ mod tests {
         let used: std::collections::BTreeSet<WorkloadId> =
             arrivals.iter().filter(|a| a.function_index == 0).map(|a| a.workload).collect();
         assert_eq!(used.len(), 3, "all three inputs rotate: {used:?}");
-    }
-
-    #[test]
-    fn splitmix_is_stable() {
-        // Pin the generator's first outputs: schedule reproducibility
-        // depends on this sequence never changing.
-        let mut rng = SplitMix64::new(0);
-        assert_eq!(rng.next_u64(), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(rng.next_u64(), 0x6E78_9E6A_A1B9_65F4);
-        let mut rng = SplitMix64::new(42);
-        assert_eq!(rng.next_u64(), 0xBDD7_3226_2FEB_6E95);
     }
 
     #[test]

@@ -14,11 +14,10 @@ use crate::request::{Request, RequestTrace};
 use crate::spec::IatModel;
 use faasrail_stats::ecdf::WeightedEcdf;
 use faasrail_stats::sampler::{Exponential, Sampler};
-use faasrail_stats::seeded_rng;
+use faasrail_stats::{seeded_rng, Rng};
 use faasrail_trace::summarize::invocations_duration_wecdf;
 use faasrail_trace::Trace;
 use faasrail_workloads::{WorkloadKind, WorkloadPool};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -104,7 +103,7 @@ pub fn generate(
 
     for i in 0..cfg.num_invocations {
         // 1. Smirnov transform: uniform variate through the inverse CDF.
-        let d = wecdf.inverse(rng.gen::<f64>());
+        let d = wecdf.inverse(rng.next_f64());
 
         // 2. Map the sampled duration to a Workload.
         let key = (d * 10.0).round() as u64;
@@ -132,7 +131,7 @@ pub fn generate(
                 t += gap.sample(&mut rng);
                 t as u64
             }
-            IatModel::UniformRandom => (rng.gen::<f64>() * total_ms) as u64,
+            IatModel::UniformRandom => (rng.next_f64() * total_ms) as u64,
             IatModel::Equidistant => ((i as f64 + 0.5) * 1_000.0 / cfg.rate_rps) as u64,
             IatModel::Bursty { .. } => {
                 if t >= burst_until {

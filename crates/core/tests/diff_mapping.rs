@@ -22,13 +22,11 @@ mod oracle {
     use faasrail_core::{Aggregation, IatModel, Representativity, Request, RequestTrace};
     use faasrail_stats::ecdf::{Ecdf, WeightedEcdf};
     use faasrail_stats::sampler::{Exponential, Sampler};
-    use faasrail_stats::seeded_rng;
     use faasrail_stats::timeseries::{fano_factor, normalize_peak, rebin_sum};
-    use faasrail_stats::{ks_distance, ks_distance_weighted};
+    use faasrail_stats::{ks_distance, ks_distance_weighted, seeded_rng, Rng};
     use faasrail_trace::summarize::{functions_duration_ecdf, invocations_duration_wecdf};
     use faasrail_trace::Trace;
     use faasrail_workloads::{WorkloadId, WorkloadKind, WorkloadPool};
-    use rand::Rng;
     use std::collections::{BTreeMap, HashMap};
 
     pub fn map_functions(
@@ -186,7 +184,7 @@ mod oracle {
         let mut burst_until = 0.0f64;
 
         for i in 0..cfg.num_invocations {
-            let d = wecdf.inverse(rng.gen::<f64>());
+            let d = wecdf.inverse(rng.next_f64());
 
             let key = (d * 10.0).round() as u64;
             let (start, end) = *range_cache.entry(key).or_insert_with(|| {
@@ -242,7 +240,7 @@ mod oracle {
                     t += gap.sample(&mut rng);
                     t as u64
                 }
-                IatModel::UniformRandom => (rng.gen::<f64>() * total_ms) as u64,
+                IatModel::UniformRandom => (rng.next_f64() * total_ms) as u64,
                 IatModel::Equidistant => ((i as f64 + 0.5) * 1_000.0 / cfg.rate_rps) as u64,
                 IatModel::Bursty { .. } => {
                     if t >= burst_until {

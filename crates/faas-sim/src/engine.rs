@@ -23,8 +23,8 @@ use crate::keepalive::{IdleSandbox, KeepAlivePolicy};
 use crate::metrics::SimMetrics;
 use crate::scheduler::LoadBalancer;
 use faasrail_core::{Arrival, ArrivalCursor, ScheduleSource};
+use faasrail_stats::rng::{seeded_rng, Xoshiro256pp};
 use faasrail_stats::sampler::{LogNormal, Sampler};
-use faasrail_stats::seeded_rng;
 use faasrail_telemetry::{
     EventSink, InvocationSpan, NullSink, OutcomeClass, RunInfo, RunSummary, TelemetryEvent,
 };
@@ -185,7 +185,7 @@ struct Engine<'a> {
     pool: &'a WorkloadPool,
     cluster: &'a ClusterConfig,
     jitter: Option<LogNormal>,
-    rng: rand::rngs::StdRng,
+    rng: Xoshiro256pp,
     slow: Vec<f64>,
     /// Nodes, queues and idle sandboxes — all cluster state a balancer or
     /// a keep-alive policy can see.

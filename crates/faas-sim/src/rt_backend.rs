@@ -9,8 +9,8 @@
 use crate::cluster::ColdStartModel;
 use faasrail_loadgen::{Backend, InvocationRequest, InvocationResult};
 use faasrail_workloads::{WorkloadId, WorkloadPool};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 struct WarmEntry {
@@ -69,15 +69,21 @@ impl WarmCacheBackend {
         }
     }
 
+    /// The cache, whether or not a panicking thread held it: every panic
+    /// the critical sections can raise is an allocation failure.
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of currently warm sandboxes (for tests/inspection).
     pub fn warm_count(&self) -> usize {
-        self.state.lock().entries.len()
+        self.state().entries.len()
     }
 
     /// Decide warm/cold and update the cache; returns `(cold, delay_ms)`.
     fn admit(&self, workload: WorkloadId, memory_mb: f64) -> (bool, f64) {
         let now = Instant::now();
-        let mut st = self.state.lock();
+        let mut st = self.state();
 
         // Expire idle entries past their TTL.
         let ttl = self.cfg.ttl;

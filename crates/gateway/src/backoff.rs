@@ -5,34 +5,8 @@
 //! should retry at the same instants. All randomness therefore flows from a
 //! seeded [`SplitMix64`] stream rather than a global entropy source.
 
+use faasrail_stats::rng::{Rng, SplitMix64};
 use std::time::Duration;
-
-/// SplitMix64: a tiny, high-quality, seedable PRNG (Steele et al., OOPSLA
-/// '14). Dependency-free so the gateway adds no crates beyond the
-/// workspace's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seed the stream; the same seed always yields the same sequence.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// Next 64 uniformly distributed bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)` (53 mantissa bits).
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
 
 /// One uniform draw in `[0, 1)` at position `n` of the stream seeded by
 /// `seed` — random access without carrying mutable state, used by the
@@ -157,16 +131,21 @@ mod tests {
         assert_eq!(p.exponential(1_000), Duration::from_millis(100), "huge retry index capped");
     }
 
+    /// The parent commit's draws (private splitmix64 copy): fault bands
+    /// and retry instants of a seeded run must not move.
     #[test]
-    fn splitmix_is_deterministic_and_uniform_ish() {
-        let mut a = SplitMix64::new(7);
-        let mut b = SplitMix64::new(7);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+    fn jitter_and_mix_fraction_are_the_draws_made_before_the_rng_port() {
+        for (seed, n, bits) in [
+            (0u64, 0u64, 0x3fec_4415_072f_63b9_u64),
+            (9, 100, 0x3fcc_183a_fdeb_22dc),
+            (42, 1, 0x3fe8_a93a_de71_1338),
+            (0x5eed, 123_456_789, 0x3fef_8f61_4bdc_0168),
+            (u64::MAX, u64::MAX, 0x3fd8_e860_c60f_b5b4),
+        ] {
+            assert_eq!(mix_fraction(seed, n).to_bits(), bits, "seed {seed:#x} n {n}");
         }
-        let mut r = SplitMix64::new(1234);
-        let mean: f64 = (0..10_000).map(|_| r.next_f64()).sum::<f64>() / 10_000.0;
-        assert!((mean - 0.5).abs() < 0.02, "mean of U(0,1) draws was {mean}");
+        let nanos: Vec<u128> = policy(0.5).schedule().iter().map(Duration::as_nanos).collect();
+        assert_eq!(nanos, [8_707_824, 11_599_104, 25_572_023, 53_767_629, 51_901_508]);
     }
 
     #[test]

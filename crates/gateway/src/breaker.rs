@@ -21,8 +21,9 @@
 //!
 //! [`OutcomeClass::Shed`]: faasrail_loadgen::OutcomeClass::Shed
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Breaker tuning. The default (`failure_threshold: 0`) disables the
@@ -98,7 +99,7 @@ impl CircuitBreaker {
         if !self.enabled() {
             return true;
         }
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         match *state {
             State::Closed { .. } | State::HalfOpen { .. } => true,
             State::Open { until } => {
@@ -118,7 +119,7 @@ impl CircuitBreaker {
         if !self.enabled() {
             return;
         }
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         match *state {
             State::Closed { .. } => *state = State::Closed { consecutive_failures: 0 },
             State::HalfOpen { successes } => {
@@ -144,7 +145,7 @@ impl CircuitBreaker {
         if !self.enabled() {
             return;
         }
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         match *state {
             State::Closed { consecutive_failures } => {
                 let failures = consecutive_failures + 1;
@@ -169,7 +170,7 @@ impl CircuitBreaker {
 
     /// Whether the breaker is currently refusing requests.
     pub fn is_open(&self) -> bool {
-        matches!(*self.state.lock(), State::Open { .. })
+        matches!(*lock(&self.state), State::Open { .. })
     }
 }
 

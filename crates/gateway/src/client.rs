@@ -5,7 +5,7 @@
 //! same `POST /invoke` JSON protocol). Design points:
 //!
 //! * **connection pool** — keep-alive connections are parked in a
-//!   `parking_lot`-guarded LIFO free-list and reused across invocations;
+//!   mutex-guarded LIFO free-list and reused across invocations;
 //!   a reused connection that fails before yielding a response is replaced
 //!   by a fresh one without consuming a retry attempt (it was likely closed
 //!   by the peer while idle);
@@ -27,14 +27,15 @@
 //!   survives the retry budget also classifies as shed (the upstream
 //!   refused the work; nothing broke).
 
-use crate::backoff::{RetryPolicy, SplitMix64};
+use crate::backoff::RetryPolicy;
 use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::http;
+use crate::{http, lock};
 use faasrail_loadgen::{Backend, InvocationRequest, InvocationResult};
-use parking_lot::Mutex;
+use faasrail_stats::rng::SplitMix64;
 use std::io::{self, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Client configuration.
@@ -160,11 +161,11 @@ impl HttpBackend {
     }
 
     fn checkout(&self) -> Option<TcpStream> {
-        self.idle.lock().pop()
+        lock(&self.idle).pop()
     }
 
     fn checkin(&self, stream: TcpStream) {
-        let mut idle = self.idle.lock();
+        let mut idle = lock(&self.idle);
         if idle.len() < self.cfg.pool_capacity {
             idle.push(stream);
         }
@@ -244,7 +245,7 @@ impl Backend for HttpBackend {
         for attempt in 0..attempts {
             if attempt > 0 {
                 let mut delay = {
-                    let mut rng = self.rng.lock();
+                    let mut rng = lock(&self.rng);
                     self.cfg.retry.delay(attempt - 1, &mut rng)
                 };
                 if let Some(secs) = retry_after_hint.take() {
@@ -498,7 +499,7 @@ mod tests {
                 let Ok(stream) = stream else { break };
                 let mut reader = BufReader::new(&stream);
                 while let Ok(Some(req)) = http::read_request(&mut reader) {
-                    log.lock().push(req.trace_id);
+                    lock(&log).push(req.trace_id);
                     let body = serde_json::to_vec(&InvocationResult::success(1.0, false)).unwrap();
                     if http::write_response(&mut (&stream), 200, "application/json", &body, true)
                         .is_err()
@@ -512,7 +513,7 @@ mod tests {
         let traced = InvocationRequest { trace_id: 0xfeed_f00d, ..request() };
         assert!(be.invoke(&traced).ok);
         assert!(be.invoke(&request()).ok, "untraced request");
-        assert_eq!(*seen.lock(), vec![Some(0xfeed_f00d), None]);
+        assert_eq!(*lock(&seen), vec![Some(0xfeed_f00d), None]);
     }
 
     #[test]

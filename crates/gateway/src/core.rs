@@ -43,16 +43,16 @@
 //! one or the other), and how a `Step` is carried out.
 
 use crate::backoff::mix_fraction;
+use crate::lock;
 use faasrail_loadgen::{Backend, InvocationRequest};
 use faasrail_telemetry::{
     EventSink, LogHistogram, NullSink, OutcomeClass, PromText, ServerFault, ServerSpan,
     TelemetryEvent,
 };
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Seeded fault injection: each invocation draws a deterministic uniform
@@ -324,10 +324,10 @@ impl StageMetrics {
     }
 
     fn record(&self, span: &ServerSpan) {
-        self.queue_wait.lock().record(span.queue_wait_s());
-        self.service.lock().record(span.handler_s());
-        self.flush.lock().record(span.flush_s());
-        self.total.lock().record(span.total_s());
+        lock(&self.queue_wait).record(span.queue_wait_s());
+        lock(&self.service).record(span.handler_s());
+        lock(&self.flush).record(span.flush_s());
+        lock(&self.total).record(span.total_s());
     }
 
     /// Render the four stage histograms in Prometheus text format.
@@ -336,22 +336,22 @@ impl StageMetrics {
         p.histogram(
             "faasrail_gateway_stage_queue_wait_seconds",
             "Accept to worker dequeue (admission queue wait).",
-            &self.queue_wait.lock(),
+            &lock(&self.queue_wait),
         );
         p.histogram(
             "faasrail_gateway_stage_service_seconds",
             "Handler start to handler end (backend execution).",
-            &self.service.lock(),
+            &lock(&self.service),
         );
         p.histogram(
             "faasrail_gateway_stage_flush_seconds",
             "Handler end to response flushed.",
-            &self.flush.lock(),
+            &lock(&self.flush),
         );
         p.histogram(
             "faasrail_gateway_stage_total_seconds",
             "Accept to response flushed (total server residency).",
-            &self.total.lock(),
+            &lock(&self.total),
         );
         p.finish()
     }

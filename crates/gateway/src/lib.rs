@@ -47,7 +47,17 @@ pub mod mux;
 pub mod reactor_server;
 pub mod server;
 
-pub use backoff::{mix_fraction, RetryPolicy, SplitMix64};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m` whether or not a thread panicked while holding it. What this
+/// crate keeps behind a mutex (stage histograms, the idle-connection pool,
+/// the jitter stream, the breaker state) is valid after every single
+/// update, and one panicking handler must not wedge the gateway.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub use backoff::{mix_fraction, RetryPolicy};
 pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use client::{ClientStats, HttpBackend, HttpBackendConfig};
 pub use core::{FaultConfig, GatewayConfig, GatewayStats, StageMetrics};

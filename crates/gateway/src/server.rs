@@ -11,14 +11,15 @@
 //! delays and stalls in place, writing each reply before reading on.
 
 use crate::core::{micros_since, Arrival, Core, Reply, Step};
-use crate::http;
+use crate::{http, lock};
 use crate::{GatewayConfig, GatewayStats, StageMetrics};
 use faasrail_loadgen::Backend;
 use faasrail_telemetry::EventSink;
 use std::io::{self, BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The gateway: a bound listener plus the backend it exposes.
@@ -80,12 +81,16 @@ impl Gateway {
         let core = &*self.core;
         let stats = &*core.stats;
         let capacity = core.cfg.queue_capacity.max(1);
-        let (tx, rx) = crossbeam::channel::bounded::<ConnMeta>(capacity);
+        let (tx, rx) = sync_channel::<ConnMeta>(capacity);
+        // The idle worker waits in `recv` under the lock, the rest on the
+        // lock; a connection is handed over once, so the lock is taken per
+        // connection, not per request.
+        let rx = Mutex::new(rx);
         std::thread::scope(|scope| {
             for worker in 0..core.cfg.workers as u64 {
-                let rx = rx.clone();
+                let next = || lock(&rx).recv().ok();
                 scope.spawn(move || {
-                    while let Ok(conn) = rx.recv() {
+                    while let Some(conn) = next() {
                         stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
                         stats.connections_active.fetch_add(1, Ordering::Relaxed);
                         handle_connection(conn, core, worker);
@@ -94,7 +99,6 @@ impl Gateway {
                     }
                 });
             }
-            drop(rx);
 
             loop {
                 if core.shutdown.load(Ordering::SeqCst) {
@@ -110,11 +114,11 @@ impl Gateway {
                         let accepted_us = micros_since(core.epoch);
                         match tx.try_send(ConnMeta { stream, accepted_us, depth }) {
                             Ok(()) => {}
-                            Err(crossbeam::channel::TrySendError::Full(conn)) => {
+                            Err(TrySendError::Full(conn)) => {
                                 stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
                                 shed_connection(conn.stream, core);
                             }
-                            Err(crossbeam::channel::TrySendError::Disconnected(_)) => break,
+                            Err(TrySendError::Disconnected(_)) => break,
                         }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
@@ -507,6 +511,57 @@ mod tests {
         assert!(json.contains("\"queue_depth\":0"), "{json}");
         drop(b);
         handle.stop();
+    }
+
+    #[test]
+    fn connections_queued_at_stop_are_served_before_the_workers_exit() {
+        // One worker, held by connection A. B and C send their requests and
+        // wait in the admission queue; stop() is then called with both
+        // still queued.
+        let handle = spawn_noop(GatewayConfig { workers: 1, queue_capacity: 2, ..test_cfg() });
+        let core = Arc::clone(&handle.core);
+        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !cond() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::yield_now();
+            }
+        };
+        let a = TcpStream::connect(handle.addr()).unwrap();
+        assert_eq!(roundtrip(&a, "GET", "/healthz", b"").status, 200);
+        let queued: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let stream = TcpStream::connect(handle.addr()).unwrap();
+                http::write_request(
+                    &mut (&stream),
+                    "POST",
+                    "/invoke",
+                    "test",
+                    "application/json",
+                    &request_json(),
+                    false,
+                )
+                .unwrap();
+                stream
+            })
+            .collect();
+        wait_for("B and C to be queued", &|| core.stats.queue_depth.load(Ordering::Relaxed) == 2);
+
+        let stopper = std::thread::spawn(move || handle.stop());
+        wait_for("stop() to be under way", &|| core.shutdown.load(Ordering::SeqCst));
+        assert_eq!(core.stats.queue_depth.load(Ordering::Relaxed), 2, "nothing drained yet");
+
+        drop(a); // frees the worker; the sender may already be gone
+        for stream in &queued {
+            let resp = http::read_response(&mut BufReader::new(stream)).unwrap();
+            assert_eq!(resp.status, 200);
+            assert!(serde_json::from_slice::<InvocationResult>(&resp.body).unwrap().ok);
+        }
+        stopper.join().unwrap();
+        assert_eq!(core.stats.queue_depth.load(Ordering::Relaxed), 0);
+        assert_eq!(core.stats.invocations_ok.load(Ordering::Relaxed), 2);
+        assert_eq!(core.stats.connections_closed.load(Ordering::Relaxed), 3);
+        assert_eq!(core.stats.shed.load(Ordering::Relaxed), 0);
     }
 
     #[test]

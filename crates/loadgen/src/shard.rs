@@ -10,25 +10,20 @@
 //! the shard a fleet agent would.
 
 use faasrail_core::RequestTrace;
+use faasrail_stats::rng::{Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
-/// SplitMix64 finalizer: a full-avalanche bijection on `u64`, so
-/// consecutive function indices scatter uniformly across shards.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Which of `shards` shards owns `function_index`. Stable across
-/// processes, platforms, and releases (the wire protocol depends on it).
+/// Which of `shards` shards owns `function_index`: the first output of a
+/// [`SplitMix64`] seeded with the index — a full-avalanche bijection, so
+/// consecutive indices scatter uniformly — reduced modulo the count. Stable
+/// across processes, platforms, and releases (the wire protocol depends on
+/// it).
 ///
 /// # Panics
 /// Panics if `shards == 0`.
 pub fn shard_of(function_index: u32, shards: u32) -> u32 {
     assert!(shards > 0, "shard count must be positive");
-    (splitmix64(function_index as u64) % shards as u64) as u32
+    (SplitMix64::new(function_index as u64).next_u64() % shards as u64) as u32
 }
 
 /// The unfinished suffix of `trace`: every request at or beyond the
@@ -137,6 +132,23 @@ mod tests {
         }
         requests.sort_by_key(|r| (r.at_ms, r.function_index));
         RequestTrace { duration_minutes: 1, requests }
+    }
+
+    /// The parent commit's placements: agents of different builds must
+    /// agree on them.
+    #[test]
+    fn placement_is_the_one_the_wire_protocol_was_built_on() {
+        for (f, count, shard) in [
+            (0u32, 1u32, 0u32),
+            (0, 4, 3),
+            (1, 4, 1),
+            (2, 4, 2),
+            (7, 3, 0),
+            (12_345, 16, 0),
+            (u32::MAX, 7, 3),
+        ] {
+            assert_eq!(shard_of(f, count), shard, "function {f} of {count}");
+        }
     }
 
     #[test]

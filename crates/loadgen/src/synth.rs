@@ -13,11 +13,11 @@
 //!   stresses queueing the way production traffic does.
 //!
 //! Both are deterministic in `(rps, duration, seed)`: the Poisson stream
-//! uses an inline splitmix64 generator rather than an external RNG so the
-//! same spec always produces the byte-identical trace, regardless of
-//! toolchain or `rand` version.
+//! draws from the workspace's own splitmix64, so the same spec always
+//! produces the byte-identical trace, regardless of toolchain.
 
 use faasrail_core::{Request, RequestTrace};
+use faasrail_stats::rng::{Rng, SplitMix64, GOLDEN_GAMMA};
 use faasrail_workloads::WorkloadId;
 
 /// How synthetic arrivals are spaced.
@@ -47,15 +47,14 @@ pub fn fixed_rate_trace(
     assert!(duration_s > 0.0 && duration_s.is_finite(), "duration must be positive");
     let n = (rps * duration_s).ceil() as u64;
     let mut requests = Vec::with_capacity(n as usize);
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut rng = SplitMix64::new(seed ^ GOLDEN_GAMMA);
     let mut t_s = 0.0f64;
     for i in 0..n {
         let at_s = match process {
             ArrivalProcess::Uniform => i as f64 / rps,
             ArrivalProcess::Poisson => {
-                // Inverse-CDF exponential draw; u in (0, 1].
-                let u = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
-                t_s += -(1.0 - u).max(f64::MIN_POSITIVE).ln() / rps;
+                // Inverse-CDF exponential draw; 1 - u in (0, 1].
+                t_s += -(1.0 - rng.next_f64()).max(f64::MIN_POSITIVE).ln() / rps;
                 t_s
             }
         };
@@ -66,15 +65,6 @@ pub fn fixed_rate_trace(
     // degenerate cases; arrival order is an invariant of RequestTrace.
     requests.sort_by_key(|r| r.at_ms);
     RequestTrace { duration_minutes: (duration_s / 60.0).ceil().max(1.0) as usize, requests }
-}
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -91,6 +81,16 @@ mod tests {
         for w in t.requests.windows(2) {
             assert_eq!(w[1].at_ms - w[0].at_ms, 10);
         }
+    }
+
+    #[test]
+    fn poisson_trace_is_the_one_generated_before_the_rng_port() {
+        let t = fixed_rate_trace(200.0, 3.0, WorkloadId(7), ArrivalProcess::Poisson, 11);
+        let digest = t
+            .requests
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, r| (h ^ r.at_ms).wrapping_mul(0x100_0000_01B3));
+        assert_eq!((t.requests.len(), digest), (600, 0x261f_86a9_2285_cf6b));
     }
 
     #[test]

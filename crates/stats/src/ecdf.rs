@@ -7,7 +7,7 @@
 //! pairs, and new samples are drawn by pushing uniform variates through the
 //! linearly interpolated inverse CDF (inverse transform sampling).
 
-use rand::Rng;
+use crate::rng::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Unweighted empirical CDF over a set of samples.
@@ -222,7 +222,7 @@ impl WeightedEcdf {
 
     /// Draw one value by inverse transform sampling.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.inverse(rng.gen::<f64>())
+        self.inverse(rng.next_f64())
     }
 
     /// Draw `n` values by inverse transform sampling.

@@ -17,14 +17,17 @@
 //!   (paper §3.2.1.2) and the largest-remainder apportionment used by request
 //!   rate scaling (paper §3.2.1.1);
 //! * [`histogram`] — linear and log-bucketed histograms (the latter doubles as
-//!   the load generator's latency recorder).
+//!   the load generator's latency recorder);
+//! * [`rng`] — the workspace's one seeded generator (splitmix64-seeded
+//!   xoshiro256++) and the draws defined on it.
 //!
-//! All randomness flows through caller-provided [`rand::Rng`] instances so
-//! that every consumer of this crate is deterministic under a fixed seed.
+//! All randomness flows through caller-provided [`Rng`] instances so that
+//! every consumer of this crate is deterministic under a fixed seed.
 
 pub mod distance;
 pub mod ecdf;
 pub mod histogram;
+pub mod rng;
 pub mod sampler;
 pub mod special;
 pub mod summary;
@@ -33,38 +36,5 @@ pub mod timeseries;
 pub use distance::{ks_distance, ks_distance_weighted, wasserstein1};
 pub use ecdf::{Ecdf, WeightedEcdf};
 pub use histogram::{LinearHistogram, LogHistogram};
+pub use rng::{seeded_rng, Rng};
 pub use summary::{percentile_sorted, Summary};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Construct the crate-standard deterministic RNG from a `u64` seed.
-///
-/// Every stochastic component in the FaaSRail workspace derives its
-/// randomness from one of these, so a fixed seed reproduces a run exactly.
-pub fn seeded_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::Rng;
-
-    #[test]
-    fn seeded_rng_is_deterministic() {
-        let mut a = seeded_rng(42);
-        let mut b = seeded_rng(42);
-        for _ in 0..100 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        }
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        let mut a = seeded_rng(1);
-        let mut b = seeded_rng(2);
-        let same = (0..64).filter(|_| a.gen::<u64>() == b.gen::<u64>()).count();
-        assert!(same < 4, "seeds 1 and 2 should produce different streams");
-    }
-}

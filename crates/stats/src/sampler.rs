@@ -10,8 +10,8 @@
 //! the synthetic traces; log-normal shapes execution-time and memory
 //! distributions.
 
+use crate::rng::Rng;
 use crate::special::{ln_gamma, normal_inv_cdf};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A continuous distribution that can be sampled with any RNG.
@@ -32,7 +32,7 @@ pub trait Sampler {
 #[inline]
 fn open_unit<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
-        let u = rng.gen::<f64>();
+        let u = rng.next_f64();
         if u > 0.0 {
             return u;
         }
@@ -180,7 +180,7 @@ impl UniformRange {
 
 impl Sampler for UniformRange {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.gen::<f64>()
+        self.lo + (self.hi - self.lo) * rng.next_f64()
     }
 }
 
@@ -281,7 +281,7 @@ impl Poisson {
         let mut k = 0u64;
         let mut p = 1.0;
         loop {
-            p *= rng.gen::<f64>();
+            p *= rng.next_f64();
             if p <= l {
                 return k;
             }
@@ -299,7 +299,7 @@ impl Poisson {
         let inv_alpha = 1.123_9 + 1.132_8 / (b - 3.4);
         let v_r = 0.927_7 - 3.622_4 / (b - 2.0);
         loop {
-            let u = rng.gen::<f64>() - 0.5;
+            let u = rng.next_f64() - 0.5;
             let v = open_unit(rng);
             let us = 0.5 - u.abs();
             let k = ((2.0 * a / us + b) * u + lam + 0.43).floor();
@@ -374,7 +374,7 @@ impl Zipf {
             return 1;
         }
         loop {
-            let u = self.h_x0 + rng.gen::<f64>() * (self.h_n - self.h_x0);
+            let u = self.h_x0 + rng.next_f64() * (self.h_n - self.h_x0);
             let x = self.h_inv(u);
             let k = (x + 0.5).floor().clamp(1.0, self.n as f64);
             // Accept iff u >= H(k + 1/2) − k^−s; the midpoint rule for the

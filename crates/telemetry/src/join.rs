@@ -305,7 +305,9 @@ mod tests {
 
     /// Build a matched client/server pair with the given clock offset
     /// (server clock = client clock + offset) and symmetric one-way
-    /// network delay.
+    /// network delay. The client clock starts at 10 s so that the most
+    /// negative offset a test injects still leaves the server's stamps
+    /// positive: timestamps are µs since an epoch and cannot wrap.
     fn pair(
         seq: u64,
         offset_us: i64,
@@ -313,7 +315,7 @@ mod tests {
         service_us: u64,
     ) -> (TelemetryEvent, TelemetryEvent) {
         let trace_id = derive_trace_id(99, seq);
-        let dispatched = 1_000 + seq * 100_000;
+        let dispatched = 10_000_000 + seq * 100_000;
         let picked_up = dispatched + 500;
         let accepted_client = picked_up + net_us; // client-clock instant
         let handler_start = accepted_client + 200;
@@ -373,13 +375,13 @@ mod tests {
             // off, plus one backwards sample that must be discarded.
             let mut samples: Vec<(u64, u64, u64)> = (0..9u64)
                 .map(|i| {
-                    let send = 1_000_000 + i * 10_000;
+                    let send = 10_000_000 + i * 10_000;
                     let recv = send + 800;
                     let remote = ((send + 400) as i64 + injected) as u64;
                     (send, remote, recv)
                 })
                 .collect();
-            samples.push((2_000_000, (2_500_000i64 + injected) as u64, 2_900_000));
+            samples.push((12_000_000, (12_500_000i64 + injected) as u64, 12_900_000));
             samples.push((5_000_000, 1, 4_000_000)); // recv < send: dropped
             let off = offset_from_probes(&samples);
             assert_eq!(off.pairs, 10);

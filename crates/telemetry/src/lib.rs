@@ -47,6 +47,16 @@ pub mod report;
 pub mod sink;
 pub mod span;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m` whether or not a thread panicked while holding it. The data
+/// this crate guards (counters, histograms, event buffers) is valid after
+/// every single update, and a broken writer must not take the run's
+/// metrics and event log down with it.
+pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Re-exported so downstream crates (the gateway's per-stage `/metrics`
 /// histograms) don't need a direct `faasrail-stats` dependency.
 pub use build::BuildInfo;

@@ -1,7 +1,7 @@
 //! Sharded, lock-light live metrics.
 //!
 //! Replay workers update a [`Recorder`] on the hot path: each worker owns a
-//! cache-padded shard guarded by an uncontended [`parking_lot::Mutex`], so
+//! cache-line-aligned shard guarded by an uncontended mutex, so
 //! recording costs one uncontended lock acquisition and never blocks
 //! another worker. A monitor thread periodically merges the shards into a
 //! cumulative [`Snapshot`]; subtracting consecutive snapshots yields exact
@@ -11,14 +11,13 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::utils::CachePadded;
 use faasrail_stats::LogHistogram;
-use parking_lot::Mutex;
 
+use crate::lock;
 use crate::prometheus::PromText;
 use crate::span::OutcomeClass;
 
@@ -51,17 +50,24 @@ impl Counters {
 /// shard count, so an out-of-range index degrades to sharing rather than
 /// panicking.
 pub struct Recorder {
-    shards: Box<[CachePadded<Mutex<Counters>>]>,
+    shards: Box<[Shard]>,
 }
+
+/// One writer's counters on cache lines of their own (128 bytes covers the
+/// adjacent-line prefetcher), so neighbouring shards never false-share.
+#[repr(align(128))]
+struct Shard(Mutex<Counters>);
 
 impl Recorder {
     /// # Panics
     /// Panics if `shards == 0`.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "Recorder requires at least one shard");
-        Recorder {
-            shards: (0..shards).map(|_| CachePadded::new(Mutex::new(Counters::new()))).collect(),
-        }
+        Recorder { shards: (0..shards).map(|_| Shard(Mutex::new(Counters::new()))).collect() }
+    }
+
+    fn shard(&self, shard: usize) -> MutexGuard<'_, Counters> {
+        lock(&self.shards[shard % self.shards.len()].0)
     }
 
     pub fn shards(&self) -> usize {
@@ -70,7 +76,7 @@ impl Recorder {
 
     /// Count one dispatched request (pacer side).
     pub fn record_issued(&self, shard: usize) {
-        self.shards[shard % self.shards.len()].lock().issued += 1;
+        self.shard(shard).issued += 1;
     }
 
     /// Count one finished request (worker side). `response_s` is recorded
@@ -83,7 +89,7 @@ impl Recorder {
         response_s: f64,
         cold_start: bool,
     ) {
-        let mut c = self.shards[shard % self.shards.len()].lock();
+        let mut c = self.shard(shard);
         c.response.record(response_s);
         if cold_start {
             c.cold_starts += 1;
@@ -98,7 +104,7 @@ impl Recorder {
     pub fn snapshot(&self) -> Snapshot {
         let mut out = Snapshot::default();
         for shard in self.shards.iter() {
-            let c = shard.lock();
+            let c = lock(&shard.0);
             out.issued += c.issued;
             out.completed += c.completed;
             for (a, b) in out.errors.iter_mut().zip(&c.errors) {

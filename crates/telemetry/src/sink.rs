@@ -11,9 +11,9 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
-
+use crate::lock;
 use crate::span::TelemetryEvent;
 
 /// A destination for telemetry events. `emit` is called from replay worker
@@ -62,7 +62,7 @@ impl RingSink {
 
     /// The retained events, oldest first.
     pub fn events(&self) -> Vec<TelemetryEvent> {
-        self.buf.lock().iter().cloned().collect()
+        lock(&self.buf).iter().cloned().collect()
     }
 
     /// Events evicted to make room.
@@ -71,17 +71,17 @@ impl RingSink {
     }
 
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        lock(&self.buf).len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        lock(&self.buf).is_empty()
     }
 }
 
 impl EventSink for RingSink {
     fn emit(&self, event: &TelemetryEvent) {
-        let mut buf = self.buf.lock();
+        let mut buf = lock(&self.buf);
         if buf.len() == self.cap {
             buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -133,7 +133,7 @@ impl<W: Write + Send> JsonlSink<W> {
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn emit(&self, event: &TelemetryEvent) {
-        let mut w = self.inner.lock();
+        let mut w = lock(&self.inner);
         let ok = serde_json::to_writer(&mut *w, event).is_ok()
             && w.write_all(b"\n").is_ok()
             && (!self.autoflush || w.flush().is_ok());
@@ -143,7 +143,7 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
     }
 
     fn flush(&self) {
-        if self.inner.lock().flush().is_err() {
+        if lock(&self.inner).flush().is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -151,7 +151,7 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
 
 impl<W: Write + Send> Drop for JsonlSink<W> {
     fn drop(&mut self) {
-        let _ = self.inner.lock().flush();
+        let _ = lock(&self.inner).flush();
     }
 }
 
@@ -199,7 +199,7 @@ mod tests {
         assert_eq!(sink.write_errors(), 0);
         // `JsonlSink` implements `Drop`, so the writer can't be moved out;
         // swap it for an empty one instead.
-        let writer = std::mem::replace(&mut *sink.inner.lock(), BufWriter::new(Vec::new()));
+        let writer = std::mem::replace(&mut *lock(&sink.inner), BufWriter::new(Vec::new()));
         let bytes = writer.into_inner().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();

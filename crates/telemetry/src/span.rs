@@ -7,6 +7,7 @@
 //! end-to-end response) are methods, not stored fields, so the hot-path
 //! record stays small and allocation-free on success.
 
+use faasrail_stats::rng::mix64_pair;
 use serde::{Deserialize, Serialize};
 
 /// Derive a per-invocation trace id from a run id and a dispatch sequence
@@ -15,15 +16,7 @@ use serde::{Deserialize, Serialize};
 /// Never returns 0 — a zero trace id means "absent" (pre-tracing logs and
 /// requests arriving without an `X-FaaSRail-Trace` header).
 pub fn derive_trace_id(run_id: u64, seq: u64) -> u64 {
-    let mut z = run_id ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    if z == 0 {
-        1
-    } else {
-        z
-    }
+    mix64_pair(run_id, seq).max(1)
 }
 
 /// Render a trace id in the wire format of the `X-FaaSRail-Trace` header:
@@ -460,6 +453,22 @@ mod tests {
                 assert_eq!(wire.len(), 16);
                 assert_eq!(parse_trace_id(&wire), Some(id));
             }
+        }
+    }
+
+    /// Values of the parent commit (private finalizer copy), which ids in
+    /// committed logs and on the wire were derived with.
+    #[test]
+    fn trace_ids_are_the_ones_derived_before_the_rng_port() {
+        for (run, seq, id) in [
+            (0u64, 0u64, 1u64), // the finalizer maps 0 to 0; 0 means "absent"
+            (0, 1, 0xe220_a839_7b1d_cdaf),
+            (1, 0, 0x5692_161d_100b_05e5),
+            (42, 7, 0x53ad_348a_f3dd_af4b),
+            (0xfaa5, 1_000_000, 0xfd8b_d084_912f_efb3),
+            (u64::MAX, u64::MAX, 0xe4d9_7177_1b65_2c20),
+        ] {
+            assert_eq!(derive_trace_id(run, seq), id, "run {run:#x} seq {seq}");
         }
     }
 

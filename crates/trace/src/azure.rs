@@ -20,9 +20,8 @@ use crate::model::{
 };
 use crate::synth;
 use faasrail_stats::sampler::{LogNormal, Sampler, Zipf};
-use faasrail_stats::seeded_rng;
 use faasrail_stats::timeseries::apportion_weights;
-use rand::Rng;
+use faasrail_stats::{seeded_rng, Rng};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic Azure-like trace.
@@ -104,7 +103,7 @@ impl DurationModel {
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R, u: f64) -> f64 {
         let p_short = 0.85 - 0.60 * u;
         let p_long = 0.02 + 0.28 * u;
-        let x = rng.gen::<f64>();
+        let x = rng.next_f64();
         let d = if x < p_short {
             self.short.sample(rng)
         } else if x < 1.0 - p_long {
@@ -167,28 +166,28 @@ pub fn generate(cfg: &AzureTraceConfig) -> Trace {
         // Trigger correlates with the invocation pattern: periodic series
         // are timers, steady ones HTTP/queue traffic, bursts events.
         let (minutes, trigger) = if total < 50 {
-            let t = if rng.gen::<f64>() < 0.5 { TriggerKind::Storage } else { TriggerKind::Others };
+            let t = if rng.next_f64() < 0.5 { TriggerKind::Storage } else { TriggerKind::Others };
             (synth::rare_series(&mut rng, &cdf, total), t)
         } else if total >= 7_200 {
             // Hot functions: steady Poisson arrivals along the diurnal wave.
             (synth::steady_series(&mut rng, &template, total), TriggerKind::Http)
         } else {
-            match rng.gen_range(0..10u32) {
+            match rng.range(0..10u32) {
                 0..=3 => {
                     let t =
-                        if rng.gen::<f64>() < 0.7 { TriggerKind::Http } else { TriggerKind::Queue };
+                        if rng.next_f64() < 0.7 { TriggerKind::Http } else { TriggerKind::Queue };
                     (synth::steady_series(&mut rng, &template, total), t)
                 }
                 4..=6 => {
                     const PERIODS: [u16; 7] = [2, 5, 10, 15, 30, 60, 120];
-                    let period = PERIODS[rng.gen_range(0..PERIODS.len())];
+                    let period = PERIODS[rng.range(0..PERIODS.len())];
                     (synth::periodic_series(&mut rng, period, total), TriggerKind::Timer)
                 }
                 _ => (synth::bursty_series(&mut rng, total), TriggerKind::Event),
             }
         };
         let realized_total = minutes.total();
-        let volatile = rng.gen::<f64>() < cfg.volatile_fraction;
+        let volatile = rng.next_f64() < cfg.volatile_fraction;
         let daily = synth::daily_rollups(
             &mut rng,
             dur,

@@ -12,9 +12,8 @@
 use crate::model::{App, AppId, FunctionId, Trace, TraceFunction, TraceKind, TriggerKind};
 use crate::synth;
 use faasrail_stats::sampler::{LogNormal, Sampler};
-use faasrail_stats::seeded_rng;
 use faasrail_stats::timeseries::apportion_weights;
-use rand::Rng;
+use faasrail_stats::{seeded_rng, Rng};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic Huawei-private-like trace.
@@ -76,11 +75,8 @@ pub fn generate(cfg: &HuaweiTraceConfig) -> Trace {
         .map(|rank| {
             let u = if n == 1 { 0.0 } else { rank as f64 / (n - 1) as f64 };
             let p_fast = 0.95 - 0.35 * u;
-            let d = if rng.gen::<f64>() < p_fast {
-                fast.sample(&mut rng)
-            } else {
-                tail.sample(&mut rng)
-            };
+            let d =
+                if rng.next_f64() < p_fast { fast.sample(&mut rng) } else { tail.sample(&mut rng) };
             (d.clamp(0.1, 2_000.0) * 10.0).round() / 10.0
         })
         .collect();
@@ -104,13 +100,13 @@ pub fn generate(cfg: &HuaweiTraceConfig) -> Trace {
         // sub-minute scale.
         let minutes = if total < 50 {
             synth::rare_series(&mut rng, &cdf, total)
-        } else if rng.gen::<f64>() < 0.5 {
+        } else if rng.next_f64() < 0.5 {
             synth::steady_series(&mut rng, &template, total)
         } else {
             synth::bursty_series(&mut rng, total)
         };
         let realized_total = minutes.total();
-        let volatile = rng.gen::<f64>() < cfg.volatile_fraction;
+        let volatile = rng.next_f64() < cfg.volatile_fraction;
         let daily = synth::daily_rollups(
             &mut rng,
             dur,
@@ -123,7 +119,7 @@ pub fn generate(cfg: &HuaweiTraceConfig) -> Trace {
             id: FunctionId(rank as u32),
             app: AppId(rank as u32),
             // Internal platform functions: mostly event/queue driven.
-            trigger: if rng.gen::<f64>() < 0.6 { TriggerKind::Event } else { TriggerKind::Queue },
+            trigger: if rng.next_f64() < 0.6 { TriggerKind::Event } else { TriggerKind::Queue },
             avg_duration_ms: dur,
             minutes,
             daily,

@@ -11,11 +11,11 @@ use crate::model::{DayStats, MinuteSeries, MINUTES_PER_DAY};
 use faasrail_stats::sampler::{Exponential, Poisson, Sampler};
 use faasrail_stats::special::normal_inv_cdf;
 use faasrail_stats::timeseries::{apportion_weights, moving_average};
-use rand::Rng;
+use faasrail_stats::Rng;
 
 /// Draw one standard-normal variate by inverse transform.
 fn std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u = rng.gen::<f64>().clamp(1e-12, 1.0 - 1e-12);
+    let u = rng.next_f64().clamp(1e-12, 1.0 - 1e-12);
     normal_inv_cdf(u)
 }
 
@@ -25,8 +25,8 @@ fn std_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// reproduce the gentle diurnal wave of the Azure trace's aggregate load
 /// (paper Fig. 8: relative load meanders between ~0.6 and 1.0 over the day).
 pub fn diurnal_template<R: Rng + ?Sized>(rng: &mut R, base: f64, amplitude: f64) -> Vec<f64> {
-    let phase1 = rng.gen::<f64>() * std::f64::consts::TAU;
-    let phase2 = rng.gen::<f64>() * std::f64::consts::TAU;
+    let phase1 = rng.next_f64() * std::f64::consts::TAU;
+    let phase2 = rng.next_f64() * std::f64::consts::TAU;
     let raw_noise: Vec<f64> =
         (0..MINUTES_PER_DAY).map(|_| std_normal(rng) * amplitude * 0.6).collect();
     let noise = moving_average(&raw_noise, 90);
@@ -62,7 +62,7 @@ pub fn template_cdf(template: &[f64]) -> Vec<f64> {
 pub fn rare_series<R: Rng + ?Sized>(rng: &mut R, cdf: &[f64], total: u64) -> MinuteSeries {
     let mut counts = vec![0u64; MINUTES_PER_DAY];
     for _ in 0..total {
-        let u = rng.gen::<f64>();
+        let u = rng.next_f64();
         let m = cdf.partition_point(|&c| c < u).min(MINUTES_PER_DAY - 1);
         counts[m] += 1;
     }
@@ -88,7 +88,7 @@ pub fn steady_series<R: Rng + ?Sized>(rng: &mut R, template: &[f64], total: u64)
 /// random phase, with the day's `total` apportioned exactly over the spikes.
 pub fn periodic_series<R: Rng + ?Sized>(rng: &mut R, period: u16, total: u64) -> MinuteSeries {
     assert!(period >= 1 && (period as usize) <= MINUTES_PER_DAY);
-    let phase = rng.gen_range(0..period);
+    let phase = rng.range(0..period);
     let spikes: Vec<u16> = (phase..MINUTES_PER_DAY as u16).step_by(period as usize).collect();
     let per_spike = apportion_weights(&vec![1.0; spikes.len()], total);
     let mut counts = vec![0u64; MINUTES_PER_DAY];
@@ -101,7 +101,7 @@ pub fn periodic_series<R: Rng + ?Sized>(rng: &mut R, period: u16, total: u64) ->
 /// On/off bursts: a few short windows of intense activity separated by
 /// idle time — the sub-minute spike pattern the traces report.
 pub fn bursty_series<R: Rng + ?Sized>(rng: &mut R, total: u64) -> MinuteSeries {
-    let num_bursts = 1 + rng.gen_range(0..6usize);
+    let num_bursts = 1 + rng.range(0..6usize);
     // Burst weights: exponential draws normalized (Dirichlet-like).
     let weight_sampler = Exponential::new(1.0);
     let weights: Vec<f64> = (0..num_bursts).map(|_| weight_sampler.sample(rng) + 0.05).collect();
@@ -114,7 +114,7 @@ pub fn bursty_series<R: Rng + ?Sized>(rng: &mut R, total: u64) -> MinuteSeries {
             continue;
         }
         let len = (1.0 + len_sampler.sample(rng)).floor().min(60.0) as usize;
-        let start = rng.gen_range(0..MINUTES_PER_DAY.saturating_sub(len).max(1));
+        let start = rng.range(0..MINUTES_PER_DAY.saturating_sub(len).max(1));
         // Spread the burst's events uniformly over its window.
         let per_minute = apportion_weights(&vec![1.0; len], bt);
         for (off, &c) in per_minute.iter().enumerate() {

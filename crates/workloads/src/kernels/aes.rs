@@ -6,7 +6,8 @@
 //! from-scratch AES-128 with the standard S-box, used in CTR mode over a
 //! deterministically generated plaintext stream.
 
-use super::{fold, SplitMix64};
+use super::fold;
+use faasrail_stats::rng::{Rng, SplitMix64};
 
 /// The AES S-box.
 #[rustfmt::skip]

@@ -8,7 +8,8 @@
 //! hash-heavy aggregation. Like the primary kernels they are deterministic,
 //! checksum-producing, and bounded-memory.
 
-use super::{fold, SplitMix64};
+use super::fold;
+use faasrail_stats::rng::{Rng, SplitMix64};
 
 // --------------------------------------------------------------------------
 // compression: LZSS-style sliding window

@@ -5,7 +5,8 @@
 //! formatting, escaping, and row assembly — streaming row by row so a
 //! million-row table does not hold the whole document in memory.
 
-use super::{fold, SplitMix64};
+use super::fold;
+use faasrail_stats::rng::{Rng, SplitMix64};
 
 /// Minimal HTML escaping, applied to every cell (the hot path of real
 /// template rendering).

@@ -4,7 +4,8 @@
 //! (3×3 conv → ReLU → 2×2 average pool → 3×3 conv → global pool → dense)
 //! over a synthetic RGB image, in plain f32 loops.
 
-use super::{fold_f64, SplitMix64};
+use super::{fold_f64, next_weight};
+use faasrail_stats::rng::SplitMix64;
 
 /// Run one forward pass on an `image_size`² RGB image with `filters`
 /// convolution filters per stage; returns a checksum of the class scores.
@@ -15,13 +16,13 @@ pub fn run(image_size: u32, filters: u32) -> u64 {
     let mut rng = SplitMix64::new(0xCC17_u64 ^ ((image_size as u64) << 32 | filters as u64));
 
     // Synthetic image: s × s × 3, channel-last.
-    let image: Vec<f32> = (0..s * s * 3).map(|_| rng.next_weight()).collect();
+    let image: Vec<f32> = (0..s * s * 3).map(|_| next_weight(&mut rng)).collect();
     // Stage-1 weights: k filters of 3×3×3.
-    let w1: Vec<f32> = (0..k * 27).map(|_| rng.next_weight() * 0.1).collect();
+    let w1: Vec<f32> = (0..k * 27).map(|_| next_weight(&mut rng) * 0.1).collect();
     // Stage-2 weights: k filters of 3×3×k.
-    let w2: Vec<f32> = (0..k * 9 * k).map(|_| rng.next_weight() * 0.1).collect();
+    let w2: Vec<f32> = (0..k * 9 * k).map(|_| next_weight(&mut rng) * 0.1).collect();
     // Dense head: k → 10 classes.
-    let wd: Vec<f32> = (0..k * 10).map(|_| rng.next_weight() * 0.1).collect();
+    let wd: Vec<f32> = (0..k * 10).map(|_| next_weight(&mut rng) * 0.1).collect();
 
     // Conv1 (valid padding, stride 1) + ReLU.
     let o1 = s - 2;

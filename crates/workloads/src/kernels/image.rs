@@ -5,7 +5,8 @@
 //! and applies grayscale conversion, a 3×3 box blur (3-row rolling window,
 //! so memory stays O(width)), and thresholding.
 
-use super::{fold, SplitMix64};
+use super::fold;
+use faasrail_stats::rng::{Rng, SplitMix64};
 
 /// Integer luma approximation (ITU-R BT.601 weights scaled to /256).
 #[inline]

@@ -5,7 +5,8 @@
 //! serializes it, parses it back, and folds a field into the checksum — the
 //! same serialize/deserialize work without holding a multi-GB document.
 
-use super::{fold, SplitMix64};
+use super::fold;
+use faasrail_stats::rng::{Rng, SplitMix64};
 use serde_json::{json, Value};
 
 /// Round-trip `records` JSON records; returns a checksum over parsed fields.

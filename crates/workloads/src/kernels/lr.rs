@@ -7,7 +7,8 @@
 //! seconds, which is why the paper finds it under-represented in mapped
 //! request streams).
 
-use super::{fold_f64, SplitMix64};
+use super::fold_f64;
+use faasrail_stats::rng::{Rng, SplitMix64};
 
 #[inline]
 fn sigmoid(x: f64) -> f64 {

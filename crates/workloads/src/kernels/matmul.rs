@@ -3,7 +3,8 @@
 //! FunctionBench's numpy matmul, here as a cache-blocked triple loop over
 //! `f64` — the canonical CPU-bound FaaS benchmark.
 
-use super::{fold_f64, SplitMix64};
+use super::fold_f64;
+use faasrail_stats::rng::{Rng, SplitMix64};
 
 const BLOCK: usize = 32;
 

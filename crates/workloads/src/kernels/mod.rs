@@ -23,41 +23,12 @@ pub mod rnn;
 pub mod video;
 
 use crate::input::WorkloadInput;
+use faasrail_stats::rng::{Rng, SplitMix64};
 
-/// Tiny, fast, deterministic PRNG for synthesizing kernel input data.
-/// (Sebastiano Vigna's SplitMix64 — the canonical seeding generator.)
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seed the generator.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64 random bits.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform `f64` in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform `f32` in `[-1, 1)`, handy for synthetic model weights.
-    #[inline]
-    pub fn next_weight(&mut self) -> f32 {
-        (self.next_f64() * 2.0 - 1.0) as f32
-    }
+/// Uniform `f32` in `[-1, 1)`, handy for synthetic model weights.
+#[inline]
+fn next_weight(rng: &mut SplitMix64) -> f32 {
+    (rng.next_f64() * 2.0 - 1.0) as f32
 }
 
 /// Mix a value into a running checksum (FNV-1a style with a 64-bit fold).
@@ -104,49 +75,34 @@ mod tests {
     use crate::registry::WorkloadKind;
 
     #[test]
-    fn splitmix_deterministic() {
-        let mut a = SplitMix64::new(1);
-        let mut b = SplitMix64::new(1);
-        for _ in 0..32 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn splitmix_f64_in_unit_interval() {
-        let mut r = SplitMix64::new(99);
-        for _ in 0..1000 {
-            let v = r.next_f64();
-            assert!((0.0..1.0).contains(&v));
-        }
-    }
-
-    #[test]
     fn every_kernel_runs_and_is_deterministic() {
-        // Miniature inputs: fast even in debug builds.
+        // Miniature inputs: fast even in debug builds. The checksums are
+        // the parent commit's (before the kernels' private splitmix64 moved
+        // to `faasrail_stats::rng`): the input data must not change.
         let inputs = [
-            WorkloadInput::Chameleon { rows: 20, cols: 4 },
-            WorkloadInput::CnnServing { image_size: 16, filters: 4 },
-            WorkloadInput::ImageProcessing { size: 32 },
-            WorkloadInput::JsonSerdes { records: 50 },
-            WorkloadInput::Matmul { n: 16 },
-            WorkloadInput::LrServing { samples: 64, features: 8 },
-            WorkloadInput::LrTraining { epochs: 2, samples: 64, features: 8 },
-            WorkloadInput::Pyaes { bytes: 1024 },
-            WorkloadInput::RnnServing { seq_len: 4, hidden: 16 },
-            WorkloadInput::VideoProcessing { frames: 2, size: 32 },
-            WorkloadInput::Compression { bytes: 4_096 },
-            WorkloadInput::GraphBfs { vertices: 200, degree: 4 },
-            WorkloadInput::PageRank { vertices: 100, iters: 2 },
-            WorkloadInput::SortData { elements: 500 },
-            WorkloadInput::TextSearch { haystack_bytes: 4_096, patterns: 2 },
-            WorkloadInput::WordCount { bytes: 4_096 },
+            (WorkloadInput::Chameleon { rows: 20, cols: 4 }, 0x5cf4887e2d2f8fb1),
+            (WorkloadInput::CnnServing { image_size: 16, filters: 4 }, 0x51d53a4854055ac7),
+            (WorkloadInput::ImageProcessing { size: 32 }, 0x64c2dfdfe68ade06),
+            (WorkloadInput::JsonSerdes { records: 50 }, 0x46fb6ea407757e79),
+            (WorkloadInput::Matmul { n: 16 }, 0xb78701cfbd1932b4),
+            (WorkloadInput::LrServing { samples: 64, features: 8 }, 0x6959dfc15e8b745b),
+            (WorkloadInput::LrTraining { epochs: 2, samples: 64, features: 8 }, 0xa3417ab617016f3b),
+            (WorkloadInput::Pyaes { bytes: 1024 }, 0x857280ad5c695455),
+            (WorkloadInput::RnnServing { seq_len: 4, hidden: 16 }, 0x3b3a608ba81b9980),
+            (WorkloadInput::VideoProcessing { frames: 2, size: 32 }, 0xe895e6613b1e7a12),
+            (WorkloadInput::Compression { bytes: 4_096 }, 0xcd0858b2764a5014),
+            (WorkloadInput::GraphBfs { vertices: 200, degree: 4 }, 0x5034cfe79452421c),
+            (WorkloadInput::PageRank { vertices: 100, iters: 2 }, 0xaba084086fd40eb1),
+            (WorkloadInput::SortData { elements: 500 }, 0x2bd97e0ce721cd59),
+            (WorkloadInput::TextSearch { haystack_bytes: 4_096, patterns: 2 }, 0x988a7c3ceecd2645),
+            (WorkloadInput::WordCount { bytes: 4_096 }, 0xf30a8b75d1118a2d),
         ];
         let mut seen_kinds = Vec::new();
-        for input in &inputs {
+        for (input, golden) in &inputs {
             let a = execute(input);
             let b = execute(input);
             assert_eq!(a, b, "{input:?} not deterministic");
+            assert_eq!(a, *golden, "{input:?} checksum moved: {a:#018x}");
             seen_kinds.push(input.kind());
         }
         seen_kinds.sort_unstable();

@@ -4,7 +4,8 @@
 //! over a hidden state of width `hidden`, sampling the next "character" from
 //! the output each step.
 
-use super::{fold_f64, SplitMix64};
+use super::{fold_f64, next_weight};
+use faasrail_stats::rng::SplitMix64;
 
 #[inline]
 fn sigmoid(x: f32) -> f32 {
@@ -21,12 +22,12 @@ pub fn run(seq_len: u32, hidden: u32) -> u64 {
     // Three gates (update, reset, candidate), each h×h plus a small input
     // projection (input dim fixed at 8, like a character embedding).
     const IN: usize = 8;
-    let wz: Vec<f32> = (0..h * h).map(|_| rng.next_weight() * 0.2).collect();
-    let wr: Vec<f32> = (0..h * h).map(|_| rng.next_weight() * 0.2).collect();
-    let wh: Vec<f32> = (0..h * h).map(|_| rng.next_weight() * 0.2).collect();
-    let uz: Vec<f32> = (0..h * IN).map(|_| rng.next_weight() * 0.2).collect();
-    let ur: Vec<f32> = (0..h * IN).map(|_| rng.next_weight() * 0.2).collect();
-    let uh: Vec<f32> = (0..h * IN).map(|_| rng.next_weight() * 0.2).collect();
+    let wz: Vec<f32> = (0..h * h).map(|_| next_weight(&mut rng) * 0.2).collect();
+    let wr: Vec<f32> = (0..h * h).map(|_| next_weight(&mut rng) * 0.2).collect();
+    let wh: Vec<f32> = (0..h * h).map(|_| next_weight(&mut rng) * 0.2).collect();
+    let uz: Vec<f32> = (0..h * IN).map(|_| next_weight(&mut rng) * 0.2).collect();
+    let ur: Vec<f32> = (0..h * IN).map(|_| next_weight(&mut rng) * 0.2).collect();
+    let uh: Vec<f32> = (0..h * IN).map(|_| next_weight(&mut rng) * 0.2).collect();
 
     let mut state = vec![0f32; h];
     let mut new_state = vec![0f32; h];

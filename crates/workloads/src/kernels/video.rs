@@ -5,7 +5,8 @@
 //! a time (streaming), so arbitrarily long "videos" keep a constant
 //! footprint of one frame row.
 
-use super::{fold, SplitMix64};
+use super::fold;
+use faasrail_stats::rng::{Rng, SplitMix64};
 
 /// Integer luma (shared shape with the image kernel, but per-frame).
 #[inline]
