@@ -1563,4 +1563,39 @@ mod tests {
         assert_eq!(value, back);
         assert!(read_json::<Vec<u64>>("/nonexistent/x.json").is_err());
     }
+
+    #[test]
+    fn shrink_refuses_a_minute_range_without_invocations() {
+        let dir = std::env::temp_dir().join(format!("faasrail-cli-window-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let mut trace = faasrail_trace::azure::generate(&AzureTraceConfig::small(9));
+        for f in &mut trace.functions {
+            let early = f.minutes.entries().iter().copied().filter(|&(m, _)| m < 600);
+            f.minutes = faasrail_trace::MinuteSeries::new(early.collect());
+            f.daily.clear();
+        }
+        write_json(&path("trace.json"), &trace).unwrap();
+        let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
+        write_json(&path("pool.json"), &pool).unwrap();
+
+        let line = [
+            "shrink",
+            "--trace",
+            &path("trace.json"),
+            "--pool",
+            &path("pool.json"),
+            "--minutes",
+            "30",
+            "--minute-range",
+            "600",
+            "--out",
+            &path("spec.json"),
+        ];
+        let args = Args::parse(line.map(String::from)).unwrap();
+        let err = run(&args).expect_err("main turns this into a non-zero exit");
+        assert!(err.contains("no invocations in minute range [600, 630)"), "{err}");
+        assert!(!dir.join("spec.json").exists(), "no spec is written");
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

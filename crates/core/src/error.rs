@@ -14,6 +14,9 @@ pub enum ShrinkError {
     Spec(String),
     /// The trace has no invocations on the selected day.
     EmptyTrace,
+    /// The trace has invocations, but none in the Minute Range window
+    /// `[start, end)` the configuration selects.
+    EmptyWindow { start: usize, end: usize },
 }
 
 impl fmt::Display for ShrinkError {
@@ -23,6 +26,9 @@ impl fmt::Display for ShrinkError {
             ShrinkError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             ShrinkError::Spec(msg) => write!(f, "inconsistent spec produced: {msg}"),
             ShrinkError::EmptyTrace => write!(f, "trace has no invocations on the selected day"),
+            ShrinkError::EmptyWindow { start, end } => {
+                write!(f, "trace has no invocations in minute range [{start}, {end})")
+            }
         }
     }
 }
@@ -50,6 +56,8 @@ mod tests {
     fn display_variants() {
         assert!(ShrinkError::EmptyTrace.to_string().contains("no invocations"));
         assert!(ShrinkError::Config("bad".into()).to_string().contains("bad"));
+        let e = ShrinkError::EmptyWindow { start: 600, end: 630 };
+        assert!(e.to_string().contains("minute range [600, 630)"));
         let e = ShrinkError::from(ValidationError::DuplicateFunctionId(3));
         assert!(e.to_string().contains("duplicate"));
     }

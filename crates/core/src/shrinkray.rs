@@ -104,6 +104,13 @@ pub fn shrink(
     // Per-Function experiment-minute series.
     let mut series: Vec<Vec<u64>> =
         agg.functions.iter().map(|f| cfg.time_scaling.apply(&f.minutes.dense())).collect();
+    // Thumbnails keeps every invocation; a window can miss them all, and
+    // there is no peak to scale then.
+    if let TimeScaling::MinuteRange { start, experiment_minutes } = cfg.time_scaling {
+        if !series.iter().flatten().any(|&v| v > 0) {
+            return Err(ShrinkError::EmptyWindow { start, end: start + experiment_minutes });
+        }
+    }
 
     let target_peak_per_minute = (cfg.max_rps * 60.0).round().max(1.0) as u64;
     let scale = scale_request_rate(&mut series, target_peak_per_minute);
@@ -275,6 +282,25 @@ mod tests {
         let (spec, _) = shrink(&trace, &pool, &cfg).expect("minute range runs");
         assert_eq!(spec.duration_minutes, 30);
         assert!(spec.peak_per_minute() <= 600);
+    }
+
+    #[test]
+    fn minute_range_window_without_invocations_is_an_error() {
+        let mut trace = generate(&AzureTraceConfig::small(55));
+        for f in &mut trace.functions {
+            let outside = f.minutes.entries().iter().copied().filter(|&(m, _)| m < 600);
+            f.minutes = faasrail_trace::MinuteSeries::new(outside.collect());
+            f.daily.clear(); // no roll-up left to disagree with the edit
+        }
+        assert!(trace.total_invocations() > 0);
+        let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
+        let mut cfg = ShrinkRayConfig::new(30, 10.0);
+        cfg.time_scaling = TimeScaling::MinuteRange { start: 600, experiment_minutes: 30 };
+        let err = shrink(&trace, &pool, &cfg).expect_err("nothing to replay");
+        assert_eq!(err, ShrinkError::EmptyWindow { start: 600, end: 630 });
+        // The same trace still shrinks through a window that holds traffic.
+        cfg.time_scaling = TimeScaling::MinuteRange { start: 0, experiment_minutes: 600 };
+        assert!(shrink(&trace, &pool, &cfg).is_ok());
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //!   by a fresh one without consuming a retry attempt (it was likely closed
 //!   by the peer while idle);
 //! * **deadline** — each invocation gets one overall deadline
-//!   (`request_timeout`); socket timeouts are continuously re-armed to the
-//!   remaining budget, and an exhausted budget classifies as
+//!   (`request_timeout`). A connection remembers the timeout its socket
+//!   carries and is re-armed only when an exchange needs another: an
+//!   invocation's first exchange takes `request_timeout` itself, so a
+//!   keep-alive connection is armed once in its life; an exchange after a
+//!   failed one takes what is left of the budget. An exhausted budget
+//!   classifies as
 //!   [`OutcomeClass::Timeout`](faasrail_loadgen::OutcomeClass::Timeout);
 //! * **retry** — connect failures, transport errors, `429` and `5xx`
 //!   responses are retried under a seeded capped-exponential
@@ -76,6 +80,9 @@ pub struct ClientStats {
     pub reuses: AtomicU64,
     /// Retry attempts (beyond each invocation's first).
     pub retries: AtomicU64,
+    /// Times a socket's timeouts were set: once per connection, plus once
+    /// per change between `request_timeout` and a retry's remaining budget.
+    pub timeout_arms: AtomicU64,
     /// Invocations returning `ok: true`.
     pub ok: AtomicU64,
     /// Invocations returning an application failure (not retried).
@@ -102,12 +109,36 @@ enum TryError {
     Fatal(String),
 }
 
+/// One keep-alive connection, as the pool parks it.
+struct Conn {
+    /// Owns the stream; requests are written through `get_ref`. The buffer
+    /// lives as long as the connection, so bytes read past a response stay
+    /// visible instead of vanishing with a per-exchange reader.
+    reader: BufReader<TcpStream>,
+    /// The read and write timeout the socket carries now (zero: none set).
+    armed: Duration,
+}
+
+impl Conn {
+    /// Give the socket `timeout`, unless it carries it already.
+    fn arm(&mut self, timeout: Duration, stats: &ClientStats) -> io::Result<()> {
+        if timeout != self.armed {
+            let stream = self.reader.get_ref();
+            stream.set_write_timeout(Some(timeout))?;
+            stream.set_read_timeout(Some(timeout))?;
+            self.armed = timeout;
+            stats.timeout_arms.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+}
+
 /// A [`Backend`] that ships each invocation to a gateway over HTTP/1.1.
 pub struct HttpBackend {
     addr: SocketAddr,
     host: String,
     cfg: HttpBackendConfig,
-    idle: Mutex<Vec<TcpStream>>,
+    idle: Mutex<Vec<Conn>>,
     rng: Mutex<SplitMix64>,
     stats: ClientStats,
     breaker: CircuitBreaker,
@@ -146,11 +177,12 @@ impl HttpBackend {
     /// One-line transport summary for run reports.
     pub fn transport_summary(&self) -> String {
         format!(
-            "connects={} reuses={} retries={} ok={} app-error={} timeout={} transport={} \
-             shed={} breaker-trips={}",
+            "connects={} reuses={} retries={} timeout-arms={} ok={} app-error={} timeout={} \
+             transport={} shed={} breaker-trips={}",
             self.stats.connects.load(Ordering::Relaxed),
             self.stats.reuses.load(Ordering::Relaxed),
             self.stats.retries.load(Ordering::Relaxed),
+            self.stats.timeout_arms.load(Ordering::Relaxed),
             self.stats.ok.load(Ordering::Relaxed),
             self.stats.app_errors.load(Ordering::Relaxed),
             self.stats.timeouts.load(Ordering::Relaxed),
@@ -160,18 +192,18 @@ impl HttpBackend {
         )
     }
 
-    fn checkout(&self) -> Option<TcpStream> {
+    fn checkout(&self) -> Option<Conn> {
         lock(&self.idle).pop()
     }
 
-    fn checkin(&self, stream: TcpStream) {
+    fn checkin(&self, conn: Conn) {
         let mut idle = lock(&self.idle);
         if idle.len() < self.cfg.pool_capacity {
-            idle.push(stream);
+            idle.push(conn);
         }
     }
 
-    fn open(&self, deadline: Instant) -> io::Result<TcpStream> {
+    fn open(&self, deadline: Instant) -> io::Result<Conn> {
         let remaining = deadline.saturating_duration_since(Instant::now());
         let timeout = self.cfg.connect_timeout.min(remaining);
         if timeout < Duration::from_millis(1) {
@@ -180,33 +212,36 @@ impl HttpBackend {
         let stream = TcpStream::connect_timeout(&self.addr, timeout)?;
         stream.set_nodelay(true).ok();
         self.stats.connects.fetch_add(1, Ordering::Relaxed);
-        Ok(stream)
+        Ok(Conn { reader: BufReader::new(stream), armed: Duration::ZERO })
     }
 
-    /// One request/response exchange on `stream`, with socket timeouts
-    /// armed to the remaining deadline. A non-zero `trace_id` is propagated
-    /// as `X-FaaSRail-Trace` so the gateway can tag its server-side span
-    /// without parsing the body.
+    /// One request/response exchange on `conn`. An invocation's `first`
+    /// exchange runs under `request_timeout` itself — what a reused
+    /// connection already carries, and longer than the budget only by the
+    /// time since `deadline` was set: a pool checkout or one connect. Any
+    /// later exchange runs under what is left of the budget.
+    /// A non-zero `trace_id` is propagated as `X-FaaSRail-Trace` so the
+    /// gateway can tag its server-side span without parsing the body.
     fn exchange(
         &self,
-        stream: &TcpStream,
+        conn: &mut Conn,
         body: &[u8],
         trace_id: u64,
         deadline: Instant,
+        first: bool,
     ) -> io::Result<http::Response> {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining < Duration::from_millis(1) {
             return Err(io::Error::new(ErrorKind::TimedOut, "deadline exhausted"));
         }
-        stream.set_write_timeout(Some(remaining))?;
-        stream.set_read_timeout(Some(remaining))?;
+        conn.arm(if first { self.cfg.request_timeout } else { remaining }, &self.stats)?;
         let hex = faasrail_telemetry::format_trace_id(trace_id);
         let mut extra: Vec<(&str, &str)> = Vec::new();
         if trace_id != 0 {
             extra.push((http::TRACE_HEADER, &hex));
         }
         http::write_request_with(
-            &mut (&*stream),
+            &mut conn.reader.get_ref(),
             "POST",
             "/invoke",
             &self.host,
@@ -215,7 +250,7 @@ impl HttpBackend {
             body,
             true,
         )?;
-        http::read_response(&mut BufReader::new(stream))
+        http::read_response(&mut conn.reader)
     }
 }
 
@@ -277,7 +312,7 @@ impl Backend for HttpBackend {
                 self.stats.retries.fetch_add(1, Ordering::Relaxed);
             }
 
-            match self.try_attempt(&body, req.trace_id, deadline) {
+            match self.try_attempt(&body, req.trace_id, deadline, attempt == 0) {
                 Ok(result) => {
                     // Any parsed 200 — success or application failure —
                     // proves the transport path healthy.
@@ -332,8 +367,9 @@ impl HttpBackend {
         body: &[u8],
         trace_id: u64,
         deadline: Instant,
+        first: bool,
     ) -> Result<InvocationResult, TryError> {
-        let resp = self.try_once_at(body, trace_id, deadline)?;
+        let resp = self.try_once_at(body, trace_id, deadline, first)?;
         match resp.status {
             200 => serde_json::from_slice::<InvocationResult>(&resp.body).map_err(|e| {
                 TryError::Retryable {
@@ -361,10 +397,11 @@ impl HttpBackend {
         body: &[u8],
         trace_id: u64,
         deadline: Instant,
+        mut first: bool,
     ) -> Result<http::Response, TryError> {
         let mut pooled_fallback = true;
         loop {
-            let (stream, reused) = match self.checkout() {
+            let (mut conn, reused) = match self.checkout() {
                 Some(s) => {
                     self.stats.reuses.fetch_add(1, Ordering::Relaxed);
                     (s, true)
@@ -383,10 +420,13 @@ impl HttpBackend {
                     }
                 },
             };
-            match self.exchange(&stream, body, trace_id, deadline) {
+            match self.exchange(&mut conn, body, trace_id, deadline, first) {
                 Ok(resp) => {
-                    if resp.keep_alive {
-                        self.checkin(stream);
+                    // Bytes past a complete response belong to no request:
+                    // a parked connection holding them would hand them to
+                    // the next invocation as its answer.
+                    if resp.keep_alive && conn.reader.buffer().is_empty() {
+                        self.checkin(conn);
                     }
                     return Ok(resp);
                 }
@@ -394,6 +434,8 @@ impl HttpBackend {
                 Err(e) => {
                     if reused && pooled_fallback {
                         pooled_fallback = false;
+                        // The dead connection may have spent budget failing.
+                        first = false;
                         continue;
                     }
                     return Err(TryError::Retryable {
@@ -426,11 +468,12 @@ mod tests {
         }
     }
 
-    /// A canned server: answers each request on each connection with the
-    /// next status from `script` (repeating the last entry forever). `200`
-    /// carries a successful `InvocationResult`; everything else a plain
-    /// body. Returns (address, served-request counter).
-    fn canned_server(script: Vec<u16>) -> (String, Arc<AtomicUsize>) {
+    /// A scripted server: `reply(n, stream)` answers the `n`-th request it
+    /// parses, counted across connections; an `Err` closes the connection.
+    /// Returns (address, parsed-request counter).
+    fn scripted_server(
+        reply: impl Fn(usize, &TcpStream) -> io::Result<()> + Send + 'static,
+    ) -> (String, Arc<AtomicUsize>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let served = Arc::new(AtomicUsize::new(0));
@@ -440,23 +483,37 @@ mod tests {
                 let Ok(stream) = stream else { break };
                 let mut reader = BufReader::new(&stream);
                 while let Ok(Some(_req)) = http::read_request(&mut reader) {
-                    let n = counter.fetch_add(1, Ordering::SeqCst);
-                    let status =
-                        script.get(n).copied().or_else(|| script.last().copied()).unwrap_or(200);
-                    let ok = if status == 200 {
-                        serde_json::to_vec(&InvocationResult::success(2.5, false)).unwrap()
-                    } else {
-                        b"canned failure".to_vec()
-                    };
-                    if http::write_response(&mut (&stream), status, "application/json", &ok, true)
-                        .is_err()
-                    {
+                    if reply(counter.fetch_add(1, Ordering::SeqCst), &stream).is_err() {
                         break;
                     }
                 }
             }
         });
         (addr, served)
+    }
+
+    /// A `200` carrying a successful `InvocationResult`.
+    fn reply_ok(mut w: impl io::Write) -> io::Result<()> {
+        let body = serde_json::to_vec(&InvocationResult::success(2.5, false)).unwrap();
+        http::write_response(&mut w, 200, "application/json", &body, true)
+    }
+
+    /// A canned server: answers the `n`-th request with the `n`-th status of
+    /// `script` (repeating the last entry forever). `200` carries a
+    /// successful `InvocationResult`; everything else a plain body.
+    fn canned_server(script: Vec<u16>) -> (String, Arc<AtomicUsize>) {
+        scripted_server(move |n, mut stream| {
+            match script.get(n).or(script.last()).copied().unwrap_or(200) {
+                200 => reply_ok(stream),
+                status => http::write_response(
+                    &mut stream,
+                    status,
+                    "application/json",
+                    b"canned failure",
+                    true,
+                ),
+            }
+        })
     }
 
     fn fast_cfg(attempts: u32) -> HttpBackendConfig {
@@ -531,25 +588,9 @@ mod tests {
         // A 200 response whose body says ok=false: an application-level
         // failure, which must not be retried (invocations are not assumed
         // idempotent).
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let served = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&served);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { break };
-                let mut reader = BufReader::new(&stream);
-                while let Ok(Some(_req)) = http::read_request(&mut reader) {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    let body =
-                        serde_json::to_vec(&InvocationResult::app_error(1.0, "boom")).unwrap();
-                    if http::write_response(&mut (&stream), 200, "application/json", &body, true)
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-            }
+        let (addr, served) = scripted_server(|_, mut stream| {
+            let body = serde_json::to_vec(&InvocationResult::app_error(1.0, "boom")).unwrap();
+            http::write_response(&mut stream, 200, "application/json", &body, true)
         });
         let be = HttpBackend::connect(&addr, fast_cfg(5)).unwrap();
         let res = be.invoke(&request());
@@ -709,34 +750,16 @@ mod tests {
     fn retry_after_hint_delays_the_next_attempt() {
         // First response: 429 with `Retry-After: 1`; then 200s. The second
         // attempt must wait out the hint, not just the millisecond backoff.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { break };
-                let mut reader = BufReader::new(&stream);
-                let mut first = true;
-                while let Ok(Some(_req)) = http::read_request(&mut reader) {
-                    let res = if first {
-                        first = false;
-                        http::write_response_with(
-                            &mut (&stream),
-                            429,
-                            "text/plain",
-                            &[("Retry-After", "1")],
-                            b"busy",
-                            true,
-                        )
-                    } else {
-                        let body =
-                            serde_json::to_vec(&InvocationResult::success(1.0, false)).unwrap();
-                        http::write_response(&mut (&stream), 200, "application/json", &body, true)
-                    };
-                    if res.is_err() {
-                        break;
-                    }
-                }
-            }
+        let (addr, _served) = scripted_server(|n, mut stream| match n {
+            0 => http::write_response_with(
+                &mut stream,
+                429,
+                "text/plain",
+                &[("Retry-After", "1")],
+                b"busy",
+                true,
+            ),
+            _ => reply_ok(stream),
         });
         let be = HttpBackend::connect(&addr, fast_cfg(3)).unwrap();
         let start = Instant::now();
@@ -747,5 +770,99 @@ mod tests {
             "Retry-After hint ignored: retried after {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn a_keep_alive_connection_is_armed_once() {
+        let (addr, _served) = canned_server(vec![200]);
+        let be = HttpBackend::connect(&addr, fast_cfg(3)).unwrap();
+        for _ in 0..50 {
+            assert!(be.invoke(&request()).ok);
+        }
+        assert_eq!(be.stats().connects.load(Ordering::Relaxed), 1);
+        assert_eq!(be.stats().timeout_arms.load(Ordering::Relaxed), 1);
+        assert!(be.transport_summary().contains(" timeout-arms=1 "), "{}", be.transport_summary());
+    }
+
+    #[test]
+    fn a_retrys_short_timeout_does_not_outlive_its_invocation() {
+        // Request 0 waits out most of the budget before its 500, so the
+        // retry (request 1) arms the little that is left. Request 2, a new
+        // invocation on the same connection, is answered later than that
+        // short arm would allow.
+        let (addr, _served) = scripted_server(|n, mut stream| match n {
+            0 => {
+                std::thread::sleep(Duration::from_millis(400));
+                http::write_response(&mut stream, 500, "text/plain", b"slow failure", true)
+            }
+            1 => reply_ok(stream),
+            _ => {
+                std::thread::sleep(Duration::from_millis(350));
+                reply_ok(stream)
+            }
+        });
+        let cfg = HttpBackendConfig { request_timeout: Duration::from_millis(600), ..fast_cfg(2) };
+        let be = HttpBackend::connect(&addr, cfg).unwrap();
+        let res = be.invoke(&request());
+        assert!(res.ok, "{:?}", res.error);
+        assert_eq!(be.stats().retries.load(Ordering::Relaxed), 1);
+        assert_eq!(be.stats().timeout_arms.load(Ordering::Relaxed), 2, "full, then remaining");
+
+        let res = be.invoke(&request());
+        assert!(res.ok, "the retry's ~200 ms arm was still on the socket: {:?}", res.error);
+        assert_eq!(be.stats().timeout_arms.load(Ordering::Relaxed), 3, "full again");
+        assert_eq!(be.stats().connects.load(Ordering::Relaxed), 1, "all on one connection");
+    }
+
+    #[test]
+    fn a_stall_on_a_reused_connection_times_out_on_schedule() {
+        // The connection is armed once, by the first invocation; the second
+        // must still be cut off at its own deadline.
+        let (addr, _served) = scripted_server(|n, stream| match n {
+            0 => reply_ok(stream),
+            _ => {
+                std::thread::sleep(Duration::from_secs(2));
+                Err(ErrorKind::TimedOut.into())
+            }
+        });
+        let timeout = Duration::from_millis(300);
+        let cfg = HttpBackendConfig { request_timeout: timeout, ..fast_cfg(3) };
+        let be = HttpBackend::connect(&addr, cfg).unwrap();
+        assert!(be.invoke(&request()).ok);
+
+        let start = Instant::now();
+        let res = be.invoke(&request());
+        let elapsed = start.elapsed();
+        assert_eq!(res.outcome(), OutcomeClass::Timeout, "{:?}", res.error);
+        assert!(
+            elapsed >= timeout && elapsed < timeout + Duration::from_millis(150),
+            "a {timeout:?} budget was cut off after {elapsed:?}"
+        );
+        assert_eq!(be.stats().connects.load(Ordering::Relaxed), 1);
+        assert_eq!(be.stats().reuses.load(Ordering::Relaxed), 1);
+        assert_eq!(be.stats().timeout_arms.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn bytes_past_a_response_retire_the_connection() {
+        use std::io::Write;
+        let (addr, served) = scripted_server(|n, mut stream| {
+            if n > 0 {
+                return reply_ok(stream);
+            }
+            // One write, so response and stray bytes reach the client's
+            // buffer in the same read.
+            let mut wire = Vec::new();
+            reply_ok(&mut wire)?;
+            wire.extend_from_slice(b"stray");
+            stream.write_all(&wire)
+        });
+        let be = HttpBackend::connect(&addr, fast_cfg(1)).unwrap();
+        assert!(be.invoke(&request()).ok, "the response itself is valid");
+        let res = be.invoke(&request());
+        assert!(res.ok, "stray bytes were read as the next response: {:?}", res.error);
+        assert_eq!(be.stats().connects.load(Ordering::Relaxed), 2, "not checked in");
+        assert_eq!(be.stats().reuses.load(Ordering::Relaxed), 0);
+        assert_eq!(served.load(Ordering::SeqCst), 2);
     }
 }

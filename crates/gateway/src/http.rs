@@ -140,10 +140,13 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// A head staged in memory, then the body: two writes, not one per field.
-fn write_message<W: Write>(w: &mut W, head: &[u8], body: &[u8]) -> io::Result<()> {
-    w.write_all(head)?;
-    w.write_all(body)?;
+/// The body staged behind its head, then one `write`. A `TCP_NODELAY` socket
+/// sends what each `write` hands it at once, so head and body written apart
+/// travel as two segments and wake the reader twice. (A second `write`
+/// happens only when the socket takes part of the message.)
+fn write_message<W: Write>(w: &mut W, mut head: Vec<u8>, body: &[u8]) -> io::Result<()> {
+    head.extend_from_slice(body);
+    w.write_all(&head)?;
     w.flush()
 }
 
@@ -167,7 +170,7 @@ pub fn write_response_with<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = Vec::with_capacity(128);
+    let mut head = Vec::with_capacity(128 + body.len());
     let reason = status_reason(status);
     http1::write_response_head(
         &mut head,
@@ -178,7 +181,7 @@ pub fn write_response_with<W: Write>(
         keep_alive,
         extra_headers,
     )?;
-    write_message(w, &head, body)
+    write_message(w, head, body)
 }
 
 /// Serialize a request with `Content-Length` framing (client side).
@@ -206,7 +209,7 @@ pub fn write_request_with<W: Write>(
     body: &[u8],
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = Vec::with_capacity(192);
+    let mut head = Vec::with_capacity(192 + body.len());
     http1::write_request_head(
         &mut head,
         method,
@@ -217,7 +220,7 @@ pub fn write_request_with<W: Write>(
         keep_alive,
         extra_headers,
     )?;
-    write_message(w, &head, body)
+    write_message(w, head, body)
 }
 
 #[cfg(test)]
@@ -397,6 +400,72 @@ mod tests {
         let raw =
             b"POST /invoke HTTP/1.1\r\nX-FaaSRail-Trace: not-hex\r\nContent-Length: 0\r\n\r\n";
         assert_eq!(parse_req(raw).unwrap().unwrap().trace_id, None);
+    }
+
+    /// Counts `write` calls and takes at most `limit` bytes in each.
+    struct CountingWriter {
+        calls: usize,
+        limit: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl CountingWriter {
+        fn taking(limit: usize) -> CountingWriter {
+            CountingWriter { calls: 0, limit, bytes: Vec::new() }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = buf.len().min(self.limit);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn request_into<W: Write>(w: &mut W, body: &[u8]) {
+        let trace = [(TRACE_HEADER, "00000000deadbeef")];
+        write_request_with(w, "POST", "/invoke", "h", "application/json", &trace, body, true)
+            .unwrap();
+    }
+
+    fn response_into<W: Write>(w: &mut W, body: &[u8]) {
+        write_response_with(w, 429, "text/plain", &[("Retry-After", "2")], body, false).unwrap();
+    }
+
+    #[test]
+    fn a_message_of_any_size_is_one_write() {
+        for len in [0, 200, 1 << 20] {
+            let body = vec![b'x'; len];
+            let mut w = CountingWriter::taking(usize::MAX);
+            request_into(&mut w, &body);
+            assert_eq!(w.calls, 1, "request with a {len}-byte body");
+            assert_eq!(read_request(&mut Cursor::new(w.bytes)).unwrap().unwrap().body, body);
+
+            let mut w = CountingWriter::taking(usize::MAX);
+            response_into(&mut w, &body);
+            assert_eq!(w.calls, 1, "response with a {len}-byte body");
+            assert_eq!(read_response(&mut Cursor::new(w.bytes)).unwrap().body, body);
+        }
+    }
+
+    #[test]
+    fn a_short_writing_socket_still_gets_every_byte() {
+        let body = vec![b'y'; 200];
+        let (mut whole, mut dribbled) = (Vec::new(), CountingWriter::taking(7));
+        request_into(&mut whole, &body);
+        request_into(&mut dribbled, &body);
+        assert_eq!(dribbled.bytes, whole);
+        assert_eq!(dribbled.calls, whole.len().div_ceil(7));
+
+        let (mut whole, mut dribbled) = (Vec::new(), CountingWriter::taking(7));
+        response_into(&mut whole, &body);
+        response_into(&mut dribbled, &body);
+        assert_eq!(dribbled.bytes, whole);
     }
 
     #[test]

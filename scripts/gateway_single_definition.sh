@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The gateway's contract is defined once, in crates/gateway/src/core.rs, and
 # its wire dialect once, in crates/reactor/src/http1.rs. Fail if a piece of
-# either turns up again in a transport or in the blocking adapters, then print
+# either turns up again in a transport or in the blocking adapters. The
+# blocking transport's syscall floor is held the same way: one `write_all` per
+# message in http.rs, socket timeouts set in one place in client.rs. Then print
 # what each file weighs (lines above its first `#[cfg(test)]`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -25,6 +27,22 @@ for transport in crates/gateway/src/server.rs crates/gateway/src/reactor_server.
         'Fault::' 'ServerSpan {' '"/healthz"' '"bad invocation request'
 done
 refuse crates/gateway/src/http.rs crates/reactor/src/http1.rs "split_once(':')" '"content-length"'
+
+once() { # file, why, patterns...: each on exactly one non-test line
+    local file=$1 why=$2 pat n
+    shift 2
+    for pat in "$@"; do
+        n=$(nontest "$file" | grep -cF -- "$pat" || true)
+        if [ "$n" -ne 1 ]; then
+            echo "error: $file: \`$pat\` on $n lines, expected 1: $why" >&2
+            fail=1
+        fi
+    done
+}
+
+once crates/gateway/src/http.rs 'head and body leave in one write (write_message)' 'write_all('
+once crates/gateway/src/client.rs 'a socket is armed only where its timeout changes (Conn::arm)' \
+    'set_read_timeout' 'set_write_timeout'
 
 total=0
 for file in crates/gateway/src/*.rs crates/reactor/src/http1.rs; do
