@@ -414,9 +414,7 @@ mod tests {
         let h = History::new(100);
         let mut cumulative = Snapshot::default();
         for i in 1..=20u64 {
-            let mut step = Snapshot::default();
-            step.issued = i;
-            step.completed = i / 2;
+            let mut step = Snapshot { issued: i, completed: i / 2, ..Snapshot::default() };
             step.errors[(i % 4) as usize] = 1;
             step.response.record(0.001 * i as f64);
             cumulative.merge(&step);

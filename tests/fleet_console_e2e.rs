@@ -207,7 +207,7 @@ fn live_console_serves_state_metrics_healthz_dashboard_and_shows_a_kill() {
                 let progress = FleetMessage::Progress {
                     shard: assignment.shard,
                     snapshot: snapshot.clone(),
-                    prefixes: vec![prefix.clone()],
+                    prefixes: vec![prefix],
                     lag_ms: 0,
                     max_lag_ms: 0,
                     idle: false,
@@ -229,7 +229,7 @@ fn live_console_serves_state_metrics_healthz_dashboard_and_shows_a_kill() {
                 let progress = FleetMessage::Progress {
                     shard: assignment.shard,
                     snapshot: Snapshot::default(),
-                    prefixes: vec![prefix.clone()],
+                    prefixes: vec![prefix],
                     lag_ms: 0,
                     max_lag_ms: 0,
                     idle: false,
