@@ -154,8 +154,7 @@ pub fn bench_opts(args: &Args) -> Result<BenchOpts, String> {
         workload: WorkloadId(args.num("workload-id")?),
         shards: args.flag("reactor").then(|| args.num("shards")).transpose()?,
         // One attempt, no breaker: a saturation probe must *see* every
-        // failure, not paper over it with retries or fail fast around it
-        // (the mux client never retries by construction).
+        // failure, not paper over it with retries or fail fast around it.
         client: ClientOpts {
             timeout_ms: args.num("timeout-ms")?,
             attempts: 1,
@@ -208,7 +207,7 @@ fn cmd_bench_run(
     if let Some((connections, depth)) = client.mux {
         eprintln!("bench: multiplexed client ({connections} connections, pipeline depth {depth})");
     }
-    let backend = connect(&target, &client)?.backend;
+    let backend = connect(&target, &client)?;
 
     let arrivals = if process == ArrivalProcess::Poisson { "poisson" } else { "uniform" };
     let workload_spec = BenchWorkload {

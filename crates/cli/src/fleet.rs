@@ -203,7 +203,7 @@ fn cmd_agent(args: &Args) -> Result<(), String> {
             Some(target) => {
                 let client = connect(target, &client).map_err(std::io::Error::other)?;
                 eprintln!("fleet agent: replaying against {target}");
-                client.backend
+                client
             }
             None => {
                 eprintln!("fleet agent: in-process warm-cache backend");

@@ -50,7 +50,7 @@ pub static REPLAY: Command = Command {
         Opt::maybe("shard", "I/N", "replay only shard I of N (the fleet's partitioner)"),
         Opt::maybe("target", "HOST:PORT", "gateway to replay against (default: in process)"),
         Opt::val("timeout-ms", "T", "30000", "deadline per invocation").needs("target"),
-        Opt::val("attempts", "N", "4", "attempts per invocation (pooled client)").needs("target"),
+        Opt::val("attempts", "N", "4", "attempts per invocation").needs("target"),
         Opt::val("breaker-threshold", "N", "0", "failures in a row that open it; 0: off")
             .needs("target"),
         Opt::val("breaker-open-ms", "T", "1000", "how long the breaker stays open").needs("target"),
@@ -148,21 +148,14 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         Some(target) => {
             let client = connect(target, &client_opts)?;
             let ClientOpts { timeout_ms, attempts, breaker, mux } = client_opts;
-            match mux {
-                // Multiplexed transport: one reactor thread drives a fixed
-                // pool of pipelined connections; no retries, no breaker
-                // (every failure surfaces in the outcome breakdown).
-                Some((connections, depth)) => eprintln!(
-                    "replay: target={target} timeout-ms={timeout_ms} mux={connections} \
-                     mux-depth={depth}"
-                ),
-                None => eprintln!(
-                    "replay: target={target} timeout-ms={timeout_ms} attempts={attempts} \
-                     breaker-threshold={} breaker-open-ms={}",
-                    breaker.failure_threshold,
-                    breaker.open_for.as_millis()
-                ),
-            }
+            eprintln!(
+                "replay: target={target} timeout-ms={timeout_ms} attempts={attempts} \
+                 breaker-threshold={} breaker-open-ms={}{}",
+                breaker.failure_threshold,
+                breaker.open_for.as_millis(),
+                mux.map(|(connections, depth)| format!(" mux={connections} mux-depth={depth}"))
+                    .unwrap_or_default()
+            );
             Some(client)
         }
         None => {
@@ -171,7 +164,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         }
     };
     let backend: Arc<dyn Backend> = match &client {
-        Some(client) => Arc::clone(&client.backend),
+        Some(client) => client.clone(),
         None => Arc::new(WarmCacheBackend::new(pool.clone(), WarmCacheConfig::default())),
     };
     let m = replay_observed(&reqs, &pool, &backend, &cfg, &stop, &inst);

@@ -1,12 +1,12 @@
 //! The one place a gateway client and a gateway server are constructed:
 //! `replay`, `fleet agent` and `bench` share [`connect`]; `serve` and `bench`
-//! share [`bind`]. Which client (pooled or multiplexed) and which server
+//! share [`bind`]. Which client transport (pooled or multiplexed) and which server
 //! (threaded or reactor) is a value here, not a type at the call sites.
 
 use crate::args::{Args, Opt};
 use faasrail_gateway::{
-    BreakerConfig, Gateway, GatewayConfig, HttpBackend, HttpBackendConfig, MuxConfig,
-    MuxHttpBackend, ReactorGateway, RetryPolicy,
+    BreakerConfig, Client, Gateway, GatewayConfig, HttpBackendConfig, MuxConfig, ReactorGateway,
+    RetryPolicy,
 };
 use faasrail_loadgen::Backend;
 use faasrail_telemetry::EventSink;
@@ -23,11 +23,10 @@ pub const SHARDS: Opt =
 /// How a command wants its gateway client built.
 pub struct ClientOpts {
     pub timeout_ms: u64,
-    /// Attempts per invocation (pooled client; the mux client never retries).
+    /// Attempts per invocation.
     pub attempts: u32,
-    /// Circuit breaker of the pooled client.
     pub breaker: BreakerConfig,
-    /// `(connections, pipeline depth)` selects the multiplexed client.
+    /// `(connections, pipeline depth)` selects the multiplexed transport.
     pub mux: Option<(usize, usize)>,
 }
 
@@ -38,40 +37,28 @@ impl ClientOpts {
     }
 }
 
-/// A connected gateway client of either kind.
-pub struct Client {
-    pub backend: Arc<dyn Backend>,
-    summary: Box<dyn Fn() -> String>,
-}
-
-impl Client {
-    /// The client's transport counters on one line.
-    pub fn summary(&self) -> String {
-        (self.summary)()
-    }
-}
-
-pub fn connect(target: &str, opts: &ClientOpts) -> Result<Client, String> {
+pub fn connect(target: &str, opts: &ClientOpts) -> Result<Arc<Client>, String> {
     let request_timeout = Duration::from_millis(opts.timeout_ms);
-    let resolving = |e| format!("resolving {target}: {e}");
-    Ok(match opts.mux {
-        Some((connections, pipeline_depth)) => {
-            let cfg =
-                MuxConfig { connections, pipeline_depth, request_timeout, ..MuxConfig::default() };
-            let mux = Arc::new(MuxHttpBackend::new(target, cfg).map_err(resolving)?);
-            Client { backend: mux.clone(), summary: Box::new(move || mux.summary()) }
-        }
-        None => {
-            let cfg = HttpBackendConfig {
+    let retry = RetryPolicy { max_attempts: opts.attempts, ..RetryPolicy::default() };
+    let breaker = opts.breaker;
+    let client = match opts.mux {
+        Some((connections, pipeline_depth)) => Client::new(
+            target,
+            MuxConfig {
+                connections,
+                pipeline_depth,
                 request_timeout,
-                retry: RetryPolicy { max_attempts: opts.attempts, ..RetryPolicy::default() },
-                breaker: opts.breaker,
-                ..HttpBackendConfig::default()
-            };
-            let http = Arc::new(HttpBackend::connect(target, cfg).map_err(resolving)?);
-            Client { backend: http.clone(), summary: Box::new(move || http.transport_summary()) }
-        }
-    })
+                retry,
+                breaker,
+                ..MuxConfig::default()
+            },
+        ),
+        None => Client::connect(
+            target,
+            HttpBackendConfig { request_timeout, retry, breaker, ..HttpBackendConfig::default() },
+        ),
+    };
+    client.map(Arc::new).map_err(|e| format!("resolving {target}: {e}"))
 }
 
 /// Stops a background server and joins its threads.

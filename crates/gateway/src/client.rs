@@ -1,48 +1,68 @@
-//! `HttpBackend`: a [`Backend`] that replays invocations over the wire.
+//! The gateway client's policy core: everything a client decides about an
+//! invocation, with no socket in sight.
 //!
-//! Plugging this into the load generator turns an in-process replay into an
-//! over-the-wire one against a [`crate::Gateway`] (or anything speaking the
-//! same `POST /invoke` JSON protocol). Design points:
+//! [`HttpBackend`] and [`MuxHttpBackend`] are one type, [`Client`], over
+//! two transports: [`Client::connect`] puts it on the blocking keep-alive
+//! pool (`pool.rs`: one socket per invocation in flight),
+//! [`Client::new`] on the multiplexed driver (`mux.rs`: one reactor thread
+//! pipelining over a fixed set of sockets). What a `429`, a `5xx` or a
+//! dropped connection *means* is stated here, once, so a run's error rates
+//! do not depend on which of the two carried it:
 //!
-//! * **connection pool** — keep-alive connections are parked in a
-//!   mutex-guarded LIFO free-list and reused across invocations;
-//!   a reused connection that fails before yielding a response is replaced
-//!   by a fresh one without consuming a retry attempt (it was likely closed
-//!   by the peer while idle);
-//! * **deadline** — each invocation gets one overall deadline
-//!   (`request_timeout`). A connection remembers the timeout its socket
-//!   carries and is re-armed only when an exchange needs another: an
-//!   invocation's first exchange takes `request_timeout` itself, so a
-//!   keep-alive connection is armed once in its life; an exchange after a
-//!   failed one takes what is left of the budget. An exhausted budget
-//!   classifies as
-//!   [`OutcomeClass::Timeout`](faasrail_loadgen::OutcomeClass::Timeout);
-//! * **retry** — connect failures, transport errors, `429` and `5xx`
-//!   responses are retried under a seeded capped-exponential
-//!   [`RetryPolicy`], with each backoff sleep clamped to the remaining
-//!   deadline (a retry can never overshoot the invocation budget);
-//!   application failures (`200` with `ok: false`) and other `4xx` are
-//!   **not** retried — invocations are not assumed idempotent, and a `404`
-//!   will not get better by resending;
-//! * **circuit breaker** — an optional [`CircuitBreaker`] shared across
-//!   worker threads trips on consecutive transport failures, timeouts, and
-//!   `429`/`5xx` responses; while open, invocations fail fast as
-//!   [`OutcomeClass::Shed`](faasrail_loadgen::OutcomeClass::Shed) without touching the network, and a `429` that
-//!   survives the retry budget also classifies as shed (the upstream
-//!   refused the work; nothing broke).
+//! | the attempt ends in | the invocation |
+//! |---|---|
+//! | `200`, body an `InvocationResult` | returns it: `ok: false` is an application failure and final (invocations are not assumed idempotent) |
+//! | `200`, body that does not parse | is retried |
+//! | `429` | is retried no sooner than its `Retry-After`; when the attempts run out it is [`Shed`], not transport (the upstream refused the work; nothing broke) |
+//! | `5xx` | is retried (`Retry-After` honoured); when the attempts run out it is [`Transport`] |
+//! | any other status | is [`Transport`] at once: a `404` will not get better by resending |
+//! | a refused connect, a broken or poisoned connection | is retried; then [`Transport`] |
+//! | the deadline, connecting or waiting for the response | is [`Timeout`] at once |
+//!
+//! **Deadline.** One per invocation (`request_timeout`), set before the
+//! first attempt and handed unchanged to every attempt; a transport never
+//! lets an exchange outlive it.
+//!
+//! **Retry.** Up to [`RetryPolicy::max_attempts`] attempts, a seeded
+//! capped-exponential backoff between them. A backoff that would overshoot
+//! the deadline is not slept: the invocation ends there as [`Timeout`] (or
+//! [`Shed`], when what it was waiting out was a `429`). The loop runs on
+//! the caller's thread under both transports, so a transport needs no
+//! timer for it. `max_attempts: 1` is how a saturation probe sees every
+//! failure; it is a value the caller passes, not a property of a transport.
+//!
+//! **Circuit breaker.** An optional [`CircuitBreaker`], shared by the
+//! worker threads, counts consecutive attempts that ended in a transport
+//! failure, a timeout, a `429` or a `5xx`; a parsed `200` or a fatal `4xx`
+//! is a responsive upstream and resets it. While open, invocations fail
+//! fast as [`Shed`] without reaching the transport.
+//!
+//! **Counting.** Every invocation adds one to exactly one outcome counter
+//! of [`ClientStats`], by the class of the result it returns; every attempt
+//! past an invocation's first adds one to `retries`.
+//!
+//! What is left to a `Transport`: sockets, buffers, which connection an
+//! exchange rides, what a dead or poisoned connection costs its neighbours,
+//! and the `connects` / `reuses` / `timeout_arms` counters.
+//!
+//! [`Shed`]: faasrail_loadgen::OutcomeClass::Shed
+//! [`Transport`]: faasrail_loadgen::OutcomeClass::Transport
+//! [`Timeout`]: faasrail_loadgen::OutcomeClass::Timeout
 
 use crate::backoff::RetryPolicy;
 use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::mux::{Mux, MuxConfig};
+use crate::pool::Pool;
 use crate::{http, lock};
-use faasrail_loadgen::{Backend, InvocationRequest, InvocationResult};
+use faasrail_loadgen::{Backend, InvocationRequest, InvocationResult, OutcomeClass};
 use faasrail_stats::rng::SplitMix64;
-use std::io::{self, BufReader, ErrorKind};
+use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Client configuration.
+/// Configuration of a client on the keep-alive pool.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HttpBackendConfig {
     /// Timeout for establishing one TCP connection (also bounded by the
@@ -71,17 +91,18 @@ impl Default for HttpBackendConfig {
     }
 }
 
-/// Client-side transport counters, updated lock-free.
+/// Client-side counters, updated lock-free.
 #[derive(Debug, Default)]
 pub struct ClientStats {
     /// Fresh TCP connections established.
     pub connects: AtomicU64,
-    /// Invocation attempts served by a pooled connection.
+    /// Attempts sent over a connection that was already established.
     pub reuses: AtomicU64,
     /// Retry attempts (beyond each invocation's first).
     pub retries: AtomicU64,
-    /// Times a socket's timeouts were set: once per connection, plus once
-    /// per change between `request_timeout` and a retry's remaining budget.
+    /// Times the pool set a socket's timeouts: once per connection, plus
+    /// once per change between `request_timeout` and a retry's remaining
+    /// budget. The multiplexed sockets are non-blocking and carry none.
     pub timeout_arms: AtomicU64,
     /// Invocations returning `ok: true`.
     pub ok: AtomicU64,
@@ -97,10 +118,11 @@ pub struct ClientStats {
     pub shed: AtomicU64,
 }
 
-enum TryError {
+/// How one attempt failed.
+pub(crate) enum TryError {
     /// Worth another attempt (connect failure, broken exchange, `429`,
     /// 5xx). `shed` marks upstream overload refusals (`429`) so an
-    /// exhausted retry budget classifies as [`OutcomeClass::Shed`](faasrail_loadgen::OutcomeClass::Shed) rather
+    /// exhausted retry budget classifies as [`OutcomeClass::Shed`] rather
     /// than transport; `retry_after` carries the server's backoff hint.
     Retryable { msg: String, shed: bool, retry_after: Option<u64> },
     /// Deadline exhausted mid-attempt.
@@ -109,62 +131,164 @@ enum TryError {
     Fatal(String),
 }
 
-/// One keep-alive connection, as the pool parks it.
-struct Conn {
-    /// Owns the stream; requests are written through `get_ref`. The buffer
-    /// lives as long as the connection, so bytes read past a response stay
-    /// visible instead of vanishing with a per-exchange reader.
-    reader: BufReader<TcpStream>,
-    /// The read and write timeout the socket carries now (zero: none set).
-    armed: Duration,
-}
-
-impl Conn {
-    /// Give the socket `timeout`, unless it carries it already.
-    fn arm(&mut self, timeout: Duration, stats: &ClientStats) -> io::Result<()> {
-        if timeout != self.armed {
-            let stream = self.reader.get_ref();
-            stream.set_write_timeout(Some(timeout))?;
-            stream.set_read_timeout(Some(timeout))?;
-            self.armed = timeout;
-            stats.timeout_arms.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+impl TryError {
+    /// A transport failure worth another attempt.
+    pub(crate) fn retryable(msg: impl Into<String>) -> TryError {
+        TryError::Retryable { msg: msg.into(), shed: false, retry_after: None }
     }
 }
 
-/// A [`Backend`] that ships each invocation to a gateway over HTTP/1.1.
-pub struct HttpBackend {
-    addr: SocketAddr,
-    host: String,
-    cfg: HttpBackendConfig,
-    idle: Mutex<Vec<Conn>>,
+/// What [`Client`] asks of the sockets under it: one request/response
+/// exchange of an encoded invocation, over by `deadline`. `first` is false
+/// for an invocation's later attempts, which have less than
+/// `request_timeout` left. `Err` says whether another attempt is worth
+/// making; what the response means is not the transport's to say.
+pub(crate) trait Transport: Send + Sync {
+    fn exchange(
+        &self,
+        body: &[u8],
+        trace_id: u64,
+        deadline: Instant,
+        first: bool,
+    ) -> Result<http::Response, TryError>;
+}
+
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock)
+}
+
+/// Open a connection for an attempt, within `connect_timeout` and within
+/// what is left until `deadline`. Whichever of the two runs out, the
+/// invocation has spent budget waiting and ends as a timeout; a refusal is
+/// worth another attempt.
+pub(crate) fn open(
+    addr: &SocketAddr,
+    connect_timeout: Duration,
+    deadline: Instant,
+    stats: &ClientStats,
+) -> Result<TcpStream, TryError> {
+    let timeout = connect_timeout.min(deadline.saturating_duration_since(Instant::now()));
+    let connected = if timeout < Duration::from_millis(1) {
+        Err(io::Error::new(ErrorKind::TimedOut, "no budget left to connect"))
+    } else {
+        TcpStream::connect_timeout(addr, timeout)
+    };
+    match connected {
+        Ok(stream) => {
+            stream.set_nodelay(true).ok();
+            stats.connects.fetch_add(1, Ordering::Relaxed);
+            Ok(stream)
+        }
+        Err(e) if is_timeout(&e) => Err(TryError::Timeout(format!("connect: {e}"))),
+        Err(e) => Err(TryError::retryable(format!("connect: {e}"))),
+    }
+}
+
+/// An invocation as it goes on the wire, head and body in one `write`. A
+/// non-zero `trace_id` is propagated as `X-FaaSRail-Trace` so the gateway
+/// can tag its server-side span without parsing the body.
+pub(crate) fn write_invoke(
+    w: &mut impl Write,
+    host: &str,
+    body: &[u8],
+    trace_id: u64,
+) -> io::Result<()> {
+    let hex = faasrail_telemetry::format_trace_id(trace_id);
+    let traced = [(http::TRACE_HEADER, hex.as_str())];
+    let extra = if trace_id != 0 { &traced[..] } else { &[] };
+    http::write_request_with(w, "POST", "/invoke", host, "application/json", extra, body, true)
+}
+
+/// What a response means: `200` parses into an [`InvocationResult`], `429`
+/// is retryable-as-shed, `5xx` is retryable (both honoring any
+/// `Retry-After`), other statuses are fatal.
+fn interpret(resp: http::Response) -> Result<InvocationResult, TryError> {
+    let refusal = |s: u16| format!("HTTP {s}: {}", String::from_utf8_lossy(&resp.body));
+    match resp.status {
+        200 => serde_json::from_slice::<InvocationResult>(&resp.body)
+            .map_err(|e| TryError::retryable(format!("unparseable 200 body: {e}"))),
+        429 => Err(TryError::Retryable {
+            msg: refusal(429),
+            shed: true,
+            retry_after: resp.retry_after,
+        }),
+        s if (500..600).contains(&s) => {
+            Err(TryError::Retryable { msg: refusal(s), shed: false, retry_after: resp.retry_after })
+        }
+        s => Err(TryError::Fatal(refusal(s))),
+    }
+}
+
+/// A [`Backend`] that ships each invocation to a gateway over HTTP/1.1 (or
+/// to anything speaking the same `POST /invoke` JSON protocol). See the
+/// module docs for what it decides; which sockets carry it is chosen at
+/// construction.
+pub struct Client {
+    transport: Box<dyn Transport>,
+    request_timeout: Duration,
+    retry: RetryPolicy,
     rng: Mutex<SplitMix64>,
-    stats: ClientStats,
+    stats: Arc<ClientStats>,
     breaker: CircuitBreaker,
     name: String,
 }
 
-impl HttpBackend {
-    /// Resolve `target` (e.g. `"127.0.0.1:7471"`) and build a client. No
-    /// connection is opened until the first invocation.
-    pub fn connect(target: &str, cfg: HttpBackendConfig) -> io::Result<HttpBackend> {
-        let addr = target.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(ErrorKind::NotFound, format!("unresolvable: {target}"))
-        })?;
-        Ok(HttpBackend {
-            addr,
-            host: target.to_string(),
-            cfg,
-            idle: Mutex::new(Vec::new()),
-            rng: Mutex::new(SplitMix64::new(cfg.retry.jitter_seed)),
-            stats: ClientStats::default(),
-            breaker: CircuitBreaker::new(cfg.breaker),
-            name: format!("http:{target}"),
-        })
+/// A [`Client`] on the blocking keep-alive pool: [`Client::connect`].
+pub type HttpBackend = Client;
+/// A [`Client`] on the multiplexed driver: [`Client::new`].
+pub type MuxHttpBackend = Client;
+
+fn resolve(target: impl ToSocketAddrs) -> io::Result<SocketAddr> {
+    target
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| io::Error::new(ErrorKind::NotFound, "unresolvable address"))
+}
+
+impl Client {
+    /// Resolve `target` (e.g. `"127.0.0.1:7471"`) and build a client on the
+    /// keep-alive pool: one connection per invocation in flight, parked for
+    /// reuse between invocations. No connection is opened until the first
+    /// invocation.
+    pub fn connect(target: &str, cfg: HttpBackendConfig) -> io::Result<Client> {
+        let stats = Arc::new(ClientStats::default());
+        let pool = Pool::new(resolve(target)?, target.to_string(), cfg, Arc::clone(&stats));
+        let name = format!("http:{target}");
+        Ok(Client::over(Box::new(pool), name, cfg.request_timeout, cfg.retry, cfg.breaker, stats))
     }
 
-    /// Transport counters.
+    /// Resolve `addr` and build a client on the multiplexed driver: one
+    /// reactor thread pipelining every invocation in flight over
+    /// [`MuxConfig::connections`] sockets. Sockets are established lazily,
+    /// so an unreachable upstream surfaces per invocation, not here.
+    pub fn new(addr: impl ToSocketAddrs, cfg: MuxConfig) -> io::Result<Client> {
+        let addr = resolve(addr)?;
+        let stats = Arc::new(ClientStats::default());
+        let mux = Mux::spawn(addr, &cfg, Arc::clone(&stats))?;
+        let name = format!("http-mux:{addr}");
+        Ok(Client::over(Box::new(mux), name, cfg.request_timeout, cfg.retry, cfg.breaker, stats))
+    }
+
+    fn over(
+        transport: Box<dyn Transport>,
+        name: String,
+        request_timeout: Duration,
+        retry: RetryPolicy,
+        breaker: BreakerConfig,
+        stats: Arc<ClientStats>,
+    ) -> Client {
+        Client {
+            transport,
+            request_timeout,
+            retry,
+            rng: Mutex::new(SplitMix64::new(retry.jitter_seed)),
+            stats,
+            breaker: CircuitBreaker::new(breaker),
+            name,
+        }
+    }
+
+    /// Client-side counters.
     pub fn stats(&self) -> &ClientStats {
         &self.stats
     }
@@ -174,8 +298,8 @@ impl HttpBackend {
         &self.breaker
     }
 
-    /// One-line transport summary for run reports.
-    pub fn transport_summary(&self) -> String {
+    /// The counters on one line, for run reports.
+    pub fn summary(&self) -> String {
         format!(
             "connects={} reuses={} retries={} timeout-arms={} ok={} app-error={} timeout={} \
              transport={} shed={} breaker-trips={}",
@@ -192,87 +316,18 @@ impl HttpBackend {
         )
     }
 
-    fn checkout(&self) -> Option<Conn> {
-        lock(&self.idle).pop()
-    }
-
-    fn checkin(&self, conn: Conn) {
-        let mut idle = lock(&self.idle);
-        if idle.len() < self.cfg.pool_capacity {
-            idle.push(conn);
-        }
-    }
-
-    fn open(&self, deadline: Instant) -> io::Result<Conn> {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        let timeout = self.cfg.connect_timeout.min(remaining);
-        if timeout < Duration::from_millis(1) {
-            return Err(io::Error::new(ErrorKind::TimedOut, "no budget left to connect"));
-        }
-        let stream = TcpStream::connect_timeout(&self.addr, timeout)?;
-        stream.set_nodelay(true).ok();
-        self.stats.connects.fetch_add(1, Ordering::Relaxed);
-        Ok(Conn { reader: BufReader::new(stream), armed: Duration::ZERO })
-    }
-
-    /// One request/response exchange on `conn`. An invocation's `first`
-    /// exchange runs under `request_timeout` itself — what a reused
-    /// connection already carries, and longer than the budget only by the
-    /// time since `deadline` was set: a pool checkout or one connect. Any
-    /// later exchange runs under what is left of the budget.
-    /// A non-zero `trace_id` is propagated as `X-FaaSRail-Trace` so the
-    /// gateway can tag its server-side span without parsing the body.
-    fn exchange(
-        &self,
-        conn: &mut Conn,
-        body: &[u8],
-        trace_id: u64,
-        deadline: Instant,
-        first: bool,
-    ) -> io::Result<http::Response> {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining < Duration::from_millis(1) {
-            return Err(io::Error::new(ErrorKind::TimedOut, "deadline exhausted"));
-        }
-        conn.arm(if first { self.cfg.request_timeout } else { remaining }, &self.stats)?;
-        let hex = faasrail_telemetry::format_trace_id(trace_id);
-        let mut extra: Vec<(&str, &str)> = Vec::new();
-        if trace_id != 0 {
-            extra.push((http::TRACE_HEADER, &hex));
-        }
-        http::write_request_with(
-            &mut conn.reader.get_ref(),
-            "POST",
-            "/invoke",
-            &self.host,
-            "application/json",
-            &extra,
-            body,
-            true,
-        )?;
-        http::read_response(&mut conn.reader)
-    }
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock)
-}
-
-impl Backend for HttpBackend {
-    fn invoke(&self, req: &InvocationRequest) -> InvocationResult {
+    /// Breaker gate, deadline and attempt loop: one invocation, start to
+    /// classified result.
+    fn attempt(&self, req: &InvocationRequest) -> InvocationResult {
         let body = match serde_json::to_vec(req) {
             Ok(b) => b,
-            Err(e) => {
-                self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
-                return InvocationResult::transport(format!("encode: {e}"));
-            }
+            Err(e) => return InvocationResult::transport(format!("encode: {e}")),
         };
         if !self.breaker.allow() {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
             return InvocationResult::shed("circuit breaker open: failing fast");
         }
-        let deadline = Instant::now() + self.cfg.request_timeout;
-        let attempts = self.cfg.retry.max_attempts.max(1);
+        let deadline = Instant::now() + self.request_timeout;
+        let attempts = self.retry.max_attempts.max(1);
         let mut last_err = String::new();
         let mut last_shed = false;
         let mut retry_after_hint: Option<u64> = None;
@@ -281,7 +336,7 @@ impl Backend for HttpBackend {
             if attempt > 0 {
                 let mut delay = {
                     let mut rng = lock(&self.rng);
-                    self.cfg.retry.delay(attempt - 1, &mut rng)
+                    self.retry.delay(attempt - 1, &mut rng)
                 };
                 if let Some(secs) = retry_after_hint.take() {
                     // Honor the server's `Retry-After` hint: back off at
@@ -296,48 +351,35 @@ impl Backend for HttpBackend {
                     // mislabeling the result a transport failure. A shed
                     // request stays shed (the server refused it and asked
                     // for more patience than the budget allows).
+                    let msg = format!("deadline before retry {attempt}: {last_err}");
                     return if last_shed {
-                        self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                        InvocationResult::shed(format!(
-                            "deadline before retry {attempt}: {last_err}"
-                        ))
+                        InvocationResult::shed(msg)
                     } else {
-                        self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                        InvocationResult::timeout(format!(
-                            "deadline before retry {attempt}: {last_err}"
-                        ))
+                        InvocationResult::timeout(msg)
                     };
                 }
-                std::thread::sleep(delay.min(remaining));
+                std::thread::sleep(delay);
                 self.stats.retries.fetch_add(1, Ordering::Relaxed);
             }
 
-            match self.try_attempt(&body, req.trace_id, deadline, attempt == 0) {
-                Ok(result) => {
-                    // Any parsed 200 — success or application failure —
-                    // proves the transport path healthy.
-                    self.breaker.on_success();
-                    if result.ok {
-                        self.stats.ok.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.stats.app_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return result;
-                }
-                Err(TryError::Timeout(msg)) => {
-                    self.breaker.on_failure();
-                    self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    return InvocationResult::timeout(msg);
-                }
-                Err(TryError::Fatal(msg)) => {
-                    // A non-429 4xx is a responsive server rejecting this
-                    // request — not a health signal against the transport.
-                    self.breaker.on_success();
-                    self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
-                    return InvocationResult::transport(msg);
-                }
+            let tried = self
+                .transport
+                .exchange(&body, req.trace_id, deadline, attempt == 0)
+                .and_then(interpret);
+            // Any parsed 200 — success or application failure — proves the
+            // transport path healthy, and a non-429 4xx is a responsive
+            // server rejecting this request: not a health signal against
+            // the transport either.
+            if matches!(tried, Ok(_) | Err(TryError::Fatal(_))) {
+                self.breaker.on_success();
+            } else {
+                self.breaker.on_failure();
+            }
+            match tried {
+                Ok(result) => return result,
+                Err(TryError::Timeout(msg)) => return InvocationResult::timeout(msg),
+                Err(TryError::Fatal(msg)) => return InvocationResult::transport(msg),
                 Err(TryError::Retryable { msg, shed, retry_after }) => {
-                    self.breaker.on_failure();
                     last_err = msg;
                     last_shed = shed;
                     retry_after_hint = retry_after;
@@ -345,12 +387,25 @@ impl Backend for HttpBackend {
             }
         }
         if last_shed {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
             InvocationResult::shed(format!("shed after {attempts} attempts: {last_err}"))
         } else {
-            self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
             InvocationResult::transport(format!("gave up after {attempts} attempts: {last_err}"))
         }
+    }
+}
+
+impl Backend for Client {
+    fn invoke(&self, req: &InvocationRequest) -> InvocationResult {
+        let result = self.attempt(req);
+        let counter = match result.outcome() {
+            OutcomeClass::Ok => &self.stats.ok,
+            OutcomeClass::AppError => &self.stats.app_errors,
+            OutcomeClass::Timeout => &self.stats.timeouts,
+            OutcomeClass::Transport => &self.stats.transport_errors,
+            OutcomeClass::Shed => &self.stats.shed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        result
     }
 
     fn name(&self) -> &str {
@@ -358,102 +413,11 @@ impl Backend for HttpBackend {
     }
 }
 
-impl HttpBackend {
-    /// One attempt including response interpretation: `200` parses into an
-    /// [`InvocationResult`], `429` is retryable-as-shed (honoring any
-    /// `Retry-After`), `5xx` is retryable, other statuses are fatal.
-    fn try_attempt(
-        &self,
-        body: &[u8],
-        trace_id: u64,
-        deadline: Instant,
-        first: bool,
-    ) -> Result<InvocationResult, TryError> {
-        let resp = self.try_once_at(body, trace_id, deadline, first)?;
-        match resp.status {
-            200 => serde_json::from_slice::<InvocationResult>(&resp.body).map_err(|e| {
-                TryError::Retryable {
-                    msg: format!("unparseable 200 body: {e}"),
-                    shed: false,
-                    retry_after: None,
-                }
-            }),
-            429 => Err(TryError::Retryable {
-                msg: format!("HTTP 429: {}", String::from_utf8_lossy(&resp.body)),
-                shed: true,
-                retry_after: resp.retry_after,
-            }),
-            s if (500..600).contains(&s) => Err(TryError::Retryable {
-                msg: format!("HTTP {s}: {}", String::from_utf8_lossy(&resp.body)),
-                shed: false,
-                retry_after: resp.retry_after,
-            }),
-            s => Err(TryError::Fatal(format!("HTTP {s}: {}", String::from_utf8_lossy(&resp.body)))),
-        }
-    }
-
-    fn try_once_at(
-        &self,
-        body: &[u8],
-        trace_id: u64,
-        deadline: Instant,
-        mut first: bool,
-    ) -> Result<http::Response, TryError> {
-        let mut pooled_fallback = true;
-        loop {
-            let (mut conn, reused) = match self.checkout() {
-                Some(s) => {
-                    self.stats.reuses.fetch_add(1, Ordering::Relaxed);
-                    (s, true)
-                }
-                None => match self.open(deadline) {
-                    Ok(s) => (s, false),
-                    Err(e) if is_timeout(&e) => {
-                        return Err(TryError::Timeout(format!("connect: {e}")))
-                    }
-                    Err(e) => {
-                        return Err(TryError::Retryable {
-                            msg: format!("connect: {e}"),
-                            shed: false,
-                            retry_after: None,
-                        })
-                    }
-                },
-            };
-            match self.exchange(&mut conn, body, trace_id, deadline, first) {
-                Ok(resp) => {
-                    // Bytes past a complete response belong to no request:
-                    // a parked connection holding them would hand them to
-                    // the next invocation as its answer.
-                    if resp.keep_alive && conn.reader.buffer().is_empty() {
-                        self.checkin(conn);
-                    }
-                    return Ok(resp);
-                }
-                Err(e) if is_timeout(&e) => return Err(TryError::Timeout(e.to_string())),
-                Err(e) => {
-                    if reused && pooled_fallback {
-                        pooled_fallback = false;
-                        // The dead connection may have spent budget failing.
-                        first = false;
-                        continue;
-                    }
-                    return Err(TryError::Retryable {
-                        msg: e.to_string(),
-                        shed: false,
-                        retry_after: None,
-                    });
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faasrail_loadgen::OutcomeClass;
     use faasrail_workloads::{WorkloadId, WorkloadInput};
+    use std::io::BufReader;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
@@ -532,6 +496,72 @@ mod tests {
         }
     }
 
+    /// Which transport a policy test runs over. The scripted server takes
+    /// one connection at a time, so the mux gets one.
+    #[derive(Clone, Copy, Debug)]
+    enum Kind {
+        Pool,
+        Mux,
+    }
+
+    fn client(kind: Kind, addr: &str, cfg: HttpBackendConfig) -> Client {
+        match kind {
+            Kind::Pool => Client::connect(addr, cfg),
+            Kind::Mux => Client::new(
+                addr,
+                MuxConfig {
+                    connections: 1,
+                    pipeline_depth: 4,
+                    connect_timeout: cfg.connect_timeout,
+                    request_timeout: cfg.request_timeout,
+                    retry: cfg.retry,
+                    breaker: cfg.breaker,
+                },
+            ),
+        }
+        .unwrap()
+    }
+
+    /// The policy is one; each test of it runs through both transports.
+    macro_rules! through_both_transports {
+        ($($test:ident => $check:ident),* $(,)?) => {
+            $(#[test] fn $test() { $check(Kind::Pool) })*
+            mod mux {
+                use super::*;
+                $(#[test] fn $test() { $check(Kind::Mux) })*
+            }
+        };
+    }
+
+    through_both_transports! {
+        app_failure_is_not_retried => app_failure_is_not_retried_in,
+        transient_5xx_is_retried_to_success => transient_5xx_is_retried_to_success_in,
+        gives_up_after_attempt_budget => gives_up_after_attempt_budget_in,
+        fourxx_is_fatal_without_retry => fourxx_is_fatal_without_retry_in,
+        unreachable_target_classifies_as_transport => unreachable_target_classifies_as_transport_in,
+        deadline_exhaustion_classifies_as_timeout => deadline_exhaustion_classifies_as_timeout_in,
+        exhausted_429s_classify_as_shed => exhausted_429s_classify_as_shed_in,
+        breaker_trips_on_consecutive_failures_and_fails_fast =>
+            breaker_trips_on_consecutive_failures_and_fails_fast_in,
+        breaker_recovers_through_a_half_open_probe => breaker_recovers_through_a_half_open_probe_in,
+        retry_backoff_never_overshoots_the_deadline =>
+            retry_backoff_never_overshoots_the_deadline_in,
+        retry_after_hint_delays_the_next_attempt => retry_after_hint_delays_the_next_attempt_in,
+    }
+
+    #[test]
+    fn a_connect_with_no_budget_left_is_a_timeout_not_a_refusal() {
+        // Bind then drop a listener so the port is (very likely) closed.
+        let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let stats = ClientStats::default();
+        let second = Duration::from_secs(1);
+        let spent = Instant::now();
+        assert!(matches!(open(&addr, second, spent, &stats), Err(TryError::Timeout(_))));
+        let refused = open(&addr, second, spent + second, &stats);
+        assert!(matches!(refused, Err(TryError::Retryable { shed: false, .. })));
+        assert_eq!(stats.connects.load(Ordering::Relaxed), 0);
+    }
+
     #[test]
     fn success_over_the_wire() {
         let (addr, served) = canned_server(vec![200]);
@@ -583,8 +613,7 @@ mod tests {
         assert_eq!(be.stats().reuses.load(Ordering::Relaxed), 1);
     }
 
-    #[test]
-    fn app_failure_is_not_retried() {
+    fn app_failure_is_not_retried_in(kind: Kind) {
         // A 200 response whose body says ok=false: an application-level
         // failure, which must not be retried (invocations are not assumed
         // idempotent).
@@ -592,7 +621,7 @@ mod tests {
             let body = serde_json::to_vec(&InvocationResult::app_error(1.0, "boom")).unwrap();
             http::write_response(&mut stream, 200, "application/json", &body, true)
         });
-        let be = HttpBackend::connect(&addr, fast_cfg(5)).unwrap();
+        let be = client(kind, &addr, fast_cfg(5));
         let res = be.invoke(&request());
         assert!(!res.ok);
         assert_eq!(res.outcome(), OutcomeClass::AppError);
@@ -602,20 +631,18 @@ mod tests {
         assert_eq!(be.stats().app_errors.load(Ordering::Relaxed), 1);
     }
 
-    #[test]
-    fn transient_5xx_is_retried_to_success() {
+    fn transient_5xx_is_retried_to_success_in(kind: Kind) {
         let (addr, served) = canned_server(vec![500, 500, 200]);
-        let be = HttpBackend::connect(&addr, fast_cfg(4)).unwrap();
+        let be = client(kind, &addr, fast_cfg(4));
         let res = be.invoke(&request());
         assert!(res.ok, "third attempt succeeds: {:?}", res.error);
         assert_eq!(served.load(Ordering::SeqCst), 3);
         assert_eq!(be.stats().retries.load(Ordering::Relaxed), 2);
     }
 
-    #[test]
-    fn gives_up_after_attempt_budget() {
+    fn gives_up_after_attempt_budget_in(kind: Kind) {
         let (addr, served) = canned_server(vec![500]);
-        let be = HttpBackend::connect(&addr, fast_cfg(3)).unwrap();
+        let be = client(kind, &addr, fast_cfg(3));
         let res = be.invoke(&request());
         assert!(!res.ok);
         assert_eq!(res.outcome(), OutcomeClass::Transport);
@@ -624,31 +651,28 @@ mod tests {
         assert_eq!(be.stats().transport_errors.load(Ordering::Relaxed), 1);
     }
 
-    #[test]
-    fn fourxx_is_fatal_without_retry() {
+    fn fourxx_is_fatal_without_retry_in(kind: Kind) {
         let (addr, served) = canned_server(vec![404]);
-        let be = HttpBackend::connect(&addr, fast_cfg(5)).unwrap();
+        let be = client(kind, &addr, fast_cfg(5));
         let res = be.invoke(&request());
         assert!(!res.ok);
         assert_eq!(res.outcome(), OutcomeClass::Transport);
         assert_eq!(served.load(Ordering::SeqCst), 1, "4xx is not retryable");
     }
 
-    #[test]
-    fn unreachable_target_classifies_as_transport() {
+    fn unreachable_target_classifies_as_transport_in(kind: Kind) {
         // Bind then drop a listener so the port is (very likely) closed.
         let addr = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let be = HttpBackend::connect(&addr, fast_cfg(2)).unwrap();
+        let be = client(kind, &addr, fast_cfg(2));
         let res = be.invoke(&request());
         assert!(!res.ok);
         assert!(matches!(res.outcome(), OutcomeClass::Transport | OutcomeClass::Timeout));
     }
 
-    #[test]
-    fn deadline_exhaustion_classifies_as_timeout() {
+    fn deadline_exhaustion_classifies_as_timeout_in(kind: Kind) {
         // A server that accepts but never responds.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -659,17 +683,16 @@ mod tests {
             }
         });
         let cfg = HttpBackendConfig { request_timeout: Duration::from_millis(200), ..fast_cfg(3) };
-        let be = HttpBackend::connect(&addr, cfg).unwrap();
+        let be = client(kind, &addr, cfg);
         let res = be.invoke(&request());
         assert!(!res.ok);
         assert_eq!(res.outcome(), OutcomeClass::Timeout);
         assert_eq!(be.stats().timeouts.load(Ordering::Relaxed), 1);
     }
 
-    #[test]
-    fn exhausted_429s_classify_as_shed() {
+    fn exhausted_429s_classify_as_shed_in(kind: Kind) {
         let (addr, served) = canned_server(vec![429]);
-        let be = HttpBackend::connect(&addr, fast_cfg(3)).unwrap();
+        let be = client(kind, &addr, fast_cfg(3));
         let res = be.invoke(&request());
         assert!(!res.ok);
         assert_eq!(res.outcome(), OutcomeClass::Shed, "{:?}", res.error);
@@ -679,15 +702,14 @@ mod tests {
         assert_eq!(be.stats().transport_errors.load(Ordering::Relaxed), 0);
     }
 
-    #[test]
-    fn breaker_trips_on_consecutive_failures_and_fails_fast() {
+    fn breaker_trips_on_consecutive_failures_and_fails_fast_in(kind: Kind) {
         let (addr, served) = canned_server(vec![500]);
         let cfg = HttpBackendConfig {
             retry: RetryPolicy { max_attempts: 1, ..fast_cfg(1).retry },
             breaker: BreakerConfig::tripping(2, Duration::from_secs(30)),
             ..fast_cfg(1)
         };
-        let be = HttpBackend::connect(&addr, cfg).unwrap();
+        let be = client(kind, &addr, cfg);
         assert_eq!(be.invoke(&request()).outcome(), OutcomeClass::Transport);
         assert_eq!(be.invoke(&request()).outcome(), OutcomeClass::Transport);
         assert!(be.breaker().is_open(), "two consecutive failures trip the breaker");
@@ -700,15 +722,14 @@ mod tests {
         assert_eq!(be.breaker().trips.load(Ordering::Relaxed), 1);
     }
 
-    #[test]
-    fn breaker_recovers_through_a_half_open_probe() {
+    fn breaker_recovers_through_a_half_open_probe_in(kind: Kind) {
         let (addr, served) = canned_server(vec![500, 200]);
         let cfg = HttpBackendConfig {
             retry: RetryPolicy { max_attempts: 1, ..fast_cfg(1).retry },
             breaker: BreakerConfig::tripping(1, Duration::from_millis(50)),
             ..fast_cfg(1)
         };
-        let be = HttpBackend::connect(&addr, cfg).unwrap();
+        let be = client(kind, &addr, cfg);
         assert_eq!(be.invoke(&request()).outcome(), OutcomeClass::Transport);
         assert!(be.breaker().is_open());
         assert_eq!(be.invoke(&request()).outcome(), OutcomeClass::Shed);
@@ -721,8 +742,7 @@ mod tests {
         assert_eq!(be.breaker().trips.load(Ordering::Relaxed), 1);
     }
 
-    #[test]
-    fn retry_backoff_never_overshoots_the_deadline() {
+    fn retry_backoff_never_overshoots_the_deadline_in(kind: Kind) {
         let (addr, _served) = canned_server(vec![500]);
         let cfg = HttpBackendConfig {
             request_timeout: Duration::from_millis(150),
@@ -735,7 +755,7 @@ mod tests {
             },
             ..fast_cfg(5)
         };
-        let be = HttpBackend::connect(&addr, cfg).unwrap();
+        let be = client(kind, &addr, cfg);
         let start = Instant::now();
         let res = be.invoke(&request());
         let elapsed = start.elapsed();
@@ -746,8 +766,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn retry_after_hint_delays_the_next_attempt() {
+    fn retry_after_hint_delays_the_next_attempt_in(kind: Kind) {
         // First response: 429 with `Retry-After: 1`; then 200s. The second
         // attempt must wait out the hint, not just the millisecond backoff.
         let (addr, _served) = scripted_server(|n, mut stream| match n {
@@ -761,7 +780,7 @@ mod tests {
             ),
             _ => reply_ok(stream),
         });
-        let be = HttpBackend::connect(&addr, fast_cfg(3)).unwrap();
+        let be = client(kind, &addr, fast_cfg(3));
         let start = Instant::now();
         let res = be.invoke(&request());
         assert!(res.ok, "{:?}", res.error);
@@ -781,7 +800,7 @@ mod tests {
         }
         assert_eq!(be.stats().connects.load(Ordering::Relaxed), 1);
         assert_eq!(be.stats().timeout_arms.load(Ordering::Relaxed), 1);
-        assert!(be.transport_summary().contains(" timeout-arms=1 "), "{}", be.transport_summary());
+        assert!(be.summary().contains(" timeout-arms=1 "), "{}", be.summary());
     }
 
     #[test]

@@ -94,7 +94,7 @@ fn read_message<R: BufRead, H>(
     }
 }
 
-fn text(msg: &[u8], range: Range<usize>) -> String {
+pub(crate) fn text(msg: &[u8], range: Range<usize>) -> String {
     String::from_utf8_lossy(&msg[range]).into_owned()
 }
 

@@ -24,13 +24,17 @@
 //! * [`http`] — blocking `BufRead`/`Write` adapters over
 //!   `faasrail_reactor::http1`, the only parser and encoder of the wire
 //!   dialect in the workspace;
-//! * [`HttpBackend`] — a `Backend` implementation that ships invocations to
-//!   such a gateway with connection pooling, per-request deadlines, seeded
-//!   capped-exponential retry ([`RetryPolicy`]) for transport failures,
-//!   `429`s and `5xx`s, and an optional [`CircuitBreaker`] that fails fast
-//!   (as `OutcomeClass::Shed`) while the upstream is unhealthy;
-//! * [`MuxHttpBackend`] — a multiplexed client `Backend`: one reactor
-//!   thread drives a fixed pool of pipelined connections, so thousands of
+//! * [`client`] — the client's policy, once and socket-free: JSON encode,
+//!   the one per-invocation deadline, seeded capped-exponential retry
+//!   ([`RetryPolicy`]) for transport failures, `429`s and `5xx`s, the
+//!   optional [`CircuitBreaker`] that fails fast (as `OutcomeClass::Shed`)
+//!   while the upstream is unhealthy, what each status means, and the
+//!   outcome counters of [`ClientStats`]. A [`Client`] hands each attempt
+//!   to a transport and decides what its answer means;
+//! * [`HttpBackend`] and [`MuxHttpBackend`] — that one [`Client`] over its
+//!   two transports: a pool of blocking keep-alive connections (`pool.rs`,
+//!   one socket per invocation in flight), and one reactor thread driving
+//!   a fixed set of pipelined connections ([`mux`]), so thousands of
 //!   in-flight invocations need neither a thread nor a socket each.
 //!
 //! Loopback replay through the pair is distribution-preserving: the
@@ -44,6 +48,7 @@ pub mod client;
 pub mod core;
 pub mod http;
 pub mod mux;
+mod pool;
 pub mod reactor_server;
 pub mod server;
 
@@ -59,9 +64,9 @@ pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 pub use backoff::{mix_fraction, RetryPolicy};
 pub use breaker::{BreakerConfig, CircuitBreaker};
-pub use client::{ClientStats, HttpBackend, HttpBackendConfig};
+pub use client::{Client, ClientStats, HttpBackend, HttpBackendConfig, MuxHttpBackend};
 pub use core::{FaultConfig, GatewayConfig, GatewayStats, StageMetrics};
 pub use http::TRACE_HEADER;
-pub use mux::{MuxConfig, MuxHttpBackend};
+pub use mux::MuxConfig;
 pub use reactor_server::{ReactorGateway, ReactorHandle};
 pub use server::{Gateway, GatewayHandle};

@@ -1,52 +1,61 @@
-//! A multiplexed HTTP client backend: one reactor thread drives a fixed
-//! pool of pipelined keep-alive connections.
+//! The multiplexed driver: the transport under
+//! [`MuxHttpBackend`](crate::MuxHttpBackend).
 //!
-//! [`crate::HttpBackend`] binds one pooled connection per in-flight
-//! invocation, so N concurrent invocations need N sockets and N blocked
-//! worker threads. [`MuxHttpBackend`] decouples the two: worker threads
-//! park on a completion slot while a single driver thread multiplexes all
-//! requests over [`MuxConfig::connections`] sockets, pipelining up to
-//! [`MuxConfig::pipeline_depth`] requests per connection (HTTP/1.1
-//! responses arrive in request order, so a FIFO of in-flight slots per
-//! connection is all the bookkeeping required).
+//! The keep-alive pool binds one connection to each exchange in flight, so
+//! N concurrent invocations need N sockets. Here caller threads park on a
+//! completion slot while a single driver thread multiplexes every exchange
+//! over [`MuxConfig::connections`] sockets, pipelining up to
+//! [`MuxConfig::pipeline_depth`] requests per connection. What an
+//! exchange's outcome means — and whether it is tried again — is
+//! `client.rs`'s to say; what this file owns:
 //!
-//! Classification matches [`crate::HttpBackend`] without its retry loop:
-//! `200` parses the body, `429` is [`OutcomeClass::Shed`], any other
-//! status or transport failure is [`OutcomeClass::Transport`], and a
-//! request whose [`MuxConfig::request_timeout`] expires is
-//! [`OutcomeClass::Timeout`] — which also poisons its connection (later
-//! pipelined responses on that socket can no longer be trusted to line
-//! up, so the rest of its FIFO fails as transport and the socket is
-//! reconnected).
-//!
-//! [`OutcomeClass::Shed`]: faasrail_telemetry::OutcomeClass::Shed
-//! [`OutcomeClass::Transport`]: faasrail_telemetry::OutcomeClass::Transport
-//! [`OutcomeClass::Timeout`]: faasrail_telemetry::OutcomeClass::Timeout
+//! * **pipelining and FIFO matching** — HTTP/1.1 responses arrive in
+//!   request order, so a FIFO of in-flight slots per connection is all the
+//!   bookkeeping required. A response is copied out of the read buffer and
+//!   handed to its caller unread;
+//! * **the backlog** — exchanges that found every pipeline full wait in
+//!   deadline order: a retried attempt carries its invocation's original
+//!   deadline, goes ahead of younger work, and expires when that deadline
+//!   does;
+//! * **poisoning** — an exchange whose deadline passes unanswered times
+//!   out, and takes its connection with it: the responses behind it can no
+//!   longer be trusted to line up, so the rest of that FIFO fails as
+//!   *retryable* transport errors and the socket is reconnected. A
+//!   connection that breaks fails its FIFO the same way;
+//! * **connecting** — blocking, on the driver thread, within
+//!   [`MuxConfig::connect_timeout`] and within the budget of the exchange
+//!   it is for.
 
-use crate::client::ClientStats;
+use crate::backoff::RetryPolicy;
+use crate::breaker::BreakerConfig;
+use crate::client::{self, ClientStats, Transport, TryError};
 use crate::http;
-use faasrail_loadgen::{Backend, InvocationRequest, InvocationResult};
 use faasrail_reactor::http1;
 use faasrail_reactor::{Interest, Poller, ReadBuf, Waker, WriteBuf};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Tuning for [`MuxHttpBackend`].
+/// Configuration of a client on the multiplexed driver.
 #[derive(Debug, Clone)]
 pub struct MuxConfig {
     /// Fixed number of connections the driver multiplexes over.
     pub connections: usize,
     /// Maximum requests in flight (written, unanswered) per connection.
     pub pipeline_depth: usize,
-    /// Budget for establishing one TCP connection.
+    /// Budget for establishing one TCP connection (also bounded by the
+    /// remaining deadline of the invocation it is opened for).
     pub connect_timeout: Duration,
-    /// Per-request deadline, submission to response.
+    /// Overall per-invocation deadline across all attempts and backoff.
     pub request_timeout: Duration,
+    /// Retry policy for retryable failures.
+    pub retry: RetryPolicy,
+    /// Circuit breaker (disabled by default: `failure_threshold: 0`).
+    pub breaker: BreakerConfig,
 }
 
 impl Default for MuxConfig {
@@ -56,13 +65,17 @@ impl Default for MuxConfig {
             pipeline_depth: 32,
             connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(30),
+            retry: RetryPolicy::default(),
+            breaker: BreakerConfig::default(),
         }
     }
 }
 
-/// Rendezvous between a blocked worker thread and the driver.
+type Exchanged = Result<http::Response, TryError>;
+
+/// Rendezvous between a blocked caller thread and the driver.
 struct Slot {
-    done: Mutex<Option<InvocationResult>>,
+    done: Mutex<Option<Exchanged>>,
     cv: Condvar,
 }
 
@@ -71,26 +84,25 @@ impl Slot {
         Arc::new(Slot { done: Mutex::new(None), cv: Condvar::new() })
     }
 
-    fn complete(&self, result: InvocationResult) {
+    fn complete(&self, outcome: Exchanged) {
         let mut done = self.done.lock().unwrap();
         if done.is_none() {
-            *done = Some(result);
+            *done = Some(outcome);
             self.cv.notify_one();
         }
     }
 
-    fn wait(&self, budget: Duration) -> InvocationResult {
+    fn wait(&self, until: Instant) -> Exchanged {
         let mut done = self.done.lock().unwrap();
-        let deadline = Instant::now() + budget;
         loop {
-            if let Some(result) = done.take() {
-                return result;
+            if let Some(outcome) = done.take() {
+                return outcome;
             }
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = until.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 // Defensive: the driver enforces the real deadline; this
                 // only trips if the driver wedged or died.
-                return InvocationResult::timeout("mux driver unresponsive");
+                return Err(TryError::Timeout("mux driver unresponsive".into()));
             }
             let (guard, _timeout) = self.cv.wait_timeout(done, left).unwrap();
             done = guard;
@@ -100,8 +112,8 @@ impl Slot {
 
 /// One request waiting for a connection with pipeline room.
 struct MuxJob {
-    body: Vec<u8>,
-    trace_hex: String,
+    /// Head and body, as they go on the wire.
+    wire: Vec<u8>,
     deadline: Instant,
     slot: Arc<Slot>,
 }
@@ -112,7 +124,7 @@ struct InFlight {
     slot: Arc<Slot>,
 }
 
-/// Submission queue shared between worker threads and the driver.
+/// Submission queue shared between caller threads and the driver.
 ///
 /// The eventfd wake is elided unless the driver is parked in `epoll_wait`
 /// (`parked`) and nobody has woken it since its last drain (`notified`): the
@@ -166,14 +178,13 @@ const TOKEN_SUBMIT: u64 = u64::MAX;
 
 struct Driver {
     addr: SocketAddr,
-    host: String,
     cfg: MuxConfig,
     stats: Arc<ClientStats>,
     submit: Arc<Submit>,
     poller: Poller,
     conns: Vec<MuxConn>,
     /// Requests accepted but not yet written anywhere (all pipelines full
-    /// or all sockets down).
+    /// or all sockets down), earliest deadline first.
     backlog: VecDeque<MuxJob>,
 }
 
@@ -214,8 +225,14 @@ impl Driver {
             self.submit.waker.drain();
             self.submit.notified.store(false, Ordering::SeqCst);
             {
+                // A fresh job's deadline is the latest yet, give or take a
+                // race between two callers; a retried attempt's is its
+                // invocation's original one and lands further forward.
                 let mut jobs = self.submit.jobs.lock().unwrap();
-                self.backlog.extend(jobs.drain(..));
+                for job in jobs.drain(..) {
+                    let at = self.backlog.partition_point(|ahead| ahead.deadline <= job.deadline);
+                    self.backlog.insert(at, job);
+                }
             }
             self.expire_deadlines();
             self.assign_backlog();
@@ -227,8 +244,7 @@ impl Driver {
             if self.submit.shutdown.load(Ordering::SeqCst) {
                 // Fail everything still outstanding and exit.
                 while let Some(job) = self.backlog.pop_front() {
-                    job.slot.complete(InvocationResult::transport("mux backend shut down"));
-                    self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
+                    job.slot.complete(Err(TryError::Fatal("mux backend shut down".into())));
                 }
                 for idx in 0..self.conns.len() {
                     self.fail_conn(idx, "mux backend shut down");
@@ -238,52 +254,40 @@ impl Driver {
         }
     }
 
-    /// Move expired requests to `Timeout` and poison their connections.
+    /// Time out what has expired: backlog jobs (sorted, so the expired ones
+    /// are at the front) and, with their connections, in-flight requests.
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
-        while let Some(front) = self.backlog.front() {
-            if front.deadline > now {
-                break;
-            }
+        while self.backlog.front().is_some_and(|job| job.deadline <= now) {
             let job = self.backlog.pop_front().expect("checked front");
-            self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            job.slot.complete(InvocationResult::timeout("deadline exceeded before dispatch"));
+            job.slot.complete(Err(TryError::Timeout("deadline exceeded before dispatch".into())));
         }
         for idx in 0..self.conns.len() {
-            let expired = self.conns[idx].inflight.iter().any(|f| f.deadline <= now);
-            if expired {
-                self.timeout_conn(idx, now);
+            if self.conns[idx].inflight.iter().any(|f| f.deadline <= now) {
+                self.fail_conn(idx, "connection poisoned by timeout");
             }
         }
     }
 
-    /// Establish (or re-establish) a socket for `idx`. Blocking connect —
-    /// the driver briefly stalls, which is the price of a dependency-free
-    /// connector; bounded by `connect_timeout`.
-    fn ensure_connected(&mut self, idx: usize) -> bool {
+    /// Establish (or re-establish) a socket for `idx`, on behalf of a job
+    /// due by `deadline`. Blocking connect — the driver briefly stalls,
+    /// which is the price of a dependency-free connector.
+    fn ensure_connected(&mut self, idx: usize, deadline: Instant) -> Result<(), TryError> {
         if matches!(self.conns[idx].sock, ConnSock::Live(_)) {
-            return true;
+            return Ok(());
         }
-        match TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout) {
-            Ok(stream) => {
-                if stream.set_nonblocking(true).is_err() {
-                    return false;
-                }
-                stream.set_nodelay(true).ok();
-                if self.poller.add(stream.as_raw_fd(), Interest::EDGE_RW, idx as u64).is_err() {
-                    return false;
-                }
-                self.stats.connects.fetch_add(1, Ordering::Relaxed);
-                self.conns[idx].sock = ConnSock::Live(stream);
-                true
-            }
-            Err(_) => false,
-        }
+        let stream = client::open(&self.addr, self.cfg.connect_timeout, deadline, &self.stats)?;
+        stream
+            .set_nonblocking(true)
+            .and_then(|()| self.poller.add(stream.as_raw_fd(), Interest::EDGE_RW, idx as u64))
+            .map_err(|e| TryError::retryable(format!("connect: {e}")))?;
+        self.conns[idx].sock = ConnSock::Live(stream);
+        Ok(())
     }
 
     /// Hand backlog jobs to the least-loaded connections with room.
     fn assign_backlog(&mut self) {
-        while !self.backlog.is_empty() {
+        while let Some(deadline) = self.backlog.front().map(|job| job.deadline) {
             let mut best: Option<(usize, usize)> = None;
             for idx in 0..self.conns.len() {
                 let depth = self.conns[idx].inflight.len();
@@ -295,37 +299,22 @@ impl Driver {
             }
             let Some((idx, _)) = best else { return }; // every pipeline full
             let was_live = matches!(self.conns[idx].sock, ConnSock::Live(_));
-            if !self.ensure_connected(idx) {
-                // Upstream unreachable right now: fail fast, like a
-                // connect error in the unpooled client.
-                let job = self.backlog.pop_front().expect("checked non-empty");
-                self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
-                job.slot.complete(InvocationResult::transport("connect failed"));
+            let connected = self.ensure_connected(idx, deadline);
+            let job = self.backlog.pop_front().expect("checked non-empty");
+            if let Err(e) = connected {
+                // Upstream unreachable right now: fail this job alone, like
+                // a connect error in the pool.
+                job.slot.complete(Err(e));
                 continue;
             }
-            let job = self.backlog.pop_front().expect("checked non-empty");
-            // Same semantics as the pooled client: any request sent over an
+            // Same semantics as the pool: any request sent over an
             // already-established connection counts as a reuse, whether it
             // pipelines behind others or rides an idle keep-alive socket.
             if was_live {
                 self.stats.reuses.fetch_add(1, Ordering::Relaxed);
             }
             let conn = &mut self.conns[idx];
-            let mut extra: Vec<(&str, &str)> = Vec::new();
-            if !job.trace_hex.is_empty() {
-                extra.push((http::TRACE_HEADER, &job.trace_hex));
-            }
-            let _ = http1::write_request_head(
-                &mut conn.wbuf,
-                "POST",
-                "/invoke",
-                &self.host,
-                "application/json",
-                job.body.len(),
-                true,
-                &extra,
-            );
-            let _ = conn.wbuf.write_all(&job.body);
+            let _ = conn.wbuf.write_all(&job.wire);
             conn.inflight.push_back(InFlight { deadline: job.deadline, slot: job.slot });
         }
     }
@@ -360,14 +349,16 @@ impl Driver {
             let Some(flight) = conn.inflight.pop_front() else {
                 return false; // response with no matching request
             };
-            let body = &conn.rbuf.filled()[head.body_range()];
-            let result = classify(head.status, body);
-            count(&self.stats, &result);
-            flight.slot.complete(result);
-            let keep = head.keep_alive;
-            let total = head.total_len();
-            conn.rbuf.consume(total);
-            if !keep {
+            let msg = conn.rbuf.filled();
+            flight.slot.complete(Ok(http::Response {
+                status: head.status,
+                keep_alive: head.keep_alive,
+                retry_after: head.retry_after,
+                content_type: head.content_type.clone().map(|range| http::text(msg, range)),
+                body: msg[head.body_range()].to_vec(),
+            }));
+            conn.rbuf.consume(head.total_len());
+            if !head.keep_alive {
                 // Server is hanging up after this response; anything else
                 // pipelined behind it will never be answered here.
                 return false;
@@ -385,9 +376,12 @@ impl Driver {
         conn.wbuf.flush_to(stream).is_ok()
     }
 
-    /// Tear a connection down, failing its whole in-flight FIFO as
-    /// transport errors.
+    /// Tear a connection down and fail its whole in-flight FIFO: requests
+    /// whose deadline has passed time out, the rest fail with `why` and are
+    /// worth another attempt (their responses can no longer be matched once
+    /// the socket is abandoned).
     fn fail_conn(&mut self, idx: usize, why: &str) {
+        let now = Instant::now();
         let conn = &mut self.conns[idx];
         if let ConnSock::Live(stream) = &conn.sock {
             let _ = self.poller.delete(stream.as_raw_fd());
@@ -401,82 +395,30 @@ impl Driver {
                 break;
             }
         }
-        while let Some(flight) = conn.inflight.pop_front() {
-            self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
-            flight.slot.complete(InvocationResult::transport(why));
-        }
-    }
-
-    /// Deadline expiry on a pipelined connection: expired requests time
-    /// out, the survivors fail as transport (their responses can no longer
-    /// be matched once the socket is abandoned), and the socket drops.
-    fn timeout_conn(&mut self, idx: usize, now: Instant) {
-        let conn = &mut self.conns[idx];
-        if let ConnSock::Live(stream) = &conn.sock {
-            let _ = self.poller.delete(stream.as_raw_fd());
-        }
-        conn.sock = ConnSock::Idle;
-        let stale = conn.rbuf.len();
-        conn.rbuf.consume(stale);
-        while !conn.wbuf.is_empty() {
-            let mut sink = std::io::sink();
-            if conn.wbuf.flush_to(&mut sink).is_err() {
-                break;
-            }
-        }
-        while let Some(flight) = conn.inflight.pop_front() {
-            if flight.deadline <= now {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                flight.slot.complete(InvocationResult::timeout("no response within deadline"));
+        for flight in conn.inflight.drain(..) {
+            flight.slot.complete(Err(if flight.deadline <= now {
+                TryError::Timeout("no response within deadline".into())
             } else {
-                self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
-                flight.slot.complete(InvocationResult::transport("connection poisoned by timeout"));
-            }
+                TryError::retryable(why)
+            }));
         }
     }
 }
 
-/// Mirror of [`crate::HttpBackend`]'s status classification, minus retries.
-fn classify(status: u16, body: &[u8]) -> InvocationResult {
-    match status {
-        200 => match serde_json::from_slice::<InvocationResult>(body) {
-            Ok(result) => result,
-            Err(e) => InvocationResult::transport(format!("unparseable 200 body: {e}")),
-        },
-        429 => InvocationResult::shed("gateway shedding load (429)"),
-        s => InvocationResult::transport(format!("gateway returned {s}")),
-    }
-}
-
-fn count(stats: &ClientStats, result: &InvocationResult) {
-    use faasrail_telemetry::OutcomeClass;
-    match result.outcome() {
-        OutcomeClass::Ok => stats.ok.fetch_add(1, Ordering::Relaxed),
-        OutcomeClass::AppError => stats.app_errors.fetch_add(1, Ordering::Relaxed),
-        OutcomeClass::Timeout => stats.timeouts.fetch_add(1, Ordering::Relaxed),
-        OutcomeClass::Transport => stats.transport_errors.fetch_add(1, Ordering::Relaxed),
-        OutcomeClass::Shed => stats.shed.fetch_add(1, Ordering::Relaxed),
-    };
-}
-
-/// A [`Backend`] that multiplexes invocations over a fixed connection pool
-/// driven by one reactor thread. See the module docs for semantics.
-pub struct MuxHttpBackend {
+/// The caller-side handle of the driver thread; dropping it stops the
+/// thread.
+pub(crate) struct Mux {
     submit: Arc<Submit>,
-    stats: Arc<ClientStats>,
-    request_timeout: Duration,
+    host: String,
     driver: Option<std::thread::JoinHandle<()>>,
 }
 
-impl MuxHttpBackend {
-    /// Connect a multiplexed backend to `addr` (e.g. `"127.0.0.1:8080"`).
-    /// Sockets are established lazily on first use, so this cannot fail on
-    /// an unreachable upstream — those failures surface per-invocation.
-    pub fn new(addr: impl ToSocketAddrs, cfg: MuxConfig) -> std::io::Result<MuxHttpBackend> {
-        let addr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::new(ErrorKind::NotFound, "unresolvable address"))?;
+impl Mux {
+    pub(crate) fn spawn(
+        addr: SocketAddr,
+        cfg: &MuxConfig,
+        stats: Arc<ClientStats>,
+    ) -> std::io::Result<Mux> {
         let submit = Arc::new(Submit {
             jobs: Mutex::new(VecDeque::new()),
             waker: Waker::new()?,
@@ -484,78 +426,38 @@ impl MuxHttpBackend {
             parked: AtomicBool::new(false),
             notified: AtomicBool::new(false),
         });
-        let stats = Arc::new(ClientStats::default());
         let poller = Poller::new()?;
         poller.add(submit.waker.fd(), Interest::READ, TOKEN_SUBMIT)?;
         let driver = Driver {
             addr,
-            host: addr.to_string(),
             cfg: cfg.clone(),
-            stats: Arc::clone(&stats),
+            stats,
             submit: Arc::clone(&submit),
             poller,
             conns: (0..cfg.connections.max(1)).map(|_| MuxConn::new()).collect(),
             backlog: VecDeque::new(),
         };
         let handle = std::thread::spawn(move || driver.run());
-        Ok(MuxHttpBackend {
-            submit,
-            stats,
-            request_timeout: cfg.request_timeout,
-            driver: Some(handle),
-        })
-    }
-
-    /// Live client-side counters (shared shape with [`crate::HttpBackend`]).
-    pub fn stats(&self) -> Arc<ClientStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// One-line human summary of the counters.
-    pub fn summary(&self) -> String {
-        format!(
-            "mux connects={} reuses={} ok={} app-error={} timeout={} transport={} shed={}",
-            self.stats.connects.load(Ordering::Relaxed),
-            self.stats.reuses.load(Ordering::Relaxed),
-            self.stats.ok.load(Ordering::Relaxed),
-            self.stats.app_errors.load(Ordering::Relaxed),
-            self.stats.timeouts.load(Ordering::Relaxed),
-            self.stats.transport_errors.load(Ordering::Relaxed),
-            self.stats.shed.load(Ordering::Relaxed),
-        )
+        Ok(Mux { submit, host: addr.to_string(), driver: Some(handle) })
     }
 }
 
-impl Backend for MuxHttpBackend {
-    fn invoke(&self, req: &InvocationRequest) -> InvocationResult {
-        let body = match serde_json::to_vec(req) {
-            Ok(b) => b,
-            Err(e) => {
-                self.stats.transport_errors.fetch_add(1, Ordering::Relaxed);
-                return InvocationResult::transport(format!("encode: {e}"));
-            }
-        };
-        let trace_hex = if req.trace_id != 0 {
-            faasrail_telemetry::format_trace_id(req.trace_id)
-        } else {
-            String::new()
-        };
+impl Transport for Mux {
+    fn exchange(&self, body: &[u8], trace_id: u64, deadline: Instant, _first: bool) -> Exchanged {
+        let mut wire = Vec::new();
+        client::write_invoke(&mut wire, &self.host, body, trace_id)
+            .expect("writing to a Vec cannot fail");
         let slot = Slot::new();
-        let job = MuxJob {
-            body,
-            trace_hex,
-            deadline: Instant::now() + self.request_timeout,
-            slot: Arc::clone(&slot),
-        };
+        let job = MuxJob { wire, deadline, slot: Arc::clone(&slot) };
         self.submit.jobs.lock().unwrap().push_back(job);
         self.submit.wake_if_parked();
         // The driver owns the real deadline; the grace term only guards
         // against a wedged driver thread.
-        slot.wait(self.request_timeout + Duration::from_secs(5))
+        slot.wait(deadline + Duration::from_secs(5))
     }
 }
 
-impl Drop for MuxHttpBackend {
+impl Drop for Mux {
     fn drop(&mut self) {
         self.submit.shutdown.store(true, Ordering::SeqCst);
         self.submit.force_wake();
@@ -568,10 +470,22 @@ impl Drop for MuxHttpBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MuxHttpBackend;
+    use faasrail_loadgen::{Backend, InvocationRequest};
     use faasrail_telemetry::OutcomeClass;
     use faasrail_workloads::{WorkloadId, WorkloadInput};
-    use std::io::Read;
+    use std::io::{BufReader, Read};
     use std::net::TcpListener;
+
+    fn request() -> InvocationRequest {
+        InvocationRequest {
+            workload: WorkloadId(7),
+            input: WorkloadInput::Pyaes { bytes: 1024 },
+            function_index: 0,
+            scheduled_at_ms: 0,
+            trace_id: 0,
+        }
+    }
 
     #[test]
     fn a_response_announcing_more_than_the_body_cap_fails_the_connection_unbuffered() {
@@ -601,25 +515,21 @@ mod tests {
             taken
         });
 
+        // One attempt: a retry would reconnect to a server that accepts
+        // once, and wait out the deadline there.
         let cfg = MuxConfig {
             connections: 1,
             pipeline_depth: IN_FLIGHT,
             request_timeout: Duration::from_secs(20),
+            retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
             ..MuxConfig::default()
         };
         let client = Arc::new(MuxHttpBackend::new(addr, cfg).unwrap());
-        let request = InvocationRequest {
-            workload: WorkloadId(7),
-            input: WorkloadInput::Pyaes { bytes: 1024 },
-            function_index: 0,
-            scheduled_at_ms: 0,
-            trace_id: 0,
-        };
         let started = Instant::now();
         let callers: Vec<_> = (0..IN_FLIGHT)
             .map(|_| {
                 let client = Arc::clone(&client);
-                std::thread::spawn(move || client.invoke(&request))
+                std::thread::spawn(move || client.invoke(&request()))
             })
             .collect();
         for caller in callers {
@@ -630,5 +540,69 @@ mod tests {
         assert_eq!(client.stats().transport_errors.load(Ordering::Relaxed), IN_FLIGHT as u64);
         let taken = server.join().unwrap();
         assert!(taken < http::MAX_BODY_BYTES, "the client took {taken} bytes of a refused body");
+    }
+
+    #[test]
+    fn a_retried_attempt_behind_younger_jobs_expires_at_its_original_deadline() {
+        // The server fails the first request at once and is silent ever
+        // after, on that connection and on any other.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                if held.is_empty() && http::read_request(&mut BufReader::new(&stream)).is_ok() {
+                    let _ = http::write_response(&mut (&stream), 500, "text/plain", b"no", true);
+                }
+                held.push(stream);
+            }
+        });
+
+        // One socket, one request in flight: invocation 0 is refused and
+        // backs off for 300 ms of its 600; invocation 1 then takes the
+        // pipeline and stalls there, so 2 and 3 queue; 0's second attempt
+        // arrives behind them with less time left than either.
+        let timeout = Duration::from_millis(600);
+        let backoff = Duration::from_millis(300);
+        let cfg = MuxConfig {
+            connections: 1,
+            pipeline_depth: 1,
+            request_timeout: timeout,
+            retry: RetryPolicy {
+                max_attempts: 2,
+                base: backoff,
+                cap: backoff,
+                jitter: 0.0,
+                ..RetryPolicy::default()
+            },
+            ..MuxConfig::default()
+        };
+        let client = Arc::new(MuxHttpBackend::new(addr, cfg).unwrap());
+        let callers: Vec<_> = [100, 100, 0, 0]
+            .into_iter()
+            .map(|pause_ms| {
+                let client = Arc::clone(&client);
+                let caller = std::thread::spawn(move || {
+                    let started = Instant::now();
+                    (client.invoke(&request()), started.elapsed())
+                });
+                std::thread::sleep(Duration::from_millis(pause_ms));
+                caller
+            })
+            .collect();
+        let mut results = callers.into_iter().map(|caller| caller.join().unwrap());
+
+        let (retried, elapsed) = results.next().unwrap();
+        assert_eq!(retried.outcome(), OutcomeClass::Timeout, "{retried:?}");
+        assert!(
+            elapsed >= timeout && elapsed < timeout + Duration::from_millis(150),
+            "the retried attempt waited out a younger job's deadline: {elapsed:?}"
+        );
+        for (younger, _) in results {
+            assert_eq!(younger.outcome(), OutcomeClass::Timeout, "{younger:?}");
+        }
+        assert_eq!(client.stats().retries.load(Ordering::Relaxed), 1);
+        assert_eq!(client.stats().timeouts.load(Ordering::Relaxed), 4);
     }
 }

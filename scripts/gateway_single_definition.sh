@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# The gateway's contract is defined once, in crates/gateway/src/core.rs, and
-# its wire dialect once, in crates/reactor/src/http1.rs. Fail if a piece of
-# either turns up again in a transport or in the blocking adapters. The
-# blocking transport's syscall floor is held the same way: one `write_all` per
-# message in http.rs, socket timeouts set in one place in client.rs. Then print
-# what each file weighs (lines above its first `#[cfg(test)]`).
+# The gateway's contract is defined once, in crates/gateway/src/core.rs, the
+# client's policy once, in crates/gateway/src/client.rs, and the wire dialect
+# once, in crates/reactor/src/http1.rs. Fail if a piece of any of them turns up
+# again in a transport or in the blocking adapters. The blocking transport's
+# syscall floor is held the same way: one `write_all` per message in http.rs,
+# socket timeouts set in one place in pool.rs. Then print what each file weighs
+# (lines above its first `#[cfg(test)]`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +27,10 @@ for transport in crates/gateway/src/server.rs crates/gateway/src/reactor_server.
     refuse "$transport" crates/gateway/src/core.rs \
         'Fault::' 'ServerSpan {' '"/healthz"' '"bad invocation request'
 done
+for transport in crates/gateway/src/pool.rs crates/gateway/src/mux.rs; do
+    refuse "$transport" crates/gateway/src/client.rs \
+        'InvocationResult::' 'serde_json::' 'breaker.' '"HTTP 429'
+done
 refuse crates/gateway/src/http.rs crates/reactor/src/http1.rs "split_once(':')" '"content-length"'
 
 once() { # file, why, patterns...: each on exactly one non-test line
@@ -41,7 +46,7 @@ once() { # file, why, patterns...: each on exactly one non-test line
 }
 
 once crates/gateway/src/http.rs 'head and body leave in one write (write_message)' 'write_all('
-once crates/gateway/src/client.rs 'a socket is armed only where its timeout changes (Conn::arm)' \
+once crates/gateway/src/pool.rs 'a socket is armed only where its timeout changes (Conn::arm)' \
     'set_read_timeout' 'set_write_timeout'
 
 total=0

@@ -18,9 +18,9 @@
 
 mod common;
 
-use common::{spawn_server, AnyHandle, ServerMode};
+use common::{spawn_server, AnyHandle, ClientKind, ServerMode};
 use faasrail::core::RequestTrace;
-use faasrail::gateway::{FaultConfig, GatewayConfig, HttpBackendConfig, RetryPolicy};
+use faasrail::gateway::{Client, FaultConfig, GatewayConfig, RetryPolicy};
 use faasrail::loadgen::{
     replay, replay_until, Backend, InvocationRequest, InvocationResult, NoopBackend, Pacing,
     ReplayConfig, RunMetrics,
@@ -79,35 +79,41 @@ fn chaos_gateway(mode: ServerMode, fault: FaultConfig) -> AnyHandle {
     )
 }
 
-fn chaos_client(addr: &str) -> faasrail::gateway::HttpBackend {
-    HttpBackend::connect(
-        addr,
-        HttpBackendConfig {
-            request_timeout: Duration::from_millis(250),
-            retry: RetryPolicy {
-                max_attempts: 3,
-                base: Duration::from_millis(1),
-                cap: Duration::from_millis(10),
-                jitter: 0.5,
-                jitter_seed: 11,
-            },
-            ..Default::default()
+fn chaos_client(kind: ClientKind, handle: &AnyHandle) -> Client {
+    kind.connect(
+        handle.addr(),
+        Duration::from_millis(250),
+        RetryPolicy {
+            max_attempts: 3,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(10),
+            jitter: 0.5,
+            jitter_seed: 11,
         },
     )
-    .expect("resolve chaos gateway")
 }
 
 #[test]
 fn chaos_replay_accounts_for_every_request() {
-    chaos_replay_accounts_for_every_request_in(ServerMode::Threaded);
+    chaos_replay_accounts_for_every_request_in(ServerMode::Threaded, ClientKind::Pooled);
 }
 
 #[test]
 fn chaos_replay_accounts_for_every_request_reactor() {
-    chaos_replay_accounts_for_every_request_in(ServerMode::Reactor);
+    chaos_replay_accounts_for_every_request_in(ServerMode::Reactor, ClientKind::Pooled);
 }
 
-fn chaos_replay_accounts_for_every_request_in(mode: ServerMode) {
+#[test]
+fn chaos_replay_accounts_for_every_request_mux() {
+    chaos_replay_accounts_for_every_request_in(ServerMode::Threaded, ClientKind::Mux);
+}
+
+#[test]
+fn chaos_replay_accounts_for_every_request_reactor_mux() {
+    chaos_replay_accounts_for_every_request_in(ServerMode::Reactor, ClientKind::Mux);
+}
+
+fn chaos_replay_accounts_for_every_request_in(mode: ServerMode, kind: ClientKind) {
     let n = 300;
     let (trace, pool) = dense_trace(n, 0);
     let handle = chaos_gateway(
@@ -124,7 +130,7 @@ fn chaos_replay_accounts_for_every_request_in(mode: ServerMode) {
 
     // 24 unpaced workers against 4 server workers + a queue of 2: the first
     // wave alone overflows admission, so shedding must fire.
-    let client = chaos_client(&handle.addr().to_string());
+    let client = chaos_client(kind, &handle);
     let m = replay(&trace, &pool, &client, &ReplayConfig { pacing: Pacing::Unpaced, workers: 24 });
 
     assert_nothing_lost(&m, n);
@@ -190,7 +196,7 @@ fn stop_flag_drains_gateway_replay_and_flushes_partial_metrics_in(mode: ServerMo
     let n = 5_000;
     let (trace, pool) = dense_trace(n, 2);
     let handle = chaos_gateway(mode, FaultConfig::default());
-    let client = chaos_client(&handle.addr().to_string());
+    let client = chaos_client(ClientKind::Pooled, &handle);
     let stop = AtomicBool::new(false);
 
     let m = std::thread::scope(|s| {
@@ -248,7 +254,7 @@ fn chaos_stress_heavy_fault_cocktail_in(mode: ServerMode) {
         },
     );
 
-    let client = chaos_client(&handle.addr().to_string());
+    let client = chaos_client(ClientKind::Pooled, &handle);
     let m = replay(&trace, &pool, &client, &ReplayConfig { pacing: Pacing::Unpaced, workers: 32 });
 
     assert_nothing_lost(&m, n);

@@ -5,12 +5,14 @@
 //! helper.
 
 use faasrail::gateway::{
-    Gateway, GatewayConfig, GatewayHandle, GatewayStats, ReactorGateway, ReactorHandle,
+    Client, Gateway, GatewayConfig, GatewayHandle, GatewayStats, HttpBackendConfig, MuxConfig,
+    ReactorGateway, ReactorHandle, RetryPolicy,
 };
 use faasrail::loadgen::Backend;
 use faasrail::telemetry::EventSink;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Which gateway implementation a test spins up: the thread-per-connection
 /// server or the epoll reactor. The external contract (routes, status
@@ -90,6 +92,49 @@ pub fn spawn_server_with_sink(
             }
             AnyHandle::Reactor(g.spawn())
         }
+    }
+}
+
+/// Which transport a test's client rides: the keep-alive pool or the
+/// multiplexed driver. What the client decides (retry, classification,
+/// counting) is one policy over both, so the suites that lean on it run
+/// through both.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[allow(dead_code)]
+pub enum ClientKind {
+    Pooled,
+    Mux,
+}
+
+#[allow(dead_code)]
+impl ClientKind {
+    pub const BOTH: [ClientKind; 2] = [ClientKind::Pooled, ClientKind::Mux];
+
+    /// A client of this kind for `addr`; the mux pipelines four deep over
+    /// eight connections.
+    pub fn connect(
+        self,
+        addr: SocketAddr,
+        request_timeout: Duration,
+        retry: RetryPolicy,
+    ) -> Client {
+        match self {
+            ClientKind::Pooled => Client::connect(
+                &addr.to_string(),
+                HttpBackendConfig { request_timeout, retry, ..HttpBackendConfig::default() },
+            ),
+            ClientKind::Mux => Client::new(
+                addr,
+                MuxConfig {
+                    connections: 8,
+                    pipeline_depth: 4,
+                    request_timeout,
+                    retry,
+                    ..MuxConfig::default()
+                },
+            ),
+        }
+        .expect("resolve gateway address")
     }
 }
 

@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::{spawn_server, ServerMode};
+use common::{spawn_server, ClientKind, ServerMode};
 use faasrail::gateway::http::{read_response, write_request};
 use faasrail::gateway::{FaultConfig, GatewayConfig, HttpBackend, HttpBackendConfig, RetryPolicy};
 use faasrail::loadgen::{
@@ -156,15 +156,25 @@ fn loopback_replay_preserves_invocation_durations_in(mode: ServerMode) {
 
 #[test]
 fn fault_injection_is_recovered_by_client_retry() {
-    fault_injection_is_recovered_by_client_retry_in(ServerMode::Threaded);
+    fault_injection_is_recovered_by_client_retry_in(ServerMode::Threaded, ClientKind::Pooled);
 }
 
 #[test]
 fn fault_injection_is_recovered_by_client_retry_reactor() {
-    fault_injection_is_recovered_by_client_retry_in(ServerMode::Reactor);
+    fault_injection_is_recovered_by_client_retry_in(ServerMode::Reactor, ClientKind::Pooled);
 }
 
-fn fault_injection_is_recovered_by_client_retry_in(mode: ServerMode) {
+#[test]
+fn fault_injection_is_recovered_by_client_retry_mux() {
+    fault_injection_is_recovered_by_client_retry_in(ServerMode::Threaded, ClientKind::Mux);
+}
+
+#[test]
+fn fault_injection_is_recovered_by_client_retry_reactor_mux() {
+    fault_injection_is_recovered_by_client_retry_in(ServerMode::Reactor, ClientKind::Mux);
+}
+
+fn fault_injection_is_recovered_by_client_retry_in(mode: ServerMode, kind: ClientKind) {
     let (reqs, pool) = generated_requests(22, 400);
 
     // 5% dropped connections + 15% injected 500s, deterministically seeded.
@@ -184,26 +194,23 @@ fn fault_injection_is_recovered_by_client_retry_in(mode: ServerMode) {
         },
     );
 
-    let client = HttpBackend::connect(
-        &handle.addr().to_string(),
-        HttpBackendConfig {
-            request_timeout: Duration::from_secs(10),
-            retry: RetryPolicy {
-                max_attempts: 8,
-                base: Duration::from_millis(1),
-                cap: Duration::from_millis(20),
-                jitter: 0.5,
-                jitter_seed: 77,
-            },
-            ..Default::default()
+    let client = kind.connect(
+        handle.addr(),
+        Duration::from_secs(10),
+        RetryPolicy {
+            max_attempts: 8,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(20),
+            jitter: 0.5,
+            jitter_seed: 77,
         },
-    )
-    .expect("resolve gateway address");
+    );
 
     let m = replay(&reqs, &pool, &client, &ReplayConfig { pacing: Pacing::Unpaced, workers: 4 });
 
     // Every retryable failure recovered: the replay sees only successes.
     assert_eq!(m.completed as usize, reqs.len(), "breakdown: {}", m.outcome_breakdown());
+    assert_eq!(m.completed + m.errors, m.issued);
     assert_eq!(m.errors, 0);
     assert_eq!(m.app_errors, 0);
     assert_eq!(m.timeouts, 0);
@@ -212,8 +219,9 @@ fn fault_injection_is_recovered_by_client_retry_in(mode: ServerMode) {
     // The faults actually fired, and recovery left tracks. An injected 500
     // is a real response, so it always consumes a retry attempt; a dropped
     // connection kills the socket, so it always forces a fresh connect
-    // (but only costs a *retry* when it hits a non-reused connection — a
-    // reused one is replaced for free, per the pooling contract).
+    // (in the pool it only costs a *retry* when it hits a non-reused
+    // connection — a reused one is replaced for free, per the pooling
+    // contract; in the mux it costs one for every request pipelined there).
     let retries = client.stats().retries.load(std::sync::atomic::Ordering::Relaxed);
     let connects = client.stats().connects.load(std::sync::atomic::Ordering::Relaxed);
     assert!(retries > 0, "expected some retries under 20% fault rate");
@@ -232,6 +240,54 @@ fn fault_injection_is_recovered_by_client_retry_in(mode: ServerMode) {
         "each dropped connection forces a reconnect: connects={connects} dropped={dropped}"
     );
     handle.stop();
+}
+
+/// What a `500` costs an invocation is the policy's to say, not the
+/// transport's: over the same seeded fault pattern both clients lose the
+/// same invocations to it at one attempt, and neither loses any at four.
+#[test]
+fn both_clients_count_the_same_injected_errors_and_both_recover() {
+    let (reqs, pool) = generated_requests(24, 200);
+    // One worker: which attempt draws which fault is then fixed by the seed.
+    let sequential = ReplayConfig { pacing: Pacing::Unpaced, workers: 1 };
+    let run = |mode: ServerMode, kind: ClientKind, max_attempts: u32| {
+        let handle = spawn_server(
+            mode,
+            Arc::new(ModelBackend { pool: pool.clone() }),
+            GatewayConfig {
+                fault: FaultConfig { error_fraction: 0.2, seed: 9, ..FaultConfig::default() },
+                ..Default::default()
+            },
+        );
+        let retry = RetryPolicy {
+            max_attempts,
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(5),
+            ..RetryPolicy::default()
+        };
+        let client = kind.connect(handle.addr(), Duration::from_secs(10), retry);
+        let m = replay(&reqs, &pool, &client, &sequential);
+        let cell = format!("{mode:?} x {kind:?} x {max_attempts}: {}", m.outcome_breakdown());
+        assert_eq!(m.completed + m.errors, m.issued, "{cell}");
+        assert_eq!(m.transport_errors, m.errors, "{cell}");
+        let counted = client.stats().transport_errors.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(counted, m.transport_errors, "{cell}");
+        drop(client);
+        let injected = handle.stats().faults_errored.load(std::sync::atomic::Ordering::Relaxed);
+        handle.stop();
+        (m.transport_errors, injected)
+    };
+    for mode in ServerMode::BOTH {
+        let (pooled, injected) = run(mode, ClientKind::Pooled, 1);
+        assert!(pooled > 0, "{mode:?}: a fifth of {} requests should draw a 500", reqs.len());
+        assert_eq!(pooled, injected, "{mode:?}: one attempt sees every injected 500");
+        assert_eq!(run(mode, ClientKind::Mux, 1), (pooled, injected), "{mode:?}");
+        for kind in ClientKind::BOTH {
+            let (lost, injected) = run(mode, kind, 4);
+            assert_eq!(lost, 0, "{mode:?} x {kind:?}: four attempts recover every 500");
+            assert!(injected >= pooled, "{mode:?} x {kind:?}: the faults still fired");
+        }
+    }
 }
 
 #[test]
