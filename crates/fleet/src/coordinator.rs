@@ -1,72 +1,53 @@
-//! The fleet coordinator: shard, synchronize, collect — and reshard.
+//! The fleet coordinator: the sockets, threads and clocks around the
+//! control core.
 //!
-//! One coordinator drives N agents through the wire protocol in
-//! [`wire`](crate::wire). The shard partitioner is
-//! [`faasrail_loadgen::ShardSpec`] — hash of function index, so every
-//! function's full per-minute series lands on exactly one agent and the
-//! per-function load shapes the paper's representativeness argument rests
-//! on survive sharding intact.
+//! What a fleet run *decides* is [`control`](crate::control), stated once
+//! and free of IO. This file accepts and handshakes agents over
+//! [`wire`](crate::wire) (version check → clock probes → shard assignment
+//! → synchronized start), turns what the sockets do into [`Event`]s, and
+//! carries out the frames the core returns.
 //!
-//! Since PR 7 the coordinator is an *elastic control plane*:
+//! * **One owner.** The main thread owns the [`Control`] and every agent's
+//!   write half. Reader threads (one per agent) and the admission thread
+//!   (rejoins and late joiners) only handshake and parse; they push events
+//!   into one channel. No state is shared, so nothing is sent under a lock.
+//! * **Liveness is a socket timeout.** An admitted stream carries the lease
+//!   ([`FleetConfig::lease_ms`]) as its read and its write timeout: silence
+//!   past it is a *stall*, EOF or reset a *crash*. A send that fails or
+//!   times out (an agent connected but not reading) shuts the stream down
+//!   and reaches the core as a loss like any other, so a wedged grantee
+//!   costs one lease, never the run.
 //!
-//! * **Liveness.** Every agent connection carries a lease
-//!   ([`FleetConfig::lease_ms`]): the `Progress` stream doubles as a
-//!   heartbeat, and an agent that goes silent past the lease is declared
-//!   *stalled*, while a closed socket is a *crash* and an `Abort` frame an
-//!   *agent abort* — three distinguishable reasons in the report.
-//! * **Dynamic resharding.** A dead agent's work is not written off: the
-//!   coordinator accounts the contiguous-finished prefix from the last
-//!   acked [`WorkPrefix`] high-water mark ([`crate::reshard::prefix_metrics`] —
-//!   per-minute and per-kind series reconstructed from the retained shard
-//!   trace, so the merged offered series stays bit-identical to an
-//!   unkilled run), then re-partitions the remainder across survivors as
-//!   `Reassign` grants ([`crate::reshard::plan_grants`]). Only work no
-//!   survivor could take books as `aborted_invocations`; the outcome
-//!   partition `completed + errors + aborted == offered` holds exactly
-//!   throughout. `reshard: false` restores the pre-elastic behavior (the
-//!   whole remainder aborts with snapshot-level accounting).
-//! * **Rejoin & late join.** After the synchronized start the listener
-//!   keeps admitting connections: an agent reconnecting with its
-//!   `HelloAck` resume token — or a brand-new late joiner — is handed an
-//!   empty assignment and becomes fresh capacity for subsequent grants.
-//! * **Backpressure.** Agents report per-window pacing lag; the fleet-wide
-//!   worst case surfaces as [`FleetReport::max_lag_ms`] (offered-vs-
-//!   achieved skew), with catch-up always coordinated-omission-correct on
-//!   the agent side.
-//!
-//! Termination: the run ends when every work item is either finished
-//! (its owner's acked watermark covers its trace) or accounted as
-//! aborted; the coordinator then sends `Finish`, collects each agent's
-//! `Done`, and merges. A fleet run always terminates with a report.
+//! The loop ends when the core says the run is resolved and every reader
+//! is gone: a fleet run always terminates with a report.
 
-use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{self, BufReader, BufWriter};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::Arc;
+use std::thread::Scope;
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
 use faasrail_core::RequestTrace;
-use faasrail_loadgen::{Pacing, RunMetrics, ShardSpec};
+use faasrail_loadgen::{Pacing, RunMetrics};
 use faasrail_telemetry::{
-    merge_event_logs, offset_from_probes, ClockOffset, DeltaWindow, ReassignSpan, RunReport,
-    Snapshot, TelemetryEvent,
+    offset_from_probes, ClockOffset, DeltaWindow, ReassignSpan, RunReport, Snapshot, TelemetryEvent,
 };
 use faasrail_workloads::WorkloadPool;
 
 use crate::console::ConsoleServer;
-use crate::history::{AgentState, History};
-use crate::reshard::{per_minute_of, plan_grants, prefix_metrics};
+use crate::control::{Control, Event, Loss, Outbound};
+use crate::history::History;
 use crate::wire::{
-    read_frame, wall_clock_us, write_frame, Assignment, FleetMessage, WorkPrefix, PROTOCOL_VERSION,
+    read_frame, wall_clock_us, write_frame, Assignment, FleetMessage, PROTOCOL_VERSION,
 };
 
-/// Grant work ids live in a separate id space from shard ids (which also
-/// name each agent's original work), so a late-joining shard can never
-/// collide with an issued grant.
-const GRANT_ID_BASE: u64 = 1 << 32;
+/// How often the main loop feeds the operator's stop flag to the core.
+const POLL: Duration = Duration::from_millis(50);
 
 /// Knobs for one fleet run.
 #[derive(Debug, Clone)]
@@ -193,245 +174,6 @@ pub struct FleetReport {
     pub console_history: Option<Vec<crate::history::FleetSample>>,
 }
 
-struct AgentOutcome {
-    run_start_wall_us: u64,
-    metrics: RunMetrics,
-    events: Vec<TelemetryEvent>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum SlotStatus {
-    Live,
-    Done,
-    Dead(String),
-}
-
-struct Slot {
-    name: String,
-    shard: u32,
-    assigned: u64,
-    offset: ClockOffset,
-    writer: Arc<Mutex<TcpStream>>,
-    status: SlotStatus,
-    rejoined: bool,
-    last_progress: Snapshot,
-    prefixes: HashMap<u64, WorkPrefix>,
-    lag_ms: u64,
-    max_lag_ms: u64,
-    granted: u64,
-    outcome: Option<AgentOutcome>,
-    /// Work ids currently owned (original shard + live grants).
-    owned: Vec<u64>,
-}
-
-struct Work {
-    /// Retained trace (resharding runs); `None` under `reshard: false`.
-    trace: Option<RequestTrace>,
-    len: u64,
-    owner: usize,
-    origin_shard: u32,
-    /// Fully accounted without (or before) its owner's `Done`: salvaged
-    /// prefix + regranted/aborted remainder, or the owner reported in.
-    accounted: bool,
-}
-
-struct Inner {
-    slots: Vec<Slot>,
-    works: HashMap<u64, Work>,
-    next_grant_id: u64,
-    next_shard: u32,
-    abort_reasons: Vec<String>,
-    reassignments: Vec<ReassignSpan>,
-    /// Prefix metrics salvaged from dead agents' works.
-    salvaged: RunMetrics,
-    aborted_per_minute: Vec<u64>,
-}
-
-/// Shared control-plane state, threaded through collector threads.
-struct Control<'a> {
-    pool: &'a WorkloadPool,
-    cfg: &'a FleetConfig,
-    epoch_us: u64,
-    /// Operator abort in progress: deaths stop resharding (the work is
-    /// being cancelled anyway) and fall back to snapshot accounting.
-    aborting: &'a AtomicBool,
-    collectors: &'a AtomicUsize,
-    inner: Mutex<Inner>,
-}
-
-impl Control<'_> {
-    /// Trace time elapsed fleet-wide right now, milliseconds.
-    fn elapsed_trace_ms(&self) -> u64 {
-        let wall_ms = wall_clock_us().saturating_sub(self.epoch_us) / 1_000;
-        match self.cfg.pacing {
-            Pacing::RealTime { compression } => (wall_ms as f64 * compression) as u64,
-            _ => 0,
-        }
-    }
-
-    fn on_progress(
-        &self,
-        idx: usize,
-        snapshot: Snapshot,
-        prefixes: Vec<WorkPrefix>,
-        lag_ms: u64,
-        max_lag_ms: u64,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        let slot = &mut inner.slots[idx];
-        slot.last_progress = snapshot;
-        slot.lag_ms = lag_ms;
-        slot.max_lag_ms = slot.max_lag_ms.max(max_lag_ms);
-        for p in prefixes {
-            slot.prefixes.insert(p.work, p);
-        }
-    }
-
-    fn on_done(&self, idx: usize, outcome: AgentOutcome) {
-        let mut inner = self.inner.lock().unwrap();
-        let slot = &mut inner.slots[idx];
-        slot.status = SlotStatus::Done;
-        slot.outcome = Some(outcome);
-        let owned = slot.owned.clone();
-        for w in owned {
-            if let Some(work) = inner.works.get_mut(&w) {
-                work.accounted = true;
-            }
-        }
-    }
-
-    /// Declare a slot dead and re-plan its work. `kind` is `"crash"`,
-    /// `"stall"`, or `"abort"` (with the agent's reason).
-    fn on_dead(&self, idx: usize, kind: &str, agent_reason: Option<String>) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.slots[idx].status != SlotStatus::Live {
-            return;
-        }
-        let reason = match &agent_reason {
-            Some(r) => format!("{kind}: {r}"),
-            None => kind.to_string(),
-        };
-        inner.slots[idx].status = SlotStatus::Dead(reason.clone());
-        let dead_shard = inner.slots[idx].shard;
-        if let Some(r) = agent_reason {
-            inner.abort_reasons.push(format!("shard {dead_shard}: {r}"));
-        }
-        let owned = std::mem::take(&mut inner.slots[idx].owned);
-
-        if !self.cfg.reshard || self.aborting.load(Ordering::Relaxed) {
-            // Pre-elastic accounting: the merge layer books this slot's
-            // finished work from its last snapshot and the remainder as
-            // aborted. Mark the works accounted so termination converges.
-            for w in owned {
-                if let Some(work) = inner.works.get_mut(&w) {
-                    work.accounted = true;
-                }
-            }
-            return;
-        }
-
-        let elapsed_ms = self.elapsed_trace_ms();
-        for w in owned {
-            let prefix = inner.slots[idx]
-                .prefixes
-                .get(&w)
-                .copied()
-                .unwrap_or(WorkPrefix { work: w, ..WorkPrefix::default() });
-            let Some(work) = inner.works.get(&w) else { continue };
-            let origin_shard = work.origin_shard;
-            let trace = work.trace.clone().expect("resharding runs retain work traces");
-
-            // 1. Salvage the contiguous-finished prefix: those outcomes
-            // happened; only their latency histograms die with the agent.
-            let salvage = prefix_metrics(&trace, self.pool, &prefix);
-            inner.salvaged.merge(&salvage);
-
-            // 2. Re-partition the remainder across survivors (sorted by
-            // shard id for determinism), or book it aborted if none.
-            let mut survivors: Vec<(usize, u32)> = inner
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| *i != idx && s.status == SlotStatus::Live)
-                .map(|(i, s)| (i, s.shard))
-                .collect();
-            survivors.sort_by_key(|&(_, shard)| shard);
-            if survivors.is_empty() {
-                let remainder =
-                    faasrail_loadgen::remainder_after(&trace, prefix.watermark as usize);
-                let pm = per_minute_of(&remainder);
-                if inner.aborted_per_minute.len() < pm.len() {
-                    inner.aborted_per_minute.resize(pm.len(), 0);
-                }
-                for (a, b) in inner.aborted_per_minute.iter_mut().zip(&pm) {
-                    *a += b;
-                }
-            } else {
-                let shard_ids: Vec<u32> = survivors.iter().map(|&(_, s)| s).collect();
-                let next_id = inner.next_grant_id;
-                let grants = plan_grants(
-                    &trace,
-                    prefix.watermark,
-                    &shard_ids,
-                    next_id,
-                    origin_shard,
-                    elapsed_ms,
-                );
-                inner.next_grant_id += grants.len() as u64;
-                let at_us = wall_clock_us().saturating_sub(self.epoch_us);
-                for (target_shard, grant) in grants {
-                    let (tidx, _) = *survivors
-                        .iter()
-                        .find(|&&(_, s)| s == target_shard)
-                        .expect("planned target");
-                    let requests = grant.trace.requests.len() as u64;
-                    inner.works.insert(
-                        grant.id,
-                        Work {
-                            trace: Some(grant.trace.clone()),
-                            len: requests,
-                            owner: tidx,
-                            origin_shard,
-                            accounted: false,
-                        },
-                    );
-                    inner.slots[tidx].owned.push(grant.id);
-                    inner.slots[tidx].granted += 1;
-                    inner.reassignments.push(ReassignSpan {
-                        at_us,
-                        from_shard: dead_shard,
-                        to_shard: target_shard,
-                        work: grant.id,
-                        requests,
-                        reason: kind.to_string(),
-                    });
-                    // Best-effort send: a target that just died will fail
-                    // here, and its own death re-reshards this grant.
-                    let writer = Arc::clone(&inner.slots[tidx].writer);
-                    let msg = FleetMessage::Reassign { grant };
-                    write_frame(&mut *writer.lock().unwrap(), &msg).ok();
-                }
-            }
-            if let Some(work) = inner.works.get_mut(&w) {
-                work.accounted = true;
-            }
-        }
-    }
-
-    /// Every work item finished (acked watermark covers it) or accounted.
-    fn all_work_resolved(&self) -> bool {
-        let inner = self.inner.lock().unwrap();
-        inner.works.iter().all(|(id, work)| {
-            if work.accounted {
-                return true;
-            }
-            let slot = &inner.slots[work.owner];
-            slot.status == SlotStatus::Live
-                && slot.prefixes.get(id).map(|p| p.watermark >= work.len).unwrap_or(work.len == 0)
-        })
-    }
-}
-
 /// A bound fleet coordinator, ready to accept agents.
 pub struct Coordinator {
     listener: TcpListener,
@@ -479,12 +221,10 @@ impl Coordinator {
     ) -> io::Result<FleetReport> {
         assert!(cfg.agents > 0, "a fleet needs at least one agent");
         let shards = cfg.agents as u32;
-        let offered = trace.requests.len() as u64;
         let run_token = format!("fleet-{:x}", wall_clock_us());
 
         // Ops console: pre-bound (`with_console`) or bound here from the
-        // config. It serves from before the first handshake until the
-        // final merge, so operators can watch the whole run.
+        // config; it serves from before the first handshake to the merge.
         let console_bound;
         let console: Option<&ConsoleServer> = match (&self.console, &cfg.console) {
             (Some(c), _) => Some(c),
@@ -494,202 +234,158 @@ impl Coordinator {
             }
             (None, None) => None,
         };
-        let console_run = match console {
-            Some(c) => Some(c.start()?),
-            None => None,
-        };
+        let console_run = console.map(|c| c.start()).transpose()?;
         let history: Option<Arc<History>> = console.map(|c| c.history());
 
-        // Phase 1: accept + handshake each agent sequentially. Sequential
-        // is fine — the expensive part (shard traces) is precomputed, and
-        // a synchronized start makes staggered handshakes harmless.
-        let mut slots: Vec<Slot> = Vec::with_capacity(cfg.agents);
-        let mut readers: Vec<BufReader<TcpStream>> = Vec::with_capacity(cfg.agents);
+        // Phase 1: accept + handshake each agent, one after the other: a
+        // synchronized start makes staggered handshakes harmless.
+        let mut initial = Vec::with_capacity(cfg.agents);
         for shard in 0..shards {
             let (stream, peer) = self.listener.accept()?;
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(cfg.agent_timeout))?;
-            let shard_trace = ShardSpec::new(shard, shards).filter(trace);
             let token = format!("{run_token}-{shard}");
-            let (slot, reader) =
-                handshake(stream, peer, shard, shard_trace, pool, cfg, offered, token).map_err(
-                    |e| io::Error::new(e.kind(), format!("handshake with shard {shard}: {e}")),
-                )?;
-            slots.push(slot);
-            readers.push(reader);
+            initial.push(handshake(stream, peer, shard, trace, pool, cfg, token).map_err(|e| {
+                io::Error::new(e.kind(), format!("handshake with shard {shard}: {e}"))
+            })?);
         }
 
         // Phase 2: one epoch, rebased per agent onto its own clock.
         let epoch_us = wall_clock_us() + cfg.start_delay_ms * 1_000;
-        for slot in &slots {
-            let at_agent_wall_us = rebase(epoch_us, slot.offset.offset_us);
-            let mut w = slot.writer.lock().unwrap();
-            write_frame(&mut *w, &FleetMessage::Start { at_agent_wall_us })?;
+        let epoch_at = Instant::now() + Duration::from_millis(cfg.start_delay_ms);
+        for agent in &mut initial {
+            start(agent, epoch_us)?;
         }
 
-        // Phase 3: the control plane. One collector thread per agent (the
-        // lease is the socket read timeout), an admission thread for
-        // rejoins/late joiners, and the main thread deciding termination.
-        let mut works = HashMap::new();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            works.insert(
-                slot.shard as u64,
-                Work {
-                    trace: cfg.reshard.then(|| ShardSpec::new(slot.shard, shards).filter(trace)),
-                    len: slot.assigned,
-                    owner: i,
-                    origin_shard: slot.shard,
-                    accounted: false,
-                },
-            );
-            slot.owned.push(slot.shard as u64);
-        }
-        let aborting = AtomicBool::new(false);
-        let collectors = AtomicUsize::new(slots.len());
-        let control = Control {
-            pool,
-            cfg,
-            epoch_us,
-            aborting: &aborting,
-            collectors: &collectors,
-            inner: Mutex::new(Inner {
-                slots,
-                works,
-                next_grant_id: GRANT_ID_BASE,
-                next_shard: shards,
-                abort_reasons: Vec::new(),
-                reassignments: Vec::new(),
-                salvaged: RunMetrics::new(),
-                aborted_per_minute: Vec::new(),
-            }),
-        };
+        // Phase 3: the control plane. Readers and the admission thread
+        // feed one channel; this thread owns the core and the write halves.
+        let mut control = Control::new(trace, pool, cfg, epoch_us);
+        let mut writers: BTreeMap<u32, TcpStream> = BTreeMap::new();
         let run_over = AtomicBool::new(false);
-        let finish_sent = AtomicBool::new(false);
-        let admission_busy = AtomicBool::new(false);
+        let (tx, rx) = mpsc::channel::<Arrival>();
 
         self.listener.set_nonblocking(true)?;
         std::thread::scope(|scope| {
-            let control = &control;
-            for (idx, reader) in readers.into_iter().enumerate() {
-                scope.spawn(move || {
-                    collect_agent(control, idx, reader);
-                    control.collectors.fetch_sub(1, Ordering::AcqRel);
-                });
+            for (shard, agent) in (0..shards).zip(initial) {
+                enlist(scope, &tx, shard, agent);
             }
 
-            // Admission: rejoins and late joiners become spare capacity.
-            {
-                let (run_over, finish_sent, admission_busy) =
-                    (&run_over, &finish_sent, &admission_busy);
-                let (listener, trace) = (&self.listener, trace);
-                scope.spawn(move || {
-                    while !run_over.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((stream, peer)) => {
-                                admission_busy.store(true, Ordering::Release);
-                                admit_spare(
-                                    control,
-                                    scope,
-                                    stream,
-                                    peer,
-                                    trace,
-                                    finish_sent.load(Ordering::Acquire),
-                                );
-                                admission_busy.store(false, Ordering::Release);
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(50));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            // Admission: rejoins and late joiners become spare capacity (an
+            // empty assignment, a `Start` at the past epoch). It owns the
+            // last sender besides the readers': the channel disconnects
+            // once it and they are gone.
+            let (listener, run_over) = (&self.listener, &run_over);
+            scope.spawn(move || {
+                let mut next_shard = shards;
+                while !run_over.load(Ordering::Acquire) {
+                    let Ok((stream, peer)) = listener.accept() else {
+                        std::thread::sleep(POLL);
+                        continue;
+                    };
+                    let shard = next_shard;
+                    next_shard += 1;
+                    let token = format!("fleet-spare-{:x}-{shard}", wall_clock_us());
+                    let admitted = handshake(stream, peer, shard, trace, pool, cfg, token)
+                        .and_then(|mut agent| start(&mut agent, epoch_us).map(|()| agent));
+                    match admitted {
+                        Ok(agent) => enlist(scope, &tx, shard, agent),
+                        Err(e) => {
+                            let (peer, error) = (peer.to_string(), e.to_string());
+                            tx.send((Event::AdmissionFailed { peer, error }, None)).ok();
                         }
                     }
-                });
-            }
+                }
+            });
 
             let window = Duration::from_millis(cfg.progress_every_ms.max(100));
-            let history = &history;
+            let since_epoch = || Instant::now().saturating_duration_since(epoch_at);
+            let mut next_publish = Instant::now() + window;
+            let mut published_at = Duration::ZERO;
             let mut live_windows = DeltaWindow::new();
-            let mut elapsed = Duration::ZERO;
+            let mut outbox: VecDeque<Outbound> = VecDeque::new();
             loop {
-                std::thread::sleep(Duration::from_millis(50));
-                elapsed += Duration::from_millis(50);
-                if stop.load(Ordering::Relaxed) && !aborting.swap(true, Ordering::AcqRel) {
-                    let inner = control.inner.lock().unwrap();
-                    for slot in inner.slots.iter().filter(|s| s.status == SlotStatus::Live) {
-                        let abort =
-                            FleetMessage::Abort { reason: "coordinator stop requested".into() };
-                        write_frame(&mut *slot.writer.lock().unwrap(), &abort).ok();
+                let wait = POLL.min(next_publish.saturating_duration_since(Instant::now()));
+                match rx.recv_timeout(wait) {
+                    Ok((event, stream)) => {
+                        if let (Event::Joined { shard, .. }, Some(stream)) = (&event, stream) {
+                            writers.insert(*shard, stream);
+                        }
+                        outbox.extend(control.handle(wall_clock_us(), event));
+                    }
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+                if stop.load(Ordering::Relaxed) {
+                    outbox.extend(control.handle(wall_clock_us(), Event::Stop));
+                }
+                while let Some((shard, msg)) = outbox.pop_front() {
+                    let stream = writers.get_mut(&shard).expect("only joined shards are addressed");
+                    if let Err(loss) = send(stream, &msg) {
+                        let failed = Event::SendFailed { shard, loss };
+                        outbox.extend(control.handle(wall_clock_us(), failed));
                     }
                 }
-                if !finish_sent.load(Ordering::Acquire)
-                    && !aborting.load(Ordering::Acquire)
-                    && control.all_work_resolved()
-                {
-                    finish_sent.store(true, Ordering::Release);
-                    let inner = control.inner.lock().unwrap();
-                    for slot in inner.slots.iter().filter(|s| s.status == SlotStatus::Live) {
-                        write_frame(&mut *slot.writer.lock().unwrap(), &FleetMessage::Finish).ok();
-                    }
-                }
-                if (cfg.live || history.is_some())
-                    && elapsed.as_millis() % window.as_millis().max(1) < 50
-                {
-                    let inner = control.inner.lock().unwrap();
-                    let mut merged = Snapshot::default();
-                    for slot in &inner.slots {
-                        merged.merge(&slot.last_progress);
-                    }
-                    if let Some(h) = history {
-                        let at_ms = wall_clock_us().saturating_sub(epoch_us) / 1_000;
-                        h.publish(at_ms, &merged, agent_states(&inner.slots));
-                        h.set_timeline(inner.reassignments.clone(), inner.abort_reasons.clone());
+                if Instant::now() >= next_publish {
+                    // One measured instant pair feeds the history's `at_ms`
+                    // and the stderr rates: `--live`, `/state` and `fleet
+                    // top` divide by the same time.
+                    let at = since_epoch();
+                    next_publish = Instant::now() + window;
+                    if let Some(h) = &history {
+                        publish(h, &control, at);
                     }
                     if cfg.live {
-                        let lag: u64 = inner.slots.iter().map(|s| s.lag_ms).max().unwrap_or(0);
-                        // Same DeltaWindow machinery as the console history
-                        // and `fleet top`, so the three views always agree.
-                        let delta = live_windows.advance(&merged);
-                        eprintln!(
-                            "[fleet {} agents, lag {}ms] {}",
-                            inner.slots.len(),
-                            lag,
-                            delta.progress_line(window.as_secs_f64(), elapsed.as_secs_f64())
-                        );
+                        let agents = control.agent_states();
+                        let lag = agents.iter().map(|a| a.lag_ms).max().unwrap_or(0);
+                        let window = at.saturating_sub(published_at).as_secs_f64();
+                        let line = live_windows
+                            .advance(&control.merged_progress())
+                            .progress_line(window, at.as_secs_f64());
+                        eprintln!("[fleet {} agents, lag {lag}ms] {line}", agents.len());
                     }
+                    published_at = at;
                 }
-                if collectors.load(Ordering::Acquire) == 0
-                    && !admission_busy.load(Ordering::Acquire)
-                {
-                    break;
+                if control.is_over() {
+                    run_over.store(true, Ordering::Release);
                 }
             }
-            run_over.store(true, Ordering::Release);
+
+            // One terminal sample so consumers that poll after the last
+            // window still see final lease states and the complete timeline.
+            if let Some(h) = &history {
+                publish(h, &control, since_epoch());
+            }
         });
         self.listener.set_nonblocking(false).ok();
-
-        // One terminal sample so consumers that poll after the last window
-        // still see final lease states and the complete timeline.
-        if let Some(h) = &history {
-            let inner = control.inner.lock().unwrap();
-            let mut merged = Snapshot::default();
-            for slot in &inner.slots {
-                merged.merge(&slot.last_progress);
-            }
-            let at_ms = wall_clock_us().saturating_sub(epoch_us) / 1_000;
-            h.publish(at_ms, &merged, agent_states(&inner.slots));
-            h.set_timeline(inner.reassignments.clone(), inner.abort_reasons.clone());
-        }
         if let Some(run) = console_run {
             run.stop();
         }
 
-        let inner = control.inner.into_inner().unwrap();
-        let mut report = merge_fleet(inner, shards, offered, epoch_us, cfg);
-        // Persist the bounded console timeline (published above even when
-        // no console was served) so the run's trajectory outlives the run.
+        let mut report = control.into_report();
+        // The bounded console timeline outlives the console in the report.
         report.console_history = history.as_ref().map(|h| h.samples());
         Ok(report)
     }
+}
+
+/// What the reader and admission threads push at the main thread: an
+/// event and, with a `Joined`, the agent's write half. The main thread
+/// stamps it when it acts on it, which is when a grant it causes is issued.
+type Arrival = (Event, Option<TcpStream>);
+
+/// A connection that completed its handshake.
+struct Handshaken {
+    name: String,
+    clock: ClockOffset,
+    rejoined: bool,
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+/// One console sample (cumulative snapshot, agent rows, timeline) `at`
+/// after the epoch.
+fn publish(history: &History, control: &Control<'_>, at: Duration) {
+    history.publish(at.as_millis() as u64, &control.merged_progress(), control.agent_states());
+    let (reassignments, abort_reasons) = control.timeline();
+    history.set_timeline(reassignments.to_vec(), abort_reasons.to_vec());
 }
 
 /// Convert a coordinator-clock instant to the agent's clock using the
@@ -703,33 +399,53 @@ fn proto_err(what: &str, got: &FleetMessage) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("expected {what}, got {got:?}"))
 }
 
+/// One timeout for both directions of an agent stream: the handshake
+/// timeout first, the lease once the agent is admitted. An agent that is
+/// connected but not reading must fail a send, not block it.
+fn arm(stream: &TcpStream, timeout: Duration) -> io::Result<()> {
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))
+}
+
+/// The loss an IO error on an agent stream stands for: a timeout is a
+/// stall, anything else a crash.
+fn loss_of(e: &io::Error) -> Loss {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => Loss::Stall,
+        _ => Loss::Crash,
+    }
+}
+
 /// Hello → version check → HelloAck → probes → Assign → Ready on a fresh
-/// agent connection. Returns the armed slot plus whether the agent
-/// presented a resume token (a rejoin).
-#[allow(clippy::too_many_arguments)]
+/// agent connection, under `cfg.agent_timeout`; the stream leaves armed
+/// with the lease.
 fn handshake(
     stream: TcpStream,
     peer: SocketAddr,
     shard: u32,
-    shard_trace: RequestTrace,
+    trace: &RequestTrace,
     pool: &WorkloadPool,
     cfg: &FleetConfig,
-    offered: u64,
     token: String,
-) -> io::Result<(Slot, BufReader<TcpStream>)> {
+) -> io::Result<Handshaken> {
+    stream.set_nodelay(true).ok();
+    arm(&stream, cfg.agent_timeout)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream.try_clone()?);
 
-    let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "agent hung up");
-    let (name, rejoined) = match read_frame(&mut reader)?.ok_or_else(eof)? {
+    let mut recv = || {
+        let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "agent hung up");
+        read_frame(&mut reader)?.ok_or_else(eof)
+    };
+    let (name, rejoined) = match recv()? {
         FleetMessage::Hello { name, proto, resume_token, .. } => {
             let proto = crate::wire::effective_proto(proto);
             if proto != PROTOCOL_VERSION {
                 let reason = format!(
                     "protocol version mismatch: coordinator v{PROTOCOL_VERSION}, agent v{proto}"
                 );
+                // Best effort: the handshake fails with `reason` either way.
                 write_frame(&mut writer, &FleetMessage::Abort { reason: reason.clone() }).ok();
-                writer.flush().ok();
                 return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
             }
             let name = if name.is_empty() { format!("agent@{peer}") } else { name };
@@ -739,28 +455,23 @@ fn handshake(
     };
     write_frame(
         &mut writer,
-        &FleetMessage::HelloAck {
-            proto: PROTOCOL_VERSION,
-            token: token.clone(),
-            lease_ms: cfg.lease_ms,
-        },
+        &FleetMessage::HelloAck { proto: PROTOCOL_VERSION, token, lease_ms: cfg.lease_ms },
     )?;
-    writer.flush()?;
 
     let mut samples = Vec::with_capacity(cfg.probes as usize);
     for seq in 0..cfg.probes {
         let send_us = wall_clock_us();
         write_frame(&mut writer, &FleetMessage::Probe { seq, wall_us: send_us })?;
-        writer.flush()?;
-        match read_frame(&mut reader)?.ok_or_else(eof)? {
+        match recv()? {
             FleetMessage::ProbeReply { seq: got, agent_wall_us, .. } if got == seq => {
                 samples.push((send_us, agent_wall_us, wall_clock_us()));
             }
             other => return Err(proto_err("probe reply", &other)),
         }
     }
-    let offset = offset_from_probes(&samples);
+    let clock = offset_from_probes(&samples);
 
+    let shard_trace = Control::assignment(trace, shard, cfg.agents as u32);
     let assigned = shard_trace.requests.len() as u64;
     let assignment = Assignment {
         shard,
@@ -772,364 +483,78 @@ fn handshake(
         target: cfg.target.clone(),
         trace: shard_trace,
         pool: pool.clone(),
-        event_capacity: offered + 64,
+        event_capacity: trace.requests.len() as u64 + 64,
     };
     write_frame(&mut writer, &FleetMessage::Assign { assignment })?;
-    writer.flush()?;
-    match read_frame(&mut reader)?.ok_or_else(eof)? {
-        FleetMessage::Ready { shard: got, requests } if got == shard => {
-            if requests != assigned {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("shard {shard} acknowledged {requests} requests, assigned {assigned}"),
-                ));
-            }
+    match recv()? {
+        FleetMessage::Ready { shard: got, requests } if (got, requests) == (shard, assigned) => {}
+        other => {
+            return Err(proto_err(&format!("shard {shard} ready for {assigned} requests"), &other))
         }
-        other => return Err(proto_err("ready", &other)),
     }
 
-    let slot = Slot {
-        name,
-        shard,
-        assigned,
-        offset,
-        writer: Arc::new(Mutex::new(stream)),
-        status: SlotStatus::Live,
-        rejoined,
-        last_progress: Snapshot::default(),
-        prefixes: HashMap::new(),
-        lag_ms: 0,
-        max_lag_ms: 0,
-        granted: 0,
-        outcome: None,
-        owned: Vec::new(),
-    };
-    Ok((slot, reader))
+    arm(&stream, Duration::from_millis(cfg.lease_ms.max(100)))?;
+    Ok(Handshaken { name, clock, rejoined, stream, reader })
 }
 
-/// Admit a mid-run connection (rejoin or late join) as spare capacity:
-/// full handshake with an *empty* assignment, a `Start` at the (past)
-/// epoch, registration as a live slot, and a collector thread. Refused
-/// with a clean `Abort` once the run is finishing.
-fn admit_spare<'scope, 'env>(
-    control: &'scope Control<'env>,
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    stream: TcpStream,
-    peer: SocketAddr,
-    trace: &RequestTrace,
-    finishing: bool,
+/// Send `Start` at the fleet epoch, rebased onto the agent's own clock.
+fn start(agent: &mut Handshaken, epoch_us: u64) -> io::Result<()> {
+    let at_agent_wall_us = rebase(epoch_us, agent.clock.offset_us);
+    write_frame(&mut agent.stream, &FleetMessage::Start { at_agent_wall_us })
+}
+
+/// Hand a started agent (its write half rides the `Joined` event) to the
+/// main thread, then start its reader: the join precedes its first frame.
+fn enlist<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    tx: &Sender<Arrival>,
+    shard: u32,
+    agent: Handshaken,
 ) {
-    stream.set_nodelay(true).ok();
-    if stream.set_read_timeout(Some(control.cfg.agent_timeout)).is_err() {
-        return;
-    }
-    if finishing {
-        let reason = "run is finishing; no capacity needed".to_string();
-        let mut w = stream;
-        write_frame(&mut w, &FleetMessage::Abort { reason: reason.clone() }).ok();
-        control.inner.lock().unwrap().abort_reasons.push(format!("refused {peer}: {reason}"));
-        return;
-    }
-    let (shard, token) = {
-        let mut inner = control.inner.lock().unwrap();
-        let shard = inner.next_shard;
-        inner.next_shard += 1;
-        (shard, format!("fleet-spare-{:x}-{shard}", wall_clock_us()))
-    };
-    let empty = RequestTrace { duration_minutes: trace.duration_minutes, requests: Vec::new() };
-    let offered = trace.requests.len() as u64;
-    match handshake(stream, peer, shard, empty, control.pool, control.cfg, offered, token) {
-        Ok((slot, reader)) => {
-            let at_agent_wall_us = rebase(control.epoch_us, slot.offset.offset_us);
-            if write_frame(
-                &mut *slot.writer.lock().unwrap(),
-                &FleetMessage::Start { at_agent_wall_us },
-            )
-            .is_err()
-            {
-                return;
-            }
-            let idx = {
-                let mut inner = control.inner.lock().unwrap();
-                let idx = inner.slots.len();
-                inner.works.insert(
-                    shard as u64,
-                    Work {
-                        trace: control.cfg.reshard.then(|| RequestTrace {
-                            duration_minutes: trace.duration_minutes,
-                            requests: Vec::new(),
-                        }),
-                        len: 0,
-                        owner: idx,
-                        origin_shard: shard,
-                        accounted: false,
-                    },
-                );
-                let mut slot = slot;
-                slot.owned.push(shard as u64);
-                inner.slots.push(slot);
-                idx
-            };
-            control.collectors.fetch_add(1, Ordering::AcqRel);
-            scope.spawn(move || {
-                collect_agent(control, idx, reader);
-                control.collectors.fetch_sub(1, Ordering::AcqRel);
-            });
-        }
-        Err(e) => {
-            control
-                .inner
-                .lock()
-                .unwrap()
-                .abort_reasons
-                .push(format!("spare admission from {peer} failed: {e}"));
-        }
+    let Handshaken { name, clock, rejoined, stream, reader } = agent;
+    let joined = Event::Joined { shard, name, clock, rejoined };
+    if tx.send((joined, Some(stream))).is_ok() {
+        let tx = tx.clone();
+        scope.spawn(move || read_agent(shard, reader, tx));
     }
 }
 
-/// Drain one agent's stream until `Done` or death. The socket carries the
-/// liveness lease as its read timeout, so the three loss modes resolve
-/// distinguishably: timeout = stall, EOF/reset = crash, `Abort` frame =
-/// agent abort (with its reason).
-fn collect_agent(control: &Control<'_>, idx: usize, mut reader: BufReader<TcpStream>) {
-    let lease = Duration::from_millis(control.cfg.lease_ms.max(100));
-    reader.get_ref().set_read_timeout(Some(lease)).ok();
+/// Forward one agent's frames until `Done`, `Abort` or a loss; the lease
+/// is the socket's read timeout (timeout = stall, EOF/reset = crash).
+fn read_agent(shard: u32, mut reader: BufReader<TcpStream>, tx: Sender<Arrival>) {
     loop {
-        match read_frame(&mut reader) {
-            Ok(Some(FleetMessage::Progress { snapshot, prefixes, lag_ms, max_lag_ms, .. })) => {
-                control.on_progress(idx, snapshot, prefixes, lag_ms, max_lag_ms);
-            }
-            Ok(Some(FleetMessage::ReassignAck { .. })) => {} // liveness via the frame itself
-            Ok(Some(FleetMessage::Done { run_start_wall_us, metrics, events, .. })) => {
-                let snapshot = snapshot_of(&metrics);
-                control.on_progress(idx, snapshot, Vec::new(), 0, 0);
-                control.on_done(idx, AgentOutcome { run_start_wall_us, metrics, events });
-                return;
-            }
-            Ok(Some(FleetMessage::Abort { reason })) => {
-                control.on_dead(idx, "abort", Some(reason));
-                return;
-            }
-            Ok(Some(_)) => {} // stray frame; still proof of life
-            Ok(None) => {
-                control.on_dead(idx, "crash", None);
-                return;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                control.on_dead(idx, "stall", None);
-                return;
-            }
-            Err(_) => {
-                control.on_dead(idx, "crash", None);
-                return;
-            }
-        }
-    }
-}
-
-/// Project the control plane's slots onto the console's per-agent rows.
-fn agent_states(slots: &[Slot]) -> Vec<AgentState> {
-    slots
-        .iter()
-        .map(|s| AgentState {
-            name: s.name.clone(),
-            shard: s.shard,
-            status: match &s.status {
-                SlotStatus::Live => "live".to_string(),
-                SlotStatus::Done => "done".to_string(),
-                SlotStatus::Dead(reason) => reason.clone(),
-            },
-            rejoined: s.rejoined,
-            granted: s.granted,
-            lag_ms: s.lag_ms,
-            max_lag_ms: s.max_lag_ms,
-            issued: s.last_progress.issued,
-            completed: s.last_progress.completed,
-            errors: s.last_progress.errors_total(),
-            shed: s.last_progress.errors[3],
-        })
-        .collect()
-}
-
-/// Project final metrics back onto the progress-snapshot shape so a
-/// completed agent's `last_progress` agrees with its metrics.
-fn snapshot_of(m: &RunMetrics) -> Snapshot {
-    let mut s = Snapshot {
-        issued: m.issued,
-        completed: m.completed,
-        errors: [m.app_errors, m.timeouts, m.transport_errors, m.shed],
-        cold_starts: m.cold_starts,
-        ..Snapshot::default()
-    };
-    s.response.merge(&m.response);
-    s
-}
-
-/// A lost shard's contribution under `reshard: false`: everything its
-/// last snapshot says *finished*. In-flight and never-dispatched requests
-/// are excluded (the report books them as aborted), so the fleet-wide
-/// outcome partition stays exact.
-fn metrics_from_snapshot(s: &Snapshot) -> RunMetrics {
-    let mut m = RunMetrics::new();
-    m.completed = s.completed;
-    m.app_errors = s.errors[0];
-    m.timeouts = s.errors[1];
-    m.transport_errors = s.errors[2];
-    m.shed = s.errors[3];
-    m.errors = s.errors_total();
-    m.issued = s.completed + s.errors_total();
-    m.cold_starts = s.cold_starts;
-    m.response.merge(&s.response);
-    m.aborted = true;
-    m
-}
-
-fn merge_fleet(
-    inner: Inner,
-    shards: u32,
-    offered: u64,
-    epoch_us: u64,
-    cfg: &FleetConfig,
-) -> FleetReport {
-    let mut metrics = inner.salvaged;
-    let mut agents = Vec::with_capacity(inner.slots.len());
-    let mut logs: Vec<Vec<TelemetryEvent>> = Vec::new();
-    let mut max_lag_ms = 0;
-    for slot in inner.slots {
-        let completed = slot.outcome.is_some();
-        max_lag_ms = max_lag_ms.max(slot.max_lag_ms);
-        match (&slot.status, slot.outcome) {
-            (_, Some(out)) => {
-                metrics.merge(&out.metrics);
-                if !out.events.is_empty() {
-                    logs.push(rebase_events(
-                        out.events,
-                        out.run_start_wall_us,
-                        slot.offset.offset_us,
-                        epoch_us,
-                    ));
-                }
-            }
-            (SlotStatus::Dead(_), None) if !cfg.reshard => {
-                // Pre-elastic accounting: last snapshot only.
-                metrics.merge(&metrics_from_snapshot(&slot.last_progress));
-            }
-            // Resharding runs salvage dead slots' work at death time
-            // (already in `inner.salvaged`); an operator abort without a
-            // delivered Done degrades to the same snapshot accounting.
-            (SlotStatus::Dead(_), None) => {}
-            (_, None) => {}
-        }
-        let status = match &slot.status {
-            SlotStatus::Done => "done".to_string(),
-            SlotStatus::Live => "live".to_string(),
-            SlotStatus::Dead(reason) => reason.clone(),
+        let event = match read_frame(&mut reader) {
+            Ok(Some(msg)) => Event::Frame { shard, msg },
+            Ok(None) => Event::Lost { shard, loss: Loss::Crash },
+            Err(e) => Event::Lost { shard, loss: loss_of(&e) },
         };
-        agents.push(AgentReport {
-            name: slot.name,
-            shard: slot.shard,
-            assigned: slot.assigned,
-            completed,
-            status,
-            granted: slot.granted,
-            rejoined: slot.rejoined,
-            lag_ms: slot.lag_ms,
-            max_lag_ms: slot.max_lag_ms,
-            clock: slot.offset,
-            last_progress: slot.last_progress,
-        });
-    }
-    let finished = metrics.completed + metrics.errors;
-    let aborted_invocations = offered.saturating_sub(finished);
-    if aborted_invocations > 0 {
-        metrics.aborted = true;
-    }
-
-    if !inner.reassignments.is_empty() {
-        logs.push(inner.reassignments.iter().cloned().map(TelemetryEvent::Reassign).collect());
-    }
-    let events = merge_event_logs(&logs);
-    let run_report =
-        (cfg.capture_events && !events.is_empty()).then(|| RunReport::from_events(&events));
-    FleetReport {
-        shards,
-        offered,
-        aborted_invocations,
-        metrics,
-        agents,
-        reassignments: inner.reassignments,
-        abort_reasons: inner.abort_reasons,
-        max_lag_ms,
-        aborted_per_minute: cfg.reshard.then_some(inner.aborted_per_minute),
-        run_report,
-        events,
-        build: faasrail_telemetry::BuildInfo::current(),
-        console_history: None,
+        let last = matches!(
+            event,
+            Event::Lost { .. }
+                | Event::Frame { msg: FleetMessage::Done { .. } | FleetMessage::Abort { .. }, .. }
+        );
+        if tx.send((event, None)).is_err() || last {
+            return;
+        }
     }
 }
 
-/// Shift one agent's run-relative span timestamps onto the fleet epoch:
-/// the agent's t=0 sits `(run_start_wall_us − offset) − epoch` after the
-/// epoch in coordinator time, so all agents' spans land on one comparable
-/// timeline before the logs merge.
-fn rebase_events(
-    mut events: Vec<TelemetryEvent>,
-    run_start_wall_us: u64,
-    offset_us: f64,
-    epoch_us: u64,
-) -> Vec<TelemetryEvent> {
-    let start_coord_us = run_start_wall_us as i64 - offset_us.round() as i64;
-    let shift = start_coord_us - epoch_us as i64;
-    let adj = |t: u64| (t as i64 + shift).max(0) as u64;
-    for event in &mut events {
-        if let TelemetryEvent::Invocation(span) = event {
-            span.target_us = adj(span.target_us);
-            span.dispatched_us = adj(span.dispatched_us);
-            span.picked_up_us = adj(span.picked_up_us);
-            span.completed_us = adj(span.completed_us);
-        }
-    }
-    events
+/// Deliver one frame of the core's. A failed or timed-out write shuts the
+/// stream down, so its reader sees the loss too, and is the [`Loss`] to
+/// report.
+fn send(stream: &mut TcpStream, msg: &FleetMessage) -> Result<(), Loss> {
+    write_frame(stream, msg).map_err(|e| {
+        stream.shutdown(Shutdown::Both).ok();
+        loss_of(&e)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_projection_matches_metrics() {
-        let mut m = RunMetrics::new();
-        m.issued = 10;
-        m.completed = 7;
-        m.errors = 3;
-        m.app_errors = 1;
-        m.timeouts = 2;
-        m.cold_starts = 4;
-        m.response.record(0.050);
-        let s = snapshot_of(&m);
-        assert_eq!(s.issued, 10);
-        assert_eq!(s.completed, 7);
-        assert_eq!(s.errors, [1, 2, 0, 0]);
-        assert_eq!(s.cold_starts, 4);
-        assert_eq!(s.response.total(), 1);
-    }
-
-    #[test]
-    fn lost_shard_counts_only_finished_work() {
-        let s = Snapshot {
-            issued: 100, // 20 in flight when the agent died
-            completed: 70,
-            errors: [4, 3, 2, 1],
-            ..Snapshot::default()
-        };
-        let m = metrics_from_snapshot(&s);
-        assert_eq!(m.issued, 80, "in-flight requests are not counted as issued");
-        assert_eq!(m.completed + m.errors, 80);
-        assert!(m.aborted);
-        assert_eq!(m.app_errors + m.timeouts + m.transport_errors + m.shed, m.errors);
-    }
+    use crate::wire::Grant;
+    use faasrail_core::Request;
+    use faasrail_workloads::{CostModel, WorkloadId};
 
     #[test]
     fn rebase_applies_offset_and_clamps() {
@@ -1138,42 +563,52 @@ mod tests {
         assert_eq!(rebase(100, -1e9), 0, "pathological offsets clamp instead of wrapping");
     }
 
+    /// A handshaken peer that never reads (SIGSTOP, a full receive buffer)
+    /// costs one lease, not the run: the send that finds its buffers full
+    /// times out, shuts the stream down and is booked as a stall.
     #[test]
-    fn rebase_events_shifts_invocation_spans_only() {
-        use faasrail_telemetry::{InvocationSpan, OutcomeClass, RunSummary};
-        let span = InvocationSpan {
-            trace_id: 1,
-            seq: 0,
-            workload: 0,
-            function_index: 0,
-            scheduled_ms: 0,
-            target_us: 1_000,
-            dispatched_us: 1_100,
-            picked_up_us: 1_200,
-            completed_us: 1_300,
-            service_ms: 0.1,
-            outcome: OutcomeClass::Ok,
-            cold_start: false,
-            error: None,
+    fn a_peer_that_never_reads_fails_the_send_within_the_lease() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _wedged = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        let lease = Duration::from_millis(300);
+        arm(&stream, lease).unwrap();
+
+        let trace = RequestTrace {
+            duration_minutes: 1,
+            requests: (0..20_000)
+                .map(|i| Request { at_ms: i, workload: WorkloadId(0), function_index: i as u32 })
+                .collect(),
         };
-        let end = RunSummary { issued: 1, completed: 1, errors: 0, aborted: false, wall_us: 9 };
-        let events = vec![TelemetryEvent::Invocation(span), TelemetryEvent::RunEnd(end)];
-        // Agent clock runs 500us ahead; run_start_wall_us = 10_500 on the
-        // agent clock is 10_000 coordinator time, epoch at 8_000 → shift
-        // = +2_000.
-        let out = rebase_events(events, 10_500, 500.0, 8_000);
-        match &out[0] {
-            TelemetryEvent::Invocation(s) => {
-                assert_eq!(s.target_us, 3_000);
-                assert_eq!(s.dispatched_us, 3_100);
-                assert_eq!(s.picked_up_us, 3_200);
-                assert_eq!(s.completed_us, 3_300);
+        let grant = Grant { id: 1 << 32, origin_shard: 0, elapsed_ms: 0, trace: trace.clone() };
+        let msg = FleetMessage::Reassign { grant };
+        let mut delivered = 0;
+        let loss = loop {
+            let began = Instant::now();
+            match send(&mut stream, &msg) {
+                Ok(()) => delivered += 1,
+                Err(loss) => {
+                    // A write that timed out half way returns short; the
+                    // retry then times out with nothing written.
+                    assert!(began.elapsed() < 3 * lease, "{:?}", began.elapsed());
+                    break loss;
+                }
             }
-            other => panic!("expected invocation span, got {other:?}"),
+            assert!(delivered < 1_000, "the peer's buffers never filled");
+        };
+        assert_eq!(loss, Loss::Stall, "a timed-out write is a stall");
+        let mut rest = Vec::new();
+        let eof = io::Read::read_to_end(&mut stream, &mut rest);
+        assert_eq!(eof.ok(), Some(0), "the stream is shut down: its reader sees the loss too");
+
+        let pool = WorkloadPool::vanilla(&CostModel::default_calibration());
+        let cfg = FleetConfig { agents: 2, ..FleetConfig::default() };
+        let mut control = Control::new(&trace, &pool, &cfg, 0);
+        for shard in 0..2 {
+            let clock = ClockOffset::default();
+            control.handle(0, Event::Joined { shard, name: String::new(), clock, rejoined: false });
         }
-        match &out[1] {
-            TelemetryEvent::RunEnd(e) => assert_eq!(e.wall_us, 9, "run_end is untouched"),
-            other => panic!("expected run_end, got {other:?}"),
-        }
+        control.handle(1, Event::SendFailed { shard: 1, loss });
+        assert_eq!(control.agent_states()[1].status, "stall");
     }
 }

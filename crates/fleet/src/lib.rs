@@ -11,42 +11,28 @@
 //!   each function's per-minute invocation series replays intact on one
 //!   agent and the union of shards is exactly the original schedule;
 //! * **synchronized start** — the coordinator probes each agent's wall
-//!   clock ([`faasrail_telemetry::offset_from_probes`], the same midpoint
-//!   estimator the cross-tier trace join uses), then issues one epoch
-//!   rebased onto every agent's own clock, so shards fire together even
-//!   across skewed machines;
+//!   clock ([`faasrail_telemetry::offset_from_probes`]) and issues one
+//!   epoch rebased onto every agent's own clock, so shards fire together
+//!   even across skewed machines;
 //! * **self-contained assignments** — agents receive their shard trace
 //!   and the workload pool over the wire; they need no local spec files;
-//! * **liveness leases** — the `Progress` stream doubles as a heartbeat;
-//!   an agent silent past [`FleetConfig::lease_ms`] is declared *stalled*,
-//!   a closed socket is a *crash*, an `Abort` frame an agent abort — all
-//!   distinguishable in the report;
-//! * **dynamic resharding** — a dead agent costs nothing but its latency
-//!   histograms: the coordinator salvages the contiguous-finished prefix
-//!   from the last acked [`wire::WorkPrefix`] high-water mark
-//!   ([`reshard::prefix_metrics`]) and re-partitions the remainder across
-//!   survivors as `Reassign` grants ([`reshard::plan_grants`]), keeping
-//!   `completed + errors + aborted == offered` exact and the merged
-//!   offered per-minute series bit-identical to an unkilled run;
-//! * **rejoin** — agents reconnect with bounded exponential backoff and
-//!   an idempotent resume token, coming back as fresh capacity for
-//!   subsequent grants;
+//! * **elastic control plane** — leases, dynamic resharding of a dead
+//!   agent's remainder, rejoin and late join keep `completed + errors +
+//!   aborted == offered` exact and the merged offered per-minute series
+//!   bit-identical to an unkilled run. [`control`] states every such
+//!   decision once, free of IO; [`coordinator`] is the sockets around it;
 //! * **backpressure visibility** — agents report coordinated-omission-
 //!   correct pacing lag per window; the fleet-wide worst case surfaces as
 //!   [`FleetReport::max_lag_ms`];
 //! * **live fleet view + merged results** — agents stream cumulative
-//!   [`faasrail_telemetry::Snapshot`]s on a fixed cadence and return final
+//!   [`faasrail_telemetry::Snapshot`]s and return final
 //!   [`faasrail_loadgen::RunMetrics`] (plus optional span logs, rebased
-//!   onto the shared epoch and merged via
-//!   [`faasrail_telemetry::merge_event_logs`]) in one [`FleetReport`];
+//!   onto the shared epoch) in one [`FleetReport`];
 //! * **ops console** — with [`FleetConfig::console`] (or
-//!   [`Coordinator::with_console`]) the coordinator serves an embedded
-//!   HTTP observability plane ([`console`], backed by the bounded
-//!   [`history::History`] ring): `GET /state` windowed JSON with a `since`
-//!   cursor, `GET /metrics` fleet-wide Prometheus 0.0.4 with per-agent
-//!   label vectors, `GET /healthz` lease-state counts, and a
-//!   self-contained `GET /dashboard` page — plus [`console::render_top`]
-//!   behind `faasrail fleet top` for terminal operators.
+//!   [`Coordinator::with_console`]) the coordinator serves `/state`,
+//!   `/metrics`, `/healthz` and `/dashboard` ([`console`], over the bounded
+//!   [`history::History`] ring); [`console::render_top`] is `faasrail fleet
+//!   top`.
 //!
 //! The protocol ([`wire`], version [`wire::PROTOCOL_VERSION`]) is
 //! length-prefixed JSON over TCP — no dependencies beyond the workspace's
@@ -54,6 +40,7 @@
 
 pub mod agent;
 pub mod console;
+pub mod control;
 pub mod coordinator;
 pub mod history;
 pub mod reshard;
@@ -61,6 +48,7 @@ pub mod wire;
 
 pub use agent::{run_agent, run_agent_with, AgentConfig, AgentRun, PrefixTracker};
 pub use console::{fetch_state, render_top, ConsoleHandle, ConsoleServer, DASHBOARD_HTML};
+pub use control::{Control, Event, Loss, Outbound};
 pub use coordinator::{AgentReport, Coordinator, FleetConfig, FleetReport};
 pub use history::{
     AgentState, FleetSample, HealthCounts, History, StateView, WindowStats,

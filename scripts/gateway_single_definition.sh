@@ -4,7 +4,9 @@
 # once, in crates/reactor/src/http1.rs. Fail if a piece of any of them turns up
 # again in a transport or in the blocking adapters. The blocking transport's
 # syscall floor is held the same way: one `write_all` per message in http.rs,
-# socket timeouts set in one place in pool.rs. Then print what each file weighs
+# socket timeouts set in one place in pool.rs. The fleet is held the same way:
+# what a fleet run decides lives in crates/fleet/src/control.rs, free of IO, and
+# coordinator.rs is the sockets around it. Then print what each file weighs
 # (lines above its first `#[cfg(test)]`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,11 +51,27 @@ once crates/gateway/src/http.rs 'head and body leave in one write (write_message
 once crates/gateway/src/pool.rs 'a socket is armed only where its timeout changes (Conn::arm)' \
     'set_read_timeout' 'set_write_timeout'
 
-total=0
-for file in crates/gateway/src/*.rs crates/reactor/src/http1.rs; do
-    lines=$(nontest "$file" | wc -l)
-    total=$((total + lines))
-    printf '%6d %s\n' "$lines" "$file"
-done
-printf '%6d non-test lines\n' "$total"
+refuse crates/fleet/src/control.rs crates/fleet/src/coordinator.rs \
+    'TcpStream' 'read_frame' 'write_frame' 'wall_clock_us' 'Instant' 'thread::' 'Mutex' 'Atomic'
+refuse crates/fleet/src/coordinator.rs crates/fleet/src/control.rs \
+    'plan_grants' 'prefix_metrics' 'remainder_after' '.lock()'
+n=$(for file in crates/fleet/src/*.rs; do nontest "$file"; done | grep -cF 'Control::new(' || true)
+if [ "$n" -ne 1 ]; then
+    echo "error: crates/fleet/src: \`Control::new(\` on $n non-test lines, expected 1:" \
+        'the core is built in Coordinator::run and nowhere else' >&2
+    fail=1
+fi
+
+weigh() { # label, files...
+    local label=$1 total=0 file lines
+    shift
+    for file in "$@"; do
+        lines=$(nontest "$file" | wc -l)
+        total=$((total + lines))
+        printf '%6d %s\n' "$lines" "$file"
+    done
+    printf '%6d non-test lines, %s\n' "$total" "$label"
+}
+weigh gateway crates/gateway/src/*.rs crates/reactor/src/http1.rs
+weigh fleet crates/fleet/src/*.rs
 exit "$fail"

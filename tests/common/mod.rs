@@ -4,13 +4,19 @@
 //! so every item is `#[allow(dead_code)]` — not every binary uses every
 //! helper.
 
+use faasrail::fleet::{
+    read_frame, wall_clock_us, write_frame, Assignment, FleetMessage, WorkPrefix, PROTOCOL_VERSION,
+};
 use faasrail::gateway::{
     Client, Gateway, GatewayConfig, GatewayHandle, GatewayStats, HttpBackendConfig, MuxConfig,
     ReactorGateway, ReactorHandle, RetryPolicy,
 };
-use faasrail::loadgen::Backend;
+use faasrail::loadgen::{Backend, InvocationRequest, InvocationResult, RunMetrics};
+use faasrail::prelude::*;
 use faasrail::telemetry::EventSink;
-use std::net::SocketAddr;
+use faasrail::trace::azure::{generate as gen_azure, AzureTraceConfig};
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -135,6 +141,121 @@ impl ClientKind {
             ),
         }
         .expect("resolve gateway address")
+    }
+}
+
+/// Outcome depends only on the request itself (no shared counters, no
+/// clock), so a sharded fleet and a single process must classify every
+/// request identically — and an impostor can *truthfully* claim a prefix
+/// it never ran.
+#[allow(dead_code)]
+pub struct DeterministicBackend;
+
+impl Backend for DeterministicBackend {
+    fn invoke(&self, req: &InvocationRequest) -> InvocationResult {
+        match req.function_index % 7 {
+            0 => InvocationResult::app_error(0.2, "synthetic app failure"),
+            1 => InvocationResult::timeout("synthetic deadline"),
+            2 => InvocationResult::shed("synthetic overload"),
+            _ => InvocationResult::success(0.2, req.function_index.is_multiple_of(5)),
+        }
+    }
+    fn name(&self) -> &str {
+        "deterministic"
+    }
+}
+
+/// What [`DeterministicBackend`] would report for the first `watermark`
+/// requests of `trace` — the prefix a crashing impostor claims.
+#[allow(dead_code)]
+pub fn claimed_prefix(trace: &RequestTrace, work: u64, watermark: usize) -> WorkPrefix {
+    let mut p = WorkPrefix { work, watermark: watermark as u64, ..WorkPrefix::default() };
+    for r in &trace.requests[..watermark] {
+        match r.function_index % 7 {
+            0 => p.errors[0] += 1,
+            1 => p.errors[1] += 1,
+            2 => p.errors[3] += 1, // shed
+            _ => {
+                p.completed += 1;
+                if r.function_index.is_multiple_of(5) {
+                    p.cold_starts += 1;
+                }
+            }
+        }
+    }
+    assert!(p.is_consistent());
+    p
+}
+
+/// What a [`DeterministicBackend`] agent's `Done` reports for a fully run
+/// `trace`, latency histograms aside (they are wall-clock measurements).
+#[allow(dead_code)]
+pub fn claimed_metrics(trace: &RequestTrace, pool: &WorkloadPool) -> RunMetrics {
+    let p = claimed_prefix(trace, 0, trace.requests.len());
+    let mut m = RunMetrics::new();
+    m.completed = p.completed;
+    [m.app_errors, m.timeouts, m.transport_errors, m.shed] = p.errors;
+    m.errors = p.errors.iter().sum();
+    m.cold_starts = p.cold_starts;
+    for r in &trace.requests {
+        m.record_issued(r.at_ms);
+        if let Some(workload) = pool.get(r.workload) {
+            *m.per_kind.entry(workload.input.kind()).or_insert(0) += 1;
+        }
+    }
+    m
+}
+
+/// A shrunk Azure schedule small enough for a loopback fleet, large enough
+/// to shard.
+#[allow(dead_code)]
+pub fn small_schedule(seed: u64) -> (RequestTrace, WorkloadPool) {
+    let trace = gen_azure(&AzureTraceConfig::scaled(seed, 250, 40_000));
+    let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
+    let (spec, _) = shrink(&trace, &pool, &ShrinkRayConfig::new(3, 3.0)).unwrap();
+    let reqs = generate_requests(&spec, seed);
+    assert!(reqs.len() > 50, "schedule too small to exercise sharding: {}", reqs.len());
+    (reqs, pool)
+}
+
+/// Speak the v2 protocol through the handshake and return at `Start`
+/// with the received assignment and the live connection halves.
+#[allow(dead_code)]
+pub fn impostor_handshake(
+    addr: SocketAddr,
+    name: &str,
+) -> (BufReader<TcpStream>, TcpStream, Assignment) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let hello = FleetMessage::Hello {
+        name: name.into(),
+        wall_us: wall_clock_us(),
+        proto: PROTOCOL_VERSION,
+        resume_token: None,
+    };
+    write_frame(&mut writer, &hello).unwrap();
+    let mut assignment = None;
+    loop {
+        match read_frame(&mut reader).unwrap().unwrap() {
+            FleetMessage::HelloAck { proto, .. } => assert_eq!(proto, PROTOCOL_VERSION),
+            FleetMessage::Probe { seq, wall_us } => {
+                let reply =
+                    FleetMessage::ProbeReply { seq, wall_us, agent_wall_us: wall_clock_us() };
+                write_frame(&mut writer, &reply).unwrap();
+            }
+            FleetMessage::Assign { assignment: a } => {
+                let ready =
+                    FleetMessage::Ready { shard: a.shard, requests: a.trace.requests.len() as u64 };
+                write_frame(&mut writer, &ready).unwrap();
+                assignment = Some(a);
+            }
+            FleetMessage::Start { .. } => {
+                return (reader, writer, assignment.expect("assign before start"));
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
     }
 }
 

@@ -12,111 +12,21 @@
 
 mod common;
 
-use common::assert_valid_prometheus_0_0_4;
-use faasrail::core::RequestTrace;
+use common::{
+    assert_valid_prometheus_0_0_4, claimed_prefix, impostor_handshake, small_schedule,
+    DeterministicBackend,
+};
 use faasrail::fleet::{
-    fetch_state, read_frame, render_top, run_agent_with, wall_clock_us, write_frame, AgentConfig,
-    Assignment, Coordinator, FleetConfig, FleetMessage, StateView, WorkPrefix, PROTOCOL_VERSION,
+    fetch_state, render_top, run_agent_with, write_frame, AgentConfig, Coordinator, FleetConfig,
+    FleetMessage, StateView,
 };
-use faasrail::loadgen::{
-    replay, Backend, InvocationRequest, InvocationResult, Pacing, ReplayConfig,
-};
-use faasrail::prelude::*;
+use faasrail::loadgen::{replay, Backend, Pacing, ReplayConfig};
 use faasrail::telemetry::Snapshot;
-use faasrail::trace::azure::{generate as gen_azure, AzureTraceConfig};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Outcome depends only on the request itself, so the fleet's merged
-/// partition must match a single-process replay exactly — and an impostor
-/// can *truthfully* claim a prefix it never ran.
-struct DeterministicBackend;
-
-impl Backend for DeterministicBackend {
-    fn invoke(&self, req: &InvocationRequest) -> InvocationResult {
-        match req.function_index % 7 {
-            0 => InvocationResult::app_error(0.2, "synthetic app failure"),
-            1 => InvocationResult::timeout("synthetic deadline"),
-            2 => InvocationResult::shed("synthetic overload"),
-            _ => InvocationResult::success(0.2, req.function_index.is_multiple_of(5)),
-        }
-    }
-    fn name(&self) -> &str {
-        "deterministic"
-    }
-}
-
-/// What [`DeterministicBackend`] would report for the first `watermark`
-/// requests of `trace` — the prefix a crashing impostor claims.
-fn claimed_prefix(trace: &RequestTrace, work: u64, watermark: usize) -> WorkPrefix {
-    let mut p = WorkPrefix { work, watermark: watermark as u64, ..WorkPrefix::default() };
-    for r in &trace.requests[..watermark] {
-        match r.function_index % 7 {
-            0 => p.errors[0] += 1,
-            1 => p.errors[1] += 1,
-            2 => p.errors[3] += 1, // shed
-            _ => {
-                p.completed += 1;
-                if r.function_index.is_multiple_of(5) {
-                    p.cold_starts += 1;
-                }
-            }
-        }
-    }
-    assert!(p.is_consistent());
-    p
-}
-
-fn small_schedule(seed: u64) -> (RequestTrace, WorkloadPool) {
-    let trace = gen_azure(&AzureTraceConfig::scaled(seed, 250, 40_000));
-    let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
-    let (spec, _) = shrink(&trace, &pool, &ShrinkRayConfig::new(3, 3.0)).unwrap();
-    let reqs = generate_requests(&spec, seed);
-    assert!(reqs.len() > 50, "schedule too small to exercise sharding: {}", reqs.len());
-    (reqs, pool)
-}
-
-/// Speak the v2 protocol through the handshake and return at `Start`.
-fn impostor_handshake(
-    addr: SocketAddr,
-    name: &str,
-) -> (BufReader<TcpStream>, TcpStream, Assignment) {
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let hello = FleetMessage::Hello {
-        name: name.into(),
-        wall_us: wall_clock_us(),
-        proto: PROTOCOL_VERSION,
-        resume_token: None,
-    };
-    write_frame(&mut writer, &hello).unwrap();
-    let mut assignment = None;
-    loop {
-        match read_frame(&mut reader).unwrap().unwrap() {
-            FleetMessage::HelloAck { proto, .. } => assert_eq!(proto, PROTOCOL_VERSION),
-            FleetMessage::Probe { seq, wall_us } => {
-                let reply =
-                    FleetMessage::ProbeReply { seq, wall_us, agent_wall_us: wall_clock_us() };
-                write_frame(&mut writer, &reply).unwrap();
-            }
-            FleetMessage::Assign { assignment: a } => {
-                let ready =
-                    FleetMessage::Ready { shard: a.shard, requests: a.trace.requests.len() as u64 };
-                write_frame(&mut writer, &ready).unwrap();
-                assignment = Some(a);
-            }
-            FleetMessage::Start { .. } => {
-                return (reader, writer, assignment.expect("assign before start"));
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
-    }
-}
 
 /// One plain HTTP/1.0-style GET against the console, using the same
 /// framing the server does. Returns `(status, content_type, body)`.

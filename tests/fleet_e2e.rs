@@ -21,73 +21,23 @@
 //! * with `--no-reshard`, a lost shard degrades to the pre-elastic
 //!   aborted-remainder accounting.
 
+mod common;
+
+use common::{claimed_prefix, impostor_handshake, small_schedule, DeterministicBackend};
 use faasrail::core::{Request, RequestTrace};
 use faasrail::fleet::{
     read_frame, run_agent_with, wall_clock_us, write_frame, AgentConfig, Assignment, Coordinator,
-    FleetConfig, FleetMessage, Grant, WorkPrefix, PROTOCOL_VERSION,
+    FleetConfig, FleetMessage, Grant, PROTOCOL_VERSION,
 };
-use faasrail::loadgen::{
-    replay, Backend, InvocationRequest, InvocationResult, Pacing, ReplayConfig,
-};
+use faasrail::loadgen::{replay, Backend, Pacing, ReplayConfig};
 use faasrail::prelude::*;
 use faasrail::telemetry::Snapshot;
-use faasrail::trace::azure::{generate as gen_azure, AzureTraceConfig};
 use faasrail::workloads::WorkloadId;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Outcome depends only on the request itself (no shared counters, no
-/// clock), so a sharded fleet and a single process must classify every
-/// request identically — and an impostor can *truthfully* claim a prefix
-/// it never ran.
-struct DeterministicBackend;
-
-impl Backend for DeterministicBackend {
-    fn invoke(&self, req: &InvocationRequest) -> InvocationResult {
-        match req.function_index % 7 {
-            0 => InvocationResult::app_error(0.2, "synthetic app failure"),
-            1 => InvocationResult::timeout("synthetic deadline"),
-            2 => InvocationResult::shed("synthetic overload"),
-            _ => InvocationResult::success(0.2, req.function_index.is_multiple_of(5)),
-        }
-    }
-    fn name(&self) -> &str {
-        "deterministic"
-    }
-}
-
-/// What [`DeterministicBackend`] would report for the first `watermark`
-/// requests of `trace` — the prefix a crashing impostor claims.
-fn claimed_prefix(trace: &RequestTrace, work: u64, watermark: usize) -> WorkPrefix {
-    let mut p = WorkPrefix { work, watermark: watermark as u64, ..WorkPrefix::default() };
-    for r in &trace.requests[..watermark] {
-        match r.function_index % 7 {
-            0 => p.errors[0] += 1,
-            1 => p.errors[1] += 1,
-            2 => p.errors[3] += 1, // shed
-            _ => {
-                p.completed += 1;
-                if r.function_index.is_multiple_of(5) {
-                    p.cold_starts += 1;
-                }
-            }
-        }
-    }
-    assert!(p.is_consistent());
-    p
-}
-
-fn small_schedule(seed: u64) -> (RequestTrace, WorkloadPool) {
-    let trace = gen_azure(&AzureTraceConfig::scaled(seed, 250, 40_000));
-    let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
-    let (spec, _) = shrink(&trace, &pool, &ShrinkRayConfig::new(3, 3.0)).unwrap();
-    let reqs = generate_requests(&spec, seed);
-    assert!(reqs.len() > 50, "schedule too small to exercise sharding: {}", reqs.len());
-    (reqs, pool)
-}
 
 fn fast_fleet_config(agents: usize, capture_events: bool) -> FleetConfig {
     FleetConfig {
@@ -117,46 +67,6 @@ fn per_minute(reqs: &RequestTrace) -> Vec<u64> {
         v[m] += 1;
     }
     v
-}
-
-/// Speak the v2 protocol through the handshake and return at `Start`
-/// with the received assignment and the live connection halves.
-fn impostor_handshake(
-    addr: std::net::SocketAddr,
-    name: &str,
-) -> (BufReader<TcpStream>, TcpStream, Assignment) {
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let hello = FleetMessage::Hello {
-        name: name.into(),
-        wall_us: wall_clock_us(),
-        proto: PROTOCOL_VERSION,
-        resume_token: None,
-    };
-    write_frame(&mut writer, &hello).unwrap();
-    let mut assignment = None;
-    loop {
-        match read_frame(&mut reader).unwrap().unwrap() {
-            FleetMessage::HelloAck { proto, .. } => assert_eq!(proto, PROTOCOL_VERSION),
-            FleetMessage::Probe { seq, wall_us } => {
-                let reply =
-                    FleetMessage::ProbeReply { seq, wall_us, agent_wall_us: wall_clock_us() };
-                write_frame(&mut writer, &reply).unwrap();
-            }
-            FleetMessage::Assign { assignment: a } => {
-                let ready =
-                    FleetMessage::Ready { shard: a.shard, requests: a.trace.requests.len() as u64 };
-                write_frame(&mut writer, &ready).unwrap();
-                assignment = Some(a);
-            }
-            FleetMessage::Start { .. } => {
-                return (reader, writer, assignment.expect("assign before start"));
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
-    }
 }
 
 #[test]
@@ -623,4 +533,44 @@ fn no_reshard_degrades_to_aborted_remainder() {
     assert!(m.aborted, "a degraded fleet run is marked aborted");
     assert_eq!(m.completed + m.errors, survivor.assigned);
     assert_eq!(m.completed + m.errors + report.aborted_invocations, report.offered);
+}
+
+/// An operator stop over the wire: every live agent is told to abort,
+/// drains what is in flight and still reports `Done`; the run terminates
+/// with the unfinished remainder booked as aborted and nothing regranted.
+#[test]
+fn operator_stop_drains_agents_and_balances_the_report() {
+    let (reqs, pool) = small_schedule(27);
+    let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
+    let addr = coordinator.local_addr().unwrap();
+    let cfg = FleetConfig {
+        pacing: Pacing::RealTime { compression: 1.0 },
+        ..fast_fleet_config(2, false)
+    };
+    let stop = AtomicBool::new(false);
+
+    let report = std::thread::scope(|scope| {
+        let run = scope.spawn(|| coordinator.run(&reqs, &pool, &cfg, &stop).unwrap());
+        for i in 0..2 {
+            scope.spawn(move || {
+                let agent_cfg = AgentConfig { name: format!("agent-{i}"), ..Default::default() };
+                run_agent_with(addr, &agent_cfg, |_| {
+                    Ok(Arc::new(DeterministicBackend) as Arc<dyn Backend>)
+                })
+                .unwrap()
+                .expect("a stopped agent still delivers its partial result");
+            });
+        }
+        // Minutes of schedule at real-time pacing; stop it well inside.
+        std::thread::sleep(Duration::from_millis(800));
+        stop.store(true, Ordering::Release);
+        run.join().unwrap()
+    });
+
+    let m = &report.metrics;
+    assert!(report.aborted_invocations > 0, "the stop landed mid-schedule");
+    assert!(m.aborted);
+    assert_eq!(m.completed + m.errors + report.aborted_invocations, report.offered);
+    assert!(report.agents.iter().all(|a| a.completed && a.status == "done"), "{:?}", report.agents);
+    assert!(report.reassignments.is_empty(), "a stop cancels work, it does not move it");
 }
