@@ -3,17 +3,15 @@
 
 use crate::args::{Args, Command, Opt};
 use crate::offline::REQUESTS_FILE;
-use crate::transport::{connect, ClientOpts};
+use crate::transport::{connect, warm_cache, ClientOpts};
 use crate::{read_json, write_file, write_json};
 use faasrail_core::RequestTrace;
-use faasrail_faas_sim::{WarmCacheBackend, WarmCacheConfig};
 use faasrail_fleet::{
     fetch_state, render_top, run_agent_with, AgentConfig, Coordinator, FleetConfig,
 };
 use faasrail_gateway::BreakerConfig;
-use faasrail_loadgen::{Backend, Pacing};
+use faasrail_loadgen::Pacing;
 use faasrail_workloads::WorkloadPool;
-use std::sync::Arc;
 use std::time::Duration;
 
 pub static COORDINATE: Command = Command {
@@ -207,8 +205,7 @@ fn cmd_agent(args: &Args) -> Result<(), String> {
             }
             None => {
                 eprintln!("fleet agent: in-process warm-cache backend");
-                Arc::new(WarmCacheBackend::new(assignment.pool.clone(), WarmCacheConfig::default()))
-                    as Arc<dyn Backend>
+                warm_cache(assignment.pool.clone())
             }
         })
     })

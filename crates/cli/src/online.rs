@@ -3,10 +3,9 @@
 
 use crate::args::{Args, Command, Opt};
 use crate::offline::{POOL, REQUESTS_FILE};
-use crate::transport::{bind, connect, ClientOpts, MUX, MUX_DEPTH, SHARDS};
+use crate::transport::{bind, connect, warm_cache, ClientOpts, MUX, MUX_DEPTH, SHARDS};
 use crate::{read_json, write_file, write_json};
 use faasrail_core::RequestTrace;
-use faasrail_faas_sim::{WarmCacheBackend, WarmCacheConfig};
 use faasrail_gateway::{BreakerConfig, FaultConfig, GatewayConfig};
 use faasrail_loadgen::{Backend, Pacing, ReplayConfig};
 use faasrail_telemetry::{SpanJoin, TelemetryEvent};
@@ -165,7 +164,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     };
     let backend: Arc<dyn Backend> = match &client {
         Some(client) => client.clone(),
-        None => Arc::new(WarmCacheBackend::new(pool.clone(), WarmCacheConfig::default())),
+        None => warm_cache(pool.clone()),
     };
     let m = replay_observed(&reqs, &pool, &backend, &cfg, &stop, &inst);
     if let Some(client) = &client {
@@ -420,7 +419,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "warm-cache" => {
             let path =
                 args.get("pool").ok_or("`faasrail serve --backend warm-cache` needs --pool")?;
-            Arc::new(WarmCacheBackend::new(read_json(path)?, WarmCacheConfig::default()))
+            warm_cache(read_json(path)?)
         }
         "in-process" => Arc::new(faasrail_loadgen::InProcessBackend),
         "noop" => Arc::new(faasrail_loadgen::NoopBackend),

@@ -1,15 +1,18 @@
-//! The one place a gateway client and a gateway server are constructed:
-//! `replay`, `fleet agent` and `bench` share [`connect`]; `serve` and `bench`
-//! share [`bind`]. Which client transport (pooled or multiplexed) and which server
+//! The one place a gateway client, a gateway server and the in-process node
+//! are constructed: `replay`, `fleet agent` and `bench` share [`connect`];
+//! `serve` and `bench` share [`bind`]; `replay`, `serve` and `fleet agent`
+//! share [`warm_cache`]. Which client transport (pooled or multiplexed) and which server
 //! (threaded or reactor) is a value here, not a type at the call sites.
 
 use crate::args::{Args, Opt};
+use faasrail_faas_sim::{FixedTtl, WarmCacheBackend, WarmCacheConfig};
 use faasrail_gateway::{
     BreakerConfig, Client, Gateway, GatewayConfig, HttpBackendConfig, MuxConfig, ReactorGateway,
     RetryPolicy,
 };
 use faasrail_loadgen::Backend;
 use faasrail_telemetry::EventSink;
+use faasrail_workloads::WorkloadPool;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,6 +38,13 @@ impl ClientOpts {
     pub fn mux(args: &Args) -> Result<Option<(usize, usize)>, String> {
         args.num_opt("mux")?.map(|conns| Ok((conns, args.num("mux-depth")?))).transpose()
     }
+}
+
+/// The in-process backend: one default-sized node keeping sandboxes warm
+/// for the ten-minute industry window.
+pub fn warm_cache(pool: WorkloadPool) -> Arc<dyn Backend> {
+    let policy = Box::new(FixedTtl::ten_minutes());
+    Arc::new(WarmCacheBackend::new(pool, WarmCacheConfig::default(), policy))
 }
 
 pub fn connect(target: &str, opts: &ClientOpts) -> Result<Arc<Client>, String> {

@@ -18,8 +18,9 @@
 //! (~10⁹ invocations) without materializing the request vector.
 
 use crate::cluster::ClusterConfig;
-use crate::index::{ClusterIndex, QueuedReq, Sandbox};
-use crate::keepalive::{IdleSandbox, KeepAlivePolicy};
+use crate::index::{QueuedReq, Sandbox};
+use crate::keepalive::KeepAlivePolicy;
+use crate::lifecycle::{Armed, Lifecycle, Timer};
 use crate::metrics::SimMetrics;
 use crate::scheduler::LoadBalancer;
 use faasrail_core::{Arrival, ArrivalCursor, ScheduleSource};
@@ -28,7 +29,7 @@ use faasrail_stats::sampler::{LogNormal, Sampler};
 use faasrail_telemetry::{
     EventSink, InvocationSpan, NullSink, OutcomeClass, RunInfo, RunSummary, TelemetryEvent,
 };
-use faasrail_workloads::{WorkloadId, WorkloadPool};
+use faasrail_workloads::WorkloadPool;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -86,11 +87,8 @@ impl Default for SimOptions {
 enum EventKind {
     /// An invocation finished on `node`; `key` identifies the slab entry.
     Finish { node: u32, key: u64 },
-    /// TTL check for the idle sandbox carrying `stamp` in `node`'s bucket
-    /// for `workload`.
-    Expire { node: u32, workload: WorkloadId, stamp: u64 },
-    /// Predictively re-create a warm sandbox for `workload` on `node`.
-    Prewarm { node: u32, workload: WorkloadId },
+    /// A timer the lifecycle core armed (expiry, prewarm) has come due.
+    Lifecycle(Timer),
     /// `node` crashes: in-flight and queued work is lost, warm state gone.
     Crash { node: u32 },
 }
@@ -173,10 +171,25 @@ impl RunSlab {
     }
 }
 
-/// Account a sandbox's idle time up to `now_us` when it leaves the idle
-/// set (reuse, eviction, expiry, crash).
-fn account_idle(metrics: &mut SimMetrics, s: &Sandbox, now_us: u64) {
-    metrics.idle_mb_ms += s.memory_mb * (now_us - s.last_used_us) as f64 / 1_000.0;
+/// The span of `run`, over at `completed_us`: served, or killed by a node
+/// crash (anything but [`OutcomeClass::Ok`]).
+fn span(run: &Running, completed_us: u64, outcome: OutcomeClass) -> TelemetryEvent {
+    let ok = outcome == OutcomeClass::Ok;
+    TelemetryEvent::Invocation(InvocationSpan {
+        trace_id: 0, // single-tier: nothing to join against
+        seq: run.arrival_seq,
+        workload: run.sandbox.workload.0 as u64,
+        function_index: run.function_index,
+        scheduled_ms: run.arrived_us / 1_000,
+        target_us: run.arrived_us,
+        dispatched_us: run.arrived_us,
+        picked_up_us: run.started_us,
+        completed_us,
+        service_ms: if ok { run.service_ms } else { 0.0 },
+        outcome,
+        cold_start: run.started_cold,
+        error: (!ok).then(|| "node crash".to_string()),
+    })
 }
 
 /// Shared mutable simulation state; methods replace what used to be free
@@ -187,20 +200,16 @@ struct Engine<'a> {
     jitter: Option<LogNormal>,
     rng: Xoshiro256pp,
     slow: Vec<f64>,
-    /// Nodes, queues and idle sandboxes — all cluster state a balancer or
-    /// a keep-alive policy can see.
-    index: ClusterIndex,
+    /// Sandboxes and memory, over the cluster index (`life.index`: all
+    /// cluster state a balancer can see). The engine itself moves only
+    /// cores and queues there.
+    life: Lifecycle,
     heap: BinaryHeap<Reverse<Event>>,
     /// Internal event sequence; crashes are pushed first so that, among
     /// equal timestamps, a crash fires before any Finish/Expire/Prewarm —
     /// exactly the historic ordering.
     seq: u64,
-    next_stamp: u64,
     running: RunSlab,
-    /// Scratch for the eviction view a keep-alive policy picks its victim
-    /// from, and each entry's position among its workload's sandboxes.
-    idle_view: Vec<IdleSandbox>,
-    idle_view_at: Vec<usize>,
     metrics: SimMetrics,
 }
 
@@ -208,6 +217,12 @@ impl Engine<'_> {
     fn push_event(&mut self, at_us: u64, kind: EventKind) {
         self.seq += 1;
         self.heap.push(Reverse(Event { at_us, seq: self.seq, kind }));
+    }
+
+    fn arm(&mut self, timer: Option<Armed>) {
+        if let Some((at_us, timer)) = timer {
+            self.push_event(at_us, EventKind::Lifecycle(timer));
+        }
     }
 
     /// Try to start `req` on `node_idx` at `now_us`. Returns false if it
@@ -219,7 +234,7 @@ impl Engine<'_> {
         now_us: u64,
         policy: &mut dyn KeepAlivePolicy,
     ) -> bool {
-        if self.index.node(node_idx).busy_cores >= self.cluster.cores_per_node {
+        if self.life.index.node(node_idx).busy_cores >= self.cluster.cores_per_node {
             return false;
         }
         let w = self.pool.get(req.workload).expect("workload in pool");
@@ -228,52 +243,13 @@ impl Engine<'_> {
             service_ms *= j.sample(&mut self.rng);
         }
 
-        let (sandbox, cold) = if let Some(mut s) =
-            self.index.take_idle(req.workload, node_idx, None)
-        {
-            account_idle(&mut self.metrics, &s, now_us);
-            s.uses += 1;
-            (s, false)
-        } else {
-            // Need memory for a new sandbox; evict per policy while short.
-            // Eviction is the cold path: the flat view the policy indexes
-            // into is only ever built here.
-            while self.index.node(node_idx).free_memory_mb < w.memory_mb {
-                self.index.idle_view(node_idx, &mut self.idle_view, &mut self.idle_view_at);
-                let Some(victim) = policy.pick_victim(&self.idle_view, now_us / 1_000) else {
-                    return false;
-                };
-                let (workload, pos) = (self.idle_view[victim].workload, self.idle_view_at[victim]);
-                let s = self
-                    .index
-                    .take_idle(workload, node_idx, Some(pos))
-                    .expect("the victim came from this node's view");
-                account_idle(&mut self.metrics, &s, now_us);
-                self.index.update(node_idx, |n| n.free_memory_mb += s.memory_mb);
-                self.metrics.evictions += 1;
-            }
-            self.index.update(node_idx, |n| n.free_memory_mb -= w.memory_mb);
-            self.next_stamp += 1;
-            (
-                Sandbox {
-                    workload: req.workload,
-                    memory_mb: w.memory_mb,
-                    last_used_us: now_us,
-                    init_cost_ms: self.cluster.cold_start.delay_ms(w.memory_mb),
-                    uses: 1,
-                    stamp: self.next_stamp,
-                },
-                true,
-            )
+        let Some((sandbox, cold)) = self.life.acquire(node_idx, req.workload, now_us, policy)
+        else {
+            return false;
         };
 
-        self.index.update(node_idx, |n| n.busy_cores += 1);
+        self.life.index.update(node_idx, |n| n.busy_cores += 1);
         let total_ms = service_ms + if cold { sandbox.init_cost_ms } else { 0.0 };
-        if cold {
-            self.metrics.cold_starts += 1;
-        } else {
-            self.metrics.warm_starts += 1;
-        }
         self.metrics.busy_core_ms += total_ms;
         self.metrics.per_node_busy_ms[node_idx] += total_ms;
         let finish_us = now_us + (total_ms * 1_000.0) as u64;
@@ -302,17 +278,17 @@ impl Engine<'_> {
             for run in self.running.slots.iter().filter_map(|slot| slot.1.as_ref()) {
                 running_mb[run.node as usize] += run.sandbox.memory_mb;
             }
-            self.index.audit(&running_mb);
+            self.life.index.audit(&running_mb);
         }
     }
 
     /// Start as many queued requests as now fit (FIFO head-of-line).
     fn drain_queue(&mut self, node_idx: usize, now_us: u64, policy: &mut dyn KeepAlivePolicy) {
-        while let Some(&front) = self.index.node(node_idx).queue.front() {
+        while let Some(&front) = self.life.index.node(node_idx).queue.front() {
             if self.try_start(node_idx, front, now_us, policy) {
                 let waited = (now_us - front.arrived_us) as f64 / 1e6;
                 self.metrics.queue_wait.record(waited.max(1e-9));
-                self.index.update(node_idx, |n| n.queue.pop_front());
+                self.life.index.update(node_idx, |n| n.queue.pop_front());
             } else {
                 break;
             }
@@ -379,16 +355,13 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
             .then(|| LogNormal::new(0.0, opts.service_jitter_sigma)),
         rng: seeded_rng(opts.seed),
         slow: vec![1.0f64; cluster.nodes],
-        index: ClusterIndex::new(cluster, pool.len()),
+        life: Lifecycle::new(cluster, pool),
         // The heap holds the *active horizon* only — at most one Finish
         // per busy core, plus scheduled faults and a bounded population of
         // expiry/prewarm timers — never the whole schedule.
         heap: BinaryHeap::with_capacity(total_cores + opts.node_faults.len() + 64),
         seq: 0,
-        next_stamp: 0,
         running: RunSlab::with_capacity(total_cores),
-        idle_view: Vec::new(),
-        idle_view_at: Vec::new(),
         metrics,
     };
 
@@ -427,13 +400,13 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
 
             engine.metrics.arrivals += 1;
             policy.on_arrival(workload, now_us / 1_000);
-            let target = balancer.pick(workload, &engine.index).min(cluster.nodes - 1);
+            let target = balancer.pick(workload, &engine.life.index).min(cluster.nodes - 1);
             let req = QueuedReq { arrival_seq, function_index, arrived_us: now_us, workload };
             arrival_seq += 1;
             if !engine.try_start(target, req, now_us, policy) {
-                engine.index.update(target, |n| n.queue.push_back(req));
+                engine.life.index.update(target, |n| n.queue.push_back(req));
                 engine.metrics.max_queue =
-                    engine.metrics.max_queue.max(engine.index.queued_total());
+                    engine.metrics.max_queue.max(engine.life.index.queued_total());
             }
             continue;
         }
@@ -448,104 +421,26 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
                 let Some(run) = engine.running.remove(key) else { continue };
                 debug_assert_eq!(run.node, node);
                 debug_assert!(run.started_cold || run.sandbox.uses >= 1);
-                engine.index.update(node as usize, |n| n.busy_cores -= 1);
+                engine.life.index.update(node as usize, |n| n.busy_cores -= 1);
                 engine.metrics.completions += 1;
                 // Response includes queueing and (for cold starts) the
                 // sandbox creation delay by construction.
                 engine.metrics.response.record(((now_us - run.arrived_us) as f64 / 1e6).max(1e-9));
                 if spans_enabled {
-                    sink.emit(&TelemetryEvent::Invocation(InvocationSpan {
-                        trace_id: 0, // single-tier: nothing to join against
-                        seq: run.arrival_seq,
-                        workload: run.sandbox.workload.0 as u64,
-                        function_index: run.function_index,
-                        scheduled_ms: run.arrived_us / 1_000,
-                        target_us: run.arrived_us,
-                        dispatched_us: run.arrived_us,
-                        picked_up_us: run.started_us,
-                        completed_us: now_us,
-                        service_ms: run.service_ms,
-                        outcome: OutcomeClass::Ok,
-                        cold_start: run.started_cold,
-                        error: None,
-                    }));
+                    sink.emit(&span(&run, now_us, OutcomeClass::Ok));
                 }
-
-                // Idle the sandbox.
-                engine.next_stamp += 1;
-                let mut s = run.sandbox;
-                s.last_used_us = now_us;
-                s.stamp = engine.next_stamp;
-                let stamp = s.stamp;
-                let workload = s.workload;
-                engine.index.push_idle(node as usize, s);
-                if let Some(ttl_ms) = policy.idle_ttl_ms(workload) {
-                    engine.push_event(
-                        now_us + ttl_ms * 1_000,
-                        EventKind::Expire { node, workload, stamp },
-                    );
-                }
+                let expiry = engine.life.release(node as usize, run.sandbox, now_us, policy);
+                engine.arm(expiry);
 
                 // Drain the node's queue (FIFO head-of-line).
                 engine.drain_queue(node as usize, now_us, policy);
             }
-            EventKind::Expire { node, workload, stamp } => {
-                let idle = engine.index.idle(workload, node as usize);
-                if let Some(pos) = idle.iter().position(|s| s.stamp == stamp) {
-                    let s = engine
-                        .index
-                        .take_idle(workload, node as usize, Some(pos))
-                        .expect("just found at pos");
-                    account_idle(&mut engine.metrics, &s, now_us);
-                    engine.index.update(node as usize, |n| n.free_memory_mb += s.memory_mb);
-                    engine.metrics.expirations += 1;
-                    // Predictive prewarming: re-create the sandbox shortly
-                    // before the workload's expected next arrival. Only
-                    // sandboxes that actually served invocations re-arm —
-                    // a prewarmed sandbox expiring *unused* must not
-                    // re-prewarm, or the cycle would self-sustain forever.
-                    if s.uses > 0 {
-                        if let Some(after_ms) = policy.prewarm_after_ms(s.workload) {
-                            let at_us = s.last_used_us.saturating_add(after_ms * 1_000);
-                            if at_us > now_us {
-                                engine.push_event(
-                                    at_us,
-                                    EventKind::Prewarm { node, workload: s.workload },
-                                );
-                            }
-                        }
-                    }
+            EventKind::Lifecycle(timer) => {
+                let fired = engine.life.fire(timer, now_us, policy);
+                engine.arm(fired.arm);
+                if let Some(node) = fired.freed {
                     // Freed memory may unblock the head of the queue.
-                    engine.drain_queue(node as usize, now_us, policy);
-                }
-            }
-            EventKind::Prewarm { node, workload } => {
-                let w = pool.get(workload).expect("workload in pool");
-                let node = node as usize;
-                if engine.index.idle(workload, node).is_empty()
-                    && engine.index.node(node).free_memory_mb >= w.memory_mb
-                {
-                    engine.index.update(node, |n| n.free_memory_mb -= w.memory_mb);
-                    engine.next_stamp += 1;
-                    let stamp = engine.next_stamp;
-                    engine.index.push_idle(
-                        node,
-                        Sandbox {
-                            workload,
-                            memory_mb: w.memory_mb,
-                            last_used_us: now_us,
-                            init_cost_ms: cluster.cold_start.delay_ms(w.memory_mb),
-                            uses: 0,
-                            stamp,
-                        },
-                    );
-                    engine.metrics.prewarms += 1;
-                    if let Some(ttl_ms) = policy.idle_ttl_ms(workload) {
-                        engine.push_event(
-                            now_us + ttl_ms * 1_000,
-                            EventKind::Expire { node: node as u32, workload, stamp },
-                        );
-                    }
+                    engine.drain_queue(node, now_us, policy);
                 }
             }
             EventKind::Crash { node } => {
@@ -558,41 +453,29 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
                 for run in engine.running.take_node(node) {
                     engine.metrics.killed += 1;
                     if spans_enabled {
-                        sink.emit(&TelemetryEvent::Invocation(InvocationSpan {
-                            trace_id: 0, // single-tier: nothing to join against
-                            seq: run.arrival_seq,
-                            workload: run.sandbox.workload.0 as u64,
-                            function_index: run.function_index,
-                            scheduled_ms: run.arrived_us / 1_000,
-                            target_us: run.arrived_us,
-                            dispatched_us: run.arrived_us,
-                            picked_up_us: run.started_us,
-                            completed_us: now_us,
-                            service_ms: 0.0,
-                            outcome: OutcomeClass::Transport,
-                            cold_start: run.started_cold,
-                            error: Some("node crash".to_string()),
-                        }));
+                        sink.emit(&span(&run, now_us, OutcomeClass::Transport));
                     }
                 }
                 // Warm state is gone: account idle time up to the crash,
                 // then drop every sandbox. Queued work is lost too.
-                let metrics = &mut engine.metrics;
-                metrics.killed += engine.index.crash(node as usize, |s| {
-                    account_idle(metrics, &s, now_us);
-                    metrics.sandboxes_lost += 1;
-                });
+                engine.metrics.killed += engine.life.crash(node as usize, now_us);
             }
         }
     }
 
-    // Finalize idle-memory accounting for sandboxes still warm at the end.
+    // What the lifecycle counted, with the sandboxes still warm at the end
+    // charged for their idle memory up to it.
     metrics = engine.metrics;
-    for s in (0..cluster.nodes).flat_map(|node| engine.index.idle_on(node)) {
-        account_idle(&mut metrics, s, last_us);
-    }
+    let life = engine.life.stats_at(last_us);
+    metrics.cold_starts = life.cold_starts;
+    metrics.warm_starts = life.warm_starts;
+    metrics.evictions = life.evictions;
+    metrics.expirations = life.expirations;
+    metrics.prewarms = life.prewarms;
+    metrics.sandboxes_lost = life.sandboxes_lost;
+    metrics.idle_mb_ms = life.idle_mb_ms;
     // Anything still queued never ran (cluster too small).
-    metrics.starved = engine.index.queued_total();
+    metrics.starved = engine.life.index.queued_total();
     metrics.duration_ms = last_us as f64 / 1_000.0;
     metrics.total_cores = total_cores as u64;
     sink.emit(&TelemetryEvent::RunEnd(RunSummary {
@@ -612,7 +495,7 @@ mod tests {
     use crate::keepalive::{FixedTtl, LruPolicy};
     use crate::scheduler::{LeastLoaded, RoundRobin, WarmFirst};
     use faasrail_core::{Request, RequestTrace};
-    use faasrail_workloads::{CostModel, WorkloadPool};
+    use faasrail_workloads::{CostModel, WorkloadId, WorkloadPool};
 
     fn pool() -> WorkloadPool {
         WorkloadPool::vanilla(&CostModel::default_calibration())

@@ -1,7 +1,9 @@
 //! A FaaS cluster substrate for FaaSRail experiments.
 //!
 //! FaaSRail replays load "against a backend FaaS system"; this crate is that
-//! backend, in two flavours:
+//! backend, in two flavours over one sandbox lifecycle (`lifecycle.rs`:
+//! warm or cold, who is evicted, when an idle sandbox dies — so every
+//! keep-alive policy runs on both):
 //!
 //! * [`engine::simulate`] — a deterministic discrete-event cluster simulator
 //!   (nodes, cores, sandbox memory, cold starts, keep-alive policies, load
@@ -9,13 +11,14 @@
 //!   memory, and utilization — the metrics of the research areas the paper
 //!   motivates (§2.2);
 //! * [`rt_backend::WarmCacheBackend`] — a wall-clock, kernel-executing
-//!   warm-cache node that plugs into `faasrail-loadgen` for end-to-end runs
-//!   with real computation.
+//!   node that plugs into `faasrail-loadgen` for end-to-end runs with real
+//!   computation.
 
 pub mod cluster;
 pub mod engine;
 mod index;
 pub mod keepalive;
+mod lifecycle;
 pub mod metrics;
 pub mod registry;
 pub mod rt_backend;
@@ -27,6 +30,7 @@ pub use index::ClusterIndex;
 pub use keepalive::{
     FixedTtl, GreedyDual, HybridHistogram, IdleSandbox, KeepAlivePolicy, LruPolicy,
 };
+pub use lifecycle::LifecycleStats;
 pub use metrics::SimMetrics;
 pub use registry::{BalancerKind, PolicyKind};
 pub use rt_backend::{WarmCacheBackend, WarmCacheConfig};

@@ -12,12 +12,13 @@
 //!   run's. Latency histograms are *not* reconstructable from counters and
 //!   are deliberately left empty (a documented loss: a dead agent takes
 //!   its histograms with it; counts never lie).
-//! * [`plan_grants`] splits the unfinished remainder across survivors with
-//!   the same function-keyed hash partition the original sharding used
-//!   ([`faasrail_loadgen::partition_remainder`]), so reassignment is a
-//!   pure function of `(trace, watermark, survivor set)` — two
-//!   coordinators observing the same death in the same state plan the
-//!   same grants.
+//! * [`plan_grants`] splits the unfinished remainder across survivors by
+//!   function, as the original sharding did, under a hash keyed by the
+//!   grant generation ([`faasrail_loadgen::partition_remainder`]), so
+//!   reassignment is a pure function of `(trace, watermark, survivor set,
+//!   next grant id)` — two coordinators observing the same death in the
+//!   same state plan the same grants — and a remainder spreads even when
+//!   there are as many survivors as there were shards.
 
 use faasrail_core::RequestTrace;
 use faasrail_loadgen::{partition_remainder, remainder_after, RunMetrics};
@@ -92,7 +93,7 @@ pub fn plan_grants(
     if remainder.requests.is_empty() {
         return Vec::new();
     }
-    partition_remainder(&remainder, survivors)
+    partition_remainder(&remainder, survivors, next_id)
         .into_iter()
         .enumerate()
         .map(|(i, (target, part))| {

@@ -10,7 +10,7 @@
 //! the shard a fleet agent would.
 
 use faasrail_core::RequestTrace;
-use faasrail_stats::rng::{Rng, SplitMix64};
+use faasrail_stats::rng::{mix64_pair, Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
 /// Which of `shards` shards owns `function_index`: the first output of a
@@ -43,11 +43,19 @@ pub fn remainder_after(trace: &RequestTrace, watermark: usize) -> RequestTrace {
 /// function-keyed invariant as the original sharding — and the returned
 /// parts exactly partition `trace`. Survivors with no work are omitted.
 ///
+/// The hash is keyed by `salt` (the fleet passes the grant generation) and
+/// is never [`shard_of`]'s: every function of shard `k` of `n` hashes to
+/// `k` there, so with `n` survivors the whole remainder would land on one.
+///
 /// # Panics
 /// Panics if `survivors` is empty.
-pub fn partition_remainder(trace: &RequestTrace, survivors: &[u32]) -> Vec<(u32, RequestTrace)> {
+pub fn partition_remainder(
+    trace: &RequestTrace,
+    survivors: &[u32],
+    salt: u64,
+) -> Vec<(u32, RequestTrace)> {
     assert!(!survivors.is_empty(), "cannot partition a remainder across zero survivors");
-    let n = survivors.len() as u32;
+    let n = survivors.len() as u64;
     let mut parts: Vec<(u32, RequestTrace)> = survivors
         .iter()
         .map(|&s| {
@@ -55,8 +63,8 @@ pub fn partition_remainder(trace: &RequestTrace, survivors: &[u32]) -> Vec<(u32,
         })
         .collect();
     for r in &trace.requests {
-        let slot = shard_of(r.function_index, n) as usize;
-        parts[slot].1.requests.push(*r);
+        let slot = mix64_pair(salt, r.function_index as u64) % n;
+        parts[slot as usize].1.requests.push(*r);
     }
     parts.retain(|(_, t)| !t.requests.is_empty());
     parts
@@ -248,28 +256,53 @@ mod tests {
         let full = trace(40, 5);
         let rem = remainder_after(&full, 37);
         let survivors = [7u32, 2, 9];
-        let parts = partition_remainder(&rem, &survivors);
+        let parts = partition_remainder(&rem, &survivors, 5);
         // Exact partition: union equals the remainder, order preserved per part.
         let mut union: Vec<_> = parts.iter().flat_map(|(_, t)| t.requests.clone()).collect();
         union.sort_by_key(|r| (r.at_ms, r.function_index));
         let mut want = rem.requests.clone();
         want.sort_by_key(|r| (r.at_ms, r.function_index));
         assert_eq!(union, want);
+        let mut owner_of = std::collections::BTreeMap::new();
         for (owner, t) in &parts {
             assert!(survivors.contains(owner));
             assert!(!t.requests.is_empty(), "empty parts must be omitted");
             assert!(t.requests.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
             for r in &t.requests {
-                assert_eq!(survivors[shard_of(r.function_index, 3) as usize], *owner);
+                let first = *owner_of.entry(r.function_index).or_insert(*owner);
+                assert_eq!(first, *owner, "function {} is split", r.function_index);
             }
         }
-        // Deterministic: same inputs, same plan.
-        assert_eq!(parts, partition_remainder(&rem, &survivors));
+        // Deterministic: same inputs, same plan; another generation, another.
+        assert_eq!(parts, partition_remainder(&rem, &survivors, 5));
+        assert_ne!(parts, partition_remainder(&rem, &survivors, 6));
+    }
+
+    /// ROADMAP 9c: with as many survivors as there were shards, re-hashing
+    /// with the hash that sharded sent a dead shard's whole remainder to
+    /// one survivor. Given 64 functions per survivor, no part is more than
+    /// twice the mean, whichever shard died and whatever the generation.
+    #[test]
+    fn partition_remainder_is_balanced_across_as_many_survivors_as_shards() {
+        for n in 2u32..=6 {
+            let full = trace(64 * n * n, 1);
+            let survivors: Vec<u32> = (10..10 + n).collect();
+            for (dead, salt) in (0..n).zip([0, 1, 1 << 32, u64::MAX, 7, 8]) {
+                let rem = ShardSpec::new(dead, n).filter(&full);
+                let parts = partition_remainder(&rem, &survivors, salt);
+                let largest = parts.iter().map(|(_, t)| t.requests.len()).max().unwrap_or(0);
+                assert!(
+                    largest * n as usize <= 2 * rem.requests.len(),
+                    "{n} survivors, shard {dead}, salt {salt}: {largest} of {}",
+                    rem.requests.len()
+                );
+            }
+        }
     }
 
     #[test]
     #[should_panic]
     fn partition_remainder_rejects_zero_survivors() {
-        partition_remainder(&trace(3, 2), &[]);
+        partition_remainder(&trace(3, 2), &[], 0);
     }
 }

@@ -8,9 +8,9 @@
 //! Run with: `cargo run --release --example replay_realtime`
 
 use faasrail::prelude::*;
-use faasrail::sim::{ColdStartModel, WarmCacheBackend, WarmCacheConfig};
+use faasrail::sim::{ColdStartModel, FixedTtl, WarmCacheBackend, WarmCacheConfig};
 use faasrail::trace::huawei::{generate as generate_trace, HuaweiTraceConfig};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() {
     // Huawei profile: sub-2 s workloads, so really *executing* the mapped
@@ -33,11 +33,11 @@ fn main() {
         pool.clone(),
         WarmCacheConfig {
             capacity_mb: 4_096.0,
-            ttl: Duration::from_secs(60),
             cold_start: ColdStartModel::snapshot(),
             cold_scale: 0.25, // scale slept cold delays with the compression
             execute_kernels: true,
         },
+        Box::new(FixedTtl { ttl_ms: 60_000 }),
     );
 
     let started = Instant::now();

@@ -6,8 +6,10 @@
 # syscall floor is held the same way: one `write_all` per message in http.rs,
 # socket timeouts set in one place in pool.rs. The fleet is held the same way:
 # what a fleet run decides lives in crates/fleet/src/control.rs, free of IO, and
-# coordinator.rs is the sockets around it. Then print what each file weighs
-# (lines above its first `#[cfg(test)]`).
+# coordinator.rs is the sockets around it. And the sandbox lifecycle: warm or
+# cold, eviction, TTL and idle accounting live in crates/faas-sim/src/lifecycle.rs,
+# which names no clock, lock or thread; engine.rs and rt_backend.rs execute it.
+# Then print what each file weighs (lines above its first `#[cfg(test)]`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +64,19 @@ if [ "$n" -ne 1 ]; then
     fail=1
 fi
 
+refuse crates/faas-sim/src/lifecycle.rs 'its executors (engine.rs, rt_backend.rs)' \
+    'Instant' 'Mutex' 'thread::' 'sleep'
+for executor in crates/faas-sim/src/engine.rs crates/faas-sim/src/rt_backend.rs; do
+    refuse "$executor" crates/faas-sim/src/lifecycle.rs \
+        'take_idle(' 'push_idle(' 'pick_victim(' 'HashMap'
+done
+for gone in 'WarmEntry' 'CacheState' 'fn admit'; do
+    if grep -rnF -- "$gone" crates/faas-sim/src; then
+        echo "error: crates/faas-sim/src: \`$gone\` is back: the wall-clock node has no cache model of its own" >&2
+        fail=1
+    fi
+done
+
 weigh() { # label, files...
     local label=$1 total=0 file lines
     shift
@@ -74,4 +89,5 @@ weigh() { # label, files...
 }
 weigh gateway crates/gateway/src/*.rs crates/reactor/src/http1.rs
 weigh fleet crates/fleet/src/*.rs
+weigh faas-sim crates/faas-sim/src/*.rs
 exit "$fail"

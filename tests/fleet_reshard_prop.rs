@@ -378,6 +378,45 @@ fn a_dead_grantee_regrants_its_grants() {
     assert_eq!(report.agents[2].granted as usize, to_last);
 }
 
+/// ROADMAP 9c: a spare has joined, so a dead shard's remainder is split
+/// across as many survivors as there were shards. Re-hashed with the hash
+/// that sharded, all of it went to one of them; under the generation-keyed
+/// hash no survivor gets more than twice its share, and a function still
+/// has one owner.
+#[test]
+fn a_remainder_spreads_across_as_many_survivors_as_there_were_shards() {
+    let pool = vanilla_pool();
+    let shards = 3;
+    let trace = RequestTrace {
+        duration_minutes: 2,
+        requests: (0..64 * shards * shards)
+            .map(|f| Request { at_ms: f as u64 * 100, workload: WorkloadId(0), function_index: f })
+            .collect(),
+    };
+    let cfg = fleet_of(shards as usize);
+    let mut fleet = Fleet::start(&trace, &pool, &cfg);
+    let spare = fleet.join_spare();
+    fleet.lose(0, Loss::Crash);
+
+    let lost = Control::assignment(&trace, 0, shards).requests.len();
+    assert_eq!(fleet.plan.iter().map(|&(_, _, n, _)| n).sum::<usize>(), lost);
+    for survivor in [1, 2, spare] {
+        let granted: usize =
+            fleet.plan.iter().filter(|&&(to, ..)| to == survivor).map(|&(_, _, n, _)| n).sum();
+        assert!(granted > 0 && granted * shards as usize <= 2 * lost, "{survivor}: {granted}");
+    }
+    let mut owner_of = BTreeMap::new();
+    for (shard, works) in &fleet.held {
+        for r in works.iter().flat_map(|(_, work)| &work.requests) {
+            assert_eq!(owner_of.insert(r.function_index, *shard), None, "function split");
+        }
+    }
+    assert_eq!(owner_of.len(), trace.requests.len());
+
+    let (report, _) = fleet.drain();
+    assert_eq!(report.metrics.completed + report.metrics.errors, report.offered);
+}
+
 /// `Finish` comes exactly once, and not before every work item is covered
 /// by an ack or accounted by a death.
 #[test]

@@ -2,7 +2,7 @@
 //! and the kernel-executing warm-cache backend.
 
 use faasrail::prelude::*;
-use faasrail::sim::{ColdStartModel, WarmCacheBackend, WarmCacheConfig};
+use faasrail::sim::{ColdStartModel, FixedTtl, WarmCacheBackend, WarmCacheConfig};
 use faasrail::trace::azure::{generate as gen_azure, AzureTraceConfig};
 use std::time::Duration;
 
@@ -18,11 +18,11 @@ fn generated_load_replays_against_warm_cache_backend() {
         pool.clone(),
         WarmCacheConfig {
             capacity_mb: 2_048.0,
-            ttl: Duration::from_secs(600),
             cold_start: ColdStartModel::snapshot(),
             cold_scale: 0.0,        // don't sleep cold delays in tests
             execute_kernels: false, // account only; no real compute in CI
         },
+        Box::new(FixedTtl::ten_minutes()),
     );
     let m = replay(&reqs, &pool, &backend, &ReplayConfig { pacing: Pacing::Unpaced, workers: 4 });
     assert_eq!(m.issued as usize, reqs.len());
@@ -47,6 +47,7 @@ fn per_kind_accounting_matches_request_mix() {
     let backend = WarmCacheBackend::new(
         pool.clone(),
         WarmCacheConfig { cold_scale: 0.0, execute_kernels: false, ..Default::default() },
+        Box::new(FixedTtl::ten_minutes()),
     );
     let m = replay(&reqs, &pool, &backend, &ReplayConfig { pacing: Pacing::Unpaced, workers: 2 });
     let expect = reqs.counts_by_kind(&pool);
@@ -64,6 +65,7 @@ fn realtime_pacing_meets_schedule_under_load() {
     let backend = WarmCacheBackend::new(
         pool.clone(),
         WarmCacheConfig { cold_scale: 0.0, execute_kernels: false, ..Default::default() },
+        Box::new(FixedTtl::ten_minutes()),
     );
     let started = std::time::Instant::now();
     let m = replay(
