@@ -1,47 +1,36 @@
-//! The fleet agent: one process, one shard — plus whatever the control
-//! plane hands it mid-run.
+//! The fleet agent: the socket, threads and clock around the session core.
 //!
-//! An agent dials the coordinator, exchanges `Hello`/`HelloAck` (protocol
-//! version + rejoin token + liveness lease), answers the clock probes,
-//! receives its self-contained [`Assignment`] (shard trace, workload pool,
-//! and replay config — no local files needed), arms itself, and fires the
-//! replay at the synchronized start instant. While replaying it streams
-//! cumulative [`Snapshot`]s back on the progress cadence, each carrying a
-//! [`WorkPrefix`] per work item — the contiguous-finished high-water marks
-//! the coordinator reshards from if this agent dies — plus its current
-//! pacing lag (backpressure signal).
+//! What an agent *decides* — handshake order, the works it holds, what a
+//! `Progress` carries, when it stops, how a session ends, what a lost link
+//! costs — is [`session`](crate::session), stated once and free of IO. This
+//! file dials the coordinator, turns what the socket, the replays and the
+//! clock do into [`Event`]s and carries out the [`Action`]s returned; a
+//! session that ends `Lost` rejoins, backing off, with the `HelloAck` token.
 //!
-//! Mid-run the coordinator may `Reassign` part of a dead shard's
-//! remainder; the agent acks, spawns a catch-up replay
-//! ([`faasrail_loadgen::replay_resumed`] — overdue arrivals fire
-//! immediately and book their deficit as lateness, never dropped or
-//! compressed), and keeps reporting. When every work item is accounted
-//! for, the coordinator sends `Finish` and the agent reports one `Done`
-//! with its merged metrics and (optionally) its span log.
-//!
-//! Failure paths: an `Abort` frame stops the replays, drains in-flight
-//! work, and still delivers `Done` with the partial, `aborted`-marked
-//! metrics. A *lost link* (EOF or a socket error) instead stops the
-//! replays and rejoins with bounded exponential backoff, presenting the
-//! `HelloAck` resume token — the coordinator already resharded this
-//! agent's work at the moment of loss, so the rejoined agent comes back
-//! as fresh capacity for subsequent reassignments.
+//! **One owner.** The calling thread owns the [`Session`], the write half
+//! and the [`PrefixTracker`]s. A reader thread forwards frames and the loss
+//! that ends them; each work is one thread around the single replay call,
+//! sending its [`RunMetrics`] back. All feed one channel, and the loop
+//! waits on it until the wake the core asked for (the start instant, then
+//! the progress cadence): nothing polls. The link's timeout, both ways, is
+//! the lease `HelloAck` advertised: a coordinator that stops reading fails
+//! the send inside it, a loss like any other; its silence is not one.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use faasrail_loadgen::{
-    replay_resumed, Backend, InProcessBackend, PaceGauge, ReplayConfig, ReplayInstruments,
-    ResumeSpec, RunMetrics,
+    replay_resumed, Backend, PaceGauge, ReplayConfig, ReplayInstruments, ResumeSpec, RunMetrics,
 };
 use faasrail_telemetry::{EventSink, OutcomeClass, Recorder, RingSink, TelemetryEvent};
 
+use crate::session::{Action, Event, Session, SessionEnd, Work};
 use crate::wire::{
-    read_frame, wall_clock_us, write_frame, Assignment, FleetMessage, WorkPrefix, PROTOCOL_VERSION,
+    arm, read_link, send, wall_clock_us, Assignment, FleetMessage, Loss, WorkPrefix,
 };
 
 /// Agent-side knobs (everything else arrives in the [`Assignment`]).
@@ -205,32 +194,11 @@ impl EventSink for PrefixTracker {
     }
 }
 
-/// Dial the coordinator and serve one shard with the default backend
-/// selection: in-process kernel execution. Custom backends (e.g. the
-/// HTTP gateway client) go through [`run_agent_with`].
-pub fn run_agent<A: ToSocketAddrs + Clone>(
-    addr: A,
-    cfg: &AgentConfig,
-) -> io::Result<Option<AgentRun>> {
-    run_agent_with(addr, cfg, |_| Ok(Arc::new(InProcessBackend)))
-}
-
-/// How one coordinator session ended, from the agent's point of view.
-enum SessionEnd {
-    /// Clean exit: `Done` delivered (complete or operator-aborted run).
-    Finished(Box<AgentRun>),
-    /// Coordinator aborted before `Start` (e.g. it refused the agent).
-    AbortedBeforeStart,
-    /// The link died mid-run; the coordinator reshards this agent's work,
-    /// and the agent may rejoin with `token` as fresh capacity.
-    Lost { token: Option<String> },
-}
-
-/// [`run_agent`] with a caller-chosen backend, constructed once per
-/// session when the assignment (and thus the `target`) is known. A
-/// backend that fails to construct fails the agent *before* it
-/// acknowledges `Ready`, so the coordinator sees a handshake error
-/// instead of a shard lost mid-run.
+/// Dial the coordinator and serve one shard (plus whatever is granted
+/// mid-run) on a caller-chosen backend, constructed once per session when
+/// the assignment (and thus the `target`) is known. A backend that fails
+/// to construct fails the agent *before* it acknowledges `Ready`, so the
+/// coordinator sees a handshake error instead of a shard lost mid-run.
 ///
 /// Returns `Ok(None)` if the coordinator aborted the run before start.
 /// A lost link mid-run rejoins with bounded exponential backoff (unless
@@ -251,18 +219,16 @@ where
     let mut rejoined = 0u32;
     loop {
         match run_session(addr.clone(), cfg, &make_backend, token.take())? {
-            SessionEnd::Finished(mut run) => {
-                run.rejoined = rejoined;
-                return Ok(Some(*run));
-            }
+            SessionEnd::Finished(run) => return Ok(Some(AgentRun { rejoined, ..run })),
             SessionEnd::AbortedBeforeStart => return Ok(None),
+            SessionEnd::Failed(e) => return Err(e),
+            SessionEnd::Lost { .. } if !cfg.rejoin => {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "coordinator link lost mid-run (rejoin disabled)",
+                ));
+            }
             SessionEnd::Lost { token: t } => {
-                if !cfg.rejoin {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "coordinator link lost mid-run (rejoin disabled)",
-                    ));
-                }
                 token = t;
                 rejoined += 1;
                 std::thread::sleep(backoff);
@@ -272,8 +238,46 @@ where
     }
 }
 
-/// One full coordinator session: connect, handshake, replay (original
-/// shard plus any grants), report.
+/// What every replay of one session shares.
+struct Run {
+    assignment: Assignment,
+    backend: Arc<dyn Backend>,
+    cfg: ReplayConfig,
+    recorder: Recorder,
+    gauge: PaceGauge,
+    ring: Option<Arc<RingSink>>,
+    stop: AtomicBool,
+}
+
+impl Run {
+    fn new(backend: Arc<dyn Backend>, assignment: Assignment) -> Run {
+        let cfg = ReplayConfig { pacing: assignment.pacing, workers: assignment.workers.max(1) };
+        let own = assignment.trace.requests.len() as u64;
+        let ring = assignment.capture_events.then(|| {
+            Arc::new(RingSink::with_capacity(assignment.event_capacity.max(own + 16) as usize))
+        });
+        let recorder = Recorder::new(cfg.workers + 1);
+        let (gauge, stop) = (PaceGauge::new(), AtomicBool::new(false));
+        Run { assignment, backend, cfg, recorder, gauge, ring, stop }
+    }
+
+    /// One work, start to finish: the one place a replay is started.
+    fn replay(&self, work: &Work, tracker: &PrefixTracker) -> RunMetrics {
+        let inst = ReplayInstruments {
+            sink: tracker,
+            recorder: Some(&self.recorder),
+            pace: Some(&self.gauge),
+        };
+        let trace = work.trace.as_ref().unwrap_or(&self.assignment.trace);
+        let resume = ResumeSpec { elapsed_ms: work.elapsed_ms };
+        let (pool, backend) = (&self.assignment.pool, &self.backend);
+        replay_resumed(trace, pool, backend, &self.cfg, &self.stop, &inst, &resume)
+    }
+}
+
+/// One full coordinator session: connect, then carry out the core's
+/// actions in order and wait for the next event or the wake it asked for,
+/// whichever is first, until it says how the session ended.
 fn run_session<A, F>(
     addr: A,
     cfg: &AgentConfig,
@@ -284,271 +288,93 @@ where
     A: ToSocketAddrs + Clone,
     F: Fn(&Assignment) -> io::Result<Arc<dyn Backend>>,
 {
-    let stream = connect_with_retry(addr, cfg)?;
+    let mut stream = connect_with_retry(addr, cfg)?;
     stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let writer = Arc::new(Mutex::new(stream));
+    let reader = BufReader::new(stream.try_clone()?);
+    let (tx, rx) = mpsc::channel::<Event>();
+    let (mut session, hello) = Session::new(wall_clock_us(), cfg.name.clone(), resume_token);
+    let mut todo = VecDeque::from([hello]);
+    let mut run: Option<Arc<Run>> = None;
+    let mut trackers: Vec<Arc<PrefixTracker>> = Vec::new();
+    let mut wake: Option<u64> = None;
 
-    let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "coordinator hung up");
-    {
-        let mut w = writer.lock().unwrap();
-        let hello = FleetMessage::Hello {
-            name: cfg.name.clone(),
-            wall_us: wall_clock_us(),
-            proto: PROTOCOL_VERSION,
-            resume_token,
-        };
-        write_frame(&mut *w, &hello)?;
-    }
-    let session_token = match read_frame(&mut reader)?.ok_or_else(eof)? {
-        FleetMessage::HelloAck { proto, token, .. } => {
-            if proto != PROTOCOL_VERSION {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("coordinator speaks protocol v{proto}, this agent v{PROTOCOL_VERSION}"),
-                ));
-            }
-            token
-        }
-        FleetMessage::Abort { reason } => {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                format!("coordinator refused this agent: {reason}"),
-            ))
-        }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected hello_ack, got {other:?}"),
-            ))
-        }
-    };
-
-    // Handshake: probes come in unknown number, then Assign, then Start.
-    let mut assigned: Option<(Assignment, Arc<dyn Backend>)> = None;
-    let start_at_wall_us = loop {
-        match read_frame(&mut reader)?.ok_or_else(eof)? {
-            FleetMessage::Probe { seq, wall_us } => {
-                let reply =
-                    FleetMessage::ProbeReply { seq, wall_us, agent_wall_us: wall_clock_us() };
-                write_frame(&mut *writer.lock().unwrap(), &reply)?;
-            }
-            FleetMessage::Assign { assignment: a } => {
-                if assigned.is_some() {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "double assign"));
+    std::thread::scope(|scope| {
+        let frames = tx.clone();
+        scope.spawn(move || {
+            read_link(reader, |got| match got {
+                Ok(msg) => frames.send(Event::Frame(msg)).is_ok(),
+                Err(Loss::Stall) => true, // the coordinator owes the agent no heartbeat
+                Err(_) => {
+                    frames.send(Event::Lost).ok();
+                    false
                 }
-                let backend = make_backend(&a)?;
-                let ready =
-                    FleetMessage::Ready { shard: a.shard, requests: a.trace.requests.len() as u64 };
-                write_frame(&mut *writer.lock().unwrap(), &ready)?;
-                assigned = Some((a, backend));
-            }
-            FleetMessage::Start { at_agent_wall_us } => break at_agent_wall_us,
-            FleetMessage::Abort { .. } => return Ok(SessionEnd::AbortedBeforeStart),
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected message during handshake: {other:?}"),
-                ))
-            }
-        }
-    };
-    let (assignment, backend) = assigned
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "start before assign"))?;
-    let shard = assignment.shard;
-    let replay_cfg = ReplayConfig { pacing: assignment.pacing, workers: assignment.workers.max(1) };
-    let recorder = Recorder::new(replay_cfg.workers + 1);
-    let ring: Option<Arc<RingSink>> = assignment.capture_events.then(|| {
-        let cap = assignment.event_capacity.max(assignment.trace.requests.len() as u64 + 16).max(1)
-            as usize;
-        Arc::new(RingSink::with_capacity(cap))
-    });
-    let gauge = PaceGauge::new();
-    let stop = AtomicBool::new(false);
-    let pump_done = AtomicBool::new(false);
-    // Work items this session holds: the original shard, plus grants.
-    let works: Mutex<Vec<Arc<PrefixTracker>>> = Mutex::new(Vec::new());
-    // Replays still running (or accepted and not yet finished).
-    let active = AtomicUsize::new(0);
-    let results: Mutex<Vec<RunMetrics>> = Mutex::new(Vec::new());
-    let mut granted = 0u64;
-
-    wait_until_wall_us(start_at_wall_us, &stop);
-    let run_start_wall_us = wall_clock_us();
-
-    let end = std::thread::scope(|scope| -> io::Result<SessionEnd> {
-        // Register the main work *before* the pump can report idle.
-        let main_tracker = Arc::new(PrefixTracker::new(shard as u64, 0, true, ring.clone()));
-        works.lock().unwrap().push(Arc::clone(&main_tracker));
-        active.fetch_add(1, Ordering::AcqRel);
-
-        // Progress pump: cumulative snapshot + per-work prefixes + lag on
-        // the assigned cadence. Doubles as the liveness heartbeat — the
-        // coordinator's lease rides on these frames arriving.
-        {
-            let writer = Arc::clone(&writer);
-            let (recorder, gauge) = (&recorder, &gauge);
-            let (works, active, pump_done) = (&works, &active, &pump_done);
-            let every = Duration::from_millis(assignment.progress_every_ms.max(50));
-            scope.spawn(move || {
-                let mut since_send = Duration::ZERO;
-                while !pump_done.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(25));
-                    since_send += Duration::from_millis(25);
-                    if since_send < every {
-                        continue;
+            })
+        });
+        let end = 'session: loop {
+            while let Some(action) = todo.pop_front() {
+                match action {
+                    Action::Send(mut msg) => {
+                        if let (FleetMessage::Done { events, .. }, Some(run)) = (&mut msg, &run) {
+                            *events = run.ring.as_ref().map(|r| r.events()).unwrap_or_default();
+                        }
+                        if send(&mut stream, &msg).is_err() {
+                            todo.extend(session.handle(wall_clock_us(), Event::Lost));
+                        }
                     }
-                    since_send = Duration::ZERO;
-                    let msg = FleetMessage::Progress {
-                        shard,
-                        snapshot: recorder.snapshot(),
-                        prefixes: works.lock().unwrap().iter().map(|t| t.prefix()).collect(),
-                        lag_ms: gauge.lag_ms(),
-                        max_lag_ms: gauge.max_lag_ms(),
-                        idle: active.load(Ordering::Acquire) == 0,
-                    };
-                    if write_frame(&mut *writer.lock().unwrap(), &msg).is_err() {
-                        return; // link gone; the control loop will notice too
+                    Action::Lease(ms) => {
+                        if let Err(e) = arm(&stream, Duration::from_millis(ms.max(100))) {
+                            break 'session SessionEnd::Failed(e);
+                        }
+                    }
+                    Action::Prepare(assignment) => match make_backend(&assignment) {
+                        Ok(backend) => run = Some(Arc::new(Run::new(backend, assignment))),
+                        Err(e) => break 'session SessionEnd::Failed(e),
+                    },
+                    Action::WakeAt(at) => wake = Some(at),
+                    Action::Spawn(work) => {
+                        let run = Arc::clone(run.as_ref().expect("prepared before any work"));
+                        let (id, shift_us, ring) = (work.id, work.shift_us, run.ring.clone());
+                        let tracker =
+                            Arc::new(PrefixTracker::new(id, shift_us, work.lifecycle, ring));
+                        trackers.push(Arc::clone(&tracker));
+                        let tx = tx.clone();
+                        scope.spawn(move || {
+                            let metrics = run.replay(&work, &tracker);
+                            tx.send(Event::WorkDone { work: id, metrics }).ok();
+                        });
+                    }
+                    Action::StopReplays => {
+                        if let Some(run) = &run {
+                            run.stop.store(true, Ordering::Release);
+                        }
+                    }
+                    Action::End(end) => break 'session end,
+                }
+            }
+            let now = wall_clock_us();
+            let event = match (wake, &run) {
+                (Some(due), Some(run)) if due <= now => {
+                    wake = None;
+                    Event::Tick {
+                        snapshot: run.recorder.snapshot(),
+                        prefixes: trackers.iter().map(|t| t.prefix()).collect(),
+                        lag: (run.gauge.lag_ms(), run.gauge.max_lag_ms()),
                     }
                 }
-            });
-        }
-
-        // The original shard's replay.
-        {
-            let (assignment, backend) = (&assignment, &backend);
-            let (recorder, gauge, stop) = (&recorder, &gauge, &stop);
-            let (results, active, replay_cfg) = (&results, &active, &replay_cfg);
-            scope.spawn(move || {
-                let inst = ReplayInstruments {
-                    sink: &*main_tracker,
-                    recorder: Some(recorder),
-                    pace: Some(gauge),
-                };
-                let m = replay_resumed(
-                    &assignment.trace,
-                    &assignment.pool,
-                    backend,
-                    replay_cfg,
-                    stop,
-                    &inst,
-                    &ResumeSpec::default(),
-                );
-                results.lock().unwrap().push(m);
-                active.fetch_sub(1, Ordering::AcqRel);
-            });
-        }
-
-        // Control loop: grants, finish, abort, link loss.
-        reader.get_ref().set_read_timeout(Some(Duration::from_millis(250))).ok();
-        let outcome: io::Result<bool> = loop {
-            match read_frame(&mut reader) {
-                Ok(Some(FleetMessage::Reassign { grant })) => {
-                    granted += 1;
-                    active.fetch_add(1, Ordering::AcqRel);
-                    // Shift grant spans onto the main run's timeline so the
-                    // shared event log rebases with one run_start_wall_us.
-                    let shift_us = wall_clock_us().saturating_sub(run_start_wall_us);
-                    let tracker =
-                        Arc::new(PrefixTracker::new(grant.id, shift_us, false, ring.clone()));
-                    works.lock().unwrap().push(Arc::clone(&tracker));
-                    let ack = FleetMessage::ReassignAck {
-                        shard,
-                        grant: grant.id,
-                        requests: grant.trace.requests.len() as u64,
-                    };
-                    write_frame(&mut *writer.lock().unwrap(), &ack)?;
-                    let (assignment, backend) = (&assignment, &backend);
-                    let (recorder, gauge, stop) = (&recorder, &gauge, &stop);
-                    let (results, active, replay_cfg) = (&results, &active, &replay_cfg);
-                    scope.spawn(move || {
-                        let inst = ReplayInstruments {
-                            sink: &*tracker,
-                            recorder: Some(recorder),
-                            pace: Some(gauge),
-                        };
-                        let m = replay_resumed(
-                            &grant.trace,
-                            &assignment.pool,
-                            backend,
-                            replay_cfg,
-                            stop,
-                            &inst,
-                            &ResumeSpec { elapsed_ms: grant.elapsed_ms },
-                        );
-                        results.lock().unwrap().push(m);
-                        active.fetch_sub(1, Ordering::AcqRel);
-                    });
+                (Some(due), _) => {
+                    match rx.recv_timeout(Duration::from_micros(due.saturating_sub(now))) {
+                        Ok(event) => event,
+                        Err(_) => continue,
+                    }
                 }
-                Ok(Some(FleetMessage::Finish)) => break Ok(true),
-                Ok(Some(FleetMessage::Abort { .. })) => {
-                    stop.store(true, Ordering::Release);
-                    break Ok(true);
-                }
-                Ok(Some(_)) => {}            // stray frame; ignore
-                Ok(None) => break Ok(false), // clean EOF: link lost
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                Err(_) => break Ok(false), // broken link
-            }
+                (None, _) => rx.recv().expect("this thread holds a sender"),
+            };
+            todo.extend(session.handle(wall_clock_us(), event));
         };
-
-        // Drain: let every accepted replay run down (instantly, if the
-        // stop flag is up), then release the pump.
-        let deliver = outcome?;
-        if !deliver {
-            stop.store(true, Ordering::Release);
-        }
-        while active.load(Ordering::Acquire) > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        pump_done.store(true, Ordering::Release);
-        Ok(if deliver {
-            SessionEnd::Finished(Box::new(AgentRun {
-                shard,
-                assigned: assignment.trace.requests.len() as u64,
-                granted,
-                rejoined: 0,
-                metrics: RunMetrics::new(), // filled in below
-            }))
-        } else {
-            SessionEnd::Lost { token: Some(session_token) }
-        })
-    })?;
-
-    let mut run = match end {
-        SessionEnd::Finished(run) => run,
-        lost => return Ok(lost),
-    };
-    let mut metrics = RunMetrics::new();
-    for m in results.into_inner().unwrap() {
-        metrics.merge(&m);
-    }
-    run.metrics = metrics;
-
-    let events = ring.map(|r| r.events()).unwrap_or_default();
-    {
-        // Final cumulative progress (with final prefixes), then the
-        // result. The progress is best-effort; Done must land.
-        let mut w = writer.lock().unwrap();
-        let last = FleetMessage::Progress {
-            shard,
-            snapshot: recorder.snapshot(),
-            prefixes: works.into_inner().unwrap().iter().map(|t| t.prefix()).collect(),
-            lag_ms: gauge.lag_ms(),
-            max_lag_ms: gauge.max_lag_ms(),
-            idle: true,
-        };
-        write_frame(&mut *w, &last).ok();
-        let done_msg =
-            FleetMessage::Done { shard, run_start_wall_us, metrics: run.metrics.clone(), events };
-        write_frame(&mut *w, &done_msg)?;
-    }
-    Ok(SessionEnd::Finished(run))
+        // Whatever the end, the reader must see one too.
+        stream.shutdown(Shutdown::Both).ok();
+        Ok(end)
+    })
 }
 
 fn connect_with_retry<A: ToSocketAddrs + Clone>(
@@ -569,45 +395,16 @@ fn connect_with_retry<A: ToSocketAddrs + Clone>(
     Err(last_err.unwrap_or_else(|| io::Error::other("no connect attempts")))
 }
 
-/// Sleep until the agent wall clock reaches `target_us` (coarse sleep to
-/// within 5ms, then fine 200µs steps — start skew stays well under the
-/// pacer's own accuracy). Bails early if `stop` is set.
-fn wait_until_wall_us(target_us: u64, stop: &AtomicBool) {
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = wall_clock_us();
-        if now >= target_us {
-            return;
-        }
-        let remaining = target_us - now;
-        if remaining > 5_000 {
-            std::thread::sleep(Duration::from_micros(remaining - 5_000));
-        } else {
-            std::thread::sleep(Duration::from_micros(remaining.min(200)));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{read_frame, write_frame, Grant, PROTOCOL_VERSION};
+    use faasrail_core::{Request, RequestTrace};
+    use faasrail_loadgen::{NoopBackend, Pacing};
     use faasrail_telemetry::InvocationSpan;
-
-    #[test]
-    fn wait_until_reaches_target() {
-        let target = wall_clock_us() + 20_000;
-        wait_until_wall_us(target, &AtomicBool::new(false));
-        assert!(wall_clock_us() >= target);
-    }
-
-    #[test]
-    fn wait_until_past_target_returns_immediately() {
-        let before = wall_clock_us();
-        wait_until_wall_us(before.saturating_sub(1_000_000), &AtomicBool::new(false));
-        assert!(wall_clock_us() - before < 1_000_000, "no sleep for past targets");
-    }
+    use faasrail_workloads::{CostModel, WorkloadId, WorkloadPool};
+    use std::net::TcpListener;
+    use std::time::Instant;
 
     #[test]
     fn connect_retry_reports_last_error() {
@@ -618,6 +415,190 @@ mod tests {
             ..AgentConfig::default()
         };
         assert!(connect_with_retry("127.0.0.1:1", &cfg).is_err());
+    }
+
+    /// A scripted coordinator: the test decides what the link does.
+    struct Script(TcpListener);
+
+    type Link = (BufReader<TcpStream>, TcpStream);
+
+    impl Script {
+        fn bind() -> (Script, std::net::SocketAddr) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.set_nonblocking(true).unwrap();
+            let addr = listener.local_addr().unwrap();
+            (Script(listener), addr)
+        }
+
+        /// Accept the agent's next connection (inside ten seconds) and admit
+        /// it through `Start`, `start_in` from now; returns the resume token
+        /// its `Hello` presented.
+        fn admit(
+            &self,
+            token: &str,
+            lease_ms: u64,
+            assignment: Assignment,
+            start_in: Duration,
+        ) -> (Option<String>, Link) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let stream = loop {
+                match self.0.accept() {
+                    Ok((stream, _)) => break stream,
+                    Err(_) if Instant::now() < deadline => {
+                        std::thread::sleep(Duration::from_millis(5))
+                    }
+                    Err(e) => panic!("the agent never dialled in: {e}"),
+                }
+            };
+            stream.set_nonblocking(false).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let Some(FleetMessage::Hello { resume_token, .. }) = read_frame(&mut reader).unwrap()
+            else {
+                panic!("expected hello")
+            };
+            let requests = assignment.trace.requests.len() as u64;
+            let ack =
+                FleetMessage::HelloAck { proto: PROTOCOL_VERSION, token: token.into(), lease_ms };
+            write_frame(&mut writer, &ack).unwrap();
+            write_frame(&mut writer, &FleetMessage::Assign { assignment }).unwrap();
+            match read_frame(&mut reader).unwrap() {
+                Some(FleetMessage::Ready { requests: got, .. }) if got == requests => {}
+                other => panic!("expected ready for {requests}, got {other:?}"),
+            }
+            let at_agent_wall_us = wall_clock_us() + start_in.as_micros() as u64;
+            write_frame(&mut writer, &FleetMessage::Start { at_agent_wall_us }).unwrap();
+            (resume_token, (reader, writer))
+        }
+
+        /// Admit with nothing to do, say `Finish`, and read to `Done`.
+        fn admit_spare_and_finish(&self, token: &str) -> Option<String> {
+            let (resumed, (mut reader, mut writer)) =
+                self.admit(token, 5_000, assignment(0, 1, Pacing::Unpaced, false), Duration::ZERO);
+            write_frame(&mut writer, &FleetMessage::Finish).unwrap();
+            read_to_done(&mut reader);
+            resumed
+        }
+    }
+
+    fn read_to_done(reader: &mut BufReader<TcpStream>) -> RunMetrics {
+        loop {
+            match read_frame(reader).unwrap().expect("done before eof") {
+                FleetMessage::Done { metrics, .. } => return metrics,
+                FleetMessage::Progress { .. } | FleetMessage::ReassignAck { .. } => {}
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+
+    /// `n` requests `gap_ms` apart.
+    fn assignment(n: u64, gap_ms: u64, pacing: Pacing, capture_events: bool) -> Assignment {
+        let request = |i| Request { at_ms: i * gap_ms, workload: WorkloadId(0), function_index: 4 };
+        Assignment {
+            shard: 0,
+            shards: 1,
+            pacing,
+            workers: 2,
+            capture_events,
+            progress_every_ms: 50,
+            target: None,
+            trace: RequestTrace { duration_minutes: 1, requests: (0..n).map(request).collect() },
+            pool: WorkloadPool::vanilla(&CostModel::default_calibration()),
+            event_capacity: 0,
+        }
+    }
+
+    /// The agent under test, on a thread of its own so that a wedged one
+    /// fails the test instead of hanging it.
+    fn agent(addr: std::net::SocketAddr) -> std::thread::JoinHandle<io::Result<Option<AgentRun>>> {
+        let cfg = AgentConfig {
+            name: "under-test".into(),
+            retry_delay: Duration::from_millis(50),
+            max_rejoin_backoff: Duration::from_millis(200),
+            ..AgentConfig::default()
+        };
+        std::thread::spawn(move || {
+            run_agent_with(addr, &cfg, |_| Ok(Arc::new(NoopBackend) as Arc<dyn Backend>))
+        })
+    }
+
+    /// A link that dies between a `Reassign` and its ack used to fail the
+    /// agent, and only after its unstopped replays had run out the shard.
+    /// The coordinator closes on unread `Progress` frames, so the reset
+    /// rides right behind the grant and the ack's write finds it.
+    #[test]
+    fn a_link_lost_under_the_reassign_ack_stops_the_replays_and_rejoins() {
+        let (script, addr) = Script::bind();
+        let agent = agent(addr);
+        let paced = Pacing::RealTime { compression: 1.0 };
+        let six_seconds = assignment(600, 10, paced, false);
+        let (first, (reader, mut writer)) =
+            script.admit("tok-1", 5_000, six_seconds, Duration::ZERO);
+        assert_eq!(first, None);
+        // Wait for a `Progress` to arrive, and leave it unread.
+        assert_eq!(reader.get_ref().peek(&mut [0]).unwrap(), 1);
+        let grant = Grant {
+            id: 1 << 32,
+            origin_shard: 7,
+            elapsed_ms: 0,
+            trace: assignment(3, 10, paced, false).trace,
+        };
+        write_frame(&mut writer, &FleetMessage::Reassign { grant }).unwrap();
+        drop((reader, writer));
+        let dropped = Instant::now();
+
+        let resumed = script.admit_spare_and_finish("tok-2");
+        assert_eq!(resumed.as_deref(), Some("tok-1"), "the rejoin presents the session token");
+        assert!(
+            dropped.elapsed() < Duration::from_secs(3),
+            "the shard's replay was stopped, not run out"
+        );
+        let run = agent.join().unwrap().unwrap().expect("the rejoined session finishes");
+        assert_eq!((run.rejoined, run.metrics.issued), (1, 0));
+    }
+
+    /// An `Abort` inside the armed window used to sit unread under the
+    /// start wait: the replay started (and, unless the stop won a race with
+    /// its first dispatch, issued) before the frame was seen.
+    #[test]
+    fn an_abort_before_the_start_instant_issues_nothing_and_still_delivers_done() {
+        let (script, addr) = Script::bind();
+        let agent = agent(addr);
+        let shard = assignment(500, 0, Pacing::Unpaced, false);
+        let start_in = Duration::from_millis(1_500);
+        let (_, (mut reader, mut writer)) = script.admit("tok-1", 5_000, shard, start_in);
+        let armed = Instant::now();
+        write_frame(&mut writer, &FleetMessage::Abort { reason: "operator".into() }).unwrap();
+        let done = read_to_done(&mut reader);
+        assert!(armed.elapsed() < start_in / 2, "`Done` waited for the start instant");
+        assert!(
+            done.aborted && done.issued == 0,
+            "issued {} before the abort was seen",
+            done.issued
+        );
+        let run = agent.join().unwrap().unwrap().expect("an aborted run still reports");
+        assert_eq!((run.assigned, run.metrics.issued, run.metrics.aborted), (500, 0, true));
+    }
+
+    /// The other direction of `a_peer_that_never_reads_fails_the_send_
+    /// within_the_lease`: the agent used to drop `HelloAck.lease_ms` and set
+    /// no write timeout, so a coordinator that stopped reading wedged it in
+    /// a write for good. The span log makes `Done` outgrow the socket
+    /// buffers; the send gives up inside the advertised lease and the
+    /// agent comes back as fresh capacity.
+    #[test]
+    fn a_coordinator_that_stops_reading_costs_one_lease_not_the_agent() {
+        let (script, addr) = Script::bind();
+        let agent = agent(addr);
+        let captured = assignment(40_000, 0, Pacing::Unpaced, true);
+        let (_, (_reader, mut writer)) = script.admit("tok-1", 300, captured, Duration::ZERO);
+        write_frame(&mut writer, &FleetMessage::Finish).unwrap();
+        // ... and never read again: `_reader` stays open and idle.
+        let resumed = script.admit_spare_and_finish("tok-2");
+        assert_eq!(resumed.as_deref(), Some("tok-1"), "a timed-out send is a lost link: rejoin");
+        let run = agent.join().unwrap().unwrap().expect("the rejoined session finishes");
+        assert_eq!(run.rejoined, 1);
     }
 
     fn span(seq: u64, outcome: OutcomeClass, cold: bool) -> TelemetryEvent {

@@ -63,7 +63,7 @@ use faasrail_workloads::WorkloadPool;
 use crate::coordinator::{AgentReport, FleetConfig, FleetReport};
 use crate::history::AgentState;
 use crate::reshard::{plan_grants, prefix_metrics};
-use crate::wire::{FleetMessage, WorkPrefix};
+use crate::wire::{FleetMessage, Loss, WorkPrefix};
 
 /// Grant work ids live in a separate id space from shard ids (which also
 /// name each agent's original work), so a late-joining shard can never
@@ -71,17 +71,6 @@ use crate::wire::{FleetMessage, WorkPrefix};
 const GRANT_ID_BASE: u64 = 1 << 32;
 
 const REFUSAL: &str = "run is finishing; no capacity needed";
-
-/// How an agent was lost; the report keeps the three apart.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Loss {
-    /// Socket EOF or reset.
-    Crash,
-    /// Connected but silent past the lease, or a write that timed out.
-    Stall,
-    /// The agent sent `Abort` with this reason.
-    Abort(String),
-}
 
 /// One thing that happened to the fleet, as the IO layer saw it. `Joined`:
 /// agent `shard` completed its handshake with the measured

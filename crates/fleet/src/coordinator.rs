@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -40,10 +40,11 @@ use faasrail_telemetry::{
 use faasrail_workloads::WorkloadPool;
 
 use crate::console::ConsoleServer;
-use crate::control::{Control, Event, Loss, Outbound};
+use crate::control::{Control, Event, Outbound};
 use crate::history::History;
 use crate::wire::{
-    read_frame, wall_clock_us, write_frame, Assignment, FleetMessage, PROTOCOL_VERSION,
+    arm, read_frame, read_link, send, wall_clock_us, write_frame, Assignment, FleetMessage,
+    PROTOCOL_VERSION,
 };
 
 /// How often the main loop feeds the operator's stop flag to the core.
@@ -399,23 +400,6 @@ fn proto_err(what: &str, got: &FleetMessage) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("expected {what}, got {got:?}"))
 }
 
-/// One timeout for both directions of an agent stream: the handshake
-/// timeout first, the lease once the agent is admitted. An agent that is
-/// connected but not reading must fail a send, not block it.
-fn arm(stream: &TcpStream, timeout: Duration) -> io::Result<()> {
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))
-}
-
-/// The loss an IO error on an agent stream stands for: a timeout is a
-/// stall, anything else a crash.
-fn loss_of(e: &io::Error) -> Loss {
-    match e.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => Loss::Stall,
-        _ => Loss::Crash,
-    }
-}
-
 /// Hello → version check → HelloAck → probes → Assign → Ready on a fresh
 /// agent connection, under `cfg.agent_timeout`; the stream leaves armed
 /// with the lease.
@@ -513,46 +497,35 @@ fn enlist<'scope>(
 ) {
     let Handshaken { name, clock, rejoined, stream, reader } = agent;
     let joined = Event::Joined { shard, name, clock, rejoined };
-    if tx.send((joined, Some(stream))).is_ok() {
-        let tx = tx.clone();
-        scope.spawn(move || read_agent(shard, reader, tx));
+    if tx.send((joined, Some(stream))).is_err() {
+        return;
     }
-}
-
-/// Forward one agent's frames until `Done`, `Abort` or a loss; the lease
-/// is the socket's read timeout (timeout = stall, EOF/reset = crash).
-fn read_agent(shard: u32, mut reader: BufReader<TcpStream>, tx: Sender<Arrival>) {
-    loop {
-        let event = match read_frame(&mut reader) {
-            Ok(Some(msg)) => Event::Frame { shard, msg },
-            Ok(None) => Event::Lost { shard, loss: Loss::Crash },
-            Err(e) => Event::Lost { shard, loss: loss_of(&e) },
-        };
-        let last = matches!(
-            event,
-            Event::Lost { .. }
-                | Event::Frame { msg: FleetMessage::Done { .. } | FleetMessage::Abort { .. }, .. }
-        );
-        if tx.send((event, None)).is_err() || last {
-            return;
-        }
-    }
-}
-
-/// Deliver one frame of the core's. A failed or timed-out write shuts the
-/// stream down, so its reader sees the loss too, and is the [`Loss`] to
-/// report.
-fn send(stream: &mut TcpStream, msg: &FleetMessage) -> Result<(), Loss> {
-    write_frame(stream, msg).map_err(|e| {
-        stream.shutdown(Shutdown::Both).ok();
-        loss_of(&e)
-    })
+    // Forward its frames until `Done`, `Abort` or a loss; the lease is the
+    // socket's read timeout (timeout = stall, EOF/reset = crash).
+    let tx = tx.clone();
+    scope.spawn(move || {
+        read_link(reader, |got| {
+            let event = match got {
+                Ok(msg) => Event::Frame { shard, msg },
+                Err(loss) => Event::Lost { shard, loss },
+            };
+            let last = matches!(
+                event,
+                Event::Lost { .. }
+                    | Event::Frame {
+                        msg: FleetMessage::Done { .. } | FleetMessage::Abort { .. },
+                        ..
+                    }
+            );
+            tx.send((event, None)).is_ok() && !last
+        })
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::Grant;
+    use crate::wire::{Grant, Loss};
     use faasrail_core::Request;
     use faasrail_workloads::{CostModel, WorkloadId};
 

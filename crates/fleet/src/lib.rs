@@ -20,7 +20,8 @@
 //!   agent's remainder, rejoin and late join keep `completed + errors +
 //!   aborted == offered` exact and the merged offered per-minute series
 //!   bit-identical to an unkilled run. [`control`] states every such
-//!   decision once, free of IO; [`coordinator`] is the sockets around it;
+//!   decision once, free of IO, and [`coordinator`] is the sockets around
+//!   it; [`session`] and [`agent`] are the same pair at the agent's end;
 //! * **backpressure visibility** — agents report coordinated-omission-
 //!   correct pacing lag per window; the fleet-wide worst case surfaces as
 //!   [`FleetReport::max_lag_ms`];
@@ -44,11 +45,12 @@ pub mod control;
 pub mod coordinator;
 pub mod history;
 pub mod reshard;
+pub mod session;
 pub mod wire;
 
-pub use agent::{run_agent, run_agent_with, AgentConfig, AgentRun, PrefixTracker};
+pub use agent::{run_agent_with, AgentConfig, AgentRun, PrefixTracker};
 pub use console::{fetch_state, render_top, ConsoleHandle, ConsoleServer, DASHBOARD_HTML};
-pub use control::{Control, Event, Loss, Outbound};
+pub use control::{Control, Event, Outbound};
 pub use coordinator::{AgentReport, Coordinator, FleetConfig, FleetReport};
 pub use history::{
     AgentState, FleetSample, HealthCounts, History, StateView, WindowStats,
@@ -56,6 +58,6 @@ pub use history::{
 };
 pub use reshard::{per_minute_of, plan_grants, prefix_metrics};
 pub use wire::{
-    read_frame, wall_clock_us, write_frame, Assignment, FleetMessage, Grant, WorkPrefix,
+    read_frame, wall_clock_us, write_frame, Assignment, FleetMessage, Grant, Loss, WorkPrefix,
     PROTOCOL_VERSION,
 };

@@ -31,7 +31,9 @@
 //! before `Done` as a crashed shard and a missed lease deadline (no frame
 //! for longer than `lease_ms`) as a stalled one.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
@@ -314,6 +316,63 @@ fn fill_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
         }
     }
     Ok(true)
+}
+
+/// How a link was lost; the coordinator's report keeps the three apart.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Loss {
+    /// Socket EOF or reset.
+    Crash,
+    /// Connected but silent past the lease, or a write that timed out.
+    Stall,
+    /// The peer sent `Abort` with this reason.
+    Abort(String),
+}
+
+/// One timeout for both directions of a link: on the coordinator the
+/// handshake timeout, then the lease; on the agent the lease `HelloAck`
+/// advertised. A peer that is connected but not reading must fail a
+/// send, not block it.
+pub fn arm(stream: &TcpStream, timeout: Duration) -> io::Result<()> {
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))
+}
+
+/// The loss an IO error on a link stands for: a timeout is a stall,
+/// anything else a crash.
+fn loss_of(e: &io::Error) -> Loss {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => Loss::Stall,
+        _ => Loss::Crash,
+    }
+}
+
+/// Deliver one frame. A failed or timed-out write shuts the stream down,
+/// so its reader sees the loss too, and is the [`Loss`] to report.
+pub fn send(stream: &mut TcpStream, msg: &FleetMessage) -> Result<(), Loss> {
+    write_frame(stream, msg).map_err(|e| {
+        stream.shutdown(Shutdown::Both).ok();
+        loss_of(&e)
+    })
+}
+
+/// Hand each frame of one link, or the loss that ended it (EOF is a
+/// crash, the armed read timeout a stall), to `forward` until it returns
+/// `false`.
+pub fn read_link(
+    mut reader: BufReader<TcpStream>,
+    mut forward: impl FnMut(Result<FleetMessage, Loss>) -> bool,
+) {
+    loop {
+        let got = match read_frame(&mut reader) {
+            Ok(Some(msg)) => Ok(msg),
+            Ok(None) => Err(Loss::Crash),
+            Err(e) => Err(loss_of(&e)),
+        };
+        if !forward(got) {
+            return;
+        }
+    }
 }
 
 /// Current wall clock as unix microseconds — the fleet's shared timebase.

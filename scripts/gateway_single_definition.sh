@@ -6,7 +6,9 @@
 # syscall floor is held the same way: one `write_all` per message in http.rs,
 # socket timeouts set in one place in pool.rs. The fleet is held the same way:
 # what a fleet run decides lives in crates/fleet/src/control.rs, free of IO, and
-# coordinator.rs is the sockets around it. And the sandbox lifecycle: warm or
+# coordinator.rs is the sockets around it; what one agent's session decides lives
+# in crates/fleet/src/session.rs, as free of IO, and agent.rs is its executor; the
+# link's timeouts are armed in wire.rs for both ends. And the sandbox lifecycle: warm or
 # cold, eviction, TTL and idle accounting live in crates/faas-sim/src/lifecycle.rs,
 # which names no clock, lock or thread; engine.rs and rt_backend.rs execute it.
 # Then print what each file weighs (lines above its first `#[cfg(test)]`).
@@ -37,17 +39,18 @@ for transport in crates/gateway/src/pool.rs crates/gateway/src/mux.rs; do
 done
 refuse crates/gateway/src/http.rs crates/reactor/src/http1.rs "split_once(':')" '"content-length"'
 
-once() { # file, why, patterns...: each on exactly one non-test line
-    local file=$1 why=$2 pat n
-    shift 2
+times() { # count, file, why, patterns...: each on exactly that many non-test lines
+    local want=$1 file=$2 why=$3 pat n
+    shift 3
     for pat in "$@"; do
         n=$(nontest "$file" | grep -cF -- "$pat" || true)
-        if [ "$n" -ne 1 ]; then
-            echo "error: $file: \`$pat\` on $n lines, expected 1: $why" >&2
+        if [ "$n" -ne "$want" ]; then
+            echo "error: $file: \`$pat\` on $n lines, expected $want: $why" >&2
             fail=1
         fi
     done
 }
+once() { times 1 "$@"; }
 
 once crates/gateway/src/http.rs 'head and body leave in one write (write_message)' 'write_all('
 once crates/gateway/src/pool.rs 'a socket is armed only where its timeout changes (Conn::arm)' \
@@ -63,6 +66,16 @@ if [ "$n" -ne 1 ]; then
         'the core is built in Coordinator::run and nowhere else' >&2
     fail=1
 fi
+
+refuse crates/fleet/src/session.rs crates/fleet/src/agent.rs \
+    'TcpStream' 'read_frame' 'write_frame' 'wall_clock_us' 'Instant' 'thread::' 'sleep' 'Mutex' 'Atomic'
+refuse crates/fleet/src/agent.rs crates/fleet/src/session.rs 'AtomicUsize' 'pump_done' 'Mutex<Vec'
+once crates/fleet/src/agent.rs 'one work path, one core per session' 'replay_resumed(' 'Session::new('
+times 2 crates/fleet/src/agent.rs 'connect retry and rejoin backoff; the rest waits on the channel' \
+    'thread::sleep'
+for end in crates/fleet/src/agent.rs crates/fleet/src/coordinator.rs; do
+    refuse "$end" 'crates/fleet/src/wire.rs (arm)' 'set_read_timeout' 'set_write_timeout'
+done
 
 refuse crates/faas-sim/src/lifecycle.rs 'its executors (engine.rs, rt_backend.rs)' \
     'Instant' 'Mutex' 'thread::' 'sleep'

@@ -4,9 +4,8 @@
 //! so every item is `#[allow(dead_code)]` — not every binary uses every
 //! helper.
 
-use faasrail::fleet::{
-    read_frame, wall_clock_us, write_frame, Assignment, FleetMessage, WorkPrefix, PROTOCOL_VERSION,
-};
+use faasrail::fleet::session::{Action, Event, Session};
+use faasrail::fleet::{read_frame, wall_clock_us, write_frame, Assignment, WorkPrefix};
 use faasrail::gateway::{
     Client, Gateway, GatewayConfig, GatewayHandle, GatewayStats, HttpBackendConfig, MuxConfig,
     ReactorGateway, ReactorHandle, RetryPolicy,
@@ -218,44 +217,34 @@ pub fn small_schedule(seed: u64) -> (RequestTrace, WorkloadPool) {
     (reqs, pool)
 }
 
-/// Speak the v2 protocol through the handshake and return at `Start`
-/// with the received assignment and the live connection halves.
+/// The agent's own session core over a socket, up to the start instant:
+/// an impostor speaks whatever the agent speaks. Returns the received
+/// assignment and the live connection halves.
 #[allow(dead_code)]
 pub fn impostor_handshake(
     addr: SocketAddr,
     name: &str,
 ) -> (BufReader<TcpStream>, TcpStream, Assignment) {
-    let stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let hello = FleetMessage::Hello {
-        name: name.into(),
-        wall_us: wall_clock_us(),
-        proto: PROTOCOL_VERSION,
-        resume_token: None,
-    };
-    write_frame(&mut writer, &hello).unwrap();
+    let mut writer = TcpStream::connect(addr).unwrap();
+    writer.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let (mut session, hello) = Session::new(wall_clock_us(), name.into(), None);
     let mut assignment = None;
+    let mut actions = vec![hello];
     loop {
-        match read_frame(&mut reader).unwrap().unwrap() {
-            FleetMessage::HelloAck { proto, .. } => assert_eq!(proto, PROTOCOL_VERSION),
-            FleetMessage::Probe { seq, wall_us } => {
-                let reply =
-                    FleetMessage::ProbeReply { seq, wall_us, agent_wall_us: wall_clock_us() };
-                write_frame(&mut writer, &reply).unwrap();
+        for action in actions {
+            match action {
+                Action::Send(msg) => write_frame(&mut writer, &msg).unwrap(),
+                Action::Lease(_) => {}
+                Action::Prepare(a) => assignment = Some(a),
+                Action::WakeAt(_) => {
+                    return (reader, writer, assignment.expect("assign before start"))
+                }
+                other => panic!("unexpected action {other:?}"),
             }
-            FleetMessage::Assign { assignment: a } => {
-                let ready =
-                    FleetMessage::Ready { shard: a.shard, requests: a.trace.requests.len() as u64 };
-                write_frame(&mut writer, &ready).unwrap();
-                assignment = Some(a);
-            }
-            FleetMessage::Start { .. } => {
-                return (reader, writer, assignment.expect("assign before start"));
-            }
-            other => panic!("unexpected frame {other:?}"),
         }
+        let frame = read_frame(&mut reader).unwrap().unwrap();
+        actions = session.handle(wall_clock_us(), Event::Frame(frame));
     }
 }
 
