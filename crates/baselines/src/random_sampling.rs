@@ -90,7 +90,6 @@ pub fn generate(trace: &Trace, pool: &WorkloadPool, cfg: &RandomSamplingConfig) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faasrail_stats::ecdf::WeightedEcdf;
     use faasrail_stats::ks_distance_weighted;
     use faasrail_trace::azure::{generate as gen_azure, AzureTraceConfig};
     use faasrail_trace::summarize::invocations_duration_wecdf;
@@ -129,7 +128,7 @@ mod tests {
         };
         let t = generate(&trace, &pool, &cfg);
         let target = invocations_duration_wecdf(&trace);
-        let got = WeightedEcdf::new(t.expected_durations(&pool).into_iter().map(|d| (d, 1.0)));
+        let got = t.duration_wecdf(&pool);
         let ks = ks_distance_weighted(&target, &got);
         assert!(ks > 0.15, "baseline unexpectedly accurate: KS = {ks}");
     }

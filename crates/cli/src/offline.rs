@@ -4,7 +4,7 @@
 use crate::args::{Args, Command, Opt};
 use crate::{read_json, write_file, write_json};
 use faasrail_core::{
-    generate_requests, shrink, IatModel, MappingConfig, RequestTrace, ShrinkRayConfig,
+    generate_requests, kind_shares, shrink, IatModel, MappingConfig, RequestTrace, ShrinkRayConfig,
     SmirnovConfig, TimeScaling,
 };
 use faasrail_trace::azure::AzureTraceConfig;
@@ -12,6 +12,7 @@ use faasrail_trace::huawei::HuaweiTraceConfig;
 use faasrail_trace::Trace;
 use faasrail_workloads::calibrate::{quick_calibration, CalibrationOptions};
 use faasrail_workloads::{CostModel, WorkloadKind, WorkloadPool};
+use std::collections::BTreeMap;
 
 const SEED: Opt = Opt::val("seed", "N", "42", "seed of every random draw");
 const TRACE: Opt = Opt::req("trace", "FILE", "trace JSON, from gen-trace");
@@ -330,33 +331,31 @@ pub static COMPARE: Command = Command {
 };
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
-    use faasrail_stats::ecdf::WeightedEcdf;
-    use faasrail_stats::{ks_distance_weighted, timeseries::normalize_peak};
+    use faasrail_stats::{ks_distance_weighted, timeseries::load_shape_mae};
     let a: RequestTrace = read_json(args.str("a"))?;
     let b: RequestTrace = read_json(args.str("b"))?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
 
-    let wa = WeightedEcdf::new(a.expected_durations(&pool).into_iter().map(|d| (d, 1.0)));
-    let wb = WeightedEcdf::new(b.expected_durations(&pool).into_iter().map(|d| (d, 1.0)));
     println!("requests: a={} b={}", a.len(), b.len());
-    println!("KS(expected invocation durations) = {:.4}", ks_distance_weighted(&wa, &wb));
+    println!(
+        "KS(expected invocation durations) = {:.4}",
+        ks_distance_weighted(&a.duration_wecdf(&pool), &b.duration_wecdf(&pool))
+    );
 
     // Load-shape comparison over the common duration.
     let minutes = a.duration_minutes.min(b.duration_minutes);
     if minutes > 0 {
-        let na = normalize_peak(&a.per_minute_counts()[..minutes]);
-        let nb = normalize_peak(&b.per_minute_counts()[..minutes]);
-        let mae: f64 = na.iter().zip(&nb).map(|(x, y)| (x - y).abs()).sum::<f64>() / minutes as f64;
+        let mae =
+            load_shape_mae(&a.per_minute_counts()[..minutes], &b.per_minute_counts()[..minutes]);
         println!("load-shape mean abs error over {minutes} common minutes = {mae:.4}");
     }
 
-    let ca = a.counts_by_kind(&pool);
-    let cb = b.counts_by_kind(&pool);
+    let sa = kind_shares(&a.counts_by_kind(&pool));
+    let sb = kind_shares(&b.counts_by_kind(&pool));
     println!("{:<18} {:>8} {:>8}", "benchmark", "a %", "b %");
     for kind in WorkloadKind::ALL {
-        let fa = ca.get(&kind).copied().unwrap_or(0) as f64 / a.len().max(1) as f64;
-        let fb = cb.get(&kind).copied().unwrap_or(0) as f64 / b.len().max(1) as f64;
-        println!("{:<18} {:>7.2}% {:>7.2}%", kind.name(), fa * 100.0, fb * 100.0);
+        let pct = |s: &BTreeMap<WorkloadKind, f64>| s.get(&kind).copied().unwrap_or(0.0) * 100.0;
+        println!("{:<18} {:>7.2}% {:>7.2}%", kind.name(), pct(&sa), pct(&sb));
     }
     Ok(())
 }

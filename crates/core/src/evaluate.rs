@@ -12,17 +12,21 @@
 //!    second-scale burstiness ratio —
 //!
 //! so any load generator (FaaSRail's modes, the baselines, or a user's own)
-//! can be judged with one call.
+//! can be judged with one call. The statistics themselves are stated once
+//! each — [`load_shape_mae`] and [`top_share`] in `faasrail-stats`,
+//! [`mapped_wecdf`] and [`kind_shares`] here — and the figures, the CLI and
+//! the tests read them from the same place as [`evaluate`].
 
 use crate::request::RequestTrace;
 use faasrail_stats::ecdf::{Ecdf, WeightedEcdf};
-use faasrail_stats::timeseries::{fano_factor, normalize_peak, rebin_sum};
+use faasrail_stats::summary::top_share;
+use faasrail_stats::timeseries::{fano_factor, load_shape_mae};
 use faasrail_stats::{ks_distance, ks_distance_weighted};
 use faasrail_trace::summarize::functions_duration_ecdf;
 use faasrail_trace::{Trace, MINUTES_PER_DAY};
-use faasrail_workloads::WorkloadPool;
+use faasrail_workloads::{Workload, WorkloadId, WorkloadKind, WorkloadPool};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Scores for the four critical properties (lower is better for the
 /// distances; ratios are relative to the trace's own value).
@@ -58,14 +62,40 @@ impl Representativity {
     }
 }
 
-fn top_share_of_counts(counts: &mut [u64], frac: f64) -> f64 {
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    let grand: u64 = counts.iter().sum();
-    if grand == 0 {
-        return 0.0;
+/// Weighted ECDF of one attribute of the pool's Workloads (`mean_ms` for the
+/// invocation-duration CDFs of Figs. 9 and 11, `memory_mb` for Fig. 7's
+/// axis) under a mapping: every `(workload, count)` puts `count` invocations
+/// on that Workload. [`WeightedEcdf`] sums the weights of equal values, so a
+/// count stands for that many unit-weight points without sorting them.
+///
+/// # Panics
+/// Panics if a Workload is missing from the pool or no count is positive.
+pub fn mapped_wecdf(
+    pool: &WorkloadPool,
+    mapped: impl IntoIterator<Item = (WorkloadId, u64)>,
+    of: impl Fn(&Workload) -> f64,
+) -> WeightedEcdf {
+    WeightedEcdf::new(
+        mapped.into_iter().map(|(id, n)| (of(pool.get(id).expect("mapped")), n as f64)),
+    )
+}
+
+/// Invocations per benchmark kind under a mapping (paper Fig. 12).
+pub fn counts_by_kind(
+    pool: &WorkloadPool,
+    mapped: impl IntoIterator<Item = (WorkloadId, u64)>,
+) -> BTreeMap<WorkloadKind, u64> {
+    let mut out = BTreeMap::new();
+    for (id, n) in mapped {
+        *out.entry(pool.get(id).expect("workload in pool").kind()).or_insert(0) += n;
     }
-    let k = ((counts.len() as f64 * frac).round() as usize).max(1);
-    counts.iter().take(k).sum::<u64>() as f64 / grand as f64
+    out
+}
+
+/// Each kind's share of the total in `counts` (all zero when the total is).
+pub fn kind_shares(counts: &BTreeMap<WorkloadKind, u64>) -> BTreeMap<WorkloadKind, f64> {
+    let total = counts.values().sum::<u64>().max(1) as f64;
+    counts.iter().map(|(&kind, &n)| (kind, n as f64 / total)).collect()
 }
 
 /// Evaluate a generated request trace against a production trace.
@@ -93,49 +123,37 @@ pub fn evaluate(trace: &Trace, requests: &RequestTrace, pool: &WorkloadPool) -> 
         .collect();
     let invoked = || trace.functions.iter().zip(&fn_totals).filter(|&(_, &t)| t > 0);
 
-    // Requests per pool Workload, by id: both duration properties need only
-    // these counts, not one value per request.
-    let mut per_workload = vec![0u64; pool.len()];
-    for r in &requests.requests {
-        *per_workload.get_mut(r.workload.0 as usize).expect("workload in pool") += 1;
-    }
-    let used = || pool.workloads().iter().zip(&per_workload).filter(|&(_, &n)| n > 0);
+    // Requests per pool Workload: both duration properties need only these
+    // counts, not one value per request.
+    let per_workload = requests.counts_by_workload(pool);
 
     // (i) distinct workloads used vs distinct trace functions.
-    let used_durs: Vec<f64> = used().map(|(w, _)| w.mean_ms).collect();
+    let used_durs: Vec<f64> = per_workload
+        .iter()
+        .filter(|&&(_, n)| n > 0)
+        .map(|&(id, _)| pool.get(id).expect("workload in pool").mean_ms)
+        .collect();
     let ks_workload_durations =
         ks_distance(&functions_duration_ecdf(trace), &Ecdf::new(&used_durs));
 
-    // (iii) invocation durations. `WeightedEcdf` sums the weights of equal
-    // values, so a Workload's count stands for that many unit-weight points.
-    let generated = WeightedEcdf::new(used().map(|(w, &n)| (w.mean_ms, n as f64)));
+    // (iii) invocation durations.
+    let generated = mapped_wecdf(pool, per_workload, |w| w.mean_ms);
     let in_trace = WeightedEcdf::new(invoked().map(|(f, &t)| (f.avg_duration_ms, t as f64)));
     let ks_invocation_durations = ks_distance_weighted(&in_trace, &generated);
 
     // (ii) popularity by originating function.
-    let mut by_fn: HashMap<u32, u64> = HashMap::new();
-    for r in &requests.requests {
-        *by_fn.entry(r.function_index).or_insert(0) += 1;
-    }
-    let mut gen_counts: Vec<u64> = by_fn.into_values().collect();
+    let mut gen_counts = requests.counts_by_function();
     let mut trace_counts: Vec<u64> = invoked().map(|(_, &t)| t).collect();
-    let top1_share_error = (top_share_of_counts(&mut trace_counts, 0.01)
-        - top_share_of_counts(&mut gen_counts, 0.01))
-    .abs();
-    let top10_share_error = (top_share_of_counts(&mut trace_counts, 0.10)
-        - top_share_of_counts(&mut gen_counts, 0.10))
-    .abs();
+    let top1_share_error =
+        (top_share(&mut trace_counts, 0.01) - top_share(&mut gen_counts, 0.01)).abs();
+    let top10_share_error =
+        (top_share(&mut trace_counts, 0.10) - top_share(&mut gen_counts, 0.10)).abs();
 
     // (iv) load over time.
     let minutes = requests.duration_minutes;
     let generated_minutes = requests.per_minute_counts();
-    let load_shape_mae = if minutes >= 2 {
-        let want = normalize_peak(&rebin_sum(&trace_day, minutes));
-        let have = normalize_peak(&generated_minutes);
-        want.iter().zip(&have).map(|(a, b)| (a - b).abs()).sum::<f64>() / minutes as f64
-    } else {
-        f64::NAN
-    };
+    let load_shape_mae =
+        if minutes >= 2 { load_shape_mae(&trace_day, &generated_minutes) } else { f64::NAN };
     let trace_fano = fano_factor(&trace_day);
     let gen_fano = fano_factor(&generated_minutes);
     // Compare relative overdispersion (Fano scales with the mean, so

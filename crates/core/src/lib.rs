@@ -36,7 +36,7 @@ pub mod time_scaling;
 
 pub use aggregate::{aggregate, AggregatedFunction, Aggregation, DurationResolution};
 pub use error::ShrinkError;
-pub use evaluate::{evaluate, Representativity};
+pub use evaluate::{counts_by_kind, evaluate, kind_shares, mapped_wecdf, Representativity};
 pub use mapping::{map_functions, BalanceStrategy, FunctionMapping, MappingConfig};
 pub use request::{generate_requests, Request, RequestTrace};
 pub use schedule::{

@@ -105,6 +105,17 @@ impl FunctionMapping {
             .ok()
             .map(|i| self.assignments[i].workload)
     }
+
+    /// The mapping as `(workload, invocations)` pairs, one per Function of
+    /// the aggregation it was computed from (see [`crate::mapped_wecdf`]).
+    pub fn mapped_invocations<'a>(
+        &'a self,
+        agg: &'a Aggregation,
+    ) -> impl Iterator<Item = (WorkloadId, u64)> + 'a {
+        self.assignments
+            .iter()
+            .map(|a| (a.workload, agg.functions[a.function_index as usize].total_invocations()))
+    }
 }
 
 /// Position of the first minimum of `(load(pos), score(pos))` over `band`,

@@ -6,10 +6,12 @@
 //! intensity (the default — exponential gaps, bursty even at second scale),
 //! uniformly random positions, or equidistant positions.
 
+use crate::evaluate::{counts_by_kind, mapped_wecdf};
 use crate::spec::ExperimentSpec;
+use faasrail_stats::ecdf::WeightedEcdf;
 use faasrail_workloads::{WorkloadId, WorkloadKind, WorkloadPool};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Milliseconds per experiment minute.
 pub const MS_PER_MINUTE: u64 = 60_000;
@@ -70,21 +72,35 @@ impl RequestTrace {
 
     /// How many requests target each benchmark kind (paper Fig. 12).
     pub fn counts_by_kind(&self, pool: &WorkloadPool) -> BTreeMap<WorkloadKind, u64> {
-        let mut out = BTreeMap::new();
+        counts_by_kind(pool, self.requests.iter().map(|r| (r.workload, 1)))
+    }
+
+    /// Requests per originating Function that has any, in no particular
+    /// order: the counts behind the popularity curves (paper Figs. 1c, 10).
+    pub fn counts_by_function(&self) -> Vec<u64> {
+        let mut by_fn: HashMap<u32, u64> = HashMap::new();
         for r in &self.requests {
-            let kind = pool.get(r.workload).expect("workload in pool").kind();
-            *out.entry(kind).or_insert(0) += 1;
+            *by_fn.entry(r.function_index).or_insert(0) += 1;
+        }
+        by_fn.into_values().collect()
+    }
+
+    /// Requests per pool Workload: one `(workload, count)` for every
+    /// Workload of the pool, in id order, zero counts included.
+    pub fn counts_by_workload(&self, pool: &WorkloadPool) -> Vec<(WorkloadId, u64)> {
+        let mut out: Vec<(WorkloadId, u64)> =
+            (0..pool.len() as u32).map(|i| (WorkloadId(i), 0)).collect();
+        for r in &self.requests {
+            out.get_mut(r.workload.0 as usize).expect("workload in pool").1 += 1;
         }
         out
     }
 
-    /// Per-request expected durations `(duration_ms, 1.0)` pairs, for
-    /// invocation-runtime CDFs (paper Figs. 9, 11).
-    pub fn expected_durations(&self, pool: &WorkloadPool) -> Vec<f64> {
-        self.requests
-            .iter()
-            .map(|r| pool.get(r.workload).expect("workload in pool").mean_ms)
-            .collect()
+    /// ECDF of the requests' expected durations, for invocation-runtime CDFs
+    /// (paper Figs. 9, 11): one unit-weight point per request, built from
+    /// the per-Workload counts.
+    pub fn duration_wecdf(&self, pool: &WorkloadPool) -> WeightedEcdf {
+        mapped_wecdf(pool, self.counts_by_workload(pool), |w| w.mean_ms)
     }
 }
 

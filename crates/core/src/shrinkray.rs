@@ -172,6 +172,7 @@ pub fn shrink(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapped_wecdf;
     use faasrail_stats::ecdf::WeightedEcdf;
     use faasrail_stats::ks_distance_weighted;
     use faasrail_trace::azure::{generate, AzureTraceConfig};
@@ -237,11 +238,7 @@ mod tests {
         // real replay would realize.
         let (trace, pool, spec, _) = run_small();
         let before = invocations_duration_wecdf(&trace);
-        let after = WeightedEcdf::new(
-            spec.entries
-                .iter()
-                .map(|e| (pool.get(e.workload).unwrap().mean_ms, e.total_requests() as f64)),
-        );
+        let after = mapped_wecdf(&pool, spec.mapped_requests(), |w| w.mean_ms);
         // Looser than the trace-duration check: the 10 % mapping threshold
         // plus balanced selection displaces a little mass by design.
         let ks = ks_distance_weighted(&before, &after);
@@ -253,12 +250,10 @@ mod tests {
         // Fig. 8: the spec's per-minute aggregate, normalized to peak,
         // follows the thumbnailed trace day.
         let (trace, _, spec, _) = run_small();
-        let day = trace.aggregate_minutes();
-        let rebinned = faasrail_stats::timeseries::rebin_sum(&day, 120);
-        let expect = faasrail_stats::timeseries::normalize_peak(&rebinned);
-        let got = faasrail_stats::timeseries::normalize_peak(&spec.aggregate_minutes());
-        let mean_abs_err: f64 =
-            expect.iter().zip(&got).map(|(a, b)| (a - b).abs()).sum::<f64>() / 120.0;
+        let mean_abs_err = faasrail_stats::timeseries::load_shape_mae(
+            &trace.aggregate_minutes(),
+            &spec.aggregate_minutes(),
+        );
         assert!(mean_abs_err < 0.02, "mean |shape error| = {mean_abs_err}");
     }
 

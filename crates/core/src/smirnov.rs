@@ -169,7 +169,6 @@ pub fn generate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faasrail_stats::ecdf::WeightedEcdf;
     use faasrail_stats::ks_distance_weighted;
     use faasrail_trace::azure::{generate as gen_azure, AzureTraceConfig};
     use faasrail_trace::huawei::{generate as gen_huawei, HuaweiTraceConfig};
@@ -203,7 +202,7 @@ mod tests {
         let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
         let (reqs, report) = generate(&trace, &pool, &small_cfg(7));
         let target = invocations_duration_wecdf(&trace);
-        let got = WeightedEcdf::new(reqs.expected_durations(&pool).into_iter().map(|d| (d, 1.0)));
+        let got = reqs.duration_wecdf(&pool);
         let ks = ks_distance_weighted(&target, &got);
         assert!(ks < 0.10, "KS = {ks}");
         assert!(report.within_threshold_fraction > 0.85, "{report:?}");
@@ -216,7 +215,7 @@ mod tests {
         let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
         let (reqs, _) = generate(&trace, &pool, &small_cfg(9));
         let target = invocations_duration_wecdf(&trace);
-        let got = WeightedEcdf::new(reqs.expected_durations(&pool).into_iter().map(|d| (d, 1.0)));
+        let got = reqs.duration_wecdf(&pool);
         let ks = ks_distance_weighted(&target, &got);
         assert!(ks < 0.25, "KS = {ks}");
     }

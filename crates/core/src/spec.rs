@@ -80,6 +80,11 @@ impl ExperimentSpec {
         self.entries.iter().map(|e| e.total_requests()).sum()
     }
 
+    /// The spec as `(workload, requests)` pairs (see [`crate::mapped_wecdf`]).
+    pub fn mapped_requests(&self) -> impl Iterator<Item = (WorkloadId, u64)> + '_ {
+        self.entries.iter().map(|e| (e.workload, e.total_requests()))
+    }
+
     /// Aggregate per-minute totals.
     pub fn aggregate_minutes(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.duration_minutes];

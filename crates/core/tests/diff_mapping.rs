@@ -277,6 +277,19 @@ mod oracle {
         counts.iter().take(k).sum::<u64>() as f64 / grand as f64
     }
 
+    /// The requests' expected-duration ECDF from one `(duration, 1.0)` pair
+    /// per request, all of them sorted: what `RequestTrace::duration_wecdf`
+    /// builds from per-Workload counts.
+    pub fn unit_weight_wecdf(requests: &RequestTrace, pool: &WorkloadPool) -> WeightedEcdf {
+        WeightedEcdf::new(
+            requests
+                .requests
+                .iter()
+                .map(|r| pool.get(r.workload).expect("in pool").mean_ms)
+                .map(|d| (d, 1.0)),
+        )
+    }
+
     /// `evaluate` from one `(duration, 1.0)` pair per request.
     pub fn evaluate(
         trace: &Trace,
@@ -291,8 +304,7 @@ mod oracle {
         let ks_workload_durations =
             ks_distance(&functions_duration_ecdf(trace), &Ecdf::new(&used_durs));
 
-        let generated =
-            WeightedEcdf::new(requests.expected_durations(pool).into_iter().map(|d| (d, 1.0)));
+        let generated = unit_weight_wecdf(requests, pool);
         let ks_invocation_durations =
             ks_distance_weighted(&invocations_duration_wecdf(trace), &generated);
 
@@ -451,6 +463,10 @@ proptest! {
                 ..SmirnovConfig::paper_default(seed)
             };
             let (requests, _) = smirnov::generate(&trace, &pool, &cfg);
+            prop_assert_eq!(
+                requests.duration_wecdf(&pool),
+                oracle::unit_weight_wecdf(&requests, &pool)
+            );
             let got = evaluate(&trace, &requests, &pool);
             let want = oracle::evaluate(&trace, &requests, &pool);
             for (g, w) in [

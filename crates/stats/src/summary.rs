@@ -143,6 +143,42 @@ impl Summary {
     }
 }
 
+/// Concentration curve of a set of counts (paper Figs. 1c, 10): `counts` is
+/// sorted descending in place, and for each prefix the result holds
+/// `(fraction_of_items, cumulative_fraction_of_the_total)`. Empty when the
+/// counts sum to zero.
+pub fn cumulative_shares(counts: &mut [u64]) -> Vec<(f64, f64)> {
+    counts.sort_unstable_by(|a, b| b.cmp(a));
+    let grand: u64 = counts.iter().sum();
+    if grand == 0 {
+        return Vec::new();
+    }
+    let n = counts.len() as f64;
+    let mut acc = 0u64;
+    counts
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| {
+            acc += c;
+            ((i + 1) as f64 / n, acc as f64 / grand as f64)
+        })
+        .collect()
+}
+
+/// Share of the total held by the largest `frac` of `counts`, which is
+/// sorted descending in place. "The top x %" of `n` items is
+/// `round(n · x)` of them and never fewer than one — the one rule behind
+/// every top-share this workspace reports. 0 when the counts sum to zero.
+pub fn top_share(counts: &mut [u64], frac: f64) -> f64 {
+    counts.sort_unstable_by(|a, b| b.cmp(a));
+    let grand: u64 = counts.iter().sum();
+    if grand == 0 {
+        return 0.0;
+    }
+    let k = ((counts.len() as f64 * frac).round() as usize).max(1);
+    counts.iter().take(k).sum::<u64>() as f64 / grand as f64
+}
+
 /// Linearly interpolated percentile of an ascending-sorted slice.
 ///
 /// `q` is in `[0, 1]`. Uses the common "linear" (type-7) interpolation rule,
@@ -243,6 +279,39 @@ mod tests {
         let mut e = Summary::new();
         e.merge(&before);
         assert_eq!(e, before);
+    }
+
+    #[test]
+    fn cumulative_shares_sorts_descending_and_ends_at_one() {
+        let mut counts = [5, 80, 15];
+        let curve = cumulative_shares(&mut counts);
+        assert_eq!(counts, [80, 15, 5]);
+        assert_eq!(curve, vec![(1.0 / 3.0, 0.80), (2.0 / 3.0, 0.95), (1.0, 1.0)]);
+        assert!(cumulative_shares(&mut [0, 0]).is_empty());
+        assert!(cumulative_shares(&mut []).is_empty());
+    }
+
+    #[test]
+    fn top_share_rounds_half_up_and_keeps_at_least_one() {
+        // 25 items, the first three hold 10 each, the rest 1: total 52.
+        let mut counts: Vec<u64> = (0..25).map(|i| if i < 3 { 10 } else { 1 }).collect();
+        counts.reverse();
+        // 10 % of 25 is 2.5 items: three, not two.
+        assert_eq!(top_share(&mut counts, 0.10), 30.0 / 52.0);
+        // 9.9 % is 2.475: two.
+        assert_eq!(top_share(&mut counts, 0.099), 20.0 / 52.0);
+        // 1 % of 25 rounds to none: still the top one.
+        assert_eq!(top_share(&mut counts, 0.01), 10.0 / 52.0);
+        assert_eq!(top_share(&mut counts, 0.0), 10.0 / 52.0);
+        assert_eq!(top_share(&mut counts, 1.0), 1.0);
+        // The curve states the same prefix sums.
+        assert_eq!(cumulative_shares(&mut counts)[2].1, top_share(&mut counts, 0.10));
+    }
+
+    #[test]
+    fn top_share_of_nothing_is_zero() {
+        assert_eq!(top_share(&mut [0, 0, 0], 0.5), 0.0);
+        assert_eq!(top_share(&mut [], 0.5), 0.0);
     }
 
     #[test]

@@ -47,6 +47,22 @@ pub fn normalize_peak(series: &[u64]) -> Vec<f64> {
     series.iter().map(|&v| v as f64 / peak as f64).collect()
 }
 
+/// Mean absolute difference between two load shapes (paper Fig. 8, property
+/// iv): `want` is thumbnailed to `have`'s length when it is longer, both are
+/// normalized to their peaks, and the per-bin gaps are averaged. 0 means the
+/// generated load follows the reference's trend exactly.
+///
+/// # Panics
+/// Panics if `have` is empty, or if `want` is shorter than `have`: a
+/// reference cannot be stretched.
+pub fn load_shape_mae(want: &[u64], have: &[u64]) -> f64 {
+    let (bins, n) = (want.len(), have.len());
+    assert!(n > 0 && bins >= n, "load_shape_mae: reference of {bins} bins against {n}");
+    let want = if bins > n { normalize_peak(&rebin_sum(want, n)) } else { normalize_peak(want) };
+    let have = normalize_peak(have);
+    want.iter().zip(&have).map(|(a, b)| (a - b).abs()).sum::<f64>() / n as f64
+}
+
 /// Scale `counts` proportionally so the result sums to exactly `target_total`,
 /// using the largest-remainder (Hamilton) method.
 ///
@@ -285,6 +301,22 @@ mod tests {
     fn normalize_peak_basics() {
         assert_eq!(normalize_peak(&[2, 4, 1]), vec![0.5, 1.0, 0.25]);
         assert_eq!(normalize_peak(&[0, 0]), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn load_shape_mae_of_a_series_against_itself_and_its_rebin_is_zero() {
+        let day: Vec<u64> = (0..1440).map(|i| 50 + (i * 7) % 113).collect();
+        assert_eq!(load_shape_mae(&day, &day), 0.0);
+        assert_eq!(load_shape_mae(&day, &rebin_sum(&day, 120)), 0.0);
+        // Peak normalization makes it scale-free: a tenth of the load, same shape.
+        assert_eq!(load_shape_mae(&[10, 20, 40], &[1, 2, 4]), 0.0);
+        assert_eq!(load_shape_mae(&[4, 4], &[4, 2]), 0.25);
+    }
+
+    #[test]
+    #[should_panic(expected = "reference of 2 bins against 3")]
+    fn load_shape_mae_refuses_a_reference_shorter_than_the_load() {
+        load_shape_mae(&[1, 2], &[1, 2, 3]);
     }
 
     #[test]

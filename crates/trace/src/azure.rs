@@ -310,11 +310,7 @@ mod tests {
         // Top 8 % of functions should hold the overwhelming share of
         // invocations (paper: 99 % at full scale; the small trace flattens
         // the skew somewhat).
-        let t = small_trace();
-        let mut totals: Vec<u64> = t.functions.iter().map(|f| f.total_invocations()).collect();
-        totals.sort_unstable_by(|a, b| b.cmp(a));
-        let top = totals.len() * 8 / 100;
-        let share = totals[..top].iter().sum::<u64>() as f64 / totals.iter().sum::<u64>() as f64;
+        let share = crate::summarize::top_share(&small_trace(), 0.08);
         assert!(share > 0.80, "top-8% share = {share}");
     }
 

@@ -3,6 +3,7 @@
 
 use crate::model::Trace;
 use faasrail_stats::ecdf::{Ecdf, WeightedEcdf};
+use faasrail_stats::summary::{self, cumulative_shares};
 use std::collections::BTreeMap;
 
 /// ECDF of distinct functions' average execution durations (paper Figs. 1a, 6).
@@ -44,46 +45,27 @@ pub fn trigger_breakdown(trace: &Trace) -> BTreeMap<&'static str, f64> {
     counts.into_iter().map(|(k, v)| (k, v as f64 / total.max(1) as f64)).collect()
 }
 
+/// Selected-day invocation counts of the functions that were invoked at all
+/// (a function with zero invocations has no popularity).
+fn invoked_counts(trace: &Trace) -> Vec<u64> {
+    trace.functions.iter().map(|f| f.total_invocations()).filter(|&t| t > 0).collect()
+}
+
 /// Popularity curve (paper Figs. 1c, 10): for each prefix of functions
 /// sorted by descending invocation count, `(fraction_of_functions,
 /// cumulative_fraction_of_invocations)`.
 ///
-/// Only functions invoked on the selected day participate (a function with
-/// zero invocations has no popularity).
+/// Only functions invoked on the selected day participate.
 pub fn popularity_curve(trace: &Trace) -> Vec<(f64, f64)> {
-    let mut totals: Vec<u64> =
-        trace.functions.iter().map(|f| f.total_invocations()).filter(|&t| t > 0).collect();
-    totals.sort_unstable_by(|a, b| b.cmp(a));
-    let grand: u64 = totals.iter().sum();
-    if grand == 0 {
-        return Vec::new();
-    }
-    let n = totals.len() as f64;
-    let mut acc = 0u64;
-    totals
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| {
-            acc += t;
-            ((i + 1) as f64 / n, acc as f64 / grand as f64)
-        })
-        .collect()
+    cumulative_shares(&mut invoked_counts(trace))
 }
 
-/// Share of total invocations held by the most popular `frac` of functions
-/// (e.g. `top_share(trace, 0.08)` ≈ 0.99 for Azure).
+/// Share of total invocations held by the most popular `frac` of the invoked
+/// functions (e.g. `top_share(trace, 0.08)` ≈ 0.99 for Azure), counted by
+/// [`faasrail_stats::summary::top_share`]'s rule.
 pub fn top_share(trace: &Trace, frac: f64) -> f64 {
     assert!((0.0..=1.0).contains(&frac));
-    let curve = popularity_curve(trace);
-    if curve.is_empty() {
-        return 0.0;
-    }
-    curve
-        .iter()
-        .take_while(|&&(f, _)| f <= frac)
-        .last()
-        .map(|&(_, share)| share)
-        .unwrap_or(curve[0].1)
+    summary::top_share(&mut invoked_counts(trace), frac)
 }
 
 #[cfg(test)]
@@ -150,6 +132,22 @@ mod tests {
         assert!(top_share(&t, 0.25) >= 0.69);
         assert!(top_share(&t, 0.5) >= top_share(&t, 0.25));
         assert!((top_share(&t, 1.0) - 1.0).abs() < 1e-12);
+    }
+
+    /// `analyze`, Fig. 1 and the audit read "the top x %" here; `evaluate`
+    /// reads it from the same counts. 10 % of 25 functions is three of them
+    /// for both (it was two here while `evaluate` took three).
+    #[test]
+    fn top_share_counts_functions_the_way_evaluate_does() {
+        let mut counts = vec![(1.0, 1u32); 25];
+        counts[7].1 = 40;
+        counts[11].1 = 30;
+        counts[19].1 = 20;
+        let t = mk(&counts);
+        assert_eq!(top_share(&t, 0.10), 90.0 / 112.0);
+        let mut plain: Vec<u64> = counts.iter().map(|&(_, c)| c as u64).collect();
+        assert_eq!(top_share(&t, 0.10), summary::top_share(&mut plain, 0.10));
+        assert_eq!(top_share(&mk(&[(1.0, 0), (1.0, 0)]), 0.5), 0.0);
     }
 
     #[test]

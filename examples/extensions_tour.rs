@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --release --example extensions_tour`
 
+use faasrail::core::mapped_wecdf;
 use faasrail::core::subminute::fit_iat_model;
 use faasrail::prelude::*;
 use faasrail::stats::ecdf::WeightedEcdf;
@@ -28,12 +29,7 @@ fn main() {
     for weight in [0.0, 0.5] {
         let cfg = MappingConfig { memory_weight: weight, ..Default::default() };
         let m = faasrail::core::map_functions(&agg, &pool, &cfg);
-        let mapped_mem = WeightedEcdf::new(m.assignments.iter().map(|a| {
-            (
-                pool.get(a.workload).unwrap().memory_mb,
-                agg.functions[a.function_index as usize].total_invocations() as f64,
-            )
-        }));
+        let mapped_mem = mapped_wecdf(&pool, m.mapped_invocations(&agg), |w| w.memory_mb);
         println!(
             "   weight {weight}: duration err {:.2}%, memory W1 {:.0} MiB",
             m.stats.weighted_rel_error * 100.0,
@@ -76,12 +72,7 @@ fn main() {
     let target = invocations_duration_wecdf(&trace);
     for (name, p) in [("functionbench", &pool), ("extended", &extended)] {
         let m = faasrail::core::map_functions(&agg, p, &MappingConfig::default());
-        let mapped = WeightedEcdf::new(m.assignments.iter().map(|a| {
-            (
-                p.get(a.workload).unwrap().mean_ms,
-                agg.functions[a.function_index as usize].total_invocations() as f64,
-            )
-        }));
+        let mapped = mapped_wecdf(p, m.mapped_invocations(&agg), |w| w.mean_ms);
         println!(
             "   {name}: mapped KS {:.4}, weighted err {:.2}%",
             ks_distance_weighted(&target, &mapped),

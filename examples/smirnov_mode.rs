@@ -8,9 +8,8 @@
 //!
 //! Run with: `cargo run --release --example smirnov_mode`
 
-use faasrail::core::smirnov;
+use faasrail::core::{kind_shares, smirnov};
 use faasrail::prelude::*;
-use faasrail::stats::ecdf::WeightedEcdf;
 use faasrail::stats::ks_distance_weighted;
 use faasrail::trace::summarize::invocations_duration_wecdf;
 use faasrail::trace::{azure, huawei};
@@ -26,8 +25,7 @@ fn study(name: &str, trace: &faasrail::trace::Trace, pool: &WorkloadPool) {
     let (requests, report) = smirnov::generate(trace, pool, &cfg);
 
     let target = invocations_duration_wecdf(trace);
-    let achieved =
-        WeightedEcdf::new(requests.expected_durations(pool).into_iter().map(|d| (d, 1.0)));
+    let achieved = requests.duration_wecdf(pool);
     println!(
         "{name}: {} requests over {} min; KS(trace, generated) = {:.4}; \
          {:.1}% mapped within threshold",
@@ -37,9 +35,8 @@ fn study(name: &str, trace: &faasrail::trace::Trace, pool: &WorkloadPool) {
         report.within_threshold_fraction * 100.0
     );
     println!("  requests per benchmark:");
-    let total: u64 = report.counts_by_kind.values().sum();
-    for (kind, count) in &report.counts_by_kind {
-        println!("    {:<18} {:>6.2}%", kind.name(), *count as f64 / total as f64 * 100.0);
+    for (kind, share) in kind_shares(&report.counts_by_kind) {
+        println!("    {:<18} {:>6.2}%", kind.name(), share * 100.0);
     }
 }
 

@@ -11,6 +11,9 @@
 # link's timeouts are armed in wire.rs for both ends. And the sandbox lifecycle: warm or
 # cold, eviction, TTL and idle accounting live in crates/faas-sim/src/lifecycle.rs,
 # which names no clock, lock or thread; engine.rs and rt_backend.rs execute it.
+# And the paper's four properties: each statistic is stated once (stats/timeseries.rs,
+# stats/summary.rs, core/evaluate.rs; core/tests/diff_mapping.rs keeps the replaced
+# constructions as oracles) and the reproduction is one program over them.
 # Then print what each file weighs (lines above its first `#[cfg(test)]`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -90,6 +93,24 @@ for gone in 'WarmEntry' 'CacheState' 'fn admit'; do
     fi
 done
 
+only_in() { # owner, pattern: on no non-test line of the product, tests/ or examples/ but the owner's
+    local file
+    for file in crates/*/src/*.rs crates/*/src/*/*.rs tests/*.rs tests/*/*.rs examples/*.rs; do
+        [ "$file" = "$1" ] || refuse "$file" "$1" "$2"
+    done
+}
+only_in crates/stats/src/timeseries.rs 'abs()).sum::<f64>()'
+only_in crates/stats/src/summary.rs 'as f64 / grand as f64'
+only_in crates/core/src/evaluate.rs 'expect("mapped")'
+only_in 'RequestTrace::duration_wecdf, which builds it from counts' '.map(|d| (d, 1.0))'
+once crates/stats/src/timeseries.rs 'one load-shape MAE (load_shape_mae)' 'abs()).sum::<f64>()'
+once crates/core/src/evaluate.rs 'one mapped-workload ECDF (mapped_wecdf)' 'expect("mapped")'
+if [ "$(cat crates/bench/src/bin/*.rs | grep -c '^fn main')" -ne 1 ] || grep -q 'BINS=' scripts/reproduce.sh; then
+    echo 'error: a figure is a row of figures::FIGURES under the one `fn main` of' \
+        'crates/bench/src/bin, and reproduce.sh is a build and one `repro all`' >&2
+    fail=1
+fi
+
 weigh() { # label, files...
     local label=$1 total=0 file lines
     shift
@@ -103,4 +124,5 @@ weigh() { # label, files...
 weigh gateway crates/gateway/src/*.rs crates/reactor/src/http1.rs
 weigh fleet crates/fleet/src/*.rs
 weigh faas-sim crates/faas-sim/src/*.rs
+weigh 'bench (reproduction; harness/ apart)' crates/bench/src/*.rs crates/bench/src/bin/*.rs
 exit "$fail"

@@ -5,9 +5,9 @@
 use faasrail::baselines::poisson_emulation::{self, PoissonEmulationConfig};
 use faasrail::baselines::random_sampling::{self, RandomSamplingConfig};
 use faasrail::prelude::*;
-use faasrail::stats::ecdf::WeightedEcdf;
 use faasrail::stats::ks_distance_weighted;
-use faasrail::stats::timeseries::{normalize_peak, rebin_sum};
+use faasrail::stats::summary::top_share;
+use faasrail::stats::timeseries::load_shape_mae;
 use faasrail::trace::azure::{generate as gen_azure, AzureTraceConfig};
 use faasrail::trace::summarize::invocations_duration_wecdf;
 
@@ -26,10 +26,6 @@ fn setup() -> Setup {
     }
 }
 
-fn requests_wecdf(reqs: &RequestTrace, pool: &WorkloadPool) -> WeightedEcdf {
-    WeightedEcdf::new(reqs.expected_durations(pool).into_iter().map(|d| (d, 1.0)))
-}
-
 #[test]
 fn faasrail_beats_baselines_on_runtime_distribution() {
     let s = setup();
@@ -37,14 +33,14 @@ fn faasrail_beats_baselines_on_runtime_distribution() {
 
     let (spec, _) = shrink(&s.trace, &s.pool, &ShrinkRayConfig::new(120, 20.0)).unwrap();
     let rail = generate_requests(&spec, 1);
-    let ks_rail = ks_distance_weighted(&target, &requests_wecdf(&rail, &s.pool));
+    let ks_rail = ks_distance_weighted(&target, &rail.duration_wecdf(&s.pool));
 
     let poisson = poisson_emulation::generate(&s.vanilla, &PoissonEmulationConfig::paper_fig1(1));
-    let ks_poisson = ks_distance_weighted(&target, &requests_wecdf(&poisson, &s.vanilla));
+    let ks_poisson = ks_distance_weighted(&target, &poisson.duration_wecdf(&s.vanilla));
 
     let sampling =
         random_sampling::generate(&s.trace, &s.vanilla, &RandomSamplingConfig::paper_fig1(1));
-    let ks_sampling = ks_distance_weighted(&target, &requests_wecdf(&sampling, &s.vanilla));
+    let ks_sampling = ks_distance_weighted(&target, &sampling.duration_wecdf(&s.vanilla));
 
     assert!(
         ks_rail < ks_poisson && ks_rail < ks_sampling,
@@ -57,18 +53,14 @@ fn faasrail_beats_baselines_on_runtime_distribution() {
 #[test]
 fn faasrail_beats_baselines_on_load_shape() {
     let s = setup();
-    let want = normalize_peak(&rebin_sum(&s.trace.aggregate_minutes(), 120));
+    let day = s.trace.aggregate_minutes();
 
     let (spec, _) = shrink(&s.trace, &s.pool, &ShrinkRayConfig::new(120, 20.0)).unwrap();
     let rail = generate_requests(&spec, 2);
     let poisson = poisson_emulation::generate(&s.vanilla, &PoissonEmulationConfig::paper_fig1(2));
 
-    let mae = |reqs: &RequestTrace| -> f64 {
-        let have = normalize_peak(&reqs.per_minute_counts());
-        want.iter().zip(&have).map(|(a, b)| (a - b).abs()).sum::<f64>() / want.len() as f64
-    };
-    let mae_rail = mae(&rail);
-    let mae_poisson = mae(&poisson);
+    let mae_rail = load_shape_mae(&day, &rail.per_minute_counts());
+    let mae_poisson = load_shape_mae(&day, &poisson.per_minute_counts());
     assert!(
         mae_rail * 2.0 < mae_poisson,
         "load-shape error: faasrail {mae_rail:.4} vs poisson {mae_poisson:.4}"
@@ -79,20 +71,9 @@ fn faasrail_beats_baselines_on_load_shape() {
 fn faasrail_beats_plain_poisson_on_popularity() {
     let s = setup();
     // Trace ground truth: share of invocations from the top 1% of functions.
-    let curve = faasrail::trace::summarize::popularity_curve(&s.trace);
-    let trace_top1 =
-        curve.iter().take_while(|&&(f, _)| f <= 0.01).last().map(|&(_, v)| v).unwrap_or(0.0);
+    let trace_top1 = faasrail::trace::summarize::top_share(&s.trace, 0.01);
 
-    let top1_share = |reqs: &RequestTrace| -> f64 {
-        let mut by_fn: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for r in &reqs.requests {
-            *by_fn.entry(r.function_index).or_insert(0) += 1;
-        }
-        let mut counts: Vec<u64> = by_fn.into_values().collect();
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        let k = (counts.len() / 100).max(1);
-        counts[..k].iter().sum::<u64>() as f64 / counts.iter().sum::<u64>() as f64
-    };
+    let top1_share = |reqs: &RequestTrace| top_share(&mut reqs.counts_by_function(), 0.01);
 
     let (spec, _) = shrink(&s.trace, &s.pool, &ShrinkRayConfig::new(120, 20.0)).unwrap();
     let rail = top1_share(&generate_requests(&spec, 3));

@@ -5,9 +5,9 @@
 
 use faasrail::prelude::*;
 use faasrail::sim::{FixedTtl, WarmFirst};
-use faasrail::stats::ecdf::WeightedEcdf;
 use faasrail::stats::ks_distance_weighted;
-use faasrail::stats::timeseries::{normalize_peak, rebin_sum};
+use faasrail::stats::summary::top_share;
+use faasrail::stats::timeseries::load_shape_mae;
 use faasrail::trace::azure::{generate as gen_azure, AzureTraceConfig};
 use faasrail::trace::summarize::invocations_duration_wecdf;
 
@@ -26,26 +26,16 @@ fn full_pipeline_preserves_all_four_properties() {
 
     // Property (iii): invocation execution-duration distribution.
     let target = invocations_duration_wecdf(&trace);
-    let got = WeightedEcdf::new(requests.expected_durations(&pool).into_iter().map(|d| (d, 1.0)));
-    let ks = ks_distance_weighted(&target, &got);
+    let ks = ks_distance_weighted(&target, &requests.duration_wecdf(&pool));
     assert!(ks < 0.15, "invocation-duration KS = {ks}");
 
     // Property (iv): arrival-rate trend over time follows the (thumbnailed)
     // trace day.
-    let want = normalize_peak(&rebin_sum(&trace.aggregate_minutes(), 120));
-    let have = normalize_peak(&requests.per_minute_counts());
-    let mae: f64 = want.iter().zip(&have).map(|(a, b)| (a - b).abs()).sum::<f64>() / 120.0;
+    let mae = load_shape_mae(&trace.aggregate_minutes(), &requests.per_minute_counts());
     assert!(mae < 0.05, "load-shape mean abs error = {mae}");
 
     // Property (ii): popularity skew — the top Function still dominates.
-    let mut by_fn: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-    for r in &requests.requests {
-        *by_fn.entry(r.function_index).or_insert(0) += 1;
-    }
-    let mut counts: Vec<u64> = by_fn.into_values().collect();
-    counts.sort_unstable_by(|a, b| b.cmp(a));
-    let top10 = counts.len() / 10;
-    let share: f64 = counts[..top10].iter().sum::<u64>() as f64 / counts.iter().sum::<u64>() as f64;
+    let share = top_share(&mut requests.counts_by_function(), 0.10);
     assert!(share > 0.5, "top-10% Function share = {share}");
 
     // Rate budget: no minute exceeds the target.
@@ -100,11 +90,7 @@ fn huawei_pipeline_works_too() {
     // Huawei aggregation uses the finer 0.1 ms resolution automatically.
     assert!(report.aggregated_functions <= report.trace_functions);
     let target = invocations_duration_wecdf(&trace);
-    let got = WeightedEcdf::new(
-        spec.entries
-            .iter()
-            .map(|e| (pool.get(e.workload).unwrap().mean_ms, e.total_requests() as f64)),
-    );
+    let got = faasrail::core::mapped_wecdf(&pool, spec.mapped_requests(), |w| w.mean_ms);
     let ks = ks_distance_weighted(&target, &got);
     assert!(ks < 0.25, "huawei mapped KS = {ks}");
 }
