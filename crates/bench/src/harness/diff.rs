@@ -18,7 +18,9 @@
 //! `diff(A, A)` is therefore all-zero and can never fire, at any
 //! threshold — property-tested in `tests/bench_e2e.rs`.
 
-use super::report::{BenchReport, LatencyQuantiles};
+use faasrail_telemetry::LatencyStat;
+
+use super::report::BenchReport;
 
 /// One compared metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,8 +226,8 @@ fn push_latency_rows(
     diff: &mut BenchDiff,
     tag: &str,
     stage: &str,
-    old: &LatencyQuantiles,
-    new: &LatencyQuantiles,
+    old: &LatencyStat,
+    new: &LatencyStat,
 ) {
     for (q, o, n) in [
         ("p50_ms", old.p50_ms, new.p50_ms),
@@ -246,9 +248,8 @@ fn push_latency_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::report::{
-        AcceptCriteria, BenchWorkload, QuantileAcc, RateRun, SaturationSummary, StageLatencies,
-    };
+    use crate::harness::report::{AcceptCriteria, BenchWorkload, RateRun, SaturationSummary};
+    use faasrail_telemetry::LatencyDecomposition;
 
     fn report_with(p99_ms: f64, sustained: f64) -> BenchReport {
         let workload = BenchWorkload {
@@ -259,9 +260,8 @@ mod tests {
             target: "loopback".to_string(),
         };
         let mut r = BenchReport::new("t", "gateway", workload);
-        let mut acc = QuantileAcc::new();
-        acc.record(p99_ms / 1e3);
-        let mut stages = StageLatencies { response: acc.quantiles(), ..Default::default() };
+        let mut stages = LatencyDecomposition::default();
+        stages.response.count = 1;
         stages.response.p99_ms = p99_ms;
         r.runs.push(RateRun {
             target_rps: 1000.0,

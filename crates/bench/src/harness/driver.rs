@@ -31,10 +31,10 @@ use faasrail_loadgen::{
     fixed_rate_trace, replay_observed, ArrivalProcess, Backend, PaceGauge, Pacing, ReplayConfig,
     ReplayInstruments,
 };
-use faasrail_telemetry::{OutcomeClass, RingSink, TelemetryEvent};
+use faasrail_telemetry::{RingSink, RunReport};
 use faasrail_workloads::{WorkloadId, WorkloadPool};
 
-use super::report::{AcceptCriteria, QuantileAcc, RateRun, SaturationSummary, StageLatencies};
+use super::report::{AcceptCriteria, RateRun, SaturationSummary};
 
 /// One fixed-rate rung's specification.
 #[derive(Debug, Clone, Copy)]
@@ -90,19 +90,6 @@ pub fn run_fixed_rate<B: Backend>(
     let wall_s = started.elapsed().as_secs_f64();
     debug_assert_eq!(sink.dropped(), 0, "bench sink must retain every span");
 
-    let mut stages = StageAcc::default();
-    for event in sink.events() {
-        if let TelemetryEvent::Invocation(span) = event {
-            stages.lateness.record(span.lateness_s());
-            stages.queue_wait.record(span.queue_wait_s());
-            stages.response.record(span.response_s());
-            if span.outcome == OutcomeClass::Ok {
-                stages.service.record(span.service_s());
-                stages.overhead.record(span.overhead_s());
-            }
-        }
-    }
-
     let offered = metrics.issued;
     let errors = metrics.errors;
     RateRun {
@@ -114,28 +101,7 @@ pub fn run_fixed_rate<B: Backend>(
         achieved_rps: if wall_s > 0.0 { metrics.completed as f64 / wall_s } else { 0.0 },
         error_rate: if offered > 0 { errors as f64 / offered as f64 } else { 0.0 },
         accepted: true,
-        stages: stages.finish(),
-    }
-}
-
-#[derive(Default)]
-struct StageAcc {
-    lateness: QuantileAcc,
-    queue_wait: QuantileAcc,
-    service: QuantileAcc,
-    overhead: QuantileAcc,
-    response: QuantileAcc,
-}
-
-impl StageAcc {
-    fn finish(&self) -> StageLatencies {
-        StageLatencies {
-            lateness: self.lateness.quantiles(),
-            queue_wait: self.queue_wait.quantiles(),
-            service: self.service.quantiles(),
-            overhead: self.overhead.quantiles(),
-            response: self.response.quantiles(),
-        }
+        stages: RunReport::from_events(&sink.events()).decomposition,
     }
 }
 
@@ -225,8 +191,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::report::LatencyQuantiles;
     use faasrail_stats::rng::mix64;
+    use faasrail_telemetry::{LatencyDecomposition, LatencyStat};
 
     /// A deterministic synthetic server: p99 grows past the knee, error
     /// rate climbs when well past it. Seeded "jitter" is a pure hash of
@@ -249,12 +215,8 @@ mod tests {
                 achieved_rps: rps * (1.0 - error_rate),
                 error_rate,
                 accepted: false,
-                stages: StageLatencies {
-                    response: LatencyQuantiles {
-                        count: rps as u64,
-                        p99_ms: p99,
-                        ..Default::default()
-                    },
+                stages: LatencyDecomposition {
+                    response: LatencyStat { count: rps as u64, p99_ms: p99, ..Default::default() },
                     ..Default::default()
                 },
             }

@@ -5,7 +5,8 @@
 //! * [`report`] — the versioned [`BenchReport`](report::BenchReport)
 //!   JSON schema both tiers emit (`BENCH_gateway.json`,
 //!   `BENCH_sim_day1.json`): workload spec, RPS ladder with per-stage
-//!   p50/p95/p99/p999, saturation summary, environment metadata;
+//!   p50/p95/p99/p999 (the run's `RunReport` decomposition), saturation
+//!   summary, environment metadata;
 //! * [`driver`] — open-loop fixed-rate measurement rungs over the
 //!   replayer, plus a deterministic bracket-and-bisect saturation
 //!   search that is pure over an injected measure function;
@@ -19,8 +20,8 @@ pub mod report;
 pub use diff::{diff_reports, BenchDiff, DiffRow};
 pub use driver::{run_fixed_rate, saturation_search, FixedRateSpec, SearchConfig};
 pub use report::{
-    AcceptCriteria, BenchEnv, BenchReport, BenchWorkload, LatencyQuantiles, QuantileAcc, RateRun,
-    SaturationSummary, SimStats, StageLatencies, SCHEMA,
+    AcceptCriteria, BenchEnv, BenchReport, BenchWorkload, RateRun, SaturationSummary, SimStats,
+    SCHEMA,
 };
 
 /// A lab run's wall-clock stats, plus this process's peak RSS, in the

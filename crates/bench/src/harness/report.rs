@@ -12,8 +12,7 @@
 //! readers reject files whose tag they don't recognise rather than
 //! mis-diffing them.
 
-use faasrail_stats::LogHistogram;
-use faasrail_telemetry::BuildInfo;
+use faasrail_telemetry::{BuildInfo, LatencyDecomposition};
 use serde::{Deserialize, Serialize};
 
 /// Schema tag written into every report.
@@ -199,79 +198,6 @@ pub struct BenchWorkload {
     pub target: String,
 }
 
-/// One stage's latency distribution with full tail percentiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct LatencyQuantiles {
-    pub count: u64,
-    pub mean_ms: f64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-    pub p99_ms: f64,
-    pub p999_ms: f64,
-    pub max_ms: f64,
-}
-
-/// Accumulates one latency stage into a histogram plus exact mean/max.
-#[derive(Debug, Clone)]
-pub struct QuantileAcc {
-    hist: LogHistogram,
-    count: u64,
-    sum_s: f64,
-    max_s: f64,
-}
-
-impl Default for QuantileAcc {
-    fn default() -> Self {
-        QuantileAcc::new()
-    }
-}
-
-impl QuantileAcc {
-    pub fn new() -> QuantileAcc {
-        QuantileAcc { hist: LogHistogram::latency_seconds(), count: 0, sum_s: 0.0, max_s: 0.0 }
-    }
-
-    pub fn record(&mut self, seconds: f64) {
-        self.hist.record(seconds);
-        self.count += 1;
-        self.sum_s += seconds;
-        self.max_s = self.max_s.max(seconds);
-    }
-
-    pub fn quantiles(&self) -> LatencyQuantiles {
-        if self.count == 0 {
-            return LatencyQuantiles::default();
-        }
-        LatencyQuantiles {
-            count: self.count,
-            mean_ms: self.sum_s / self.count as f64 * 1e3,
-            p50_ms: self.hist.quantile(0.50) * 1e3,
-            p95_ms: self.hist.quantile(0.95) * 1e3,
-            p99_ms: self.hist.quantile(0.99) * 1e3,
-            p999_ms: self.hist.quantile(0.999) * 1e3,
-            max_ms: self.max_s * 1e3,
-        }
-    }
-}
-
-/// The five-stage client-side latency decomposition, each with tails.
-/// Mirrors the telemetry report's decomposition (lateness / queue wait /
-/// service / overhead / response) but adds p999, which a saturation
-/// benchmark can't do without.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct StageLatencies {
-    /// Pacer dispatch lateness (open-loop: booked, never hidden).
-    pub lateness: LatencyQuantiles,
-    /// Dispatch → worker pickup.
-    pub queue_wait: LatencyQuantiles,
-    /// Backend-reported pure service time (successful requests).
-    pub service: LatencyQuantiles,
-    /// Client/network overhead beyond service time (successful requests).
-    pub overhead: LatencyQuantiles,
-    /// End-to-end dispatch → completion.
-    pub response: LatencyQuantiles,
-}
-
 /// One fixed-rate measurement rung.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RateRun {
@@ -292,8 +218,9 @@ pub struct RateRun {
     /// Whether this rung met the acceptance criteria it was run under
     /// (always true for plain fixed-rate runs with no criteria).
     pub accepted: bool,
-    /// Per-stage latency distributions.
-    pub stages: StageLatencies,
+    /// Per-stage latency distributions, p999 included: the five stages of
+    /// the run's [`RunReport`](faasrail_telemetry::RunReport).
+    pub stages: LatencyDecomposition,
 }
 
 /// What "sustained" means: the criteria a rung must meet for the
@@ -361,6 +288,7 @@ pub struct SimStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasrail_telemetry::LatencyStat;
 
     fn sample_report() -> BenchReport {
         let workload = BenchWorkload {
@@ -371,10 +299,15 @@ mod tests {
             target: "loopback/noop".to_string(),
         };
         let mut r = BenchReport::new("gateway-loopback", "gateway", workload);
-        let mut acc = QuantileAcc::new();
-        for i in 1..=1000 {
-            acc.record(i as f64 * 1e-4);
-        }
+        let response = LatencyStat {
+            count: 1000,
+            mean_ms: 50.05,
+            p50_ms: 49.1,
+            p95_ms: 96.3,
+            p99_ms: 101.1,
+            p999_ms: 101.1,
+            max_ms: 101.4,
+        };
         r.runs.push(RateRun {
             target_rps: 500.0,
             duration_s: 2.0,
@@ -384,7 +317,7 @@ mod tests {
             achieved_rps: 500.0,
             error_rate: 0.0,
             accepted: true,
-            stages: StageLatencies { response: acc.quantiles(), ..Default::default() },
+            stages: LatencyDecomposition { response, ..Default::default() },
         });
         r
     }
@@ -404,19 +337,39 @@ mod tests {
         assert!(err.contains("v999"), "{err}");
     }
 
+    /// The committed trajectories parse with the stage type shared with
+    /// `RunReport`, keep every stage's p999 through a write and a read, and
+    /// a `RunReport` from before `p999_ms` existed still reads.
     #[test]
-    fn quantile_acc_orders_tails() {
-        let mut acc = QuantileAcc::new();
-        for i in 1..=10_000 {
-            acc.record(i as f64 * 1e-5);
+    fn committed_trajectories_parse_with_the_merged_types() {
+        let read = |name: &str| {
+            let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+            let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            BenchReport::from_json(&json).unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        let p999s = |r: &BenchReport| -> Vec<f64> {
+            let stages = r.runs.iter().map(|run| run.stages);
+            stages
+                .flat_map(|s| [s.lateness, s.queue_wait, s.service, s.overhead, s.response])
+                .map(|stat| stat.p999_ms)
+                .collect()
+        };
+        let gateway = read("BENCH_gateway.json");
+        assert!(!gateway.runs.is_empty() && gateway.saturation.is_some());
+        assert!(p999s(&gateway).iter().any(|&p| p > 0.0), "the ladder carries p999s");
+        let sim = read("BENCH_sim_day1.json");
+        assert!(sim.runs.is_empty() && sim.sim.is_some());
+        for report in [gateway, sim] {
+            let back = BenchReport::from_json(&report.to_json()).unwrap();
+            assert_eq!(p999s(&back), p999s(&report));
+            assert_eq!(back, report);
         }
-        let q = acc.quantiles();
-        assert_eq!(q.count, 10_000);
-        assert!(q.p50_ms <= q.p95_ms);
-        assert!(q.p95_ms <= q.p99_ms);
-        assert!(q.p99_ms <= q.p999_ms);
-        assert!(q.p999_ms <= q.max_ms * 1.10, "p999 {} max {}", q.p999_ms, q.max_ms);
-        assert!((q.mean_ms - 50.0).abs() < 1.0, "mean {}", q.mean_ms);
+
+        let mut old = serde_json::to_string(&faasrail_telemetry::RunReport::default()).unwrap();
+        old = old.replace("\"p999_ms\":0.0,", "");
+        assert!(!old.contains("p999_ms") && old.contains("\"p99_ms\""), "{old}");
+        let parsed: faasrail_telemetry::RunReport = serde_json::from_str(&old).unwrap();
+        assert_eq!(parsed.decomposition, LatencyDecomposition::default());
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub static COORDINATE: Command = Command {
         Opt::flag("live", "print a fleet-wide windowed progress line"),
         Opt::val("agent-timeout-s", "N", "30", "socket timeout of the join handshake"),
         Opt::val("lease-ms", "T", "5000", "silence after which a connected agent is stalled"),
-        Opt::flag("no-reshard", "book a lost shard's remainder as aborted, do not regrant it"),
         Opt::maybe("console", "HOST:PORT", "serve /state /metrics /healthz /dashboard here"),
     ],
     run: cmd_coordinate,
@@ -57,7 +56,6 @@ pub fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
         live: args.flag("live"),
         agent_timeout: Duration::from_secs(args.num("agent-timeout-s")?),
         lease_ms: args.num("lease-ms")?,
-        reshard: !args.flag("no-reshard"),
         console: args.get("console").map(str::to_string),
     })
 }
@@ -171,7 +169,6 @@ pub static AGENT: Command = Command {
         Opt::val("timeout-ms", "T", "30000", "deadline per invocation, when the run has a target"),
         Opt::val("attempts", "N", "4", "attempts per invocation, when the run has a target"),
         Opt::val("max-rejoin-backoff-ms", "T", "5000", "cap of the reconnect backoff"),
-        Opt::flag("no-rejoin", "fail when the coordinator link is lost instead of reconnecting"),
     ],
     run: cmd_agent,
 };
@@ -179,7 +176,6 @@ pub static AGENT: Command = Command {
 pub fn agent_config(args: &Args) -> Result<(AgentConfig, ClientOpts), String> {
     let cfg = AgentConfig {
         name: args.get("name").unwrap_or_default().to_string(),
-        rejoin: !args.flag("no-rejoin"),
         max_rejoin_backoff: Duration::from_millis(args.num("max-rejoin-backoff-ms")?),
         ..AgentConfig::default()
     };

@@ -42,9 +42,6 @@ pub struct AgentConfig {
     /// before (or racing) the coordinator.
     pub connect_attempts: u32,
     pub retry_delay: Duration,
-    /// Reconnect after a lost coordinator link mid-run. Disable to get
-    /// the pre-elastic behavior: a lost link fails the agent.
-    pub rejoin: bool,
     /// Cap on the exponential rejoin backoff (which starts at
     /// `retry_delay` and doubles per attempt).
     pub max_rejoin_backoff: Duration,
@@ -56,7 +53,6 @@ impl Default for AgentConfig {
             name: String::new(),
             connect_attempts: 40,
             retry_delay: Duration::from_millis(250),
-            rejoin: true,
             max_rejoin_backoff: Duration::from_secs(5),
         }
     }
@@ -175,10 +171,7 @@ impl EventSink for PrefixTracker {
                         ring.emit(event);
                     } else {
                         let mut s = span.clone();
-                        s.target_us += self.shift_us;
-                        s.dispatched_us += self.shift_us;
-                        s.picked_up_us += self.shift_us;
-                        s.completed_us += self.shift_us;
+                        s.shift(self.shift_us as i64);
                         ring.emit(&TelemetryEvent::Invocation(s));
                     }
                 }
@@ -201,10 +194,9 @@ impl EventSink for PrefixTracker {
 /// coordinator sees a handshake error instead of a shard lost mid-run.
 ///
 /// Returns `Ok(None)` if the coordinator aborted the run before start.
-/// A lost link mid-run rejoins with bounded exponential backoff (unless
-/// [`AgentConfig::rejoin`] is off) — the rejoined session presents the
-/// coordinator-issued resume token and serves whatever the control plane
-/// reassigns next.
+/// A lost link mid-run rejoins with bounded exponential backoff — the
+/// rejoined session presents the coordinator-issued resume token and
+/// serves whatever the control plane reassigns next.
 pub fn run_agent_with<A, F>(
     addr: A,
     cfg: &AgentConfig,
@@ -222,12 +214,6 @@ where
             SessionEnd::Finished(run) => return Ok(Some(AgentRun { rejoined, ..run })),
             SessionEnd::AbortedBeforeStart => return Ok(None),
             SessionEnd::Failed(e) => return Err(e),
-            SessionEnd::Lost { .. } if !cfg.rejoin => {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionAborted,
-                    "coordinator link lost mid-run (rejoin disabled)",
-                ));
-            }
             SessionEnd::Lost { token: t } => {
                 token = t;
                 rejoined += 1;

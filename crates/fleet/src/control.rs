@@ -25,10 +25,11 @@
 //! re-partitions the remainder across the live slots in shard order
 //! ([`plan_grants`]), one `Reassign{grant}` per part. Grants keep their
 //! `at_ms` stamps (overdue requests fire at once and book their lateness)
-//! and are work items like any other. With no live slot the remainder
-//! books as aborted, minute by minute. `reshard: false` and deaths during
-//! an operator stop share one branch: nothing is granted, and the merge
-//! books what the slot's last snapshot says finished.
+//! and are work items like any other. With no live slot, or once an
+//! operator stop is under way, nothing is granted: the remainder is never
+//! issued, and [`Control::into_report`] books it as aborted minute by
+//! minute, the offered series minus the issued one. That subtraction is
+//! the only place aborted work is counted.
 //!
 //! | Event | Detection | Accounting | Report |
 //! |---|---|---|---|
@@ -37,8 +38,8 @@
 //! | Agent abort (`Abort` frame) | immediate | same as crash | status `abort: <reason>`, reason listed |
 //! | Send fails or times out | at the write | same as crash | `crash`, or `stall` on a timeout |
 //! | Grantee dies | its own loss mode | its grants reshard again | chained `reassignments` |
-//! | All agents dead | last loss | remainder aborted, per minute | `aborted_invocations`, `aborted_per_minute` |
-//! | Operator stop | stop flag | agents drain in flight, rest aborts | snapshot-level accounting |
+//! | All agents dead | last loss | prefix salvaged, remainder aborted | `aborted_invocations`, `aborted_per_minute` |
+//! | Operator stop | stop flag | agents drain in flight and report `Done`; a death salvages its acked prefix; the rest aborts | `aborted_invocations`, `aborted_per_minute` |
 //! | Rejoin after link loss | `resume_token` present | old slot stays accounted; new slot is capacity | `rejoined` flag |
 //! | Join after `Finish` or stop | at `Joined` | refused with `Abort`, no slot | reason listed |
 //!
@@ -54,7 +55,7 @@
 use std::collections::BTreeMap;
 
 use faasrail_core::RequestTrace;
-use faasrail_loadgen::{remainder_after, Pacing, RunMetrics, ShardSpec};
+use faasrail_loadgen::{Pacing, RunMetrics, ShardSpec};
 use faasrail_telemetry::{
     merge_event_logs, ClockOffset, ReassignSpan, RunReport, Snapshot, TelemetryEvent,
 };
@@ -62,7 +63,7 @@ use faasrail_workloads::WorkloadPool;
 
 use crate::coordinator::{AgentReport, FleetConfig, FleetReport};
 use crate::history::AgentState;
-use crate::reshard::{plan_grants, prefix_metrics};
+use crate::reshard::{per_minute_of, plan_grants, prefix_metrics};
 use crate::wire::{FleetMessage, Loss, WorkPrefix};
 
 /// Grant work ids live in a separate id space from shard ids (which also
@@ -133,8 +134,7 @@ struct Slot {
 
 #[derive(Default)]
 struct Work {
-    /// Retained trace (resharding runs); `None` under `reshard: false`
-    /// and once the work is accounted.
+    /// Retained trace; taken when the work's owner dies.
     trace: Option<RequestTrace>,
     len: u64,
     owner: u32,
@@ -160,10 +160,8 @@ pub struct Control<'a> {
     reassignments: Vec<ReassignSpan>,
     /// Prefix metrics salvaged from dead agents' works.
     salvaged: RunMetrics,
-    /// What no survivor could take, counted by its scheduled minute.
-    aborted: RunMetrics,
     /// Operator stop in progress: deaths stop resharding (the work is
-    /// being cancelled anyway) and fall back to snapshot accounting.
+    /// being cancelled anyway).
     stopping: bool,
     finishing: bool,
 }
@@ -188,7 +186,6 @@ impl<'a> Control<'a> {
             abort_reasons: Vec::new(),
             reassignments: Vec::new(),
             salvaged: RunMetrics::new(),
-            aborted: RunMetrics::new(),
             stopping: false,
             finishing: false,
         }
@@ -279,7 +276,7 @@ impl<'a> Control<'a> {
         assert!(!self.slots.contains_key(&shard), "shard {shard} joined twice");
         let trace = Self::assignment(self.trace, shard, self.cfg.agents as u32);
         slot.assigned = trace.requests.len() as u64;
-        let (len, trace) = (slot.assigned, self.cfg.reshard.then_some(trace));
+        let (len, trace) = (slot.assigned, Some(trace));
         let work = Work { trace, len, owner: shard, origin_shard: shard, ..Work::default() };
         self.works.insert(shard as u64, work);
         self.slots.insert(shard, slot);
@@ -320,13 +317,8 @@ impl<'a> Control<'a> {
             self.abort_reasons.push(format!("shard {shard}: {reason}"));
         }
         let owned = self.account(shard);
-        if !self.cfg.reshard || self.stopping {
-            // Snapshot-level accounting: the merge books what this slot's
-            // last snapshot says finished, and the rest as aborted.
-            return;
-        }
-
-        let survivors: Vec<u32> = self.live().collect();
+        // A stop cancels the remainder; it does not move it.
+        let survivors: Vec<u32> = if self.stopping { Vec::new() } else { self.live().collect() };
         let run_us = at_us.saturating_sub(self.epoch_us);
         let elapsed_ms = match self.cfg.pacing {
             Pacing::RealTime { compression } => ((run_us / 1_000) as f64 * compression) as u64,
@@ -336,15 +328,13 @@ impl<'a> Control<'a> {
             let work = self.works.get_mut(&w).expect("accounted just above");
             let prefix = work.acked.unwrap_or(WorkPrefix { work: w, ..WorkPrefix::default() });
             let origin_shard = work.origin_shard;
-            let trace = work.trace.take().expect("resharding runs retain work traces");
+            let trace = work.trace.take().expect("an unaccounted work retains its trace");
 
             // The acked prefix happened: salvage it. The remainder moves to
-            // the survivors, or books as aborted if there are none.
+            // the survivors; with none it is never issued, so the report
+            // books it as aborted.
             self.salvaged.merge(&prefix_metrics(&trace, self.pool, &prefix));
             if survivors.is_empty() {
-                for r in &remainder_after(&trace, prefix.watermark as usize).requests {
-                    self.aborted.record_issued(r.at_ms);
-                }
                 continue;
             }
             let grants = plan_grants(
@@ -430,24 +420,17 @@ impl<'a> Control<'a> {
         for (shard, slot) in self.slots {
             let completed = slot.outcome.is_some();
             max_lag_ms = max_lag_ms.max(slot.max_lag_ms);
-            match slot.outcome {
-                Some(out) => {
-                    metrics.merge(&out.metrics);
-                    if !out.events.is_empty() {
-                        logs.push(rebase_events(
-                            out.events,
-                            out.run_start_wall_us,
-                            slot.clock.offset_us,
-                            self.epoch_us,
-                        ));
-                    }
+            // A dead slot's acked prefix was salvaged when it died.
+            if let Some(out) = slot.outcome {
+                metrics.merge(&out.metrics);
+                if !out.events.is_empty() {
+                    logs.push(rebase_events(
+                        out.events,
+                        out.run_start_wall_us,
+                        slot.clock.offset_us,
+                        self.epoch_us,
+                    ));
                 }
-                // Pre-elastic accounting: last snapshot only. Resharding
-                // runs salvaged a dead slot's work when it died.
-                None if !self.cfg.reshard && matches!(slot.status, Status::Dead(_)) => {
-                    metrics.merge(&metrics_from_snapshot(&slot.last_progress));
-                }
-                None => {}
             }
             agents.push(AgentReport {
                 name: slot.name,
@@ -463,7 +446,13 @@ impl<'a> Control<'a> {
                 last_progress: slot.last_progress,
             });
         }
-        let aborted_invocations = offered.saturating_sub(metrics.completed + metrics.errors);
+        // Whatever was offered in a minute and issued nowhere was aborted.
+        let aborted_per_minute: Vec<u64> = per_minute_of(self.trace)
+            .into_iter()
+            .enumerate()
+            .map(|(m, n)| n.saturating_sub(metrics.issued_per_minute.get(m).copied().unwrap_or(0)))
+            .collect();
+        let aborted_invocations = aborted_per_minute.iter().sum();
         metrics.aborted |= aborted_invocations > 0;
 
         if !self.reassignments.is_empty() {
@@ -481,7 +470,7 @@ impl<'a> Control<'a> {
             reassignments: self.reassignments,
             abort_reasons: self.abort_reasons,
             max_lag_ms,
-            aborted_per_minute: self.cfg.reshard.then_some(self.aborted.issued_per_minute),
+            aborted_per_minute,
             run_report,
             events,
             build: faasrail_telemetry::BuildInfo::current(),
@@ -504,22 +493,6 @@ fn snapshot_of(m: &RunMetrics) -> Snapshot {
     s
 }
 
-/// A lost shard's contribution under `reshard: false`: everything its
-/// last snapshot says *finished*. In-flight and never-dispatched requests
-/// are excluded (the report books them as aborted), so the fleet-wide
-/// outcome partition stays exact.
-fn metrics_from_snapshot(s: &Snapshot) -> RunMetrics {
-    let mut m = RunMetrics::new();
-    m.completed = s.completed;
-    [m.app_errors, m.timeouts, m.transport_errors, m.shed] = s.errors;
-    m.errors = s.errors_total();
-    m.issued = s.completed + s.errors_total();
-    m.cold_starts = s.cold_starts;
-    m.response.merge(&s.response);
-    m.aborted = true;
-    m
-}
-
 /// Shift one agent's run-relative span timestamps onto the fleet epoch:
 /// the agent's t=0 sits `(run_start_wall_us − offset) − epoch` after the
 /// epoch in coordinator time, so all agents' spans land on one comparable
@@ -532,13 +505,9 @@ fn rebase_events(
 ) -> Vec<TelemetryEvent> {
     let start_coord_us = run_start_wall_us as i64 - offset_us.round() as i64;
     let shift = start_coord_us - epoch_us as i64;
-    let adj = |t: u64| (t as i64 + shift).max(0) as u64;
     for event in &mut events {
         if let TelemetryEvent::Invocation(span) = event {
-            span.target_us = adj(span.target_us);
-            span.dispatched_us = adj(span.dispatched_us);
-            span.picked_up_us = adj(span.picked_up_us);
-            span.completed_us = adj(span.completed_us);
+            span.shift(shift);
         }
     }
     events
@@ -564,21 +533,6 @@ mod tests {
         assert_eq!(s.errors, [1, 2, 0, 0]);
         assert_eq!(s.cold_starts, 4);
         assert_eq!(s.response.total(), 1);
-    }
-
-    #[test]
-    fn lost_shard_counts_only_finished_work() {
-        let s = Snapshot {
-            issued: 100, // 20 in flight when the agent died
-            completed: 70,
-            errors: [4, 3, 2, 1],
-            ..Snapshot::default()
-        };
-        let m = metrics_from_snapshot(&s);
-        assert_eq!(m.issued, 80, "in-flight requests are not counted as issued");
-        assert_eq!(m.completed + m.errors, 80);
-        assert!(m.aborted);
-        assert_eq!(m.app_errors + m.timeouts + m.transport_errors + m.shed, m.errors);
     }
 
     #[test]

@@ -77,10 +77,6 @@ pub struct FleetConfig {
     /// stalled and its work reshards. Must comfortably exceed
     /// `progress_every_ms`.
     pub lease_ms: u64,
-    /// Reassign a dead agent's remainder to survivors mid-run. `false`
-    /// restores the pre-elastic accounting: the remainder books as
-    /// aborted from the last progress snapshot.
-    pub reshard: bool,
     /// Serve the HTTP ops console (`/state`, `/metrics`, `/healthz`,
     /// `/dashboard`) on this address for the duration of the run. Ignored
     /// when the coordinator was pre-bound via [`Coordinator::with_console`]
@@ -102,7 +98,6 @@ impl Default for FleetConfig {
             live: false,
             agent_timeout: Duration::from_secs(30),
             lease_ms: 5_000,
-            reshard: true,
             console: None,
         }
     }
@@ -153,10 +148,9 @@ pub struct FleetReport {
     /// Worst pacing lag reported by any agent, milliseconds (fleet-wide
     /// offered-vs-achieved skew).
     pub max_lag_ms: u64,
-    /// Per-minute series of aborted invocations (resharding runs only;
-    /// reconstructed from the unreassignable remainder traces).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub aborted_per_minute: Option<Vec<u64>>,
+    /// Aborted invocations by scheduled minute: the offered series minus
+    /// `metrics.issued_per_minute`, so it sums to `aborted_invocations`.
+    pub aborted_per_minute: Vec<u64>,
     /// Merged cross-agent report, present when `capture_events` was set
     /// and at least one agent returned its span log.
     #[serde(skip_serializing_if = "Option::is_none")]

@@ -20,76 +20,10 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use faasrail_telemetry::{DeltaWindow, ReassignSpan, Snapshot};
+use faasrail_telemetry::{DeltaWindow, ReassignSpan, Snapshot, WindowStats};
 
 /// Default ring capacity: ten minutes of 1 s windows.
 pub const DEFAULT_HISTORY_CAPACITY: usize = 600;
-
-/// Condensed statistics for one window (or one cumulative total), derived
-/// from a [`Snapshot`] via the same accessors the stderr progress line
-/// uses. Quantiles are `None` when nothing was recorded in the window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowStats {
-    /// Requests dispatched (offered load).
-    pub issued: u64,
-    /// Requests finished successfully.
-    pub completed: u64,
-    /// `[app_error, timeout, transport, shed]`.
-    pub errors: [u64; 4],
-    pub cold_starts: u64,
-    pub offered_rps: f64,
-    pub achieved_rps: f64,
-    pub error_rate: f64,
-    pub p50_ms: Option<f64>,
-    pub p95_ms: Option<f64>,
-    pub p99_ms: Option<f64>,
-}
-
-impl WindowStats {
-    /// Derive display statistics from a snapshot covering `window_secs`.
-    pub fn of(snapshot: &Snapshot, window_secs: f64) -> WindowStats {
-        let rate = |n: u64| if window_secs > 0.0 { n as f64 / window_secs } else { 0.0 };
-        let quantile = |q: f64| {
-            let v = snapshot.response_quantile_ms(q);
-            v.is_finite().then_some(v)
-        };
-        WindowStats {
-            issued: snapshot.issued,
-            completed: snapshot.completed,
-            errors: snapshot.errors,
-            cold_starts: snapshot.cold_starts,
-            offered_rps: rate(snapshot.issued),
-            achieved_rps: rate(snapshot.completed + snapshot.errors_total()),
-            error_rate: snapshot.error_rate(),
-            p50_ms: quantile(0.50),
-            p95_ms: quantile(0.95),
-            p99_ms: quantile(0.99),
-        }
-    }
-
-    pub fn errors_total(&self) -> u64 {
-        self.errors.iter().sum()
-    }
-
-    /// The progress-line tail (`offered … | achieved … | err … | p50/p95/p99 …`)
-    /// rendered from the condensed stats — same numbers, same formatting
-    /// rules as [`Snapshot::progress_line`].
-    pub fn summary(&self) -> String {
-        let quantile = |q: Option<f64>| match q {
-            Some(v) => format!("{v:.0}"),
-            None => "-".to_string(),
-        };
-        format!(
-            "offered {:.1} rps | achieved {:.1} rps | err {:.1}% | p50/p95/p99 {}/{}/{} ms",
-            self.offered_rps,
-            self.achieved_rps,
-            self.error_rate * 100.0,
-            quantile(self.p50_ms),
-            quantile(self.p95_ms),
-            quantile(self.p99_ms),
-        )
-    }
-}
 
 /// One agent's point-in-time state as published to the console.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,10 +93,6 @@ pub struct StateView {
 
 struct HistoryInner {
     samples: VecDeque<FleetSample>,
-    /// Raw windowed snapshots, parallel to `samples` (same eviction):
-    /// kept unserialized so exact histogram reconstruction stays possible
-    /// without shipping hundreds of buckets per sample over `/state`.
-    raw_windows: VecDeque<Snapshot>,
     /// Seq of the next sample to publish (first = 1).
     next_seq: u64,
     windows: DeltaWindow,
@@ -188,7 +118,6 @@ impl History {
             capacity,
             inner: Mutex::new(HistoryInner {
                 samples: VecDeque::with_capacity(capacity.min(1024)),
-                raw_windows: VecDeque::with_capacity(capacity.min(1024)),
                 next_seq: 1,
                 windows: DeltaWindow::new(),
                 agents: Vec::new(),
@@ -219,33 +148,23 @@ impl History {
         let mut inner = self.inner.lock().unwrap();
         let window_ms = at_ms.saturating_sub(inner.last_at_ms);
         inner.last_at_ms = at_ms;
-        let raw_window = inner.windows.advance(merged);
+        let window = inner.windows.advance(merged);
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let sample = FleetSample {
             seq,
             at_ms,
             window_ms,
-            window: WindowStats::of(&raw_window, window_ms as f64 / 1e3),
+            window: WindowStats::of(&window, window_ms as f64 / 1e3),
             total: WindowStats::of(merged, at_ms as f64 / 1e3),
             agents: agents.clone(),
         };
         inner.agents = agents;
         inner.samples.push_back(sample);
-        inner.raw_windows.push_back(raw_window);
         while inner.samples.len() > self.capacity {
             inner.samples.pop_front();
-            inner.raw_windows.pop_front();
         }
         seq
-    }
-
-    /// The retained raw windowed snapshots, oldest first (parallel to the
-    /// retained samples). Merging them yields exactly the cumulative
-    /// snapshot spanned by the ring — the reconstruction invariant the
-    /// tests hold the store to.
-    pub fn raw_windows(&self) -> Vec<Snapshot> {
-        self.inner.lock().unwrap().raw_windows.iter().cloned().collect()
     }
 
     /// The retained samples, oldest first — the bounded windowed timeline
@@ -421,16 +340,27 @@ mod tests {
             cumulative.merge(&step);
             h.publish(i * 50, &cumulative, vec![]);
         }
-        let mut rebuilt = Snapshot::default();
-        for w in h.raw_windows() {
-            rebuilt.merge(&w);
-        }
-        assert_eq!(rebuilt, cumulative, "sum of windowed deltas == final cumulative snapshot");
+        assert_eq!(window_sums(&h), counters(&cumulative), "sum of windows == final cumulative");
+        assert_eq!(h.cumulative(), cumulative);
     }
 
-    /// Whatever the publish cadence and per-window activity, merging
-    /// every windowed delta reconstructs the final merged snapshot
-    /// *exactly* — counters and histogram buckets both.
+    /// Issued, completed, errors by class and cold starts, summed over the
+    /// retained samples' windows.
+    fn window_sums(h: &History) -> (u64, u64, [u64; 4], u64) {
+        h.samples().iter().fold((0, 0, [0; 4], 0), |(i, c, mut e, cold), s| {
+            let w = &s.window;
+            e.iter_mut().zip(w.errors).for_each(|(a, b)| *a += b);
+            (i + w.issued, c + w.completed, e, cold + w.cold_starts)
+        })
+    }
+
+    fn counters(s: &Snapshot) -> (u64, u64, [u64; 4], u64) {
+        (s.issued, s.completed, s.errors, s.cold_starts)
+    }
+
+    /// Whatever the publish cadence and per-window activity, the windows'
+    /// counters add up to the final merged snapshot's exactly, and the
+    /// store's cumulative view is that snapshot, histogram buckets included.
     #[test]
     fn prop_sum_of_windows_is_the_final_snapshot() {
         cases("prop_sum_of_windows_is_the_final_snapshot", 256, |rng| {
@@ -452,12 +382,9 @@ mod tests {
                 at_ms += rng.range(1..5_000u64);
                 h.publish(at_ms, &cumulative, vec![]);
             }
-            let mut rebuilt = Snapshot::default();
             assert!(!h.since(0).dropped);
-            for w in h.raw_windows() {
-                rebuilt.merge(&w);
-            }
-            assert_eq!(rebuilt, cumulative);
+            assert_eq!(window_sums(&h), counters(&cumulative));
+            assert_eq!(h.cumulative(), cumulative);
         });
     }
 
@@ -494,26 +421,5 @@ mod tests {
         assert!(view.samples.is_empty());
         assert!(view.total.is_none());
         assert_eq!(h.health_counts(), HealthCounts::default());
-    }
-
-    #[test]
-    fn window_stats_match_progress_line_semantics() {
-        let mut s = Snapshot { issued: 100, completed: 95, ..Snapshot::default() };
-        s.errors = [3, 1, 0, 1];
-        for _ in 0..100 {
-            s.response.record(0.020);
-        }
-        let w = WindowStats::of(&s, 10.0);
-        assert!((w.offered_rps - 10.0).abs() < 1e-9);
-        assert!((w.achieved_rps - 10.0).abs() < 1e-9);
-        assert!((w.error_rate - 0.05).abs() < 1e-9);
-        assert!(w.p50_ms.unwrap() > 0.0);
-        let line = w.summary();
-        assert!(line.contains("offered 10.0 rps"), "{line}");
-        assert!(line.contains("err 5.0%"), "{line}");
-        // Empty window: quantiles render as dashes, rates as zero.
-        let empty = WindowStats::of(&Snapshot::default(), 0.0);
-        assert!(empty.p50_ms.is_none());
-        assert!(empty.summary().contains("p50/p95/p99 -/-/- ms"), "{}", empty.summary());
     }
 }

@@ -53,8 +53,7 @@ pub use console::{fetch_state, render_top, ConsoleHandle, ConsoleServer, DASHBOA
 pub use control::{Control, Event, Outbound};
 pub use coordinator::{AgentReport, Coordinator, FleetConfig, FleetReport};
 pub use history::{
-    AgentState, FleetSample, HealthCounts, History, StateView, WindowStats,
-    DEFAULT_HISTORY_CAPACITY,
+    AgentState, FleetSample, HealthCounts, History, StateView, DEFAULT_HISTORY_CAPACITY,
 };
 pub use reshard::{per_minute_of, plan_grants, prefix_metrics};
 pub use wire::{

@@ -69,7 +69,7 @@ impl RunMetrics {
             cold_starts: 0,
             response: LogHistogram::latency_seconds(),
             service: LogHistogram::latency_seconds(),
-            lateness: LogHistogram::new(1e-6, 60.0, 1.05),
+            lateness: LogHistogram::lateness_seconds(),
             per_kind: BTreeMap::new(),
             issued_per_minute: Vec::new(),
         }

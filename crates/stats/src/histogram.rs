@@ -117,6 +117,12 @@ impl LogHistogram {
         Self::new(1e-6, 600.0, 1.05)
     }
 
+    /// A pacer-lateness recorder: 1 µs to 60 s (in seconds), 5% resolution;
+    /// the buckets of [`latency_seconds`](Self::latency_seconds) below 60 s.
+    pub fn lateness_seconds() -> Self {
+        Self::new(1e-6, 60.0, 1.05)
+    }
+
     /// Record one observation.
     pub fn record(&mut self, x: f64) {
         self.record_slot(x);
@@ -411,6 +417,21 @@ mod tests {
         assert!((p50 / 500.0 - 1.0).abs() < 0.06, "p50 = {p50}");
         let p99 = h.quantile(0.99);
         assert!((p99 / 990.0 - 1.0).abs() < 0.06, "p99 = {p99}");
+    }
+
+    #[test]
+    fn lateness_and_latency_recorders_agree_below_a_minute() {
+        let (mut late, mut lat) =
+            (LogHistogram::lateness_seconds(), LogHistogram::latency_seconds());
+        for i in 0..2_000 {
+            let x = 1e-7 * 1.01f64.powi(i); // 0.1 µs .. ≈ 44 s
+            late.record(x);
+            lat.record(x);
+        }
+        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(late.quantile(q), lat.quantile(q), "q = {q}");
+        }
+        assert_eq!(late.counts(), &lat.counts()[..late.counts().len()]);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use join::{
     join_spans, offset_from_probes, ClockOffset, CrossTierStages, JoinedSpan, SpanJoin,
 };
 pub use prometheus::{escape_label_value, PromText};
-pub use recorder::{spawn_progress_printer, DeltaWindow, Recorder, Snapshot};
+pub use recorder::{spawn_progress_printer, DeltaWindow, Recorder, Snapshot, WindowStats};
 pub use report::{
     merge_event_logs, parse_jsonl, slowest_client_spans, CrossTierDecomposition, CrossTierReport,
     LatencyDecomposition, LatencyStat, RunReport,

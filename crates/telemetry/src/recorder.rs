@@ -9,7 +9,6 @@
 //! [`LogHistogram::delta`]), from which the once-per-interval progress line
 //! reports offered vs achieved RPS, error rate, and response quantiles.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -200,34 +199,7 @@ impl Snapshot {
     /// One-line progress report for a window of `window_secs`, e.g.
     /// `t=120s offered 49.8 rps | achieved 49.1 rps | err 1.4% | p50/p95/p99 12/88/240 ms`.
     pub fn progress_line(&self, window_secs: f64, elapsed_secs: f64) -> String {
-        let rate = |n: u64| {
-            if window_secs > 0.0 {
-                n as f64 / window_secs
-            } else {
-                0.0
-            }
-        };
-        let mut line = String::with_capacity(96);
-        let _ = write!(
-            line,
-            "t={:.0}s offered {:.1} rps | achieved {:.1} rps | err {:.1}%",
-            elapsed_secs,
-            rate(self.issued),
-            rate(self.completed + self.errors_total()),
-            self.error_rate() * 100.0,
-        );
-        if self.response.total() > 0 {
-            let _ = write!(
-                line,
-                " | p50/p95/p99 {:.0}/{:.0}/{:.0} ms",
-                self.response_quantile_ms(0.50),
-                self.response_quantile_ms(0.95),
-                self.response_quantile_ms(0.99),
-            );
-        } else {
-            line.push_str(" | p50/p95/p99 -/-/- ms");
-        }
-        line
+        format!("t={elapsed_secs:.0}s {}", WindowStats::of(self, window_secs).summary())
     }
 
     /// Encode the snapshot as Prometheus text-format metrics under
@@ -267,6 +239,71 @@ impl Snapshot {
             &self.response,
         );
         p.finish()
+    }
+}
+
+/// Condensed statistics for one window (or one cumulative total) of a
+/// [`Snapshot`]: what the progress line prints and the fleet console's
+/// `/state` serves. Quantiles are `None` when nothing was recorded.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct WindowStats {
+    /// Requests dispatched (offered load).
+    pub issued: u64,
+    /// Requests finished successfully.
+    pub completed: u64,
+    /// `[app_error, timeout, transport, shed]`.
+    pub errors: [u64; 4],
+    pub cold_starts: u64,
+    pub offered_rps: f64,
+    pub achieved_rps: f64,
+    pub error_rate: f64,
+    pub p50_ms: Option<f64>,
+    pub p95_ms: Option<f64>,
+    pub p99_ms: Option<f64>,
+}
+
+impl WindowStats {
+    /// Derive display statistics from a snapshot covering `window_secs`.
+    pub fn of(snapshot: &Snapshot, window_secs: f64) -> WindowStats {
+        let rate = |n: u64| if window_secs > 0.0 { n as f64 / window_secs } else { 0.0 };
+        let quantile = |q: f64| {
+            let v = snapshot.response_quantile_ms(q);
+            v.is_finite().then_some(v)
+        };
+        WindowStats {
+            issued: snapshot.issued,
+            completed: snapshot.completed,
+            errors: snapshot.errors,
+            cold_starts: snapshot.cold_starts,
+            offered_rps: rate(snapshot.issued),
+            achieved_rps: rate(snapshot.completed + snapshot.errors_total()),
+            error_rate: snapshot.error_rate(),
+            p50_ms: quantile(0.50),
+            p95_ms: quantile(0.95),
+            p99_ms: quantile(0.99),
+        }
+    }
+
+    pub fn errors_total(&self) -> u64 {
+        self.errors.iter().sum()
+    }
+
+    /// `offered … | achieved … | err … | p50/p95/p99 …`: the progress line
+    /// after its `t=` stamp.
+    pub fn summary(&self) -> String {
+        let quantile = |q: Option<f64>| match q {
+            Some(v) => format!("{v:.0}"),
+            None => "-".to_string(),
+        };
+        format!(
+            "offered {:.1} rps | achieved {:.1} rps | err {:.1}% | p50/p95/p99 {}/{}/{} ms",
+            self.offered_rps,
+            self.achieved_rps,
+            self.error_rate * 100.0,
+            quantile(self.p50_ms),
+            quantile(self.p95_ms),
+            quantile(self.p99_ms),
+        )
     }
 }
 
@@ -411,6 +448,28 @@ mod tests {
         // Degenerate window duration must not divide by zero.
         let line = Snapshot::default().progress_line(0.0, 0.0);
         assert!(line.contains("offered 0.0 rps"), "{line}");
+    }
+
+    #[test]
+    fn window_stats_match_progress_line_semantics() {
+        let mut s = Snapshot { issued: 100, completed: 95, ..Snapshot::default() };
+        s.errors = [3, 1, 0, 1];
+        for _ in 0..100 {
+            s.response.record(0.020);
+        }
+        let w = WindowStats::of(&s, 10.0);
+        assert!((w.offered_rps - 10.0).abs() < 1e-9);
+        assert!((w.achieved_rps - 10.0).abs() < 1e-9);
+        assert!((w.error_rate - 0.05).abs() < 1e-9);
+        assert!(w.p50_ms.unwrap() > 0.0);
+        assert_eq!(s.progress_line(10.0, 120.0), format!("t=120s {}", w.summary()));
+        let line = w.summary();
+        assert!(line.contains("offered 10.0 rps"), "{line}");
+        assert!(line.contains("err 5.0%"), "{line}");
+        // Empty window: quantiles render as dashes, rates as zero.
+        let empty = WindowStats::of(&Snapshot::default(), 0.0);
+        assert!(empty.p50_ms.is_none());
+        assert!(empty.summary().contains("p50/p95/p99 -/-/- ms"), "{}", empty.summary());
     }
 
     #[test]

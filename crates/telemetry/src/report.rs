@@ -33,6 +33,10 @@ impl StatAcc {
         Self::new(LogHistogram::latency_seconds())
     }
 
+    fn lateness() -> Self {
+        Self::new(LogHistogram::lateness_seconds())
+    }
+
     fn record(&mut self, x_s: f64) {
         self.hist.record(x_s);
         self.sum_s += x_s;
@@ -49,6 +53,7 @@ impl StatAcc {
             p50_ms: self.hist.quantile(0.50) * 1e3,
             p95_ms: self.hist.quantile(0.95) * 1e3,
             p99_ms: self.hist.quantile(0.99) * 1e3,
+            p999_ms: self.hist.quantile(0.999) * 1e3,
             max_ms: self.hist.max() * 1e3,
         }
     }
@@ -56,6 +61,7 @@ impl StatAcc {
 
 /// Summary statistics for one latency component, in milliseconds. All
 /// fields are `0.0` when `count == 0` (never NaN, so JSON stays lossless).
+/// The field order is the `stages` schema of the committed `BENCH_*.json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStat {
     pub count: u64,
@@ -63,6 +69,9 @@ pub struct LatencyStat {
     pub p50_ms: f64,
     pub p95_ms: f64,
     pub p99_ms: f64,
+    /// Absent from reports written before it existed.
+    #[serde(default)]
+    pub p999_ms: f64,
     pub max_ms: f64,
 }
 
@@ -138,7 +147,7 @@ pub struct CrossTierReport {
 impl CrossTierReport {
     /// Fold a span join into report statistics.
     pub fn from_join(join: &SpanJoin) -> CrossTierReport {
-        let mut lateness = StatAcc::new(LogHistogram::new(1e-6, 60.0, 1.05));
+        let mut lateness = StatAcc::lateness();
         let mut client_queue = StatAcc::latency();
         let mut net_out = StatAcc::latency();
         let mut gateway = StatAcc::latency();
@@ -235,7 +244,7 @@ impl RunReport {
     {
         let mut report =
             RunReport { build: Some(crate::build::BuildInfo::current()), ..RunReport::default() };
-        let mut lateness = StatAcc::new(LogHistogram::new(1e-6, 60.0, 1.05));
+        let mut lateness = StatAcc::lateness();
         let mut queue_wait = StatAcc::latency();
         let mut service = StatAcc::latency();
         let mut overhead = StatAcc::latency();
@@ -587,6 +596,22 @@ mod tests {
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(r, back);
         assert_eq!(back.decomposition.response.mean_ms, 0.0);
+    }
+
+    #[test]
+    fn stat_orders_tails_down_to_p999() {
+        let mut acc = StatAcc::latency();
+        for i in 1..=10_000 {
+            acc.record(i as f64 * 1e-5);
+        }
+        let q = acc.stat();
+        assert_eq!(q.count, 10_000);
+        assert!(q.p50_ms <= q.p95_ms);
+        assert!(q.p95_ms <= q.p99_ms);
+        assert!(q.p99_ms <= q.p999_ms);
+        assert!(q.p999_ms <= q.max_ms * 1.10, "p999 {} max {}", q.p999_ms, q.max_ms);
+        assert!((q.mean_ms - 50.0).abs() < 1.0, "mean {}", q.mean_ms);
+        assert!((q.max_ms - 100.0).abs() < 1e-9, "the max is exact: {}", q.max_ms);
     }
 
     #[test]

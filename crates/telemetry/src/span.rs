@@ -183,6 +183,19 @@ impl InvocationSpan {
     pub fn scheduled_minute(&self) -> usize {
         (self.scheduled_ms / 60_000) as usize
     }
+
+    /// Move the four run-relative stamps (target, dispatch, pickup,
+    /// completion) by `delta_us` onto another timeline, saturating at zero.
+    pub fn shift(&mut self, delta_us: i64) {
+        for t in [
+            &mut self.target_us,
+            &mut self.dispatched_us,
+            &mut self.picked_up_us,
+            &mut self.completed_us,
+        ] {
+            *t = t.saturating_add_signed(delta_us);
+        }
+    }
 }
 
 /// The fault a gateway injected into a request, recorded on the server
@@ -404,6 +417,19 @@ mod tests {
         let mut s = span();
         s.service_ms = 500.0; // backend claims more than the wall interval
         assert_eq!(s.overhead_s(), 0.0);
+    }
+
+    #[test]
+    fn shift_moves_the_four_stamps_and_saturates_at_zero() {
+        let mut s = span();
+        s.shift(2_000);
+        let stamps = |s: &InvocationSpan| {
+            (s.target_us, s.dispatched_us, s.picked_up_us, s.completed_us, s.scheduled_ms)
+        };
+        assert_eq!(stamps(&s), (102_000, 103_500, 113_500, 163_500, 61_000));
+        assert!((s.response_s() - 0.060).abs() < 1e-9, "durations are unchanged");
+        s.shift(-103_000);
+        assert_eq!(stamps(&s), (0, 500, 10_500, 60_500, 61_000), "target saturates at zero");
     }
 
     #[test]

@@ -14,6 +14,10 @@
 # And the paper's four properties: each statistic is stated once (stats/timeseries.rs,
 # stats/summary.rs, core/evaluate.rs; core/tests/diff_mapping.rs keeps the replaced
 # constructions as oracles) and the reproduction is one program over them.
+# And what a run reports: the latency stages are folded once (telemetry/report.rs,
+# which the bench harness calls), the progress line is formatted once
+# (telemetry::WindowStats::summary), the lateness histogram is built once
+# (LogHistogram::lateness_seconds), and a fleet books aborted work on one path.
 # Then print what each file weighs (lines above its first `#[cfg(test)]`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,12 +67,17 @@ refuse crates/fleet/src/control.rs crates/fleet/src/coordinator.rs \
     'TcpStream' 'read_frame' 'write_frame' 'wall_clock_us' 'Instant' 'thread::' 'Mutex' 'Atomic'
 refuse crates/fleet/src/coordinator.rs crates/fleet/src/control.rs \
     'plan_grants' 'prefix_metrics' 'remainder_after' '.lock()'
-n=$(for file in crates/fleet/src/*.rs; do nontest "$file"; done | grep -cF 'Control::new(' || true)
-if [ "$n" -ne 1 ]; then
-    echo "error: crates/fleet/src: \`Control::new(\` on $n non-test lines, expected 1:" \
-        'the core is built in Coordinator::run and nowhere else' >&2
-    fail=1
-fi
+across() { # count, why, pattern, files...: on exactly that many non-test lines of them all
+    local want=$1 why=$2 pat=$3 n
+    shift 3
+    n=$(for file in "$@"; do nontest "$file"; done | grep -cF -- "$pat" || true)
+    if [ "$n" -ne "$want" ]; then
+        echo "error: \`$pat\` on $n non-test lines, expected $want: $why" >&2
+        fail=1
+    fi
+}
+across 1 'the core is built in Coordinator::run and nowhere else' 'Control::new(' \
+    crates/fleet/src/*.rs
 
 refuse crates/fleet/src/session.rs crates/fleet/src/agent.rs \
     'TcpStream' 'read_frame' 'write_frame' 'wall_clock_us' 'Instant' 'thread::' 'sleep' 'Mutex' 'Atomic'
@@ -111,6 +120,17 @@ if [ "$(cat crates/bench/src/bin/*.rs | grep -c '^fn main')" -ne 1 ] || grep -q 
     fail=1
 fi
 
+across 1 'one progress-line formatter (telemetry::WindowStats::summary)' 'offered {:.1} rps' \
+    crates/telemetry/src/*.rs crates/fleet/src/*.rs
+for file in crates/*/src/*.rs crates/*/src/*/*.rs tests/*.rs tests/*/*.rs examples/*.rs; do
+    case $file in crates/stats/src/*) ;; *)
+        refuse "$file" 'crates/stats/src/histogram.rs (LogHistogram::lateness_seconds)' \
+            'LogHistogram::new(1e-6, 60.0' ;;
+    esac
+    refuse "$file" 'nowhere: one fold of the stages (RunReport), one path for aborted work' \
+        'QuantileAcc' 'StageAcc' 'metrics_from_snapshot' 'cfg.reshard' 'raw_windows'
+done
+
 weigh() { # label, files...
     local label=$1 total=0 file lines
     shift
@@ -125,4 +145,6 @@ weigh gateway crates/gateway/src/*.rs crates/reactor/src/http1.rs
 weigh fleet crates/fleet/src/*.rs
 weigh faas-sim crates/faas-sim/src/*.rs
 weigh 'bench (reproduction; harness/ apart)' crates/bench/src/*.rs crates/bench/src/bin/*.rs
+weigh 'bench harness' crates/bench/src/harness/*.rs
+weigh telemetry crates/telemetry/src/*.rs
 exit "$fail"

@@ -16,11 +16,11 @@
 use faasrail::gateway::{Gateway, GatewayConfig, HttpBackend, HttpBackendConfig, RetryPolicy};
 use faasrail::loadgen::{ArrivalProcess, NoopBackend};
 use faasrail::prelude::*;
+use faasrail::telemetry::{LatencyDecomposition, LatencyStat};
 use faasrail::workloads::WorkloadId;
 use faasrail_bench::harness::{
     diff_reports, run_fixed_rate, saturation_search, AcceptCriteria, BenchReport, BenchWorkload,
-    FixedRateSpec, LatencyQuantiles, RateRun, SaturationSummary, SearchConfig, StageLatencies,
-    SCHEMA,
+    FixedRateSpec, RateRun, SaturationSummary, SearchConfig, SCHEMA,
 };
 use faasrail_stats::rng::{cases, Rng};
 use std::sync::Arc;
@@ -171,7 +171,7 @@ fn diff_gate_fires_on_p99_regression_beyond_threshold_only() {
 
 fn synthetic_report(p99_ms: f64, sustained_rps: f64) -> BenchReport {
     let mut report = BenchReport::new("synthetic", "gateway", gateway_workload(1.0, 4));
-    let quantiles = |scale: f64| LatencyQuantiles {
+    let quantiles = |scale: f64| LatencyStat {
         count: 1_000,
         mean_ms: 0.4 * scale,
         p50_ms: 0.3 * scale,
@@ -189,7 +189,7 @@ fn synthetic_report(p99_ms: f64, sustained_rps: f64) -> BenchReport {
         achieved_rps: 1_000.0,
         error_rate: 0.0,
         accepted: true,
-        stages: StageLatencies {
+        stages: LatencyDecomposition {
             response: quantiles(p99_ms),
             queue_wait: quantiles(p99_ms / 10.0),
             ..Default::default()
@@ -207,8 +207,8 @@ fn synthetic_report(p99_ms: f64, sustained_rps: f64) -> BenchReport {
 // Properties
 // ---------------------------------------------------------------------------
 
-fn arb_quantiles(rng: &mut impl Rng) -> LatencyQuantiles {
-    LatencyQuantiles {
+fn arb_quantiles(rng: &mut impl Rng) -> LatencyStat {
+    LatencyStat {
         count: rng.next_u64() as u32 as u64,
         mean_ms: rng.uniform(0.0..1e6),
         p50_ms: rng.uniform(0.0..1e6),
@@ -234,7 +234,7 @@ fn arb_run(rng: &mut impl Rng) -> RateRun {
         achieved_rps: completed as f64 / duration,
         error_rate: if offered > 0 { errors as f64 / offered as f64 } else { 0.0 },
         accepted: errors == 0,
-        stages: StageLatencies { response, lateness, ..Default::default() },
+        stages: LatencyDecomposition { response, lateness, ..Default::default() },
     }
 }
 

@@ -77,7 +77,6 @@ fn live_console_serves_state_metrics_healthz_dashboard_and_shows_a_kill() {
         live: false,
         agent_timeout: Duration::from_secs(10),
         lease_ms: 5_000,
-        reshard: true,
         // Pre-bound via with_console: cfg.console stays None.
         console: None,
     };

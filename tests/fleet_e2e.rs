@@ -18,8 +18,8 @@
 //!   both versions;
 //! * an agent that loses the coordinator link rejoins with its resume
 //!   token and serves grants as fresh capacity;
-//! * with `--no-reshard`, a lost shard degrades to the pre-elastic
-//!   aborted-remainder accounting.
+//! * an operator stop drains every agent and books the unfinished
+//!   remainder as aborted, minute by minute.
 
 mod common;
 
@@ -52,7 +52,6 @@ fn fast_fleet_config(agents: usize, capture_events: bool) -> FleetConfig {
         live: false,
         agent_timeout: Duration::from_secs(10),
         lease_ms: 5_000,
-        reshard: true,
         console: None,
     }
 }
@@ -303,7 +302,7 @@ fn killing_every_agent_terminates_with_full_accounting() {
     assert_eq!(report.metrics.issued, 0);
     assert!(report.metrics.aborted);
     assert!(report.agents.iter().all(|a| a.status == "crash"));
-    let aborted_pm = report.aborted_per_minute.as_ref().expect("resharding runs track the series");
+    let aborted_pm = &report.aborted_per_minute;
     assert_eq!(aborted_pm.iter().sum::<u64>(), report.offered);
     assert_eq!(aborted_pm, &per_minute(&reqs), "aborted minute-by-minute == offered schedule");
 }
@@ -489,52 +488,6 @@ fn agent_rejoins_with_resume_token_and_serves_grants() {
     });
 }
 
-/// `--no-reshard` restores the pre-elastic semantics exactly: a lost
-/// shard's remainder books as aborted from its last snapshot and nothing
-/// is reassigned.
-#[test]
-fn no_reshard_degrades_to_aborted_remainder() {
-    let (reqs, pool) = small_schedule(22);
-    let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
-    let addr = coordinator.local_addr().unwrap();
-    let cfg = FleetConfig { reshard: false, ..fast_fleet_config(2, false) };
-
-    let report = std::thread::scope(|scope| {
-        let run =
-            scope.spawn(|| coordinator.run(&reqs, &pool, &cfg, &AtomicBool::new(false)).unwrap());
-        scope.spawn(move || {
-            let agent_cfg = AgentConfig { name: "survivor".into(), ..Default::default() };
-            run_agent_with(addr, &agent_cfg, |_| {
-                Ok(Arc::new(DeterministicBackend) as Arc<dyn Backend>)
-            })
-            .unwrap();
-        });
-        // An impostor that crashes the moment the run starts.
-        scope.spawn(move || {
-            let _ = impostor_handshake(addr, "crasher");
-        });
-        run.join().unwrap()
-    });
-
-    let crashed = report.agents.iter().find(|a| a.name == "crasher").expect("impostor in report");
-    let survivor = report.agents.iter().find(|a| a.name == "survivor").expect("agent in report");
-    assert!(!crashed.completed, "dead shard must be marked lost");
-    assert_eq!(crashed.status, "crash");
-    assert!(survivor.completed);
-    assert_eq!(survivor.status, "done");
-
-    // The dead shard never dispatched anything, so its entire assignment
-    // is the aborted remainder — and the partition still balances.
-    assert_eq!(report.aborted_invocations, crashed.assigned);
-    assert!(report.aborted_invocations > 0, "crasher's shard must not be empty");
-    assert!(report.reassignments.is_empty(), "no-reshard must not reassign");
-    assert!(report.aborted_per_minute.is_none(), "pre-elastic accounting has no aborted series");
-    let m = &report.metrics;
-    assert!(m.aborted, "a degraded fleet run is marked aborted");
-    assert_eq!(m.completed + m.errors, survivor.assigned);
-    assert_eq!(m.completed + m.errors + report.aborted_invocations, report.offered);
-}
-
 /// An operator stop over the wire: every live agent is told to abort,
 /// drains what is in flight and still reports `Done`; the run terminates
 /// with the unfinished remainder booked as aborted and nothing regranted.
@@ -573,4 +526,15 @@ fn operator_stop_drains_agents_and_balances_the_report() {
     assert_eq!(m.completed + m.errors + report.aborted_invocations, report.offered);
     assert!(report.agents.iter().all(|a| a.completed && a.status == "done"), "{:?}", report.agents);
     assert!(report.reassignments.is_empty(), "a stop cancels work, it does not move it");
+
+    // Minute by minute: what ran plus what the stop cancelled is the
+    // offered schedule.
+    let offered = per_minute(&reqs);
+    let (issued, aborted) = (&m.issued_per_minute, &report.aborted_per_minute);
+    assert_eq!(aborted.len(), offered.len());
+    assert_eq!(aborted.iter().sum::<u64>(), report.aborted_invocations);
+    for (minute, &want) in offered.iter().enumerate() {
+        let ran = issued.get(minute).copied().unwrap_or(0);
+        assert_eq!(ran + aborted[minute], want, "minute {minute} must balance");
+    }
 }

@@ -286,7 +286,7 @@ fn random_kill_schedules_preserve_the_partition_exactly() {
 
         let (report, plan) = run_schedule(&trace, &pool, shards, &kills);
         let m = &report.metrics;
-        let aborted_per_minute = report.aborted_per_minute.clone().expect("a resharding run");
+        let aborted_per_minute = report.aborted_per_minute.clone();
         let aborted: u64 = aborted_per_minute.iter().sum();
 
         // Total partition: every offered request finished somewhere or
@@ -444,7 +444,8 @@ fn finish_is_sent_once_and_only_when_all_work_is_resolved() {
 }
 
 /// After an operator stop a death plans nothing: the work is being
-/// cancelled anyway, and the partition still balances.
+/// cancelled anyway. It still keeps its acked prefix, and the partition
+/// balances in total and minute by minute.
 #[test]
 fn a_death_after_operator_stop_issues_no_grants() {
     let pool = vanilla_pool();
@@ -474,6 +475,21 @@ fn a_death_after_operator_stop_issues_no_grants() {
     assert!(m.aborted);
     assert_eq!(m.completed + m.errors + report.aborted_invocations, report.offered);
     assert!(report.aborted_invocations > 0);
+
+    // Shard 0 acked half its work before it crashed: that half finished
+    // and is booked as issued, next to the half shard 1 reported.
+    let half = |shard| Control::assignment(&trace, shard, 3).requests.len() as u64 / 2;
+    assert_eq!(m.issued, half(0) + half(1));
+    assert_eq!(m.completed + m.errors, m.issued);
+
+    let aborted_pm = &report.aborted_per_minute;
+    assert_eq!(aborted_pm.iter().sum::<u64>(), report.aborted_invocations);
+    let full = per_minute_of(&trace);
+    let issued_pm = padded(&m.issued_per_minute, full.len());
+    assert_eq!(aborted_pm.len(), full.len());
+    for (minute, f) in full.iter().enumerate() {
+        assert_eq!(issued_pm[minute] + aborted_pm[minute], *f, "minute {minute} must balance");
+    }
 }
 
 /// A spare that completes its handshake after `Finish` went out is turned
