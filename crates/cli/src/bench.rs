@@ -181,12 +181,12 @@ fn cmd_bench_run(
         return Err(format!("workload id {} not in the pool", workload.0));
     }
 
-    let (target, target_desc, stop_local) = match args.get("target") {
+    let (target, target_desc, local) = match args.get("target") {
         Some(t) => (t.to_string(), t.to_string(), None),
         None => {
             let server =
                 bind("127.0.0.1:0", Arc::new(NoopBackend), GatewayConfig::default(), shards, None)?;
-            let addr = server.addr.to_string();
+            let addr = server.local_addr().to_string();
             let desc = match shards {
                 Some(shards) => {
                     eprintln!(
@@ -224,8 +224,8 @@ fn cmd_bench_run(
     };
     rungs(args, &rung, &mut report)?;
 
-    if let Some(stop) = stop_local {
-        stop();
+    if let Some(server) = local {
+        server.stop();
     }
     let out = args.str("out");
     write_file(out, report.to_json())?;

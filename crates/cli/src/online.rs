@@ -443,7 +443,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     eprintln!(
         "serve: backend={name} at http://{} (conn-workers={} queue-cap={} read-timeout-s={} \
          head-timeout-s={}{})",
-        server.addr,
+        server.local_addr(),
         cfg.workers,
         cfg.queue_capacity,
         cfg.read_timeout.as_secs(),

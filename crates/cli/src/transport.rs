@@ -1,8 +1,9 @@
 //! The one place a gateway client, a gateway server and the in-process node
 //! are constructed: `replay`, `fleet agent` and `bench` share [`connect`];
 //! `serve` and `bench` share [`bind`]; `replay`, `serve` and `fleet agent`
-//! share [`warm_cache`]. Which client transport (pooled or multiplexed) and which server
-//! (threaded or reactor) is a value here, not a type at the call sites.
+//! share [`warm_cache`]. Which client transport (pooled or multiplexed) and
+//! which server engine (threaded or reactor) is a value here, not a type:
+//! [`connect`] returns the one `Client`, [`bind`] the one `Gateway`.
 
 use crate::args::{Args, Opt};
 use faasrail_faas_sim::{FixedTtl, WarmCacheBackend, WarmCacheConfig};
@@ -13,7 +14,6 @@ use faasrail_gateway::{
 use faasrail_loadgen::Backend;
 use faasrail_telemetry::EventSink;
 use faasrail_workloads::WorkloadPool;
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,29 +71,6 @@ pub fn connect(target: &str, opts: &ClientOpts) -> Result<Arc<Client>, String> {
     client.map(Arc::new).map_err(|e| format!("resolving {target}: {e}"))
 }
 
-/// Stops a background server and joins its threads.
-pub type Stop = Box<dyn FnOnce()>;
-
-/// A bound gateway of either kind, not yet serving.
-pub struct Server {
-    pub addr: SocketAddr,
-    /// Serve on this thread until shut down (`false`), or on a background
-    /// thread (`true`), returning its [`Stop`].
-    start: Box<dyn FnOnce(bool) -> Option<Stop>>,
-}
-
-impl Server {
-    /// Serve until shut down, blocking the calling thread.
-    pub fn run(self) {
-        (self.start)(false);
-    }
-
-    /// Serve on a background thread.
-    pub fn spawn(self) -> Stop {
-        (self.start)(true).expect("a background server comes with its stop")
-    }
-}
-
 /// Bind `addr` in front of `backend`: the epoll reactor with `Some(shards)`,
 /// the thread-per-connection server with `None`.
 pub fn bind(
@@ -102,28 +79,14 @@ pub fn bind(
     cfg: GatewayConfig,
     reactor_shards: Option<usize>,
     trace_sink: Option<Arc<dyn EventSink>>,
-) -> Result<Server, String> {
-    // The two gateways share their method names, not a trait.
-    macro_rules! server {
-        ($bound:expr) => {{
-            let mut gateway = $bound.map_err(|e| format!("binding gateway at {addr}: {e}"))?;
-            if let Some(sink) = trace_sink {
-                gateway = gateway.with_trace_sink(sink);
-            }
-            let bound = gateway.local_addr();
-            let start = move |background| -> Option<Stop> {
-                if background {
-                    let handle = gateway.spawn();
-                    return Some(Box::new(move || handle.stop()));
-                }
-                gateway.run();
-                None
-            };
-            Server { addr: bound, start: Box::new(start) }
-        }};
-    }
-    Ok(match reactor_shards {
-        Some(shards) => server!(ReactorGateway::bind_sharded(addr, backend, cfg, shards)),
-        None => server!(Gateway::bind(addr, backend, cfg)),
+) -> Result<Gateway, String> {
+    let bound = match reactor_shards {
+        Some(shards) => ReactorGateway::bind_sharded(addr, backend, cfg, shards),
+        None => Gateway::bind(addr, backend, cfg),
+    };
+    let gateway = bound.map_err(|e| format!("binding gateway at {addr}: {e}"))?;
+    Ok(match trace_sink {
+        Some(sink) => gateway.with_trace_sink(sink),
+        None => gateway,
     })
 }

@@ -72,7 +72,7 @@ pub struct HttpBackendConfig {
     pub request_timeout: Duration,
     /// Retry policy for retryable failures.
     pub retry: RetryPolicy,
-    /// Max parked keep-alive connections; excess connections are closed on
+    /// Max idle keep-alive connections; excess connections are closed on
     /// check-in rather than pooled.
     pub pool_capacity: usize,
     /// Circuit breaker (disabled by default: `failure_threshold: 0`).
@@ -247,7 +247,7 @@ fn resolve(target: impl ToSocketAddrs) -> io::Result<SocketAddr> {
 
 impl Client {
     /// Resolve `target` (e.g. `"127.0.0.1:7471"`) and build a client on the
-    /// keep-alive pool: one connection per invocation in flight, parked for
+    /// keep-alive pool: one connection per invocation in flight, kept idle for
     /// reuse between invocations. No connection is opened until the first
     /// invocation.
     pub fn connect(target: &str, cfg: HttpBackendConfig) -> io::Result<Client> {

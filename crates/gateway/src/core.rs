@@ -1,14 +1,14 @@
-//! The gateway's request core: everything the two servers decide about a
+//! The gateway's request core: everything the two engines decide about a
 //! request, with no socket in sight.
 //!
-//! [`crate::Gateway`] (a thread per connection) and
-//! [`crate::ReactorGateway`] (epoll shards) both parse with
+//! [`crate::Gateway`]'s two engines, a thread per connection (`server.rs`)
+//! and epoll shards (`reactor_server.rs`), both parse with
 //! `faasrail_reactor::http1`, hand each request to `Core::route`, and
 //! carry out the `Step` it returns. The contract lives here, once:
 //!
 //! | request | answer |
 //! |---|---|
-//! | `POST /invoke`, body an [`InvocationRequest`] | `200`, the backend's `InvocationResult` as JSON (an application failure is `ok: false` in a `200`, never an HTTP error) |
+//! | `POST /invoke`, body an [`InvocationRequest`] | `200`, the backend's `InvocationResult` as JSON (an application failure, a backend panic included, is `ok: false` in a `200`, never an HTTP error) |
 //! | `POST /invoke`, body that does not decode | `400 bad invocation request: ..`, connection kept |
 //! | `GET /healthz` | `200` JSON: status, live queue depth, shed total, version, git sha |
 //! | `GET /stats` | `200` JSON: [`GatewayStats::to_json`] |
@@ -44,6 +44,7 @@
 
 use crate::backoff::mix_fraction;
 use crate::lock;
+use faasrail_loadgen::backend::invoke_isolated;
 use faasrail_loadgen::{Backend, InvocationRequest};
 use faasrail_telemetry::{
     EventSink, LogHistogram, NullSink, OutcomeClass, PromText, ServerFault, ServerSpan,
@@ -550,9 +551,10 @@ impl Core {
         Step::Reply(Reply { span: Some(span), ..reply })
     }
 
-    /// Run the backend for an admitted invocation and build its `200`;
-    /// the result is serialized into `body`, an empty buffer that is the
-    /// caller's to recycle.
+    /// Run the backend for an admitted invocation (a panic is caught and
+    /// answered as its failure) and build its `200`; the result is
+    /// serialized into `body`, an empty buffer that is the caller's to
+    /// recycle.
     pub(crate) fn run_invoke(
         &self,
         inv: &InvocationRequest,
@@ -560,7 +562,7 @@ impl Core {
         keep: bool,
         mut body: Vec<u8>,
     ) -> Reply {
-        let result = self.backend.invoke(inv);
+        let result = invoke_isolated(&*self.backend, inv);
         let counter =
             if result.ok { &self.stats.invocations_ok } else { &self.stats.invocations_failed };
         counter.fetch_add(1, Ordering::Relaxed);

@@ -13,14 +13,16 @@
 //!   `Retry-After` shed reply, [`GatewayStats`], and the one `ServerSpan`
 //!   per invocation. A server parses a request, asks `core` what to do
 //!   with it, and does that;
-//! * [`Gateway`] and [`ReactorGateway`] — the two transports that carry
-//!   the contract out: a bounded pool of threads blocking on keep-alive
-//!   connections over `std::net::TcpListener`, and `faasrail-reactor`'s
-//!   epoll event loop (N `SO_REUSEPORT` shards, per-connection deadlines
-//!   on a timer wheel, a bounded handler pool). Both shed when their
-//!   bounded queue of admitted work ([`GatewayConfig::queue_capacity`])
-//!   is full, so overload is an explicit signal instead of a stalled OS
-//!   accept backlog;
+//! * [`Gateway`] — the one server, carrying the contract out on one of two
+//!   engines: a bounded pool of threads blocking on keep-alive connections
+//!   over `std::net::TcpListener` ([`Gateway::bind`]), or
+//!   `faasrail-reactor`'s epoll event loop (N `SO_REUSEPORT` shards,
+//!   per-connection deadlines on a timer wheel, a bounded handler pool;
+//!   [`ReactorGateway::bind_sharded`]). Either engine sheds when its
+//!   bounded queue of admitted work ([`GatewayConfig::queue_capacity`]) is
+//!   full, so overload is an explicit signal instead of a stalled OS
+//!   accept backlog, and either serves in the background behind one
+//!   [`Handle`];
 //! * [`http`] — blocking `BufRead`/`Write` adapters over
 //!   `faasrail_reactor::http1`, the only parser and encoder of the wire
 //!   dialect in the workspace;
@@ -46,11 +48,12 @@ pub mod backoff;
 pub mod breaker;
 pub mod client;
 pub mod core;
+mod front;
 pub mod http;
 pub mod mux;
 mod pool;
-pub mod reactor_server;
-pub mod server;
+mod reactor_server;
+mod server;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -66,7 +69,7 @@ pub use backoff::{mix_fraction, RetryPolicy};
 pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use client::{Client, ClientStats, HttpBackend, HttpBackendConfig, MuxHttpBackend};
 pub use core::{FaultConfig, GatewayConfig, GatewayStats, StageMetrics};
+pub use front::{Gateway, GatewayHandle, Handle, ReactorHandle};
 pub use http::TRACE_HEADER;
 pub use mux::MuxConfig;
-pub use reactor_server::{ReactorGateway, ReactorHandle};
-pub use server::{Gateway, GatewayHandle};
+pub use reactor_server::ReactorGateway;

@@ -2,17 +2,17 @@
 //! [`MuxHttpBackend`](crate::MuxHttpBackend).
 //!
 //! The keep-alive pool binds one connection to each exchange in flight, so
-//! N concurrent invocations need N sockets. Here caller threads park on a
-//! completion slot while a single driver thread multiplexes every exchange
+//! N concurrent invocations need N sockets. Here caller threads wait on a
+//! one-slot channel while a single driver thread multiplexes every exchange
 //! over [`MuxConfig::connections`] sockets, pipelining up to
 //! [`MuxConfig::pipeline_depth`] requests per connection. What an
 //! exchange's outcome means — and whether it is tried again — is
 //! `client.rs`'s to say; what this file owns:
 //!
 //! * **pipelining and FIFO matching** — HTTP/1.1 responses arrive in
-//!   request order, so a FIFO of in-flight slots per connection is all the
-//!   bookkeeping required. A response is copied out of the read buffer and
-//!   handed to its caller unread;
+//!   request order, so a FIFO of in-flight exchanges per connection is all
+//!   the bookkeeping required. A response is copied out of the read buffer
+//!   and handed to its caller unread;
 //! * **the backlog** — exchanges that found every pipeline full wait in
 //!   deadline order: a retried attempt carries its invocation's original
 //!   deadline, goes ahead of younger work, and expires when that deadline
@@ -31,13 +31,14 @@ use crate::breaker::BreakerConfig;
 use crate::client::{self, ClientStats, Transport, TryError};
 use crate::http;
 use faasrail_reactor::http1;
-use faasrail_reactor::{Interest, Poller, ReadBuf, Waker, WriteBuf};
+use faasrail_reactor::{Inbox, Interest, Poller, ReadBuf, WriteBuf};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of a client on the multiplexed driver.
@@ -73,82 +74,23 @@ impl Default for MuxConfig {
 
 type Exchanged = Result<http::Response, TryError>;
 
-/// Rendezvous between a blocked caller thread and the driver.
-struct Slot {
-    done: Mutex<Option<Exchanged>>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot { done: Mutex::new(None), cv: Condvar::new() })
-    }
-
-    fn complete(&self, outcome: Exchanged) {
-        let mut done = self.done.lock().unwrap();
-        if done.is_none() {
-            *done = Some(outcome);
-            self.cv.notify_one();
-        }
-    }
-
-    fn wait(&self, until: Instant) -> Exchanged {
-        let mut done = self.done.lock().unwrap();
-        loop {
-            if let Some(outcome) = done.take() {
-                return outcome;
-            }
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                // Defensive: the driver enforces the real deadline; this
-                // only trips if the driver wedged or died.
-                return Err(TryError::Timeout("mux driver unresponsive".into()));
-            }
-            let (guard, _timeout) = self.cv.wait_timeout(done, left).unwrap();
-            done = guard;
-        }
-    }
-}
+/// Where the driver sends an exchange's one outcome: a channel of one
+/// slot, so the send never blocks the driver, and a caller that gave up
+/// has simply dropped the other end.
+type Done = SyncSender<Exchanged>;
 
 /// One request waiting for a connection with pipeline room.
 struct MuxJob {
     /// Head and body, as they go on the wire.
     wire: Vec<u8>,
     deadline: Instant,
-    slot: Arc<Slot>,
+    done: Done,
 }
 
 /// One request written to a socket, awaiting its (in-order) response.
 struct InFlight {
     deadline: Instant,
-    slot: Arc<Slot>,
-}
-
-/// Submission queue shared between caller threads and the driver.
-///
-/// The eventfd wake is elided unless the driver is parked in `epoll_wait`
-/// (`parked`) and nobody has woken it since its last drain (`notified`): the
-/// driver drains `jobs` on every loop iteration regardless, so a wake only
-/// matters when it interrupts a blocking wait.
-struct Submit {
-    jobs: Mutex<VecDeque<MuxJob>>,
-    waker: Waker,
-    shutdown: AtomicBool,
-    parked: AtomicBool,
-    notified: AtomicBool,
-}
-
-impl Submit {
-    fn wake_if_parked(&self) {
-        if self.parked.load(Ordering::SeqCst) && !self.notified.swap(true, Ordering::SeqCst) {
-            self.waker.wake();
-        }
-    }
-
-    fn force_wake(&self) {
-        self.notified.store(true, Ordering::SeqCst);
-        self.waker.wake();
-    }
+    done: Done,
 }
 
 enum ConnSock {
@@ -180,7 +122,9 @@ struct Driver {
     addr: SocketAddr,
     cfg: MuxConfig,
     stats: Arc<ClientStats>,
-    submit: Arc<Submit>,
+    /// Submitted by caller threads, drained on every loop iteration.
+    jobs: Arc<Inbox<MuxJob>>,
+    shutdown: Arc<AtomicBool>,
     poller: Poller,
     conns: Vec<MuxConn>,
     /// Requests accepted but not yet written anywhere (all pipelines full
@@ -190,26 +134,15 @@ struct Driver {
 
 impl Driver {
     fn run(mut self) {
-        let mut events = Vec::with_capacity(64);
+        let (mut events, mut fresh) = (Vec::with_capacity(64), Vec::new());
         loop {
             let inflight_any =
                 !self.backlog.is_empty() || self.conns.iter().any(|c| !c.inflight.is_empty());
-            // Deadlines are enforced by polling at a coarse tick; parked
-            // submission-only waits block indefinitely on the eventfd.
+            // Deadlines are enforced by polling at a coarse tick; with
+            // nothing in flight the wait blocks until a submission.
             let timeout = if inflight_any { Some(Duration::from_millis(10)) } else { None };
             events.clear();
-            // Park protocol mirroring the gateway shard: publish intent to
-            // block, then re-check the submission queue so a push that raced
-            // past the elided wake is still picked up without sleeping.
-            self.submit.parked.store(true, Ordering::SeqCst);
-            let timeout = if self.submit.jobs.lock().unwrap().is_empty() {
-                timeout
-            } else {
-                Some(Duration::from_millis(0))
-            };
-            let waited = self.poller.wait(timeout, &mut events);
-            self.submit.parked.store(false, Ordering::SeqCst);
-            if waited.is_err() {
+            if self.jobs.wait(&mut self.poller, timeout, &mut events).is_err() {
                 break;
             }
             for ev in &events {
@@ -220,19 +153,13 @@ impl Driver {
                     }
                 }
             }
-            // Drained every iteration (wakes are only hints); reset the
-            // eventfd level first so a wake racing this drain survives.
-            self.submit.waker.drain();
-            self.submit.notified.store(false, Ordering::SeqCst);
-            {
-                // A fresh job's deadline is the latest yet, give or take a
-                // race between two callers; a retried attempt's is its
-                // invocation's original one and lands further forward.
-                let mut jobs = self.submit.jobs.lock().unwrap();
-                for job in jobs.drain(..) {
-                    let at = self.backlog.partition_point(|ahead| ahead.deadline <= job.deadline);
-                    self.backlog.insert(at, job);
-                }
+            // A fresh job's deadline is the latest yet, give or take a race
+            // between two callers; a retried attempt's is its invocation's
+            // original one and lands further forward.
+            self.jobs.drain(&mut fresh);
+            for job in fresh.drain(..) {
+                let at = self.backlog.partition_point(|ahead| ahead.deadline <= job.deadline);
+                self.backlog.insert(at, job);
             }
             self.expire_deadlines();
             self.assign_backlog();
@@ -241,10 +168,10 @@ impl Driver {
                     self.fail_conn(idx, "write error");
                 }
             }
-            if self.submit.shutdown.load(Ordering::SeqCst) {
+            if self.shutdown.load(Ordering::SeqCst) {
                 // Fail everything still outstanding and exit.
                 while let Some(job) = self.backlog.pop_front() {
-                    job.slot.complete(Err(TryError::Fatal("mux backend shut down".into())));
+                    let _ = job.done.send(Err(TryError::Fatal("mux backend shut down".into())));
                 }
                 for idx in 0..self.conns.len() {
                     self.fail_conn(idx, "mux backend shut down");
@@ -260,7 +187,8 @@ impl Driver {
         let now = Instant::now();
         while self.backlog.front().is_some_and(|job| job.deadline <= now) {
             let job = self.backlog.pop_front().expect("checked front");
-            job.slot.complete(Err(TryError::Timeout("deadline exceeded before dispatch".into())));
+            let _ =
+                job.done.send(Err(TryError::Timeout("deadline exceeded before dispatch".into())));
         }
         for idx in 0..self.conns.len() {
             if self.conns[idx].inflight.iter().any(|f| f.deadline <= now) {
@@ -304,7 +232,7 @@ impl Driver {
             if let Err(e) = connected {
                 // Upstream unreachable right now: fail this job alone, like
                 // a connect error in the pool.
-                job.slot.complete(Err(e));
+                let _ = job.done.send(Err(e));
                 continue;
             }
             // Same semantics as the pool: any request sent over an
@@ -315,32 +243,17 @@ impl Driver {
             }
             let conn = &mut self.conns[idx];
             let _ = conn.wbuf.write_all(&job.wire);
-            conn.inflight.push_back(InFlight { deadline: job.deadline, slot: job.slot });
+            conn.inflight.push_back(InFlight { deadline: job.deadline, done: job.done });
         }
     }
 
     /// Drain readable bytes and complete responses in FIFO order.
     /// Returns `false` when the connection must be failed.
     fn read_conn(&mut self, idx: usize) -> bool {
-        let mut peer_closed = false;
-        {
-            let conn = &mut self.conns[idx];
-            let ConnSock::Live(stream) = &mut conn.sock else { return true };
-            loop {
-                match conn.rbuf.fill_from(stream, 16 * 1024) {
-                    Ok(0) => {
-                        peer_closed = true;
-                        break;
-                    }
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return false,
-                }
-            }
-        }
+        let conn = &mut self.conns[idx];
+        let ConnSock::Live(stream) = &mut conn.sock else { return true };
+        let Ok(peer_closed) = conn.rbuf.drain_from(stream, 16 * 1024) else { return false };
         loop {
-            let conn = &mut self.conns[idx];
             let head = match http1::parse_response(conn.rbuf.filled(), http::MAX_HEAD_BYTES) {
                 Ok(Some(h)) if conn.rbuf.len() >= h.total_len() => h,
                 Ok(_) => break,         // partial head or body
@@ -350,7 +263,7 @@ impl Driver {
                 return false; // response with no matching request
             };
             let msg = conn.rbuf.filled();
-            flight.slot.complete(Ok(http::Response {
+            let _ = flight.done.send(Ok(http::Response {
                 status: head.status,
                 keep_alive: head.keep_alive,
                 retry_after: head.retry_after,
@@ -364,7 +277,7 @@ impl Driver {
                 return false;
             }
         }
-        !peer_closed || self.conns[idx].inflight.is_empty()
+        !peer_closed || conn.inflight.is_empty()
     }
 
     fn flush_conn(&mut self, idx: usize) -> bool {
@@ -396,7 +309,7 @@ impl Driver {
             }
         }
         for flight in conn.inflight.drain(..) {
-            flight.slot.complete(Err(if flight.deadline <= now {
+            let _ = flight.done.send(Err(if flight.deadline <= now {
                 TryError::Timeout("no response within deadline".into())
             } else {
                 TryError::retryable(why)
@@ -408,7 +321,8 @@ impl Driver {
 /// The caller-side handle of the driver thread; dropping it stops the
 /// thread.
 pub(crate) struct Mux {
-    submit: Arc<Submit>,
+    jobs: Arc<Inbox<MuxJob>>,
+    shutdown: Arc<AtomicBool>,
     host: String,
     driver: Option<std::thread::JoinHandle<()>>,
 }
@@ -419,26 +333,22 @@ impl Mux {
         cfg: &MuxConfig,
         stats: Arc<ClientStats>,
     ) -> std::io::Result<Mux> {
-        let submit = Arc::new(Submit {
-            jobs: Mutex::new(VecDeque::new()),
-            waker: Waker::new()?,
-            shutdown: AtomicBool::new(false),
-            parked: AtomicBool::new(false),
-            notified: AtomicBool::new(false),
-        });
+        let jobs = Arc::new(Inbox::new()?);
+        let shutdown = Arc::new(AtomicBool::new(false));
         let poller = Poller::new()?;
-        poller.add(submit.waker.fd(), Interest::READ, TOKEN_SUBMIT)?;
+        jobs.register(&poller, TOKEN_SUBMIT)?;
         let driver = Driver {
             addr,
             cfg: cfg.clone(),
             stats,
-            submit: Arc::clone(&submit),
+            jobs: Arc::clone(&jobs),
+            shutdown: Arc::clone(&shutdown),
             poller,
             conns: (0..cfg.connections.max(1)).map(|_| MuxConn::new()).collect(),
             backlog: VecDeque::new(),
         };
         let handle = std::thread::spawn(move || driver.run());
-        Ok(Mux { submit, host: addr.to_string(), driver: Some(handle) })
+        Ok(Mux { jobs, shutdown, host: addr.to_string(), driver: Some(handle) })
     }
 }
 
@@ -447,20 +357,21 @@ impl Transport for Mux {
         let mut wire = Vec::new();
         client::write_invoke(&mut wire, &self.host, body, trace_id)
             .expect("writing to a Vec cannot fail");
-        let slot = Slot::new();
-        let job = MuxJob { wire, deadline, slot: Arc::clone(&slot) };
-        self.submit.jobs.lock().unwrap().push_back(job);
-        self.submit.wake_if_parked();
+        let (done, outcome) = sync_channel(1);
+        self.jobs.push(MuxJob { wire, deadline, done });
         // The driver owns the real deadline; the grace term only guards
         // against a wedged driver thread.
-        slot.wait(deadline + Duration::from_secs(5))
+        let grace = (deadline + Duration::from_secs(5)).saturating_duration_since(Instant::now());
+        outcome
+            .recv_timeout(grace)
+            .unwrap_or_else(|_| Err(TryError::Timeout("mux driver unresponsive".into())))
     }
 }
 
 impl Drop for Mux {
     fn drop(&mut self) {
-        self.submit.shutdown.store(true, Ordering::SeqCst);
-        self.submit.force_wake();
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.jobs.wake();
         if let Some(handle) = self.driver.take() {
             let _ = handle.join();
         }

@@ -5,7 +5,7 @@
 //! N sockets and block N caller threads. What an exchange's outcome means
 //! is `client.rs`'s to say; what this file owns:
 //!
-//! * **the pool** — keep-alive connections are parked in a mutex-guarded
+//! * **the pool** — idle keep-alive connections wait in a mutex-guarded
 //!   LIFO free-list and reused across invocations; a reused connection
 //!   that fails before yielding a response is replaced by a fresh one
 //!   inside the same exchange (it was likely closed by the peer while
@@ -126,7 +126,7 @@ impl Transport for Pool {
             match self.exchange_on(&mut conn, body, trace_id, deadline, first) {
                 Ok(resp) => {
                     // Bytes past a complete response belong to no request:
-                    // a parked connection holding them would hand them to
+                    // an idle connection holding them would hand them to
                     // the next invocation as its answer.
                     if resp.keep_alive && conn.reader.buffer().is_empty() {
                         self.checkin(conn);

@@ -1,5 +1,5 @@
-//! The reactor-mode gateway server: the same external contract as
-//! [`crate::Gateway`], served by epoll event loops instead of a thread per
+//! The reactor engine of [`crate::Gateway`]: the threaded engine's external
+//! contract, served by epoll event loops instead of a thread per
 //! connection.
 //!
 //! ## Architecture
@@ -7,8 +7,9 @@
 //! * **N event-loop shards** ([`ReactorGateway::bind_sharded`]) each own an
 //!   epoll instance, a listening socket (`SO_REUSEPORT` when `N > 1`, so
 //!   the kernel spreads accepts), a connection slab, a deadline wheel, and
-//!   a completion mailbox. A shard never blocks on a socket: connections
-//!   are registered once, edge-triggered, and drained to `WouldBlock`.
+//!   an [`Inbox`] of completions. A shard never blocks on a socket:
+//!   connections are registered once, edge-triggered, and drained to
+//!   `WouldBlock`.
 //! * **One shared handler pool** of `cfg.workers` threads executes backend
 //!   invocations, which may block arbitrarily long (that is the [`Backend`]
 //!   contract). The pool's bounded queue *is* the admission queue: a
@@ -31,27 +32,27 @@
 //! stage holds.
 
 use crate::core::{micros_since, Arrival, Core, Reply, Step};
-use crate::http;
-use crate::{GatewayConfig, GatewayStats, StageMetrics};
+use crate::front::{Engine, Gateway};
+use crate::{http, GatewayConfig, GatewayStats};
 use faasrail_loadgen::{Backend, InvocationRequest};
 use faasrail_reactor::http1;
 use faasrail_reactor::{
-    bind_listeners, Interest, Listener, Poller, ReadBuf, TimerWheel, Waker, WriteBuf,
+    bind_listeners, Inbox, Interest, Listener, Poller, ReadBuf, TimerWheel, WriteBuf,
 };
-use faasrail_telemetry::{EventSink, ServerSpan};
+use faasrail_telemetry::ServerSpan;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Event-loop tokens: connections use `slot | generation << 32`, so the
-/// listener and waker live outside the 32-bit slot space.
+/// listener and inbox live outside the 32-bit slot space.
 const TOKEN_LISTENER: u64 = u64::MAX;
-const TOKEN_WAKER: u64 = u64::MAX - 1;
+const TOKEN_INBOX: u64 = u64::MAX - 1;
 
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -74,14 +75,14 @@ struct Job {
     inv: InvocationRequest,
     span: ServerSpan,
     /// Injected-delay jobs keep the dequeue/handler-start stamps they got
-    /// at routing, so the parked delay lands in the service stage (where
+    /// at routing, so the injected delay lands in the service stage (where
     /// the threaded server's in-handler sleep puts it).
     preset_stamps: bool,
     keep: bool,
 }
 
 /// A finished invocation travelling back to its shard.
-struct Completion {
+pub(crate) struct Completion {
     token: u64,
     /// The `200`; its body is pooled (back to [`BufPool`] after staging).
     reply: Reply,
@@ -164,73 +165,16 @@ impl Pool {
     }
 }
 
-/// A shard's inbox of finished invocations, plus the eventfd that pulls the
-/// shard out of `epoll_wait` when something lands.
-///
-/// The eventfd write is elided unless the shard is parked (or about to park)
-/// in `epoll_wait` *and* no other deliverer has already woken it this cycle:
-/// the shard drains the inbox on every loop iteration anyway, so a wake is
-/// only load-bearing when it interrupts a blocking wait. At saturation this
-/// collapses one `write(2)` per completion into at most one per batch.
-struct Mailbox {
-    completions: Mutex<Vec<Completion>>,
-    waker: Waker,
-    /// Shard is inside (or committed to entering) a blocking `epoll_wait`.
-    parked: AtomicBool,
-    /// A wake has been issued and not yet consumed by `drain`.
-    notified: AtomicBool,
-}
-
-impl Mailbox {
-    fn new() -> io::Result<Mailbox> {
-        Ok(Mailbox {
-            completions: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
-            parked: AtomicBool::new(false),
-            notified: AtomicBool::new(false),
-        })
-    }
-
-    fn deliver(&self, completion: Completion) {
-        self.completions.lock().unwrap().push(completion);
-        // `parked` is stored (SeqCst) before the shard re-checks the inbox, so
-        // either the shard sees this push and skips the blocking wait, or this
-        // load sees `parked == true` and the wake goes through.
-        if self.parked.load(Ordering::SeqCst) && !self.notified.swap(true, Ordering::SeqCst) {
-            self.waker.wake();
-        }
-    }
-
-    /// Unconditional wake for shutdown paths — bypasses the parked elision.
-    fn force_wake(&self) {
-        self.notified.store(true, Ordering::SeqCst);
-        self.waker.wake();
-    }
-
-    fn drain(&self, into: &mut Vec<Completion>) {
-        // Always reset the eventfd level (a wake may have raced past the
-        // `notified` hand-off); consuming a wake whose completion is already
-        // in the vec is harmless, and a wake issued after this read survives
-        // to the next loop iteration because the eventfd is level-triggered.
-        self.waker.drain();
-        self.notified.store(false, Ordering::SeqCst);
-        into.append(&mut self.completions.lock().unwrap());
-    }
-
-    fn has_pending(&self) -> bool {
-        !self.completions.lock().unwrap().is_empty()
-    }
-}
-
-/// Everything shared by shards, handler threads, and the handle.
-struct Shared {
-    core: Core,
+/// Everything shared by shards and handler threads for one run.
+struct Shared<'a> {
+    core: &'a Core,
     pool: Pool,
     bodies: BufPool,
-    mailboxes: Vec<Arc<Mailbox>>,
+    /// One per shard, indexed by shard id.
+    inboxes: &'a [Inbox<Completion>],
 }
 
-impl Shared {
+impl Shared<'_> {
     /// A `200` whose connection is gone: the work still has its span
     /// (nothing reached the wire, so it counts as flushed now).
     fn discard(&self, reply: Reply) {
@@ -239,12 +183,6 @@ impl Shared {
         }
         if let Cow::Owned(body) = reply.body {
             self.bodies.put(body);
-        }
-    }
-
-    fn wake_all(&self) {
-        for mailbox in &self.mailboxes {
-            mailbox.force_wake();
         }
     }
 }
@@ -262,7 +200,7 @@ enum ConnState {
     /// One `/invoke` is out at the handler pool; buffered pipelined
     /// requests wait so responses stay in order.
     Busy,
-    /// Injected-latency fault: the request is parked until `until`, then
+    /// Injected-latency fault: the request is held until `until`, then
     /// force-dispatched.
     Delayed { until: Instant, job: Option<Box<Job>> },
     /// Injected stall: the socket is held open and silent until `until`,
@@ -316,42 +254,41 @@ enum TimerAction {
     Nothing,
     Rearm(Instant),
     Close,
-    /// Stall expired: emit the parked span, then close silently.
+    /// Stall expired: emit the held span, then close silently.
     FinishStall(Box<ServerSpan>),
     /// Injected delay expired: the job re-enters the pool, bypassing the
     /// admission bound it already passed.
     DispatchDelayed(Box<Job>),
 }
 
-struct Shard {
+struct Shard<'a> {
     id: usize,
     poller: Poller,
     listener: Option<Listener>,
-    mailbox: Arc<Mailbox>,
-    shared: Arc<Shared>,
+    inbox: &'a Inbox<Completion>,
+    shared: &'a Shared<'a>,
     conns: Vec<Option<Conn>>,
     gens: Vec<u32>,
     free: Vec<usize>,
     wheel: TimerWheel,
 }
 
-impl Shard {
-    fn new(id: usize, listener: Listener, shared: Arc<Shared>) -> io::Result<Shard> {
+impl<'a> Shard<'a> {
+    fn new(id: usize, listener: Listener, shared: &'a Shared<'a>) -> io::Result<Shard<'a>> {
         let poller = Poller::new()?;
         poller.add(listener.raw_fd(), Interest::READ, TOKEN_LISTENER)?;
-        let mailbox = Arc::clone(&shared.mailboxes[id]);
-        poller.add(mailbox.waker.fd(), Interest::READ, TOKEN_WAKER)?;
-        let epoch = shared.core.epoch;
+        let inbox = &shared.inboxes[id];
+        inbox.register(&poller, TOKEN_INBOX)?;
         Ok(Shard {
             id,
             poller,
             listener: Some(listener),
-            mailbox,
+            inbox,
             shared,
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
-            wheel: TimerWheel::new(epoch),
+            wheel: TimerWheel::new(shared.core.epoch),
         })
     }
 
@@ -375,27 +312,19 @@ impl Shard {
                 Some(Duration::from_millis(16))
             };
             events.clear();
-            // Park protocol: publish intent to block, then re-check the inbox.
-            // A deliverer either sees `parked == true` (its wake interrupts the
-            // wait) or its push lands before the re-check (we skip blocking).
-            self.mailbox.parked.store(true, Ordering::SeqCst);
-            let timeout =
-                if self.mailbox.has_pending() { Some(Duration::from_millis(0)) } else { timeout };
-            let waited = self.poller.wait(timeout, &mut events);
-            self.mailbox.parked.store(false, Ordering::SeqCst);
-            if waited.is_err() {
+            if self.inbox.wait(&mut self.poller, timeout, &mut events).is_err() {
                 break; // EBADF etc. — unrecoverable for this shard
             }
             let mut accept_pass = false;
             for ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => accept_pass = true,
-                    TOKEN_WAKER => {} // drained with the mailbox below
+                    TOKEN_INBOX => {} // drained below
                     token => self.on_conn_event(token, ev.readable(), ev.error()),
                 }
             }
             completions.clear();
-            self.mailbox.drain(&mut completions);
+            self.inbox.drain(&mut completions);
             for completion in completions.drain(..) {
                 self.on_completion(completion);
             }
@@ -502,9 +431,15 @@ impl Shard {
             self.close_conn(slot);
             return;
         }
-        if readable && !self.fill_read_buffer(slot) {
-            self.close_conn(slot);
-            return;
+        if readable {
+            let conn = self.conns[slot].as_mut().expect("checked alive");
+            match conn.rbuf.drain_from(&mut conn.stream, READ_CHUNK) {
+                Ok(eof) => conn.read_closed |= eof,
+                Err(_) => {
+                    self.close_conn(slot);
+                    return;
+                }
+            }
         }
         if !self.advance_conn(slot) {
             self.close_conn(slot);
@@ -514,24 +449,6 @@ impl Shard {
         // will never get its own writable edge (the socket never filled).
         if !self.try_flush(slot) {
             self.close_conn(slot);
-        }
-    }
-
-    /// Drain the socket into the connection's read buffer. Returns `false`
-    /// when the connection should be torn down (hard transport error).
-    fn fill_read_buffer(&mut self, slot: usize) -> bool {
-        let conn = self.conns[slot].as_mut().expect("checked alive");
-        loop {
-            match conn.rbuf.fill_from(&mut conn.stream, READ_CHUNK) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    return true;
-                }
-                Ok(_) => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
         }
     }
 
@@ -555,8 +472,8 @@ impl Shard {
 
     /// Try to parse and handle exactly one request off the read buffer.
     fn parse_one(&mut self, slot: usize) -> Parsed {
-        let shared = Arc::clone(&self.shared);
-        let core = &shared.core;
+        let shared = self.shared;
+        let core = shared.core;
         let conn = self.conns[slot].as_mut().expect("checked alive");
         let head = match http1::parse_request(conn.rbuf.filled(), http::MAX_HEAD_BYTES) {
             Ok(Some(head)) if conn.rbuf.len() >= head.total_len() => head,
@@ -643,7 +560,7 @@ impl Shard {
     // ---- completions ----------------------------------------------------
 
     fn on_completion(&mut self, completion: Completion) {
-        let shared = Arc::clone(&self.shared);
+        let shared = self.shared;
         if !self.conn_alive(completion.token) {
             shared.discard(completion.reply); // died while the backend ran
             return;
@@ -671,7 +588,7 @@ impl Shard {
             return; // stale entry for a recycled slot
         }
         let slot = token_slot(token);
-        let shared = Arc::clone(&self.shared);
+        let shared = self.shared;
         let now = Instant::now();
         let action = {
             let conn = self.conns[slot].as_mut().expect("checked alive");
@@ -739,7 +656,7 @@ impl Shard {
     /// Push staged bytes at the socket; emit spans whose responses are now
     /// fully flushed. Returns `false` if the transport broke.
     fn try_flush(&mut self, slot: usize) -> bool {
-        let shared = Arc::clone(&self.shared);
+        let shared = self.shared;
         let should_close = {
             let conn = self.conns[slot].as_mut().expect("checked alive");
             if !conn.wbuf.is_empty() {
@@ -768,7 +685,7 @@ impl Shard {
         let Some(conn) = self.conns[slot].take() else { return };
         self.gens[slot] = self.gens[slot].wrapping_add(1);
         self.free.push(slot);
-        let core = &self.shared.core;
+        let core = self.shared.core;
         let stats = &core.stats;
         let _ = self.poller.delete(conn.stream.as_raw_fd());
         stats.connections_active.fetch_sub(1, Ordering::Relaxed);
@@ -790,7 +707,7 @@ impl Shard {
     }
 
     /// On shutdown: flush what we can and close idle connections; busy or
-    /// fault-parked ones drain on their own (bounded by the backend,
+    /// fault-held ones drain on their own (bounded by the backend,
     /// `latency_ms`, or `stall_ms`).
     fn sweep_for_shutdown(&mut self) {
         for slot in 0..self.conns.len() {
@@ -831,8 +748,8 @@ fn stage(conn: &mut Conn, reply: Reply) -> Cow<'static, [u8]> {
 
 // ---- handler pool -------------------------------------------------------
 
-fn handler_loop(shared: Arc<Shared>, worker: u64) {
-    let core = &shared.core;
+fn handler_loop(shared: &Shared, worker: u64) {
+    let core = shared.core;
     while let Some(mut job) = shared.pool.pop(&core.stats) {
         if !job.preset_stamps {
             let now = micros_since(core.epoch);
@@ -841,19 +758,53 @@ fn handler_loop(shared: Arc<Shared>, worker: u64) {
         }
         job.span.worker = worker;
         let reply = core.run_invoke(&job.inv, job.span, job.keep, shared.bodies.take());
-        shared.mailboxes[job.shard].deliver(Completion { token: job.token, reply });
+        shared.inboxes[job.shard].push(Completion { token: job.token, reply });
     }
 }
 
-// ---- public surface -----------------------------------------------------
-
-/// The reactor-mode gateway: same contract as [`crate::Gateway`], served by
-/// epoll event-loop shards plus a bounded handler pool.
-pub struct ReactorGateway {
-    listeners: Vec<Listener>,
-    addr: SocketAddr,
-    shared: Arc<Shared>,
+/// Serve until shut down: one thread per listener's shard, `cfg.workers`
+/// handler threads, and `inboxes[i]` carrying shard `i`'s completions.
+pub(crate) fn run(core: &Core, listeners: Vec<Listener>, inboxes: &[Inbox<Completion>]) {
+    let pool = Pool::new(core.cfg.queue_capacity);
+    let shared = Shared { core, pool, bodies: BufPool::default(), inboxes };
+    let shared = &shared;
+    std::thread::scope(|scope| {
+        let shards: Vec<_> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(id, listener)| {
+                let shard =
+                    Shard::new(id, listener, shared).expect("epoll instance for reactor shard");
+                scope.spawn(move || shard.run())
+            })
+            .collect();
+        let handlers: Vec<_> = (0..core.cfg.workers as u64)
+            .map(|worker| scope.spawn(move || handler_loop(shared, worker)))
+            .collect();
+        for t in shards {
+            let _ = t.join();
+        }
+        // Shards are gone; let the pool drain whatever is still queued,
+        // then stop the handlers.
+        shared.pool.stop();
+        for t in handlers {
+            let _ = t.join();
+        }
+    });
+    // Completions for connections that closed during shutdown still
+    // carry spans — account for them before declaring the run over.
+    let mut leftovers = Vec::new();
+    for inbox in inboxes {
+        inbox.drain(&mut leftovers);
+    }
+    for completion in leftovers {
+        shared.discard(completion.reply);
+    }
 }
+
+/// The reactor engine's constructors: epoll event-loop shards plus a
+/// bounded handler pool, behind the one [`Gateway`].
+pub enum ReactorGateway {}
 
 impl ReactorGateway {
     /// Bind a single-shard reactor gateway (the common case; equivalent to
@@ -862,7 +813,7 @@ impl ReactorGateway {
         addr: impl ToSocketAddrs,
         backend: Arc<dyn Backend>,
         cfg: GatewayConfig,
-    ) -> io::Result<ReactorGateway> {
+    ) -> io::Result<Gateway> {
         ReactorGateway::bind_sharded(addr, backend, cfg, 1)
     }
 
@@ -874,116 +825,14 @@ impl ReactorGateway {
         backend: Arc<dyn Backend>,
         cfg: GatewayConfig,
         shards: usize,
-    ) -> io::Result<ReactorGateway> {
-        let core = Core::new(backend, cfg);
-        let shards = shards.max(1);
+    ) -> io::Result<Gateway> {
+        let core = Arc::new(Core::new(backend, cfg));
         let addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(ErrorKind::NotFound, "unresolvable bind address"))?;
-        let (listeners, addr) = bind_listeners(addr, shards)?;
-        let mut mailboxes = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            mailboxes.push(Arc::new(Mailbox::new()?));
-        }
-        let pool = Pool::new(cfg.queue_capacity);
-        let shared = Arc::new(Shared { core, pool, bodies: BufPool::default(), mailboxes });
-        Ok(ReactorGateway { listeners, addr, shared })
-    }
-
-    /// Install an [`EventSink`] receiving one [`ServerSpan`] per
-    /// `POST /invoke` (default: `NullSink`).
-    pub fn with_trace_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        Arc::get_mut(&mut self.shared)
-            .expect("with_trace_sink must be called before spawn/run")
-            .core
-            .sink = sink;
-        self
-    }
-
-    /// The bound address (resolves ephemeral ports).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Shared counters (live; safe to read while serving).
-    pub fn stats(&self) -> Arc<GatewayStats> {
-        Arc::clone(&self.shared.core.stats)
-    }
-
-    /// Per-stage residency histograms (live; safe to read while serving).
-    pub fn stage_metrics(&self) -> Arc<StageMetrics> {
-        Arc::clone(&self.shared.core.stages)
-    }
-
-    /// Serve until shut down, blocking the calling thread.
-    pub fn run(self) {
-        let shared = self.shared;
-        let mut shard_threads = Vec::new();
-        for (id, listener) in self.listeners.into_iter().enumerate() {
-            let shard = Shard::new(id, listener, Arc::clone(&shared))
-                .expect("epoll instance for reactor shard");
-            shard_threads.push(std::thread::spawn(move || shard.run()));
-        }
-        let mut handler_threads = Vec::new();
-        for worker in 0..shared.core.cfg.workers {
-            let shared = Arc::clone(&shared);
-            handler_threads.push(std::thread::spawn(move || handler_loop(shared, worker as u64)));
-        }
-        for t in shard_threads {
-            let _ = t.join();
-        }
-        // Shards are gone; let the pool drain whatever is still queued,
-        // then stop the handlers.
-        shared.pool.stop();
-        for t in handler_threads {
-            let _ = t.join();
-        }
-        // Completions for connections that closed during shutdown still
-        // carry spans — account for them before declaring the run over.
-        let mut leftovers = Vec::new();
-        for mailbox in &shared.mailboxes {
-            mailbox.drain(&mut leftovers);
-        }
-        for completion in leftovers {
-            shared.discard(completion.reply);
-        }
-        shared.core.sink.flush();
-    }
-
-    /// Serve on a background thread; returns a handle for address, stats,
-    /// and shutdown.
-    pub fn spawn(self) -> ReactorHandle {
-        let addr = self.addr;
-        let shared = Arc::clone(&self.shared);
-        let join = std::thread::spawn(move || self.run());
-        ReactorHandle { addr, shared, join }
-    }
-}
-
-/// Handle to a reactor gateway serving on a background thread. Mirrors
-/// [`crate::GatewayHandle`].
-pub struct ReactorHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    join: std::thread::JoinHandle<()>,
-}
-
-impl ReactorHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Live counters.
-    pub fn stats(&self) -> &GatewayStats {
-        &self.shared.core.stats
-    }
-
-    /// Stop accepting, drain in-flight work, and join the server threads.
-    pub fn stop(self) {
-        self.shared.core.shutdown.store(true, Ordering::SeqCst);
-        self.shared.wake_all();
-        let _ = self.join.join();
+        let (listeners, addr) = bind_listeners(addr, shards.max(1))?;
+        let inboxes = listeners.iter().map(|_| Inbox::new()).collect::<io::Result<Vec<_>>>()?;
+        Ok(Gateway { addr, core, engine: Engine::Reactor(listeners, inboxes.into()) })
     }
 }

@@ -1,5 +1,5 @@
-//! The threaded gateway server: any [`Backend`] behind a real wire, on a
-//! dependency-free HTTP/1.1 server over `std::net::TcpListener`.
+//! The threaded engine of [`crate::Gateway`]: any `Backend` behind a real
+//! wire, on a dependency-free HTTP/1.1 server over `std::net::TcpListener`.
 //!
 //! What is served, refused, injected and traced is [`crate::core`]'s
 //! contract. This file is the transport: an accept loop feeding a
@@ -11,23 +11,14 @@
 //! delays and stalls in place, writing each reply before reading on.
 
 use crate::core::{micros_since, Arrival, Core, Reply, Step};
+use crate::GatewayConfig;
 use crate::{http, lock};
-use crate::{GatewayConfig, GatewayStats, StageMetrics};
-use faasrail_loadgen::Backend;
-use faasrail_telemetry::EventSink;
 use std::io::{self, BufReader, ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// The gateway: a bound listener plus the backend it exposes.
-pub struct Gateway {
-    listener: TcpListener,
-    addr: SocketAddr,
-    core: Arc<Core>,
-}
 
 /// One accepted connection in flight from the accept loop to a worker.
 struct ConnMeta {
@@ -38,142 +29,61 @@ struct ConnMeta {
     depth: u64,
 }
 
-impl Gateway {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) in front of
-    /// `backend`.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        backend: Arc<dyn Backend>,
-        cfg: GatewayConfig,
-    ) -> io::Result<Gateway> {
-        let core = Arc::new(Core::new(backend, cfg));
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        Ok(Gateway { listener, addr, core })
-    }
-
-    /// Install an [`EventSink`] receiving one `ServerSpan` per
-    /// `POST /invoke`. Defaults to `NullSink` (tracing off, zero cost).
-    pub fn with_trace_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
-        Arc::get_mut(&mut self.core)
-            .expect("with_trace_sink must be called before spawn/run")
-            .sink = sink;
-        self
-    }
-
-    /// The bound address (resolves ephemeral ports).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Shared counters (live; safe to read while serving).
-    pub fn stats(&self) -> Arc<GatewayStats> {
-        Arc::clone(&self.core.stats)
-    }
-
-    /// Per-stage residency histograms (live; safe to read while serving).
-    pub fn stage_metrics(&self) -> Arc<StageMetrics> {
-        Arc::clone(&self.core.stages)
-    }
-
-    /// Serve until shut down, blocking the calling thread.
-    pub fn run(self) {
-        let core = &*self.core;
-        let stats = &*core.stats;
-        let capacity = core.cfg.queue_capacity.max(1);
-        let (tx, rx) = sync_channel::<ConnMeta>(capacity);
-        // The idle worker waits in `recv` under the lock, the rest on the
-        // lock; a connection is handed over once, so the lock is taken per
-        // connection, not per request.
-        let rx = Mutex::new(rx);
-        std::thread::scope(|scope| {
-            for worker in 0..core.cfg.workers as u64 {
-                let next = || lock(&rx).recv().ok();
-                scope.spawn(move || {
-                    while let Some(conn) = next() {
-                        stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        stats.connections_active.fetch_add(1, Ordering::Relaxed);
-                        handle_connection(conn, core, worker);
-                        stats.connections_active.fetch_sub(1, Ordering::Relaxed);
-                        stats.connections_closed.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-
-            loop {
-                if core.shutdown.load(Ordering::SeqCst) {
-                    break;
+/// Serve `listener` until shut down; queued connections are served before
+/// the workers exit.
+pub(crate) fn run(core: &Core, listener: &TcpListener) {
+    let stats = &*core.stats;
+    let capacity = core.cfg.queue_capacity.max(1);
+    let (tx, rx) = sync_channel::<ConnMeta>(capacity);
+    // The idle worker waits in `recv` under the lock, the rest on the
+    // lock; a connection is handed over once, so the lock is taken per
+    // connection, not per request.
+    let rx = Mutex::new(rx);
+    std::thread::scope(|scope| {
+        for worker in 0..core.cfg.workers as u64 {
+            let next = || lock(&rx).recv().ok();
+            scope.spawn(move || {
+                while let Some(conn) = next() {
+                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    stats.connections_active.fetch_add(1, Ordering::Relaxed);
+                    handle_connection(conn, core, worker);
+                    stats.connections_active.fetch_sub(1, Ordering::Relaxed);
+                    stats.connections_closed.fetch_add(1, Ordering::Relaxed);
                 }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
-                        if core.shutdown.load(Ordering::SeqCst) {
-                            break; // the shutdown wake-up connection itself
-                        }
-                        let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-                        let accepted_us = micros_since(core.epoch);
-                        match tx.try_send(ConnMeta { stream, accepted_us, depth }) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(conn)) => {
-                                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                                shed_connection(conn.stream, core);
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
+            });
+        }
+
+        loop {
+            if core.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
+                    if core.shutdown.load(Ordering::SeqCst) {
+                        break; // the shutdown wake-up connection itself
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
-                    Err(_) => {
-                        if core.shutdown.load(Ordering::SeqCst) {
-                            break;
+                    let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+                    let accepted_us = micros_since(core.epoch);
+                    match tx.try_send(ConnMeta { stream, accepted_us, depth }) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full(conn)) => {
+                            stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                            shed_connection(conn.stream, core);
                         }
+                        Err(TrySendError::Disconnected(_)) => break,
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
+                Err(_) => {
+                    if core.shutdown.load(Ordering::SeqCst) {
+                        break;
                     }
                 }
             }
-            drop(tx); // workers drain queued connections, then exit
-            core.sink.flush();
-        });
-    }
-
-    /// Serve on a background thread; returns a handle for address, stats,
-    /// and shutdown.
-    pub fn spawn(self) -> GatewayHandle {
-        let addr = self.addr;
-        let core = Arc::clone(&self.core);
-        let join = std::thread::spawn(move || self.run());
-        GatewayHandle { addr, core, join }
-    }
-}
-
-/// Handle to a gateway serving on a background thread.
-pub struct GatewayHandle {
-    addr: SocketAddr,
-    core: Arc<Core>,
-    join: std::thread::JoinHandle<()>,
-}
-
-impl GatewayHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Live counters.
-    pub fn stats(&self) -> &GatewayStats {
-        &self.core.stats
-    }
-
-    /// Stop accepting, drain, and join the server thread.
-    ///
-    /// Open keep-alive connections are closed as soon as they go idle (at
-    /// the latest after `read_timeout`), so drop any client still holding
-    /// pooled connections before calling this to avoid waiting out the
-    /// timeout.
-    pub fn stop(self) {
-        self.core.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = self.join.join();
-    }
+        }
+        drop(tx); // workers drain queued connections, then exit
+    });
 }
 
 /// Write `reply`, then emit its span (a response that failed to reach the
@@ -312,11 +222,14 @@ fn handle_connection(conn: ConnMeta, core: &Core, worker: u64) {
 mod tests {
     use super::*;
     use crate::client::{HttpBackend, HttpBackendConfig};
-    use crate::FaultConfig;
+    use crate::{FaultConfig, Gateway, GatewayHandle};
     use faasrail_loadgen::{InvocationRequest, InvocationResult, NoopBackend};
-    use faasrail_telemetry::{OutcomeClass, RingSink, ServerFault, ServerSpan, TelemetryEvent};
+    use faasrail_telemetry::{
+        EventSink, OutcomeClass, RingSink, ServerFault, ServerSpan, TelemetryEvent,
+    };
     use faasrail_workloads::{WorkloadId, WorkloadInput};
     use std::io::BufReader;
+    use std::sync::Arc;
 
     fn test_cfg() -> GatewayConfig {
         GatewayConfig {

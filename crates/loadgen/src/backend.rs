@@ -7,6 +7,7 @@
 
 use faasrail_workloads::{WorkloadId, WorkloadInput};
 use serde::{Deserialize, Serialize};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One invocation to serve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -131,6 +132,34 @@ pub trait Backend: Send + Sync {
     /// Optional human-readable name for reports.
     fn name(&self) -> &str {
         "backend"
+    }
+}
+
+/// Serve one invocation with panic isolation: a panicking backend (e.g. a
+/// workload kernel hitting a bug mid-replay) is recorded as an application
+/// error instead of killing the thread that called it. The replayer's
+/// workers and the gateway's handlers both call backends through here.
+pub fn invoke_isolated<B: Backend + ?Sized>(
+    backend: &B,
+    req: &InvocationRequest,
+) -> InvocationResult {
+    match catch_unwind(AssertUnwindSafe(|| backend.invoke(req))) {
+        Ok(result) => result,
+        Err(payload) => InvocationResult::app_error(
+            0.0,
+            format!("backend panicked: {}", panic_message(payload)),
+        ),
+    }
+}
+
+/// Render a panic payload for the invocation's error message.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

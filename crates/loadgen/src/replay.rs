@@ -20,14 +20,13 @@
 //!   [`aborted`](RunMetrics::aborted)) are still merged and returned, so an
 //!   interrupted experiment reports what actually happened.
 
-use crate::backend::{Backend, InvocationRequest, InvocationResult};
+use crate::backend::{invoke_isolated, Backend, InvocationRequest};
 use crate::metrics::RunMetrics;
 use faasrail_core::RequestTrace;
 use faasrail_telemetry::{
     EventSink, InvocationSpan, NullSink, Recorder, RunInfo, RunSummary, TelemetryEvent,
 };
 use faasrail_workloads::WorkloadPool;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -174,30 +173,6 @@ fn wait_until(target: Instant, stop: &AtomicBool) -> bool {
         } else {
             std::hint::spin_loop();
         }
-    }
-}
-
-/// Render a panic payload for the invocation's error message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Serve one invocation with panic isolation: a panicking backend (e.g. a
-/// workload kernel hitting a bug mid-replay) is recorded as an application
-/// error instead of killing the worker thread.
-fn invoke_isolated<B: Backend>(backend: &B, req: &InvocationRequest) -> InvocationResult {
-    match catch_unwind(AssertUnwindSafe(|| backend.invoke(req))) {
-        Ok(result) => result,
-        Err(payload) => InvocationResult::app_error(
-            0.0,
-            format!("backend panicked: {}", panic_message(payload)),
-        ),
     }
 }
 

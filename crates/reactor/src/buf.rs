@@ -54,9 +54,24 @@ impl ReadBuf {
         }
     }
 
-    /// Read once from `src` into the tail. `Ok(0)` is end-of-stream;
-    /// `WouldBlock` bubbles up untouched for the edge-triggered drain loop.
-    pub fn fill_from<R: Read>(&mut self, src: &mut R, chunk: usize) -> io::Result<usize> {
+    /// Read from `src` into the tail until it would block, retrying
+    /// `Interrupted`: the read-side twin of [`WriteBuf::flush_to`], for an
+    /// edge-triggered socket. `Ok(true)` says the stream reached its end;
+    /// any other error comes back with the bytes read before it kept.
+    pub fn drain_from<R: Read>(&mut self, src: &mut R, chunk: usize) -> io::Result<bool> {
+        loop {
+            match self.fill_from(src, chunk) {
+                Ok(0) => return Ok(true),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Read once from `src` into the tail. `Ok(0)` is end-of-stream.
+    fn fill_from<R: Read>(&mut self, src: &mut R, chunk: usize) -> io::Result<usize> {
         // Compact lazily, only when a fresh read needs the space.
         if self.start > 0 && self.data.len() + chunk > self.data.capacity() {
             self.compact();
@@ -171,6 +186,43 @@ mod tests {
         rb.fill_from(&mut src2, 6).unwrap();
         assert_eq!(rb.filled(), b"efghijkl");
         assert_eq!(rb.start, 0, "compacted");
+    }
+
+    /// A reader that answers each `read` with the next scripted result.
+    struct Script(std::collections::VecDeque<io::Result<&'static [u8]>>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let bytes = self.0.pop_front().expect("read past the end of the script")?;
+            buf[..bytes.len()].copy_from_slice(bytes);
+            Ok(bytes.len())
+        }
+    }
+
+    #[test]
+    fn read_buf_drains_to_eof_or_would_block_and_returns_other_errors() {
+        use io::ErrorKind::{ConnectionReset, Interrupted, WouldBlock};
+        let drain = |script: Vec<io::Result<&'static [u8]>>| {
+            let (mut rb, mut src) = (ReadBuf::with_capacity(8), Script(script.into()));
+            let drained = rb.drain_from(&mut src, 16).map_err(|e| e.kind());
+            (drained, rb.filled().to_vec(), src.0.len())
+        };
+        assert_eq!(drain(vec![Ok(b"ab"), Ok(b"cd"), Ok(b"")]), (Ok(true), b"abcd".to_vec(), 0));
+        assert_eq!(
+            drain(vec![Ok(b"ab"), Err(WouldBlock.into()), Ok(b"zz")]),
+            (Ok(false), b"ab".to_vec(), 1),
+            "WouldBlock stops the drain, and nothing after it is read"
+        );
+        assert_eq!(
+            drain(vec![Err(Interrupted.into()), Ok(b"ab"), Err(WouldBlock.into())]),
+            (Ok(false), b"ab".to_vec(), 0),
+            "Interrupted is retried"
+        );
+        assert_eq!(
+            drain(vec![Ok(b"ab"), Err(ConnectionReset.into()), Ok(b"zz")]),
+            (Err(ConnectionReset), b"ab".to_vec(), 1),
+            "any other error is returned, the bytes before it kept"
+        );
     }
 
     #[test]

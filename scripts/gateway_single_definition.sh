@@ -18,6 +18,9 @@
 # which the bench harness calls), the progress line is formatted once
 # (telemetry::WindowStats::summary), the lateness histogram is built once
 # (LogHistogram::lateness_seconds), and a fleet books aborted work on one path.
+# And the server front: one Gateway and one Handle over both engines (front.rs),
+# the wake-elision protocol once (reactor/src/inbox.rs, under the reactor shards
+# and the mux driver), and one read drain (ReadBuf::drain_from).
 # Then print what each file weighs (lines above its first `#[cfg(test)]`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,10 +66,6 @@ once crates/gateway/src/http.rs 'head and body leave in one write (write_message
 once crates/gateway/src/pool.rs 'a socket is armed only where its timeout changes (Conn::arm)' \
     'set_read_timeout' 'set_write_timeout'
 
-refuse crates/fleet/src/control.rs crates/fleet/src/coordinator.rs \
-    'TcpStream' 'read_frame' 'write_frame' 'wall_clock_us' 'Instant' 'thread::' 'Mutex' 'Atomic'
-refuse crates/fleet/src/coordinator.rs crates/fleet/src/control.rs \
-    'plan_grants' 'prefix_metrics' 'remainder_after' '.lock()'
 across() { # count, why, pattern, files...: on exactly that many non-test lines of them all
     local want=$1 why=$2 pat=$3 n
     shift 3
@@ -76,6 +75,26 @@ across() { # count, why, pattern, files...: on exactly that many non-test lines 
         fail=1
     fi
 }
+for file in crates/gateway/src/*.rs; do
+    refuse "$file" 'crates/reactor/src/inbox.rs (Inbox)' 'parked' 'notified' 'Waker::new('
+done
+across 1 'one server front (front.rs) spawns either engine' 'fn spawn(self)' crates/gateway/src/*.rs
+for gone in 'struct Mailbox' 'struct Submit' 'struct ReactorHandle' 'AnyHandle' 'macro_rules! server'; do
+    if grep -rnF -- "$gone" crates tests examples; then
+        echo "error: \`$gone\` is back: one Gateway, one Handle, one Inbox" >&2
+        fail=1
+    fi
+done
+# The fleet's own `struct Slot` (control.rs) is an agent slot, not a rendezvous.
+if grep -rnF -- 'struct Slot' crates/gateway crates/reactor; then
+    echo 'error: `struct Slot` is back: a mux exchange completes over a one-slot channel' >&2
+    fail=1
+fi
+
+refuse crates/fleet/src/control.rs crates/fleet/src/coordinator.rs \
+    'TcpStream' 'read_frame' 'write_frame' 'wall_clock_us' 'Instant' 'thread::' 'Mutex' 'Atomic'
+refuse crates/fleet/src/coordinator.rs crates/fleet/src/control.rs \
+    'plan_grants' 'prefix_metrics' 'remainder_after' '.lock()'
 across 1 'the core is built in Coordinator::run and nowhere else' 'Control::new(' \
     crates/fleet/src/*.rs
 
@@ -108,6 +127,7 @@ only_in() { # owner, pattern: on no non-test line of the product, tests/ or exam
         [ "$file" = "$1" ] || refuse "$file" "$1" "$2"
     done
 }
+only_in crates/reactor/src/buf.rs 'fill_from('
 only_in crates/stats/src/timeseries.rs 'abs()).sum::<f64>()'
 only_in crates/stats/src/summary.rs 'as f64 / grand as f64'
 only_in crates/core/src/evaluate.rs 'expect("mapped")'
@@ -141,7 +161,8 @@ weigh() { # label, files...
     done
     printf '%6d non-test lines, %s\n' "$total" "$label"
 }
-weigh gateway crates/gateway/src/*.rs crates/reactor/src/http1.rs
+weigh 'gateway, reactor and the CLI front' crates/gateway/src/*.rs crates/reactor/src/*.rs \
+    crates/cli/src/transport.rs
 weigh fleet crates/fleet/src/*.rs
 weigh faas-sim crates/faas-sim/src/*.rs
 weigh 'bench (reproduction; harness/ apart)' crates/bench/src/*.rs crates/bench/src/bin/*.rs

@@ -18,9 +18,9 @@
 
 mod common;
 
-use common::{spawn_server, AnyHandle, ClientKind, ServerMode};
+use common::{spawn_server, ClientKind, ServerMode};
 use faasrail::core::RequestTrace;
-use faasrail::gateway::{Client, FaultConfig, GatewayConfig, RetryPolicy};
+use faasrail::gateway::{Client, FaultConfig, GatewayConfig, Handle, RetryPolicy};
 use faasrail::loadgen::{
     replay, replay_until, Backend, InvocationRequest, InvocationResult, NoopBackend, Pacing,
     ReplayConfig, RunMetrics,
@@ -65,7 +65,7 @@ fn assert_nothing_lost(m: &RunMetrics, n: usize) {
 
 /// A small gateway (4 workers, queue of 2) under a seeded fault cocktail,
 /// hammered by far more replay workers than it has capacity for.
-fn chaos_gateway(mode: ServerMode, fault: FaultConfig) -> AnyHandle {
+fn chaos_gateway(mode: ServerMode, fault: FaultConfig) -> Handle {
     spawn_server(
         mode,
         Arc::new(NoopBackend),
@@ -79,7 +79,7 @@ fn chaos_gateway(mode: ServerMode, fault: FaultConfig) -> AnyHandle {
     )
 }
 
-fn chaos_client(kind: ClientKind, handle: &AnyHandle) -> Client {
+fn chaos_client(kind: ClientKind, handle: &Handle) -> Client {
     kind.connect(
         handle.addr(),
         Duration::from_millis(250),
@@ -180,6 +180,57 @@ fn panicking_kernel_mid_replay_does_not_abort_the_run() {
     assert!(!m.aborted);
     assert_eq!(m.app_errors, 10, "one app error per panic: {}", m.outcome_breakdown());
     assert_eq!(m.completed, 90);
+}
+
+/// Every other invocation panics inside the backend.
+struct AlternatelyPanicking(AtomicU64);
+
+impl Backend for AlternatelyPanicking {
+    fn invoke(&self, _req: &InvocationRequest) -> InvocationResult {
+        let n = self.0.fetch_add(1, Ordering::Relaxed);
+        if n % 2 == 1 {
+            panic!("kernel exploded on call {n}");
+        }
+        InvocationResult::success(1.0, false)
+    }
+}
+
+#[test]
+fn a_panicking_backend_behind_the_gateway_fails_its_invocation_not_the_worker() {
+    for mode in ServerMode::BOTH {
+        // One worker: a panic that took it down would leave nobody to answer.
+        let handle = spawn_server(
+            mode,
+            Arc::new(AlternatelyPanicking(AtomicU64::new(0))),
+            GatewayConfig { workers: 1, ..GatewayConfig::default() },
+        );
+        let client = ClientKind::Pooled.connect(
+            handle.addr(),
+            Duration::from_secs(2),
+            RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+        );
+        for i in 0..10 {
+            let req = InvocationRequest {
+                workload: WorkloadId(7),
+                input: WorkloadInput::Pyaes { bytes: 64 },
+                function_index: i,
+                scheduled_at_ms: 0,
+                trace_id: 0,
+            };
+            let r = client.invoke(&req);
+            if i % 2 == 0 {
+                assert!(r.ok, "{mode:?}, invocation {i}: {r:?}");
+            } else {
+                assert_eq!(r.outcome(), OutcomeClass::AppError, "{mode:?}, invocation {i}: {r:?}");
+                let error = r.error.as_deref().unwrap_or_default();
+                assert!(error.contains("backend panicked: kernel exploded"), "{mode:?}: {error}");
+            }
+        }
+        drop(client);
+        assert_eq!(handle.stats().invocations_ok.load(Ordering::Relaxed), 5, "{mode:?}");
+        assert_eq!(handle.stats().invocations_failed.load(Ordering::Relaxed), 5, "{mode:?}");
+        handle.stop();
+    }
 }
 
 #[test]

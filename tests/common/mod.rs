@@ -7,8 +7,8 @@
 use faasrail::fleet::session::{Action, Event, Session};
 use faasrail::fleet::{read_frame, wall_clock_us, write_frame, Assignment, WorkPrefix};
 use faasrail::gateway::{
-    Client, Gateway, GatewayConfig, GatewayHandle, GatewayStats, HttpBackendConfig, MuxConfig,
-    ReactorGateway, ReactorHandle, RetryPolicy,
+    Client, Gateway, GatewayConfig, Handle, HttpBackendConfig, MuxConfig, ReactorGateway,
+    RetryPolicy,
 };
 use faasrail::loadgen::{Backend, InvocationRequest, InvocationResult, RunMetrics};
 use faasrail::prelude::*;
@@ -35,41 +35,9 @@ impl ServerMode {
     pub const BOTH: [ServerMode; 2] = [ServerMode::Threaded, ServerMode::Reactor];
 }
 
-/// A spawned gateway of either mode, exposing the handle surface the tests
-/// actually use.
-#[allow(dead_code)]
-pub enum AnyHandle {
-    Threaded(GatewayHandle),
-    Reactor(ReactorHandle),
-}
-
-#[allow(dead_code)]
-impl AnyHandle {
-    pub fn addr(&self) -> SocketAddr {
-        match self {
-            AnyHandle::Threaded(h) => h.addr(),
-            AnyHandle::Reactor(h) => h.addr(),
-        }
-    }
-
-    pub fn stats(&self) -> &GatewayStats {
-        match self {
-            AnyHandle::Threaded(h) => h.stats(),
-            AnyHandle::Reactor(h) => h.stats(),
-        }
-    }
-
-    pub fn stop(self) {
-        match self {
-            AnyHandle::Threaded(h) => h.stop(),
-            AnyHandle::Reactor(h) => h.stop(),
-        }
-    }
-}
-
 /// Bind and spawn a loopback gateway in the given mode.
 #[allow(dead_code)]
-pub fn spawn_server(mode: ServerMode, backend: Arc<dyn Backend>, cfg: GatewayConfig) -> AnyHandle {
+pub fn spawn_server(mode: ServerMode, backend: Arc<dyn Backend>, cfg: GatewayConfig) -> Handle {
     spawn_server_with_sink(mode, backend, cfg, None)
 }
 
@@ -80,24 +48,17 @@ pub fn spawn_server_with_sink(
     backend: Arc<dyn Backend>,
     cfg: GatewayConfig,
     sink: Option<Arc<dyn EventSink>>,
-) -> AnyHandle {
-    match mode {
-        ServerMode::Threaded => {
-            let mut g = Gateway::bind("127.0.0.1:0", backend, cfg).expect("bind gateway");
-            if let Some(s) = sink {
-                g = g.with_trace_sink(s);
-            }
-            AnyHandle::Threaded(g.spawn())
-        }
-        ServerMode::Reactor => {
-            let mut g =
-                ReactorGateway::bind("127.0.0.1:0", backend, cfg).expect("bind reactor gateway");
-            if let Some(s) = sink {
-                g = g.with_trace_sink(s);
-            }
-            AnyHandle::Reactor(g.spawn())
-        }
+) -> Handle {
+    let gateway = match mode {
+        ServerMode::Threaded => Gateway::bind("127.0.0.1:0", backend, cfg),
+        ServerMode::Reactor => ReactorGateway::bind("127.0.0.1:0", backend, cfg),
     }
+    .expect("bind gateway");
+    match sink {
+        Some(sink) => gateway.with_trace_sink(sink),
+        None => gateway,
+    }
+    .spawn()
 }
 
 /// Which transport a test's client rides: the keep-alive pool or the

@@ -26,7 +26,7 @@ mod common;
 
 use common::{spawn_server, spawn_server_with_sink, ServerMode};
 use faasrail::gateway::http::{read_response, write_request, MAX_HEAD_BYTES};
-use faasrail::gateway::{FaultConfig, GatewayConfig, MuxConfig, MuxHttpBackend};
+use faasrail::gateway::{FaultConfig, GatewayConfig, Handle, MuxConfig, MuxHttpBackend};
 use faasrail::loadgen::{
     replay, InvocationRequest, InvocationResult, NoopBackend, Pacing, ReplayConfig,
 };
@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-fn default_server(mode: ServerMode) -> common::AnyHandle {
+fn default_server(mode: ServerMode) -> Handle {
     spawn_server(
         mode,
         Arc::new(NoopBackend),
@@ -47,7 +47,7 @@ fn default_server(mode: ServerMode) -> common::AnyHandle {
     )
 }
 
-fn connect(handle: &common::AnyHandle) -> TcpStream {
+fn connect(handle: &Handle) -> TcpStream {
     let stream = TcpStream::connect(handle.addr()).expect("connect to gateway");
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
     stream.set_nodelay(true).expect("nodelay");
@@ -125,7 +125,7 @@ fn pipelined_requests_answer_in_order(mode: ServerMode) {
 
 /// Send raw bytes on a fresh connection, return the response status, and
 /// assert the server closes the connection afterwards.
-fn status_for_raw(handle: &common::AnyHandle, raw: &[u8], what: &str) -> u16 {
+fn status_for_raw(handle: &Handle, raw: &[u8], what: &str) -> u16 {
     let stream = connect(handle);
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     (&stream).write_all(raw).expect("write raw request");
