@@ -206,7 +206,9 @@ impl Args {
         })
     }
 
-    fn invalid(&self, name: &str, value: impl Display, why: impl Display) -> String {
+    /// The error refusing `value` of option `name`, naming both and the
+    /// command; what a file the option names fails on is refused this way too.
+    pub fn invalid(&self, name: &str, value: impl Display, why: impl Display) -> String {
         format!("invalid value `{value}` for --{name} of `faasrail {}`: {why}", self.cmd.name)
     }
 

@@ -4,8 +4,7 @@
 use crate::args::{Args, Command, Opt};
 use crate::offline::REQUESTS_FILE;
 use crate::transport::{connect, warm_cache, ClientOpts};
-use crate::{read_json, write_file, write_json};
-use faasrail_core::RequestTrace;
+use crate::{read_json, read_requests, write_file, write_json};
 use faasrail_fleet::{
     fetch_state, render_top, run_agent_with, AgentConfig, Coordinator, FleetConfig,
 };
@@ -65,8 +64,8 @@ fn cmd_coordinate(args: &Args) -> Result<(), String> {
     use std::sync::atomic::AtomicBool;
 
     let cfg = fleet_config(args)?;
-    let reqs: RequestTrace = read_json(args.str("requests"))?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
+    let reqs = read_requests(args, "requests", &pool)?;
     let coordinator = Coordinator::bind(args.str("addr")).map_err(|e| e.to_string())?;
     if let Some(console) = &cfg.console {
         eprintln!(

@@ -13,6 +13,8 @@ mod table_tests;
 mod transport;
 
 use args::{Args, Command};
+use faasrail_core::RequestTrace;
+use faasrail_workloads::WorkloadPool;
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
@@ -95,6 +97,22 @@ fn main() -> ExitCode {
 fn read_json<T: serde::Deserialize>(path: &str) -> Result<T, String> {
     let s = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     serde_json::from_str(&s).map_err(|e| format!("parsing {path}: {e}"))
+}
+
+/// The request trace the file at `--{option}` holds, checked against `pool`:
+/// every consumer looks each request's workload up in the pool, so the first
+/// request naming a workload the pool lacks refuses the file.
+fn read_requests(args: &Args, option: &str, pool: &WorkloadPool) -> Result<RequestTrace, String> {
+    let path = args.str(option);
+    let reqs: RequestTrace = read_json(path)?;
+    match reqs.requests.iter().enumerate().find(|(_, r)| pool.get(r.workload).is_none()) {
+        Some((i, r)) => Err(args.invalid(
+            option,
+            path,
+            format_args!("request {i} names workload {}, which the pool lacks", r.workload.0),
+        )),
+        None => Ok(reqs),
+    }
 }
 
 fn write_file(path: impl AsRef<Path>, contents: impl AsRef<[u8]>) -> Result<(), String> {

@@ -2,9 +2,9 @@
 //! and the commands that inspect what they produce.
 
 use crate::args::{Args, Command, Opt};
-use crate::{read_json, write_file, write_json};
+use crate::{read_json, read_requests, write_file, write_json};
 use faasrail_core::{
-    generate_requests, kind_shares, shrink, IatModel, MappingConfig, RequestTrace, ShrinkRayConfig,
+    generate_requests, kind_shares, shrink, IatModel, MappingConfig, ShrinkError, ShrinkRayConfig,
     SmirnovConfig, TimeScaling,
 };
 use faasrail_trace::azure::AzureTraceConfig;
@@ -201,8 +201,8 @@ pub static SMIRNOV: Command = Command {
 
 pub fn smirnov_config(args: &Args) -> Result<SmirnovConfig, String> {
     Ok(SmirnovConfig {
-        num_invocations: args.num("invocations")?,
-        rate_rps: args.num("rate")?,
+        num_invocations: args.count("invocations")?,
+        rate_rps: args.positive("rate")?,
         iat: parse_iat(args.str("iat"))?,
         mapping: MappingConfig::default(),
         seed: args.num("seed")?,
@@ -211,7 +211,14 @@ pub fn smirnov_config(args: &Args) -> Result<SmirnovConfig, String> {
 
 fn cmd_smirnov(args: &Args) -> Result<(), String> {
     let cfg = smirnov_config(args)?;
-    let trace: Trace = read_json(args.str("trace"))?;
+    let path = args.str("trace");
+    let trace: Trace = read_json(path)?;
+    // What `shrink` refuses, Smirnov mode refuses the same way.
+    faasrail_trace::validate(&trace)
+        .map_err(|e| args.invalid("trace", path, ShrinkError::from(e)))?;
+    if trace.active_functions().next().is_none() {
+        return Err(args.invalid("trace", path, ShrinkError::EmptyTrace));
+    }
     let pool: WorkloadPool = read_json(args.str("pool"))?;
     let (reqs, report) = faasrail_core::smirnov::generate(&trace, &pool, &cfg);
     let out = args.str("out");
@@ -332,9 +339,9 @@ pub static COMPARE: Command = Command {
 
 fn cmd_compare(args: &Args) -> Result<(), String> {
     use faasrail_stats::{ks_distance_weighted, timeseries::load_shape_mae};
-    let a: RequestTrace = read_json(args.str("a"))?;
-    let b: RequestTrace = read_json(args.str("b"))?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
+    let a = read_requests(args, "a", &pool)?;
+    let b = read_requests(args, "b", &pool)?;
 
     println!("requests: a={} b={}", a.len(), b.len());
     println!(
@@ -370,8 +377,8 @@ pub static EVALUATE: Command = Command {
 
 fn cmd_evaluate(args: &Args) -> Result<(), String> {
     let trace: Trace = read_json(args.str("trace"))?;
-    let requests: RequestTrace = read_json(args.str("requests"))?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
+    let requests = read_requests(args, "requests", &pool)?;
     let r = faasrail_core::evaluate(&trace, &requests, &pool);
     println!("property (i)   KS distinct-workload durations : {:.4}", r.ks_workload_durations);
     println!("property (ii)  |top-1% share error|           : {:.4}", r.top1_share_error);

@@ -4,8 +4,7 @@
 use crate::args::{Args, Command, Opt};
 use crate::offline::{POOL, REQUESTS_FILE};
 use crate::transport::{bind, connect, warm_cache, ClientOpts, MUX, MUX_DEPTH, SHARDS};
-use crate::{read_json, write_file, write_json};
-use faasrail_core::RequestTrace;
+use crate::{read_json, read_requests, write_file, write_json};
 use faasrail_gateway::{BreakerConfig, FaultConfig, GatewayConfig};
 use faasrail_loadgen::{Backend, Pacing, ReplayConfig};
 use faasrail_telemetry::{SpanJoin, TelemetryEvent};
@@ -99,8 +98,8 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let cfg = ReplayConfig { pacing: Pacing::RealTime { compression }, workers };
     let shard = args.get("shard").map(ShardSpec::parse).transpose()?;
     let events_path = args.get("events");
-    let mut reqs: RequestTrace = read_json(args.str("requests"))?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
+    let mut reqs = read_requests(args, "requests", &pool)?;
 
     // `--shard I/N`: replay only this shard of the schedule (the same
     // deterministic partitioner fleet mode uses, so N manual replayers

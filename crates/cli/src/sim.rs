@@ -3,8 +3,8 @@
 
 use crate::args::{Args, Command, Opt};
 use crate::offline::{parse_iat, IAT, POOL, REQUESTS_FILE};
-use crate::{read_json, write_file};
-use faasrail_core::{MappingConfig, RequestTrace};
+use crate::{read_json, read_requests, write_file};
+use faasrail_core::MappingConfig;
 use faasrail_faas_sim::{simulate, BalancerKind, ClusterConfig, NodeFault, PolicyKind, SimOptions};
 use faasrail_lab::{run_lab, LabConfig};
 use faasrail_trace::azure::AzureTraceConfig;
@@ -54,8 +54,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let (cluster, options) = simulate_config(args)?;
     let mut policy = PolicyKind::parse(args.str("policy"))?.build();
     let mut balancer = BalancerKind::parse(args.str("balancer"))?.build();
-    let reqs: RequestTrace = read_json(args.str("requests"))?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
+    let reqs = read_requests(args, "requests", &pool)?;
     let m = simulate(&reqs, &pool, &cluster, balancer.as_mut(), policy.as_mut(), &options);
     println!(
         "policy={} balancer={} completions={} cold={:.2}% p50={:.1}ms p99={:.1}ms \

@@ -222,6 +222,7 @@ const SERVE: [&str; 7] =
 fn usage_errors_are_refused_before_any_work() {
     let fix = Dir::new("usage-fixtures");
     fixtures(&fix);
+    malformed_fixtures(&fix);
     let refused = |case: &str, parts: &[&[&str]], named: &str| refused(&fix, case, parts, named);
 
     // One case per rule of the parser.
@@ -251,6 +252,41 @@ fn usage_errors_are_refused_before_any_work() {
     let both = ["--drop-frac", "0.7", "--error-frac", "0.7"];
     refused("fault-bands-overflow", &[&SERVE, &both], "--error-frac");
     refused("negative-fraction", &[&SERVE, &["--stall-frac", "-0.2"]], "--stall-frac");
+    let smirnov = ["smirnov", "--trace", "FIX/trace.json", "--pool", "FIX/pool.json"];
+    let smirnov = [&smirnov[..], &["--out", "reqs.json"]].concat();
+    refused("zero-invocations", &[&smirnov, &["--invocations", "0"]], "--invocations");
+    for rate in ["0", "inf", "nan"] {
+        refused(&format!("rate-{rate}"), &[&smirnov, &["--rate", rate]], "--rate");
+    }
+
+    // Files the option tables cannot check: refused before any output is
+    // created, by the option that names them.
+    let trace = ["smirnov", "--pool", "FIX/pool.json", "--out", "r.json", "--trace"];
+    refused("trace-bad-duration", &[&trace, &["FIX/bad-trace.json"]], "bad duration -1 ms");
+    refused("trace-empty", &[&trace, &["FIX/empty-trace.json"]], "no invocations");
+    let stray = ["--requests", "FIX/stray-reqs.json", "--pool", "FIX/pool.json"];
+    let named = "request 5 names workload 99999";
+    refused(
+        "stray-workload-evaluate",
+        &[&["evaluate", "--trace", "FIX/trace.json"], &stray],
+        named,
+    );
+    refused("stray-workload-replay", &[&REPLAY, &stray], named);
+    refused("stray-workload-simulate", &[&["simulate"], &stray], named);
+}
+
+/// Malformed copies of the fixtures: a trace with a negative duration, one
+/// with no functions, and a request trace whose sixth request names a
+/// workload the pool lacks.
+fn malformed_fixtures(dir: &Dir) {
+    let mut trace: faasrail_trace::Trace = json(&dir.path("trace.json"));
+    trace.functions[0].avg_duration_ms = -1.0;
+    fs::write(dir.path("bad-trace.json"), serde_json::to_string(&trace).unwrap()).unwrap();
+    trace.functions.clear();
+    fs::write(dir.path("empty-trace.json"), serde_json::to_string(&trace).unwrap()).unwrap();
+    let mut reqs: faasrail_core::RequestTrace = json(&dir.path("reqs.json"));
+    reqs.requests[5].workload = faasrail_workloads::WorkloadId(99_999);
+    fs::write(dir.path("stray-reqs.json"), serde_json::to_string(&reqs).unwrap()).unwrap();
 }
 
 #[test]

@@ -8,6 +8,11 @@
 //! configured inter-arrival distribution. The result follows the trace's
 //! invocation-runtime distribution while leaving the load pattern synthetic
 //! and tunable.
+//!
+//! Poisson, Bursty and Equidistant arrivals are emitted in time order (a
+//! running clock, or an index), so the final ordering only sorts the
+//! requests that share a millisecond; UniformRandom draws each instant
+//! independently and is sorted whole.
 
 use crate::mapping::{first_min, BalanceStrategy, MappingConfig};
 use crate::request::{Request, RequestTrace};
@@ -73,11 +78,15 @@ pub fn generate(
 
     let index = pool.runtime_index();
     let by_ms = index.entries();
+    // The runtimes alone, densely packed: the band scan reads nothing else.
+    let means: Vec<f64> = by_ms.iter().map(|e| e.mean_ms).collect();
     let nearest_only = cfg.mapping.balance == BalanceStrategy::NearestOnly;
 
     // Candidate-band cache keyed by the sampled duration quantized to 0.1 ms
     // (the ECDF's inverse is piecewise linear, so nearby samples share
     // candidates). A band is that of the first duration seen in its bucket.
+    // It keeps std's randomly keyed SipHash: its keys come from a user's
+    // trace, which must not be able to drive it into collisions (DESIGN.md).
     let mut range_cache: HashMap<u64, Range<usize>> = HashMap::new();
     // Requests per Workload *variant* (see `mapping::BalanceStrategy`), by
     // position in `by_ms`.
@@ -118,12 +127,12 @@ pub fn generate(
             first_min(
                 band,
                 |pos| if nearest_only { 0 } else { variant_load[pos] },
-                |pos| (by_ms[pos].mean_ms - d).abs(),
+                |pos| (means[pos] - d).abs(),
             )
         };
         let chosen = &by_ms[pos];
         variant_load[pos] += 1;
-        err_sum += if d > 0.0 { (chosen.mean_ms - d).abs() / d } else { 0.0 };
+        err_sum += if d > 0.0 { (means[pos] - d).abs() / d } else { 0.0 };
 
         // 3. Arrival time under the configured IAT model.
         let at_ms = match cfg.iat {
@@ -151,7 +160,16 @@ pub fn generate(
         });
     }
 
-    requests.sort_by_key(|r| (r.at_ms, r.function_index));
+    // Order by `(at_ms, function_index)`. Equal keys are equal requests
+    // (`function_index` is the workload id), so no sort here needs to be
+    // stable. Arrivals that already ascend need only their ties ordered.
+    if requests.is_sorted_by_key(|r| r.at_ms) {
+        for tied in requests.chunk_by_mut(|a, b| a.at_ms == b.at_ms) {
+            tied.sort_unstable_by_key(|r| r.function_index);
+        }
+    } else {
+        requests.sort_unstable_by_key(|r| (r.at_ms, r.function_index));
+    }
     let duration_minutes = requests.last().map(|r| (r.at_ms / 60_000) as usize + 1).unwrap_or(1);
 
     let mut counts_by_kind: BTreeMap<WorkloadKind, u64> = BTreeMap::new();

@@ -6,7 +6,7 @@
 
 use faasrail_core::mapping::{map_functions, BalanceStrategy, MappingConfig};
 use faasrail_core::smirnov::{self, SmirnovConfig};
-use faasrail_core::{aggregate, evaluate, DurationResolution, IatModel};
+use faasrail_core::{aggregate, evaluate, DurationResolution, IatModel, RequestTrace};
 use faasrail_stats::rng::{cases, Rng};
 use faasrail_trace::azure::{self, AzureTraceConfig};
 use faasrail_trace::huawei::{self, HuaweiTraceConfig};
@@ -419,16 +419,30 @@ fn map_functions_matches_the_replaced_loop() {
     });
 }
 
+/// `smirnov::generate` on `cfg`, checked bit for bit against the oracle.
+fn smirnov_matches_oracle(trace: &Trace, pool: &WorkloadPool, cfg: &SmirnovConfig) -> RequestTrace {
+    let (got, got_report) = smirnov::generate(trace, pool, cfg);
+    let (want, want_report) = oracle::smirnov_generate(trace, pool, cfg);
+    assert_eq!(&got, &want, "{:?} on {:?}", cfg, trace.kind);
+    assert_eq!(&got_report, &want_report, "{:?} on {:?}", cfg, trace.kind);
+    assert_eq!(got_report.mean_rel_error.to_bits(), want_report.mean_rel_error.to_bits());
+    got
+}
+
 #[test]
 fn smirnov_generate_matches_the_replaced_loop() {
+    let iats = [
+        IatModel::Poisson,
+        IatModel::UniformRandom,
+        IatModel::Equidistant,
+        IatModel::Bursty { cv: 1.5 },
+    ];
+    // Per IAT model, adjacent requests of the tie-heavy runs that share a
+    // millisecond but not a workload: what the order within a millisecond
+    // decides.
+    let mut mixed_ties = [0usize; 4];
     cases("smirnov_generate_matches_the_replaced_loop", 32, |rng| {
         let (pool, seed) = (arb_pool(rng), rng.range(0..1_000));
-        let iats = [
-            IatModel::Poisson,
-            IatModel::UniformRandom,
-            IatModel::Equidistant,
-            IatModel::Bursty { cv: 1.5 },
-        ];
         for trace in traces(seed) {
             for (i, mapping) in mapping_configs().into_iter().enumerate() {
                 let cfg = SmirnovConfig {
@@ -438,17 +452,27 @@ fn smirnov_generate_matches_the_replaced_loop() {
                     mapping,
                     seed: seed + i as u64,
                 };
-                let (got, got_report) = smirnov::generate(&trace, &pool, &cfg);
-                let (want, want_report) = oracle::smirnov_generate(&trace, &pool, &cfg);
-                assert_eq!(&got, &want, "{:?} on {:?}", cfg, trace.kind);
-                assert_eq!(&got_report, &want_report, "{:?} on {:?}", cfg, trace.kind);
-                assert_eq!(
-                    got_report.mean_rel_error.to_bits(),
-                    want_report.mean_rel_error.to_bits()
-                );
+                smirnov_matches_oracle(&trace, &pool, &cfg);
+            }
+            // 5 000 rps puts several requests into most milliseconds.
+            for (i, iat) in iats.into_iter().enumerate() {
+                let cfg = SmirnovConfig {
+                    num_invocations: 3_000,
+                    rate_rps: 5_000.0,
+                    iat,
+                    mapping: MappingConfig::default(),
+                    seed: seed + i as u64,
+                };
+                let got = smirnov_matches_oracle(&trace, &pool, &cfg);
+                mixed_ties[i] += got
+                    .requests
+                    .windows(2)
+                    .filter(|w| w[0].at_ms == w[1].at_ms && w[0].workload != w[1].workload)
+                    .count();
             }
         }
     });
+    assert!(mixed_ties.iter().all(|&n| n > 1_000), "{mixed_ties:?}");
 }
 
 #[test]
