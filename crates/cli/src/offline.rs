@@ -4,7 +4,7 @@
 use crate::args::{Args, Command, Opt};
 use crate::{read_json, read_requests, write_file, write_json};
 use faasrail_core::{
-    generate_requests, kind_shares, shrink, IatModel, MappingConfig, ShrinkError, ShrinkRayConfig,
+    check_trace, generate_requests, kind_shares, shrink, IatModel, MappingConfig, ShrinkRayConfig,
     SmirnovConfig, TimeScaling,
 };
 use faasrail_trace::azure::AzureTraceConfig;
@@ -213,12 +213,7 @@ fn cmd_smirnov(args: &Args) -> Result<(), String> {
     let cfg = smirnov_config(args)?;
     let path = args.str("trace");
     let trace: Trace = read_json(path)?;
-    // What `shrink` refuses, Smirnov mode refuses the same way.
-    faasrail_trace::validate(&trace)
-        .map_err(|e| args.invalid("trace", path, ShrinkError::from(e)))?;
-    if trace.active_functions().next().is_none() {
-        return Err(args.invalid("trace", path, ShrinkError::EmptyTrace));
-    }
+    check_trace(&trace).map_err(|e| args.invalid("trace", path, e))?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
     let (reqs, report) = faasrail_core::smirnov::generate(&trace, &pool, &cfg);
     let out = args.str("out");

@@ -42,7 +42,7 @@ pub use request::{generate_requests, Request, RequestTrace};
 pub use schedule::{
     materialize, Arrival, ArrivalCursor, ArrivalStream, ModelEntry, ScheduleModel, ScheduleSource,
 };
-pub use shrinkray::{shrink, ShrinkRayConfig, ShrinkReport};
+pub use shrinkray::{check_trace, shrink, ShrinkRayConfig, ShrinkReport};
 pub use smirnov::{SmirnovConfig, SmirnovReport};
 pub use spec::{ExperimentSpec, IatModel, SpecEntry};
 pub use subminute::{fit_iat_model, BurstinessFit};

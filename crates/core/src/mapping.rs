@@ -122,32 +122,23 @@ impl FunctionMapping {
 /// which must not be empty. The selection rule both execution modes share:
 /// least-loaded candidate first, `score` among equally loaded ones, and the
 /// earliest (shortest-runtime) position among full ties.
-///
-/// One pass: each position's load is read once, and `score` runs only on a
-/// load tie, once per position (the incumbent's score is kept).
 pub(crate) fn first_min<L: PartialOrd>(
-    mut band: Range<usize>,
+    band: Range<usize>,
     load: impl Fn(usize) -> L,
     score: impl Fn(usize) -> f64,
 ) -> usize {
-    let mut best = band.next().expect("non-empty candidate band");
-    let mut best_load = load(best);
-    let mut best_score = None;
-    for pos in band {
-        let pos_load = load(pos);
-        match pos_load.partial_cmp(&best_load).expect("finite") {
-            Ordering::Less => (best, best_load, best_score) = (pos, pos_load, None),
-            Ordering::Equal => {
-                let incumbent = *best_score.get_or_insert_with(|| score(best));
-                let challenger = score(pos);
-                if challenger.partial_cmp(&incumbent).expect("finite") == Ordering::Less {
-                    (best, best_score) = (pos, Some(challenger));
-                }
-            }
-            Ordering::Greater => {}
+    band.reduce(|best, pos| {
+        let ord = load(pos)
+            .partial_cmp(&load(best))
+            .expect("finite")
+            .then_with(|| score(pos).partial_cmp(&score(best)).expect("finite"));
+        if ord == Ordering::Less {
+            pos
+        } else {
+            best
         }
-    }
-    best
+    })
+    .expect("non-empty candidate band")
 }
 
 /// Map every aggregated Function to one pool Workload.
@@ -266,25 +257,13 @@ mod tests {
         // Tied loads and tied scores at several positions, under a `u64` load
         // (Smirnov's request counts) and an `f64` one (Spec mode's weights).
         fn ties<L: PartialOrd + Copy>(load: &[L; 8]) {
-            let scores = [0.0, 0.4, 0.1, 0.3, 0.1, 0.1, 0.2, 0.1];
-            let scored = std::cell::RefCell::new(Vec::new());
-            let pick = |band: Range<usize>| {
-                scored.borrow_mut().clear();
-                let score = |p: usize| {
-                    scored.borrow_mut().push(p);
-                    scores[p]
-                };
-                first_min(band, |p| load[p], score)
-            };
+            let score = [0.0, 0.4, 0.1, 0.3, 0.1, 0.1, 0.2, 0.1];
+            let pick = |band: Range<usize>| first_min(band, |p| load[p], |p| score[p]);
             assert_eq!(pick(0..8), 2, "the earliest of the full ties at 2, 4, 5 and 7");
-            let mut once = scored.borrow().clone();
-            once.sort_unstable();
-            assert_eq!(once, [1, 2, 3, 4, 5, 6, 7], "tied loads only, each scored once");
             assert_eq!(pick(3..8), 4);
             assert_eq!(pick(5..8), 5);
             assert_eq!(pick(6..8), 7);
             assert_eq!(pick(0..1), 0);
-            assert!(scored.borrow().is_empty(), "a lone candidate is never scored");
         }
         ties(&[2u64, 1, 1, 1, 1, 1, 1, 1]);
         ties(&[2.5f64, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]);

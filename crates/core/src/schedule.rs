@@ -33,6 +33,7 @@ use crate::aggregate::{aggregate, DurationResolution};
 use crate::error::ShrinkError;
 use crate::mapping::{map_functions, MappingConfig};
 use crate::request::{Request, RequestTrace, MS_PER_MINUTE};
+use crate::shrinkray::check_trace;
 use crate::spec::{ExperimentSpec, IatModel};
 use faasrail_stats::rng::{mix64_pair, Rng, SplitMix64};
 use faasrail_stats::sampler::{Exponential, Gamma, Sampler};
@@ -213,10 +214,7 @@ impl ScheduleModel {
         mapping_cfg: &MappingConfig,
         iat: IatModel,
     ) -> Result<ScheduleModel, ShrinkError> {
-        faasrail_trace::validate(trace)?;
-        if trace.active_functions().next().is_none() {
-            return Err(ShrinkError::EmptyTrace);
-        }
+        check_trace(trace)?;
         let resolution = DurationResolution::for_trace(trace);
         let agg = aggregate(trace, resolution);
         let mapping = map_functions(&agg, pool, mapping_cfg);

@@ -80,20 +80,27 @@ pub struct ShrinkReport {
     pub scale: ScaleReport,
 }
 
+/// The traces every mode refuses: one [`validate`] refuses, and one with no
+/// invocations.
+pub fn check_trace(trace: &Trace) -> Result<(), ShrinkError> {
+    validate(trace)?;
+    // `validate` has refused zero counts, so no entries means no invocations.
+    if trace.active_functions().next().is_none() {
+        return Err(ShrinkError::EmptyTrace);
+    }
+    Ok(())
+}
+
 /// Run the full Spec-mode pipeline.
 pub fn shrink(
     trace: &Trace,
     pool: &WorkloadPool,
     cfg: &ShrinkRayConfig,
 ) -> Result<(ExperimentSpec, ShrinkReport), ShrinkError> {
-    validate(trace)?;
+    check_trace(trace)?;
     cfg.time_scaling.validate().map_err(ShrinkError::Config)?;
     if cfg.max_rps <= 0.0 {
         return Err(ShrinkError::Config("max_rps must be positive".into()));
-    }
-    // `validate` has refused zero counts, so no entries means no invocations.
-    if trace.active_functions().next().is_none() {
-        return Err(ShrinkError::EmptyTrace);
     }
 
     let day = select_day(trace, cfg.day_safety_fraction);
@@ -362,6 +369,7 @@ mod tests {
             let want = ShrinkError::Trace(faasrail_trace::ValidationError::BadMinuteSeries {
                 function: victim,
             });
+            assert_eq!(check_trace(&trace).err(), Some(want.clone()), "{entries}");
             assert_eq!(shrink(&trace, &pool, &cfg).err(), Some(want.clone()), "{entries}");
             let model = crate::ScheduleModel::from_trace_day(&trace, &pool, &cfg.mapping, cfg.iat);
             assert_eq!(model.err(), Some(want), "{entries}");

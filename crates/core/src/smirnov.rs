@@ -78,8 +78,6 @@ pub fn generate(
 
     let index = pool.runtime_index();
     let by_ms = index.entries();
-    // The runtimes alone, densely packed: the band scan reads nothing else.
-    let means: Vec<f64> = by_ms.iter().map(|e| e.mean_ms).collect();
     let nearest_only = cfg.mapping.balance == BalanceStrategy::NearestOnly;
 
     // Candidate-band cache keyed by the sampled duration quantized to 0.1 ms
@@ -127,12 +125,12 @@ pub fn generate(
             first_min(
                 band,
                 |pos| if nearest_only { 0 } else { variant_load[pos] },
-                |pos| (means[pos] - d).abs(),
+                |pos| (by_ms[pos].mean_ms - d).abs(),
             )
         };
         let chosen = &by_ms[pos];
         variant_load[pos] += 1;
-        err_sum += if d > 0.0 { (means[pos] - d).abs() / d } else { 0.0 };
+        err_sum += if d > 0.0 { (chosen.mean_ms - d).abs() / d } else { 0.0 };
 
         // 3. Arrival time under the configured IAT model.
         let at_ms = match cfg.iat {
