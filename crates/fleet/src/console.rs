@@ -51,6 +51,7 @@ pub struct ConsoleServer {
 /// loop. Per-connection handler threads are detached and exit on their
 /// own read timeout once the listener is gone.
 pub struct ConsoleHandle {
+    addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_loop: JoinHandle<()>,
 }
@@ -58,6 +59,8 @@ pub struct ConsoleHandle {
 impl ConsoleHandle {
     pub fn stop(self) {
         self.stop.store(true, Ordering::Release);
+        // Wake the blocking accept with a throwaway connection.
+        drop(TcpStream::connect(self.addr));
         self.accept_loop.join().ok();
     }
 }
@@ -91,25 +94,25 @@ impl ConsoleServer {
     /// not a data path.
     pub fn start(&self) -> io::Result<ConsoleHandle> {
         let listener = self.listener.try_clone()?;
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         let history = Arc::clone(&self.history);
         let stop = Arc::new(AtomicBool::new(false));
         let stop_accept = Arc::clone(&stop);
-        let accept_loop = thread::spawn(move || {
-            while !stop_accept.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let history = Arc::clone(&history);
-                        thread::spawn(move || serve_connection(stream, &history));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(_) => thread::sleep(Duration::from_millis(25)),
+        let accept_loop = thread::spawn(move || loop {
+            let accepted = listener.accept();
+            if stop_accept.load(Ordering::Acquire) {
+                return; // the stop's wake-up connection, or a straggler
+            }
+            match accepted {
+                Ok((stream, _peer)) => {
+                    let history = Arc::clone(&history);
+                    thread::spawn(move || serve_connection(stream, &history));
                 }
+                // Out of descriptors, say: back off instead of spinning.
+                Err(_) => thread::sleep(Duration::from_millis(25)),
             }
         });
-        Ok(ConsoleHandle { stop, accept_loop })
+        Ok(ConsoleHandle { addr, stop, accept_loop })
     }
 }
 

@@ -37,10 +37,20 @@
 //! for the `500` and the `400`, `Core::run_invoke` after the backend
 //! returns, `Core::close` when a vanished request's connection is let go.
 //!
-//! What is left to a transport: sockets, threads, buffers, timers, where
-//! the admission queue sits (connections waiting for a worker thread, or
-//! invocations waiting for a handler thread, so `queue_depth` counts the
-//! one or the other), and how a `Step` is carried out.
+//! **Steps.** Both engines carry out a `Step` alike. A `Step::Invoke` has
+//! taken a slot of the bounded queue (`Core::admit`) before anything runs;
+//! then a handler thread waits out its `delay` and runs the backend, in
+//! `Core::run_invoke`, so an injected delay occupies a handler and lands in
+//! the handler stage as a real straggler's time would. A `Step::Vanish`
+//! runs no backend and is a hold on the socket.
+//!
+//! What is left to a transport: sockets, threads, buffers, timers, and
+//! where the admission queue sits. The threaded engine admits connections
+//! before any request is read, so `queue_depth` counts connections waiting
+//! for a worker thread. The reactor admits each invocation after routing,
+//! so `queue_depth` counts invocations waiting for a handler thread, and a
+//! shed request has already been counted in `invocations` and in its fault
+//! band's counter (`faults_delayed`, say).
 
 use crate::backoff::mix_fraction;
 use crate::lock;
@@ -182,7 +192,9 @@ pub struct GatewayStats {
     pub invocations_failed: AtomicU64,
     /// Connections refused with `429` because the admission queue was full.
     pub shed: AtomicU64,
-    /// Connections accepted but not yet picked up by a worker (gauge).
+    /// Work admitted but not yet picked up by a worker (gauge; connections
+    /// on the threaded engine, invocations on the reactor). Never above
+    /// `queue_capacity`: it is the count `Core::admit` takes slots from.
     pub queue_depth: AtomicU64,
     pub faults_dropped: AtomicU64,
     pub faults_errored: AtomicU64,
@@ -401,8 +413,9 @@ impl Reply {
 /// What a transport does next with a routed request.
 pub(crate) enum Step {
     Reply(Reply),
-    /// Wait out `delay` if there is one, then [`Core::run_invoke`] on a
-    /// handler thread and send what it returns.
+    /// Hand to a handler thread through the admission queue; there
+    /// [`Core::run_invoke`] waits out `delay` and runs the backend, and
+    /// what it returns is sent.
     Invoke {
         inv: InvocationRequest,
         span: ServerSpan,
@@ -551,17 +564,19 @@ impl Core {
         Step::Reply(Reply { span: Some(span), ..reply })
     }
 
-    /// Run the backend for an admitted invocation (a panic is caught and
-    /// answered as its failure) and build its `200`; the result is
-    /// serialized into `body`, an empty buffer that is the caller's to
-    /// recycle.
+    /// The handler stage of an admitted invocation, on a handler thread of
+    /// either engine: wait out the injected `delay`, if any, run the backend
+    /// (a panic is caught and answered as its failure) and build its `200`.
     pub(crate) fn run_invoke(
         &self,
         inv: &InvocationRequest,
         mut span: ServerSpan,
+        delay: Option<Duration>,
         keep: bool,
-        mut body: Vec<u8>,
     ) -> Reply {
+        if let Some(delay) = delay {
+            std::thread::sleep(delay);
+        }
         let result = invoke_isolated(&*self.backend, inv);
         let counter =
             if result.ok { &self.stats.invocations_ok } else { &self.stats.invocations_failed };
@@ -570,10 +585,7 @@ impl Core {
         span.outcome = result.outcome();
         span.cold_start = result.cold_start;
         span.handler_end_us = micros_since(self.epoch);
-        if serde_json::to_writer(&mut body, &result).is_err() {
-            body.clear();
-            body.extend_from_slice(b"{\"ok\":false}");
-        }
+        let body = serde_json::to_vec(&result).unwrap_or_else(|_| b"{\"ok\":false}".to_vec());
         Reply { span: Some(span), ..Reply::new(200, "application/json", body.into(), keep) }
     }
 
@@ -581,6 +593,20 @@ impl Core {
     pub(crate) fn bad_request(&self, why: &dyn Display) -> Reply {
         self.stats.http_400.fetch_add(1, Ordering::Relaxed);
         Reply::new(400, "text/plain", format!("bad request: {why}").into_bytes().into(), false)
+    }
+
+    /// Take one of the `queue_capacity` admission slots the `queue_depth`
+    /// gauge counts, returning the depth ahead of it; `None` when all are
+    /// taken, and the caller sheds. A handler gives its slot back when it
+    /// dequeues the work, so the gauge never exceeds the bound, and an
+    /// engine's channel of `queue_capacity` always has room for admitted
+    /// work.
+    pub(crate) fn admit(&self) -> Option<u64> {
+        let capacity = self.cfg.queue_capacity.max(1) as u64;
+        let depth = &self.stats.queue_depth;
+        depth
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| (d < capacity).then_some(d + 1))
+            .ok()
     }
 
     /// Count a shed and build its reply. No span: the client's side of the
@@ -875,7 +901,7 @@ mod tests {
         else {
             panic!("not served");
         };
-        let reply = core.run_invoke(&inv, span, keep, Vec::new());
+        let reply = core.run_invoke(&inv, span, None, keep);
         assert_eq!((reply.status, reply.content_type, reply.keep), (200, "application/json", true));
         let result: InvocationResult = serde_json::from_slice(&reply.body).unwrap();
         assert_eq!(result, InvocationResult::app_error(2.5, "boom"));
@@ -894,6 +920,16 @@ mod tests {
             .stages
             .to_prometheus()
             .contains("faasrail_gateway_stage_total_seconds_count 1"));
+    }
+
+    #[test]
+    fn admission_slots_stop_at_the_queue_capacity() {
+        let cfg = GatewayConfig { queue_capacity: 2, ..GatewayConfig::default() };
+        let core = Core::new(Arc::new(NoopBackend), cfg);
+        assert_eq!([core.admit(), core.admit(), core.admit()], [Some(0), Some(1), None]);
+        assert_eq!(load(&core.stats.queue_depth), 2, "a refused admission takes no slot");
+        core.stats.queue_depth.fetch_sub(1, Ordering::Relaxed); // a handler dequeues
+        assert_eq!(core.admit(), Some(1));
     }
 
     #[test]

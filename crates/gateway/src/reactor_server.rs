@@ -10,43 +10,50 @@
 //!   an [`Inbox`] of completions. A shard never blocks on a socket:
 //!   connections are registered once, edge-triggered, and drained to
 //!   `WouldBlock`.
-//! * **One shared handler pool** of `cfg.workers` threads executes backend
-//!   invocations, which may block arbitrarily long (that is the [`Backend`]
-//!   contract). The pool's bounded queue *is* the admission queue: a
-//!   `POST /invoke` arriving with `cfg.queue_capacity` jobs already queued
-//!   is shed with `429` + `Retry-After` and the connection closed — the
-//!   same signal the threaded server gives when its accept queue is full.
-//! * **Per-connection deadlines** ride the shard's timer wheel: an idle
-//!   keep-alive connection is reaped after `cfg.read_timeout`, and a peer
-//!   that has started a request but not finished sending it (slow loris)
-//!   is reaped after `cfg.head_read_timeout` — without stalling anyone
-//!   else, because no shard thread ever blocks on one socket.
+//! * **One shared handler pool** of `cfg.workers` threads runs every
+//!   `Step::Invoke` in [`Core::run_invoke`], the threaded engine's handler
+//!   stage: an injected delay is waited out there, then the backend runs,
+//!   which may block arbitrarily long (that is the [`Backend`] contract).
+//!   The pool is fed by one `sync_channel` of `cfg.queue_capacity`, and
+//!   that bound *is* the admission queue: an invocation routed with all
+//!   its slots taken (`Core::admit`) is shed with `429` + `Retry-After`
+//!   and the connection closed — the same signal the threaded server gives
+//!   when its accept queue is full. When the shards have exited, their
+//!   senders are gone and the handlers drain what is queued, then stop.
+//! * **What only the event loop can do** stays on it: parsing, staging and
+//!   flushing responses, and the per-connection deadlines on the shard's
+//!   timer wheel. An idle keep-alive connection is reaped after
+//!   `cfg.read_timeout`, a peer that has started a request but not
+//!   finished sending it (slow loris) after `cfg.head_read_timeout`, and an
+//!   injected drop or stall (`Step::Vanish`, which runs no backend) is a
+//!   hold on the socket — without stalling anyone else, because no shard
+//!   thread ever blocks on one socket.
 //!
 //! What is served, refused, injected and traced is [`crate::core`]'s
 //! contract, shared with the threaded server. Two differences are the
 //! transport's own, and invisible on the wire: shedding happens when an
-//! invocation is dispatched instead of when a connection is accepted (a
+//! invocation is routed instead of when a connection is accepted (a
 //! client sees `429` + `Retry-After` + close either way), so
 //! `queue_depth` counts queued invocations rather than queued
-//! connections, and the pool-queue wait is what a span's `queue_wait`
+//! connections, and the handler-queue wait is what a span's `queue_wait`
 //! stage holds.
 
 use crate::core::{micros_since, Arrival, Core, Reply, Step};
 use crate::front::{Engine, Gateway};
-use crate::{http, GatewayConfig, GatewayStats};
+use crate::{http, lock, GatewayConfig};
 use faasrail_loadgen::{Backend, InvocationRequest};
 use faasrail_reactor::http1;
 use faasrail_reactor::{
     bind_listeners, Inbox, Interest, Listener, Poller, ReadBuf, TimerWheel, WriteBuf,
 };
 use faasrail_telemetry::ServerSpan;
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Event-loop tokens: connections use `slot | generation << 32`, so the
@@ -68,122 +75,27 @@ fn token_gen(token: u64) -> u32 {
     (token >> 32) as u32
 }
 
-/// One `/invoke` awaiting a handler thread.
+/// One admitted `/invoke` on its way to a handler thread.
 struct Job {
     shard: usize,
     token: u64,
     inv: InvocationRequest,
     span: ServerSpan,
-    /// Injected-delay jobs keep the dequeue/handler-start stamps they got
-    /// at routing, so the injected delay lands in the service stage (where
-    /// the threaded server's in-handler sleep puts it).
-    preset_stamps: bool,
+    delay: Option<Duration>,
     keep: bool,
 }
 
 /// A finished invocation travelling back to its shard.
 pub(crate) struct Completion {
     token: u64,
-    /// The `200`; its body is pooled (back to [`BufPool`] after staging).
     reply: Reply,
 }
 
-/// Free-list of response-body buffers so steady-state completions reuse
-/// allocations instead of growing fresh `Vec`s.
-#[derive(Default)]
-struct BufPool {
-    free: Mutex<Vec<Vec<u8>>>,
-}
-
-impl BufPool {
-    fn take(&self) -> Vec<u8> {
-        self.free.lock().unwrap().pop().unwrap_or_default()
-    }
-
-    fn put(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        let mut free = self.free.lock().unwrap();
-        if free.len() < 256 {
-            free.push(buf);
-        }
-    }
-}
-
-/// The bounded invoke queue feeding the handler pool. Its capacity is the
-/// gateway's admission bound: `dispatch` refuses (sheds) beyond it.
-struct Pool {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
-    capacity: usize,
-    shutdown: AtomicBool,
-}
-
-impl Pool {
-    fn new(capacity: usize) -> Pool {
-        Pool {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            capacity: capacity.max(1),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
-    /// Enqueue `job`, or hand it back if the admission queue is full.
-    /// `forced` bypasses the bound (used to resume injected-delay jobs that
-    /// were already admitted once).
-    // Err carries the whole Job back so the shed path stays allocation-free.
-    #[allow(clippy::result_large_err)]
-    fn dispatch(&self, job: Job, forced: bool, stats: &GatewayStats) -> Result<(), Job> {
-        let mut queue = self.queue.lock().unwrap();
-        if !forced && queue.len() >= self.capacity {
-            return Err(job);
-        }
-        queue.push_back(job);
-        stats.queue_depth.store(queue.len() as u64, Ordering::Relaxed);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Blocking pop; `None` once shut down and drained.
-    fn pop(&self, stats: &GatewayStats) -> Option<Job> {
-        let mut queue = self.queue.lock().unwrap();
-        loop {
-            if let Some(job) = queue.pop_front() {
-                stats.queue_depth.store(queue.len() as u64, Ordering::Relaxed);
-                return Some(job);
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            queue = self.available.wait(queue).unwrap();
-        }
-    }
-
-    fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.available.notify_all();
-    }
-}
-
-/// Everything shared by shards and handler threads for one run.
-struct Shared<'a> {
-    core: &'a Core,
-    pool: Pool,
-    bodies: BufPool,
-    /// One per shard, indexed by shard id.
-    inboxes: &'a [Inbox<Completion>],
-}
-
-impl Shared<'_> {
-    /// A `200` whose connection is gone: the work still has its span
-    /// (nothing reached the wire, so it counts as flushed now).
-    fn discard(&self, reply: Reply) {
-        if let Some(span) = reply.span {
-            self.core.emit(span, micros_since(self.core.epoch));
-        }
-        if let Cow::Owned(body) = reply.body {
-            self.bodies.put(body);
-        }
+/// A `200` whose connection is gone: the work still has its span (nothing
+/// reached the wire, so it counts as flushed now).
+fn discard(core: &Core, reply: Reply) {
+    if let Some(span) = reply.span {
+        core.emit(span, micros_since(core.epoch));
     }
 }
 
@@ -200,9 +112,6 @@ enum ConnState {
     /// One `/invoke` is out at the handler pool; buffered pipelined
     /// requests wait so responses stay in order.
     Busy,
-    /// Injected-latency fault: the request is held until `until`, then
-    /// force-dispatched.
-    Delayed { until: Instant, job: Option<Box<Job>> },
     /// Injected stall: the socket is held open and silent until `until`,
     /// then closed without a response.
     Stalled { until: Instant, span: Option<Box<ServerSpan>> },
@@ -256,9 +165,6 @@ enum TimerAction {
     Close,
     /// Stall expired: emit the held span, then close silently.
     FinishStall(Box<ServerSpan>),
-    /// Injected delay expired: the job re-enters the pool, bypassing the
-    /// admission bound it already passed.
-    DispatchDelayed(Box<Job>),
 }
 
 struct Shard<'a> {
@@ -266,7 +172,9 @@ struct Shard<'a> {
     poller: Poller,
     listener: Option<Listener>,
     inbox: &'a Inbox<Completion>,
-    shared: &'a Shared<'a>,
+    core: &'a Core,
+    /// The admission queue: the handler pool's bounded channel.
+    jobs: SyncSender<Job>,
     conns: Vec<Option<Conn>>,
     gens: Vec<u32>,
     free: Vec<usize>,
@@ -274,21 +182,27 @@ struct Shard<'a> {
 }
 
 impl<'a> Shard<'a> {
-    fn new(id: usize, listener: Listener, shared: &'a Shared<'a>) -> io::Result<Shard<'a>> {
+    fn new(
+        id: usize,
+        listener: Listener,
+        core: &'a Core,
+        inbox: &'a Inbox<Completion>,
+        jobs: SyncSender<Job>,
+    ) -> io::Result<Shard<'a>> {
         let poller = Poller::new()?;
         poller.add(listener.raw_fd(), Interest::READ, TOKEN_LISTENER)?;
-        let inbox = &shared.inboxes[id];
         inbox.register(&poller, TOKEN_INBOX)?;
         Ok(Shard {
             id,
             poller,
             listener: Some(listener),
             inbox,
-            shared,
+            core,
+            jobs,
             conns: Vec::new(),
             gens: Vec::new(),
             free: Vec::new(),
-            wheel: TimerWheel::new(shared.core.epoch),
+            wheel: TimerWheel::new(core.epoch),
         })
     }
 
@@ -301,7 +215,7 @@ impl<'a> Shard<'a> {
         let mut completions: Vec<Completion> = Vec::new();
         let mut fired: Vec<u64> = Vec::new();
         loop {
-            let shutting_down = self.shared.core.shutdown.load(Ordering::SeqCst);
+            let shutting_down = self.core.shutdown.load(Ordering::SeqCst);
             // A coarse tick keeps the wheel honest; park indefinitely only
             // when no deadline can possibly be pending.
             let timeout = if shutting_down {
@@ -336,7 +250,7 @@ impl<'a> Shard<'a> {
             for token in fired.drain(..) {
                 self.on_timer(token);
             }
-            if self.shared.core.shutdown.load(Ordering::SeqCst) {
+            if self.core.shutdown.load(Ordering::SeqCst) {
                 if let Some(l) = self.listener.take() {
                     let _ = self.poller.delete(l.raw_fd());
                 }
@@ -365,10 +279,10 @@ impl<'a> Shard<'a> {
     }
 
     fn install(&mut self, stream: TcpStream) {
-        if self.shared.core.shutdown.load(Ordering::SeqCst) {
+        if self.core.shutdown.load(Ordering::SeqCst) {
             return; // late straggler during shutdown: drop before counting
         }
-        self.shared.core.stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
+        self.core.stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
         stream.set_nodelay(true).ok();
         let slot = match self.free.pop() {
             Some(slot) => slot,
@@ -381,7 +295,7 @@ impl<'a> Shard<'a> {
         let gen = self.gens[slot];
         let token = conn_token(slot, gen);
         if self.poller.add(stream.as_raw_fd(), Interest::EDGE_RW, token).is_err() {
-            self.shared.core.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
+            self.core.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
             self.free.push(slot);
             return;
         }
@@ -394,7 +308,7 @@ impl<'a> Shard<'a> {
             flushed_bytes: 0,
             pending_spans: VecDeque::new(),
             state: ConnState::Ready,
-            accepted_us: micros_since(self.shared.core.epoch),
+            accepted_us: micros_since(self.core.epoch),
             served: 0,
             idle_since: now,
             head_since: None,
@@ -402,9 +316,9 @@ impl<'a> Shard<'a> {
             read_closed: false,
             close_after_flush: false,
         };
-        self.shared.core.stats.connections_active.fetch_add(1, Ordering::Relaxed);
+        self.core.stats.connections_active.fetch_add(1, Ordering::Relaxed);
         self.conns[slot] = Some(conn);
-        let read_timeout = self.shared.core.cfg.read_timeout;
+        let read_timeout = self.core.cfg.read_timeout;
         arm(
             &mut self.wheel,
             self.conns[slot].as_mut().expect("just installed"),
@@ -472,8 +386,7 @@ impl<'a> Shard<'a> {
 
     /// Try to parse and handle exactly one request off the read buffer.
     fn parse_one(&mut self, slot: usize) -> Parsed {
-        let shared = self.shared;
-        let core = shared.core;
+        let core = self.core;
         let conn = self.conns[slot].as_mut().expect("checked alive");
         let head = match http1::parse_request(conn.rbuf.filled(), http::MAX_HEAD_BYTES) {
             Ok(Some(head)) if conn.rbuf.len() >= head.total_len() => head,
@@ -532,16 +445,14 @@ impl<'a> Shard<'a> {
                 stage(conn, reply);
             }
             Step::Invoke { inv, span, delay, keep } => {
-                let preset_stamps = delay.is_some();
-                let job = Job { shard: self.id, token: conn.token, inv, span, preset_stamps, keep };
-                if let Some(delay) = delay {
-                    let until = Instant::now() + delay;
-                    conn.state = ConnState::Delayed { until, job: Some(Box::new(job)) };
-                    arm(&mut self.wheel, conn, until);
-                } else if shared.pool.dispatch(job, false, &core.stats).is_ok() {
+                if core.admit().is_some() {
+                    let job = Job { shard: self.id, token: conn.token, inv, span, delay, keep };
+                    // Admitted work always finds room, and the handlers
+                    // outlive every shard: this never blocks or fails.
+                    self.jobs.send(job).expect("handler pool is running");
                     conn.state = ConnState::Busy;
                 } else {
-                    stage(conn, core.shed()); // admission queue full
+                    stage(conn, core.shed());
                 }
             }
             Step::Vanish { span, hold } if hold.is_zero() => {
@@ -560,9 +471,8 @@ impl<'a> Shard<'a> {
     // ---- completions ----------------------------------------------------
 
     fn on_completion(&mut self, completion: Completion) {
-        let shared = self.shared;
         if !self.conn_alive(completion.token) {
-            shared.discard(completion.reply); // died while the backend ran
+            discard(self.core, completion.reply); // died while the backend ran
             return;
         }
         let slot = token_slot(completion.token);
@@ -570,10 +480,8 @@ impl<'a> Shard<'a> {
             let conn = self.conns[slot].as_mut().expect("checked alive");
             conn.state = ConnState::Ready;
             conn.idle_since = Instant::now();
-            if let Cow::Owned(body) = stage(conn, completion.reply) {
-                shared.bodies.put(body);
-            }
-            arm(&mut self.wheel, conn, Instant::now() + shared.core.cfg.read_timeout);
+            stage(conn, completion.reply);
+            arm(&mut self.wheel, conn, Instant::now() + self.core.cfg.read_timeout);
         }
         // Pipelined follow-ups may already be buffered.
         if !self.advance_conn(slot) || !self.try_flush(slot) {
@@ -588,7 +496,7 @@ impl<'a> Shard<'a> {
             return; // stale entry for a recycled slot
         }
         let slot = token_slot(token);
-        let shared = self.shared;
+        let cfg = &self.core.cfg;
         let now = Instant::now();
         let action = {
             let conn = self.conns[slot].as_mut().expect("checked alive");
@@ -601,24 +509,14 @@ impl<'a> Shard<'a> {
                         TimerAction::Rearm(*until)
                     }
                 }
-                ConnState::Delayed { until, job } => {
-                    if now >= *until {
-                        let job = job.take().expect("delay job dispatched once");
-                        conn.state = ConnState::Busy;
-                        TimerAction::DispatchDelayed(job)
-                    } else {
-                        TimerAction::Rearm(*until)
-                    }
-                }
-                // No deadline while the backend runs; the idle timer is
+                // No deadline while the handler runs; the idle timer is
                 // re-armed when the completion lands.
                 ConnState::Busy => TimerAction::Nothing,
                 ConnState::Ready => {
                     let deadline = if conn.rbuf.is_empty() {
-                        conn.idle_since + shared.core.cfg.read_timeout
+                        conn.idle_since + cfg.read_timeout
                     } else {
-                        conn.head_since.unwrap_or(conn.idle_since)
-                            + shared.core.cfg.head_read_timeout
+                        conn.head_since.unwrap_or(conn.idle_since) + cfg.head_read_timeout
                     };
                     if now >= deadline {
                         // Idle keep-alive expiry, or a reaped slow loris —
@@ -639,14 +537,8 @@ impl<'a> Shard<'a> {
             }
             TimerAction::Close => self.close_conn(slot),
             TimerAction::FinishStall(span) => {
-                shared.core.close(*span);
+                self.core.close(*span);
                 self.close_conn(slot);
-            }
-            TimerAction::DispatchDelayed(job) => {
-                // Forced: the request passed admission when it arrived.
-                if shared.pool.dispatch(*job, true, &shared.core.stats).is_err() {
-                    unreachable!("forced dispatch cannot be refused");
-                }
             }
         }
     }
@@ -656,7 +548,7 @@ impl<'a> Shard<'a> {
     /// Push staged bytes at the socket; emit spans whose responses are now
     /// fully flushed. Returns `false` if the transport broke.
     fn try_flush(&mut self, slot: usize) -> bool {
-        let shared = self.shared;
+        let core = self.core;
         let should_close = {
             let conn = self.conns[slot].as_mut().expect("checked alive");
             if !conn.wbuf.is_empty() {
@@ -665,13 +557,13 @@ impl<'a> Shard<'a> {
                     Err(_) => return false,
                 }
             }
-            let now_us = micros_since(shared.core.epoch);
+            let now_us = micros_since(core.epoch);
             while let Some(front) = conn.pending_spans.front() {
                 if front.done_at > conn.flushed_bytes {
                     break;
                 }
                 let pending = conn.pending_spans.pop_front().expect("checked front");
-                shared.core.emit(pending.span, now_us);
+                core.emit(pending.span, now_us);
             }
             conn.close_after_flush && conn.wbuf.is_empty()
         };
@@ -685,7 +577,7 @@ impl<'a> Shard<'a> {
         let Some(conn) = self.conns[slot].take() else { return };
         self.gens[slot] = self.gens[slot].wrapping_add(1);
         self.free.push(slot);
-        let core = self.shared.core;
+        let core = self.core;
         let stats = &core.stats;
         let _ = self.poller.delete(conn.stream.as_raw_fd());
         stats.connections_active.fetch_sub(1, Ordering::Relaxed);
@@ -701,14 +593,12 @@ impl<'a> Shard<'a> {
         if let ConnState::Stalled { span: Some(span), .. } = conn.state {
             core.close(*span);
         }
-        // A ConnState::Delayed job dies with its connection un-invoked
-        // (nothing ran, nothing answered): no span, like a shed. A Busy
-        // connection's completion emits via the stale-token path.
+        // A Busy connection's completion emits via the stale-token path.
     }
 
     /// On shutdown: flush what we can and close idle connections; busy or
-    /// fault-held ones drain on their own (bounded by the backend,
-    /// `latency_ms`, or `stall_ms`).
+    /// stalled ones drain on their own (bounded by the backend and
+    /// `latency_ms`, or by `stall_ms`).
     fn sweep_for_shutdown(&mut self) {
         for slot in 0..self.conns.len() {
             let idle =
@@ -725,8 +615,8 @@ impl<'a> Shard<'a> {
 // ---- response encoding (no per-request allocation) ----------------------
 
 /// Stage `reply` in the connection's write buffer; its span waits there
-/// for the flush. The body comes back for whoever recycles it.
-fn stage(conn: &mut Conn, reply: Reply) -> Cow<'static, [u8]> {
+/// for the flush.
+fn stage(conn: &mut Conn, reply: Reply) {
     let _ = http1::write_response_head(
         &mut conn.wbuf,
         reply.status,
@@ -743,53 +633,39 @@ fn stage(conn: &mut Conn, reply: Reply) -> Cow<'static, [u8]> {
     if !reply.keep {
         conn.close_after_flush = true;
     }
-    reply.body
-}
-
-// ---- handler pool -------------------------------------------------------
-
-fn handler_loop(shared: &Shared, worker: u64) {
-    let core = shared.core;
-    while let Some(mut job) = shared.pool.pop(&core.stats) {
-        if !job.preset_stamps {
-            let now = micros_since(core.epoch);
-            job.span.dequeued_us = now;
-            job.span.handler_start_us = now;
-        }
-        job.span.worker = worker;
-        let reply = core.run_invoke(&job.inv, job.span, job.keep, shared.bodies.take());
-        shared.inboxes[job.shard].push(Completion { token: job.token, reply });
-    }
 }
 
 /// Serve until shut down: one thread per listener's shard, `cfg.workers`
 /// handler threads, and `inboxes[i]` carrying shard `i`'s completions.
 pub(crate) fn run(core: &Core, listeners: Vec<Listener>, inboxes: &[Inbox<Completion>]) {
-    let pool = Pool::new(core.cfg.queue_capacity);
-    let shared = Shared { core, pool, bodies: BufPool::default(), inboxes };
-    let shared = &shared;
+    let stats = &*core.stats;
+    let (tx, rx): (SyncSender<Job>, _) = sync_channel(core.cfg.queue_capacity.max(1));
+    // As in the threaded engine: the idle handler waits in `recv` under
+    // the lock, the rest on the lock.
+    let rx = Mutex::new(rx);
     std::thread::scope(|scope| {
-        let shards: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(id, listener)| {
-                let shard =
-                    Shard::new(id, listener, shared).expect("epoll instance for reactor shard");
-                scope.spawn(move || shard.run())
-            })
-            .collect();
-        let handlers: Vec<_> = (0..core.cfg.workers as u64)
-            .map(|worker| scope.spawn(move || handler_loop(shared, worker)))
-            .collect();
-        for t in shards {
-            let _ = t.join();
+        for worker in 0..core.cfg.workers as u64 {
+            let next = || lock(&rx).recv().ok();
+            scope.spawn(move || {
+                while let Some(mut job) = next() {
+                    stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    let now = micros_since(core.epoch);
+                    job.span.dequeued_us = now;
+                    job.span.handler_start_us = now;
+                    job.span.worker = worker;
+                    let reply = core.run_invoke(&job.inv, job.span, job.delay, job.keep);
+                    inboxes[job.shard].push(Completion { token: job.token, reply });
+                }
+            });
         }
-        // Shards are gone; let the pool drain whatever is still queued,
-        // then stop the handlers.
-        shared.pool.stop();
-        for t in handlers {
-            let _ = t.join();
+        for (id, listener) in listeners.into_iter().enumerate() {
+            let shard = Shard::new(id, listener, core, &inboxes[id], tx.clone())
+                .expect("epoll instance for reactor shard");
+            scope.spawn(move || shard.run());
         }
+        // Each shard drops its sender when it exits; then the handlers
+        // drain whatever is still queued and stop.
+        drop(tx);
     });
     // Completions for connections that closed during shutdown still
     // carry spans — account for them before declaring the run over.
@@ -798,7 +674,7 @@ pub(crate) fn run(core: &Core, listeners: Vec<Listener>, inboxes: &[Inbox<Comple
         inbox.drain(&mut leftovers);
     }
     for completion in leftovers {
-        shared.discard(completion.reply);
+        discard(core, completion.reply);
     }
 }
 

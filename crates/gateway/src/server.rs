@@ -7,8 +7,9 @@
 //! arriving with it full is shed with `429` there and then, so overload
 //! is an immediate signal instead of peers timing out in the OS backlog),
 //! and `cfg.workers` threads that each take one connection at a time and
-//! block on it — reading through `RequestClock`, sleeping out injected
-//! delays and stalls in place, writing each reply before reading on.
+//! block on it — reading through `RequestClock`, running each invocation
+//! (an injected delay included) in `Core::run_invoke`, sleeping out
+//! injected stalls in place, writing each reply before reading on.
 
 use crate::core::{micros_since, Arrival, Core, Reply, Step};
 use crate::GatewayConfig;
@@ -16,7 +17,7 @@ use crate::{http, lock};
 use std::io::{self, BufReader, ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -34,7 +35,7 @@ struct ConnMeta {
 pub(crate) fn run(core: &Core, listener: &TcpListener) {
     let stats = &*core.stats;
     let capacity = core.cfg.queue_capacity.max(1);
-    let (tx, rx) = sync_channel::<ConnMeta>(capacity);
+    let (tx, rx) = sync_channel(capacity);
     // The idle worker waits in `recv` under the lock, the rest on the
     // lock; a connection is handed over once, so the lock is taken per
     // connection, not per request.
@@ -63,15 +64,14 @@ pub(crate) fn run(core: &Core, listener: &TcpListener) {
                     if core.shutdown.load(Ordering::SeqCst) {
                         break; // the shutdown wake-up connection itself
                     }
-                    let depth = stats.queue_depth.fetch_add(1, Ordering::Relaxed);
+                    let Some(depth) = core.admit() else {
+                        shed_connection(stream, core);
+                        continue;
+                    };
                     let accepted_us = micros_since(core.epoch);
-                    match tx.try_send(ConnMeta { stream, accepted_us, depth }) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(conn)) => {
-                            stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                            shed_connection(conn.stream, core);
-                        }
-                        Err(TrySendError::Disconnected(_)) => break,
+                    // Admitted work always finds room: this never blocks.
+                    if tx.send(ConnMeta { stream, accepted_us, depth }).is_err() {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => continue,
@@ -201,10 +201,7 @@ fn handle_connection(conn: ConnMeta, core: &Core, worker: u64) {
             worker,
         }) {
             Step::Reply(reply) => reply,
-            Step::Invoke { inv, span, delay, keep } => {
-                std::thread::sleep(delay.unwrap_or_default());
-                core.run_invoke(&inv, span, keep, Vec::new())
-            }
+            Step::Invoke { inv, span, delay, keep } => core.run_invoke(&inv, span, delay, keep),
             Step::Vanish { span, hold } => {
                 std::thread::sleep(hold);
                 core.close(span);

@@ -150,26 +150,6 @@ impl RunMetrics {
         }
         self.response.quantile(q) * 1_000.0
     }
-
-    /// Achieved throughput given the experiment duration. `NaN` for a
-    /// non-positive duration — a degenerate run has no rate, and `NaN`
-    /// (unlike `inf`) can't silently survive downstream arithmetic.
-    pub fn achieved_rps(&self, duration_secs: f64) -> f64 {
-        if duration_secs <= 0.0 {
-            return f64::NAN;
-        }
-        self.issued as f64 / duration_secs
-    }
-
-    /// Errors over finished requests (`errors / (completed + errors)`);
-    /// `0.0` when nothing has finished.
-    pub fn error_rate(&self) -> f64 {
-        let finished = self.completed + self.errors;
-        if finished == 0 {
-            return 0.0;
-        }
-        self.errors as f64 / finished as f64
-    }
 }
 
 #[cfg(test)]
@@ -236,33 +216,6 @@ mod tests {
     fn quantile_nan_when_empty() {
         let m = RunMetrics::new();
         assert!(m.response_quantile_ms(0.5).is_nan());
-    }
-
-    #[test]
-    fn achieved_rps() {
-        let mut m = RunMetrics::new();
-        m.issued = 1200;
-        assert!((m.achieved_rps(60.0) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn achieved_rps_nan_for_degenerate_durations() {
-        let mut m = RunMetrics::new();
-        m.issued = 10;
-        assert!(m.achieved_rps(0.0).is_nan());
-        assert!(m.achieved_rps(-1.0).is_nan());
-    }
-
-    #[test]
-    fn error_rate_partitions() {
-        let mut m = RunMetrics::new();
-        assert_eq!(m.error_rate(), 0.0, "empty run has no error rate");
-        m.completed = 90;
-        m.errors = 10;
-        assert!((m.error_rate() - 0.1).abs() < 1e-12);
-        m.completed = 0;
-        m.errors = 5;
-        assert!((m.error_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

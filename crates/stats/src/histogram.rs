@@ -1,4 +1,4 @@
-//! Linear and logarithmic fixed-bucket histograms.
+//! Logarithmic fixed-bucket histograms.
 //!
 //! [`LogHistogram`] doubles as the load generator's latency recorder: FaaS
 //! latencies span microseconds to minutes, so log-spaced buckets give a
@@ -6,69 +6,6 @@
 //! spirit of HdrHistogram.
 
 use serde::{Deserialize, Serialize};
-
-/// Histogram with equally wide buckets over `[lo, hi)` plus under/overflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LinearHistogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl LinearHistogram {
-    /// Create a histogram over `[lo, hi)` with `buckets` equal-width buckets.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "LinearHistogram requires lo < hi");
-        assert!(buckets > 0, "LinearHistogram requires at least one bucket");
-        LinearHistogram { lo, hi, counts: vec![0; buckets], underflow: 0, overflow: 0, total: 0 }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = (((x - self.lo) / width) as usize).min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Total recorded observations (including under/overflow).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-bucket counts (excluding under/overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Midpoint of bucket `i`.
-    pub fn bucket_mid(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-}
 
 /// Histogram with logarithmically spaced buckets over `[lo, hi)`.
 ///
@@ -384,27 +321,6 @@ impl RunningQuantile {
 mod tests {
     use super::*;
     use crate::rng::{cases, Rng};
-
-    #[test]
-    fn linear_basic_binning() {
-        let mut h = LinearHistogram::new(0.0, 10.0, 10);
-        for x in [0.0, 0.5, 1.0, 9.99, -1.0, 10.0, 100.0] {
-            h.record(x);
-        }
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.counts()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.counts()[1], 1); // 1.0
-        assert_eq!(h.counts()[9], 1); // 9.99
-    }
-
-    #[test]
-    fn linear_bucket_mid() {
-        let h = LinearHistogram::new(0.0, 10.0, 10);
-        assert!((h.bucket_mid(0) - 0.5).abs() < 1e-12);
-        assert!((h.bucket_mid(9) - 9.5).abs() < 1e-12);
-    }
 
     #[test]
     fn log_histogram_quantile_relative_error() {

@@ -16,9 +16,9 @@
 //! * [`timeseries`] — per-minute series manipulation: the Thumbnails rebinning
 //!   (paper §3.2.1.2) and the largest-remainder apportionment used by request
 //!   rate scaling (paper §3.2.1.1);
-//! * [`histogram`] — linear and log-bucketed histograms (the latter doubles as
-//!   the load generator's latency recorder), and a log histogram that keeps
-//!   one quantile current as it records;
+//! * [`histogram`] — log-bucketed histograms (the load generator's latency
+//!   recorder), and a log histogram that keeps one quantile current as it
+//!   records;
 //! * [`rng`] — the workspace's one seeded generator (splitmix64-seeded
 //!   xoshiro256++) and the draws defined on it.
 //!
@@ -36,6 +36,6 @@ pub mod timeseries;
 
 pub use distance::{ks_distance, ks_distance_weighted, wasserstein1};
 pub use ecdf::{Ecdf, WeightedEcdf};
-pub use histogram::{LinearHistogram, LogHistogram, RunningQuantile};
+pub use histogram::{LogHistogram, RunningQuantile};
 pub use rng::{seeded_rng, Rng};
 pub use summary::{percentile_sorted, Summary};

@@ -21,6 +21,8 @@
 # And the server front: one Gateway and one Handle over both engines (front.rs),
 # the wake-elision protocol once (reactor/src/inbox.rs, under the reactor shards
 # and the mux driver), and one read drain (ReadBuf::drain_from).
+# Both engines admit every invocation through one bounded channel and run it
+# in one Core::run_invoke, the delay band included.
 # Then print what each file weighs (lines above its first `#[cfg(test)]`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,7 +43,7 @@ refuse() { # file, owner, patterns...
 
 for transport in crates/gateway/src/server.rs crates/gateway/src/reactor_server.rs; do
     refuse "$transport" crates/gateway/src/core.rs \
-        'Fault::' 'ServerSpan {' '"/healthz"' '"bad invocation request'
+        'Fault::' 'ServerSpan {' '"/healthz"' '"bad invocation request' 'queue_depth.fetch_add'
 done
 for transport in crates/gateway/src/pool.rs crates/gateway/src/mux.rs; do
     refuse "$transport" crates/gateway/src/client.rs \
@@ -77,8 +79,17 @@ across() { # count, why, pattern, files...: on exactly that many non-test lines 
 }
 for file in crates/gateway/src/*.rs; do
     refuse "$file" 'crates/reactor/src/inbox.rs (Inbox)' 'parked' 'notified' 'Waker::new('
+    refuse "$file" 'nowhere: every invocation is admitted, then run by Core::run_invoke' \
+        'BufPool' 'preset_stamps' 'DispatchDelayed' 'Delayed {' 'Condvar'
 done
 across 1 'one server front (front.rs) spawns either engine' 'fn spawn(self)' crates/gateway/src/*.rs
+across 1 'one handler stage (delay, backend, 200) for both engines' 'fn run_invoke' \
+    crates/gateway/src/*.rs
+# Each engine's admission queue is one bounded channel (mux.rs's one-slot
+# rendezvous is a client's, not an admission queue).
+for engine in crates/gateway/src/server.rs crates/gateway/src/reactor_server.rs; do
+    once "$engine" 'its admission queue is one bounded channel behind Core::admit' 'sync_channel('
+done
 for gone in 'struct Mailbox' 'struct Submit' 'struct ReactorHandle' 'AnyHandle' 'macro_rules! server'; do
     if grep -rnF -- "$gone" crates tests examples; then
         echo "error: \`$gone\` is back: one Gateway, one Handle, one Inbox" >&2

@@ -21,6 +21,9 @@
 //!    differ (a signed `Content-Length`, non-UTF-8 header bytes, a head cut
 //!    by EOF, a malformed body in the delay band), and one scripted
 //!    conversation whose response bytes must be identical across them.
+//! 8. **One admission bound** — delay-band invocations pass the bounded
+//!    queue like any other: past it they are shed, and `queue_depth` never
+//!    exceeds it.
 
 mod common;
 
@@ -31,11 +34,11 @@ use faasrail::loadgen::{
     replay, InvocationRequest, InvocationResult, NoopBackend, Pacing, ReplayConfig,
 };
 use faasrail::prelude::*;
-use faasrail::telemetry::RingSink;
+use faasrail::telemetry::{RingSink, ServerFault, ServerSpan};
 use faasrail::workloads::WorkloadId;
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -521,4 +524,91 @@ fn a_scripted_conversation_gets_identical_bytes_from_both_servers() {
          Connection: close\r\nRetry-After: 1\r\n\r\nshedding load: admission queue full"
     );
     assert_eq!(shed, shed_bytes(ServerMode::Reactor));
+}
+
+// 8. The delay band waits on a handler behind the one admission bound.
+
+/// A backend that takes 100 ms.
+struct Slow;
+
+impl Backend for Slow {
+    fn invoke(&self, _req: &InvocationRequest) -> InvocationResult {
+        std::thread::sleep(Duration::from_millis(100));
+        InvocationResult::success(100.0, false)
+    }
+
+    fn name(&self) -> &str {
+        "slow"
+    }
+}
+
+#[test]
+fn the_delay_band_is_admitted_like_any_other_invocation_by_both_servers() {
+    for mode in ServerMode::BOTH {
+        let sink = Arc::new(RingSink::with_capacity(16));
+        let fault = FaultConfig { latency_fraction: 1.0, latency_ms: 50, ..Default::default() };
+        let cfg = GatewayConfig { workers: 1, queue_capacity: 1, fault, ..Default::default() };
+        let handle = spawn_server_with_sink(
+            mode,
+            Arc::new(Slow),
+            cfg,
+            Some(Arc::clone(&sink) as Arc<dyn EventSink>),
+        );
+        let stats = handle.stats();
+        let sampling = AtomicBool::new(true);
+        // One handler busy for 150 ms and one queue slot: of six arrivals
+        // 5 ms apart, the bound holds two and sheds the rest.
+        let (responses, deepest) = std::thread::scope(|scope| {
+            let sampler = scope.spawn(|| {
+                let mut deepest = 0;
+                while sampling.load(Ordering::Relaxed) {
+                    deepest = deepest.max(stats.queue_depth.load(Ordering::Relaxed));
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                deepest
+            });
+            let conns: Vec<TcpStream> = (0..6)
+                .map(|_| {
+                    let stream = connect(&handle);
+                    (&stream)
+                        .write_all(&invoke_request(&valid_invocation(), "close"))
+                        .expect("write invocation");
+                    std::thread::sleep(Duration::from_millis(5));
+                    stream
+                })
+                .collect();
+            let responses: Vec<_> = conns
+                .iter()
+                .map(|c| read_response(&mut BufReader::new(c)).expect("a response"))
+                .collect();
+            sampling.store(false, Ordering::Relaxed);
+            (responses, sampler.join().expect("sampler"))
+        });
+        let statuses: Vec<u16> = responses.iter().map(|r| r.status).collect();
+        let sheds = responses.iter().filter(|r| r.status == 429).count();
+        let served = responses.iter().filter(|r| r.status == 200).count();
+        assert!(sheds >= 1, "{mode:?}: nothing shed: {statuses:?}");
+        assert_eq!(sheds + served, 6, "{mode:?}: {statuses:?}");
+        for shed in responses.iter().filter(|r| r.status == 429) {
+            assert_eq!(shed.retry_after, Some(1), "{mode:?}");
+        }
+        assert_eq!(stats.shed.load(Ordering::Relaxed), sheds as u64, "{mode:?}");
+        assert!(deepest <= 1, "{mode:?}: queue_depth reached {deepest}, past its bound of 1");
+        handle.stop(); // joins the server: every span has been emitted
+        let spans: Vec<ServerSpan> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::ServerSpan(span) => Some(span),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans.len(), served, "{mode:?}: one span per 200: {spans:?}");
+        for span in &spans {
+            assert_eq!(span.fault, Some(ServerFault::Delay), "{mode:?}");
+            // The injected wait is handler time, as a real straggler's is.
+            let handler_us = span.handler_end_us - span.handler_start_us;
+            assert!(handler_us >= 150_000, "{mode:?}: handler stage {handler_us} µs");
+        }
+    }
 }
