@@ -55,7 +55,6 @@ pub fn fleet_config(args: &Args) -> Result<FleetConfig, String> {
         live: args.flag("live"),
         agent_timeout: Duration::from_secs(args.num("agent-timeout-s")?),
         lease_ms: args.num("lease-ms")?,
-        console: args.get("console").map(str::to_string),
     })
 }
 
@@ -66,8 +65,11 @@ fn cmd_coordinate(args: &Args) -> Result<(), String> {
     let cfg = fleet_config(args)?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
     let reqs = read_requests(args, "requests", &pool)?;
-    let coordinator = Coordinator::bind(args.str("addr")).map_err(|e| e.to_string())?;
-    if let Some(console) = &cfg.console {
+    let mut coordinator = Coordinator::bind(args.str("addr")).map_err(|e| e.to_string())?;
+    if let Some(addr) = args.get("console") {
+        coordinator = coordinator.with_console(addr).map_err(|e| e.to_string())?;
+    }
+    if let Some(console) = coordinator.console_addr() {
         eprintln!(
             "fleet: ops console at http://{console} — \
              /state /metrics /healthz /dashboard (fleet top --coordinator {console})"

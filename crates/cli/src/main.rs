@@ -13,7 +13,8 @@ mod table_tests;
 mod transport;
 
 use args::{Args, Command};
-use faasrail_core::RequestTrace;
+use faasrail_core::{check_trace, ExperimentSpec, RequestTrace};
+use faasrail_trace::Trace;
 use faasrail_workloads::WorkloadPool;
 use std::fs;
 use std::path::Path;
@@ -97,6 +98,25 @@ fn main() -> ExitCode {
 fn read_json<T: serde::Deserialize>(path: &str) -> Result<T, String> {
     let s = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     serde_json::from_str(&s).map_err(|e| format!("parsing {path}: {e}"))
+}
+
+/// The trace the file at `--{option}` holds, refused unless every mode can
+/// read it: [`check_trace`] applies `validate`'s rules and wants at least
+/// one invocation.
+fn read_trace(args: &Args, option: &str) -> Result<Trace, String> {
+    let path = args.str(option);
+    let trace: Trace = read_json(path)?;
+    check_trace(&trace).map_err(|e| args.invalid(option, path, e))?;
+    Ok(trace)
+}
+
+/// The experiment spec the file at `--{option}` holds, refused unless
+/// [`ExperimentSpec::validate`] accepts it.
+fn read_spec(args: &Args, option: &str) -> Result<ExperimentSpec, String> {
+    let path = args.str(option);
+    let spec: ExperimentSpec = read_json(path)?;
+    spec.validate().map_err(|e| args.invalid(option, path, e))?;
+    Ok(spec)
 }
 
 /// The request trace the file at `--{option}` holds, checked against `pool`:

@@ -2,14 +2,13 @@
 //! and the commands that inspect what they produce.
 
 use crate::args::{Args, Command, Opt};
-use crate::{read_json, read_requests, write_file, write_json};
+use crate::{read_json, read_requests, read_spec, read_trace, write_file, write_json};
 use faasrail_core::{
-    check_trace, generate_requests, kind_shares, shrink, IatModel, MappingConfig, ShrinkRayConfig,
+    generate_requests, kind_shares, shrink, IatModel, MappingConfig, ShrinkRayConfig,
     SmirnovConfig, TimeScaling,
 };
 use faasrail_trace::azure::AzureTraceConfig;
 use faasrail_trace::huawei::HuaweiTraceConfig;
-use faasrail_trace::Trace;
 use faasrail_workloads::calibrate::{quick_calibration, CalibrationOptions};
 use faasrail_workloads::{CostModel, WorkloadKind, WorkloadPool};
 use std::collections::BTreeMap;
@@ -142,7 +141,7 @@ pub fn shrink_config(args: &Args) -> Result<ShrinkRayConfig, String> {
 
 fn cmd_shrink(args: &Args) -> Result<(), String> {
     let cfg = shrink_config(args)?;
-    let trace: Trace = read_json(args.str("trace"))?;
+    let trace = read_trace(args, "trace")?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
     let (spec, report) = shrink(&trace, &pool, &cfg).map_err(|e| e.to_string())?;
     let out = args.str("out");
@@ -175,7 +174,7 @@ pub static REQUESTS: Command = Command {
 
 fn cmd_requests(args: &Args) -> Result<(), String> {
     let seed = args.num("seed")?;
-    let spec = read_json(args.str("spec"))?;
+    let spec = read_spec(args, "spec")?;
     let reqs = generate_requests(&spec, seed);
     let out = args.str("out");
     write_json(out, &reqs)?;
@@ -211,9 +210,7 @@ pub fn smirnov_config(args: &Args) -> Result<SmirnovConfig, String> {
 
 fn cmd_smirnov(args: &Args) -> Result<(), String> {
     let cfg = smirnov_config(args)?;
-    let path = args.str("trace");
-    let trace: Trace = read_json(path)?;
-    check_trace(&trace).map_err(|e| args.invalid("trace", path, e))?;
+    let trace = read_trace(args, "trace")?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
     let (reqs, report) = faasrail_core::smirnov::generate(&trace, &pool, &cfg);
     let out = args.str("out");
@@ -269,8 +266,7 @@ pub static ANALYZE: Command = Command {
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     use faasrail_stats::timeseries::{fano_factor, peak};
     use faasrail_trace::summarize;
-    let trace: Trace = read_json(args.str("trace"))?;
-    faasrail_trace::validate(&trace).map_err(|e| e.to_string())?;
+    let trace = read_trace(args, "trace")?;
 
     println!(
         "kind: {:?}; functions: {}; apps: {}",
@@ -371,7 +367,7 @@ pub static EVALUATE: Command = Command {
 };
 
 fn cmd_evaluate(args: &Args) -> Result<(), String> {
-    let trace: Trace = read_json(args.str("trace"))?;
+    let trace = read_trace(args, "trace")?;
     let pool: WorkloadPool = read_json(args.str("pool"))?;
     let requests = read_requests(args, "requests", &pool)?;
     let r = faasrail_core::evaluate(&trace, &requests, &pool);
@@ -395,7 +391,7 @@ pub static EXPORT: Command = Command {
 
 fn cmd_export(args: &Args) -> Result<(), String> {
     use faasrail_trace::writer;
-    let trace: Trace = read_json(args.str("trace"))?;
+    let trace = read_trace(args, "trace")?;
     let dir = std::path::Path::new(args.str("out-dir"));
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     let write = |name: &str, f: &dyn Fn(&mut Vec<u8>) -> std::io::Result<()>| {

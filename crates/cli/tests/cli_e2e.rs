@@ -5,7 +5,8 @@
 //! `--help` against README's generated reference.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -192,6 +193,45 @@ fn pipeline_then_loopback_replay_and_report() {
     assert_eq!((report.issued, report.completed), (m.issued, m.completed));
 }
 
+/// `fleet coordinate --console 127.0.0.1:0` names the port it bound, and the
+/// console answers there while the coordinator waits for its agent.
+#[test]
+fn coordinator_console_line_carries_the_bound_port() {
+    let dir = Dir::new("console");
+    fixtures(&dir);
+    let coordinate = Command::new(BIN)
+        .args(["fleet", "coordinate", "--requests", "reqs.json", "--pool", "pool.json"])
+        .args(["--agents", "1", "--addr", "127.0.0.1:0", "--console", "127.0.0.1:0"])
+        .current_dir(&dir.0)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning faasrail fleet coordinate");
+    let mut coordinate = Kill(coordinate);
+    // Kept open until the coordinator is killed: it must not lose its stderr.
+    let mut stderr = BufReader::new(coordinate.0.stderr.take().unwrap());
+    let mut line = String::new();
+    stderr.read_line(&mut line).unwrap();
+    let addr = line
+        .strip_prefix("fleet: ops console at http://")
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("no address in the console line: {line:?}"));
+    assert!(!addr.ends_with(":0"), "the line names the port bound, not the one asked for: {line}");
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: console\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    assert!(response.contains("\"status\":\"ok\""), "{response}");
+    drop(coordinate);
+    drop(stderr);
+}
+
 /// The concatenated `parts` must be refused before any work: non-zero exit,
 /// `named` (the option or word at fault) and the command on stderr, nothing
 /// written. `FIX/name` stands for a fixture file.
@@ -273,20 +313,62 @@ fn usage_errors_are_refused_before_any_work() {
     );
     refused("stray-workload-replay", &[&REPLAY, &stray], named);
     refused("stray-workload-simulate", &[&["simulate"], &stray], named);
+    let late = ["--trace", "FIX/late-trace.json"];
+    let named = "minute series must have strictly ascending minutes below 1440";
+    refused("trace-late-minute-evaluate", &[&["evaluate"], &late, &FILES], named);
+    refused("trace-late-minute-export", &[&["export", "--out-dir", "csv"], &late], named);
+    let bad = ["--trace", "FIX/bad-trace.json"];
+    refused("trace-bad-duration-evaluate", &[&["evaluate"], &bad, &FILES], "bad duration -1 ms");
+    refused(
+        "trace-bad-duration-export",
+        &[&["export", "--out-dir", "csv"], &bad],
+        "bad duration -1 ms",
+    );
+    refused(
+        "trace-empty-analyze",
+        &[&["analyze", "--trace", "FIX/empty-trace.json"]],
+        "no invocations",
+    );
+    let ragged = ["requests", "--spec", "FIX/ragged-spec.json", "--out", "r.json"];
+    refused("spec-ragged", &[&ragged], "entry for function 0 has 3 minutes, spec has 2");
 }
 
-/// Malformed copies of the fixtures: a trace with a negative duration, one
-/// with no functions, and a request trace whose sixth request names a
-/// workload the pool lacks.
+/// Malformed copies of the fixtures: a trace whose first function is invoked
+/// at minute 2000 of a 1440-minute day, one with a negative duration, one
+/// with no functions, a request trace whose sixth request names a workload
+/// the pool lacks, and a two-minute spec with a three-minute entry.
 fn malformed_fixtures(dir: &Dir) {
+    use faasrail_core::{ExperimentSpec, IatModel, SpecEntry};
+    use faasrail_workloads::WorkloadId;
+    fn write<T: serde::Serialize>(dir: &Dir, name: &str, value: &T) {
+        fs::write(dir.path(name), serde_json::to_string(value).unwrap()).unwrap();
+    }
     let mut trace: faasrail_trace::Trace = json(&dir.path("trace.json"));
+    let original = trace.functions[0].clone();
+    trace.functions[0].minutes = serde_json::from_str(r#"{"entries":[[2000,7]]}"#).unwrap();
+    write(dir, "late-trace.json", &trace);
+    trace.functions[0] = original;
     trace.functions[0].avg_duration_ms = -1.0;
-    fs::write(dir.path("bad-trace.json"), serde_json::to_string(&trace).unwrap()).unwrap();
+    write(dir, "bad-trace.json", &trace);
     trace.functions.clear();
-    fs::write(dir.path("empty-trace.json"), serde_json::to_string(&trace).unwrap()).unwrap();
+    write(dir, "empty-trace.json", &trace);
     let mut reqs: faasrail_core::RequestTrace = json(&dir.path("reqs.json"));
-    reqs.requests[5].workload = faasrail_workloads::WorkloadId(99_999);
-    fs::write(dir.path("stray-reqs.json"), serde_json::to_string(&reqs).unwrap()).unwrap();
+    reqs.requests[5].workload = WorkloadId(99_999);
+    write(dir, "stray-reqs.json", &reqs);
+    let entry = SpecEntry {
+        function_index: 0,
+        workload: WorkloadId(0),
+        alternates: vec![],
+        trace_duration_ms: 10.0,
+        per_minute: vec![1, 2, 3],
+    };
+    let spec = ExperimentSpec {
+        duration_minutes: 2,
+        target_max_rps: 1.0,
+        iat: IatModel::Poisson,
+        entries: vec![entry],
+    };
+    write(dir, "ragged-spec.json", &spec);
 }
 
 #[test]

@@ -159,45 +159,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// Scale the request volume by `factor` (per entry, largest-remainder
-    /// rounding, so each Function keeps its share and its minute shape).
-    /// The rate budget scales accordingly. Entries scaled to zero are
-    /// dropped.
-    ///
-    /// # Panics
-    /// Panics unless `factor > 0`.
-    pub fn scale_volume(&self, factor: f64) -> ExperimentSpec {
-        assert!(factor > 0.0 && factor.is_finite(), "factor must be positive");
-        let entries: Vec<SpecEntry> = self
-            .entries
-            .iter()
-            .filter_map(|e| {
-                let target = (e.total_requests() as f64 * factor).round() as u64;
-                if target == 0 {
-                    return None;
-                }
-                let per_minute =
-                    faasrail_stats::timeseries::apportion_largest_remainder(&e.per_minute, target);
-                Some(SpecEntry {
-                    function_index: e.function_index,
-                    workload: e.workload,
-                    alternates: e.alternates.clone(),
-                    trace_duration_ms: e.trace_duration_ms,
-                    per_minute,
-                })
-            })
-            .collect();
-        let spec = ExperimentSpec {
-            duration_minutes: self.duration_minutes,
-            target_max_rps: self.target_max_rps * factor,
-            iat: self.iat,
-            entries,
-        };
-        // Rounding can nudge a minute past the scaled budget; widen to fit.
-        let needed = spec.peak_per_minute() as f64 / 60.0;
-        ExperimentSpec { target_max_rps: spec.target_max_rps.max(needed), ..spec }
-    }
-
     /// Merge two specs of equal duration into one experiment (e.g. to mix
     /// loads fitted from different traces). The other spec's Function
     /// indices are offset to stay distinct; budgets add.
@@ -323,19 +284,6 @@ mod tests {
     #[should_panic]
     fn slice_out_of_range_panics() {
         demo_spec().slice(2, 2);
-    }
-
-    #[test]
-    fn scale_volume_preserves_shares() {
-        let s = demo_spec();
-        let doubled = s.scale_volume(2.0);
-        assert_eq!(doubled.total_requests(), 120);
-        assert_eq!(doubled.aggregate_minutes(), vec![20, 90, 10]);
-        assert_eq!(doubled.validate(), Ok(()));
-        // 15 × 0.1 and 45 × 0.1 both round half away from zero: 2 + 5.
-        let tenth = s.scale_volume(0.1);
-        assert_eq!(tenth.total_requests(), 7);
-        assert_eq!(tenth.validate(), Ok(()));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The paper motivates FaaSRail with exactly this research area: "providers
 //! keep [functions] cached even when idling, effectively wasting memory",
 //! and representative load is needed to evaluate caching policies fairly.
-//! Three policies are provided: the industry-default fixed TTL, plain LRU
-//! under memory pressure, and a greedy-dual cost/size policy in the spirit
-//! of FaasCache (ASPLOS '21, cited as [34]).
+//! Four policies are provided: the industry-default fixed TTL, plain LRU
+//! under memory pressure, a greedy-dual cost/size policy in the spirit of
+//! FaasCache (ASPLOS '21, cited as [34]), and the hybrid histogram. Eviction
+//! under memory pressure is LRU, [`KeepAlivePolicy::pick_victim`]'s provided
+//! body, unless a policy overrides it (only [`GreedyDual`] does).
 
 use faasrail_stats::histogram::{LogHistogram, RunningQuantile};
 use faasrail_workloads::WorkloadId;
@@ -30,8 +32,11 @@ pub trait KeepAlivePolicy: Send {
     fn idle_ttl_ms(&self, workload: WorkloadId) -> Option<u64>;
 
     /// Pick the index of the sandbox to evict when memory is needed.
-    /// `None` refuses to evict (the request will queue).
-    fn pick_victim(&mut self, idle: &[IdleSandbox], now_ms: u64) -> Option<usize>;
+    /// `None` refuses to evict (the request will queue). Default: the least
+    /// recently used.
+    fn pick_victim(&mut self, idle: &[IdleSandbox], _now_ms: u64) -> Option<usize> {
+        idle.iter().enumerate().min_by_key(|(_, s)| s.last_used_ms).map(|(i, _)| i)
+    }
 
     /// Observe a request arrival (adaptive policies learn inter-arrival
     /// behaviour from this). Default: ignore.
@@ -69,10 +74,6 @@ impl KeepAlivePolicy for FixedTtl {
         Some(self.ttl_ms)
     }
 
-    fn pick_victim(&mut self, idle: &[IdleSandbox], _now_ms: u64) -> Option<usize> {
-        idle.iter().enumerate().min_by_key(|(_, s)| s.last_used_ms).map(|(i, _)| i)
-    }
-
     fn name(&self) -> &'static str {
         "fixed-ttl"
     }
@@ -85,10 +86,6 @@ pub struct LruPolicy;
 impl KeepAlivePolicy for LruPolicy {
     fn idle_ttl_ms(&self, _workload: WorkloadId) -> Option<u64> {
         None
-    }
-
-    fn pick_victim(&mut self, idle: &[IdleSandbox], _now_ms: u64) -> Option<usize> {
-        idle.iter().enumerate().min_by_key(|(_, s)| s.last_used_ms).map(|(i, _)| i)
     }
 
     fn name(&self) -> &'static str {
@@ -184,14 +181,6 @@ impl HybridHistogram {
         self
     }
 
-    /// Override the percentile (e.g. 0.95 for a more aggressive policy).
-    pub fn with_percentile(mut self, percentile: f64) -> Self {
-        assert!((0.0..=1.0).contains(&percentile));
-        self.percentile = percentile;
-        self.retarget();
-        self
-    }
-
     /// Observed arrivals for a workload (for tests/inspection).
     pub fn observed(&self, workload: WorkloadId) -> u64 {
         self.tracker(workload).map_or(0, |t| t.arrivals)
@@ -207,7 +196,7 @@ impl HybridHistogram {
     }
 
     /// Point every tracker at [`quantile`](Self::quantile) after
-    /// `with_prewarming` or `with_percentile` changed it.
+    /// `with_prewarming` changed it.
     fn retarget(&mut self) {
         let q = self.quantile();
         for t in self.trackers.iter_mut().flatten() {
@@ -244,10 +233,6 @@ impl KeepAlivePolicy for HybridHistogram {
             None => self.default_ttl_ms,
         };
         Some(ttl.clamp(self.min_ttl_ms, self.max_ttl_ms))
-    }
-
-    fn pick_victim(&mut self, idle: &[IdleSandbox], _now_ms: u64) -> Option<usize> {
-        idle.iter().enumerate().min_by_key(|(_, s)| s.last_used_ms).map(|(i, _)| i)
     }
 
     fn prewarm_after_ms(&self, workload: WorkloadId) -> Option<u64> {
@@ -346,29 +331,23 @@ mod tests {
             }
             p
         };
-        let settings: [fn(HybridHistogram) -> HybridHistogram; 4] = [
-            |p| p.with_percentile(0.5),
-            |p| p.with_prewarming(),
-            |p| p.with_percentile(0.9).with_prewarming(),
-            |p| p.with_prewarming().with_percentile(0.9),
-        ];
-        for set in settings {
-            let before = feed(set(HybridHistogram::new()));
-            let after = set(feed(HybridHistogram::new()));
-            for w in (0..9).map(WorkloadId) {
-                assert_eq!(before.idle_ttl_ms(w), after.idle_ttl_ms(w), "{w:?}");
-                assert_eq!(before.prewarm_after_ms(w), after.prewarm_after_ms(w), "{w:?}");
-            }
+        // Prewarming set before the arrivals, and set after them.
+        let before = feed(HybridHistogram::new().with_prewarming());
+        let after = feed(HybridHistogram::new()).with_prewarming();
+        for w in (0..9).map(WorkloadId) {
+            assert_eq!(before.idle_ttl_ms(w), after.idle_ttl_ms(w), "{w:?}");
+            assert_eq!(before.prewarm_after_ms(w), after.prewarm_after_ms(w), "{w:?}");
         }
-        // The median, walked the long way, for workload 3.
+        // Both quantiles, walked the long way, for workload 3.
         let mut hist = LogHistogram::new(100.0, 14_400_000.0, 1.1);
         for g in &gaps[1..] {
             hist.record((g * 4) as f64);
         }
-        let median = (hist.quantile(0.5) * 1.1) as u64;
-        let late = feed(HybridHistogram::new()).with_percentile(0.5);
-        assert_eq!(late.idle_ttl_ms(WorkloadId(3)), Some(median));
-        assert_eq!(late.idle_ttl_ms(WorkloadId(7)), Some(600_000), "still warming up");
+        let p99 = (hist.quantile(0.99) * 1.1) as u64;
+        assert_eq!(feed(HybridHistogram::new()).idle_ttl_ms(WorkloadId(3)), Some(p99));
+        let p10 = ((hist.quantile(0.10) * 0.9) as u64).max(1_000);
+        assert_eq!(after.prewarm_after_ms(WorkloadId(3)), Some(p10));
+        assert_eq!(after.idle_ttl_ms(WorkloadId(7)), Some(600_000), "still warming up");
     }
 
     #[test]

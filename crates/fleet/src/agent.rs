@@ -85,7 +85,6 @@ pub struct AgentRun {
 /// shifting grant-replay timestamps onto the agent's main run timeline so
 /// one `run_start_wall_us` rebases the whole log.
 pub struct PrefixTracker {
-    work: u64,
     /// Added to span timestamps before forwarding (grant replays start
     /// later than the main run but share its event log).
     shift_us: u64,
@@ -96,36 +95,32 @@ pub struct PrefixTracker {
     state: Mutex<PrefixState>,
 }
 
-#[derive(Default)]
 struct PrefixState {
-    watermark: u64,
-    completed: u64,
-    errors: [u64; 4],
-    cold_starts: u64,
+    prefix: WorkPrefix,
     /// Finished out of order, waiting for the gap below them to close.
     pending: BTreeMap<u64, (OutcomeClass, bool)>,
 }
 
 impl PrefixState {
     fn apply(&mut self, outcome: OutcomeClass, cold: bool) {
+        let p = &mut self.prefix;
         match outcome.error_index() {
-            None => self.completed += 1,
-            Some(i) => self.errors[i] += 1,
+            None => p.completed += 1,
+            Some(i) => p.errors[i] += 1,
         }
         if cold {
-            self.cold_starts += 1;
+            p.cold_starts += 1;
         }
-        self.watermark += 1;
+        p.watermark += 1;
     }
 
     fn observe(&mut self, seq: u64, outcome: OutcomeClass, cold: bool) {
-        if seq == self.watermark {
+        if seq == self.prefix.watermark {
             self.apply(outcome, cold);
-            while let Some(&(o, c)) = self.pending.get(&self.watermark) {
-                self.pending.remove(&self.watermark);
+            while let Some((o, c)) = self.pending.remove(&self.prefix.watermark) {
                 self.apply(o, c);
             }
-        } else if seq > self.watermark {
+        } else if seq > self.prefix.watermark {
             self.pending.insert(seq, (outcome, cold));
         }
         // seq < watermark would be a duplicate span; ignore.
@@ -139,25 +134,18 @@ impl PrefixTracker {
         forward_lifecycle: bool,
         capture: Option<Arc<RingSink>>,
     ) -> Self {
+        let prefix = WorkPrefix { work, ..WorkPrefix::default() };
         PrefixTracker {
-            work,
             shift_us,
             forward_lifecycle,
             capture,
-            state: Mutex::new(PrefixState::default()),
+            state: Mutex::new(PrefixState { prefix, pending: BTreeMap::new() }),
         }
     }
 
     /// Current cumulative prefix, for a `Progress` frame.
     pub fn prefix(&self) -> WorkPrefix {
-        let st = self.state.lock().unwrap();
-        WorkPrefix {
-            work: self.work,
-            watermark: st.watermark,
-            completed: st.completed,
-            errors: st.errors,
-            cold_starts: st.cold_starts,
-        }
+        self.state.lock().unwrap().prefix
     }
 }
 

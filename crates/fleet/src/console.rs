@@ -67,16 +67,9 @@ impl ConsoleHandle {
 
 impl ConsoleServer {
     pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<ConsoleServer> {
-        ConsoleServer::bind_with_capacity(addr, DEFAULT_HISTORY_CAPACITY)
-    }
-
-    pub fn bind_with_capacity<A: ToSocketAddrs>(
-        addr: A,
-        capacity: usize,
-    ) -> io::Result<ConsoleServer> {
         Ok(ConsoleServer {
             listener: TcpListener::bind(addr)?,
-            history: Arc::new(History::new(capacity)),
+            history: Arc::new(History::new(DEFAULT_HISTORY_CAPACITY)),
         })
     }
 

@@ -35,13 +35,13 @@ use serde::Serialize;
 use faasrail_core::RequestTrace;
 use faasrail_loadgen::{Pacing, RunMetrics};
 use faasrail_telemetry::{
-    offset_from_probes, ClockOffset, DeltaWindow, ReassignSpan, RunReport, Snapshot, TelemetryEvent,
+    offset_from_probes, ClockOffset, ReassignSpan, RunReport, Snapshot, TelemetryEvent,
 };
 use faasrail_workloads::WorkloadPool;
 
 use crate::console::ConsoleServer;
 use crate::control::{Control, Event, Outbound};
-use crate::history::History;
+use crate::history::{FleetSample, History, DEFAULT_HISTORY_CAPACITY};
 use crate::wire::{
     arm, read_frame, read_link, send, wall_clock_us, write_frame, Assignment, FleetMessage,
     PROTOCOL_VERSION,
@@ -77,11 +77,6 @@ pub struct FleetConfig {
     /// stalled and its work reshards. Must comfortably exceed
     /// `progress_every_ms`.
     pub lease_ms: u64,
-    /// Serve the HTTP ops console (`/state`, `/metrics`, `/healthz`,
-    /// `/dashboard`) on this address for the duration of the run. Ignored
-    /// when the coordinator was pre-bound via [`Coordinator::with_console`]
-    /// (which is how tests discover a `port 0` console address).
-    pub console: Option<String>,
 }
 
 impl Default for FleetConfig {
@@ -98,7 +93,6 @@ impl Default for FleetConfig {
             live: false,
             agent_timeout: Duration::from_secs(30),
             lease_ms: 5_000,
-            console: None,
         }
     }
 }
@@ -166,7 +160,7 @@ pub struct FleetReport {
     /// live), persisted so the trajectory survives the run for post-hoc
     /// analysis.
     #[serde(skip_serializing_if = "Option::is_none")]
-    pub console_history: Option<Vec<crate::history::FleetSample>>,
+    pub console_history: Option<Vec<FleetSample>>,
 }
 
 /// A bound fleet coordinator, ready to accept agents.
@@ -185,15 +179,16 @@ impl Coordinator {
         self.listener.local_addr()
     }
 
-    /// Pre-bind the ops console so its address (e.g. `port 0`) is known
-    /// before [`Coordinator::run`] blocks. Takes precedence over
-    /// [`FleetConfig::console`].
+    /// Serve the HTTP ops console (`/state`, `/metrics`, `/healthz`,
+    /// `/dashboard`) on `addr` for the duration of [`Coordinator::run`].
+    /// It is bound here, so its address (e.g. `port 0`) is known before the
+    /// run blocks.
     pub fn with_console<A: ToSocketAddrs>(mut self, addr: A) -> io::Result<Coordinator> {
         self.console = Some(ConsoleServer::bind(addr)?);
         Ok(self)
     }
 
-    /// The console's bound address, when pre-bound via `with_console`.
+    /// The console's bound address, when one was bound via `with_console`.
     pub fn console_addr(&self) -> Option<SocketAddr> {
         self.console.as_ref().and_then(|c| c.local_addr().ok())
     }
@@ -218,19 +213,14 @@ impl Coordinator {
         let shards = cfg.agents as u32;
         let run_token = format!("fleet-{:x}", wall_clock_us());
 
-        // Ops console: pre-bound (`with_console`) or bound here from the
-        // config; it serves from before the first handshake to the merge.
-        let console_bound;
-        let console: Option<&ConsoleServer> = match (&self.console, &cfg.console) {
-            (Some(c), _) => Some(c),
-            (None, Some(addr)) => {
-                console_bound = ConsoleServer::bind(addr.as_str())?;
-                Some(&console_bound)
-            }
-            (None, None) => None,
+        // The ops console, if one was bound, serves from before the first
+        // handshake to the merge. One history windows the merged progress
+        // for it and for `--live` alike, console or not.
+        let console_run = self.console.as_ref().map(ConsoleServer::start).transpose()?;
+        let history = match &self.console {
+            Some(c) => c.history(),
+            None => Arc::new(History::new(DEFAULT_HISTORY_CAPACITY)),
         };
-        let console_run = console.map(|c| c.start()).transpose()?;
-        let history: Option<Arc<History>> = console.map(|c| c.history());
 
         // Phase 1: accept + handshake each agent, one after the other: a
         // synchronized start makes staggered handshakes harmless.
@@ -293,8 +283,6 @@ impl Coordinator {
             let window = Duration::from_millis(cfg.progress_every_ms.max(100));
             let since_epoch = || Instant::now().saturating_duration_since(epoch_at);
             let mut next_publish = Instant::now() + window;
-            let mut published_at = Duration::ZERO;
-            let mut live_windows = DeltaWindow::new();
             let mut outbox: VecDeque<Outbound> = VecDeque::new();
             loop {
                 let wait = POLL.min(next_publish.saturating_duration_since(Instant::now()));
@@ -319,24 +307,16 @@ impl Coordinator {
                     }
                 }
                 if Instant::now() >= next_publish {
-                    // One measured instant pair feeds the history's `at_ms`
-                    // and the stderr rates: `--live`, `/state` and `fleet
-                    // top` divide by the same time.
-                    let at = since_epoch();
                     next_publish = Instant::now() + window;
-                    if let Some(h) = &history {
-                        publish(h, &control, at);
-                    }
+                    // `--live` prints the window it just published: the
+                    // line, `/state` and `fleet top` read one sample.
+                    let sample = publish(&history, &control, since_epoch());
                     if cfg.live {
-                        let agents = control.agent_states();
-                        let lag = agents.iter().map(|a| a.lag_ms).max().unwrap_or(0);
-                        let window = at.saturating_sub(published_at).as_secs_f64();
-                        let line = live_windows
-                            .advance(&control.merged_progress())
-                            .progress_line(window, at.as_secs_f64());
-                        eprintln!("[fleet {} agents, lag {lag}ms] {line}", agents.len());
+                        let lag = sample.agents.iter().map(|a| a.lag_ms).max().unwrap_or(0);
+                        let at_s = sample.at_ms as f64 / 1e3;
+                        let (agents, line) = (sample.agents.len(), sample.window.summary());
+                        eprintln!("[fleet {agents} agents, lag {lag}ms] t={at_s:.0}s {line}");
                     }
-                    published_at = at;
                 }
                 if control.is_over() {
                     run_over.store(true, Ordering::Release);
@@ -345,9 +325,7 @@ impl Coordinator {
 
             // One terminal sample so consumers that poll after the last
             // window still see final lease states and the complete timeline.
-            if let Some(h) = &history {
-                publish(h, &control, since_epoch());
-            }
+            publish(&history, &control, since_epoch());
         });
         self.listener.set_nonblocking(false).ok();
         if let Some(run) = console_run {
@@ -356,7 +334,7 @@ impl Coordinator {
 
         let mut report = control.into_report();
         // The bounded console timeline outlives the console in the report.
-        report.console_history = history.as_ref().map(|h| h.samples());
+        report.console_history = self.console.as_ref().map(|_| history.samples());
         Ok(report)
     }
 }
@@ -376,11 +354,11 @@ struct Handshaken {
 }
 
 /// One console sample (cumulative snapshot, agent rows, timeline) `at`
-/// after the epoch.
-fn publish(history: &History, control: &Control<'_>, at: Duration) {
-    history.publish(at.as_millis() as u64, &control.merged_progress(), control.agent_states());
+/// after the epoch; returns it.
+fn publish(history: &History, control: &Control<'_>, at: Duration) -> FleetSample {
     let (reassignments, abort_reasons) = control.timeline();
     history.set_timeline(reassignments.to_vec(), abort_reasons.to_vec());
+    history.publish(at.as_millis() as u64, &control.merged_progress(), control.agent_states())
 }
 
 /// Convert a coordinator-clock instant to the agent's clock using the

@@ -128,10 +128,6 @@ impl History {
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap().samples.len()
     }
@@ -143,8 +139,8 @@ impl History {
     /// Publish one sample: `merged` is the *cumulative* fleet-wide
     /// snapshot at `at_ms` (milliseconds since the start epoch). The
     /// windowed delta against the previous publish is derived internally
-    /// through [`DeltaWindow`]. Returns the sample's `seq`.
-    pub fn publish(&self, at_ms: u64, merged: &Snapshot, agents: Vec<AgentState>) -> u64 {
+    /// through [`DeltaWindow`]. Returns the sample.
+    pub fn publish(&self, at_ms: u64, merged: &Snapshot, agents: Vec<AgentState>) -> FleetSample {
         let mut inner = self.inner.lock().unwrap();
         let window_ms = at_ms.saturating_sub(inner.last_at_ms);
         inner.last_at_ms = at_ms;
@@ -160,11 +156,11 @@ impl History {
             agents: agents.clone(),
         };
         inner.agents = agents;
-        inner.samples.push_back(sample);
+        inner.samples.push_back(sample.clone());
         while inner.samples.len() > self.capacity {
             inner.samples.pop_front();
         }
-        seq
+        sample
     }
 
     /// The retained samples, oldest first — the bounded windowed timeline

@@ -29,11 +29,10 @@
 //!   [`faasrail_telemetry::Snapshot`]s and return final
 //!   [`faasrail_loadgen::RunMetrics`] (plus optional span logs, rebased
 //!   onto the shared epoch) in one [`FleetReport`];
-//! * **ops console** — with [`FleetConfig::console`] (or
-//!   [`Coordinator::with_console`]) the coordinator serves `/state`,
-//!   `/metrics`, `/healthz` and `/dashboard` ([`console`], over the bounded
-//!   [`history::History`] ring); [`console::render_top`] is `faasrail fleet
-//!   top`.
+//! * **ops console** — bound with [`Coordinator::with_console`], the
+//!   coordinator serves `/state`, `/metrics`, `/healthz` and `/dashboard`
+//!   ([`console`], over the bounded [`history::History`] ring);
+//!   [`console::render_top`] is `faasrail fleet top`.
 //!
 //! The protocol ([`wire`], version [`wire::PROTOCOL_VERSION`]) is
 //! length-prefixed JSON over TCP — no dependencies beyond the workspace's

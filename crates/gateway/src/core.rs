@@ -436,7 +436,7 @@ pub(crate) struct Core {
     pub cfg: GatewayConfig,
     pub backend: Arc<dyn Backend>,
     pub stats: Arc<GatewayStats>,
-    pub stages: Arc<StageMetrics>,
+    pub stages: StageMetrics,
     pub sink: Arc<dyn EventSink>,
     pub epoch: Instant,
     pub shutdown: AtomicBool,
@@ -449,7 +449,7 @@ impl Core {
             cfg,
             backend,
             stats: Arc::new(GatewayStats::default()),
-            stages: Arc::new(StageMetrics::new()),
+            stages: StageMetrics::new(),
             sink: Arc::new(NullSink),
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),

@@ -9,7 +9,7 @@
 
 use crate::core::Core;
 use crate::reactor_server::{self, Completion};
-use crate::{server, GatewayConfig, GatewayStats, StageMetrics};
+use crate::{server, GatewayConfig, GatewayStats};
 use faasrail_loadgen::Backend;
 use faasrail_reactor::{Inbox, Listener};
 use faasrail_telemetry::EventSink;
@@ -65,11 +65,6 @@ impl Gateway {
     /// Shared counters (live; safe to read while serving).
     pub fn stats(&self) -> Arc<GatewayStats> {
         Arc::clone(&self.core.stats)
-    }
-
-    /// Per-stage residency histograms (live; safe to read while serving).
-    pub fn stage_metrics(&self) -> Arc<StageMetrics> {
-        Arc::clone(&self.core.stages)
     }
 
     /// Serve until shut down, blocking the calling thread.

@@ -26,8 +26,8 @@ pub use backend::{
 };
 pub use metrics::RunMetrics;
 pub use replay::{
-    replay, replay_observed, replay_resumed, replay_until, PaceGauge, Pacing, ReplayConfig,
-    ReplayInstruments, ResumeSpec,
+    replay, replay_observed, replay_resumed, PaceGauge, Pacing, ReplayConfig, ReplayInstruments,
+    ResumeSpec,
 };
 pub use shard::{partition_remainder, remainder_after, shard_of, ShardSpec};
 pub use synth::{fixed_rate_trace, ArrivalProcess};

@@ -14,7 +14,7 @@
 //!   caught per-invocation and recorded as an application error; the worker
 //!   survives, the channel keeps draining, and the run still reports
 //!   complete metrics instead of deadlocking or aborting;
-//! * **graceful drain** — [`replay_until`] takes a stop flag: once set, the
+//! * **graceful drain** — [`replay_observed`]'s `stop` flag: once set, the
 //!   pacer stops dispatching, the workers drain everything already
 //!   dispatched, and the partial [`RunMetrics`] (marked
 //!   [`aborted`](RunMetrics::aborted)) are still merged and returned, so an
@@ -202,10 +202,11 @@ pub fn replay<B: Backend>(
     backend: &B,
     cfg: &ReplayConfig,
 ) -> RunMetrics {
-    replay_until(trace, pool, backend, cfg, &AtomicBool::new(false))
+    let stop = AtomicBool::new(false);
+    replay_observed(trace, pool, backend, cfg, &stop, &ReplayInstruments::default())
 }
 
-/// [`replay`], with a graceful-stop flag.
+/// [`replay`], with a graceful-stop flag and observability.
 ///
 /// When `stop` becomes `true` (set from any thread — a signal handler, a
 /// watchdog, an experiment controller), the pacer stops dispatching new
@@ -213,21 +214,11 @@ pub fn replay<B: Backend>(
 /// metrics for the dispatched prefix are merged and returned with
 /// [`RunMetrics::aborted`] set. Nothing already dispatched is lost:
 /// `completed + errors == issued` holds for the partial run too.
-pub fn replay_until<B: Backend>(
-    trace: &RequestTrace,
-    pool: &WorkloadPool,
-    backend: &B,
-    cfg: &ReplayConfig,
-    stop: &AtomicBool,
-) -> RunMetrics {
-    replay_observed(trace, pool, backend, cfg, stop, &ReplayInstruments::default())
-}
-
-/// [`replay_until`], with observability: every dispatched request is
-/// emitted as an [`InvocationSpan`] (bracketed by `run_start`/`run_end`
-/// events) through `inst.sink`, and, when present, `inst.recorder` is
-/// updated on the hot path for live windowed metrics. The returned
-/// [`RunMetrics`] are identical to an un-instrumented run's.
+///
+/// Every dispatched request is emitted as an [`InvocationSpan`] (bracketed
+/// by `run_start`/`run_end` events) through `inst.sink`, and, when present,
+/// `inst.recorder` is updated on the hot path for live windowed metrics.
+/// The returned [`RunMetrics`] are identical to an un-instrumented run's.
 pub fn replay_observed<B: Backend>(
     trace: &RequestTrace,
     pool: &WorkloadPool,
@@ -613,12 +604,13 @@ mod tests {
             stopper.store(true, Ordering::SeqCst);
         });
         let start = Instant::now();
-        let m = replay_until(
+        let m = replay_observed(
             &trace,
             &pool,
             &NoopBackend,
             &ReplayConfig { pacing: Pacing::RealTime { compression: 1.0 }, workers: 2 },
             &stop,
+            &ReplayInstruments::default(),
         );
         let elapsed = start.elapsed();
         killer.join().unwrap();
@@ -634,12 +626,13 @@ mod tests {
         let trace = tiny_trace(50, 0);
         let pool = vanilla_pool();
         let stop = AtomicBool::new(false);
-        let m = replay_until(
+        let m = replay_observed(
             &trace,
             &pool,
             &NoopBackend,
             &ReplayConfig { pacing: Pacing::Unpaced, workers: 2 },
             &stop,
+            &ReplayInstruments::default(),
         );
         assert_eq!(m.issued, 50);
         assert_eq!(m.completed, 50);

@@ -9,7 +9,8 @@ use crate::sys;
 
 pub use crate::sys::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
-/// Interest flags for [`Poller::add`] / [`Poller::modify`].
+/// Interest flags for [`Poller::add`]: a registration is made once and
+/// kept, never modified.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interest {
     bits: u32,
@@ -17,7 +18,6 @@ pub struct Interest {
 
 impl Interest {
     pub const READ: Interest = Interest { bits: EPOLLIN };
-    pub const WRITE: Interest = Interest { bits: EPOLLOUT };
     /// Read + write + peer-half-close, edge-triggered. The standard
     /// register-once mode for connection sockets: no `epoll_ctl` churn per
     /// request, at the cost of having to drain to `WouldBlock`.
@@ -67,10 +67,6 @@ impl Poller {
 
     pub fn add(&self, fd: RawFd, interest: Interest, token: u64) -> io::Result<()> {
         sys::epoll_add(self.epfd, fd, interest.bits(), token)
-    }
-
-    pub fn modify(&self, fd: RawFd, interest: Interest, token: u64) -> io::Result<()> {
-        sys::epoll_modify(self.epfd, fd, interest.bits(), token)
     }
 
     pub fn delete(&self, fd: RawFd) -> io::Result<()> {

@@ -24,7 +24,6 @@ pub const EPOLLET: u32 = 0x8000_0000;
 
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
-const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
@@ -97,10 +96,6 @@ fn epoll_op(epfd: RawFd, op: c_int, fd: RawFd, events: u32, token: u64) -> io::R
 
 pub fn epoll_add(epfd: RawFd, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
     epoll_op(epfd, EPOLL_CTL_ADD, fd, events, token)
-}
-
-pub fn epoll_modify(epfd: RawFd, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
-    epoll_op(epfd, EPOLL_CTL_MOD, fd, events, token)
 }
 
 pub fn epoll_delete(epfd: RawFd, fd: RawFd) -> io::Result<()> {

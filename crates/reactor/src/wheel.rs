@@ -5,9 +5,11 @@
 //! Entries are *hints*, not authorities: the owner re-checks the real
 //! deadline when an entry fires and re-arms if it moved — so refreshing a
 //! deadline is free (no cancellation, no re-insert) and each connection
-//! keeps at most one live entry.
+//! keeps at most one live entry. The owner advances it on a fixed tick of
+//! one slot (16 ms) while anything is armed, rather than asking it when the
+//! next entry is due.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const SLOT_MS: u64 = 16;
 const SLOTS: usize = 256; // one rotation covers ~4s; longer deadlines re-queue
@@ -56,26 +58,6 @@ impl TimerWheel {
         self.len += 1;
     }
 
-    /// How long until the earliest armed entry could fire; `None` when empty.
-    /// A coarse bound (slot granularity), intended as an epoll_wait timeout.
-    pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        if self.len == 0 {
-            return None;
-        }
-        let now_tick = self.tick_of(now);
-        let mut best: Option<u64> = None;
-        for slot in &self.slots {
-            for e in slot {
-                best = Some(best.map_or(e.due_tick, |b: u64| b.min(e.due_tick)));
-            }
-        }
-        let due = best?;
-        if due <= now_tick {
-            return Some(Duration::ZERO);
-        }
-        Some(Duration::from_millis((due - now_tick) * SLOT_MS))
-    }
-
     /// Drain every entry due at or before `now` into `fired`; keep the rest.
     pub fn advance(&mut self, now: Instant, fired: &mut Vec<u64>) {
         let now_tick = self.tick_of(now);
@@ -111,6 +93,7 @@ impl TimerWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn fires_at_and_after_deadline_not_before() {
@@ -164,19 +147,5 @@ mod tests {
         }
         wheel.advance(t0 + far + Duration::from_millis(SLOT_MS * 2), &mut fired);
         assert_eq!(fired, vec![7]);
-    }
-
-    #[test]
-    fn next_timeout_bounds_the_earliest_entry() {
-        let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0);
-        assert_eq!(wheel.next_timeout(t0), None);
-        wheel.insert(1, t0 + Duration::from_millis(400));
-        let hint = wheel.next_timeout(t0).unwrap();
-        assert!(hint <= Duration::from_millis(400));
-        assert!(hint >= Duration::from_millis(400 - 2 * SLOT_MS));
-        // Overdue entries yield a zero timeout.
-        wheel.insert(2, t0);
-        assert_eq!(wheel.next_timeout(t0 + Duration::from_millis(50)).unwrap(), Duration::ZERO);
     }
 }

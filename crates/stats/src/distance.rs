@@ -44,28 +44,6 @@ pub fn wasserstein1(a: &WeightedEcdf, b: &WeightedEcdf) -> f64 {
     acc
 }
 
-/// Wasserstein-1 distance in log10 space: `∫ |F1 − F2| d(log10 x)`.
-///
-/// FaaS execution times span 2–4 orders of magnitude and the paper's CDF
-/// plots use log-scaled x axes, so a discrepancy of 1 ms at the 10 ms scale
-/// should weigh like a discrepancy of 100 ms at the 1 s scale. Requires
-/// strictly positive support.
-pub fn wasserstein1_log10(a: &WeightedEcdf, b: &WeightedEcdf) -> f64 {
-    assert!(
-        a.support().0 > 0.0 && b.support().0 > 0.0,
-        "wasserstein1_log10 requires positive support"
-    );
-    let mut xs: Vec<f64> = a.values().iter().chain(b.values()).copied().collect();
-    xs.sort_by(|p, q| p.partial_cmp(q).expect("finite"));
-    xs.dedup();
-    let mut acc = 0.0;
-    for w in xs.windows(2) {
-        let diff = (a.eval(w[0]) - b.eval(w[0])).abs();
-        acc += diff * (w[1].log10() - w[0].log10());
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,18 +93,6 @@ mod tests {
         let d1 = ks_distance(&ea, &eb);
         let d2 = ks_distance_weighted(&ea.to_weighted(), &eb.to_weighted());
         assert_eq!(d1, d2);
-    }
-
-    #[test]
-    fn log_distance_weighs_orders_of_magnitude() {
-        // Mass at 1 vs 10: one decade apart → log distance 1.
-        let a = w(&[(1.0, 1.0)]);
-        let b = w(&[(10.0, 1.0)]);
-        assert!((wasserstein1_log10(&a, &b) - 1.0).abs() < 1e-12);
-        // Mass at 100 vs 1000 is also one decade → same log distance.
-        let c = w(&[(100.0, 1.0)]);
-        let d = w(&[(1000.0, 1.0)]);
-        assert!((wasserstein1_log10(&c, &d) - 1.0).abs() < 1e-12);
     }
 
     /// A weighted ECDF of 1..`max_len` points, values in `[0, max_value)`.

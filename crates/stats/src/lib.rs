@@ -7,8 +7,8 @@
 //!   with inverse-CDF evaluation via linear interpolation, the core of the
 //!   Smirnov-transform execution mode (paper §3.2.2);
 //! * [`sampler`] — parametric samplers (exponential, Poisson, log-normal,
-//!   Zipf, Pareto, Weibull) used both to synthesize trace-like data and to
-//!   model sub-minute inter-arrival times (paper §3.2.1.3);
+//!   gamma, Zipf) used both to synthesize trace-like data and to model
+//!   sub-minute inter-arrival times (paper §3.2.1.3);
 //! * [`distance`] — Kolmogorov–Smirnov and Wasserstein-1 distances used by the
 //!   evaluation harness to quantify how close generated load tracks a trace;
 //! * [`Summary`] — numerically stable streaming moments (Welford), including

@@ -1,9 +1,8 @@
 //! Parametric samplers used throughout the workspace.
 //!
-//! Continuous: [`Exponential`], [`LogNormal`], [`Pareto`], [`Weibull`],
-//! [`UniformRange`]. Discrete: [`Poisson`] (Knuth for small rates, Hörmann's
-//! PTRS transformed rejection for large), [`Zipf`] (Hörmann–Derflinger
-//! rejection-inversion).
+//! Continuous: [`Exponential`], [`LogNormal`], [`Gamma`]. Discrete:
+//! [`Poisson`] (Knuth for small rates, Hörmann's PTRS transformed rejection
+//! for large), [`Zipf`] (Hörmann–Derflinger rejection-inversion).
 //!
 //! Exponential inter-arrival delays model FaaSRail's sub-minute Poisson
 //! arrivals (paper §3.2.1.3); Zipf drives the skewed function popularity of
@@ -115,72 +114,6 @@ impl Sampler for LogNormal {
         // reproducible regardless of call interleaving.
         let u = open_unit(rng).min(1.0 - f64::EPSILON);
         (self.mu + self.sigma * normal_inv_cdf(u)).exp()
-    }
-}
-
-/// Pareto (power-law tail) distribution with scale `x_m` and shape `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Pareto {
-    x_m: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// # Panics
-    /// Panics unless `x_m > 0` and `alpha > 0`.
-    pub fn new(x_m: f64, alpha: f64) -> Self {
-        assert!(x_m > 0.0 && alpha > 0.0, "Pareto requires positive scale and shape");
-        Pareto { x_m, alpha }
-    }
-}
-
-impl Sampler for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.x_m / open_unit(rng).powf(1.0 / self.alpha)
-    }
-}
-
-/// Weibull distribution with scale `lambda` and shape `k`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Weibull {
-    lambda: f64,
-    k: f64,
-}
-
-impl Weibull {
-    /// # Panics
-    /// Panics unless both parameters are positive.
-    pub fn new(lambda: f64, k: f64) -> Self {
-        assert!(lambda > 0.0 && k > 0.0, "Weibull requires positive parameters");
-        Weibull { lambda, k }
-    }
-}
-
-impl Sampler for Weibull {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.lambda * (-open_unit(rng).ln()).powf(1.0 / self.k)
-    }
-}
-
-/// Uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UniformRange {
-    lo: f64,
-    hi: f64,
-}
-
-impl UniformRange {
-    /// # Panics
-    /// Panics unless `lo < hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "UniformRange requires lo < hi");
-        UniformRange { lo, hi }
-    }
-}
-
-impl Sampler for UniformRange {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        rng.uniform(self.lo..self.hi)
     }
 }
 
@@ -436,34 +369,6 @@ mod tests {
         let d = LogNormal::new(2.0, 0.7);
         assert!((d.quantile(0.5) - d.median()).abs() < 1e-9);
         assert!(d.quantile(0.1) < d.quantile(0.9));
-    }
-
-    #[test]
-    fn pareto_minimum_is_scale() {
-        let d = Pareto::new(5.0, 2.0);
-        let mut rng = seeded_rng(4);
-        let s = Summary::from_slice(&d.sample_n(&mut rng, 10_000));
-        assert!(s.min() >= 5.0);
-        // E[X] = alpha x_m / (alpha - 1) = 10
-        assert!((s.mean() - 10.0).abs() < 0.6, "mean = {}", s.mean());
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let d = Weibull::new(3.0, 1.0);
-        let mut rng = seeded_rng(5);
-        let s = Summary::from_slice(&d.sample_n(&mut rng, 50_000));
-        assert!((s.mean() - 3.0).abs() < 0.1);
-        assert!((s.cv() - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let d = UniformRange::new(-2.0, 6.0);
-        let mut rng = seeded_rng(6);
-        let s = Summary::from_slice(&d.sample_n(&mut rng, 20_000));
-        assert!(s.min() >= -2.0 && s.max() < 6.0);
-        assert!((s.mean() - 2.0).abs() < 0.1);
     }
 
     #[test]

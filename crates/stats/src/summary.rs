@@ -102,15 +102,6 @@ impl Summary {
         }
     }
 
-    /// Unbiased sample variance (`NaN` for fewer than two observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()

@@ -248,23 +248,6 @@ pub fn peak(series: &[u64]) -> Option<(usize, u64)> {
     series.iter().enumerate().max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0))).map(|(i, &v)| (i, v))
 }
 
-/// Lag-`k` autocorrelation of a series (Pearson, biased denominator).
-/// Returns `NaN` when undefined (constant series or too short).
-pub fn autocorrelation(series: &[f64], lag: usize) -> f64 {
-    let n = series.len();
-    if lag >= n {
-        return f64::NAN;
-    }
-    let s = Summary::from_slice(series);
-    let mean = s.mean();
-    let denom: f64 = series.iter().map(|x| (x - mean).powi(2)).sum();
-    if denom == 0.0 {
-        return f64::NAN;
-    }
-    let num: f64 = (0..n - lag).map(|i| (series[i] - mean) * (series[i + lag] - mean)).sum();
-    num / denom
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,21 +369,6 @@ mod tests {
     fn peak_first_occurrence() {
         assert_eq!(peak(&[1, 5, 3, 5]), Some((1, 5)));
         assert_eq!(peak(&[]), None);
-    }
-
-    #[test]
-    fn autocorrelation_lag_zero_is_one() {
-        let s: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
-        assert!((autocorrelation(&s, 0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn autocorrelation_periodic_signal() {
-        let period = 24usize;
-        let s: Vec<f64> =
-            (0..480).map(|i| (i as f64 / period as f64 * std::f64::consts::TAU).sin()).collect();
-        assert!(autocorrelation(&s, period) > 0.9);
-        assert!(autocorrelation(&s, period / 2) < -0.9);
     }
 
     #[test]

@@ -20,28 +20,6 @@ use crate::lock;
 use crate::prometheus::PromText;
 use crate::span::OutcomeClass;
 
-/// One shard's counters. `errors` is indexed by
-/// [`OutcomeClass::error_index`]: `[app_error, timeout, transport, shed]`.
-struct Counters {
-    issued: u64,
-    completed: u64,
-    errors: [u64; 4],
-    cold_starts: u64,
-    response: LogHistogram,
-}
-
-impl Counters {
-    fn new() -> Self {
-        Counters {
-            issued: 0,
-            completed: 0,
-            errors: [0; 4],
-            cold_starts: 0,
-            response: LogHistogram::latency_seconds(),
-        }
-    }
-}
-
 /// Live metrics recorder shared between replay workers and a monitor.
 ///
 /// Create with one shard per writer thread (workers plus the pacer) and
@@ -52,25 +30,22 @@ pub struct Recorder {
     shards: Box<[Shard]>,
 }
 
-/// One writer's counters on cache lines of their own (128 bytes covers the
-/// adjacent-line prefetcher), so neighbouring shards never false-share.
+/// One writer's cumulative counts on cache lines of their own (128 bytes
+/// covers the adjacent-line prefetcher), so neighbouring shards never
+/// false-share.
 #[repr(align(128))]
-struct Shard(Mutex<Counters>);
+struct Shard(Mutex<Snapshot>);
 
 impl Recorder {
     /// # Panics
     /// Panics if `shards == 0`.
     pub fn new(shards: usize) -> Self {
         assert!(shards > 0, "Recorder requires at least one shard");
-        Recorder { shards: (0..shards).map(|_| Shard(Mutex::new(Counters::new()))).collect() }
+        Recorder { shards: (0..shards).map(|_| Shard(Mutex::default())).collect() }
     }
 
-    fn shard(&self, shard: usize) -> MutexGuard<'_, Counters> {
+    fn shard(&self, shard: usize) -> MutexGuard<'_, Snapshot> {
         lock(&self.shards[shard % self.shards.len()].0)
-    }
-
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Count one dispatched request (pacer side).
@@ -103,14 +78,7 @@ impl Recorder {
     pub fn snapshot(&self) -> Snapshot {
         let mut out = Snapshot::default();
         for shard in self.shards.iter() {
-            let c = lock(&shard.0);
-            out.issued += c.issued;
-            out.completed += c.completed;
-            for (a, b) in out.errors.iter_mut().zip(&c.errors) {
-                *a += b;
-            }
-            out.cold_starts += c.cold_starts;
-            out.response.merge(&c.response);
+            out.merge(&lock(&shard.0));
         }
         out
     }

@@ -15,9 +15,7 @@
 //! * across the 14-day window, ~90 % of functions have day-to-day CVs of
 //!   execution time and invocation count below 1 (paper Fig. 3).
 
-use crate::model::{
-    App, AppId, DayStats, FunctionId, Trace, TraceFunction, TraceKind, TriggerKind,
-};
+use crate::model::{App, AppId, FunctionId, Trace, TraceFunction, TraceKind, TriggerKind};
 use crate::synth;
 use faasrail_stats::sampler::{LogNormal, Sampler, Zipf};
 use faasrail_stats::timeseries::apportion_weights;
@@ -215,15 +213,6 @@ pub fn generate(cfg: &AzureTraceConfig) -> Trace {
     }
 }
 
-/// Convenience: per-day statistics consistency check used by tests.
-pub fn day_stats_consistent(f: &TraceFunction, selected_day: usize) -> bool {
-    matches!(
-        f.daily.get(selected_day),
-        Some(DayStats { avg_duration_ms, invocations })
-            if *avg_duration_ms == f.avg_duration_ms && *invocations == f.minutes.total()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +256,7 @@ mod tests {
     #[test]
     fn selected_day_rollup_consistent() {
         let t = small_trace();
-        assert!(t.functions.iter().all(|f| day_stats_consistent(f, t.selected_day)));
+        assert_eq!(crate::validate(&t), Ok(()));
     }
 
     #[test]

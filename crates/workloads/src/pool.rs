@@ -256,11 +256,6 @@ impl WorkloadPool {
         Ecdf::new(&self.workloads.iter().map(|w| w.mean_ms).collect::<Vec<_>>())
     }
 
-    /// ECDF of workload memory footprints (paper Fig. 7's pool curve).
-    pub fn memory_ecdf(&self) -> Ecdf {
-        Ecdf::new(&self.workloads.iter().map(|w| w.memory_mb).collect::<Vec<_>>())
-    }
-
     /// How many Workloads each benchmark contributed.
     pub fn counts_by_kind(&self) -> BTreeMap<WorkloadKind, usize> {
         let mut out = BTreeMap::new();

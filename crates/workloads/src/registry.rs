@@ -186,11 +186,6 @@ impl WorkloadKind {
             WorkloadKind::WordCount => ResourceProfile::StringProcessing,
         }
     }
-
-    /// Parse a benchmark name (any suite).
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL_SUITES.iter().copied().find(|k| k.name() == name)
-    }
 }
 
 impl fmt::Display for WorkloadKind {
@@ -225,14 +220,6 @@ mod tests {
         for k in WorkloadKind::AUXILIARY {
             assert_eq!(k.suite(), Suite::Auxiliary);
         }
-    }
-
-    #[test]
-    fn name_roundtrip() {
-        for k in WorkloadKind::ALL_SUITES {
-            assert_eq!(WorkloadKind::from_name(k.name()), Some(k));
-        }
-        assert_eq!(WorkloadKind::from_name("nonesuch"), None);
     }
 
     #[test]

@@ -23,7 +23,13 @@
 # and the mux driver), and one read drain (ReadBuf::drain_from).
 # Both engines admit every invocation through one bounded channel and run it
 # in one Core::run_invoke, the delay band included.
-# Then print what each file weighs (lines above its first `#[cfg(test)]`).
+# And every job once, nothing without a caller: a recorder shard is a Snapshot,
+# a coordinator binds its console one way (with_console) and its `--live` line
+# prints the window History published, LRU eviction is
+# KeepAlivePolicy::pick_victim's provided body, and the public items only their
+# own tests called stay deleted.
+# Then print what each file weighs (lines above its first `#[cfg(test)]`), and
+# each crate and the workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -119,6 +125,19 @@ for end in crates/fleet/src/agent.rs crates/fleet/src/coordinator.rs; do
     refuse "$end" 'crates/fleet/src/wire.rs (arm)' 'set_read_timeout' 'set_write_timeout'
 done
 
+for gone in 'struct Counters' 'replay_until' 'with_percentile' 'bind_with_capacity' 'live_windows' \
+    'wasserstein1_log10' 'fn autocorrelation' 'struct Pareto' 'struct Weibull' 'struct UniformRange' \
+    'fn scale_volume' 'fn stage_metrics' 'fn epoll_modify' 'fn next_timeout'; do
+    if grep -rnF -- "$gone" crates tests examples; then
+        echo "error: \`$gone\` is back: each job is done once, and nothing stays without a caller" >&2
+        fail=1
+    fi
+done
+refuse crates/fleet/src/coordinator.rs 'Coordinator::with_console, the one way to bind a console' \
+    'pub console:'
+once crates/faas-sim/src/keepalive.rs 'LRU eviction is the provided pick_victim; GreedyDual overrides it' \
+    'min_by_key(|(_, s)| s.last_used_ms)'
+
 refuse crates/faas-sim/src/lifecycle.rs 'its executors (engine.rs, rt_backend.rs)' \
     'Instant' 'Mutex' 'thread::' 'sleep'
 for executor in crates/faas-sim/src/engine.rs crates/faas-sim/src/rt_backend.rs; do
@@ -172,6 +191,16 @@ weigh() { # label, files...
     done
     printf '%6d non-test lines, %s\n' "$total" "$label"
 }
+weigh_crates() { # one line per crate (the root package is `.`), then the workspace
+    local dir files total=0 lines
+    for dir in . crates/*; do
+        files=$(find "$dir/src" -name '*.rs' | sort)
+        lines=$(for file in $files; do nontest "$file"; done | wc -l)
+        total=$((total + lines))
+        printf '%6d %s\n' "$lines" "$dir"
+    done
+    printf '%6d non-test lines, workspace\n' "$total"
+}
 weigh 'gateway, reactor and the CLI front' crates/gateway/src/*.rs crates/reactor/src/*.rs \
     crates/cli/src/transport.rs
 weigh fleet crates/fleet/src/*.rs
@@ -179,4 +208,5 @@ weigh faas-sim crates/faas-sim/src/*.rs
 weigh 'bench (reproduction; harness/ apart)' crates/bench/src/*.rs crates/bench/src/bin/*.rs
 weigh 'bench harness' crates/bench/src/harness/*.rs
 weigh telemetry crates/telemetry/src/*.rs
+weigh_crates
 exit "$fail"

@@ -22,8 +22,8 @@ use common::{spawn_server, ClientKind, ServerMode};
 use faasrail::core::RequestTrace;
 use faasrail::gateway::{Client, FaultConfig, GatewayConfig, Handle, RetryPolicy};
 use faasrail::loadgen::{
-    replay, replay_until, Backend, InvocationRequest, InvocationResult, NoopBackend, Pacing,
-    ReplayConfig, RunMetrics,
+    replay, replay_observed, Backend, InvocationRequest, InvocationResult, NoopBackend, Pacing,
+    ReplayConfig, ReplayInstruments, RunMetrics,
 };
 use faasrail::prelude::*;
 use faasrail::workloads::WorkloadId;
@@ -252,12 +252,13 @@ fn stop_flag_drains_gateway_replay_and_flushes_partial_metrics_in(mode: ServerMo
 
     let m = std::thread::scope(|s| {
         let worker = s.spawn(|| {
-            replay_until(
+            replay_observed(
                 &trace,
                 &pool,
                 &client,
                 &ReplayConfig { pacing: Pacing::RealTime { compression: 1.0 }, workers: 8 },
                 &stop,
+                &ReplayInstruments::default(),
             )
         });
         std::thread::sleep(Duration::from_millis(150));

@@ -64,7 +64,7 @@ fn live_console_serves_state_metrics_healthz_dashboard_and_shows_a_kill() {
     let coordinator =
         Coordinator::bind("127.0.0.1:0").unwrap().with_console("127.0.0.1:0").unwrap();
     let addr = coordinator.local_addr().unwrap();
-    let console = coordinator.console_addr().expect("pre-bound console address");
+    let console = coordinator.console_addr().expect("bound console address");
     let cfg = FleetConfig {
         agents: 4,
         workers: 3,
@@ -77,8 +77,6 @@ fn live_console_serves_state_metrics_healthz_dashboard_and_shows_a_kill() {
         live: false,
         agent_timeout: Duration::from_secs(10),
         lease_ms: 5_000,
-        // Pre-bound via with_console: cfg.console stays None.
-        console: None,
     };
     let drop_victim = AtomicBool::new(false);
     let drop_holder = AtomicBool::new(false);

@@ -52,7 +52,6 @@ fn fast_fleet_config(agents: usize, capture_events: bool) -> FleetConfig {
         live: false,
         agent_timeout: Duration::from_secs(10),
         lease_ms: 5_000,
-        console: None,
     }
 }
 
