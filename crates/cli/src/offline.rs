@@ -129,10 +129,12 @@ pub static SHRINK: Command = Command {
 
 pub fn shrink_config(args: &Args) -> Result<ShrinkRayConfig, String> {
     let minutes = args.num("minutes")?;
-    let mut cfg = ShrinkRayConfig::new(minutes, args.num("max-rps")?);
+    let max_rps = args.positive("max-rps")?;
+    let mut cfg = ShrinkRayConfig::new(minutes, max_rps);
     if let Some(start) = args.num_opt("minute-range")? {
         cfg.time_scaling = TimeScaling::MinuteRange { start, experiment_minutes: minutes };
     }
+    cfg.target_peak_per_minute().map_err(|e| args.invalid("max-rps", max_rps, e))?;
     cfg.iat = parse_iat(args.str("iat"))?;
     cfg.mapping =
         MappingConfig { error_threshold: args.num("threshold")?, ..MappingConfig::default() };

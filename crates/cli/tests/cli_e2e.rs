@@ -298,6 +298,13 @@ fn usage_errors_are_refused_before_any_work() {
     for rate in ["0", "inf", "nan"] {
         refused(&format!("rate-{rate}"), &[&smirnov, &["--rate", rate]], "--rate");
     }
+    // A peak rate that is no finite number, or one whose 120 busiest
+    // minutes would total past u64.
+    let shrink = ["shrink", "--trace", "FIX/trace.json", "--pool", "FIX/pool.json"];
+    let shrink = [&shrink[..], &["--out", "spec.json"]].concat();
+    for rate in ["inf", "nan", "1e18"] {
+        refused(&format!("shrink-rate-{rate}"), &[&shrink, &["--max-rps", rate]], "--max-rps");
+    }
 
     // Files the option tables cannot check: refused before any output is
     // created, by the option that names them.

@@ -6,8 +6,16 @@
 //! ~50 K functions to ~12.8 K Functions while *exactly* preserving the
 //! invocation-weighted duration distribution, and — as Fig. 4 shows —
 //! leaving function popularity virtually unaffected.
+//!
+//! One grouping walk serves every caller: `Grouping` keys the functions,
+//! and `Grouping::walk` visits them once in index order, summing each
+//! group's invocations and weighted memory. [`aggregate`] then builds each
+//! group's summed series; the shrink ray bins each visited function straight
+//! into experiment minutes instead, and the lab's full-day schedule reads no
+//! series at all.
 
-use faasrail_trace::{MinuteSeries, Trace, MINUTES_PER_DAY};
+use crate::mapping::MappingInput;
+use faasrail_trace::{MinuteSeries, Trace, TraceFunction, MINUTES_PER_DAY};
 use serde::{Deserialize, Serialize};
 
 /// Resolution at which durations are considered "the same".
@@ -93,76 +101,157 @@ impl Aggregation {
     }
 }
 
+/// A super-Function as the grouping walk leaves it: an
+/// [`AggregatedFunction`] without the summed series.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Group {
+    pub key: u64,
+    pub avg_duration_ms: f64,
+    /// Ascending indices into `trace.functions`.
+    pub members: Vec<u32>,
+    /// Summed selected-day invocations of all members.
+    pub total: u64,
+    /// Invocation-weighted mean of the members' app memory, MiB.
+    pub memory_mb: f64,
+}
+
+impl Group {
+    /// What the mapping reads of this group.
+    pub(crate) fn mapping_input(&self) -> MappingInput {
+        MappingInput {
+            avg_duration_ms: self.avg_duration_ms,
+            memory_mb: self.memory_mb,
+            total: self.total,
+        }
+    }
+}
+
+/// A trace's duration groups, keyed and membered, before
+/// [`Grouping::walk`] sums them.
+pub(crate) struct Grouping {
+    /// Ascending by key.
+    groups: Vec<Group>,
+    /// Each trace function's group.
+    group_of: Vec<u32>,
+}
+
+impl Grouping {
+    pub(crate) fn new(trace: &Trace, resolution: DurationResolution) -> Grouping {
+        // `(key, index)` pairs are unique, so the unstable sort is
+        // deterministic and leaves each group's members in ascending index
+        // order.
+        let mut keyed: Vec<(u64, u32)> = trace
+            .functions
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (resolution.key(f.avg_duration_ms), i as u32))
+            .collect();
+        keyed.sort_unstable();
+        let mut group_of = vec![0u32; keyed.len()];
+        let groups = keyed
+            .chunk_by(|a, b| a.0 == b.0)
+            .enumerate()
+            .map(|(g, run)| {
+                let members: Vec<u32> = run.iter().map(|&(_, i)| i).collect();
+                for &i in &members {
+                    group_of[i as usize] = g as u32;
+                }
+                let key = run[0].0;
+                let avg_duration_ms = resolution.ms(key);
+                Group { key, avg_duration_ms, members, total: 0, memory_mb: 0.0 }
+            })
+            .collect();
+        Grouping { groups, group_of }
+    }
+
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The one walk over the trace's series. Functions come in index order,
+    /// the order their series were allocated in, and each is handed to
+    /// `visit` with its group's index while its total and weighted memory
+    /// are added to that group's. Members ascend within a group, so every
+    /// group's `f64` memory sums are taken in ascending member order.
+    pub(crate) fn walk(
+        self,
+        trace: &Trace,
+        mut visit: impl FnMut(usize, &TraceFunction),
+    ) -> Vec<Group> {
+        let Grouping { mut groups, group_of } = self;
+        let mut weight = vec![0.0f64; groups.len()];
+        for (f, &g) in trace.functions.iter().zip(&group_of) {
+            let g = g as usize;
+            visit(g, f);
+            let total = f.minutes.total();
+            let mem = trace.app(f.app).map(|a| a.memory_mb).unwrap_or(170.0);
+            // Weight memory by invocations, falling back to plain averaging
+            // for groups of never-invoked functions.
+            let w = total.max(1) as f64;
+            let group = &mut groups[g];
+            group.total += total;
+            // The weighted sum, until it is divided below.
+            group.memory_mb += mem * w;
+            weight[g] += w;
+        }
+        for (group, weight) in groups.iter_mut().zip(weight) {
+            group.memory_mb /= weight;
+        }
+        groups
+    }
+}
+
 /// Aggregate a trace's functions by quantized mean duration.
 ///
 /// Expects a trace that passed [`faasrail_trace::validate`]: minutes ascend
 /// within each series, so its first and last entry bound its active span.
 pub fn aggregate(trace: &Trace, resolution: DurationResolution) -> Aggregation {
-    // `(key, index)` pairs are unique, so the unstable sort is deterministic
-    // and leaves each group's members in ascending index order — the order
-    // the `f64` memory sums below have always been taken in.
-    let mut keyed: Vec<(u64, u32)> = trace
-        .functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (resolution.key(f.avg_duration_ms), i as u32))
-        .collect();
-    keyed.sort_unstable();
-
+    let groups = Grouping::new(trace, resolution).walk(trace, |_, _| {});
     // The one dense day every multi-member group is summed in; all-zero
     // between groups.
     let mut day = [0u64; MINUTES_PER_DAY];
-    let functions = keyed
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|group| {
-            let key = group[0].0;
-            // A lone member's series already is the group's sum.
-            let lone = group.len() == 1;
-            let (mut mem_weighted, mut weight) = (0.0, 0.0);
-            let (mut first, mut last) = (MINUTES_PER_DAY, 0);
-            for &(_, i) in group {
-                let f = &trace.functions[i as usize];
-                let entries = f.minutes.entries();
-                let total = if lone {
-                    f.minutes.total()
-                } else {
-                    if let (Some(&(lo, _)), Some(&(hi, _))) = (entries.first(), entries.last()) {
-                        first = first.min(lo as usize);
-                        last = last.max(hi as usize);
-                    }
-                    entries.iter().fold(0u64, |total, &(m, c)| {
-                        day[m as usize] += c as u64;
-                        total + c as u64
-                    })
-                };
-                let mem = trace.app(f.app).map(|a| a.memory_mb).unwrap_or(170.0);
-                // Weight memory by invocations, falling back to plain averaging
-                // for groups of never-invoked functions.
-                let w = total.max(1) as f64;
-                mem_weighted += mem * w;
-                weight += w;
-            }
-            let minutes = if lone {
-                trace.functions[group[0].1 as usize].minutes.clone()
-            } else if first > last {
-                MinuteSeries::default()
-            } else {
-                let active = &mut day[first..=last];
-                let minutes = MinuteSeries::from_dense_window(first, active);
-                active.fill(0);
-                minutes
+    let functions = groups
+        .into_iter()
+        .map(|g| {
+            let minutes = match g.members[..] {
+                // A lone member's series already is the group's sum.
+                [lone] => trace.functions[lone as usize].minutes.clone(),
+                _ => summed_series(trace, &g.members, &mut day),
             };
             AggregatedFunction {
-                key,
-                avg_duration_ms: resolution.ms(key),
-                members: group.iter().map(|&(_, i)| i).collect(),
+                key: g.key,
+                avg_duration_ms: g.avg_duration_ms,
+                members: g.members,
                 minutes,
-                memory_mb: mem_weighted / weight,
+                memory_mb: g.memory_mb,
             }
         })
         .collect();
-    debug_assert!(day.iter().all(|&c| c == 0), "a series' first and last entry bound it");
     Aggregation { resolution, functions }
+}
+
+/// The members' series summed in `day`, which is all-zero again afterwards.
+fn summed_series(trace: &Trace, members: &[u32], day: &mut [u64; MINUTES_PER_DAY]) -> MinuteSeries {
+    let (mut first, mut last) = (MINUTES_PER_DAY, 0);
+    for &i in members {
+        let entries = trace.functions[i as usize].minutes.entries();
+        if let (Some(&(lo, _)), Some(&(hi, _))) = (entries.first(), entries.last()) {
+            first = first.min(lo as usize);
+            last = last.max(hi as usize);
+        }
+        for &(m, c) in entries {
+            day[m as usize] += c as u64;
+        }
+    }
+    if first > last {
+        return MinuteSeries::default();
+    }
+    let active = &mut day[first..=last];
+    let minutes = MinuteSeries::from_dense_window(first, active);
+    active.fill(0);
+    debug_assert!(day.iter().all(|&c| c == 0), "a series' first and last entry bound it");
+    minutes
 }
 
 /// Popularity change caused by aggregation (paper Fig. 4).

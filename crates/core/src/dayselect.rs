@@ -28,12 +28,15 @@ pub fn cv_analysis(trace: &Trace) -> Vec<FunctionCv> {
         .enumerate()
         .filter(|(_, f)| f.daily.len() >= 2)
         .map(|(i, f)| {
-            let durs: Vec<f64> = f.daily.iter().map(|d| d.avg_duration_ms).collect();
-            let cnts: Vec<f64> = f.daily.iter().map(|d| d.invocations as f64).collect();
+            let (mut durations, mut invocations) = (Summary::new(), Summary::new());
+            for d in &f.daily {
+                durations.push(d.avg_duration_ms);
+                invocations.push(d.invocations as f64);
+            }
             FunctionCv {
                 function_index: i as u32,
-                cv_duration: Summary::from_slice(&durs).cv(),
-                cv_invocations: Summary::from_slice(&cnts).cv(),
+                cv_duration: durations.cv(),
+                cv_invocations: invocations.cv(),
             }
         })
         .collect()

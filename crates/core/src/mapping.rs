@@ -141,31 +141,55 @@ pub(crate) fn first_min<L: PartialOrd>(
     .expect("non-empty candidate band")
 }
 
+/// What the mapping reads of one Function.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MappingInput {
+    pub avg_duration_ms: f64,
+    pub memory_mb: f64,
+    /// Selected-day invocations.
+    pub total: u64,
+}
+
 /// Map every aggregated Function to one pool Workload.
 pub fn map_functions(
     agg: &Aggregation,
     pool: &WorkloadPool,
     cfg: &MappingConfig,
 ) -> FunctionMapping {
+    let functions = agg.functions.iter().map(|f| MappingInput {
+        avg_duration_ms: f.avg_duration_ms,
+        memory_mb: f.memory_mb,
+        total: f.total_invocations(),
+    });
+    map_each(functions, pool, cfg)
+}
+
+/// Map each Function to one pool Workload; `Assignment::function_index` is
+/// a Function's position in `functions`.
+pub(crate) fn map_each(
+    functions: impl IntoIterator<Item = MappingInput>,
+    pool: &WorkloadPool,
+    cfg: &MappingConfig,
+) -> FunctionMapping {
     assert!(cfg.error_threshold >= 0.0, "negative error threshold");
     assert!(!pool.is_empty(), "empty workload pool");
+    let functions: Vec<MappingInput> = functions.into_iter().collect();
 
     let index = pool.runtime_index();
     let by_ms = index.entries();
-    let totals: Vec<u64> = agg.functions.iter().map(|f| f.total_invocations()).collect();
 
     // Process Functions in descending invocation order so the busiest
     // Functions get first pick of under-used benchmark types.
-    let mut order: Vec<usize> = (0..agg.functions.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(totals[i]));
+    let mut order: Vec<usize> = (0..functions.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(functions[i].total));
 
     // Selection state per Workload variant, by position in `by_ms`.
     let mut variant_weight = vec![0.0f64; by_ms.len()];
     let mut variant_count = vec![0u64; by_ms.len()];
-    let mut assignments = Vec::with_capacity(agg.functions.len());
+    let mut assignments = Vec::with_capacity(functions.len());
 
     for idx in order {
-        let f = &agg.functions[idx];
+        let f = &functions[idx];
         let d = f.avg_duration_ms;
         let f_mem = f.memory_mb;
         let band = index.band(d, cfg.error_threshold);
@@ -194,7 +218,7 @@ pub fn map_functions(
         };
 
         let chosen = &by_ms[pos];
-        variant_weight[pos] += totals[idx] as f64;
+        variant_weight[pos] += f.total as f64;
         variant_count[pos] += 1;
         assignments.push(Assignment {
             function_index: idx as u32,
@@ -206,16 +230,16 @@ pub fn map_functions(
 
     assignments.sort_by_key(|a| a.function_index);
 
+    let total_weight: f64 = functions.iter().map(|f| f.total as f64).sum::<f64>().max(1.0);
+    let weighted_rel_error = assignments
+        .iter()
+        .map(|a| a.rel_error * functions[a.function_index as usize].total as f64)
+        .sum::<f64>()
+        / total_weight;
     let functions = assignments.len();
     let fallbacks = assignments.iter().filter(|a| a.fallback).count();
     let mean_rel_error =
         assignments.iter().map(|a| a.rel_error).sum::<f64>() / functions.max(1) as f64;
-    let total_weight: f64 = totals.iter().map(|&t| t as f64).sum::<f64>().max(1.0);
-    let weighted_rel_error = assignments
-        .iter()
-        .map(|a| a.rel_error * totals[a.function_index as usize] as f64)
-        .sum::<f64>()
-        / total_weight;
     let max_rel_error = assignments.iter().map(|a| a.rel_error).fold(0.0, f64::max);
 
     FunctionMapping {

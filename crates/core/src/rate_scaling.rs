@@ -7,6 +7,14 @@
 //! (largest-remainder), so both the aggregate load shape (Fig. 8) and the
 //! per-function popularity (Fig. 10) survive the downsampling as faithfully
 //! as integer counts allow.
+//!
+//! The kernel (`scale_cells`) works on a Functions × minutes matrix in
+//! place, one minute-major column at a time: it gathers the column's
+//! non-zero cells, Functions ascending, and apportions that compacted
+//! column. A zero never receives a unit, and compaction keeps the index
+//! order ties break by, so this equals apportioning the whole column.
+//! [`scale_request_rate`], one dense per-minute vector per Function, is an
+//! adapter over it.
 
 use faasrail_stats::timeseries::{apportion_in_place, ApportionScratch};
 use serde::{Deserialize, Serialize};
@@ -41,60 +49,96 @@ pub struct ScaleReport {
 /// Panics if series lengths differ, the trace is empty/all-zero, or the
 /// target is zero.
 pub fn scale_request_rate(series: &mut [Vec<u64>], target_peak_per_minute: u64) -> ScaleReport {
-    assert!(target_peak_per_minute > 0, "target peak must be positive");
     assert!(!series.is_empty(), "no functions to scale");
     let minutes = series[0].len();
     assert!(series.iter().all(|s| s.len() == minutes), "ragged minute series");
-    let functions = series.len();
-
-    // Apportionment works on one minute across all Functions, so turn the
-    // series minute-major: each minute's column becomes one contiguous run.
-    let mut columns = vec![0u64; minutes * functions];
-    let mut totals = vec![0u64; minutes];
-    let audible = |s: &[u64]| s.iter().any(|&v| v > 0) as usize;
-    let mut audible_before = 0;
-    for (f, s) in series.iter().enumerate() {
-        for (m, &v) in s.iter().enumerate() {
-            columns[m * functions + f] = v;
-            totals[m] += v;
-        }
-        audible_before += audible(s);
+    let mut cells = series.concat();
+    let report = scale_cells(&mut cells, minutes, target_peak_per_minute)
+        .expect("all-zero trace cannot be rate-scaled");
+    for (s, row) in series.iter_mut().zip(cells.chunks_exact(minutes)) {
+        s.copy_from_slice(row);
     }
-    let peak_before = totals.iter().copied().max().expect("non-empty");
-    assert!(peak_before > 0, "all-zero trace cannot be rate-scaled");
+    report
+}
+
+/// [`scale_request_rate`] on one row-major Functions × `minutes` matrix,
+/// in place; `None`, with `cells` untouched, when no cell holds a request.
+///
+/// # Panics
+/// Panics if `minutes` is zero or does not divide `cells.len()`, or the
+/// target is zero.
+pub(crate) fn scale_cells(
+    cells: &mut [u64],
+    minutes: usize,
+    target_peak_per_minute: u64,
+) -> Option<ScaleReport> {
+    assert!(target_peak_per_minute > 0, "target peak must be positive");
+    assert!(
+        minutes > 0 && cells.len().is_multiple_of(minutes),
+        "cells are not rows of {minutes} minutes"
+    );
+    let audible = |row: &[u64]| row.iter().any(|&v| v > 0);
+
+    let mut totals = vec![0u64; minutes];
+    let mut audible_before = 0;
+    for row in cells.chunks_exact(minutes) {
+        for (total, &v) in totals.iter_mut().zip(row) {
+            *total += v;
+        }
+        audible_before += audible(row) as usize;
+    }
+    let peak_before = totals.iter().copied().max().expect("minutes > 0");
+    if peak_before == 0 {
+        return None;
+    }
     let total_before: u64 = totals.iter().sum();
 
     let factor = target_peak_per_minute as f64 / peak_before as f64;
 
     // Scale each minute's aggregate total, then apportion it across the
-    // functions active that minute. Apportionment hands out exactly the
+    // Functions active that minute. Apportionment hands out exactly the
     // scaled total, so that is also the minute's total afterwards.
     let mut scratch = ApportionScratch::default();
+    // A column's non-zero cells and where they sit in `cells`, with a spare
+    // slot: each cell is written at the cursor and only a non-zero one moves
+    // it, where a `v > 0` branch mispredicts on columns a third zeros.
+    let rows = cells.len() / minutes;
+    let (mut at, mut column) = (vec![0; rows + 1], vec![0; rows + 1]);
     let (mut peak_after, mut total_after) = (0u64, 0u64);
-    for (column, &total) in columns.chunks_exact_mut(functions).zip(&totals) {
+    for (m, &total) in totals.iter().enumerate() {
         if total == 0 {
             continue;
+        }
+        let mut live = 0;
+        for (i, &v) in cells.iter().enumerate().skip(m).step_by(minutes) {
+            at[live] = i;
+            column[live] = v;
+            live += (v > 0) as usize;
         }
         let scaled_total = ((total as f64) * factor).round() as u64;
         // Floor guarantee: never exceed the target even with rounding.
         let scaled_total = scaled_total.min(target_peak_per_minute);
-        apportion_in_place(column, scaled_total, &mut scratch);
+        apportion_in_place(&mut column[..live], scaled_total, &mut scratch);
+        for (&i, &v) in at[..live].iter().zip(&column) {
+            cells[i] = v;
+        }
         peak_after = peak_after.max(scaled_total);
         total_after += scaled_total;
     }
 
     // A zero count stays zero, so every Function heard afterwards was heard
     // before, and the difference is the Functions scaling silenced.
-    let mut audible_after = 0;
-    for (f, s) in series.iter_mut().enumerate() {
-        for (m, v) in s.iter_mut().enumerate() {
-            *v = columns[m * functions + f];
-        }
-        audible_after += audible(s);
-    }
+    let audible_after = cells.chunks_exact(minutes).filter(|row| audible(row)).count();
     let silenced_functions = audible_before - audible_after;
 
-    ScaleReport { peak_before, peak_after, factor, total_before, total_after, silenced_functions }
+    Some(ScaleReport {
+        peak_before,
+        peak_after,
+        factor,
+        total_before,
+        total_after,
+        silenced_functions,
+    })
 }
 
 #[cfg(test)]

@@ -29,9 +29,9 @@
 //! materializes by draining an [`ArrivalStream`], so the lazy and
 //! materialized paths agree by construction.
 
-use crate::aggregate::{aggregate, DurationResolution};
+use crate::aggregate::{DurationResolution, Group, Grouping};
 use crate::error::ShrinkError;
-use crate::mapping::{map_functions, MappingConfig};
+use crate::mapping::{map_each, MappingConfig};
 use crate::request::{Request, RequestTrace, MS_PER_MINUTE};
 use crate::shrinkray::check_trace;
 use crate::spec::{ExperimentSpec, IatModel};
@@ -216,32 +216,26 @@ impl ScheduleModel {
     ) -> Result<ScheduleModel, ShrinkError> {
         check_trace(trace)?;
         let resolution = DurationResolution::for_trace(trace);
-        let agg = aggregate(trace, resolution);
-        let mapping = map_functions(&agg, pool, mapping_cfg);
+        // The grouping walk alone: no group's series is read.
+        let mut group_of = Vec::with_capacity(trace.functions.len());
+        let groups = Grouping::new(trace, resolution).walk(trace, |g, _| group_of.push(g));
+        let mapping = map_each(groups.iter().map(Group::mapping_input), pool, mapping_cfg);
 
-        let mut entries: Vec<ModelEntry> = Vec::new();
-        for (gi, group) in agg.functions.iter().enumerate() {
-            let workload =
-                mapping.workload_for(gi as u32).expect("every aggregated function is mapped");
-            for &member in &group.members {
-                let f = &trace.functions[member as usize];
-                if f.minutes.is_empty() {
-                    continue;
-                }
-                entries.push(ModelEntry {
-                    function_index: member,
-                    workload,
-                    alternates: Vec::new(),
-                    minutes: f
-                        .minutes
-                        .entries()
-                        .iter()
-                        .map(|&(m, c)| (m as u32, c as u64))
-                        .collect(),
-                });
-            }
-        }
-        entries.sort_by_key(|e| e.function_index);
+        let entries = trace
+            .functions
+            .iter()
+            .zip(group_of)
+            .enumerate()
+            .filter(|(_, (f, _))| !f.minutes.is_empty())
+            .map(|(i, (f, g))| ModelEntry {
+                function_index: i as u32,
+                workload: mapping
+                    .workload_for(g as u32)
+                    .expect("every aggregated function is mapped"),
+                alternates: Vec::new(),
+                minutes: f.minutes.entries().iter().map(|&(m, c)| (m as u32, c as u64)).collect(),
+            })
+            .collect();
         Ok(ScheduleModel { duration_minutes: faasrail_trace::MINUTES_PER_DAY, iat, entries })
     }
 

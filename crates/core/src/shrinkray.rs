@@ -2,10 +2,13 @@
 //! a Workload pool into a replayable experiment specification (paper Fig. 2,
 //! "Spec mode").
 //!
-//! Pipeline: validate → day-selection check → aggregate functions by mean
-//! duration → map Functions to Workloads → scale each Function's day in
-//! time (Thumbnails / Minute Range) → scale the aggregate request rate to
-//! the target maximum → emit the spec.
+//! Pipeline: validate → day-selection check → one walk that groups the
+//! functions by mean duration and bins each one's day straight into its
+//! group's experiment minutes (Thumbnails / Minute Range) → map Functions
+//! to Workloads → scale the aggregate request rate to the target maximum,
+//! apportioning only the non-zero cells → emit the spec. No aggregated day,
+//! dense series or transposed matrix is built: the one Functions ×
+//! experiment-minutes matrix is binned, scaled and read in place.
 //!
 //! Ordering note: time scaling runs *before* rate scaling so the "no minute
 //! exceeds the target" guarantee (paper §3.2.1.1) holds for the experiment's
@@ -13,11 +16,11 @@
 //! normalizing first and rebinning after would overshoot the target by the
 //! group size.
 
-use crate::aggregate::{aggregate, DurationResolution};
+use crate::aggregate::{DurationResolution, Group, Grouping};
 use crate::dayselect::{select_day, DaySelection};
 use crate::error::ShrinkError;
-use crate::mapping::{map_functions, FunctionMapping, MappingConfig, MappingStats};
-use crate::rate_scaling::{scale_request_rate, ScaleReport};
+use crate::mapping::{map_each, MappingConfig, MappingStats};
+use crate::rate_scaling::{scale_cells, ScaleReport};
 use crate::spec::{ExperimentSpec, IatModel, SpecEntry};
 use crate::time_scaling::TimeScaling;
 use faasrail_trace::{validate, Trace};
@@ -66,6 +69,33 @@ impl ShrinkRayConfig {
             max_alternates: 0,
         }
     }
+
+    /// The busiest experiment minute's request budget: `max_rps · 60`,
+    /// rounded, and at least 1.
+    ///
+    /// Refused unless `max_rps` is finite and positive and the budget, over
+    /// every experiment minute, still fits in `u64`: a spec's total is
+    /// counted in one.
+    pub fn target_peak_per_minute(&self) -> Result<u64, ShrinkError> {
+        let rps = self.max_rps;
+        if !(rps.is_finite() && rps > 0.0) {
+            return Err(ShrinkError::Config(format!(
+                "max_rps must be finite and positive, got {rps}"
+            )));
+        }
+        let per_minute = (rps * 60.0).round().max(1.0);
+        let minutes = self.time_scaling.experiment_minutes() as u64;
+        let target = per_minute as u64;
+        // `u64::MAX as f64` is 2^64: from there on the cast saturated.
+        if per_minute < u64::MAX as f64 && target.checked_mul(minutes).is_some() {
+            Ok(target)
+        } else {
+            Err(ShrinkError::Config(format!(
+                "max_rps {rps} asks for {per_minute} requests a minute, more than {minutes} \
+                 experiment minutes can total in u64"
+            )))
+        }
+    }
 }
 
 /// Everything the pipeline learned along the way (for analysis & figures).
@@ -99,28 +129,35 @@ pub fn shrink(
 ) -> Result<(ExperimentSpec, ShrinkReport), ShrinkError> {
     check_trace(trace)?;
     cfg.time_scaling.validate().map_err(ShrinkError::Config)?;
-    if cfg.max_rps <= 0.0 {
-        return Err(ShrinkError::Config("max_rps must be positive".into()));
-    }
+    let target_peak_per_minute = cfg.target_peak_per_minute()?;
 
     let day = select_day(trace, cfg.day_safety_fraction);
     let resolution = cfg.resolution.unwrap_or_else(|| DurationResolution::for_trace(trace));
-    let agg = aggregate(trace, resolution);
-    let mapping: FunctionMapping = map_functions(&agg, pool, &cfg.mapping);
 
-    // Per-Function experiment-minute series.
-    let mut series: Vec<Vec<u64>> =
-        agg.functions.iter().map(|f| cfg.time_scaling.apply(&f.minutes.dense())).collect();
-    // Thumbnails keeps every invocation; a window can miss them all, and
-    // there is no peak to scale then.
-    if let TimeScaling::MinuteRange { start, experiment_minutes } = cfg.time_scaling {
-        if !series.iter().flatten().any(|&v| v > 0) {
-            return Err(ShrinkError::EmptyWindow { start, end: start + experiment_minutes });
+    // Row `g` of `cells` is Function `g`'s experiment minutes. The walk bins
+    // each trace function's entries straight into its Function's row.
+    let minutes = cfg.time_scaling.experiment_minutes();
+    let bin_of = cfg.time_scaling.minute_bins();
+    let grouping = Grouping::new(trace, resolution);
+    let mut cells = vec![0u64; grouping.len() * minutes];
+    let functions = grouping.walk(trace, |g, f| {
+        let row = &mut cells[g * minutes..(g + 1) * minutes];
+        for &(m, c) in f.minutes.entries() {
+            if let Some(b) = bin_of[m as usize] {
+                row[b as usize] += c as u64;
+            }
         }
-    }
+    });
+    let mapping = map_each(functions.iter().map(Group::mapping_input), pool, &cfg.mapping);
 
-    let target_peak_per_minute = (cfg.max_rps * 60.0).round().max(1.0) as u64;
-    let scale = scale_request_rate(&mut series, target_peak_per_minute);
+    let Some(scale) = scale_cells(&mut cells, minutes, target_peak_per_minute) else {
+        // Thumbnails keeps every invocation; a window can miss them all,
+        // and there is no peak to scale then.
+        let TimeScaling::MinuteRange { start, experiment_minutes } = cfg.time_scaling else {
+            unreachable!("a checked trace has invocations, and thumbnails keep them all")
+        };
+        return Err(ShrinkError::EmptyWindow { start, end: start + experiment_minutes });
+    };
 
     // Variable-inputs extension: same-benchmark pool Workloads within the
     // mapping threshold, nearest first.
@@ -130,7 +167,7 @@ pub fn shrink(
             return Vec::new();
         }
         let chosen_kind = pool.get(chosen).expect("mapped workload").kind();
-        let d = agg.functions[i].avg_duration_ms;
+        let d = functions[i].avg_duration_ms;
         let mut cands: Vec<_> = index.entries()[index.band(d, cfg.mapping.error_threshold)]
             .iter()
             .filter(|e| e.id != chosen && e.kind == chosen_kind)
@@ -141,19 +178,20 @@ pub fn shrink(
         cands.into_iter().take(cfg.max_alternates).map(|e| e.id).collect()
     };
 
-    let entries: Vec<SpecEntry> = series
-        .into_iter()
+    // Only the Functions scaling left audible get a series of their own.
+    let entries: Vec<SpecEntry> = cells
+        .chunks_exact(minutes)
         .enumerate()
-        .filter(|(_, s)| s.iter().any(|&v| v > 0))
-        .map(|(i, per_minute)| {
+        .filter(|(_, row)| row.iter().any(|&v| v > 0))
+        .map(|(i, row)| {
             let workload =
                 mapping.workload_for(i as u32).expect("every aggregated function was mapped");
             SpecEntry {
                 function_index: i as u32,
                 workload,
                 alternates: alternates_for(i, workload),
-                trace_duration_ms: agg.functions[i].avg_duration_ms,
-                per_minute,
+                trace_duration_ms: functions[i].avg_duration_ms,
+                per_minute: row.to_vec(),
             }
         })
         .collect();
@@ -169,7 +207,7 @@ pub fn shrink(
     let report = ShrinkReport {
         day,
         trace_functions: trace.functions.len(),
-        aggregated_functions: agg.len(),
+        aggregated_functions: functions.len(),
         mapping: mapping.stats,
         scale,
     };
@@ -380,10 +418,27 @@ mod tests {
     fn rejects_bad_config() {
         let trace = generate(&AzureTraceConfig::small(66));
         let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
-        let mut cfg = ShrinkRayConfig::new(60, 10.0);
-        cfg.max_rps = 0.0;
-        assert!(matches!(shrink(&trace, &pool, &cfg), Err(ShrinkError::Config(_))));
+        // A busiest minute of round(max_rps · 60) requests must be a number,
+        // and 60 such minutes must still total within u64.
+        for max_rps in [0.0, f64::INFINITY, f64::NAN, 1e18] {
+            let cfg = ShrinkRayConfig::new(60, max_rps);
+            let refused = shrink(&trace, &pool, &cfg);
+            assert!(matches!(refused, Err(ShrinkError::Config(_))), "{max_rps}: {refused:?}");
+        }
         let cfg = ShrinkRayConfig::new(0, 10.0);
         assert!(matches!(shrink(&trace, &pool, &cfg), Err(ShrinkError::Config(_))));
+    }
+
+    #[test]
+    fn the_largest_budget_that_fits_is_kept() {
+        let cfg = |minutes: usize, max_rps: f64| ShrinkRayConfig::new(minutes, max_rps);
+        assert_eq!(cfg(120, 20.0).target_peak_per_minute(), Ok(1_200));
+        assert_eq!(cfg(120, 1e-9).target_peak_per_minute(), Ok(1), "at least one request");
+        // Half of what a day of minutes can total, and twice that.
+        let half = (u64::MAX / 1_440 / 2) as f64 / 60.0;
+        assert!(cfg(1_440, half).target_peak_per_minute().is_ok());
+        assert!(cfg(1_440, 4.0 * half).target_peak_per_minute().is_err());
+        // One minute past u64 is refused too, not saturated to u64::MAX.
+        assert!(cfg(1, 1e20).target_peak_per_minute().is_err());
     }
 }

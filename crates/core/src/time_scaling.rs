@@ -6,10 +6,16 @@
 //! coarser resolution; **Minute Range** replays a verbatim window of trace
 //! minutes, preserving exact minute-level burstiness but discarding the rest
 //! of the day.
+//!
+//! Both are one minute → bin map, defined once by the trace minutes each
+//! experiment minute counts (`TimeScaling::trace_minutes`): every trace
+//! minute lands in at most one experiment minute. The shrink ray looks each
+//! sparse entry up in `TimeScaling::minute_bins` and adds it straight into
+//! its group's bin; [`TimeScaling::apply`] sums one dense day's runs.
 
-use faasrail_stats::timeseries::rebin_sum;
 use faasrail_trace::MINUTES_PER_DAY;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Time-scaling mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,11 +77,34 @@ impl TimeScaling {
     pub fn apply(&self, day: &[u64]) -> Vec<u64> {
         assert_eq!(day.len(), MINUTES_PER_DAY, "expected a full 1440-minute day");
         self.validate().expect("invalid time scaling");
+        (0..self.experiment_minutes())
+            .map(|bin| day[self.trace_minutes(bin)].iter().sum())
+            .collect()
+    }
+
+    /// The experiment minute each trace minute is counted in, `None` outside
+    /// a Minute Range window.
+    ///
+    /// # Panics
+    /// Panics if the mode fails [`TimeScaling::validate`].
+    pub(crate) fn minute_bins(&self) -> [Option<u16>; MINUTES_PER_DAY] {
+        self.validate().expect("invalid time scaling");
+        let mut bins = [None; MINUTES_PER_DAY];
+        for bin in 0..self.experiment_minutes() {
+            bins[self.trace_minutes(bin)].fill(Some(bin as u16));
+        }
+        bins
+    }
+
+    /// The trace minutes experiment minute `bin` counts: Thumbnails' group
+    /// `[g·1440/E, (g+1)·1440/E)`, `rebin_sum`'s, or Minute Range's one
+    /// minute `start + bin`. Disjoint, in order, for the bins of a valid mode.
+    fn trace_minutes(&self, bin: usize) -> Range<usize> {
         match *self {
-            TimeScaling::Thumbnails { experiment_minutes } => rebin_sum(day, experiment_minutes),
-            TimeScaling::MinuteRange { start, experiment_minutes } => {
-                day[start..start + experiment_minutes].to_vec()
+            TimeScaling::Thumbnails { experiment_minutes: e } => {
+                bin * MINUTES_PER_DAY / e..(bin + 1) * MINUTES_PER_DAY / e
             }
+            TimeScaling::MinuteRange { start, .. } => start + bin..start + bin + 1,
         }
     }
 }
@@ -125,6 +154,41 @@ mod tests {
         assert!(TimeScaling::MinuteRange { start: 1430, experiment_minutes: 10 }
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn thumbnail_bins_are_rebin_sums_groups_at_every_length() {
+        use faasrail_stats::timeseries::rebin_sum;
+        let ones = vec![1u64; MINUTES_PER_DAY];
+        let day: Vec<u64> = (0..MINUTES_PER_DAY as u64).map(|m| m * m % 97).collect();
+        for e in 1..=MINUTES_PER_DAY {
+            let mode = TimeScaling::Thumbnails { experiment_minutes: e };
+            let bins: Vec<usize> = mode
+                .minute_bins()
+                .iter()
+                .map(|b| b.expect("every minute binned") as usize)
+                .collect();
+            // Ascending bins whose sizes are rebin_sum's group sizes are
+            // rebin_sum's contiguous groups.
+            assert!(bins.windows(2).all(|w| w[0] <= w[1]), "E = {e}");
+            let mut sizes = vec![0u64; e];
+            for &b in &bins {
+                sizes[b] += 1;
+            }
+            assert_eq!(sizes, rebin_sum(&ones, e), "E = {e}");
+            assert_eq!(mode.apply(&day), rebin_sum(&day, e), "E = {e}");
+        }
+    }
+
+    #[test]
+    fn minute_range_bins_hold_the_window_alone() {
+        for (start, e) in [(0, 1), (0, 1440), (1439, 1), (600, 30), (1410, 30), (1, 1438)] {
+            let bins = TimeScaling::MinuteRange { start, experiment_minutes: e }.minute_bins();
+            for (m, &bin) in bins.iter().enumerate() {
+                let want = (start..start + e).contains(&m).then(|| (m - start) as u16);
+                assert_eq!(bin, want, "[{start}, {}) at minute {m}", start + e);
+            }
+        }
     }
 
     #[test]

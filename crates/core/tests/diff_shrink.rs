@@ -1,15 +1,18 @@
 //! Differential tests of the shrink ray's sparse phases against the
 //! implementations they replaced: `oracle` holds `aggregate` (a `BTreeMap` of
 //! dense 1440-minute accumulators), `scale_request_rate` (one strided column
-//! gather per minute) and `apportion_largest_remainder` (`u128` throughout, a
-//! full sort of the remainders) as they stood before. Every output must stay
-//! bit-identical, with one intended exception:
+//! gather per minute), `apportion_largest_remainder` (`u128` throughout, a
+//! full sort of the remainders) and `ScheduleModel::from_trace_day` (over
+//! `aggregate` and `map_functions`) as they stood before. Every output must
+//! stay bit-identical, with one intended exception:
 //! `ScaleReport::silenced_functions` no longer counts a Function that had no
-//! requests before scaling.
+//! requests before scaling. `shrink()` itself bins and scales sparsely; it
+//! must equal the public phases run one by one, as the benchmark's traced
+//! pass runs them, on generated days as on arbitrary traces.
 
 use faasrail_core::rate_scaling::{scale_request_rate, ScaleReport};
 use faasrail_core::{
-    aggregate, map_functions, shrink, DurationResolution, ExperimentSpec, ScheduleModel,
+    aggregate, map_functions, shrink, DurationResolution, ExperimentSpec, IatModel, ScheduleModel,
     ShrinkError, ShrinkRayConfig, SpecEntry, TimeScaling,
 };
 use faasrail_stats::rng::{cases, Rng};
@@ -28,8 +31,12 @@ use std::ops::Range;
 /// The replaced implementations, verbatim.
 mod oracle {
     use faasrail_core::rate_scaling::ScaleReport;
-    use faasrail_core::{AggregatedFunction, Aggregation, DurationResolution};
+    use faasrail_core::{
+        map_functions, AggregatedFunction, Aggregation, DurationResolution, IatModel,
+        MappingConfig, ModelEntry, ScheduleModel,
+    };
     use faasrail_trace::{MinuteSeries, Trace, MINUTES_PER_DAY};
+    use faasrail_workloads::WorkloadPool;
     use std::collections::BTreeMap;
 
     /// `MinuteSeries::from_dense` as it stood; `new` re-checks the entries.
@@ -170,6 +177,42 @@ mod oracle {
             total_after,
             silenced_functions,
         }
+    }
+
+    pub fn from_trace_day(
+        trace: &Trace,
+        pool: &WorkloadPool,
+        mapping_cfg: &MappingConfig,
+        iat: IatModel,
+    ) -> ScheduleModel {
+        let resolution = DurationResolution::for_trace(trace);
+        let agg = aggregate(trace, resolution);
+        let mapping = map_functions(&agg, pool, mapping_cfg);
+
+        let mut entries: Vec<ModelEntry> = Vec::new();
+        for (gi, group) in agg.functions.iter().enumerate() {
+            let workload =
+                mapping.workload_for(gi as u32).expect("every aggregated function is mapped");
+            for &member in &group.members {
+                let f = &trace.functions[member as usize];
+                if f.minutes.is_empty() {
+                    continue;
+                }
+                entries.push(ModelEntry {
+                    function_index: member,
+                    workload,
+                    alternates: Vec::new(),
+                    minutes: f
+                        .minutes
+                        .entries()
+                        .iter()
+                        .map(|&(m, c)| (m as u32, c as u64))
+                        .collect(),
+                });
+            }
+        }
+        entries.sort_by_key(|e| e.function_index);
+        ScheduleModel { duration_minutes: faasrail_trace::MINUTES_PER_DAY, iat, entries }
     }
 }
 
@@ -415,6 +458,67 @@ fn shrink_matches_the_replaced_phases() {
         let modelled: Vec<(u32, _)> =
             model.entries.iter().map(|e| (e.function_index, e.workload)).collect();
         assert_eq!(modelled, expected);
+    });
+}
+
+/// The spec and scaling report of the public phases run one by one, as the
+/// benchmark's traced pass runs them: `aggregate` → `map_functions` →
+/// `apply(dense())` → `scale_request_rate`.
+fn shrink_by_phases(
+    trace: &Trace,
+    pool: &WorkloadPool,
+    cfg: &ShrinkRayConfig,
+) -> (ExperimentSpec, ScaleReport) {
+    let agg = aggregate(trace, DurationResolution::for_trace(trace));
+    let mapping = map_functions(&agg, pool, &cfg.mapping);
+    let mut series: Vec<Vec<u64>> =
+        agg.functions.iter().map(|f| cfg.time_scaling.apply(&f.minutes.dense())).collect();
+    let target = (cfg.max_rps * 60.0).round().max(1.0) as u64;
+    let scale = scale_request_rate(&mut series, target);
+    let spec = ExperimentSpec {
+        duration_minutes: cfg.time_scaling.experiment_minutes(),
+        target_max_rps: cfg.max_rps,
+        iat: cfg.iat,
+        entries: series
+            .into_iter()
+            .enumerate()
+            .filter(|(_, per_minute)| per_minute.iter().any(|&v| v > 0))
+            .map(|(i, per_minute)| SpecEntry {
+                function_index: i as u32,
+                workload: mapping.workload_for(i as u32).expect("mapped"),
+                alternates: Vec::new(),
+                trace_duration_ms: agg.functions[i].avg_duration_ms,
+                per_minute,
+            })
+            .collect(),
+    };
+    (spec, scale)
+}
+
+#[test]
+fn shrink_equals_the_traced_phases_on_a_generated_day() {
+    cases("shrink_equals_the_traced_phases_on_a_generated_day", 2, |rng| {
+        let trace =
+            azure::generate(&AzureTraceConfig::scaled(rng.range(0..1_000), 2_000, 2_000_000));
+        let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
+        let window =
+            TimeScaling::MinuteRange { start: rng.range(0..1_380), experiment_minutes: 60 };
+        let configs = [
+            ShrinkRayConfig::new(120, 20.0),
+            ShrinkRayConfig { time_scaling: window, ..ShrinkRayConfig::new(60, 20.0) },
+        ];
+        for cfg in &configs {
+            let (spec, report) = shrink(&trace, &pool, cfg).expect("shrink runs");
+            let (want, scale) = shrink_by_phases(&trace, &pool, cfg);
+            assert!(!want.entries.is_empty());
+            assert_eq!(spec, want, "{:?}", cfg.time_scaling);
+            assert_eq!(report.scale, scale, "{:?}", cfg.time_scaling);
+            assert_eq!(report.scale.factor.to_bits(), scale.factor.to_bits());
+        }
+        let mapping = &configs[0].mapping;
+        let model = ScheduleModel::from_trace_day(&trace, &pool, mapping, IatModel::Poisson);
+        let want = oracle::from_trace_day(&trace, &pool, mapping, IatModel::Poisson);
+        assert_eq!(model, Ok(want));
     });
 }
 

@@ -28,6 +28,11 @@
 # prints the window History published, LRU eviction is
 # KeepAlivePolicy::pick_victim's provided body, and the public items only their
 # own tests called stay deleted.
+# And Spec mode's shrink stays sparse: shrink() bins every function straight
+# into experiment minutes and scales only the non-zero cells, never a dense day,
+# a per-Function series or the dense adapters over them; the lab's full-day
+# schedule groups without building an aggregation; and largest-remainder
+# apportionment is called from one place in the core (rate_scaling.rs).
 # Then print what each file weighs (lines above its first `#[cfg(test)]`), and
 # each crate and the workspace.
 set -euo pipefail
@@ -151,6 +156,14 @@ for gone in 'WarmEntry' 'CacheState' 'fn admit'; do
     fi
 done
 
+refuse crates/core/src/shrinkray.rs \
+    'nowhere: the grouping walk bins entries (TimeScaling::minute_bins), rate_scaling::scale_cells scales them' \
+    '.dense()' 'time_scaling.apply(' 'scale_request_rate(' 'Vec<Vec<u64>>'
+refuse crates/core/src/schedule.rs 'nowhere: from_trace_day reads no group series (aggregate::Grouping)' \
+    'aggregate('
+across 1 'one rate-scaling kernel apportions each column (rate_scaling::scale_cells)' \
+    'apportion_in_place(' crates/core/src/*.rs
+
 only_in() { # owner, pattern: on no non-test line of the product, tests/ or examples/ but the owner's
     local file
     for file in crates/*/src/*.rs crates/*/src/*/*.rs tests/*.rs tests/*/*.rs examples/*.rs; do
@@ -208,5 +221,6 @@ weigh faas-sim crates/faas-sim/src/*.rs
 weigh 'bench (reproduction; harness/ apart)' crates/bench/src/*.rs crates/bench/src/bin/*.rs
 weigh 'bench harness' crates/bench/src/harness/*.rs
 weigh telemetry crates/telemetry/src/*.rs
+weigh core crates/core/src/*.rs
 weigh_crates
 exit "$fail"
