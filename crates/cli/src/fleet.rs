@@ -88,10 +88,9 @@ fn cmd_coordinate(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("fleet run: {e}"))?;
 
     if let Some(path) = args.get("events") {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for event in &report.events {
-            out.push_str(&serde_json::to_string(event).map_err(|e| format!("serializing: {e}"))?);
-            out.push('\n');
+            event.write_jsonl(&mut out).map_err(|e| format!("serializing: {e}"))?;
         }
         write_file(path, out)?;
         eprintln!("wrote {path}: {} merged events", report.events.len());

@@ -12,7 +12,7 @@
 //! | the attempt ends in | the invocation |
 //! |---|---|
 //! | `200`, body an `InvocationResult` | returns it: `ok: false` is an application failure and final (invocations are not assumed idempotent) |
-//! | `200`, body that does not parse | is retried |
+//! | `200`, body that does not parse, or whose `service_ms` is not a finite time ≥ 0 (an event log could not hold it) | is retried; then [`Transport`]. A body that parses proves the function ran, so each retry runs it again |
 //! | `429` | is retried no sooner than its `Retry-After`; when the attempts run out it is [`Shed`], not transport (the upstream refused the work; nothing broke) |
 //! | `5xx` | is retried (`Retry-After` honoured); when the attempts run out it is [`Transport`] |
 //! | any other status | is [`Transport`] at once: a `404` will not get better by resending |
@@ -205,8 +205,14 @@ pub(crate) fn write_invoke(
 fn interpret(resp: http::Response) -> Result<InvocationResult, TryError> {
     let refusal = |s: u16| format!("HTTP {s}: {}", String::from_utf8_lossy(&resp.body));
     match resp.status {
-        200 => serde_json::from_slice::<InvocationResult>(&resp.body)
-            .map_err(|e| TryError::retryable(format!("unparseable 200 body: {e}"))),
+        200 => match serde_json::from_slice::<InvocationResult>(&resp.body) {
+            Ok(res) if res.service_ms.is_finite() && res.service_ms >= 0.0 => Ok(res),
+            Ok(res) => Err(TryError::retryable(format!(
+                "unparseable 200 body: service_ms {} is not a finite time ≥ 0",
+                res.service_ms
+            ))),
+            Err(e) => Err(TryError::retryable(format!("unparseable 200 body: {e}"))),
+        },
         429 => Err(TryError::Retryable {
             msg: refusal(429),
             shed: true,
@@ -547,6 +553,8 @@ mod tests {
         retry_backoff_never_overshoots_the_deadline =>
             retry_backoff_never_overshoots_the_deadline_in,
         retry_after_hint_delays_the_next_attempt => retry_after_hint_delays_the_next_attempt_in,
+        a_service_time_the_log_cannot_hold_is_retried_as_transport =>
+            a_service_time_the_log_cannot_hold_is_retried_as_transport_in,
     }
 
     #[test]
@@ -629,6 +637,25 @@ mod tests {
         assert_eq!(served.load(Ordering::SeqCst), 1, "app failures are final");
         assert_eq!(be.stats().retries.load(Ordering::Relaxed), 0);
         assert_eq!(be.stats().app_errors.load(Ordering::Relaxed), 1);
+    }
+
+    fn a_service_time_the_log_cannot_hold_is_retried_as_transport_in(kind: Kind) {
+        // `1e999` reads as infinity, which a JSONL event log writes as
+        // `null` and cannot read back; a negative time is no duration.
+        for service_ms in ["1e999", "-1.0"] {
+            let body = format!(r#"{{"ok":true,"service_ms":{service_ms},"cold_start":false}}"#);
+            let (addr, served) = scripted_server(move |_, mut stream| {
+                http::write_response(&mut stream, 200, "application/json", body.as_bytes(), true)
+            });
+            let be = client(kind, &addr, fast_cfg(2));
+            let res = be.invoke(&request());
+            assert!(!res.ok, "{service_ms}");
+            assert_eq!(res.outcome(), OutcomeClass::Transport, "{service_ms}");
+            assert!(res.service_ms.is_finite(), "{service_ms}");
+            let error = res.error.unwrap_or_default();
+            assert!(error.contains("unparseable 200 body"), "{service_ms}: {error}");
+            assert_eq!(served.load(Ordering::SeqCst), 2, "{service_ms}: retryable");
+        }
     }
 
     fn transient_5xx_is_retried_to_success_in(kind: Kind) {

@@ -5,6 +5,12 @@
 //! [`NullSink`] for none, [`RingSink`] for bounded in-memory capture
 //! (tests, live inspection), [`JsonlSink`] for a buffered line-delimited
 //! JSON log on disk. Sinks must be `Sync` — workers emit concurrently.
+//!
+//! [`JsonlSink`] takes its lock, encodes the line with
+//! [`TelemetryEvent::write_jsonl`] into the sink's reused line buffer, and
+//! appends it to a 64 KiB `BufWriter`. The serde derive on
+//! [`TelemetryEvent`] pins the line format, so the log reads back with
+//! `serde_json` and `parse_jsonl`.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -90,13 +96,24 @@ impl EventSink for RingSink {
     }
 }
 
+/// The capacity of [`JsonlSink`]'s `BufWriter`: without autoflush, the log
+/// reaches its writer in writes of this size.
+const JSONL_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Buffered JSON-lines writer: one event per line, flushed on demand and on
 /// drop. Write errors are counted, not propagated — a full disk degrades
-/// the log, never the run.
+/// the log, never the run. Lines appear in the order their emitters took
+/// the lock.
 pub struct JsonlSink<W: Write + Send> {
-    inner: Mutex<BufWriter<W>>,
+    inner: Mutex<Log<W>>,
     write_errors: AtomicU64,
     autoflush: bool,
+}
+
+/// The line being encoded, reused across events, and where it goes.
+struct Log<W: Write> {
+    line: Vec<u8>,
+    out: BufWriter<W>,
 }
 
 impl JsonlSink<File> {
@@ -119,7 +136,10 @@ impl JsonlSink<File> {
 impl<W: Write + Send> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
-            inner: Mutex::new(BufWriter::new(writer)),
+            inner: Mutex::new(Log {
+                line: Vec::new(),
+                out: BufWriter::with_capacity(JSONL_BUFFER_BYTES, writer),
+            }),
             write_errors: AtomicU64::new(0),
             autoflush: false,
         }
@@ -133,17 +153,19 @@ impl<W: Write + Send> JsonlSink<W> {
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn emit(&self, event: &TelemetryEvent) {
-        let mut w = lock(&self.inner);
-        let ok = serde_json::to_writer(&mut *w, event).is_ok()
-            && w.write_all(b"\n").is_ok()
-            && (!self.autoflush || w.flush().is_ok());
+        let mut log = lock(&self.inner);
+        let Log { line, out } = &mut *log;
+        line.clear();
+        let ok = event.write_jsonl(line).is_ok()
+            && out.write_all(line).is_ok()
+            && (!self.autoflush || out.flush().is_ok());
         if !ok {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     fn flush(&self) {
-        if lock(&self.inner).flush().is_err() {
+        if lock(&self.inner).out.flush().is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -151,7 +173,7 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
 
 impl<W: Write + Send> Drop for JsonlSink<W> {
     fn drop(&mut self) {
-        let _ = lock(&self.inner).flush();
+        let _ = lock(&self.inner).out.flush();
     }
 }
 
@@ -197,16 +219,75 @@ mod tests {
         sink.emit(&end(2));
         sink.flush();
         assert_eq!(sink.write_errors(), 0);
-        // `JsonlSink` implements `Drop`, so the writer can't be moved out;
-        // swap it for an empty one instead.
-        let writer = std::mem::replace(&mut *lock(&sink.inner), BufWriter::new(Vec::new()));
-        let bytes = writer.into_inner().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = String::from_utf8(written(&sink)).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
             let e: TelemetryEvent = serde_json::from_str(line).unwrap();
             assert!(matches!(e, TelemetryEvent::RunEnd(_)));
+        }
+    }
+
+    /// The bytes a `JsonlSink<Vec<u8>>` has written, after a flush.
+    fn written(sink: &JsonlSink<Vec<u8>>) -> Vec<u8> {
+        // `JsonlSink` implements `Drop`, so the writer can't be moved out;
+        // swap it for an empty one instead.
+        let writer = std::mem::replace(&mut lock(&sink.inner).out, BufWriter::new(Vec::new()));
+        writer.into_inner().unwrap()
+    }
+
+    #[test]
+    fn concurrent_emits_write_whole_lines_each_once() {
+        const THREADS: u64 = 4;
+        const EMITS: u64 = 10_000;
+        let sink = JsonlSink::new(Vec::new());
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let sink = &sink;
+                scope.spawn(move || {
+                    for i in 0..EMITS {
+                        let seq = t * EMITS + i;
+                        // Every fourth line carries an error, so the derive
+                        // writes it, and one in a hundred a 32 KiB one.
+                        let error = match seq % 100 {
+                            0 => Some("x".repeat(32 * 1024)),
+                            s if s % 4 == 0 => Some(format!("thread {t} \"{i}\"")),
+                            _ => None,
+                        };
+                        sink.emit(&TelemetryEvent::Invocation(crate::span::InvocationSpan {
+                            trace_id: seq + 1,
+                            seq,
+                            workload: t,
+                            function_index: i as u32,
+                            scheduled_ms: i,
+                            target_us: i,
+                            dispatched_us: i + 1,
+                            picked_up_us: i + 2,
+                            completed_us: i + 3,
+                            service_ms: seq as f64 / 8.0,
+                            outcome: if error.is_some() {
+                                OutcomeClass::AppError
+                            } else {
+                                OutcomeClass::Ok
+                            },
+                            cold_start: seq.is_multiple_of(3),
+                            error,
+                        }));
+                    }
+                });
+            }
+        });
+        sink.flush();
+        assert_eq!(sink.write_errors(), 0);
+        let log = written(&sink);
+        assert_eq!(log.iter().filter(|&&b| b == b'\n').count() as u64, THREADS * EMITS);
+        let events = crate::report::parse_jsonl(&log[..]).unwrap();
+        assert_eq!(events.len() as u64, THREADS * EMITS);
+        let mut seen = vec![false; events.len()];
+        for event in &events {
+            let TelemetryEvent::Invocation(span) = event else { panic!("{event:?}") };
+            assert!(!std::mem::replace(&mut seen[span.seq as usize], true), "seq {}", span.seq);
+            assert_eq!(span.trace_id, span.seq + 1);
         }
     }
 

@@ -377,9 +377,100 @@ pub enum TelemetryEvent {
     RunEnd(RunSummary),
 }
 
+impl TelemetryEvent {
+    /// Append this event's JSONL line, `\n` included, to `out`: the bytes
+    /// of `serde_json::to_vec(self)` and a newline. The derive above pins
+    /// the format and is the only decoder; an error-free invocation span,
+    /// every line of a clean replay, is written here field by field in the
+    /// derive's key order, and every other event through the derive. On an
+    /// error, `out` is left as it was.
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) -> serde_json::Result<()> {
+        let span = match self {
+            TelemetryEvent::Invocation(span) if span.error.is_none() => span,
+            other => {
+                let start = out.len();
+                return match serde_json::to_writer(&mut *out, other) {
+                    Ok(()) => {
+                        out.push(b'\n');
+                        Ok(())
+                    }
+                    Err(e) => {
+                        out.truncate(start);
+                        Err(e)
+                    }
+                };
+            }
+        };
+        out.extend_from_slice(b"{\"event\":\"invocation\",\"trace_id\":");
+        write_u64(out, span.trace_id);
+        for (key, value) in [
+            (&b",\"seq\":"[..], span.seq),
+            (b",\"workload\":", span.workload),
+            (b",\"function_index\":", span.function_index as u64),
+            (b",\"scheduled_ms\":", span.scheduled_ms),
+            (b",\"target_us\":", span.target_us),
+            (b",\"dispatched_us\":", span.dispatched_us),
+            (b",\"picked_up_us\":", span.picked_up_us),
+            (b",\"completed_us\":", span.completed_us),
+        ] {
+            out.extend_from_slice(key);
+            write_u64(out, value);
+        }
+        out.extend_from_slice(b",\"service_ms\":");
+        write_f64(out, span.service_ms);
+        out.extend_from_slice(b",\"outcome\":\"");
+        out.extend_from_slice(span.outcome.variant().as_bytes());
+        out.extend_from_slice(if span.cold_start {
+            b"\",\"cold_start\":true}\n"
+        } else {
+            b"\",\"cold_start\":false}\n"
+        });
+        Ok(())
+    }
+}
+
+impl OutcomeClass {
+    /// The variant's name as the derive writes it (not [`Self::name`]).
+    fn variant(self) -> &'static str {
+        match self {
+            OutcomeClass::Ok => "Ok",
+            OutcomeClass::AppError => "AppError",
+            OutcomeClass::Timeout => "Timeout",
+            OutcomeClass::Transport => "Transport",
+            OutcomeClass::Shed => "Shed",
+        }
+    }
+}
+
+/// `value` in decimal.
+fn write_u64(out: &mut Vec<u8>, mut value: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// What the derive writes for an `f64`: `{:?}` when finite, else `null`.
+fn write_f64(out: &mut Vec<u8>, value: f64) {
+    use std::io::Write as _;
+    if value.is_finite() {
+        write!(out, "{value:?}").expect("writing to a Vec cannot fail");
+    } else {
+        out.extend_from_slice(b"null");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasrail_stats::rng::{cases, Rng};
 
     fn span() -> InvocationSpan {
         InvocationSpan {
@@ -565,5 +656,165 @@ mod tests {
         assert_eq!(OutcomeClass::Shed.error_index(), Some(3));
         let names: Vec<&str> = OutcomeClass::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names, ["ok", "app_error", "timeout", "transport", "shed"]);
+    }
+
+    /// A `u64` that is often an edge: a digit-count boundary or an extreme.
+    fn any_u64(rng: &mut impl Rng) -> u64 {
+        match rng.below(4) {
+            0 => [0, 1, 9, 10, 99, 100, 999_999, u32::MAX as u64, u64::MAX - 1, u64::MAX]
+                [rng.below(10) as usize],
+            1 => 10u64.pow(rng.range(0u32..20)).wrapping_sub(rng.below(2)),
+            2 => rng.below(10_000_000),
+            _ => rng.next_u64(),
+        }
+    }
+
+    /// An `f64` that is often one the derive writes unusually: non-finite,
+    /// signed zero, extreme, integral at the edge of exactness, or any bits.
+    fn any_f64(rng: &mut impl Rng) -> f64 {
+        let two53 = (1u64 << 53) as f64;
+        match rng.below(5) {
+            0 => [
+                0.0,
+                -0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1e300,
+                -1e300,
+                1e-300,
+                f64::MIN_POSITIVE,
+                5e-324,
+                f64::MAX,
+                two53,
+                two53 - 1.0,
+                -(two53 - 1.0),
+                1e15,
+                1e16,
+                1e-4,
+                1e-5,
+                0.1,
+                2.5,
+            ][rng.below(20) as usize],
+            1 => f64::from_bits(rng.next_u64()),
+            2 => rng.below(1 << 20) as f64 * if rng.below(2) == 0 { 1.0 } else { -1.0 },
+            3 => rng.uniform(0.0..5_000.0),
+            _ => (rng.below(1 << 53) as f64).max(1.0) * 2f64.powi(rng.range(0u32..80) as i32 - 40),
+        }
+    }
+
+    /// A string with quotes, backslashes, control bytes and non-ASCII.
+    fn any_string(rng: &mut impl Rng) -> String {
+        const PIECES: [&str; 12] =
+            ["ok", "\"", "\\", "\n", "\r\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "ß字", "🦀", " "];
+        (0..rng.below(8)).map(|_| PIECES[rng.below(12) as usize]).collect()
+    }
+
+    fn any_event(rng: &mut impl Rng) -> TelemetryEvent {
+        let outcome = OutcomeClass::ALL[rng.below(5) as usize];
+        match rng.below(6) {
+            0 => TelemetryEvent::RunStart(RunInfo {
+                requests: any_u64(rng),
+                duration_minutes: any_u64(rng),
+                workers: any_u64(rng),
+                pacing: any_string(rng),
+                compression: any_f64(rng),
+            }),
+            1 => TelemetryEvent::RunEnd(RunSummary {
+                issued: any_u64(rng),
+                completed: any_u64(rng),
+                errors: any_u64(rng),
+                aborted: rng.below(2) == 0,
+                wall_us: any_u64(rng),
+            }),
+            2 => TelemetryEvent::Reassign(ReassignSpan {
+                at_us: any_u64(rng),
+                from_shard: any_u64(rng) as u32,
+                to_shard: any_u64(rng) as u32,
+                work: any_u64(rng),
+                requests: any_u64(rng),
+                reason: any_string(rng),
+            }),
+            3 => TelemetryEvent::ServerSpan(ServerSpan {
+                trace_id: any_u64(rng),
+                seq: any_u64(rng),
+                worker: any_u64(rng),
+                accepted_us: any_u64(rng),
+                dequeued_us: any_u64(rng),
+                handler_start_us: any_u64(rng),
+                handler_end_us: any_u64(rng),
+                flushed_us: any_u64(rng),
+                queue_depth: any_u64(rng),
+                service_ms: any_f64(rng),
+                outcome,
+                fault: [None, Some(ServerFault::Drop), Some(ServerFault::Delay)]
+                    [rng.below(3) as usize],
+                cold_start: rng.below(2) == 0,
+            }),
+            // Invocations are most of a log: two draws in six.
+            _ => TelemetryEvent::Invocation(InvocationSpan {
+                trace_id: any_u64(rng),
+                seq: any_u64(rng),
+                workload: any_u64(rng),
+                function_index: any_u64(rng) as u32,
+                scheduled_ms: any_u64(rng),
+                target_us: any_u64(rng),
+                dispatched_us: any_u64(rng),
+                picked_up_us: any_u64(rng),
+                completed_us: any_u64(rng),
+                service_ms: any_f64(rng),
+                outcome,
+                cold_start: rng.below(2) == 0,
+                error: (rng.below(4) == 0).then(|| any_string(rng)),
+            }),
+        }
+    }
+
+    fn floats_finite(e: &TelemetryEvent) -> bool {
+        match e {
+            TelemetryEvent::RunStart(i) => i.compression.is_finite(),
+            TelemetryEvent::Invocation(s) => s.service_ms.is_finite(),
+            TelemetryEvent::ServerSpan(s) => s.service_ms.is_finite(),
+            TelemetryEvent::Reassign(_) | TelemetryEvent::RunEnd(_) => true,
+        }
+    }
+
+    #[test]
+    fn write_jsonl_is_the_derive_byte_for_byte_and_reads_back() {
+        cases("write_jsonl_is_the_derive", 20_000, |rng| {
+            let events: Vec<TelemetryEvent> = (0..4).map(|_| any_event(rng)).collect();
+            let (mut log, mut want) = (Vec::new(), Vec::new());
+            for e in &events {
+                e.write_jsonl(&mut log).unwrap();
+                want.extend(serde_json::to_vec(e).unwrap());
+                want.push(b'\n');
+            }
+            assert_eq!(String::from_utf8_lossy(&log), String::from_utf8_lossy(&want), "{events:?}");
+            if events.iter().all(floats_finite) {
+                let back = crate::report::parse_jsonl(&log[..]).unwrap();
+                assert_eq!(back, events);
+            }
+        });
+    }
+
+    /// The error-free invocation line, spelt out: the derive's key order,
+    /// the variant name of `outcome`, and `{:?}` of `service_ms`.
+    #[test]
+    fn an_invocation_line_is_its_documented_keys_in_order() {
+        let mut s = span();
+        s.service_ms = 0.0;
+        s.outcome = OutcomeClass::AppError;
+        let mut line = Vec::new();
+        TelemetryEvent::Invocation(s).write_jsonl(&mut line).unwrap();
+        assert_eq!(
+            String::from_utf8(line).unwrap(),
+            format!(
+                "{{\"event\":\"invocation\",\"trace_id\":{},\"seq\":3,\"workload\":7,\
+                 \"function_index\":2,\"scheduled_ms\":61000,\"target_us\":100000,\
+                 \"dispatched_us\":101500,\"picked_up_us\":111500,\"completed_us\":161500,\
+                 \"service_ms\":0.0,\"outcome\":\"AppError\",\"cold_start\":true}}\n",
+                derive_trace_id(42, 3)
+            )
+        );
     }
 }

@@ -33,6 +33,9 @@
 # a per-Function series or the dense adapters over them; the lab's full-day
 # schedule groups without building an aggregation; and largest-remainder
 # apportionment is called from one place in the core (rate_scaling.rs).
+# And one writer of event-log lines: TelemetryEvent::write_jsonl (span.rs) encodes
+# each line JsonlSink writes, and fleet coordinate's --events log is written by
+# the same encoder.
 # Then print what each file weighs (lines above its first `#[cfg(test)]`), and
 # each crate and the workspace.
 set -euo pipefail
@@ -163,6 +166,12 @@ refuse crates/core/src/schedule.rs 'nowhere: from_trace_day reads no group serie
     'aggregate('
 across 1 'one rate-scaling kernel apportions each column (rate_scaling::scale_cells)' \
     'apportion_in_place(' crates/core/src/*.rs
+
+refuse crates/telemetry/src/sink.rs 'TelemetryEvent::write_jsonl' \
+    'serde_json::to_writer'
+across 1 'one event-line encoder (TelemetryEvent::write_jsonl)' 'fn write_jsonl' \
+    crates/telemetry/src/*.rs
+refuse crates/cli/src/fleet.rs 'TelemetryEvent::write_jsonl' 'serde_json::to_string(event)'
 
 only_in() { # owner, pattern: on no non-test line of the product, tests/ or examples/ but the owner's
     local file

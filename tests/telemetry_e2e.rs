@@ -249,3 +249,61 @@ fn jsonl_event_log_reconstructs_the_exact_run_metrics_partition() {
     assert!(md.contains("# FaaSRail run report"), "{md}");
     assert!(md.contains(&format!("| completed | {} |", m.completed)), "{md}");
 }
+
+/// A target whose `200` carries a service time JSON cannot hold (`1e999`
+/// reads as infinity, which an event log writes as `null`) costs those
+/// requests as transport errors, not the log: what the replay wrote reads
+/// back whole.
+#[test]
+fn a_target_answering_an_infinite_service_time_leaves_a_readable_event_log() {
+    use faasrail::gateway::http::{read_request, write_response};
+    use std::net::TcpListener;
+
+    let (reqs, pool) = generated_requests(33, 40);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the stub");
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(&stream);
+                let body = br#"{"ok":true,"service_ms":1e999,"cold_start":false}"#;
+                while let Ok(Some(_)) = read_request(&mut reader) {
+                    if write_response(&mut (&stream), 200, "application/json", body, true).is_err()
+                    {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    let client = HttpBackend::connect(
+        &addr,
+        HttpBackendConfig {
+            retry: faasrail::gateway::RetryPolicy { max_attempts: 2, ..Default::default() },
+            ..Default::default()
+        },
+    )
+    .expect("resolve the stub's address");
+
+    let path = std::env::temp_dir()
+        .join(format!("faasrail-telemetry-e2e-infinite-{}.jsonl", std::process::id()));
+    let sink = JsonlSink::create(&path).expect("create JSONL sink");
+    let m = replay_observed(
+        &reqs,
+        &pool,
+        &client,
+        &ReplayConfig { pacing: Pacing::Unpaced, workers: 2 },
+        &AtomicBool::new(false),
+        &ReplayInstruments { sink: &sink, recorder: None, pace: None },
+    );
+    assert_eq!(sink.write_errors(), 0);
+    drop(sink); // flush
+
+    let events = parse_jsonl(BufReader::new(File::open(&path).expect("open event log")))
+        .expect("the log reads back");
+    std::fs::remove_file(&path).ok();
+    assert_eq!((m.issued, m.transport_errors), (40, 40), "{m:?}");
+    let report = RunReport::from_events(&events);
+    assert_eq!((report.issued, report.transport_errors), (40, 40));
+}
