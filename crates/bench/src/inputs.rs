@@ -13,8 +13,7 @@ use faasrail_core::{
     generate_requests, shrink, ExperimentSpec, RequestTrace, ShrinkRayConfig, ShrinkReport,
 };
 use faasrail_stats::ecdf::WeightedEcdf;
-use faasrail_trace::azure::AzureTraceConfig;
-use faasrail_trace::huawei::HuaweiTraceConfig;
+use faasrail_trace::scale::env_var;
 use faasrail_trace::summarize::invocations_duration_wecdf;
 use faasrail_trace::Trace;
 use faasrail_workloads::{CostModel, WorkloadPool};
@@ -51,41 +50,24 @@ struct Built {
     sampling: OnceCell<RequestTrace>,
 }
 
-/// An environment variable's value, `None` when unset.
-fn env_var(name: &str) -> Result<Option<String>, String> {
-    match std::env::var(name) {
-        Ok(value) => Ok(Some(value)),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(raw)) => Err(format!("{name}={raw:?} is not UTF-8")),
-    }
-}
-
 impl Inputs {
     pub fn new(scale: Scale, seed: u64) -> Inputs {
         Inputs { scale, seed, built: Built::default() }
     }
 
-    /// From the values of `FAASRAIL_SCALE` (`small` or `paper`) and
-    /// `FAASRAIL_SEED` (an unsigned integer); unset means small and 42.
-    /// Anything else is refused: a misspelt `paper` must not pass for a
-    /// full-scale run, nor a mistyped seed for seed 42.
-    pub fn parse(scale: Option<&str>, seed: Option<&str>) -> Result<Inputs, String> {
-        let scale = match scale {
-            None | Some("small") => Scale::Small,
-            Some("paper") => Scale::Paper,
-            Some(other) => {
-                return Err(format!("FAASRAIL_SCALE={other}: expected `small` or `paper`"))
-            }
-        };
+    /// From a scale and the value of `FAASRAIL_SEED` (an unsigned
+    /// integer); unset means small and 42. Any other seed is refused: a
+    /// mistyped seed must not pass for seed 42.
+    pub fn parse(scale: Option<Scale>, seed: Option<&str>) -> Result<Inputs, String> {
         let seed = seed.map_or(Ok(42), |s| {
             s.parse().map_err(|_| format!("FAASRAIL_SEED={s}: expected an unsigned integer"))
         })?;
-        Ok(Inputs::new(scale, seed))
+        Ok(Inputs::new(scale.unwrap_or(Scale::Small), seed))
     }
 
-    /// [`Inputs::parse`] of the environment.
+    /// [`Inputs::parse`] of the environment ([`Scale::from_env`]).
     pub fn from_env() -> Result<Inputs, String> {
-        Inputs::parse(env_var("FAASRAIL_SCALE")?.as_deref(), env_var("FAASRAIL_SEED")?.as_deref())
+        Inputs::parse(Scale::from_env()?, env_var("FAASRAIL_SEED")?.as_deref())
     }
 
     /// The standard modelled pool (2291 Workloads).
@@ -100,22 +82,16 @@ impl Inputs {
 
     /// The Azure trace at the chosen scale.
     pub fn azure(&self) -> &Trace {
-        self.built.azure.get_or_init(|| {
-            faasrail_trace::azure::generate(&match self.scale {
-                Scale::Small => AzureTraceConfig::small(self.seed),
-                Scale::Paper => AzureTraceConfig::paper_scale(self.seed),
-            })
-        })
+        self.built
+            .azure
+            .get_or_init(|| faasrail_trace::azure::generate(&self.scale.azure(self.seed)))
     }
 
     /// The Huawei trace at the chosen scale.
     pub fn huawei(&self) -> &Trace {
-        self.built.huawei.get_or_init(|| {
-            faasrail_trace::huawei::generate(&match self.scale {
-                Scale::Small => HuaweiTraceConfig::small(self.seed),
-                Scale::Paper => HuaweiTraceConfig::paper_scale(self.seed),
-            })
-        })
+        self.built
+            .huawei
+            .get_or_init(|| faasrail_trace::huawei::generate(&self.scale.huawei(self.seed)))
     }
 
     /// The Azure day's invocation-duration CDF: the target of Figs. 1b, 9,
@@ -194,19 +170,19 @@ mod tests {
     fn unset_means_small_and_42() {
         let of = |scale, seed| Inputs::parse(scale, seed).map(|i| (i.scale, i.seed));
         assert_eq!(of(None, None), Ok((Scale::Small, 42)));
-        assert_eq!(of(Some("small"), Some("7")), Ok((Scale::Small, 7)));
-        assert_eq!(of(Some("paper"), None), Ok((Scale::Paper, 42)));
+        assert_eq!(of(Some(Scale::Small), Some("7")), Ok((Scale::Small, 7)));
+        assert_eq!(of(Some(Scale::Paper), None), Ok((Scale::Paper, 42)));
     }
 
     /// Both used to fall back to the default without a word.
     #[test]
     fn a_misspelt_scale_or_seed_is_refused_with_the_valid_values() {
         for bad in ["papr", "Paper", "", " paper"] {
-            let err = Inputs::parse(Some(bad), None).err().expect("refused");
+            let err = Scale::parse(bad).expect_err("refused");
             assert!(err.contains("`small` or `paper`") && err.contains(bad), "{err}");
         }
         for bad in ["4x2", "-1", "", "4.2"] {
-            let err = Inputs::parse(Some("paper"), Some(bad)).err().expect("refused");
+            let err = Inputs::parse(Some(Scale::Paper), Some(bad)).err().expect("refused");
             assert!(err.contains("unsigned integer") && err.contains(bad), "{err}");
         }
     }

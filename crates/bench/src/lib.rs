@@ -20,14 +20,8 @@ pub mod inputs;
 use faasrail_stats::ecdf::{Ecdf, WeightedEcdf};
 use std::fmt::{Display, Write};
 
-/// Experiment scale for the figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Reduced traces: fast, CI-friendly, same distributional shapes.
-    Small,
-    /// Full paper-scale traces (49 728 functions / 908 M invocations).
-    Paper,
-}
+/// Experiment scale for the figures: the traces' one scale.
+pub use faasrail_trace::Scale;
 
 /// What a figure produces: its CSV text, and the numbers its summary lines
 /// state, by name — the audit reads those and recomputes nothing.

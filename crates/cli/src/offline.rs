@@ -7,8 +7,7 @@ use faasrail_core::{
     generate_requests, kind_shares, shrink, IatModel, MappingConfig, ShrinkRayConfig,
     SmirnovConfig, TimeScaling,
 };
-use faasrail_trace::azure::AzureTraceConfig;
-use faasrail_trace::huawei::HuaweiTraceConfig;
+use faasrail_trace::Scale;
 use faasrail_workloads::calibrate::{quick_calibration, CalibrationOptions};
 use faasrail_workloads::{CostModel, WorkloadKind, WorkloadPool};
 use std::collections::BTreeMap;
@@ -40,24 +39,10 @@ pub static GEN_TRACE: Command = Command {
 
 fn gen_trace(args: &Args) -> Result<(), String> {
     let seed = args.num("seed")?;
-    let scale = args.str("scale");
+    let scale = Scale::parse(args.str("scale"))?;
     let trace = match args.str("kind") {
-        "azure" => {
-            let cfg = match scale {
-                "paper" => AzureTraceConfig::paper_scale(seed),
-                "small" => AzureTraceConfig::small(seed),
-                s => return Err(format!("unknown scale {s}")),
-            };
-            faasrail_trace::azure::generate(&cfg)
-        }
-        "huawei" => {
-            let cfg = match scale {
-                "paper" => HuaweiTraceConfig::paper_scale(seed),
-                "small" => HuaweiTraceConfig::small(seed),
-                s => return Err(format!("unknown scale {s}")),
-            };
-            faasrail_trace::huawei::generate(&cfg)
-        }
+        "azure" => faasrail_trace::azure::generate(&scale.azure(seed)),
+        "huawei" => faasrail_trace::huawei::generate(&scale.huawei(seed)),
         k => return Err(format!("unknown trace kind {k}")),
     };
     let out = args.str("out");

@@ -119,12 +119,11 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         None => Box::new(NullSink),
     };
     let live = args.flag("live-metrics");
-    let recorder =
-        (live || args.get("prom-out").is_some()).then(|| Arc::new(Recorder::new(workers + 1)));
+    let recorder = live.then(|| Arc::new(Recorder::new(workers + 1)));
     let stop = Arc::new(AtomicBool::new(false));
-    let printer = live.then(|| {
+    let printer = recorder.as_ref().map(|recorder| {
         spawn_progress_printer(
-            Arc::clone(recorder.as_ref().expect("live metrics imply a recorder")),
+            Arc::clone(recorder),
             Duration::from_secs(window_s),
             Arc::clone(&stop),
         )
@@ -189,8 +188,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         eprintln!("wrote {path}");
     }
     if let Some(path) = args.get("prom-out") {
-        let snap = recorder.as_ref().expect("prom-out implies a recorder").snapshot();
-        write_file(path, snap.to_prometheus("faasrail_replay"))?;
+        write_file(path, m.snapshot().to_prometheus("faasrail_replay"))?;
         eprintln!("wrote {path}");
     }
     println!(

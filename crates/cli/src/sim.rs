@@ -7,7 +7,7 @@ use crate::{read_json, read_requests, write_file};
 use faasrail_core::MappingConfig;
 use faasrail_faas_sim::{simulate, BalancerKind, ClusterConfig, NodeFault, PolicyKind, SimOptions};
 use faasrail_lab::{run_lab, LabConfig};
-use faasrail_trace::azure::AzureTraceConfig;
+use faasrail_trace::Scale;
 use faasrail_workloads::{CostModel, WorkloadPool};
 
 const JITTER: Opt = Opt::val("jitter", "SIGMA", "0", "log-normal sigma of service-time jitter");
@@ -109,7 +109,7 @@ pub static LAB_RUN: Command = Command {
 /// incrementally maintained cluster index, so `--nodes` changes what is
 /// simulated (per-node memory pressure, queueing behind few cores), not how
 /// fast.
-pub fn lab_config(args: &Args, scale: &str) -> Result<LabConfig, String> {
+pub fn lab_config(args: &Args, scale: Scale) -> Result<LabConfig, String> {
     let names = |key: &str| args.str(key).split(',').map(str::trim);
     let policies = names("policies").map(PolicyKind::parse).collect::<Result<_, _>>()?;
     let balancers = names("balancers").map(BalancerKind::parse).collect::<Result<_, _>>()?;
@@ -117,11 +117,11 @@ pub fn lab_config(args: &Args, scale: &str) -> Result<LabConfig, String> {
         .map(|s| s.parse::<u64>().map_err(|_| format!("invalid seed {s}")))
         .collect::<Result<_, _>>()?;
     let (cores, memory_mb) = match scale {
-        "paper" => (8_192, 4_194_304.0),
-        _ => (32, 65_536.0),
+        Scale::Paper => (8_192, 4_194_304.0),
+        Scale::Small => (32, 65_536.0),
     };
     Ok(LabConfig {
-        scale: scale.to_string(),
+        scale: scale.name().to_string(),
         policies,
         balancers,
         seeds,
@@ -141,14 +141,12 @@ pub fn lab_config(args: &Args, scale: &str) -> Result<LabConfig, String> {
 /// expanded lazily per cell, so even the paper-scale day (49.7K functions,
 /// ~908M invocations) never exists as a materialized request trace.
 fn cmd_lab_run(args: &Args) -> Result<(), String> {
-    let scale_env = std::env::var("FAASRAIL_SCALE").ok();
-    let scale = args.get("scale").or(scale_env.as_deref()).unwrap_or("small");
-    let seed = args.num("seed")?;
-    let trace_cfg = match scale {
-        "paper" => AzureTraceConfig::paper_scale(seed),
-        "small" => AzureTraceConfig::small(seed),
-        s => return Err(format!("unknown scale {s} (expected small or paper)")),
+    let scale = match args.get("scale") {
+        Some(name) => Scale::parse(name)?,
+        None => Scale::from_env()?.unwrap_or(Scale::Small),
     };
+    let seed = args.num("seed")?;
+    let trace_cfg = scale.azure(seed);
     let iat = parse_iat(args.str("iat"))?;
     let cfg = lab_config(args, scale)?;
     let pool = match args.get("pool") {
@@ -162,7 +160,7 @@ fn cmd_lab_run(args: &Args) -> Result<(), String> {
         let trace = faasrail_trace::azure::generate(&trace_cfg);
         eprintln!(
             "lab: {} trace has {} functions, {} invocations on day {}",
-            scale,
+            scale.name(),
             trace.functions.len(),
             trace.total_invocations(),
             trace_cfg.selected_day,
@@ -219,7 +217,8 @@ fn cmd_lab_run(args: &Args) -> Result<(), String> {
     if let Some(bench) = args.get("bench-out") {
         // Re-emitted through the shared trajectory schema so the sim and
         // gateway BENCH files diff with the same `bench diff` gate.
-        let report = faasrail_bench::harness::sim_report(args.str("bench-name"), scale, &stats);
+        let report =
+            faasrail_bench::harness::sim_report(args.str("bench-name"), scale.name(), &stats);
         write_file(bench, report.to_json())?;
         eprintln!("lab: wrote bench report {bench} ({})", report.schema);
     }

@@ -93,7 +93,10 @@ fn defaults_are_what_the_commands_read() {
     assert_eq!(options.node_faults[1].slow_factor, 2.0);
 
     let lab = minimal(&sim::LAB_RUN, &[]);
-    for (scale, cores, memory_mb) in [("small", 32, 65_536.0), ("paper", 8_192, 4_194_304.0)] {
+    use faasrail_trace::Scale;
+    for (scale, cores, memory_mb) in
+        [(Scale::Small, 32, 65_536.0), (Scale::Paper, 8_192, 4_194_304.0)]
+    {
         let cfg = sim::lab_config(&lab, scale).unwrap();
         assert_eq!(
             (cfg.policies.len(), cfg.balancers.len(), cfg.seeds.as_slice()),

@@ -57,13 +57,14 @@ use std::collections::BTreeMap;
 use faasrail_core::RequestTrace;
 use faasrail_loadgen::{Pacing, RunMetrics, ShardSpec};
 use faasrail_telemetry::{
-    merge_event_logs, ClockOffset, ReassignSpan, RunReport, Snapshot, TelemetryEvent,
+    merge_event_logs, tally_minute, ClockOffset, OutcomeClass, ReassignSpan, RunReport, Snapshot,
+    TelemetryEvent,
 };
 use faasrail_workloads::WorkloadPool;
 
 use crate::coordinator::{AgentReport, FleetConfig, FleetReport};
 use crate::history::AgentState;
-use crate::reshard::{per_minute_of, plan_grants, prefix_metrics};
+use crate::reshard::{plan_grants, prefix_metrics};
 use crate::wire::{FleetMessage, Loss, WorkPrefix};
 
 /// Grant work ids live in a separate id space from shard ids (which also
@@ -284,7 +285,7 @@ impl<'a> Control<'a> {
 
     fn on_done(&mut self, shard: u32, outcome: Outcome) {
         let Some(slot) = self.live_slot(shard) else { return };
-        slot.last_progress = snapshot_of(&outcome.metrics);
+        slot.last_progress = outcome.metrics.snapshot();
         slot.lag_ms = 0;
         slot.status = Status::Done;
         slot.outcome = Some(outcome);
@@ -400,7 +401,7 @@ impl<'a> Control<'a> {
                 issued: s.last_progress.issued,
                 completed: s.last_progress.completed,
                 errors: s.last_progress.errors_total(),
-                shed: s.last_progress.errors[3],
+                shed: s.last_progress.count(OutcomeClass::Shed),
             })
             .collect()
     }
@@ -447,11 +448,13 @@ impl<'a> Control<'a> {
             });
         }
         // Whatever was offered in a minute and issued nowhere was aborted.
-        let aborted_per_minute: Vec<u64> = per_minute_of(self.trace)
-            .into_iter()
-            .enumerate()
-            .map(|(m, n)| n.saturating_sub(metrics.issued_per_minute.get(m).copied().unwrap_or(0)))
-            .collect();
+        let mut aborted_per_minute = Vec::new();
+        for r in &self.trace.requests {
+            tally_minute(&mut aborted_per_minute, r.at_ms);
+        }
+        for (offered, issued) in aborted_per_minute.iter_mut().zip(&metrics.issued_per_minute) {
+            *offered = offered.saturating_sub(*issued);
+        }
         let aborted_invocations = aborted_per_minute.iter().sum();
         metrics.aborted |= aborted_invocations > 0;
 
@@ -479,20 +482,6 @@ impl<'a> Control<'a> {
     }
 }
 
-/// Project final metrics back onto the progress-snapshot shape so a
-/// completed agent's `last_progress` agrees with its metrics.
-fn snapshot_of(m: &RunMetrics) -> Snapshot {
-    let mut s = Snapshot {
-        issued: m.issued,
-        completed: m.completed,
-        errors: [m.app_errors, m.timeouts, m.transport_errors, m.shed],
-        cold_starts: m.cold_starts,
-        ..Snapshot::default()
-    };
-    s.response.merge(&m.response);
-    s
-}
-
 /// Shift one agent's run-relative span timestamps onto the fleet epoch:
 /// the agent's t=0 sits `(run_start_wall_us − offset) − epoch` after the
 /// epoch in coordinator time, so all agents' spans land on one comparable
@@ -516,24 +505,6 @@ fn rebase_events(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_projection_matches_metrics() {
-        let mut m = RunMetrics::new();
-        m.issued = 10;
-        m.completed = 7;
-        m.errors = 3;
-        m.app_errors = 1;
-        m.timeouts = 2;
-        m.cold_starts = 4;
-        m.response.record(0.050);
-        let s = snapshot_of(&m);
-        assert_eq!(s.issued, 10);
-        assert_eq!(s.completed, 7);
-        assert_eq!(s.errors, [1, 2, 0, 0]);
-        assert_eq!(s.cold_starts, 4);
-        assert_eq!(s.response.total(), 1);
-    }
 
     #[test]
     fn rebase_events_shifts_invocation_spans_only() {

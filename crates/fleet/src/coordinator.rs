@@ -35,7 +35,7 @@ use serde::Serialize;
 use faasrail_core::RequestTrace;
 use faasrail_loadgen::{Pacing, RunMetrics};
 use faasrail_telemetry::{
-    offset_from_probes, ClockOffset, ReassignSpan, RunReport, Snapshot, TelemetryEvent,
+    midpoint_offset, ClockOffset, ReassignSpan, RunReport, Snapshot, TelemetryEvent,
 };
 use faasrail_workloads::WorkloadPool;
 
@@ -419,13 +419,14 @@ fn handshake(
         let send_us = wall_clock_us();
         write_frame(&mut writer, &FleetMessage::Probe { seq, wall_us: send_us })?;
         match recv()? {
-            FleetMessage::ProbeReply { seq: got, agent_wall_us, .. } if got == seq => {
-                samples.push((send_us, agent_wall_us, wall_clock_us()));
+            FleetMessage::ProbeReply { seq: got, agent_wall_us: at, .. } if got == seq => {
+                samples.push((send_us, wall_clock_us(), at, at));
             }
             other => return Err(proto_err("probe reply", &other)),
         }
     }
-    let clock = offset_from_probes(&samples);
+    // A reply seen before its probe left is a clock step mid-exchange.
+    let clock = midpoint_offset(samples.into_iter().filter(|&(send, recv, ..)| recv >= send));
 
     let shard_trace = Control::assignment(trace, shard, cfg.agents as u32);
     let assigned = shard_trace.requests.len() as u64;

@@ -11,7 +11,8 @@
 //!   each function's per-minute invocation series replays intact on one
 //!   agent and the union of shards is exactly the original schedule;
 //! * **synchronized start** — the coordinator probes each agent's wall
-//!   clock ([`faasrail_telemetry::offset_from_probes`]) and issues one
+//!   clock (the span join's estimator,
+//!   [`faasrail_telemetry::midpoint_offset`]) and issues one
 //!   epoch rebased onto every agent's own clock, so shards fire together
 //!   even across skewed machines;
 //! * **self-contained assignments** — agents receive their shard trace
@@ -54,7 +55,7 @@ pub use coordinator::{AgentReport, Coordinator, FleetConfig, FleetReport};
 pub use history::{
     AgentState, FleetSample, HealthCounts, History, StateView, DEFAULT_HISTORY_CAPACITY,
 };
-pub use reshard::{per_minute_of, plan_grants, prefix_metrics};
+pub use reshard::{plan_grants, prefix_metrics};
 pub use wire::{
     read_frame, wall_clock_us, write_frame, Assignment, FleetMessage, Grant, Loss, WorkPrefix,
     PROTOCOL_VERSION,

@@ -22,6 +22,7 @@
 
 use faasrail_core::RequestTrace;
 use faasrail_loadgen::{partition_remainder, remainder_after, RunMetrics};
+use faasrail_telemetry::Snapshot;
 use faasrail_workloads::WorkloadPool;
 
 use crate::wire::{Grant, WorkPrefix};
@@ -40,14 +41,12 @@ pub fn prefix_metrics(
     prefix: &WorkPrefix,
 ) -> RunMetrics {
     let w = (prefix.watermark as usize).min(trace.requests.len());
-    let mut m = RunMetrics::new();
-    m.completed = prefix.completed;
-    m.app_errors = prefix.errors[0];
-    m.timeouts = prefix.errors[1];
-    m.transport_errors = prefix.errors[2];
-    m.shed = prefix.errors[3];
-    m.errors = prefix.errors.iter().sum();
-    m.cold_starts = prefix.cold_starts;
+    let mut m = RunMetrics::from_snapshot(&Snapshot {
+        completed: prefix.completed,
+        errors: prefix.errors,
+        cold_starts: prefix.cold_starts,
+        ..Snapshot::default()
+    });
     for r in &trace.requests[..w] {
         m.record_issued(r.at_ms);
         if let Some(workload) = pool.get(r.workload) {
@@ -55,20 +54,6 @@ pub fn prefix_metrics(
         }
     }
     m
-}
-
-/// Per-minute offered series of a trace (for accounting remainders no
-/// survivor could take).
-pub fn per_minute_of(trace: &RequestTrace) -> Vec<u64> {
-    let mut v = Vec::new();
-    for r in &trace.requests {
-        let minute = (r.at_ms / 60_000) as usize;
-        if v.len() <= minute {
-            v.resize(minute + 1, 0);
-        }
-        v[minute] += 1;
-    }
-    v
 }
 
 /// Plan the reassignment of a dead work item's remainder.
@@ -185,12 +170,5 @@ mod tests {
     fn plan_grants_empty_for_finished_work() {
         let t = trace(10);
         assert!(plan_grants(&t, 10, &[0], 5, 1, 0).is_empty());
-    }
-
-    #[test]
-    fn per_minute_of_buckets_by_schedule() {
-        let t = trace(90); // 1/s → 60 in minute 0, 30 in minute 1
-        assert_eq!(per_minute_of(&t), vec![60, 30]);
-        assert!(per_minute_of(&RequestTrace { duration_minutes: 1, requests: vec![] }).is_empty());
     }
 }

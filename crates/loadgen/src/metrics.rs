@@ -1,6 +1,7 @@
 //! Run metrics: what a replay measures.
 
 use faasrail_stats::histogram::LogHistogram;
+use faasrail_telemetry::{tally_minute, Snapshot};
 use faasrail_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -75,29 +76,50 @@ impl RunMetrics {
         }
     }
 
+    /// The error counters by [`OutcomeClass::error_index`](crate::OutcomeClass::error_index),
+    /// the order of [`Snapshot::errors`]; [`RunMetrics::snapshot`] reads them so.
+    fn error_counters(&mut self) -> [&mut u64; 4] {
+        [&mut self.app_errors, &mut self.timeouts, &mut self.transport_errors, &mut self.shed]
+    }
+
     /// Record one invocation result against the per-class outcome counters
     /// (and `completed`/`errors`).
     pub fn record_outcome(&mut self, result: &crate::backend::InvocationResult) {
-        use crate::backend::OutcomeClass;
-        match result.outcome() {
-            OutcomeClass::Ok => self.completed += 1,
-            OutcomeClass::AppError => {
+        match result.outcome().error_index() {
+            None => self.completed += 1,
+            Some(i) => {
                 self.errors += 1;
-                self.app_errors += 1;
-            }
-            OutcomeClass::Timeout => {
-                self.errors += 1;
-                self.timeouts += 1;
-            }
-            OutcomeClass::Transport => {
-                self.errors += 1;
-                self.transport_errors += 1;
-            }
-            OutcomeClass::Shed => {
-                self.errors += 1;
-                self.shed += 1;
+                *self.error_counters()[i] += 1;
             }
         }
+    }
+
+    /// The counters and response histogram as a progress snapshot: what a
+    /// replay's live [`Recorder`](faasrail_telemetry::Recorder) ends on.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            issued: self.issued,
+            completed: self.completed,
+            errors: [self.app_errors, self.timeouts, self.transport_errors, self.shed],
+            cold_starts: self.cold_starts,
+            response: self.response.clone(),
+        }
+    }
+
+    /// The inverse of [`RunMetrics::snapshot`], every series empty.
+    pub fn from_snapshot(s: &Snapshot) -> RunMetrics {
+        let mut m = RunMetrics {
+            issued: s.issued,
+            completed: s.completed,
+            errors: s.errors_total(),
+            cold_starts: s.cold_starts,
+            response: s.response.clone(),
+            ..RunMetrics::new()
+        };
+        for (counter, n) in m.error_counters().into_iter().zip(s.errors) {
+            *counter = n;
+        }
+        m
     }
 
     /// One-line per-class outcome breakdown for replay summaries.
@@ -110,11 +132,7 @@ impl RunMetrics {
 
     /// Count one dispatched request against its scheduled minute.
     pub fn record_issued(&mut self, scheduled_at_ms: u64) {
-        let minute = (scheduled_at_ms / 60_000) as usize;
-        if self.issued_per_minute.len() <= minute {
-            self.issued_per_minute.resize(minute + 1, 0);
-        }
-        self.issued_per_minute[minute] += 1;
+        tally_minute(&mut self.issued_per_minute, scheduled_at_ms);
         self.issued += 1;
     }
 
@@ -210,6 +228,56 @@ mod tests {
         assert_eq!(m.shed, 1);
         assert_eq!(m.app_errors + m.timeouts + m.transport_errors + m.shed, m.errors);
         assert_eq!(m.outcome_breakdown(), "ok=1 app-error=1 timeout=1 transport=2 shed=1");
+    }
+
+    #[test]
+    fn snapshot_projection_matches_metrics() {
+        let mut m = RunMetrics::new();
+        m.issued = 10;
+        m.completed = 7;
+        m.errors = 3;
+        m.app_errors = 1;
+        m.timeouts = 2;
+        m.cold_starts = 4;
+        m.response.record(0.050);
+        let s = m.snapshot();
+        assert_eq!(s.issued, 10);
+        assert_eq!(s.completed, 7);
+        assert_eq!(s.errors, [1, 2, 0, 0]);
+        assert_eq!(s.cold_starts, 4);
+        assert_eq!(s.response.total(), 1);
+    }
+
+    /// Both directions of the mapping agree, class by class.
+    #[test]
+    fn from_snapshot_inverts_snapshot() {
+        use crate::backend::{InvocationResult, OutcomeClass};
+        let mut m = RunMetrics::new();
+        m.issued = 8;
+        for (i, result) in [
+            InvocationResult::success(1.0, true),
+            InvocationResult::app_error(1.0, "rejected"),
+            InvocationResult::timeout("deadline"),
+            InvocationResult::transport("refused"),
+            InvocationResult::shed("429"),
+        ]
+        .iter()
+        .enumerate()
+        {
+            for _ in 0..=i {
+                m.record_outcome(result);
+            }
+        }
+        m.cold_starts = 2;
+        m.response.record(0.010);
+        let s = m.snapshot();
+        for class in OutcomeClass::ALL {
+            assert_eq!(s.count(class), class.index() as u64 + 1, "{class:?}");
+        }
+        let back = RunMetrics::from_snapshot(&s);
+        assert_eq!(back.snapshot(), s);
+        assert_eq!(back.outcome_breakdown(), m.outcome_breakdown());
+        assert_eq!(back.errors, m.errors);
     }
 
     #[test]

@@ -957,7 +957,7 @@ mod tests {
 
     // Windowed snapshots are lossless: deltas between any chain of
     // snapshots taken *while the replay runs* telescope to the final
-    // cumulative snapshot, which in turn equals the RunMetrics counters.
+    // cumulative snapshot, which in turn equals `RunMetrics::snapshot`.
     #[test]
     fn recorder_window_deltas_sum_to_run_metrics() {
         use faasrail_telemetry::{Recorder, Snapshot};
@@ -1033,6 +1033,9 @@ mod tests {
             assert_eq!(acc.errors[2], m.transport_errors);
             assert_eq!(acc.cold_starts, m.cold_starts);
             assert_eq!(acc.response.total(), m.response.total());
+            // What `replay --prom-out` writes without a recorder is what
+            // the recorder held at the end, histogram buckets included.
+            assert_eq!(snaps.last(), Some(&m.snapshot()));
         });
     }
 }

@@ -112,7 +112,7 @@ pub struct SpanJoin {
     /// order (shed before the request was read, transport failures that
     /// never reached the gateway, or pre-tracing logs with zero ids).
     pub orphans: Vec<InvocationSpan>,
-    /// Orphan counts indexed like [`OutcomeClass::ALL`]
+    /// Orphan counts indexed by [`OutcomeClass::index`]
     /// (`[ok, app_error, timeout, transport, shed]`).
     pub orphans_by_class: [u64; 5],
     /// Server spans whose trace id matched no client span (e.g. the
@@ -146,13 +146,6 @@ impl SpanJoin {
     }
 }
 
-fn class_index(c: OutcomeClass) -> usize {
-    match c.error_index() {
-        None => 0,
-        Some(i) => i + 1,
-    }
-}
-
 fn median(xs: &mut [f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
@@ -166,56 +159,31 @@ fn median(xs: &mut [f64]) -> f64 {
     }
 }
 
-/// Estimate the client↔server clock offset from matched pairs.
+/// Estimate a local↔remote clock offset from request/response exchanges,
+/// the NTP midpoint argument: each sample `(local_start, local_end,
+/// remote_start, remote_end)`, microseconds, is one exchange whose remote
+/// interval sits inside the local one up to asymmetric network delay. The
+/// offset (remote − local) is the median of `mid(remote) − mid(local)`;
+/// the error bound is the median of half the local width the remote one
+/// does not cover (half-RTT), at least zero.
 ///
-/// Only single-attempt pairs where both tiers report success are sampled:
-/// retries and failures make the client exchange interval cover more than
-/// one server residency, which breaks the midpoint argument.
-fn estimate_offset(pairs: &[(&InvocationSpan, &ServerSpan, u64)]) -> ClockOffset {
+/// The one estimator for both clocks the tool compares. [`join_spans`]
+/// samples each single-attempt pair both tiers report successful (client
+/// pickup → completion against server accept → flush): retries and
+/// failures make the client interval cover more than one server residency.
+/// The fleet coordinator samples its clock probes, a remote timestamp being
+/// a zero-width interval, and drops a probe received before it was sent (a
+/// clock step mid-exchange).
+pub fn midpoint_offset(exchanges: impl IntoIterator<Item = (u64, u64, u64, u64)>) -> ClockOffset {
     let mut offsets = Vec::new();
     let mut slacks = Vec::new();
-    for (client, server, attempts) in pairs {
-        if *attempts != 1
-            || client.outcome != OutcomeClass::Ok
-            || server.outcome != OutcomeClass::Ok
-        {
-            continue;
-        }
-        let client_mid = (client.picked_up_us as f64 + client.completed_us as f64) / 2.0;
-        let server_mid = (server.accepted_us as f64 + server.flushed_us as f64) / 2.0;
-        offsets.push(server_mid - client_mid);
-        let client_width = client.completed_us.saturating_sub(client.picked_up_us) as f64;
-        let server_width = server.flushed_us.saturating_sub(server.accepted_us) as f64;
-        slacks.push(((client_width - server_width) / 2.0).max(0.0));
-    }
-    ClockOffset {
-        pairs: offsets.len() as u64,
-        offset_us: median(&mut offsets),
-        error_us: median(&mut slacks),
-    }
-}
-
-/// Estimate a local↔remote clock offset from explicit probe exchanges —
-/// the same NTP midpoint argument as [`join_spans`], applied to protocol
-/// pings instead of request spans. Each sample is a wall-clock triple
-/// `(local_send_us, remote_us, local_recv_us)`: the remote peer's
-/// timestamp should coincide with the midpoint of the local exchange
-/// interval up to asymmetric network delay, so the offset (remote −
-/// local) is the median of `remote − mid(send, recv)` and the residual
-/// error is bounded by the median half round-trip. Used by the fleet
-/// coordinator to measure agent↔coordinator skew before rebasing agent
-/// span logs onto one fleet clock. Samples with `recv < send` (a clock
-/// step mid-exchange) are discarded.
-pub fn offset_from_probes(samples: &[(u64, u64, u64)]) -> ClockOffset {
-    let mut offsets = Vec::new();
-    let mut slacks = Vec::new();
-    for &(send_us, remote_us, recv_us) in samples {
-        if recv_us < send_us {
-            continue;
-        }
-        let mid = (send_us as f64 + recv_us as f64) / 2.0;
-        offsets.push(remote_us as f64 - mid);
-        slacks.push((recv_us - send_us) as f64 / 2.0);
+    for (local_start, local_end, remote_start, remote_end) in exchanges {
+        let local_mid = (local_start as f64 + local_end as f64) / 2.0;
+        let remote_mid = (remote_start as f64 + remote_end as f64) / 2.0;
+        offsets.push(remote_mid - local_mid);
+        let local_width = local_end.saturating_sub(local_start) as f64;
+        let remote_width = remote_end.saturating_sub(remote_start) as f64;
+        slacks.push(((local_width - remote_width) / 2.0).max(0.0));
     }
     ClockOffset {
         pairs: offsets.len() as u64,
@@ -228,9 +196,12 @@ pub fn offset_from_probes(samples: &[(u64, u64, u64)]) -> ClockOffset {
 ///
 /// Client spans joined to multiple server spans (retries) take the last
 /// server attempt by handler-end time. Spans with `trace_id == 0` on
-/// either side never match.
+/// either side never match. A trace id joins once: a client span repeating
+/// one is left out, the first occurrence wins, as in [`merge_event_logs`].
+///
+/// [`merge_event_logs`]: crate::merge_event_logs
 pub fn join_spans(client_events: &[TelemetryEvent], server_events: &[TelemetryEvent]) -> SpanJoin {
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     // trace id → server spans carrying it, in log order.
     let mut by_trace: HashMap<u64, Vec<&ServerSpan>> = HashMap::new();
@@ -244,10 +215,11 @@ pub fn join_spans(client_events: &[TelemetryEvent], server_events: &[TelemetryEv
         }
     }
 
+    let mut seen = HashSet::new();
     let clients: Vec<&InvocationSpan> = client_events
         .iter()
         .filter_map(|e| match e {
-            TelemetryEvent::Invocation(s) => Some(s),
+            TelemetryEvent::Invocation(s) if s.trace_id == 0 || seen.insert(s.trace_id) => Some(s),
             _ => None,
         })
         .collect();
@@ -269,12 +241,21 @@ pub fn join_spans(client_events: &[TelemetryEvent], server_events: &[TelemetryEv
                 matched.push((client, last, spans.len() as u64));
             }
             None => {
-                orphans_by_class[class_index(client.outcome)] += 1;
+                orphans_by_class[client.outcome.index()] += 1;
                 orphans.push((*client).clone());
             }
         }
     }
-    let offset = estimate_offset(&matched);
+    let offset = midpoint_offset(
+        matched
+            .iter()
+            .filter(|(client, server, attempts)| {
+                *attempts == 1
+                    && client.outcome == OutcomeClass::Ok
+                    && server.outcome == OutcomeClass::Ok
+            })
+            .map(|(c, s, _)| (c.picked_up_us, c.completed_us, s.accepted_us, s.flushed_us)),
+    );
 
     // Second pass: decompose under the estimated offset.
     let joined = matched
@@ -302,6 +283,7 @@ pub fn join_spans(client_events: &[TelemetryEvent], server_events: &[TelemetryEv
 mod tests {
     use super::*;
     use crate::span::{derive_trace_id, ServerFault};
+    use faasrail_stats::rng::{cases, Rng};
 
     /// Build a matched client/server pair with the given clock offset
     /// (server clock = client clock + offset) and symmetric one-way
@@ -367,6 +349,13 @@ mod tests {
         (client, server)
     }
 
+    /// Probe triples `(send, remote, recv)` as the fleet coordinator
+    /// samples them: zero-width remote intervals, `recv ≥ send`.
+    fn probes(samples: &[(u64, u64, u64)]) -> Vec<(u64, u64, u64, u64)> {
+        let kept = samples.iter().filter(|&&(send, _, recv)| recv >= send);
+        kept.map(|&(send, remote, recv)| (send, recv, remote, remote)).collect()
+    }
+
     #[test]
     fn probe_offset_recovers_injected_skew() {
         for injected in [-3_000_000i64, -47, 0, 512, 9_000_000] {
@@ -383,7 +372,7 @@ mod tests {
                 .collect();
             samples.push((12_000_000, (12_500_000i64 + injected) as u64, 12_900_000));
             samples.push((5_000_000, 1, 4_000_000)); // recv < send: dropped
-            let off = offset_from_probes(&samples);
+            let off = midpoint_offset(probes(&samples));
             assert_eq!(off.pairs, 10);
             assert!(
                 (off.offset_us - injected as f64).abs() <= off.error_us + 1e-6,
@@ -393,7 +382,7 @@ mod tests {
             );
             assert!(off.error_us <= 500.0, "median half-RTT bound: {}", off.error_us);
         }
-        let empty = offset_from_probes(&[]);
+        let empty = midpoint_offset(probes(&[]));
         assert_eq!((empty.pairs, empty.offset_us, empty.error_us), (0, 0.0, 0.0));
     }
 
@@ -534,6 +523,124 @@ mod tests {
         assert!(join.joined.is_empty());
         assert_eq!(join.orphaned(), 2);
         assert_eq!(join.server_unmatched, 2);
+    }
+
+    /// A client log that repeats a trace id used to add the server bucket
+    /// once per repeat, and `server_total - matched_server` underflowed.
+    #[test]
+    fn a_repeated_client_trace_id_joins_once() {
+        let (c, s) = pair(0, 0, 300, 20_000);
+        let mut again = c.clone();
+        if let TelemetryEvent::Invocation(span) = &mut again {
+            span.seq = 1;
+        }
+        let join = join_spans(&[c, again], &[s]);
+        assert_eq!(join.joined.len(), 1);
+        assert_eq!(join.joined[0].client.seq, 0, "the first occurrence wins");
+        assert_eq!((join.orphaned(), join.server_unmatched, join.extra_attempts), (0, 0, 0));
+    }
+
+    fn bits(o: ClockOffset) -> (u64, u64, u64) {
+        (o.pairs, o.offset_us.to_bits(), o.error_us.to_bits())
+    }
+
+    /// The span join's estimator as it was before the probe estimator was
+    /// folded into it.
+    fn span_pairs_oracle(pairs: &[(&InvocationSpan, &ServerSpan, u64)]) -> ClockOffset {
+        let mut offsets = Vec::new();
+        let mut slacks = Vec::new();
+        for (client, server, attempts) in pairs {
+            if *attempts != 1
+                || client.outcome != OutcomeClass::Ok
+                || server.outcome != OutcomeClass::Ok
+            {
+                continue;
+            }
+            let client_mid = (client.picked_up_us as f64 + client.completed_us as f64) / 2.0;
+            let server_mid = (server.accepted_us as f64 + server.flushed_us as f64) / 2.0;
+            offsets.push(server_mid - client_mid);
+            let client_width = client.completed_us.saturating_sub(client.picked_up_us) as f64;
+            let server_width = server.flushed_us.saturating_sub(server.accepted_us) as f64;
+            slacks.push(((client_width - server_width) / 2.0).max(0.0));
+        }
+        ClockOffset {
+            pairs: offsets.len() as u64,
+            offset_us: median(&mut offsets),
+            error_us: median(&mut slacks),
+        }
+    }
+
+    /// The fleet's probe estimator as it was before it was folded into the
+    /// span join's.
+    fn probes_oracle(samples: &[(u64, u64, u64)]) -> ClockOffset {
+        let mut offsets = Vec::new();
+        let mut slacks = Vec::new();
+        for &(send_us, remote_us, recv_us) in samples {
+            if recv_us < send_us {
+                continue;
+            }
+            let mid = (send_us as f64 + recv_us as f64) / 2.0;
+            offsets.push(remote_us as f64 - mid);
+            slacks.push((recv_us - send_us) as f64 / 2.0);
+        }
+        ClockOffset {
+            pairs: offsets.len() as u64,
+            offset_us: median(&mut offsets),
+            error_us: median(&mut slacks),
+        }
+    }
+
+    /// A stamp: mostly µs of a plausible run, sometimes anywhere in `u64`.
+    fn any_stamp(rng: &mut impl Rng) -> u64 {
+        match rng.below(4) {
+            0 => rng.next_u64(),
+            1 => rng.below(1 << 53),
+            _ => 10_000_000 + rng.below(1_000_000),
+        }
+    }
+
+    fn any_outcome(rng: &mut impl Rng) -> OutcomeClass {
+        if rng.below(3) == 0 {
+            OutcomeClass::ALL[rng.below(5) as usize]
+        } else {
+            OutcomeClass::Ok
+        }
+    }
+
+    #[test]
+    fn one_midpoint_estimator_reproduces_both_replaced_bodies() {
+        cases("one_midpoint_estimator_reproduces_both_replaced_bodies", 2_000, |rng| {
+            let samples: Vec<(u64, u64, u64)> = (0..rng.below(12))
+                .map(|_| (any_stamp(rng), any_stamp(rng), any_stamp(rng)))
+                .collect();
+            assert_eq!(bits(midpoint_offset(probes(&samples))), bits(probes_oracle(&samples)));
+
+            // Client spans, each with one or two server attempts, stamps
+            // and outcomes drawn at random: the join samples what the old
+            // body sampled and estimates the same bits.
+            let (mut client_log, mut server_log, mut spans) = (Vec::new(), Vec::new(), Vec::new());
+            for seq in 0..rng.below(12) {
+                let (mut c, mut s) = match pair(seq, 0, 300, 20_000) {
+                    (TelemetryEvent::Invocation(c), TelemetryEvent::ServerSpan(s)) => (c, s),
+                    _ => unreachable!("pair builds a client and a server span"),
+                };
+                (c.picked_up_us, c.completed_us) = (any_stamp(rng), any_stamp(rng));
+                (s.accepted_us, s.flushed_us) = (any_stamp(rng), any_stamp(rng));
+                (c.outcome, s.outcome) = (any_outcome(rng), any_outcome(rng));
+                let mut attempts = vec![s.clone()];
+                if rng.below(4) == 0 {
+                    let mut retry = s.clone();
+                    retry.handler_end_us = s.handler_end_us.saturating_sub(1);
+                    attempts.push(retry);
+                }
+                server_log.extend(attempts.iter().cloned().map(TelemetryEvent::ServerSpan));
+                client_log.push(TelemetryEvent::Invocation(c.clone()));
+                spans.push((c, s, attempts.len() as u64));
+            }
+            let pairs: Vec<_> = spans.iter().map(|(c, s, n)| (c, s, *n)).collect();
+            let join = join_spans(&client_log, &server_log);
+            assert_eq!(bits(join.offset), bits(span_pairs_oracle(&pairs)));
+        });
     }
 
     #[test]

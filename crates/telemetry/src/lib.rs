@@ -61,14 +61,12 @@ pub(crate) fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// histograms) don't need a direct `faasrail-stats` dependency.
 pub use build::BuildInfo;
 pub use faasrail_stats::LogHistogram;
-pub use join::{
-    join_spans, offset_from_probes, ClockOffset, CrossTierStages, JoinedSpan, SpanJoin,
-};
+pub use join::{join_spans, midpoint_offset, ClockOffset, CrossTierStages, JoinedSpan, SpanJoin};
 pub use prometheus::{escape_label_value, PromText};
 pub use recorder::{spawn_progress_printer, DeltaWindow, Recorder, Snapshot, WindowStats};
 pub use report::{
-    merge_event_logs, parse_jsonl, slowest_client_spans, CrossTierDecomposition, CrossTierReport,
-    LatencyDecomposition, LatencyStat, RunReport,
+    merge_event_logs, parse_jsonl, slowest_client_spans, tally_minute, CrossTierDecomposition,
+    CrossTierReport, LatencyDecomposition, LatencyStat, RunReport,
 };
 pub use sink::{EventSink, JsonlSink, NullSink, RingSink};
 pub use span::{

@@ -145,6 +145,11 @@ impl Snapshot {
         self.errors.iter().sum()
     }
 
+    /// Requests finished with `class`.
+    pub fn count(&self, class: OutcomeClass) -> u64 {
+        class.error_index().map_or(self.completed, |i| self.errors[i])
+    }
+
     /// Errors over finished requests; `0.0` when nothing finished.
     pub fn error_rate(&self) -> f64 {
         let finished = self.completed + self.errors_total();
@@ -184,12 +189,11 @@ impl Snapshot {
             "Requests finished successfully.",
             self.completed,
         );
-        let labeled = [
-            ("app_error", self.errors[0]),
-            ("timeout", self.errors[1]),
-            ("transport", self.errors[2]),
-            ("shed", self.errors[3]),
-        ];
+        let labeled: Vec<_> = OutcomeClass::ALL
+            .into_iter()
+            .filter(|&c| c != OutcomeClass::Ok)
+            .map(|c| (c.name(), self.count(c)))
+            .collect();
         p.counter_vec(
             &format!("{prefix}_errors_total"),
             "Requests finished unsuccessfully, by outcome class.",
@@ -250,10 +254,6 @@ impl WindowStats {
             p95_ms: quantile(0.95),
             p99_ms: quantile(0.99),
         }
-    }
-
-    pub fn errors_total(&self) -> u64 {
-        self.errors.iter().sum()
     }
 
     /// `offered … | achieved … | err … | p50/p95/p99 …`: the progress line

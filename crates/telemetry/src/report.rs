@@ -228,11 +228,15 @@ pub struct RunReport {
     pub build: Option<crate::build::BuildInfo>,
 }
 
-fn bump(v: &mut Vec<u64>, minute: usize) {
-    if v.len() <= minute {
-        v.resize(minute + 1, 0);
+/// Count one request scheduled `at_ms` into the experiment against its
+/// minute, `at_ms / 60 000`, growing `series` to reach it: the one
+/// definition of a request's minute, for every per-minute series.
+pub fn tally_minute(series: &mut Vec<u64>, at_ms: u64) {
+    let minute = (at_ms / 60_000) as usize;
+    if series.len() <= minute {
+        series.resize(minute + 1, 0);
     }
-    v[minute] += 1;
+    series[minute] += 1;
 }
 
 impl RunReport {
@@ -301,12 +305,11 @@ impl RunReport {
         if span.cold_start {
             self.cold_starts += 1;
         }
-        let minute = span.scheduled_minute();
-        bump(&mut self.issued_per_minute, minute);
+        tally_minute(&mut self.issued_per_minute, span.scheduled_ms);
         match span.outcome {
             OutcomeClass::Ok => {
                 self.completed += 1;
-                bump(&mut self.completed_per_minute, minute);
+                tally_minute(&mut self.completed_per_minute, span.scheduled_ms);
                 return;
             }
             OutcomeClass::AppError => self.app_errors += 1,
@@ -315,7 +318,7 @@ impl RunReport {
             OutcomeClass::Shed => self.shed += 1,
         }
         self.errors += 1;
-        bump(&mut self.errors_per_minute, minute);
+        tally_minute(&mut self.errors_per_minute, span.scheduled_ms);
     }
 
     /// Render as a Markdown document.
@@ -586,6 +589,17 @@ mod tests {
         // service/overhead only cover successful spans.
         assert_eq!(r.decomposition.service.count, 2);
         assert_eq!(r.decomposition.response.count, 6);
+    }
+
+    #[test]
+    fn tally_minute_buckets_by_schedule() {
+        let mut series = Vec::new();
+        for at_ms in (0..90).map(|s| s * 1_000) {
+            tally_minute(&mut series, at_ms); // 1/s → 60 in minute 0, 30 in minute 1
+        }
+        assert_eq!(series, [60, 30]);
+        tally_minute(&mut series, 4 * 60_000 - 1);
+        assert_eq!(series, [60, 30, 0, 1], "the series grows to the minute it counts");
     }
 
     #[test]

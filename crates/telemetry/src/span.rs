@@ -72,7 +72,8 @@ pub enum OutcomeClass {
 }
 
 impl OutcomeClass {
-    /// Every class, in partition order.
+    /// Every class, in partition order: declaration order, so
+    /// `ALL[c.index()] == c`.
     pub const ALL: [OutcomeClass; 5] = [
         OutcomeClass::Ok,
         OutcomeClass::AppError,
@@ -92,16 +93,17 @@ impl OutcomeClass {
         }
     }
 
+    /// Index into a `[u64; 5]` per-class counter array
+    /// (`[ok, app_error, timeout, transport, shed]`). The one definition of
+    /// a class's position: [`Self::error_index`] is this, less `Ok`.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Index into a `[u64; 4]` per-error-class counter array
     /// (`[app_error, timeout, transport, shed]`); `None` for [`Self::Ok`].
     pub fn error_index(self) -> Option<usize> {
-        match self {
-            OutcomeClass::Ok => None,
-            OutcomeClass::AppError => Some(0),
-            OutcomeClass::Timeout => Some(1),
-            OutcomeClass::Transport => Some(2),
-            OutcomeClass::Shed => Some(3),
-        }
+        self.index().checked_sub(1)
     }
 }
 
@@ -177,11 +179,6 @@ impl InvocationSpan {
     /// End-to-end response time (dispatch → completion), seconds.
     pub fn response_s(&self) -> f64 {
         self.completed_us.saturating_sub(self.dispatched_us) as f64 / 1e6
-    }
-
-    /// The scheduled experiment minute this span counts against.
-    pub fn scheduled_minute(&self) -> usize {
-        (self.scheduled_ms / 60_000) as usize
     }
 
     /// Move the four run-relative stamps (target, dispatch, pickup,
@@ -500,7 +497,6 @@ mod tests {
         assert!((s.response_s() - 0.060).abs() < 1e-9);
         // queue wait + service + overhead == response (for completed spans).
         assert!((s.queue_wait_s() + s.service_s() + s.overhead_s() - s.response_s()).abs() < 1e-9);
-        assert_eq!(s.scheduled_minute(), 1);
     }
 
     #[test]
@@ -654,6 +650,9 @@ mod tests {
         assert_eq!(OutcomeClass::Ok.error_index(), None);
         assert_eq!(OutcomeClass::AppError.error_index(), Some(0));
         assert_eq!(OutcomeClass::Shed.error_index(), Some(3));
+        for (i, c) in OutcomeClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
         let names: Vec<&str> = OutcomeClass::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names, ["ok", "app_error", "timeout", "transport", "shed"]);
     }

@@ -20,6 +20,7 @@ pub mod azure;
 pub mod huawei;
 pub mod loader;
 pub mod model;
+pub mod scale;
 pub mod summarize;
 pub mod synth;
 pub mod validate;
@@ -29,4 +30,5 @@ pub use model::{
     App, AppId, DayStats, FunctionId, MinuteSeries, Trace, TraceFunction, TraceKind,
     MINUTES_PER_DAY,
 };
+pub use scale::Scale;
 pub use validate::{validate, ValidationError};

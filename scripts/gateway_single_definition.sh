@@ -36,6 +36,12 @@
 # And one writer of event-log lines: TelemetryEvent::write_jsonl (span.rs) encodes
 # each line JsonlSink writes, and fleet coordinate's --events log is written by
 # the same encoder.
+# And one definition per accounting fact: a request's minute is counted by
+# telemetry::tally_minute, RunMetrics maps itself to and from a Snapshot, one
+# midpoint estimator (telemetry::midpoint_offset) serves the span join and the
+# fleet's clock probes, OutcomeClass alone knows a class's position and label,
+# and faasrail_trace::Scale alone names the trace sizes; `replay --prom-out`
+# writes the final RunMetrics' snapshot and needs no live recorder.
 # Then print what each file weighs (lines above its first `#[cfg(test)]`), and
 # each crate and the workspace.
 set -euo pipefail
@@ -203,6 +209,18 @@ for file in crates/*/src/*.rs crates/*/src/*/*.rs tests/*.rs tests/*/*.rs exampl
         'QuantileAcc' 'StageAcc' 'metrics_from_snapshot' 'cfg.reshard' 'raw_windows'
 done
 
+for file in crates/*/src/*.rs crates/*/src/*/*.rs; do
+    refuse "$file" 'nowhere: tally_minute, RunMetrics::{snapshot,from_snapshot}, midpoint_offset, OutcomeClass::index' \
+        'fn class_index' 'fn snapshot_of' 'fn per_minute_of' 'fn bump' 'fn estimate_offset' \
+        'fn offset_from_probes'
+done
+only_in crates/trace/src/scale.rs '"paper" =>'
+if nontest crates/cli/src/online.rs | grep -B3 -A1 -F 'Recorder::new(' | grep -F 'prom-out'; then
+    echo 'error: crates/cli/src/online.rs: `--prom-out` writes RunMetrics::snapshot;' \
+        'a Recorder is built for --live-metrics alone' >&2
+    fail=1
+fi
+
 weigh() { # label, files...
     local label=$1 total=0 file lines
     shift
@@ -230,6 +248,7 @@ weigh faas-sim crates/faas-sim/src/*.rs
 weigh 'bench (reproduction; harness/ apart)' crates/bench/src/*.rs crates/bench/src/bin/*.rs
 weigh 'bench harness' crates/bench/src/harness/*.rs
 weigh telemetry crates/telemetry/src/*.rs
+weigh loadgen crates/loadgen/src/*.rs
 weigh core crates/core/src/*.rs
 weigh_crates
 exit "$fail"

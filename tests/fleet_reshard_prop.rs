@@ -20,9 +20,7 @@ mod common;
 
 use common::{claimed_metrics, claimed_prefix};
 use faasrail::core::{Request, RequestTrace};
-use faasrail::fleet::{
-    per_minute_of, Control, Event, FleetConfig, FleetMessage, FleetReport, Loss, WorkPrefix,
-};
+use faasrail::fleet::{Control, Event, FleetConfig, FleetMessage, FleetReport, Loss, WorkPrefix};
 use faasrail::prelude::*;
 use faasrail::telemetry::{ClockOffset, Snapshot};
 use faasrail::workloads::WorkloadId;
@@ -251,6 +249,29 @@ fn run_schedule(
     fleet.drain()
 }
 
+/// The offered series, counted apart from the code under test: minute `m`
+/// holds the requests scheduled in `[m, m + 1)` minutes, and the series
+/// ends at the last minute that holds one.
+fn offered_per_minute(trace: &RequestTrace) -> Vec<u64> {
+    let in_minute = |m: u64| {
+        let within = |r: &&Request| (m * 60_000..(m + 1) * 60_000).contains(&r.at_ms);
+        trace.requests.iter().filter(within).count() as u64
+    };
+    let mut series = Vec::new();
+    while trace.requests.iter().any(|r| r.at_ms >= series.len() as u64 * 60_000) {
+        series.push(in_minute(series.len() as u64));
+    }
+    series
+}
+
+#[test]
+fn the_offered_oracle_counts_by_schedule() {
+    let pool = vanilla_pool();
+    assert_eq!(offered_per_minute(&ramp(150, 1_000, &pool)), [60, 60, 30]);
+    assert_eq!(offered_per_minute(&ramp(2, 150_000, &pool)), [1, 0, 1]);
+    assert!(offered_per_minute(&RequestTrace { duration_minutes: 1, requests: vec![] }).is_empty());
+}
+
 fn padded(v: &[u64], len: usize) -> Vec<u64> {
     let mut out = v.to_vec();
     out.resize(len.max(out.len()), 0);
@@ -304,7 +325,7 @@ fn random_kill_schedules_preserve_the_partition_exactly() {
         assert_eq!(m.per_kind.values().sum::<u64>(), m.issued);
 
         // Per-minute: issued + aborted == offered, element-wise.
-        let full = per_minute_of(&trace);
+        let full = offered_per_minute(&trace);
         let len = full.len();
         let issued_pm = padded(&m.issued_per_minute, len);
         let aborted_pm = padded(&aborted_per_minute, len);
@@ -357,7 +378,7 @@ fn a_dead_grantee_regrants_its_grants() {
     let (report, plan) = fleet.drain();
     assert_eq!(report.aborted_invocations, 0);
     assert_eq!(report.metrics.completed + report.metrics.errors, report.offered);
-    assert_eq!(report.metrics.issued_per_minute, per_minute_of(&trace));
+    assert_eq!(report.metrics.issued_per_minute, offered_per_minute(&trace));
     let chain: Vec<(u32, u32, &str)> = report
         .reassignments
         .iter()
@@ -484,7 +505,7 @@ fn a_death_after_operator_stop_issues_no_grants() {
 
     let aborted_pm = &report.aborted_per_minute;
     assert_eq!(aborted_pm.iter().sum::<u64>(), report.aborted_invocations);
-    let full = per_minute_of(&trace);
+    let full = offered_per_minute(&trace);
     let issued_pm = padded(&m.issued_per_minute, full.len());
     assert_eq!(aborted_pm.len(), full.len());
     for (minute, f) in full.iter().enumerate() {
@@ -551,7 +572,7 @@ fn a_send_failure_is_a_death() {
     let (report, _) = fleet.drain();
     assert_eq!(report.agents[1].status, "stall", "the first report of the loss names it");
     assert_eq!(report.aborted_invocations, 0);
-    assert_eq!(report.metrics.issued_per_minute, per_minute_of(&trace));
+    assert_eq!(report.metrics.issued_per_minute, offered_per_minute(&trace));
 }
 
 /// The same event schedule twice gives the same report, byte for byte.
