@@ -47,10 +47,12 @@
 //! What is left to a transport: sockets, threads, buffers, timers, and
 //! where the admission queue sits. The threaded engine admits connections
 //! before any request is read, so `queue_depth` counts connections waiting
-//! for a worker thread. The reactor admits each invocation after routing,
-//! so `queue_depth` counts invocations waiting for a handler thread, and a
-//! shed request has already been counted in `invocations` and in its fault
-//! band's counter (`faults_delayed`, say).
+//! for a worker thread. The reactor admits each run (a connection's
+//! consecutive buffered invocations, handed to one handler) when its first
+//! invocation is routed, so `queue_depth` counts runs waiting for a handler
+//! thread, and a shed request has already been counted in `invocations` and
+//! in its fault band's counter (`faults_delayed`, say). Either way
+//! `handoffs` counts what admission handed over.
 
 use crate::backoff::mix_fraction;
 use crate::lock;
@@ -193,9 +195,13 @@ pub struct GatewayStats {
     /// Connections refused with `429` because the admission queue was full.
     pub shed: AtomicU64,
     /// Work admitted but not yet picked up by a worker (gauge; connections
-    /// on the threaded engine, invocations on the reactor). Never above
+    /// on the threaded engine, runs on the reactor). Never above
     /// `queue_capacity`: it is the count `Core::admit` takes slots from.
     pub queue_depth: AtomicU64,
+    /// Work handed from admission to a handler: one admitted connection on
+    /// the threaded engine, one run of pipelined invocations on the
+    /// reactor. `invocations / handoffs` is the mean run length.
+    pub handoffs: AtomicU64,
     pub faults_dropped: AtomicU64,
     pub faults_errored: AtomicU64,
     pub faults_stalled: AtomicU64,
@@ -217,7 +223,7 @@ impl GatewayStats {
                 "{{\"connections_accepted\":{},\"connections_active\":{},",
                 "\"connections_closed\":{},\"requests\":{},\"invocations\":{},",
                 "\"invocations_ok\":{},\"invocations_failed\":{},",
-                "\"shed\":{},\"queue_depth\":{},",
+                "\"shed\":{},\"queue_depth\":{},\"handoffs\":{},",
                 "\"faults_dropped\":{},\"faults_errored\":{},",
                 "\"faults_stalled\":{},\"faults_delayed\":{},",
                 "\"http_400\":{},\"http_404\":{},",
@@ -233,6 +239,7 @@ impl GatewayStats {
             self.invocations_failed.load(Ordering::Relaxed),
             self.shed.load(Ordering::Relaxed),
             self.queue_depth.load(Ordering::Relaxed),
+            self.handoffs.load(Ordering::Relaxed),
             self.faults_dropped.load(Ordering::Relaxed),
             self.faults_errored.load(Ordering::Relaxed),
             self.faults_stalled.load(Ordering::Relaxed),
@@ -287,8 +294,13 @@ impl GatewayStats {
         );
         p.gauge(
             "faasrail_gateway_queue_depth",
-            "Connections accepted but not yet picked up by a worker.",
+            "Admitted work not yet picked up by a handler: connections (threaded) or runs (reactor).",
             load(&self.queue_depth) as f64,
+        );
+        p.counter(
+            "faasrail_gateway_handoffs_total",
+            "Work handed from admission to a handler: connections (threaded) or runs (reactor).",
+            load(&self.handoffs),
         );
         p.counter_vec(
             "faasrail_gateway_faults_injected_total",

@@ -252,7 +252,9 @@ impl Driver {
     fn read_conn(&mut self, idx: usize) -> bool {
         let conn = &mut self.conns[idx];
         let ConnSock::Live(stream) = &mut conn.sock else { return true };
-        let Ok(peer_closed) = conn.rbuf.drain_from(stream, 16 * 1024) else { return false };
+        let Ok(peer_closed) = conn.rbuf.drain_from(stream, 16 * 1024, usize::MAX) else {
+            return false;
+        };
         loop {
             let head = match http1::parse_response(conn.rbuf.filled(), http::MAX_HEAD_BYTES) {
                 Ok(Some(h)) if conn.rbuf.len() >= h.total_len() => h,

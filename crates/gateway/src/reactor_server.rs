@@ -8,35 +8,53 @@
 //!   epoll instance, a listening socket (`SO_REUSEPORT` when `N > 1`, so
 //!   the kernel spreads accepts), a connection slab, a deadline wheel, and
 //!   an [`Inbox`] of completions. A shard never blocks on a socket:
-//!   connections are registered once, edge-triggered, and drained to
-//!   `WouldBlock`.
+//!   connections are registered once, edge-triggered, and read to
+//!   `WouldBlock` while they are ready to parse.
+//! * **Runs.** A shard parses every complete request a connection has
+//!   buffered, and its consecutive `POST /invoke`s become one *run*, handed
+//!   to the handler pool as one job when parsing stops; a lone request is a
+//!   run of one. One handler executes the run in request order, as a
+//!   threaded worker serves a pipelined connection, and the connection is
+//!   busy until the run's last response lands. Only an invocation joins an
+//!   open run: any other request stays unparsed until the run is answered,
+//!   and an invocation routed to a reply or a vanish (`400`, injected `500`,
+//!   drop, stall) is held and carried out after the run's last response,
+//!   ending the run, as does one whose reply closes the connection. While a
+//!   run is out a connection reads only until `READ_CHUNK` unparsed bytes
+//!   are buffered, so a peer pipelining behind a slow invocation is held by
+//!   the kernel's backpressure, as it is on the threaded engine.
 //! * **One shared handler pool** of `cfg.workers` threads runs every
-//!   `Step::Invoke` in [`Core::run_invoke`], the threaded engine's handler
+//!   invocation in [`Core::run_invoke`], the threaded engine's handler
 //!   stage: an injected delay is waited out there, then the backend runs,
 //!   which may block arbitrarily long (that is the [`Backend`] contract).
 //!   The pool is fed by one `sync_channel` of `cfg.queue_capacity`, and
-//!   that bound *is* the admission queue: an invocation routed with all
-//!   its slots taken (`Core::admit`) is shed with `429` + `Retry-After`
-//!   and the connection closed — the same signal the threaded server gives
-//!   when its accept queue is full. When the shards have exited, their
-//!   senders are gone and the handlers drain what is queued, then stop.
+//!   that bound *is* the admission queue: a run takes one slot
+//!   (`Core::admit`) when its first invocation is routed, and one routed
+//!   with all slots taken is shed with `429` + `Retry-After` and the
+//!   connection closed — the same signal the threaded server gives when its
+//!   accept queue is full. A handler gives the slot back when it dequeues
+//!   the run. When the shards have exited, their senders are gone and the
+//!   handlers drain what is queued, then stop.
 //! * **What only the event loop can do** stays on it: parsing, staging and
 //!   flushing responses, and the per-connection deadlines on the shard's
-//!   timer wheel. An idle keep-alive connection is reaped after
-//!   `cfg.read_timeout`, a peer that has started a request but not
-//!   finished sending it (slow loris) after `cfg.head_read_timeout`, and an
-//!   injected drop or stall (`Step::Vanish`, which runs no backend) is a
-//!   hold on the socket — without stalling anyone else, because no shard
-//!   thread ever blocks on one socket.
+//!   timer wheel. Each completion is staged as it lands, and a connection
+//!   is flushed once per loop pass, after the inbox is drained, so no
+//!   response waits for a later invocation of its run. An idle keep-alive
+//!   connection is reaped after `cfg.read_timeout`, a peer that has started
+//!   a request but not finished sending it (slow loris) after
+//!   `cfg.head_read_timeout`, and an injected drop or stall
+//!   (`Step::Vanish`, which runs no backend) is a hold on the socket —
+//!   without stalling anyone else, because no shard thread ever blocks on
+//!   one socket.
 //!
 //! What is served, refused, injected and traced is [`crate::core`]'s
 //! contract, shared with the threaded server. Two differences are the
-//! transport's own, and invisible on the wire: shedding happens when an
-//! invocation is routed instead of when a connection is accepted (a
-//! client sees `429` + `Retry-After` + close either way), so
-//! `queue_depth` counts queued invocations rather than queued
-//! connections, and the handler-queue wait is what a span's `queue_wait`
-//! stage holds.
+//! transport's own, and invisible on the wire: shedding happens when a run
+//! opens instead of when a connection is accepted (a client sees `429` +
+//! `Retry-After` + close either way), so `queue_depth` counts queued runs
+//! rather than queued connections; and a span's `queue_wait` stage holds
+//! the handler-queue wait plus the wait behind its run's earlier
+//! invocations, since a handler stamps `dequeued_us` as it starts each one.
 
 use crate::core::{micros_since, Arrival, Core, Reply, Step};
 use crate::front::{Engine, Gateway};
@@ -75,14 +93,20 @@ fn token_gen(token: u64) -> u32 {
     (token >> 32) as u32
 }
 
-/// One admitted `/invoke` on its way to a handler thread.
-struct Job {
-    shard: usize,
-    token: u64,
+/// A routed `/invoke`, as a handler runs it.
+struct Invocation {
     inv: InvocationRequest,
     span: ServerSpan,
     delay: Option<Duration>,
     keep: bool,
+}
+
+/// One admitted run on its way to a handler thread: a connection's
+/// consecutive buffered invocations, in request order.
+struct Job {
+    shard: usize,
+    token: u64,
+    invs: Vec<Invocation>,
 }
 
 /// A finished invocation travelling back to its shard.
@@ -109,9 +133,9 @@ struct PendingSpan {
 enum ConnState {
     /// Between requests (or mid-head): the parser drives.
     Ready,
-    /// One `/invoke` is out at the handler pool; buffered pipelined
-    /// requests wait so responses stay in order.
-    Busy,
+    /// A run is out at the handler pool with `left` of its responses still
+    /// to come; buffered pipelined requests wait so responses stay in order.
+    Busy { left: usize },
     /// Injected stall: the socket is held open and silent until `until`,
     /// then closed without a response.
     Stalled { until: Instant, span: Option<Box<ServerSpan>> },
@@ -137,7 +161,12 @@ struct Conn {
     /// hints; the real deadline is re-checked when one fires).
     armed_until: Option<Instant>,
     read_closed: bool,
+    /// The socket may hold bytes a bounded read left there.
+    unread: bool,
     close_after_flush: bool,
+    /// A step routed behind an open run (a `400`, an injected `500`, a drop
+    /// or a stall), carried out once the run's last response is staged.
+    held: Option<Step>,
 }
 
 /// Arm `conn`'s wheel entry for `deadline` unless an earlier one is
@@ -148,15 +177,6 @@ fn arm(wheel: &mut TimerWheel, conn: &mut Conn, deadline: Instant) {
         wheel.insert(conn.token, deadline);
         conn.armed_until = Some(deadline);
     }
-}
-
-enum Parsed {
-    /// Keep parsing (a complete request was consumed).
-    Continue,
-    /// Stop parsing for now (partial input, or the connection went busy).
-    Stop,
-    /// The connection must be torn down immediately.
-    Close,
 }
 
 enum TimerAction {
@@ -213,6 +233,7 @@ impl<'a> Shard<'a> {
     fn run(mut self) {
         let mut events = Vec::with_capacity(1024);
         let mut completions: Vec<Completion> = Vec::new();
+        let mut staged: Vec<u64> = Vec::new();
         let mut fired: Vec<u64> = Vec::new();
         loop {
             let shutting_down = self.core.shutdown.load(Ordering::SeqCst);
@@ -240,7 +261,17 @@ impl<'a> Shard<'a> {
             completions.clear();
             self.inbox.drain(&mut completions);
             for completion in completions.drain(..) {
-                self.on_completion(completion);
+                let token = completion.token;
+                if self.on_completion(completion) && staged.last() != Some(&token) {
+                    staged.push(token);
+                }
+            }
+            // One flush per connection per pass, however many of its
+            // responses landed.
+            for token in staged.drain(..) {
+                if self.conn_alive(token) {
+                    self.flush_or_close(token_slot(token));
+                }
             }
             if accept_pass {
                 self.accept_ready();
@@ -314,7 +345,9 @@ impl<'a> Shard<'a> {
             head_since: None,
             armed_until: None,
             read_closed: false,
+            unread: false,
             close_after_flush: false,
+            held: None,
         };
         self.core.stats.connections_active.fetch_add(1, Ordering::Relaxed);
         self.conns[slot] = Some(conn);
@@ -341,152 +374,147 @@ impl<'a> Shard<'a> {
             return; // stale event for a recycled slot
         }
         let slot = token_slot(token);
-        if error {
+        let conn = self.conns[slot].as_mut().expect("checked alive");
+        if error || (readable && fill(conn).is_err()) {
             self.close_conn(slot);
             return;
         }
-        if readable {
-            let conn = self.conns[slot].as_mut().expect("checked alive");
-            match conn.rbuf.drain_from(&mut conn.stream, READ_CHUNK) {
-                Ok(eof) => conn.read_closed |= eof,
-                Err(_) => {
-                    self.close_conn(slot);
-                    return;
-                }
-            }
-        }
-        if !self.advance_conn(slot) {
-            self.close_conn(slot);
-            return;
-        }
+        self.advance_conn(slot);
         // Always push staged bytes: a response produced on a read event
         // will never get its own writable edge (the socket never filled).
-        if !self.try_flush(slot) {
-            self.close_conn(slot);
-        }
+        self.flush_or_close(slot);
     }
 
     /// Parse and route as many buffered requests as the connection's state
-    /// allows. Returns `false` when the connection must close immediately.
-    fn advance_conn(&mut self, slot: usize) -> bool {
-        loop {
-            {
-                let conn = self.conns[slot].as_mut().expect("checked alive");
-                if conn.close_after_flush || !matches!(conn.state, ConnState::Ready) {
-                    return true;
-                }
-            }
-            match self.parse_one(slot) {
-                Parsed::Continue => continue,
-                Parsed::Stop => return true,
-                Parsed::Close => return false,
-            }
-        }
-    }
-
-    /// Try to parse and handle exactly one request off the read buffer.
-    fn parse_one(&mut self, slot: usize) -> Parsed {
+    /// allows. Consecutive invocations make one run, handed to the handler
+    /// pool in one job when parsing stops; while a run is open only a
+    /// complete `POST /invoke` is parsed, so every other request answers
+    /// after the run's responses, in order.
+    fn advance_conn(&mut self, slot: usize) {
         let core = self.core;
         let conn = self.conns[slot].as_mut().expect("checked alive");
-        let head = match http1::parse_request(conn.rbuf.filled(), http::MAX_HEAD_BYTES) {
-            Ok(Some(head)) if conn.rbuf.len() >= head.total_len() => head,
-            Err(refused) => {
-                stage(conn, core.bad_request(&refused));
-                return Parsed::Stop;
-            }
-            Ok(None) if conn.rbuf.is_empty() => {
-                conn.head_since = None;
-                if conn.read_closed {
-                    // Clean close between requests (after any staged
-                    // response drains).
-                    if conn.wbuf.is_empty() {
-                        return Parsed::Close;
+        let mut run = Vec::new();
+        while !conn.close_after_flush && matches!(conn.state, ConnState::Ready) {
+            let head = match http1::parse_request(conn.rbuf.filled(), http::MAX_HEAD_BYTES) {
+                Ok(Some(head)) if conn.rbuf.len() >= head.total_len() => head,
+                // Whatever it is, it waits for the run.
+                _ if !run.is_empty() => break,
+                Err(refused) => {
+                    stage(conn, core.bad_request(&refused));
+                    break;
+                }
+                Ok(None) if conn.rbuf.is_empty() => {
+                    conn.head_since = None;
+                    // A clean close between requests, once any staged
+                    // response drains.
+                    conn.close_after_flush = conn.read_closed;
+                    break;
+                }
+                // Part of a request is in, head or body.
+                Ok(_) => {
+                    if conn.read_closed {
+                        // Cut short by EOF: no answer to it.
+                        conn.close_after_flush = true;
+                        break;
                     }
-                    conn.close_after_flush = true;
+                    // The slow-loris clock runs from the request's first byte.
+                    let since = *conn.head_since.get_or_insert_with(Instant::now);
+                    arm(&mut self.wheel, conn, since + core.cfg.head_read_timeout);
+                    break;
                 }
-                return Parsed::Stop;
+            };
+            let buf = conn.rbuf.filled();
+            let (method, path) = (&buf[head.method.clone()], &buf[head.path.clone()]);
+            if !run.is_empty() && (method, path) != (&b"POST"[..], &b"/invoke"[..]) {
+                break;
             }
-            // Part of a request is in, head or body.
-            Ok(_) => {
-                if conn.read_closed {
-                    return Parsed::Close; // cut short by EOF: no answer
+            conn.head_since = None;
+            conn.idle_since = Instant::now();
+            conn.served += 1;
+            let now_us = micros_since(core.epoch);
+            let step = core.route(Arrival {
+                method,
+                path,
+                keep_alive: head.keep_alive,
+                trace_id: http::trace_id(buf, &head),
+                body: &buf[head.body_range()],
+                served: conn.served,
+                // Keep-alive follow-ups never waited for admission; their
+                // accepted stamp collapses to the parse instant (as in the
+                // threaded server).
+                accepted_us: if conn.served == 1 { conn.accepted_us } else { now_us },
+                // Until a handler thread starts the invocation and says
+                // otherwise.
+                dequeued_us: now_us,
+                queue_depth: core.stats.queue_depth.load(Ordering::Relaxed),
+                worker: self.id as u64,
+            });
+            conn.rbuf.consume(head.total_len());
+            match step {
+                Step::Invoke { inv, span, delay, keep } => {
+                    // A run takes one admission slot, when it opens.
+                    if run.is_empty() && core.admit().is_none() {
+                        stage(conn, core.shed());
+                        break;
+                    }
+                    run.push(Invocation { inv, span, delay, keep });
+                    if !keep {
+                        break; // its reply closes the connection
+                    }
                 }
-                // The slow-loris clock runs from the request's first byte.
-                let since = *conn.head_since.get_or_insert_with(Instant::now);
-                arm(&mut self.wheel, conn, since + core.cfg.head_read_timeout);
-                return Parsed::Stop;
-            }
-        };
-        conn.head_since = None;
-        conn.idle_since = Instant::now();
-        conn.served += 1;
-        let now_us = micros_since(core.epoch);
-        let buf = conn.rbuf.filled();
-        let step = core.route(Arrival {
-            method: &buf[head.method.clone()],
-            path: &buf[head.path.clone()],
-            keep_alive: head.keep_alive,
-            trace_id: http::trace_id(buf, &head),
-            body: &buf[head.body_range()],
-            served: conn.served,
-            // Keep-alive follow-ups never waited for admission; their
-            // accepted stamp collapses to the parse instant (as in the
-            // threaded server).
-            accepted_us: if conn.served == 1 { conn.accepted_us } else { now_us },
-            // Until a handler thread picks the invocation up and says
-            // otherwise.
-            dequeued_us: now_us,
-            queue_depth: core.stats.queue_depth.load(Ordering::Relaxed),
-            worker: self.id as u64,
-        });
-        conn.rbuf.consume(head.total_len());
-        match step {
-            Step::Reply(reply) => {
-                stage(conn, reply);
-            }
-            Step::Invoke { inv, span, delay, keep } => {
-                if core.admit().is_some() {
-                    let job = Job { shard: self.id, token: conn.token, inv, span, delay, keep };
-                    // Admitted work always finds room, and the handlers
-                    // outlive every shard: this never blocks or fails.
-                    self.jobs.send(job).expect("handler pool is running");
-                    conn.state = ConnState::Busy;
-                } else {
-                    stage(conn, core.shed());
+                step if run.is_empty() => carry_out(&mut self.wheel, core, conn, step),
+                step => {
+                    conn.held = Some(step);
+                    break;
                 }
-            }
-            Step::Vanish { span, hold } if hold.is_zero() => {
-                core.close(span);
-                conn.close_after_flush = true;
-            }
-            Step::Vanish { span, hold } => {
-                let until = Instant::now() + hold;
-                conn.state = ConnState::Stalled { until, span: Some(Box::new(span)) };
-                arm(&mut self.wheel, conn, until);
             }
         }
-        Parsed::Continue
+        if !run.is_empty() {
+            conn.state = ConnState::Busy { left: run.len() };
+            core.stats.handoffs.fetch_add(1, Ordering::Relaxed);
+            let job = Job { shard: self.id, token: conn.token, invs: run };
+            // Admitted work always finds room, and the handlers outlive
+            // every shard: this never blocks or fails.
+            self.jobs.send(job).expect("handler pool is running");
+        }
     }
 
     // ---- completions ----------------------------------------------------
 
-    fn on_completion(&mut self, completion: Completion) {
+    /// Stage a finished invocation's response; after a run's last one,
+    /// carry out the held step and parse on. `true` when the connection
+    /// lives and has bytes to flush.
+    fn on_completion(&mut self, completion: Completion) -> bool {
         if !self.conn_alive(completion.token) {
             discard(self.core, completion.reply); // died while the backend ran
-            return;
+            return false;
         }
         let slot = token_slot(completion.token);
-        {
-            let conn = self.conns[slot].as_mut().expect("checked alive");
-            conn.state = ConnState::Ready;
-            conn.idle_since = Instant::now();
-            stage(conn, completion.reply);
-            arm(&mut self.wheel, conn, Instant::now() + self.core.cfg.read_timeout);
+        let core = self.core;
+        let conn = self.conns[slot].as_mut().expect("checked alive");
+        stage(conn, completion.reply);
+        let ConnState::Busy { left } = &mut conn.state else {
+            unreachable!("a completion lands on the connection that ran it")
+        };
+        *left -= 1;
+        if *left > 0 {
+            return true;
         }
-        // Pipelined follow-ups may already be buffered.
-        if !self.advance_conn(slot) || !self.try_flush(slot) {
+        let now = Instant::now();
+        conn.state = ConnState::Ready;
+        conn.idle_since = now;
+        arm(&mut self.wheel, conn, now + core.cfg.read_timeout);
+        if let Some(step) = conn.held.take() {
+            carry_out(&mut self.wheel, core, conn, step);
+        }
+        // Read what the socket kept while the run was out, then parse the
+        // pipelined follow-ups.
+        if conn.unread && fill(conn).is_err() {
             self.close_conn(slot);
+            return false;
         }
+        self.advance_conn(slot);
+        true
     }
 
     // ---- timers ---------------------------------------------------------
@@ -509,9 +537,9 @@ impl<'a> Shard<'a> {
                         TimerAction::Rearm(*until)
                     }
                 }
-                // No deadline while the handler runs; the idle timer is
-                // re-armed when the completion lands.
-                ConnState::Busy => TimerAction::Nothing,
+                // No deadline while the run is out; the idle timer is
+                // re-armed when its last completion lands.
+                ConnState::Busy { .. } => TimerAction::Nothing,
                 ConnState::Ready => {
                     let deadline = if conn.rbuf.is_empty() {
                         conn.idle_since + cfg.read_timeout
@@ -545,32 +573,29 @@ impl<'a> Shard<'a> {
 
     // ---- writes and teardown --------------------------------------------
 
-    /// Push staged bytes at the socket; emit spans whose responses are now
-    /// fully flushed. Returns `false` if the transport broke.
-    fn try_flush(&mut self, slot: usize) -> bool {
+    /// Push staged bytes at the socket and emit the spans whose responses
+    /// are now fully flushed; close the connection if the transport broke,
+    /// or if it was to close and nothing is left to send.
+    fn flush_or_close(&mut self, slot: usize) {
         let core = self.core;
-        let should_close = {
-            let conn = self.conns[slot].as_mut().expect("checked alive");
-            if !conn.wbuf.is_empty() {
-                match conn.wbuf.flush_to(&mut conn.stream) {
-                    Ok(n) => conn.flushed_bytes += n as u64,
-                    Err(_) => return false,
-                }
+        let conn = self.conns[slot].as_mut().expect("checked alive");
+        if !conn.wbuf.is_empty() {
+            match conn.wbuf.flush_to(&mut conn.stream) {
+                Ok(n) => conn.flushed_bytes += n as u64,
+                Err(_) => return self.close_conn(slot),
             }
-            let now_us = micros_since(core.epoch);
-            while let Some(front) = conn.pending_spans.front() {
-                if front.done_at > conn.flushed_bytes {
-                    break;
-                }
-                let pending = conn.pending_spans.pop_front().expect("checked front");
-                core.emit(pending.span, now_us);
+        }
+        let now_us = micros_since(core.epoch);
+        while let Some(front) = conn.pending_spans.front() {
+            if front.done_at > conn.flushed_bytes {
+                break;
             }
-            conn.close_after_flush && conn.wbuf.is_empty()
-        };
-        if should_close {
+            let pending = conn.pending_spans.pop_front().expect("checked front");
+            core.emit(pending.span, now_us);
+        }
+        if conn.close_after_flush && conn.wbuf.is_empty() {
             self.close_conn(slot);
         }
-        true
     }
 
     fn close_conn(&mut self, slot: usize) {
@@ -593,7 +618,13 @@ impl<'a> Shard<'a> {
         if let ConnState::Stalled { span: Some(span), .. } = conn.state {
             core.close(*span);
         }
-        // A Busy connection's completion emits via the stale-token path.
+        // A step held behind the run ends here too.
+        match conn.held {
+            Some(Step::Reply(reply)) => discard(core, reply),
+            Some(Step::Vanish { span, .. } | Step::Invoke { span, .. }) => core.close(span),
+            None => {}
+        }
+        // A Busy connection's completions emit via the stale-token path.
     }
 
     /// On shutdown: flush what we can and close idle connections; busy or
@@ -603,13 +634,46 @@ impl<'a> Shard<'a> {
         for slot in 0..self.conns.len() {
             let idle =
                 matches!(self.conns[slot].as_ref().map(|c| &c.state), Some(ConnState::Ready));
-            // Flush failure already closed nothing (try_flush reports, we
-            // close); a successful flush still closes the idle connection.
-            if idle && (!self.try_flush(slot) || self.conns[slot].is_some()) {
+            if idle {
+                // Flush what is staged, then close the idle connection
+                // (a no-op if the flush already did).
+                self.flush_or_close(slot);
                 self.close_conn(slot);
             }
         }
     }
+}
+
+/// Carry out a routed step that runs no handler: stage a reply, or let the
+/// connection go silent, closed now (a drop) or held for `hold` from now (a
+/// stall).
+fn carry_out(wheel: &mut TimerWheel, core: &Core, conn: &mut Conn, step: Step) {
+    match step {
+        Step::Reply(reply) => stage(conn, reply),
+        Step::Vanish { span, hold } if hold.is_zero() => {
+            core.close(span);
+            conn.close_after_flush = true;
+        }
+        Step::Vanish { span, hold } => {
+            let until = Instant::now() + hold;
+            conn.state = ConnState::Stalled { until, span: Some(Box::new(span)) };
+            arm(wheel, conn, until);
+        }
+        Step::Invoke { .. } => unreachable!("an invocation runs on a handler"),
+    }
+}
+
+/// Read what the socket holds: all of it while the connection is ready to
+/// parse; otherwise (a run is out, or a stall holds it) only until
+/// `READ_CHUNK` unparsed bytes are buffered, noting that more may wait, so
+/// a peer pipelining behind a slow invocation meets the kernel's
+/// backpressure instead of a growing buffer.
+fn fill(conn: &mut Conn) -> io::Result<()> {
+    let limit = if matches!(conn.state, ConnState::Ready) { usize::MAX } else { READ_CHUNK };
+    let eof = conn.rbuf.drain_from(&mut conn.stream, READ_CHUNK, limit)?;
+    conn.read_closed |= eof;
+    conn.unread = !eof && conn.rbuf.len() >= limit;
+    Ok(())
 }
 
 // ---- response encoding (no per-request allocation) ----------------------
@@ -647,14 +711,18 @@ pub(crate) fn run(core: &Core, listeners: Vec<Listener>, inboxes: &[Inbox<Comple
         for worker in 0..core.cfg.workers as u64 {
             let next = || lock(&rx).recv().ok();
             scope.spawn(move || {
-                while let Some(mut job) = next() {
+                while let Some(job) = next() {
                     stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    let now = micros_since(core.epoch);
-                    job.span.dequeued_us = now;
-                    job.span.handler_start_us = now;
-                    job.span.worker = worker;
-                    let reply = core.run_invoke(&job.inv, job.span, job.delay, job.keep);
-                    inboxes[job.shard].push(Completion { token: job.token, reply });
+                    for Invocation { inv, mut span, delay, keep } in job.invs {
+                        // Waiting behind the run's earlier invocations is
+                        // queue wait.
+                        let now = micros_since(core.epoch);
+                        span.dequeued_us = now;
+                        span.handler_start_us = now;
+                        span.worker = worker;
+                        let reply = core.run_invoke(&inv, span, delay, keep);
+                        inboxes[job.shard].push(Completion { token: job.token, reply });
+                    }
                 }
             });
         }

@@ -69,6 +69,7 @@ pub(crate) fn run(core: &Core, listener: &TcpListener) {
                         continue;
                     };
                     let accepted_us = micros_since(core.epoch);
+                    stats.handoffs.fetch_add(1, Ordering::Relaxed);
                     // Admitted work always finds room: this never blocks.
                     if tx.send(ConnMeta { stream, accepted_us, depth }).is_err() {
                         break;

@@ -54,12 +54,19 @@ impl ReadBuf {
         }
     }
 
-    /// Read from `src` into the tail until it would block, retrying
-    /// `Interrupted`: the read-side twin of [`WriteBuf::flush_to`], for an
-    /// edge-triggered socket. `Ok(true)` says the stream reached its end;
-    /// any other error comes back with the bytes read before it kept.
-    pub fn drain_from<R: Read>(&mut self, src: &mut R, chunk: usize) -> io::Result<bool> {
-        loop {
+    /// Read from `src` into the tail until it would block or `limit`
+    /// unconsumed bytes are buffered, retrying `Interrupted`: the read-side
+    /// twin of [`WriteBuf::flush_to`], for an edge-triggered socket.
+    /// `Ok(true)` says the stream reached its end; `Ok(false)` with
+    /// `len() >= limit` says `src` may hold more; any other error comes
+    /// back with the bytes read before it kept.
+    pub fn drain_from<R: Read>(
+        &mut self,
+        src: &mut R,
+        chunk: usize,
+        limit: usize,
+    ) -> io::Result<bool> {
+        while self.len() < limit {
             match self.fill_from(src, chunk) {
                 Ok(0) => return Ok(true),
                 Ok(_) => {}
@@ -68,6 +75,7 @@ impl ReadBuf {
                 Err(e) => return Err(e),
             }
         }
+        Ok(false)
     }
 
     /// Read once from `src` into the tail. `Ok(0)` is end-of-stream.
@@ -204,7 +212,7 @@ mod tests {
         use io::ErrorKind::{ConnectionReset, Interrupted, WouldBlock};
         let drain = |script: Vec<io::Result<&'static [u8]>>| {
             let (mut rb, mut src) = (ReadBuf::with_capacity(8), Script(script.into()));
-            let drained = rb.drain_from(&mut src, 16).map_err(|e| e.kind());
+            let drained = rb.drain_from(&mut src, 16, usize::MAX).map_err(|e| e.kind());
             (drained, rb.filled().to_vec(), src.0.len())
         };
         assert_eq!(drain(vec![Ok(b"ab"), Ok(b"cd"), Ok(b"")]), (Ok(true), b"abcd".to_vec(), 0));
@@ -223,6 +231,20 @@ mod tests {
             (Err(ConnectionReset), b"ab".to_vec(), 1),
             "any other error is returned, the bytes before it kept"
         );
+    }
+
+    #[test]
+    fn read_buf_drain_stops_once_the_limit_is_buffered() {
+        let mut rb = ReadBuf::with_capacity(8);
+        let wouldblock = Err(io::ErrorKind::WouldBlock.into());
+        let mut src = Script(vec![Ok(&b"abc"[..]), Ok(b"def"), Ok(b"gh"), wouldblock].into());
+        assert_eq!(rb.drain_from(&mut src, 16, 5).map_err(|e| e.kind()), Ok(false));
+        assert_eq!((rb.filled(), src.0.len()), (&b"abcdef"[..], 2), "no read past the limit");
+        assert_eq!(rb.drain_from(&mut src, 16, 5).map_err(|e| e.kind()), Ok(false));
+        assert_eq!(src.0.len(), 2, "a buffer already at the limit reads nothing");
+        rb.consume(4);
+        assert_eq!(rb.drain_from(&mut src, 16, 5).map_err(|e| e.kind()), Ok(false));
+        assert_eq!((rb.filled(), src.0.len()), (&b"efgh"[..], 0));
     }
 
     #[test]

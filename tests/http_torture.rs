@@ -24,12 +24,19 @@
 //! 8. **One admission bound** — delay-band invocations pass the bounded
 //!    queue like any other: past it they are shed, and `queue_depth` never
 //!    exceeds it.
+//! 9. **Pipelined invocations** — answered in request order; the reactor
+//!    hands a connection's buffered run of them to one handler in one
+//!    handoff; a request behind them, or a fault that cuts them short, is
+//!    answered after them; and a peer pipelining behind a slow invocation
+//!    is held by backpressure, not buffered without bound.
 
 mod common;
 
 use common::{spawn_server, spawn_server_with_sink, ServerMode};
 use faasrail::gateway::http::{read_response, write_request, MAX_HEAD_BYTES};
-use faasrail::gateway::{FaultConfig, GatewayConfig, Handle, MuxConfig, MuxHttpBackend};
+use faasrail::gateway::{
+    mix_fraction, FaultConfig, GatewayConfig, Handle, MuxConfig, MuxHttpBackend,
+};
 use faasrail::loadgen::{
     replay, InvocationRequest, InvocationResult, NoopBackend, Pacing, ReplayConfig,
 };
@@ -305,12 +312,18 @@ fn invoke_request(body: &[u8], connection: &str) -> Vec<u8> {
 }
 
 fn valid_invocation() -> Vec<u8> {
+    traced_invocation(0)
+}
+
+/// An invocation whose body carries `trace_id`, which [`Gate`] and [`Echo`]
+/// echo back as the result's `service_ms`.
+fn traced_invocation(trace_id: u64) -> Vec<u8> {
     let req = InvocationRequest {
         workload: WorkloadId(7),
         input: WorkloadInput::Pyaes { bytes: 1024 },
         function_index: 3,
         scheduled_at_ms: 12,
-        trace_id: 0,
+        trace_id,
     };
     serde_json::to_vec(&req).expect("request serializes")
 }
@@ -343,17 +356,27 @@ fn non_utf8_bytes_in_an_unknown_header_are_served_by_both_servers() {
 
 #[test]
 fn a_head_cut_by_half_close_is_closed_without_a_byte_by_both_servers() {
-    for mode in ServerMode::BOTH {
-        let handle = default_server(mode);
-        let stream = connect(&handle);
-        (&stream).write_all(b"GET /healthz HTTP/1.1\r\nHost: tor").expect("partial head");
-        stream.shutdown(Shutdown::Write).expect("half-close");
-        let mut got = Vec::new();
-        let end = (&stream).read_to_end(&mut got);
-        assert!(end.is_ok(), "{mode:?}: a clean close, got {end:?}");
-        assert_eq!(got, b"", "{mode:?}: no response to half a head");
-        assert_eq!(handle.stats().http_400.load(Ordering::Relaxed), 0, "{mode:?}");
-        handle.stop();
+    let cut = b"GET /healthz HTTP/1.1\r\nHost: tor".as_slice();
+    let behind_a_request = [b"GET /healthz HTTP/1.1\r\n\r\n".as_slice(), cut].concat();
+    // (bytes sent before the half-close, responses expected before the close)
+    for (sent, answered) in [(cut, 0), (&behind_a_request[..], 1)] {
+        for mode in ServerMode::BOTH {
+            let handle = default_server(mode);
+            let stream = connect(&handle);
+            (&stream).write_all(sent).expect("partial head");
+            stream.shutdown(Shutdown::Write).expect("half-close");
+            let mut got = Vec::new();
+            let end = (&stream).read_to_end(&mut got);
+            assert!(end.is_ok(), "{mode:?}: a clean close, got {end:?}");
+            let mut rest = &got[..];
+            for _ in 0..answered {
+                let resp = read_response(&mut rest).expect("the complete request's response");
+                assert_eq!(resp.status, 200, "{mode:?}");
+            }
+            assert_eq!(rest, b"", "{mode:?}: no response to half a head");
+            assert_eq!(handle.stats().http_400.load(Ordering::Relaxed), 0, "{mode:?}");
+            handle.stop();
+        }
     }
 }
 
@@ -388,7 +411,8 @@ fn a_malformed_body_in_the_delay_band_is_a_plain_400_in_both_servers() {
     }
 }
 
-/// A backend that holds every invocation until the gate opens.
+/// A backend that holds every invocation until the gate opens, then echoes
+/// its trace id.
 #[derive(Default)]
 struct Gate {
     open: Mutex<bool>,
@@ -397,17 +421,24 @@ struct Gate {
 }
 
 impl Backend for Gate {
-    fn invoke(&self, _req: &InvocationRequest) -> InvocationResult {
+    fn invoke(&self, req: &InvocationRequest) -> InvocationResult {
         self.entered.fetch_add(1, Ordering::SeqCst);
         let mut open = self.open.lock().expect("gate lock");
         while !*open {
             open = self.opened.wait(open).expect("gate lock");
         }
-        InvocationResult::success(0.0, false)
+        InvocationResult::success(req.trace_id as f64, false)
     }
 
     fn name(&self) -> &str {
         "gate"
+    }
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().expect("gate lock") = true;
+        self.opened.notify_all();
     }
 }
 
@@ -446,8 +477,7 @@ fn shed_bytes(mode: ServerMode) -> Vec<u8> {
     let shed = read_until_closed(&c);
     assert_eq!(handle.stats().shed.load(Ordering::Relaxed), 1, "{mode:?}");
 
-    *gate.open.lock().expect("gate lock") = true;
-    gate.opened.notify_all();
+    gate.open();
     for admitted in [&a, &b] {
         let resp = read_response(&mut BufReader::new(admitted)).expect("admitted response");
         assert_eq!(resp.status, 200, "{mode:?}");
@@ -610,5 +640,220 @@ fn the_delay_band_is_admitted_like_any_other_invocation_by_both_servers() {
             let handler_us = span.handler_end_us - span.handler_start_us;
             assert!(handler_us >= 150_000, "{mode:?}: handler stage {handler_us} µs");
         }
+    }
+}
+
+// 9. Pipelined invocations.
+
+/// A backend that answers at once, echoing the trace id.
+struct Echo;
+
+impl Backend for Echo {
+    fn invoke(&self, req: &InvocationRequest) -> InvocationResult {
+        InvocationResult::success(req.trace_id as f64, false)
+    }
+
+    fn name(&self) -> &str {
+        "echo"
+    }
+}
+
+/// The trace id an echoing backend put in a response.
+fn echoed(resp: &faasrail::gateway::http::Response) -> u64 {
+    assert_eq!(resp.status, 200, "{resp:?}");
+    let result: InvocationResult = serde_json::from_slice(&resp.body).expect("a result");
+    result.service_ms as u64
+}
+
+fn invocations(trace_ids: std::ops::Range<u64>) -> Vec<u8> {
+    trace_ids.flat_map(|id| invoke_request(&traced_invocation(id), "keep-alive")).collect()
+}
+
+#[test]
+fn pipelined_invocations_answer_in_request_order_on_both_servers() {
+    for mode in ServerMode::BOTH {
+        let handle = spawn_server(
+            mode,
+            Arc::new(Echo),
+            GatewayConfig { workers: 4, ..GatewayConfig::default() },
+        );
+        let stream = connect(&handle);
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        for round in 0..4u64 {
+            let ids = round * 32 + 1..round * 32 + 33;
+            (&stream).write_all(&invocations(ids.clone())).expect("pipeline invocations");
+            for id in ids {
+                let resp = read_response(&mut reader).expect("pipelined response");
+                assert_eq!(echoed(&resp), id, "{mode:?}");
+            }
+        }
+        let stats = handle.stats();
+        assert_eq!(stats.invocations_ok.load(Ordering::Relaxed), 128, "{mode:?}");
+        let handoffs = stats.handoffs.load(Ordering::Relaxed);
+        assert!((1..=128).contains(&handoffs), "{mode:?}: {handoffs} handoffs");
+        drop((stream, reader));
+        handle.stop();
+    }
+}
+
+#[test]
+fn invocations_pipelined_behind_a_running_one_are_one_handoff_on_the_reactor() {
+    for mode in ServerMode::BOTH {
+        let gate = Arc::new(Gate::default());
+        let handle = spawn_server(
+            mode,
+            Arc::clone(&gate) as Arc<dyn Backend>,
+            GatewayConfig { workers: 1, queue_capacity: 8, ..GatewayConfig::default() },
+        );
+        let stats = handle.stats();
+        let sampling = AtomicBool::new(true);
+        let deepest = std::thread::scope(|scope| {
+            let sampler = scope.spawn(|| {
+                let mut deepest = 0;
+                while sampling.load(Ordering::Relaxed) {
+                    deepest = deepest.max(stats.queue_depth.load(Ordering::Relaxed));
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                deepest
+            });
+            let stream = connect(&handle);
+            let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+            (&stream).write_all(&invocations(0..1)).expect("first invocation");
+            wait_until("it is inside the backend", || gate.entered.load(Ordering::SeqCst) == 1);
+            (&stream).write_all(&invocations(1..8)).expect("seven pipelined behind it");
+            // Let the seven reach the server before the first answers.
+            std::thread::sleep(Duration::from_millis(50));
+            gate.open();
+            for id in 0..8 {
+                let resp = read_response(&mut reader).expect("a response");
+                assert_eq!(echoed(&resp), id, "{mode:?}");
+            }
+            sampling.store(false, Ordering::Relaxed);
+            sampler.join().expect("sampler")
+        });
+        let handoffs = stats.handoffs.load(Ordering::Relaxed);
+        assert_eq!(stats.invocations.load(Ordering::Relaxed), 8, "{mode:?}");
+        match mode {
+            // One connection, handed to a worker once.
+            ServerMode::Threaded => assert_eq!(handoffs, 1),
+            // A run of one, then the seven buffered behind it as one run.
+            ServerMode::Reactor => assert_eq!(handoffs, 2),
+        }
+        assert!(deepest <= 1, "{mode:?}: queue_depth reached {deepest}");
+        handle.stop();
+    }
+}
+
+#[test]
+fn a_stats_request_pipelined_behind_an_invocation_counts_it_on_both_servers() {
+    for mode in ServerMode::BOTH {
+        let handle = default_server(mode);
+        let stream = connect(&handle);
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        let mut raw = invoke_request(&valid_invocation(), "keep-alive");
+        raw.extend_from_slice(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n");
+        (&stream).write_all(&raw).expect("pipeline");
+        assert_eq!(read_response(&mut reader).expect("invocation").status, 200, "{mode:?}");
+        let stats = read_response(&mut reader).expect("stats");
+        let json = String::from_utf8(stats.body).expect("utf-8");
+        assert!(json.contains("\"invocations_ok\":1,"), "{mode:?}: {json}");
+        assert!(json.contains("\"handoffs\":1,"), "{mode:?}: {json}");
+        handle.stop();
+    }
+}
+
+#[test]
+fn a_run_cut_by_an_injected_drop_answers_what_came_before_it_on_both_servers() {
+    // A seed whose draws leave invocations 0 and 1 outside the drop band
+    // (the unit interval's first `drop_fraction`) and put 2 inside it.
+    let in_band = |seed, n| mix_fraction(seed, n) < 0.5;
+    let seed = (1..)
+        .find(|&seed| !in_band(seed, 0) && !in_band(seed, 1) && in_band(seed, 2))
+        .expect("some seed drops the third invocation");
+    let fault = FaultConfig { drop_fraction: 0.5, seed, ..FaultConfig::default() };
+    let replies = ServerMode::BOTH.map(|mode| {
+        let sink = Arc::new(RingSink::with_capacity(16));
+        let handle = spawn_server_with_sink(
+            mode,
+            Arc::new(Echo),
+            GatewayConfig { workers: 2, fault, ..GatewayConfig::default() },
+            Some(Arc::clone(&sink) as Arc<dyn EventSink>),
+        );
+        let stream = connect(&handle);
+        (&stream).write_all(&invocations(0..4)).expect("pipeline");
+        let got = read_until_closed(&stream);
+        handle.stop(); // joins the server: every span has been emitted
+        let mut spans: Vec<(u64, Option<ServerFault>)> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::ServerSpan(span) => Some((span.seq, span.fault)),
+                _ => None,
+            })
+            .collect();
+        spans.sort_unstable_by_key(|&(seq, _)| seq);
+        let want = [(0, None), (1, None), (2, Some(ServerFault::Drop))];
+        assert_eq!(spans, want, "{mode:?}: one span each");
+        String::from_utf8(got).expect("utf-8")
+    });
+    assert_eq!(replies[0], replies[1], "threaded vs reactor");
+    let mut rest = replies[0].as_bytes();
+    for id in 0..2 {
+        let resp = read_response(&mut rest).expect("a response before the drop");
+        assert_eq!(echoed(&resp), id);
+    }
+    assert!(rest.is_empty(), "nothing after the drop: {:?}", String::from_utf8_lossy(rest));
+}
+
+#[test]
+fn a_peer_pipelining_behind_a_held_invocation_meets_backpressure_on_both_servers() {
+    for mode in ServerMode::BOTH {
+        let gate = Arc::new(Gate::default());
+        let handle = spawn_server(
+            mode,
+            Arc::clone(&gate) as Arc<dyn Backend>,
+            GatewayConfig { workers: 1, ..GatewayConfig::default() },
+        );
+        let stream = connect(&handle);
+        let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        (&stream).write_all(&invocations(0..1)).expect("first invocation");
+        wait_until("it is inside the backend", || gate.entered.load(Ordering::SeqCst) == 1);
+        // 64 MiB of invocations, each padded to about 4 KiB by a header.
+        let pad = "p".repeat(4000);
+        let one = |id: u64| {
+            let body = traced_invocation(id);
+            let mut raw = format!(
+                "POST /invoke HTTP/1.1\r\nX-Pad: {pad}\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .into_bytes();
+            raw.extend_from_slice(&body);
+            raw
+        };
+        let n = (64 << 20) / one(1).len() as u64;
+        let flood: Vec<u8> = (1..=n).flat_map(one).collect();
+        let finished = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (stream, finished) = (stream.try_clone().expect("clone stream"), finished.clone());
+            std::thread::spawn(move || {
+                (&stream).write_all(&flood).expect("write the flood");
+                finished.store(true, Ordering::SeqCst);
+            })
+        };
+        std::thread::sleep(Duration::from_secs(1));
+        assert!(
+            !finished.load(Ordering::SeqCst),
+            "{mode:?}: 64 MiB went in while the only handler was held"
+        );
+        gate.open();
+        for id in 0..=n {
+            let resp = read_response(&mut reader).expect("a response");
+            assert_eq!(echoed(&resp), id, "{mode:?}");
+        }
+        writer.join().expect("writer");
+        let stats = handle.stats();
+        assert_eq!(stats.invocations_ok.load(Ordering::Relaxed), n + 1, "{mode:?}");
+        drop((stream, reader));
+        handle.stop();
     }
 }
