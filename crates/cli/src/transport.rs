@@ -54,19 +54,9 @@ pub fn connect(target: &str, opts: &ClientOpts) -> Result<Arc<Client>, String> {
     let client = match opts.mux {
         Some((connections, pipeline_depth)) => Client::new(
             target,
-            MuxConfig {
-                connections,
-                pipeline_depth,
-                request_timeout,
-                retry,
-                breaker,
-                ..MuxConfig::default()
-            },
+            MuxConfig { connections, pipeline_depth, request_timeout, retry, breaker },
         ),
-        None => Client::connect(
-            target,
-            HttpBackendConfig { request_timeout, retry, breaker, ..HttpBackendConfig::default() },
-        ),
+        None => Client::connect(target, HttpBackendConfig { request_timeout, retry, breaker }),
     };
     client.map(Arc::new).map_err(|e| format!("resolving {target}: {e}"))
 }

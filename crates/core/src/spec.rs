@@ -159,32 +159,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// Merge two specs of equal duration into one experiment (e.g. to mix
-    /// loads fitted from different traces). The other spec's Function
-    /// indices are offset to stay distinct; budgets add.
-    ///
-    /// # Panics
-    /// Panics on duration or IAT-model mismatch.
-    pub fn merge(&self, other: &ExperimentSpec) -> ExperimentSpec {
-        assert_eq!(self.duration_minutes, other.duration_minutes, "duration mismatch");
-        assert_eq!(self.iat, other.iat, "IAT model mismatch");
-        let offset = self.entries.iter().map(|e| e.function_index).max().map_or(0, |m| m + 1);
-        let mut entries = self.entries.clone();
-        entries.extend(other.entries.iter().map(|e| SpecEntry {
-            function_index: e.function_index + offset,
-            workload: e.workload,
-            alternates: e.alternates.clone(),
-            trace_duration_ms: e.trace_duration_ms,
-            per_minute: e.per_minute.clone(),
-        }));
-        ExperimentSpec {
-            duration_minutes: self.duration_minutes,
-            target_max_rps: self.target_max_rps + other.target_max_rps,
-            iat: self.iat,
-            entries,
-        }
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("spec serializes")
@@ -284,21 +258,5 @@ mod tests {
     #[should_panic]
     fn slice_out_of_range_panics() {
         demo_spec().slice(2, 2);
-    }
-
-    #[test]
-    fn merge_offsets_functions_and_adds_budget() {
-        let a = demo_spec();
-        let b = demo_spec();
-        let m = a.merge(&b);
-        assert_eq!(m.total_requests(), 120);
-        assert_eq!(m.entries.len(), 4);
-        assert_eq!(m.target_max_rps, 2.0);
-        // Function indices stay unique.
-        let mut idx: Vec<u32> = m.entries.iter().map(|e| e.function_index).collect();
-        idx.sort_unstable();
-        idx.dedup();
-        assert_eq!(idx.len(), 4);
-        assert_eq!(m.validate(), Ok(()));
     }
 }

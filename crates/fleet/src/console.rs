@@ -49,7 +49,8 @@ pub struct ConsoleServer {
 
 /// Handle to a running console; [`ConsoleHandle::stop`] joins the accept
 /// loop. Per-connection handler threads are detached and exit on their
-/// own read timeout once the listener is gone.
+/// own read timeout once the listener is gone: `IDLE_TIMEOUT` between
+/// requests, `HEAD_TIMEOUT` from a request's first byte.
 pub struct ConsoleHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -109,17 +110,20 @@ impl ConsoleServer {
     }
 }
 
+/// How long a connection may sit between requests.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long a request may take to arrive from its first byte. Every console
+/// client (`curl`, `fleet top`, the dashboard) sends its request head in one
+/// write, so only a peer dribbling bytes to hold a thread runs into it.
+const HEAD_TIMEOUT: Duration = Duration::from_secs(2);
+
 fn serve_connection(stream: TcpStream, history: &History) {
     stream.set_nodelay(true).ok();
-    if stream.set_read_timeout(Some(Duration::from_secs(5))).is_err() {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
+    let mut writer = &stream;
+    let mut reader = BufReader::new(http::RequestClock::new(&stream, IDLE_TIMEOUT, HEAD_TIMEOUT));
     loop {
+        let begun = !reader.buffer().is_empty();
+        reader.get_mut().next_request(begun);
         let req = match http::read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) | Err(_) => return, // clean close, timeout, or garbage
@@ -371,6 +375,7 @@ mod tests {
     use super::*;
     use crate::history::AgentState;
     use faasrail_telemetry::{ReassignSpan, Snapshot};
+    use std::io::{Read, Write};
 
     fn seeded_history() -> History {
         let h = History::new(16);
@@ -425,6 +430,36 @@ mod tests {
             vec!["shard 1: lost".into()],
         );
         h
+    }
+
+    #[test]
+    fn a_peer_dribbling_a_request_is_cut_at_the_head_budget() {
+        let server = ConsoleServer::bind("127.0.0.1:0").unwrap();
+        let handle = server.start().unwrap();
+        let mut peer = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let request = b"GET /healthz HTTP/1.1\r\n\r\n";
+        // One byte every 250 ms: never idle for long, done only after 6 s.
+        let mut dribble = peer.try_clone().unwrap();
+        let started = std::time::Instant::now();
+        let writer = thread::spawn(move || {
+            for byte in request {
+                if dribble.write_all(&[*byte]).is_err() {
+                    return;
+                }
+                thread::sleep(Duration::from_millis(250));
+            }
+        });
+        let mut answer = Vec::new();
+        let _ = peer.read_to_end(&mut answer); // EOF, or a reset by the close
+        let elapsed = started.elapsed();
+        assert!(answer.is_empty(), "answered: {}", String::from_utf8_lossy(&answer));
+        assert!(
+            elapsed < HEAD_TIMEOUT + Duration::from_secs(1),
+            "a dribbling peer held its thread for {elapsed:?}"
+        );
+        writer.join().unwrap();
+        handle.stop();
     }
 
     #[test]

@@ -1,22 +1,34 @@
-//! Capped exponential backoff with deterministic seeded jitter.
+//! Capped exponential backoff with deterministic, per-invocation jitter.
 //!
 //! Retry schedules must be reproducible for the generator to be a research
-//! instrument: two replays of the same spec under the same fault pattern
-//! should retry at the same instants. All randomness therefore flows from a
-//! seeded [`SplitMix64`] stream rather than a global entropy source.
+//! instrument: two replays of the same trace under the same fault pattern
+//! retry each invocation at the same offsets. The jitter of an invocation's
+//! retry is therefore a stateless draw, [`mix_fraction`], keyed by the
+//! retry's index and by [`invocation_key`] — the invocation's function and
+//! scheduled instant — under [`RetryPolicy::jitter_seed`]. It depends on
+//! nothing another invocation did, nor on which worker thread ran it.
 
-use faasrail_stats::rng::{Rng, SplitMix64};
+use faasrail_loadgen::InvocationRequest;
+use faasrail_stats::rng::{mix64_pair, Rng, SplitMix64};
 use std::time::Duration;
 
 /// One uniform draw in `[0, 1)` at position `n` of the stream seeded by
 /// `seed` — random access without carrying mutable state, used by the
-/// server's fault injector so concurrent connections stay deterministic.
+/// server's fault injector so concurrent connections stay deterministic,
+/// and by [`RetryPolicy::delay`] for the same reason.
 pub fn mix_fraction(seed: u64, n: u64) -> f64 {
     SplitMix64::new(seed ^ n.wrapping_mul(0xA076_1D64_78BD_642F)).next_f64()
 }
 
+/// The jitter key of an invocation: its function and scheduled instant,
+/// which two replays of one trace share. `trace_id` is left out: it carries
+/// the run's nonce, so it differs between two replays of one trace.
+pub fn invocation_key(req: &InvocationRequest) -> u64 {
+    mix64_pair(u64::from(req.function_index), req.scheduled_at_ms)
+}
+
 /// Retry policy for transport-level failures: capped exponential backoff
-/// with seeded jitter.
+/// with per-invocation jitter.
 ///
 /// The pre-jitter delay before retry `i` (0-based) is
 /// `min(cap, base · 2^i)`; jitter then randomizes the fraction `jitter` of
@@ -32,7 +44,7 @@ pub struct RetryPolicy {
     /// Fraction of each delay that is randomized, in `[0, 1]`. `0.0` gives
     /// the deterministic exponential schedule; `1.0` is "full jitter".
     pub jitter: f64,
-    /// Seed for the jitter stream — same seed, same schedule.
+    /// Seed of the jitter draws — same seed and invocation, same delays.
     pub jitter_seed: u64,
 }
 
@@ -56,24 +68,20 @@ impl RetryPolicy {
         Duration::from_secs_f64(exp.min(self.cap.as_secs_f64()))
     }
 
-    /// The jittered delay before retry `retry`, drawing from `rng`.
-    pub fn delay(&self, retry: u32, rng: &mut SplitMix64) -> Duration {
+    /// The jittered delay before retry `retry` (0-based) of the invocation
+    /// whose [`invocation_key`] is `key`.
+    pub fn delay(&self, retry: u32, key: u64) -> Duration {
         let exp = self.exponential(retry).as_secs_f64();
         let j = self.jitter.clamp(0.0, 1.0);
-        Duration::from_secs_f64(exp * (1.0 - j) + exp * j * rng.next_f64())
-    }
-
-    /// The full backoff schedule (`max_attempts − 1` delays), deterministic
-    /// under `jitter_seed`.
-    pub fn schedule(&self) -> Vec<Duration> {
-        let mut rng = SplitMix64::new(self.jitter_seed);
-        (0..self.max_attempts.saturating_sub(1)).map(|i| self.delay(i, &mut rng)).collect()
+        let draw = mix_fraction(self.jitter_seed ^ key, u64::from(retry));
+        Duration::from_secs_f64(exp * (1.0 - j) + exp * j * draw)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faasrail_workloads::{WorkloadId, WorkloadInput};
 
     fn policy(jitter: f64) -> RetryPolicy {
         RetryPolicy {
@@ -85,40 +93,62 @@ mod tests {
         }
     }
 
+    /// The five delays of `p` for the invocation keyed `key`.
+    fn delays(p: &RetryPolicy, key: u64) -> Vec<Duration> {
+        (0..5).map(|retry| p.delay(retry, key)).collect()
+    }
+
+    fn request(function_index: u32, scheduled_at_ms: u64, trace_id: u64) -> InvocationRequest {
+        InvocationRequest {
+            workload: WorkloadId(7),
+            input: WorkloadInput::Pyaes { bytes: 4096 },
+            function_index,
+            scheduled_at_ms,
+            trace_id,
+        }
+    }
+
     #[test]
-    fn schedule_is_capped_exponential_without_jitter() {
-        let p = policy(0.0);
+    fn delay_without_jitter_is_the_capped_exponential() {
         let expect: Vec<Duration> = [10, 20, 40, 80, 100] // capped at 100 ms
             .iter()
             .map(|&ms| Duration::from_millis(ms))
             .collect();
-        assert_eq!(p.schedule(), expect);
-    }
-
-    #[test]
-    fn schedule_length_is_attempts_minus_one() {
-        assert_eq!(policy(0.5).schedule().len(), 5);
-        let single = RetryPolicy { max_attempts: 1, ..policy(0.5) };
-        assert!(single.schedule().is_empty(), "one attempt means no backoff");
-        let zero = RetryPolicy { max_attempts: 0, ..policy(0.5) };
-        assert!(zero.schedule().is_empty());
+        for key in [0, 1, u64::MAX] {
+            assert_eq!(delays(&policy(0.0), key), expect, "key {key:#x}");
+        }
     }
 
     #[test]
     fn jitter_is_deterministic_under_seed() {
         let p = policy(0.5);
-        assert_eq!(p.schedule(), p.schedule(), "same seed, same schedule");
+        assert_eq!(delays(&p, 9), delays(&p, 9), "same seed and key, same delays");
         let other = RetryPolicy { jitter_seed: 43, ..p };
-        assert_ne!(p.schedule(), other.schedule(), "different seed, different jitter");
+        assert_ne!(delays(&p, 9), delays(&other, 9), "different seed, different jitter");
     }
 
     #[test]
     fn jitter_stays_within_the_randomized_band() {
         let p = policy(0.5);
-        for (i, d) in p.schedule().iter().enumerate() {
-            let exp = p.exponential(i as u32);
-            assert!(*d >= exp.mul_f64(0.5), "retry {i}: {d:?} below half of {exp:?}");
-            assert!(*d <= exp, "retry {i}: {d:?} above {exp:?}");
+        for key in 0..200 {
+            for (i, d) in delays(&p, key).iter().enumerate() {
+                let exp = p.exponential(i as u32);
+                assert!(*d >= exp.mul_f64(0.5), "retry {i}: {d:?} below half of {exp:?}");
+                assert!(*d <= exp, "retry {i}: {d:?} above {exp:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_delay_is_keyed_by_the_invocation_not_its_trace_id() {
+        let p = policy(0.5);
+        let (run, rerun) = (request(3, 60_250, 0xfeed), request(3, 60_250, 0xbeef));
+        assert_eq!(invocation_key(&run), invocation_key(&rerun), "trace_id is not in the key");
+        assert_eq!(delays(&p, invocation_key(&run)), delays(&p, invocation_key(&rerun)));
+        for other in [request(4, 60_250, 0xfeed), request(3, 60_251, 0xfeed)] {
+            let key = invocation_key(&other);
+            assert_ne!(key, invocation_key(&run), "{other:?}");
+            assert_ne!(delays(&p, key), delays(&p, invocation_key(&run)), "{other:?}");
         }
     }
 
@@ -132,7 +162,7 @@ mod tests {
     }
 
     /// The parent commit's draws (private splitmix64 copy): fault bands
-    /// and retry instants of a seeded run must not move.
+    /// of a seeded run must not move.
     #[test]
     fn jitter_and_mix_fraction_are_the_draws_made_before_the_rng_port() {
         for (seed, n, bits) in [
@@ -144,8 +174,6 @@ mod tests {
         ] {
             assert_eq!(mix_fraction(seed, n).to_bits(), bits, "seed {seed:#x} n {n}");
         }
-        let nanos: Vec<u128> = policy(0.5).schedule().iter().map(Duration::as_nanos).collect();
-        assert_eq!(nanos, [8_707_824, 11_599_104, 25_572_023, 53_767_629, 51_901_508]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Client-side circuit breaker for [`crate::HttpBackend`].
+//! Client-side circuit breaker for [`crate::Client`].
 //!
 //! Under sustained backend failure, retrying every invocation at full rate
 //! turns a partial outage into a self-inflicted one: the load generator
@@ -11,9 +11,12 @@
 //!   hitting the threshold trips the breaker;
 //! * **open** — requests fail fast as [`OutcomeClass::Shed`] without
 //!   touching the network, for a configured cool-down;
-//! * **half-open** — after the cool-down, a limited number of probe
-//!   requests go through; enough successes close the breaker, any failure
-//!   re-opens it.
+//! * **half-open** — after the cool-down, the first caller goes through as
+//!   the one probe, and every other caller fails fast until its verdict: a
+//!   success closes the breaker, a failure re-opens it. A probe with no
+//!   verdict after another cool-down counts as lost, and the next caller
+//!   probes in its place, so a probe that never reports cannot wedge the
+//!   breaker.
 //!
 //! Fast-failed requests are classified as shed, not transport, so replay
 //! metrics distinguish "the client chose not to send" from "the network
@@ -33,46 +36,41 @@ pub struct BreakerConfig {
     /// Consecutive classified failures that trip the breaker open.
     /// `0` disables the breaker.
     pub failure_threshold: u32,
-    /// Cool-down while open: requests fail fast until it elapses.
+    /// Cool-down while open: requests fail fast until it elapses. Also how
+    /// long a half-open probe may go without a verdict.
     pub open_for: Duration,
-    /// Successful probes required in half-open before closing again.
-    pub half_open_probes: u32,
 }
 
 impl Default for BreakerConfig {
     fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 0,
-            open_for: Duration::from_secs(1),
-            half_open_probes: 1,
-        }
+        BreakerConfig { failure_threshold: 0, open_for: Duration::from_secs(1) }
     }
 }
 
 impl BreakerConfig {
     /// An enabled breaker with the given trip threshold and cool-down.
     pub fn tripping(failure_threshold: u32, open_for: Duration) -> Self {
-        BreakerConfig { failure_threshold, open_for, half_open_probes: 1 }
+        BreakerConfig { failure_threshold, open_for }
     }
 }
 
+/// `HalfOpen` has one probe out, sent at `probe_sent`; the other callers
+/// wait for its verdict.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum State {
     Closed { consecutive_failures: u32 },
     Open { until: Instant },
-    HalfOpen { successes: u32 },
+    HalfOpen { probe_sent: Instant },
 }
 
-/// The breaker itself: shared by all worker threads of one `HttpBackend`
-/// (one backend = one upstream = one shared health verdict).
+/// The breaker itself: shared by all worker threads of one `Client`
+/// (one client = one upstream = one shared health verdict).
 #[derive(Debug)]
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
     state: Mutex<State>,
     /// Times the breaker tripped open (closed/half-open → open).
     pub trips: AtomicU64,
-    /// Requests refused while open (classified as shed by the caller).
-    pub fast_fails: AtomicU64,
 }
 
 impl CircuitBreaker {
@@ -81,7 +79,6 @@ impl CircuitBreaker {
             cfg,
             state: Mutex::new(State::Closed { consecutive_failures: 0 }),
             trips: AtomicU64::new(0),
-            fast_fails: AtomicU64::new(0),
         }
     }
 
@@ -90,7 +87,8 @@ impl CircuitBreaker {
     }
 
     /// May a request be sent right now? `false` means fail fast (shed).
-    /// An elapsed cool-down transitions open → half-open as a side effect.
+    /// The caller let through once the cool-down has elapsed is the
+    /// half-open probe.
     pub fn allow(&self) -> bool {
         self.allow_at(Instant::now())
     }
@@ -100,18 +98,18 @@ impl CircuitBreaker {
             return true;
         }
         let mut state = lock(&self.state);
-        match *state {
-            State::Closed { .. } | State::HalfOpen { .. } => true,
-            State::Open { until } => {
-                if now >= until {
-                    *state = State::HalfOpen { successes: 0 };
-                    true
-                } else {
-                    self.fast_fails.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-            }
+        let probe_due = match *state {
+            State::Closed { .. } => return true,
+            State::Open { until } => until,
+            // A probe that has gone a whole cool-down without a verdict is
+            // lost: this caller probes instead.
+            State::HalfOpen { probe_sent } => probe_sent + self.cfg.open_for,
+        };
+        if now < probe_due {
+            return false;
         }
+        *state = State::HalfOpen { probe_sent: now };
+        true
     }
 
     /// Record a successful invocation.
@@ -121,13 +119,8 @@ impl CircuitBreaker {
         }
         let mut state = lock(&self.state);
         match *state {
-            State::Closed { .. } => *state = State::Closed { consecutive_failures: 0 },
-            State::HalfOpen { successes } => {
-                if successes + 1 >= self.cfg.half_open_probes {
-                    *state = State::Closed { consecutive_failures: 0 };
-                } else {
-                    *state = State::HalfOpen { successes: successes + 1 };
-                }
+            State::Closed { .. } | State::HalfOpen { .. } => {
+                *state = State::Closed { consecutive_failures: 0 }
             }
             // A request that was in flight when the breaker tripped can
             // still succeed; it carries no information about recovery, so
@@ -156,7 +149,7 @@ impl CircuitBreaker {
                     *state = State::Closed { consecutive_failures: failures };
                 }
             }
-            // Any half-open probe failure re-opens for a full cool-down.
+            // A failed probe re-opens for a full cool-down.
             State::HalfOpen { .. } => {
                 *state = State::Open { until: now + self.cfg.open_for };
                 self.trips.fetch_add(1, Ordering::Relaxed);
@@ -168,7 +161,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Whether the breaker is currently refusing requests.
+    /// Whether the breaker is open: cooling down, refusing every request.
     pub fn is_open(&self) -> bool {
         matches!(*lock(&self.state), State::Open { .. })
     }
@@ -205,7 +198,6 @@ mod tests {
         assert_eq!(b.trips.load(Ordering::Relaxed), 1);
         assert!(!b.allow_at(now), "open: fail fast");
         assert!(!b.allow_at(now + Duration::from_secs(5)), "still cooling down");
-        assert_eq!(b.fast_fails.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -231,6 +223,7 @@ mod tests {
         b.on_success();
         assert!(!b.is_open());
         assert!(b.allow_at(after), "closed again");
+        assert!(b.allow_at(after), "closed: every caller goes through");
         assert_eq!(b.trips.load(Ordering::Relaxed), 1);
     }
 
@@ -245,23 +238,37 @@ mod tests {
         assert!(b.is_open(), "failed probe re-opens");
         assert_eq!(b.trips.load(Ordering::Relaxed), 2);
         assert!(!b.allow_at(after + Duration::from_millis(50)), "fresh cool-down");
+        assert!(b.allow_at(after + Duration::from_millis(100)), "then the next probe");
     }
 
     #[test]
-    fn multiple_probes_required_when_configured() {
+    fn half_open_admits_one_probe_until_its_verdict() {
         let now = Instant::now();
-        let b = CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 1,
-            open_for: Duration::from_millis(100),
-            half_open_probes: 2,
-        });
+        let b = breaker(1, 100);
         b.on_failure_at(now);
         let after = now + Duration::from_millis(150);
-        assert!(b.allow_at(after));
-        b.on_success();
+        assert!(b.allow_at(after), "the first caller after the cool-down probes");
+        assert!(!b.allow_at(after), "a second caller waits for the probe's verdict");
+        assert!(!b.allow_at(after + Duration::from_millis(99)), "still waiting");
         assert!(!b.is_open(), "half-open, not open");
-        b.on_failure_at(after);
-        assert!(b.is_open(), "one success is not enough to close at 2 probes");
+        b.on_success();
+        assert!(b.allow_at(after + Duration::from_millis(99)), "the verdict closed it");
+    }
+
+    #[test]
+    fn a_probe_without_a_verdict_for_a_cool_down_lets_the_next_caller_probe() {
+        let now = Instant::now();
+        let b = breaker(1, 100);
+        b.on_failure_at(now);
+        let probe = now + Duration::from_millis(150);
+        assert!(b.allow_at(probe));
+        let lost = probe + Duration::from_millis(100);
+        assert!(b.allow_at(lost), "the silent probe is lost: this caller probes");
+        assert!(!b.allow_at(lost), "and is the only one");
+        assert!(b.allow_at(lost + Duration::from_millis(100)), "lost again, probe again");
+        b.on_failure_at(lost + Duration::from_millis(100));
+        assert!(b.is_open(), "a verdict still re-opens");
+        assert_eq!(b.trips.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -24,22 +24,29 @@
 //! lets an exchange outlive it.
 //!
 //! **Retry.** Up to [`RetryPolicy::max_attempts`] attempts, a seeded
-//! capped-exponential backoff between them. A backoff that would overshoot
-//! the deadline is not slept: the invocation ends there as [`Timeout`] (or
-//! [`Shed`], when what it was waiting out was a `429`). The loop runs on
-//! the caller's thread under both transports, so a transport needs no
-//! timer for it. `max_attempts: 1` is how a saturation probe sees every
-//! failure; it is a value the caller passes, not a property of a transport.
+//! capped-exponential backoff between them. Its jitter is keyed by the
+//! invocation ([`backoff::invocation_key`]: function and scheduled instant)
+//! and the retry's index, so an invocation backs off by the same offsets
+//! whichever worker runs it and whatever the others did before it. A
+//! backoff that would overshoot the deadline is not slept: the invocation
+//! ends there as [`Timeout`] (or [`Shed`], when what it was waiting out was
+//! a `429`). The loop runs on the caller's thread under both transports,
+//! so a transport needs no timer for it. `max_attempts: 1` is how a
+//! saturation probe sees every failure; it is a value the caller passes,
+//! not a property of a transport.
 //!
 //! **Circuit breaker.** An optional [`CircuitBreaker`], shared by the
 //! worker threads, counts consecutive attempts that ended in a transport
 //! failure, a timeout, a `429` or a `5xx`; a parsed `200` or a fatal `4xx`
-//! is a responsive upstream and resets it. While open, invocations fail
-//! fast as [`Shed`] without reaching the transport.
+//! is a responsive upstream and resets it. While open, and while its one
+//! half-open probe awaits a verdict, invocations fail fast as [`Shed`]
+//! without reaching the transport.
 //!
-//! **Counting.** Every invocation adds one to exactly one outcome counter
-//! of [`ClientStats`], by the class of the result it returns; every attempt
-//! past an invocation's first adds one to `retries`.
+//! **Counting.** The client counts only what no caller can see in the
+//! results it returns: every attempt past an invocation's first adds one
+//! to [`ClientStats::retries`], and the breaker counts its trips. How many
+//! invocations ended in each outcome class is the replayer's to count
+//! (`RunMetrics`), from those results.
 //!
 //! What is left to a `Transport`: sockets, buffers, which connection an
 //! exchange rides, what a dead or poisoned connection costs its neighbours,
@@ -49,32 +56,29 @@
 //! [`Transport`]: faasrail_loadgen::OutcomeClass::Transport
 //! [`Timeout`]: faasrail_loadgen::OutcomeClass::Timeout
 
-use crate::backoff::RetryPolicy;
+use crate::backoff::{self, RetryPolicy};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::http;
 use crate::mux::{Mux, MuxConfig};
 use crate::pool::Pool;
-use crate::{http, lock};
-use faasrail_loadgen::{Backend, InvocationRequest, InvocationResult, OutcomeClass};
-use faasrail_stats::rng::SplitMix64;
+use faasrail_loadgen::{Backend, InvocationRequest, InvocationResult};
 use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The longest one TCP connect may take, under either transport (less when
+/// the invocation has less left of its deadline).
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Configuration of a client on the keep-alive pool.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HttpBackendConfig {
-    /// Timeout for establishing one TCP connection (also bounded by the
-    /// invocation's remaining deadline).
-    pub connect_timeout: Duration,
     /// Overall per-invocation deadline across all attempts and backoff.
     pub request_timeout: Duration,
     /// Retry policy for retryable failures.
     pub retry: RetryPolicy,
-    /// Max idle keep-alive connections; excess connections are closed on
-    /// check-in rather than pooled.
-    pub pool_capacity: usize,
     /// Circuit breaker (disabled by default: `failure_threshold: 0`).
     pub breaker: BreakerConfig,
 }
@@ -82,16 +86,15 @@ pub struct HttpBackendConfig {
 impl Default for HttpBackendConfig {
     fn default() -> Self {
         HttpBackendConfig {
-            connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(30),
             retry: RetryPolicy::default(),
-            pool_capacity: 64,
             breaker: BreakerConfig::default(),
         }
     }
 }
 
-/// Client-side counters, updated lock-free.
+/// What only the client sees of a run: its transport facts and retries,
+/// updated lock-free. Outcomes are in the results it returns.
 #[derive(Debug, Default)]
 pub struct ClientStats {
     /// Fresh TCP connections established.
@@ -104,18 +107,6 @@ pub struct ClientStats {
     /// once per change between `request_timeout` and a retry's remaining
     /// budget. The multiplexed sockets are non-blocking and carry none.
     pub timeout_arms: AtomicU64,
-    /// Invocations returning `ok: true`.
-    pub ok: AtomicU64,
-    /// Invocations returning an application failure (not retried).
-    pub app_errors: AtomicU64,
-    /// Invocations abandoned at the deadline.
-    pub timeouts: AtomicU64,
-    /// Invocations that exhausted retries or hit a non-retryable transport
-    /// failure.
-    pub transport_errors: AtomicU64,
-    /// Invocations shed: fast-failed by an open circuit breaker, or `429`
-    /// through the whole retry budget.
-    pub shed: AtomicU64,
 }
 
 /// How one attempt failed.
@@ -157,17 +148,16 @@ pub(crate) fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock)
 }
 
-/// Open a connection for an attempt, within `connect_timeout` and within
+/// Open a connection for an attempt, within [`CONNECT_TIMEOUT`] and within
 /// what is left until `deadline`. Whichever of the two runs out, the
 /// invocation has spent budget waiting and ends as a timeout; a refusal is
 /// worth another attempt.
 pub(crate) fn open(
     addr: &SocketAddr,
-    connect_timeout: Duration,
     deadline: Instant,
     stats: &ClientStats,
 ) -> Result<TcpStream, TryError> {
-    let timeout = connect_timeout.min(deadline.saturating_duration_since(Instant::now()));
+    let timeout = CONNECT_TIMEOUT.min(deadline.saturating_duration_since(Instant::now()));
     let connected = if timeout < Duration::from_millis(1) {
         Err(io::Error::new(ErrorKind::TimedOut, "no budget left to connect"))
     } else {
@@ -233,7 +223,6 @@ pub struct Client {
     transport: Box<dyn Transport>,
     request_timeout: Duration,
     retry: RetryPolicy,
-    rng: Mutex<SplitMix64>,
     stats: Arc<ClientStats>,
     breaker: CircuitBreaker,
     name: String,
@@ -258,7 +247,12 @@ impl Client {
     /// invocation.
     pub fn connect(target: &str, cfg: HttpBackendConfig) -> io::Result<Client> {
         let stats = Arc::new(ClientStats::default());
-        let pool = Pool::new(resolve(target)?, target.to_string(), cfg, Arc::clone(&stats));
+        let pool = Pool::new(
+            resolve(target)?,
+            target.to_string(),
+            cfg.request_timeout,
+            Arc::clone(&stats),
+        );
         let name = format!("http:{target}");
         Ok(Client::over(Box::new(pool), name, cfg.request_timeout, cfg.retry, cfg.breaker, stats))
     }
@@ -287,14 +281,13 @@ impl Client {
             transport,
             request_timeout,
             retry,
-            rng: Mutex::new(SplitMix64::new(retry.jitter_seed)),
             stats,
             breaker: CircuitBreaker::new(breaker),
             name,
         }
     }
 
-    /// Client-side counters.
+    /// The client's transport counters and retries.
     pub fn stats(&self) -> &ClientStats {
         &self.stats
     }
@@ -307,17 +300,11 @@ impl Client {
     /// The counters on one line, for run reports.
     pub fn summary(&self) -> String {
         format!(
-            "connects={} reuses={} retries={} timeout-arms={} ok={} app-error={} timeout={} \
-             transport={} shed={} breaker-trips={}",
+            "connects={} reuses={} retries={} timeout-arms={} breaker-trips={}",
             self.stats.connects.load(Ordering::Relaxed),
             self.stats.reuses.load(Ordering::Relaxed),
             self.stats.retries.load(Ordering::Relaxed),
             self.stats.timeout_arms.load(Ordering::Relaxed),
-            self.stats.ok.load(Ordering::Relaxed),
-            self.stats.app_errors.load(Ordering::Relaxed),
-            self.stats.timeouts.load(Ordering::Relaxed),
-            self.stats.transport_errors.load(Ordering::Relaxed),
-            self.stats.shed.load(Ordering::Relaxed),
             self.breaker.trips.load(Ordering::Relaxed),
         )
     }
@@ -333,6 +320,7 @@ impl Client {
             return InvocationResult::shed("circuit breaker open: failing fast");
         }
         let deadline = Instant::now() + self.request_timeout;
+        let key = backoff::invocation_key(req);
         let attempts = self.retry.max_attempts.max(1);
         let mut last_err = String::new();
         let mut last_shed = false;
@@ -340,10 +328,7 @@ impl Client {
 
         for attempt in 0..attempts {
             if attempt > 0 {
-                let mut delay = {
-                    let mut rng = lock(&self.rng);
-                    self.retry.delay(attempt - 1, &mut rng)
-                };
+                let mut delay = self.retry.delay(attempt - 1, key);
                 if let Some(secs) = retry_after_hint.take() {
                     // Honor the server's `Retry-After` hint: back off at
                     // least that long (still subject to the deadline clamp
@@ -402,16 +387,7 @@ impl Client {
 
 impl Backend for Client {
     fn invoke(&self, req: &InvocationRequest) -> InvocationResult {
-        let result = self.attempt(req);
-        let counter = match result.outcome() {
-            OutcomeClass::Ok => &self.stats.ok,
-            OutcomeClass::AppError => &self.stats.app_errors,
-            OutcomeClass::Timeout => &self.stats.timeouts,
-            OutcomeClass::Transport => &self.stats.transport_errors,
-            OutcomeClass::Shed => &self.stats.shed,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        result
+        self.attempt(req)
     }
 
     fn name(&self) -> &str {
@@ -422,11 +398,13 @@ impl Backend for Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock;
+    use faasrail_loadgen::OutcomeClass;
     use faasrail_workloads::{WorkloadId, WorkloadInput};
     use std::io::BufReader;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::Mutex;
 
     fn request() -> InvocationRequest {
         InvocationRequest {
@@ -488,7 +466,6 @@ mod tests {
 
     fn fast_cfg(attempts: u32) -> HttpBackendConfig {
         HttpBackendConfig {
-            connect_timeout: Duration::from_millis(500),
             request_timeout: Duration::from_secs(5),
             retry: RetryPolicy {
                 max_attempts: attempts,
@@ -497,7 +474,6 @@ mod tests {
                 jitter: 0.5,
                 jitter_seed: 7,
             },
-            pool_capacity: 4,
             breaker: BreakerConfig::default(),
         }
     }
@@ -518,7 +494,6 @@ mod tests {
                 MuxConfig {
                     connections: 1,
                     pipeline_depth: 4,
-                    connect_timeout: cfg.connect_timeout,
                     request_timeout: cfg.request_timeout,
                     retry: cfg.retry,
                     breaker: cfg.breaker,
@@ -555,6 +530,8 @@ mod tests {
         retry_after_hint_delays_the_next_attempt => retry_after_hint_delays_the_next_attempt_in,
         a_service_time_the_log_cannot_hold_is_retried_as_transport =>
             a_service_time_the_log_cannot_hold_is_retried_as_transport_in,
+        an_invocations_backoff_does_not_depend_on_who_retried_before_it =>
+            an_invocations_backoff_does_not_depend_on_who_retried_before_it_in,
     }
 
     #[test]
@@ -562,10 +539,9 @@ mod tests {
         // Bind then drop a listener so the port is (very likely) closed.
         let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
         let stats = ClientStats::default();
-        let second = Duration::from_secs(1);
         let spent = Instant::now();
-        assert!(matches!(open(&addr, second, spent, &stats), Err(TryError::Timeout(_))));
-        let refused = open(&addr, second, spent + second, &stats);
+        assert!(matches!(open(&addr, spent, &stats), Err(TryError::Timeout(_))));
+        let refused = open(&addr, spent + Duration::from_secs(1), &stats);
         assert!(matches!(refused, Err(TryError::Retryable { shed: false, .. })));
         assert_eq!(stats.connects.load(Ordering::Relaxed), 0);
     }
@@ -636,7 +612,6 @@ mod tests {
         assert_eq!(res.error.as_deref(), Some("boom"));
         assert_eq!(served.load(Ordering::SeqCst), 1, "app failures are final");
         assert_eq!(be.stats().retries.load(Ordering::Relaxed), 0);
-        assert_eq!(be.stats().app_errors.load(Ordering::Relaxed), 1);
     }
 
     fn a_service_time_the_log_cannot_hold_is_retried_as_transport_in(kind: Kind) {
@@ -675,7 +650,6 @@ mod tests {
         assert_eq!(res.outcome(), OutcomeClass::Transport);
         assert!(res.error.as_deref().unwrap_or("").contains("gave up after 3 attempts"));
         assert_eq!(served.load(Ordering::SeqCst), 3, "exactly the attempt budget");
-        assert_eq!(be.stats().transport_errors.load(Ordering::Relaxed), 1);
     }
 
     fn fourxx_is_fatal_without_retry_in(kind: Kind) {
@@ -714,7 +688,6 @@ mod tests {
         let res = be.invoke(&request());
         assert!(!res.ok);
         assert_eq!(res.outcome(), OutcomeClass::Timeout);
-        assert_eq!(be.stats().timeouts.load(Ordering::Relaxed), 1);
     }
 
     fn exhausted_429s_classify_as_shed_in(kind: Kind) {
@@ -725,8 +698,6 @@ mod tests {
         assert_eq!(res.outcome(), OutcomeClass::Shed, "{:?}", res.error);
         assert!(res.error.as_deref().unwrap_or("").contains("shed after 3 attempts"));
         assert_eq!(served.load(Ordering::SeqCst), 3, "429 is retried before shedding");
-        assert_eq!(be.stats().shed.load(Ordering::Relaxed), 1);
-        assert_eq!(be.stats().transport_errors.load(Ordering::Relaxed), 0);
     }
 
     fn breaker_trips_on_consecutive_failures_and_fails_fast_in(kind: Kind) {
@@ -745,7 +716,6 @@ mod tests {
         assert_eq!(res.outcome(), OutcomeClass::Shed);
         assert!(res.error.as_deref().unwrap_or("").contains("circuit breaker open"));
         assert_eq!(served.load(Ordering::SeqCst), 2, "fast fail never touched the network");
-        assert_eq!(be.stats().shed.load(Ordering::Relaxed), 1);
         assert_eq!(be.breaker().trips.load(Ordering::Relaxed), 1);
     }
 
@@ -816,6 +786,79 @@ mod tests {
             "Retry-After hint ignored: retried after {:?}",
             start.elapsed()
         );
+    }
+
+    /// When each request arrived, by the trace id it carried.
+    type Arrivals = Arc<Mutex<Vec<(Option<u64>, Instant)>>>;
+
+    /// A server that answers each trace's first two attempts with `503` and
+    /// the rest with `200`, logging when each request of each trace arrived.
+    fn twice_503_server() -> (String, Arrivals) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let arrivals = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&arrivals);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                let mut reader = BufReader::new(&stream);
+                while let Ok(Some(req)) = http::read_request(&mut reader) {
+                    let seen = {
+                        let mut log = lock(&log);
+                        log.push((req.trace_id, Instant::now()));
+                        log.iter().filter(|(trace, _)| *trace == req.trace_id).count()
+                    };
+                    let replied = if seen <= 2 {
+                        http::write_response(&mut (&stream), 503, "text/plain", b"busy", true)
+                    } else {
+                        reply_ok(&stream)
+                    };
+                    if replied.is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+        (addr, arrivals)
+    }
+
+    fn an_invocations_backoff_does_not_depend_on_who_retried_before_it_in(kind: Kind) {
+        let cfg = HttpBackendConfig {
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base: Duration::from_millis(100),
+                cap: Duration::from_secs(1),
+                jitter: 1.0,
+                jitter_seed: 7,
+            },
+            ..fast_cfg(3)
+        };
+        let probe = InvocationRequest { function_index: 2, trace_id: 2, ..request() };
+        // The gaps between the probe's three attempts, as the server saw
+        // them, when `before` ran (and retried twice) on the client first.
+        let gaps = |before: &[InvocationRequest]| {
+            let (addr, arrivals) = twice_503_server();
+            let be = client(kind, &addr, cfg);
+            for req in before.iter().chain([&probe]) {
+                let res = be.invoke(req);
+                assert!(res.ok, "{kind:?}: {:?}", res.error);
+            }
+            let at: Vec<Instant> = lock(&arrivals)
+                .iter()
+                .filter(|(trace, _)| *trace == Some(probe.trace_id))
+                .map(|&(_, at)| at)
+                .collect();
+            at.windows(2).map(|pair| pair[1] - pair[0]).collect::<Vec<_>>()
+        };
+        let alone = gaps(&[]);
+        let behind = gaps(&[InvocationRequest { function_index: 1, trace_id: 1, ..request() }]);
+        assert_eq!(alone.len(), 2, "{kind:?}: three attempts");
+        for (retry, (a, b)) in alone.iter().zip(&behind).enumerate() {
+            assert!(
+                a.abs_diff(*b) < Duration::from_millis(15),
+                "{kind:?}: retry {retry} waited {a:?} alone, {b:?} behind another invocation"
+            );
+        }
     }
 
     #[test]

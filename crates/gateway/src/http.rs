@@ -7,8 +7,10 @@
 /// The codec these functions adapt, for callers that hold their own buffers.
 pub use faasrail_reactor::http1;
 use http1::{ParseError, ReqHead, RespHead};
-use std::io::{self, BufRead, ErrorKind, Write};
+use std::io::{self, BufRead, ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::ops::Range;
+use std::time::{Duration, Instant};
 
 /// Cap on the total bytes of a request/status line plus headers.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -124,6 +126,55 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
         content_type,
         body: msg,
     })
+}
+
+/// A socket as a blocking server's request parser reads it, under two read
+/// budgets: `idle` while no byte of the next request has arrived, and from
+/// its first byte on whatever is left of `head` (if that is less), so a peer
+/// dribbling a request holds its thread no longer than `head`, however
+/// often it sends a byte. A request that arrives in one read — the usual
+/// case — never touches the socket's timeout.
+pub struct RequestClock<'a> {
+    stream: &'a TcpStream,
+    idle: Duration,
+    head: Duration,
+    /// When the request being read got its first byte.
+    started: Option<Instant>,
+    /// The timeout the socket carries now (zero: none set yet).
+    armed: Duration,
+}
+
+impl<'a> RequestClock<'a> {
+    pub fn new(stream: &'a TcpStream, idle: Duration, head: Duration) -> RequestClock<'a> {
+        RequestClock { stream, idle, head, started: None, armed: Duration::ZERO }
+    }
+
+    /// Time the next request: from now if `begun` (some of it is already
+    /// buffered, pipelined behind the last), else from its first byte.
+    pub fn next_request(&mut self, begun: bool) {
+        self.started = begun.then(Instant::now);
+    }
+}
+
+impl Read for RequestClock<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = match self.started {
+            None => self.idle,
+            Some(started) => self.head.saturating_sub(started.elapsed()).min(self.idle),
+        };
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        if left != self.armed {
+            self.stream.set_read_timeout(Some(left))?;
+            self.armed = left;
+        }
+        let n = (&mut &*self.stream).read(buf)?;
+        if n > 0 && self.started.is_none() {
+            self.started = Some(Instant::now());
+        }
+        Ok(n)
+    }
 }
 
 /// Canonical reason phrases for the statuses the gateway emits.

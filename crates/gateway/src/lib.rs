@@ -30,9 +30,10 @@
 //!   the one per-invocation deadline, seeded capped-exponential retry
 //!   ([`RetryPolicy`]) for transport failures, `429`s and `5xx`s, the
 //!   optional [`CircuitBreaker`] that fails fast (as `OutcomeClass::Shed`)
-//!   while the upstream is unhealthy, what each status means, and the
-//!   outcome counters of [`ClientStats`]. A [`Client`] hands each attempt
-//!   to a transport and decides what its answer means;
+//!   while the upstream is unhealthy, and what each status means;
+//!   [`ClientStats`] holds only the transport facts and retries no result
+//!   shows. A [`Client`] hands each attempt to a transport and decides what
+//!   its answer means;
 //! * [`HttpBackend`] and [`MuxHttpBackend`] — that one [`Client`] over its
 //!   two transports: a pool of blocking keep-alive connections (`pool.rs`,
 //!   one socket per invocation in flight), and one reactor thread driving

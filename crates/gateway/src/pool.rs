@@ -6,7 +6,8 @@
 //! is `client.rs`'s to say; what this file owns:
 //!
 //! * **the pool** — idle keep-alive connections wait in a mutex-guarded
-//!   LIFO free-list and reused across invocations; a reused connection
+//!   LIFO free-list of up to [`POOL_CAPACITY`] and are reused across
+//!   invocations; a reused connection
 //!   that fails before yielding a response is replaced by a fresh one
 //!   inside the same exchange (it was likely closed by the peer while
 //!   idle), once;
@@ -18,13 +19,17 @@
 //! * **the syscall floor** — one `write` and one `read` per exchange on an
 //!   armed connection.
 
-use crate::client::{self, is_timeout, ClientStats, HttpBackendConfig, Transport, TryError};
+use crate::client::{self, is_timeout, ClientStats, Transport, TryError};
 use crate::{http, lock};
 use std::io::{self, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Idle keep-alive connections kept for reuse; one checked in past this is
+/// closed instead.
+const POOL_CAPACITY: usize = 64;
 
 /// One keep-alive connection, as the pool parks it.
 struct Conn {
@@ -53,7 +58,7 @@ impl Conn {
 pub(crate) struct Pool {
     addr: SocketAddr,
     host: String,
-    cfg: HttpBackendConfig,
+    request_timeout: Duration,
     idle: Mutex<Vec<Conn>>,
     stats: Arc<ClientStats>,
 }
@@ -62,10 +67,10 @@ impl Pool {
     pub(crate) fn new(
         addr: SocketAddr,
         host: String,
-        cfg: HttpBackendConfig,
+        request_timeout: Duration,
         stats: Arc<ClientStats>,
     ) -> Pool {
-        Pool { addr, host, cfg, idle: Mutex::new(Vec::new()), stats }
+        Pool { addr, host, request_timeout, idle: Mutex::new(Vec::new()), stats }
     }
 
     fn checkout(&self) -> Option<Conn> {
@@ -74,7 +79,7 @@ impl Pool {
 
     fn checkin(&self, conn: Conn) {
         let mut idle = lock(&self.idle);
-        if idle.len() < self.cfg.pool_capacity {
+        if idle.len() < POOL_CAPACITY {
             idle.push(conn);
         }
     }
@@ -96,7 +101,7 @@ impl Pool {
         if remaining < Duration::from_millis(1) {
             return Err(io::Error::new(ErrorKind::TimedOut, "deadline exhausted"));
         }
-        conn.arm(if first { self.cfg.request_timeout } else { remaining }, &self.stats)?;
+        conn.arm(if first { self.request_timeout } else { remaining }, &self.stats)?;
         client::write_invoke(&mut conn.reader.get_ref(), &self.host, body, trace_id)?;
         http::read_response(&mut conn.reader)
     }
@@ -118,8 +123,7 @@ impl Transport for Pool {
                     (conn, true)
                 }
                 None => {
-                    let stream =
-                        client::open(&self.addr, self.cfg.connect_timeout, deadline, &self.stats)?;
+                    let stream = client::open(&self.addr, deadline, &self.stats)?;
                     (Conn { reader: BufReader::new(stream), armed: Duration::ZERO }, false)
                 }
             };

@@ -7,19 +7,18 @@
 //! arriving with it full is shed with `429` there and then, so overload
 //! is an immediate signal instead of peers timing out in the OS backlog),
 //! and `cfg.workers` threads that each take one connection at a time and
-//! block on it — reading through `RequestClock`, running each invocation
-//! (an injected delay included) in `Core::run_invoke`, sleeping out
-//! injected stalls in place, writing each reply before reading on.
+//! block on it — reading through `http::RequestClock`, running each
+//! invocation (an injected delay included) in `Core::run_invoke`, sleeping
+//! out injected stalls in place, writing each reply before reading on.
 
 use crate::core::{micros_since, Arrival, Core, Reply, Step};
-use crate::GatewayConfig;
 use crate::{http, lock};
-use std::io::{self, BufReader, ErrorKind, Read};
+use std::io::{self, BufReader, ErrorKind};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One accepted connection in flight from the accept loop to a worker.
 struct ConnMeta {
@@ -113,59 +112,20 @@ fn shed_connection(stream: TcpStream, core: &Core) {
     let _ = send(&stream, core, core.shed());
 }
 
-/// The socket as the request parser reads it, under the two read
-/// deadlines: `read_timeout` while no byte of the next request has
-/// arrived, and from its first byte on whatever is left of
-/// `head_read_timeout` (if that is less), so a peer dribbling a request
-/// holds its worker no longer than the budget. A request that arrives in
-/// one read — the usual case — never touches the socket's timeout.
-struct RequestClock<'a> {
-    stream: &'a TcpStream,
-    cfg: &'a GatewayConfig,
-    /// When the request being read got its first byte.
-    started: Option<Instant>,
-    /// The timeout the socket carries now (zero: none set yet).
-    armed: Duration,
-}
-
-impl Read for RequestClock<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let left = match self.started {
-            None => self.cfg.read_timeout,
-            Some(started) => self
-                .cfg
-                .head_read_timeout
-                .saturating_sub(started.elapsed())
-                .min(self.cfg.read_timeout),
-        };
-        if left.is_zero() {
-            return Err(ErrorKind::TimedOut.into());
-        }
-        if left != self.armed {
-            self.stream.set_read_timeout(Some(left))?;
-            self.armed = left;
-        }
-        let n = (&mut &*self.stream).read(buf)?;
-        if n > 0 && self.started.is_none() {
-            self.started = Some(Instant::now());
-        }
-        Ok(n)
-    }
-}
-
 /// Serve one connection until it closes (client close, read deadline,
 /// refused head, injected drop or stall, write failure, or shutdown).
 fn handle_connection(conn: ConnMeta, core: &Core, worker: u64) {
     let stream = &conn.stream;
     let dequeued_us = micros_since(core.epoch);
     stream.set_nodelay(true).ok();
-    let clock = RequestClock { stream, cfg: &core.cfg, started: None, armed: Duration::ZERO };
+    let clock = http::RequestClock::new(stream, core.cfg.read_timeout, core.cfg.head_read_timeout);
     let mut reader = BufReader::new(clock);
     let mut served: u64 = 0;
 
     loop {
         // A pipelined request already in the buffer has begun arriving.
-        reader.get_mut().started = (!reader.buffer().is_empty()).then(Instant::now);
+        let begun = !reader.buffer().is_empty();
+        reader.get_mut().next_request(begun);
         let req = match http::read_request(&mut reader) {
             Ok(Some(req)) => req,
             Err(e) if e.kind() == ErrorKind::InvalidData => {
@@ -220,7 +180,7 @@ fn handle_connection(conn: ConnMeta, core: &Core, worker: u64) {
 mod tests {
     use super::*;
     use crate::client::{HttpBackend, HttpBackendConfig};
-    use crate::{FaultConfig, Gateway, GatewayHandle};
+    use crate::{FaultConfig, Gateway, GatewayConfig, GatewayHandle};
     use faasrail_loadgen::{InvocationRequest, InvocationResult, NoopBackend};
     use faasrail_telemetry::{
         EventSink, OutcomeClass, RingSink, ServerFault, ServerSpan, TelemetryEvent,
@@ -228,6 +188,7 @@ mod tests {
     use faasrail_workloads::{WorkloadId, WorkloadInput};
     use std::io::BufReader;
     use std::sync::Arc;
+    use std::time::Instant;
 
     fn test_cfg() -> GatewayConfig {
         GatewayConfig {

@@ -42,6 +42,11 @@
 # fleet's clock probes, OutcomeClass alone knows a class's position and label,
 # and faasrail_trace::Scale alone names the trace sizes; `replay --prom-out`
 # writes the final RunMetrics' snapshot and needs no live recorder.
+# And the gateway client keeps only the state it needs: retry jitter is a
+# stateless draw keyed by the invocation (no shared RNG, no precomputed
+# schedule), a half-open breaker sends one probe (no probe count, no
+# fast-fail counter), the connect budget and pool capacity are constants, and
+# outcomes are counted by the replayer alone.
 # Then print what each file weighs (lines above its first `#[cfg(test)]`), and
 # each crate and the workspace.
 set -euo pipefail
@@ -70,6 +75,18 @@ for transport in crates/gateway/src/pool.rs crates/gateway/src/mux.rs; do
         'InvocationResult::' 'serde_json::' 'breaker.' '"HTTP 429'
 done
 refuse crates/gateway/src/http.rs crates/reactor/src/http1.rs "split_once(':')" '"content-length"'
+for file in crates/*/src/*.rs crates/*/src/*/*.rs; do
+    refuse "$file" 'nowhere: half-open sends one probe, and nothing reads a fast-fail count' \
+        'half_open_probes' 'fast_fails'
+done
+refuse crates/gateway/src/backoff.rs 'nowhere: RetryPolicy::delay(retry, invocation_key) is the schedule' \
+    'fn schedule('
+refuse crates/gateway/src/client.rs 'nowhere: jitter is a stateless draw (backoff::mix_fraction)' \
+    'SplitMix64'
+for file in crates/gateway/src/client.rs crates/gateway/src/mux.rs; do
+    refuse "$file" 'constants (client::CONNECT_TIMEOUT, pool::POOL_CAPACITY), not settings' \
+        'pool_capacity:' 'connect_timeout:'
+done
 
 times() { # count, file, why, patterns...: each on exactly that many non-test lines
     local want=$1 file=$2 why=$3 pat n
@@ -141,7 +158,8 @@ done
 
 for gone in 'struct Counters' 'replay_until' 'with_percentile' 'bind_with_capacity' 'live_windows' \
     'wasserstein1_log10' 'fn autocorrelation' 'struct Pareto' 'struct Weibull' 'struct UniformRange' \
-    'fn scale_volume' 'fn stage_metrics' 'fn epoll_modify' 'fn next_timeout'; do
+    'fn scale_volume' 'fn stage_metrics' 'fn epoll_modify' 'fn next_timeout' \
+    'ExperimentSpec::merge'; do
     if grep -rnF -- "$gone" crates tests examples; then
         echo "error: \`$gone\` is back: each job is done once, and nothing stays without a caller" >&2
         fail=1
@@ -168,6 +186,8 @@ done
 refuse crates/core/src/shrinkray.rs \
     'nowhere: the grouping walk bins entries (TimeScaling::minute_bins), rate_scaling::scale_cells scales them' \
     '.dense()' 'time_scaling.apply(' 'scale_request_rate(' 'Vec<Vec<u64>>'
+refuse crates/core/src/spec.rs 'nowhere: nothing merges two specs (ExperimentSpec::merge is gone)' \
+    'fn merge('
 refuse crates/core/src/schedule.rs 'nowhere: from_trace_day reads no group series (aggregate::Grouping)' \
     'aggregate('
 across 1 'one rate-scaling kernel apportions each column (rate_scaling::scale_cells)' \

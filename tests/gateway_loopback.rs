@@ -270,8 +270,6 @@ fn both_clients_count_the_same_injected_errors_and_both_recover() {
         let cell = format!("{mode:?} x {kind:?} x {max_attempts}: {}", m.outcome_breakdown());
         assert_eq!(m.completed + m.errors, m.issued, "{cell}");
         assert_eq!(m.transport_errors, m.errors, "{cell}");
-        let counted = client.stats().transport_errors.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(counted, m.transport_errors, "{cell}");
         drop(client);
         let injected = handle.stats().faults_errored.load(std::sync::atomic::Ordering::Relaxed);
         handle.stop();
