@@ -1,33 +1,37 @@
 //! The open-loop replayer.
 //!
-//! A pacer thread walks the time-ordered request trace and dispatches each
-//! request at its scheduled instant (hybrid sleep/spin for sub-millisecond
-//! accuracy); a pool of worker threads serves the dispatched requests
-//! against the [`Backend`]. The generator is *open-loop*: a slow backend
-//! never delays the schedule — requests queue, and the queueing shows up in
-//! response times, exactly like load on a saturated FaaS gateway.
+//! Under [`Pacing::RealTime`] a pacer thread walks the time-ordered request
+//! trace and dispatches each request at its scheduled instant (hybrid
+//! sleep/spin for sub-millisecond accuracy) to a pool of worker threads,
+//! which serve the dispatched requests against the [`Backend`]. The
+//! generator is *open-loop*: a slow backend never delays the schedule —
+//! requests queue, and the queueing shows up in response times, exactly
+//! like load on a saturated FaaS gateway. A drain ([`Pacing::Unpaced`] or
+//! [`Pacing::ClosedLoop`]) has no schedule to keep and so no pacer: each
+//! worker claims the next request straight from the trace.
 //!
 //! Two hardening properties matter for replaying against research FaaS
 //! stacks that crash and stall mid-experiment:
 //!
 //! * **panic isolation** — a backend (or workload kernel) that panics is
 //!   caught per-invocation and recorded as an application error; the worker
-//!   survives, the channel keeps draining, and the run still reports
+//!   survives, the replay keeps draining, and the run still reports
 //!   complete metrics instead of deadlocking or aborting;
-//! * **graceful drain** — [`replay_observed`]'s `stop` flag: once set, the
-//!   pacer stops dispatching, the workers drain everything already
-//!   dispatched, and the partial [`RunMetrics`] (marked
-//!   [`aborted`](RunMetrics::aborted)) are still merged and returned, so an
-//!   interrupted experiment reports what actually happened.
+//! * **graceful drain** — [`replay_observed`]'s `stop` flag: once set, no
+//!   request is dispatched (paced) or claimed (drained) any more, the
+//!   workers finish every request already dispatched, and the partial
+//!   [`RunMetrics`] (marked [`aborted`](RunMetrics::aborted)) are still
+//!   merged and returned, so an interrupted experiment reports what
+//!   actually happened.
 
 use crate::backend::{invoke_isolated, Backend, InvocationRequest};
 use crate::metrics::RunMetrics;
-use faasrail_core::RequestTrace;
+use faasrail_core::{Request, RequestTrace};
 use faasrail_telemetry::{
     EventSink, InvocationSpan, NullSink, Recorder, RunInfo, RunSummary, TelemetryEvent,
 };
 use faasrail_workloads::WorkloadPool;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -39,14 +43,20 @@ pub enum Pacing {
     /// Wall-clock replay; trace time divided by `compression`
     /// (`compression: 2.0` replays a 2-hour trace in 1 hour).
     RealTime { compression: f64 },
-    /// Dispatch as fast as workers drain — for tests and simulators with
-    /// their own clock.
+    /// Drain: the whole trace is due, and dispatched, at the replay's
+    /// start, and the workers serve it in trace order as fast as they
+    /// finish — for tests, throughput runs and simulators with their own
+    /// clock. A span's `target_us` and `dispatched_us` are 0, so its queue
+    /// wait is its pickup instant and its response time runs from the
+    /// start.
     Unpaced,
-    /// Closed-loop comparator: like [`Pacing::Unpaced`], but latency is
-    /// measured from the moment a worker *picks the request up*, not from
-    /// its scheduled dispatch — the classic coordinated-omission mistake.
-    /// Provided so experiments can quantify how much an overloaded
-    /// backend's queueing a closed-loop harness silently hides.
+    /// Closed-loop comparator: a drain like [`Pacing::Unpaced`], but a
+    /// request counts as dispatched when a worker *picks it up*, so latency
+    /// is measured from there, not from when it was due — the classic
+    /// coordinated-omission mistake. A span's `target_us` and
+    /// `dispatched_us` equal its `picked_up_us`. Provided so experiments can
+    /// quantify how much an overloaded backend's queueing a closed-loop
+    /// harness silently hides.
     ClosedLoop,
 }
 
@@ -71,10 +81,11 @@ pub struct ReplayInstruments<'a> {
     /// Destination for the run's event stream: one `run_start`, one
     /// `invocation` span per dispatched request, one `run_end`.
     pub sink: &'a dyn EventSink,
-    /// Optional live-metrics recorder. Worker `i` records into shard `i`
-    /// and the pacer into shard `workers`, so a recorder with
-    /// `workers + 1` shards is contention-free (any shard count still
-    /// works — indices wrap).
+    /// Optional live-metrics recorder. Worker `i` records into shard `i`;
+    /// under [`Pacing::RealTime`] the pacer counts what it issues into
+    /// shard `workers`, and in a drain each worker counts its own claims.
+    /// A recorder with `workers + 1` shards is thus contention-free under
+    /// every pacing (any shard count still works — indices wrap).
     pub recorder: Option<&'a Recorder>,
     /// Optional live pacing-lag gauge, updated by the pacer on every
     /// real-time dispatch. Lets a supervisor (e.g. a fleet agent's
@@ -136,15 +147,15 @@ pub struct ResumeSpec {
     pub elapsed_ms: u64,
 }
 
+/// One request in a worker's hands.
 struct Job {
     req: InvocationRequest,
-    /// The instant the request was dispatched (for response-time
-    /// accounting under real-time pacing).
+    /// The instant the request was dispatched; its response time runs
+    /// from here.
     dispatched: Instant,
     /// Dispatch sequence number, for span identity.
     seq: u64,
-    /// Scheduled fire instant, µs from run start (= actual dispatch when
-    /// not pacing in real time).
+    /// Scheduled fire instant, µs from run start.
     target_us: u64,
 }
 
@@ -174,6 +185,52 @@ fn wait_until(target: Instant, stop: &AtomicBool) -> bool {
             std::hint::spin_loop();
         }
     }
+}
+
+/// The one worker body, whichever source its jobs come from: serve each
+/// job `next` yields (with the instant the worker picked it up), record it
+/// into the worker's own metrics and recorder shard, and emit its span.
+/// `next` gets the worker's metrics to count what it claims.
+fn serve<B: Backend>(
+    backend: &B,
+    inst: &ReplayInstruments<'_>,
+    start: Instant,
+    worker: usize,
+    mut next: impl FnMut(&mut RunMetrics) -> Option<(Job, Instant)>,
+) -> RunMetrics {
+    let mut local = RunMetrics::new();
+    while let Some((job, picked_up)) = next(&mut local) {
+        let result = invoke_isolated(backend, &job.req);
+        let completed = Instant::now();
+        let response_s = completed.duration_since(job.dispatched).as_secs_f64();
+        let response_recorded = response_s.max(result.service_ms / 1_000.0);
+        local.record_outcome(&result);
+        if result.cold_start {
+            local.cold_starts += 1;
+        }
+        local.response.record(response_recorded);
+        local.service.record(result.service_ms / 1_000.0);
+        *local.per_kind.entry(job.req.input.kind()).or_insert(0) += 1;
+        if let Some(recorder) = inst.recorder {
+            recorder.record_outcome(worker, result.outcome(), response_recorded, result.cold_start);
+        }
+        inst.sink.emit(&TelemetryEvent::Invocation(InvocationSpan {
+            trace_id: job.req.trace_id,
+            seq: job.seq,
+            workload: job.req.workload.0 as u64,
+            function_index: job.req.function_index,
+            scheduled_ms: job.req.scheduled_at_ms,
+            target_us: job.target_us,
+            dispatched_us: us_since(start, job.dispatched),
+            picked_up_us: us_since(start, picked_up),
+            completed_us: us_since(start, completed),
+            service_ms: result.service_ms,
+            outcome: result.outcome(),
+            cold_start: result.cold_start,
+            error: result.error,
+        }));
+    }
+    local
 }
 
 /// Replay a request trace against a backend; returns merged metrics.
@@ -209,11 +266,13 @@ pub fn replay<B: Backend>(
 /// [`replay`], with a graceful-stop flag and observability.
 ///
 /// When `stop` becomes `true` (set from any thread — a signal handler, a
-/// watchdog, an experiment controller), the pacer stops dispatching new
-/// requests, the workers drain everything already in flight, and the
-/// metrics for the dispatched prefix are merged and returned with
-/// [`RunMetrics::aborted`] set. Nothing already dispatched is lost:
-/// `completed + errors == issued` holds for the partial run too.
+/// watchdog, an experiment controller), no new request is dispatched: the
+/// pacer stops, and in a drain every worker checks the flag before it
+/// claims its next request. The workers finish what was dispatched, and
+/// the metrics for that prefix are merged and returned with
+/// [`RunMetrics::aborted`] set exactly when requests were left undispatched.
+/// Nothing already dispatched is lost: `completed + errors == issued`
+/// holds for the partial run too.
 ///
 /// Every dispatched request is emitted as an [`InvocationSpan`] (bracketed
 /// by `run_start`/`run_end` events) through `inst.sink`, and, when present,
@@ -274,138 +333,125 @@ pub fn replay_resumed<B: Backend>(
         nanos ^ ((std::process::id() as u64) << 32)
     };
 
-    let start = Instant::now();
-    // An unpaced run queues its whole trace within milliseconds. `std`'s
-    // channel holds the backlog in fixed-size blocks, so memory follows
-    // the depth; a ring that doubles takes a second queue's worth the
-    // moment the backlog crosses a power of two, which a few percent of
-    // backend speed decides. The receiver is not `Clone`: one worker waits
-    // for its job under the lock, the others wait for the lock. The
-    // workers own it between them, so once the last is gone `send` fails.
-    let (tx, rx) = mpsc::channel::<Job>();
-    let rx = Arc::new(Mutex::new(rx));
-    let metrics = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.workers);
-        for worker in 0..cfg.workers {
-            let rx = Arc::clone(&rx);
-            handles.push(scope.spawn(move || {
-                let mut local = RunMetrics::new();
-                let from_pickup = matches!(cfg.pacing, Pacing::ClosedLoop);
-                let next = || rx.lock().unwrap_or_else(PoisonError::into_inner).recv().ok();
-                while let Some(job) = next() {
-                    let picked_up = Instant::now();
-                    let result = invoke_isolated(backend, &job.req);
-                    let completed = Instant::now();
-                    let response_s = if from_pickup {
-                        completed.duration_since(picked_up).as_secs_f64()
-                    } else {
-                        completed.duration_since(job.dispatched).as_secs_f64()
-                    };
-                    let response_recorded = response_s.max(result.service_ms / 1_000.0);
-                    local.record_outcome(&result);
-                    if result.cold_start {
-                        local.cold_starts += 1;
-                    }
-                    local.response.record(response_recorded);
-                    local.service.record(result.service_ms / 1_000.0);
-                    let kind = job.req.input.kind();
-                    *local.per_kind.entry(kind).or_insert(0) += 1;
-                    if let Some(recorder) = inst.recorder {
-                        recorder.record_outcome(
-                            worker,
-                            result.outcome(),
-                            response_recorded,
-                            result.cold_start,
-                        );
-                    }
-                    inst.sink.emit(&TelemetryEvent::Invocation(InvocationSpan {
-                        trace_id: job.req.trace_id,
-                        seq: job.seq,
-                        workload: job.req.workload.0 as u64,
-                        function_index: job.req.function_index,
-                        scheduled_ms: job.req.scheduled_at_ms,
-                        target_us: job.target_us,
-                        dispatched_us: us_since(start, job.dispatched),
-                        picked_up_us: us_since(start, picked_up),
-                        completed_us: us_since(start, completed),
-                        service_ms: result.service_ms,
-                        outcome: result.outcome(),
-                        cold_start: result.cold_start,
-                        error: result.error,
-                    }));
-                }
-                local
-            }));
-        }
-        drop(rx);
+    let request = |seq: u64, r: &Request| InvocationRequest {
+        workload: r.workload,
+        input: pool.get(r.workload).expect("request workload in pool").input,
+        function_index: r.function_index,
+        scheduled_at_ms: r.at_ms,
+        trace_id: faasrail_telemetry::derive_trace_id(run_id, seq),
+    };
 
-        // Pacer (this thread). `issued` counts only what was actually
-        // dispatched, so a stopped run reports its true prefix.
-        let pacer_shard = cfg.workers;
-        let mut pacer = RunMetrics::new();
-        for (seq, r) in trace.requests.iter().enumerate() {
-            let seq = seq as u64;
-            if stop.load(Ordering::Relaxed) {
-                pacer.aborted = true;
-                break;
-            }
-            let workload = pool.get(r.workload).expect("request workload in pool");
-            let mut target_us = None;
-            if let Pacing::RealTime { compression } = cfg.pacing {
-                // Offset from the replay's own start on the *resumed*
-                // timeline; non-positive means the request was already due
-                // when this replay began.
-                let offset_ms = r.at_ms as i64 - resume.elapsed_ms as i64;
-                let lateness_s = if offset_ms > 0 {
-                    let target =
-                        start + Duration::from_secs_f64(offset_ms as f64 / 1_000.0 / compression);
-                    if !wait_until(target, stop) {
-                        pacer.aborted = true;
+    // A drain's cursor: the next request no worker has claimed.
+    let next = AtomicUsize::new(0);
+    let start = Instant::now();
+    let metrics = std::thread::scope(|scope| {
+        let mut run = RunMetrics::new();
+        let workers = 0..cfg.workers;
+        let handles: Vec<_> = match cfg.pacing {
+            Pacing::RealTime { compression } => {
+                // The workers own the receiver between them, so once the
+                // last is gone `send` fails.
+                let (tx, rx) = mpsc::channel::<Job>();
+                let rx = Arc::new(Mutex::new(rx));
+                let handles = workers
+                    .map(|worker| {
+                        let rx = Arc::clone(&rx);
+                        scope.spawn(move || {
+                            serve(backend, inst, start, worker, |_| {
+                                let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                                Some((job.ok()?, Instant::now()))
+                            })
+                        })
+                    })
+                    .collect();
+                drop(rx);
+                // Pacer (this thread). `issued` counts only what was
+                // actually dispatched, so a stopped run reports its true
+                // prefix.
+                let pacer_shard = cfg.workers;
+                for (seq, r) in trace.requests.iter().enumerate() {
+                    if stop.load(Ordering::Relaxed) {
+                        run.aborted = true;
                         break;
                     }
-                    target_us = Some(us_since(start, target));
-                    (Instant::now().saturating_duration_since(target)).as_secs_f64()
-                } else {
-                    // Catch-up dispatch: fire now, but account the full
-                    // deficit as lateness — never silently re-time the
-                    // schedule.
-                    target_us = Some(0);
-                    (-offset_ms) as f64 / 1_000.0 / compression + start.elapsed().as_secs_f64()
-                };
-                pacer.lateness.record(lateness_s);
-                if let Some(gauge) = inst.pace {
-                    gauge.record_secs(lateness_s);
+                    // Offset from the replay's own start on the *resumed*
+                    // timeline; non-positive means the request was already
+                    // due when this replay began.
+                    let offset_ms = r.at_ms as i64 - resume.elapsed_ms as i64;
+                    let (target_us, lateness_s) = if offset_ms > 0 {
+                        let target = start
+                            + Duration::from_secs_f64(offset_ms as f64 / 1_000.0 / compression);
+                        if !wait_until(target, stop) {
+                            run.aborted = true;
+                            break;
+                        }
+                        let lateness = Instant::now().saturating_duration_since(target);
+                        (us_since(start, target), lateness.as_secs_f64())
+                    } else {
+                        // Catch-up dispatch: fire now, but account the full
+                        // deficit as lateness — never silently re-time the
+                        // schedule.
+                        let deficit_s = (-offset_ms) as f64 / 1_000.0 / compression;
+                        (0, deficit_s + start.elapsed().as_secs_f64())
+                    };
+                    run.lateness.record(lateness_s);
+                    if let Some(gauge) = inst.pace {
+                        gauge.record_secs(lateness_s);
+                    }
+                    run.record_issued(r.at_ms);
+                    if let Some(recorder) = inst.recorder {
+                        recorder.record_issued(pacer_shard);
+                    }
+                    let seq = seq as u64;
+                    let job =
+                        Job { req: request(seq, r), seq, target_us, dispatched: Instant::now() };
+                    if tx.send(job).is_err() {
+                        break; // all workers died; stop issuing
+                    }
                 }
+                drop(tx); // workers drain everything dispatched, then exit
+                handles
             }
-            pacer.record_issued(r.at_ms);
-            if let Some(recorder) = inst.recorder {
-                recorder.record_issued(pacer_shard);
+            Pacing::Unpaced | Pacing::ClosedLoop => {
+                // No pacer: each worker claims the next unclaimed request.
+                // Raising `stop` closes the trace (the cursor jumps to its
+                // end), so the run is cut short exactly when something was
+                // left to claim.
+                let closed_loop = cfg.pacing == Pacing::ClosedLoop;
+                let (next, n, request) = (&next, trace.requests.len(), &request);
+                let claim = move |worker: usize, local: &mut RunMetrics| {
+                    if stop.load(Ordering::Relaxed) {
+                        local.aborted |= next.swap(n, Ordering::Relaxed) < n;
+                        return None;
+                    }
+                    let seq = next.fetch_add(1, Ordering::Relaxed);
+                    let r = trace.requests.get(seq)?;
+                    local.record_issued(r.at_ms);
+                    if let Some(recorder) = inst.recorder {
+                        recorder.record_issued(worker);
+                    }
+                    let req = request(seq as u64, r);
+                    let picked_up = Instant::now();
+                    let (target_us, dispatched) = if closed_loop {
+                        (us_since(start, picked_up), picked_up)
+                    } else {
+                        (0, start)
+                    };
+                    Some((Job { req, seq: seq as u64, target_us, dispatched }, picked_up))
+                };
+                workers
+                    .map(|worker| {
+                        scope.spawn(move || {
+                            serve(backend, inst, start, worker, |local| claim(worker, local))
+                        })
+                    })
+                    .collect()
             }
-            let dispatched = Instant::now();
-            let job = Job {
-                req: InvocationRequest {
-                    workload: r.workload,
-                    input: workload.input,
-                    function_index: r.function_index,
-                    scheduled_at_ms: r.at_ms,
-                    trace_id: faasrail_telemetry::derive_trace_id(run_id, seq),
-                },
-                dispatched,
-                seq,
-                // Unpaced/closed-loop dispatch is its own schedule: zero
-                // lateness by construction.
-                target_us: target_us.unwrap_or_else(|| us_since(start, dispatched)),
-            };
-            if tx.send(job).is_err() {
-                break; // all workers died; stop issuing
-            }
-        }
-        drop(tx); // workers drain everything dispatched, then exit
-
+        };
         for h in handles {
-            pacer.merge(&h.join().expect("worker panicked"));
+            run.merge(&h.join().expect("worker panicked"));
         }
-        pacer
+        run
     });
 
     inst.sink.emit(&TelemetryEvent::RunEnd(RunSummary {
@@ -619,6 +665,71 @@ mod tests {
         assert!(m.issued < 10_000, "the stop prevented the full schedule");
         assert_eq!(m.completed + m.errors, m.issued, "drained prefix fully accounted");
         assert!(elapsed < Duration::from_secs(10), "stop must not wait out the schedule");
+    }
+
+    /// Sleeps `self.0` per invocation, reporting it as service time.
+    struct Sleeps(Duration);
+    impl Backend for Sleeps {
+        fn invoke(&self, _req: &InvocationRequest) -> InvocationResult {
+            std::thread::sleep(self.0);
+            InvocationResult::success(self.0.as_secs_f64() * 1e3, false)
+        }
+    }
+
+    #[test]
+    fn an_unpaced_replay_stops_when_asked() {
+        // 5 000 requests of 1 ms on 2 workers drain in 2.5 s; the stop at
+        // 50 ms must cut that short, with every claimed request served.
+        let trace = tiny_trace(5_000, 0);
+        let pool = vanilla_pool();
+        let stop = AtomicBool::new(false);
+        let start = Instant::now();
+        let m = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                stop.store(true, Ordering::SeqCst);
+            });
+            replay_observed(
+                &trace,
+                &pool,
+                &Sleeps(Duration::from_millis(1)),
+                &ReplayConfig { pacing: Pacing::Unpaced, workers: 2 },
+                &stop,
+                &ReplayInstruments::default(),
+            )
+        });
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "the stop was not seen: {elapsed:?}");
+        assert!(m.aborted, "requests were left unclaimed");
+        assert!(m.issued < 5_000, "issued {}", m.issued);
+        assert_eq!(m.completed + m.errors, m.issued, "every claimed request is served");
+    }
+
+    #[test]
+    fn a_closed_loop_log_reports_what_the_closed_loop_measured() {
+        use faasrail_telemetry::{RingSink, RunReport};
+        // All 60 requests are due at once, 240 ms of work for one worker:
+        // a closed loop times each from its pickup, and so must its spans.
+        let trace = tiny_trace(60, 0);
+        let pool = vanilla_pool();
+        let sink = RingSink::with_capacity(64);
+        let inst = ReplayInstruments { sink: &sink, recorder: None, pace: None };
+        let m = replay_observed(
+            &trace,
+            &pool,
+            &Sleeps(Duration::from_millis(4)),
+            &ReplayConfig { pacing: Pacing::ClosedLoop, workers: 1 },
+            &AtomicBool::new(false),
+            &inst,
+        );
+        let measured_s = m.response.quantile(0.99);
+        let logged_s = RunReport::from_events(&sink.events()).decomposition.response.p99_ms / 1e3;
+        assert!(measured_s < 0.02, "closed-loop p99 {measured_s}s");
+        // Both are the midpoint of a 5 % bucket. The spans' stamps are whole
+        // microseconds, which can move a value lying within 1 us of a bucket
+        // edge into the neighbouring bucket, never further.
+        let buckets_apart = (logged_s / measured_s).ln().abs() / 1.05f64.ln();
+        assert!(buckets_apart < 1.01, "log p99 {logged_s}s, metrics p99 {measured_s}s");
     }
 
     #[test]

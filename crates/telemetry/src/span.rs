@@ -132,10 +132,14 @@ pub struct InvocationSpan {
     pub function_index: u32,
     /// Scheduled fire time, trace milliseconds (per-minute bucketing key).
     pub scheduled_ms: u64,
-    /// Scheduled fire instant, µs from run start (trace time ÷ compression
-    /// under real-time pacing; equals `dispatched_us` when unpaced).
+    /// Scheduled fire instant, µs from run start: trace time ÷ compression
+    /// under real-time pacing, 0 in an unpaced drain (the whole trace is
+    /// due at the start), and `picked_up_us` in a closed loop.
     pub target_us: u64,
-    /// Actual dispatch instant, µs from run start.
+    /// Actual dispatch instant, µs from run start: when the pacer sent the
+    /// request under real-time pacing, 0 in an unpaced drain, and
+    /// `picked_up_us` in a closed loop (a request is dispatched when a
+    /// worker claims it).
     pub dispatched_us: u64,
     /// Worker pickup instant (end of queue wait), µs from run start.
     pub picked_up_us: u64,

@@ -47,6 +47,9 @@
 # schedule), a half-open breaker sends one probe (no probe count, no
 # fast-fail counter), the connect budget and pool capacity are constants, and
 # outcomes are counted by the replayer alone.
+# And a replay has one worker body: whether the pacer hands a worker its jobs
+# (real time) or the worker claims them straight from the trace (a drain), one
+# function invokes, records and emits each request.
 # Then print what each file weighs (lines above its first `#[cfg(test)]`), and
 # each crate and the workspace.
 set -euo pipefail
@@ -240,6 +243,9 @@ if nontest crates/cli/src/online.rs | grep -B3 -A1 -F 'Recorder::new(' | grep -F
         'a Recorder is built for --live-metrics alone' >&2
     fail=1
 fi
+
+once crates/loadgen/src/replay.rs 'one worker body (serve) for paced and drained jobs' \
+    'invoke_isolated(' 'TelemetryEvent::Invocation('
 
 weigh() { # label, files...
     local label=$1 total=0 file lines
