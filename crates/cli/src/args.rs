@@ -4,6 +4,7 @@
 //! accessors take their defaults from it, and `--help` and README's CLI
 //! reference are rendered from it.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write};
 use std::str::FromStr;
@@ -138,6 +139,9 @@ pub struct Args {
     /// Options given, with their values in order (none for a flag).
     given: BTreeMap<&'static str, Vec<String>>,
     positionals: Vec<String>,
+    /// Whether [`Args::invalid`] refused a value: the command line failed,
+    /// not the work.
+    refused: Cell<bool>,
 }
 
 impl Args {
@@ -151,7 +155,12 @@ impl Args {
         I: IntoIterator<Item = String>,
     {
         let of = format!("`faasrail {}`", cmd.name);
-        let mut args = Args { cmd, given: BTreeMap::new(), positionals: Vec::new() };
+        let mut args = Args {
+            cmd,
+            given: BTreeMap::new(),
+            positionals: Vec::new(),
+            refused: Cell::new(false),
+        };
         let mut argv = argv.into_iter().peekable();
         let mut last_flag = None;
         while let Some(tok) = argv.next() {
@@ -209,7 +218,13 @@ impl Args {
     /// The error refusing `value` of option `name`, naming both and the
     /// command; what a file the option names fails on is refused this way too.
     pub fn invalid(&self, name: &str, value: impl Display, why: impl Display) -> String {
+        self.refused.set(true);
         format!("invalid value `{value}` for --{name} of `faasrail {}`: {why}", self.cmd.name)
+    }
+
+    /// Whether a value was refused through [`Args::invalid`].
+    pub fn refused(&self) -> bool {
+        self.refused.get()
     }
 
     /// Bare arguments, in order; as many as the command's table names.

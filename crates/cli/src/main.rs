@@ -62,6 +62,11 @@ fn resolve(argv: &[String]) -> Result<(&'static Command, &[String]), String> {
     Err(format!("unknown command `{}`", two_words.as_deref().unwrap_or(first)))
 }
 
+/// The exit status of a command line refused before any work: an unknown
+/// command, a line its option table refuses, or a value [`Args::invalid`]
+/// refuses. A command that fails while working exits 1.
+const USAGE: u8 = 2;
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().is_some_and(|a| a == "--help") {
@@ -72,7 +77,7 @@ fn main() -> ExitCode {
         Ok(found) => found,
         Err(e) => {
             eprintln!("error: {e}\nrun `faasrail --help` for the list of commands");
-            return ExitCode::FAILURE;
+            return ExitCode::from(USAGE);
         }
     };
     if rest.iter().any(|a| a == "--help") {
@@ -83,14 +88,18 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}\nrun `faasrail {} --help` for its options", cmd.name);
-            return ExitCode::FAILURE;
+            return ExitCode::from(USAGE);
         }
     };
     match (cmd.run)(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            ExitCode::FAILURE
+            if args.refused() {
+                ExitCode::from(USAGE)
+            } else {
+                ExitCode::FAILURE
+            }
         }
     }
 }

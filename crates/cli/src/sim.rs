@@ -47,7 +47,29 @@ pub fn simulate_config(args: &Args) -> Result<(ClusterConfig, SimOptions), Strin
         let slow_factor = args.num("slow-factor")?;
         node_faults.push(NodeFault { node, slow_factor, ..Default::default() });
     }
-    Ok((cluster, SimOptions { service_jitter_sigma: args.num("jitter")?, seed: 0, node_faults }))
+    let options = SimOptions { service_jitter_sigma: args.num("jitter")?, seed: 0, node_faults };
+    check(args, &cluster, &options)?;
+    Ok((cluster, options))
+}
+
+/// Refuse, naming its option, what the simulator's own rules
+/// ([`ClusterConfig::validate`], [`SimOptions::validate`]) refuse. A
+/// command refuses only fields it set from its own options: the defaults
+/// pass.
+fn check(args: &Args, cluster: &ClusterConfig, options: &SimOptions) -> Result<(), String> {
+    let Err(refused) = cluster.validate().and_then(|()| options.validate()) else {
+        return Ok(());
+    };
+    let option = match refused.field {
+        "nodes" => "nodes",
+        "cores_per_node" => "cores",
+        "memory_mb_per_node" => "memory-mb",
+        "service_jitter_sigma" => "jitter",
+        "slow_factor" => "slow-factor",
+        "crash_at_ms" => "crash-at-ms",
+        _ => return Err(refused.to_string()),
+    };
+    Err(args.invalid(option, args.get(option).unwrap_or_default(), refused.why))
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
@@ -120,19 +142,22 @@ pub fn lab_config(args: &Args, scale: Scale) -> Result<LabConfig, String> {
         Scale::Paper => (8_192, 4_194_304.0),
         Scale::Small => (32, 65_536.0),
     };
+    let cluster = ClusterConfig {
+        nodes: args.num_opt("nodes")?.unwrap_or(8),
+        cores_per_node: args.num_opt("cores")?.unwrap_or(cores),
+        memory_mb_per_node: args.num_opt("memory-mb")?.unwrap_or(memory_mb),
+        ..Default::default()
+    };
+    let service_jitter_sigma = args.num("jitter")?;
+    check(args, &cluster, &SimOptions { service_jitter_sigma, ..Default::default() })?;
     Ok(LabConfig {
         scale: scale.name().to_string(),
         policies,
         balancers,
         seeds,
-        cluster: ClusterConfig {
-            nodes: args.num_opt("nodes")?.unwrap_or(8),
-            cores_per_node: args.num_opt("cores")?.unwrap_or(cores),
-            memory_mb_per_node: args.num_opt("memory-mb")?.unwrap_or(memory_mb),
-            ..Default::default()
-        },
+        cluster,
         parallel: args.num("parallel")?,
-        service_jitter_sigma: args.num("jitter")?,
+        service_jitter_sigma,
     })
 }
 

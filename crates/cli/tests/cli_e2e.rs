@@ -235,7 +235,9 @@ fn coordinator_console_line_carries_the_bound_port() {
 /// The concatenated `parts` must be refused before any work: non-zero exit,
 /// `named` (the option or word at fault) and the command on stderr, nothing
 /// written. `FIX/name` stands for a fixture file.
-fn refused(fix: &Dir, case: &str, parts: &[&[&str]], named: &str) {
+/// Run a command line that must be refused before any work, and return its
+/// exit status.
+fn refused(fix: &Dir, case: &str, parts: &[&[&str]], named: &str) -> Option<i32> {
     let cwd = Dir::new(case);
     let fixture = |a: &&str| a.strip_prefix("FIX/").map(|f| fix.path(f)).unwrap_or(a.to_string());
     let args: Vec<String> = parts.concat().iter().map(fixture).collect();
@@ -251,6 +253,7 @@ fn refused(fix: &Dir, case: &str, parts: &[&[&str]], named: &str) {
     assert!(!stderr.contains("panicked"), "{case}: {stderr}");
     assert!(out.stdout.is_empty(), "{case}: {}", text(&out.stdout));
     assert_eq!(cwd.entries(), Vec::<String>::new(), "{case}: nothing may be written");
+    out.status.code()
 }
 
 const FILES: [&str; 4] = ["--requests", "FIX/reqs.json", "--pool", "FIX/pool.json"];
@@ -265,8 +268,10 @@ fn usage_errors_are_refused_before_any_work() {
     malformed_fixtures(&fix);
     let refused = |case: &str, parts: &[&[&str]], named: &str| refused(&fix, case, parts, named);
 
-    // One case per rule of the parser.
-    refused("unknown-option", &[&REPLAY, &FILES, &["--compresion", "10"]], "--compresion");
+    // One case per rule of the parser; a refused command line exits 2.
+    let code =
+        refused("unknown-option", &[&REPLAY, &FILES, &["--compresion", "10"]], "--compresion");
+    assert_eq!(code, Some(2));
     let fixed = ["bench", "fixed", "--out", "bench.json"];
     refused("unknown-for-this-command", &[&fixed, &["--p99-ms", "20"]], "--p99-ms");
     refused("value-forgotten", &[&REPLAY, &FILES, &["--workers"]], "--workers");
@@ -304,6 +309,31 @@ fn usage_errors_are_refused_before_any_work() {
     let shrink = [&shrink[..], &["--out", "spec.json"]].concat();
     for rate in ["inf", "nan", "1e18"] {
         refused(&format!("shrink-rate-{rate}"), &[&shrink, &["--max-rps", rate]], "--max-rps");
+    }
+    // Cluster, fault and jitter numbers the simulator's validate rules
+    // refuse, before a request is read or a trace is built.
+    let simulate = [&["simulate"][..], &FILES].concat();
+    let lab = ["lab", "run", "--scale", "small", "--out", "lab.json"];
+    let slow = |x| ["--slow-node", "0", "--slow-factor", x];
+    let u64_max_ms = ["--crash-node", "0", "--crash-at-ms", "18446744073709551615"];
+    let cases: [(&str, &[&str], &[&str], &str); 14] = [
+        ("simulate-nodes-0", &simulate, &["--nodes", "0"], "--nodes"),
+        ("simulate-cores-0", &simulate, &["--cores", "0"], "--cores"),
+        ("simulate-jitter-inf", &simulate, &["--jitter", "inf"], "--jitter"),
+        ("simulate-jitter-negative", &simulate, &["--jitter", "-1"], "--jitter"),
+        ("simulate-slow-inf", &simulate, &slow("inf"), "--slow-factor"),
+        ("simulate-slow-negative", &simulate, &slow("-2"), "--slow-factor"),
+        ("simulate-slow-nan", &simulate, &slow("nan"), "--slow-factor"),
+        ("simulate-crash-overflow", &simulate, &u64_max_ms, "--crash-at-ms"),
+        ("lab-nodes-0", &lab, &["--nodes", "0"], "--nodes"),
+        ("lab-cores-0", &lab, &["--cores", "0"], "--cores"),
+        ("lab-memory-nan", &lab, &["--memory-mb", "nan"], "--memory-mb"),
+        ("lab-memory-inf", &lab, &["--memory-mb", "inf"], "--memory-mb"),
+        ("lab-jitter-inf", &lab, &["--jitter", "inf"], "--jitter"),
+        ("lab-jitter-negative", &lab, &["--jitter", "-1"], "--jitter"),
+    ];
+    for (case, command, numbers, named) in cases {
+        assert_eq!(refused(case, &[command, numbers], named), Some(2), "{case}");
     }
 
     // Files the option tables cannot check: refused before any output is

@@ -1,6 +1,7 @@
 //! Cluster and cold-start models.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Cold-start cost model: sandbox creation time as a function of the
 /// workload's memory footprint (bigger runtimes take longer to initialize,
@@ -66,18 +67,33 @@ impl ClusterConfig {
         }
     }
 
-    /// Validate the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validate the configuration: at least one node of at least one core,
+    /// and a finite, positive memory per node.
+    pub fn validate(&self) -> Result<(), Refused> {
         if self.nodes == 0 {
-            return Err("cluster needs at least one node".into());
+            return Err(Refused { field: "nodes", why: "must be at least 1" });
         }
         if self.cores_per_node == 0 {
-            return Err("nodes need at least one core".into());
+            return Err(Refused { field: "cores_per_node", why: "must be at least 1" });
         }
-        if self.memory_mb_per_node <= 0.0 {
-            return Err("nodes need positive memory".into());
+        if !(self.memory_mb_per_node.is_finite() && self.memory_mb_per_node > 0.0) {
+            return Err(Refused { field: "memory_mb_per_node", why: "must be finite and above 0" });
         }
         Ok(())
+    }
+}
+
+/// A configuration value the simulator refuses: the field that holds it,
+/// and the rule it breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Refused {
+    pub field: &'static str,
+    pub why: &'static str,
+}
+
+impl fmt::Display for Refused {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.field, self.why)
     }
 }
 
@@ -101,5 +117,9 @@ mod tests {
         assert!(ClusterConfig { memory_mb_per_node: 0.0, ..Default::default() }
             .validate()
             .is_err());
+        for memory_mb_per_node in [f64::NAN, f64::INFINITY, -1.0] {
+            let refused = ClusterConfig { memory_mb_per_node, ..Default::default() }.validate();
+            assert_eq!(refused.unwrap_err().field, "memory_mb_per_node", "{memory_mb_per_node}");
+        }
     }
 }

@@ -11,17 +11,22 @@
 //! The engine is generic over [`ScheduleSource`]: a materialized
 //! [`RequestTrace`](faasrail_core::RequestTrace) replays exact requests,
 //! while a lazy [`ArrivalStream`](faasrail_core::ArrivalStream) generates
-//! arrivals on demand — the event heap only ever holds the *active
-//! horizon* (in-flight finishes, pending expiries, scheduled faults), so
-//! peak memory is independent of how many invocations the schedule
-//! contains. That is what lets one machine simulate a full Azure day
-//! (~10⁹ invocations) without materializing the request vector.
+//! arrivals on demand. Arrivals never enter the event queue
+//! ([`crate::queue`]): it holds only the *active horizon* — a finish per
+//! busy core, scheduled faults, pending prewarms, and the expiry of every
+//! sandbox parked within the last TTL, each TTL's in a FIFO lane of its
+//! own — so peak memory grows with the arrival rate times the TTL, never
+//! with how many invocations the schedule contains. That is what lets one
+//! machine simulate a full Azure day (~10⁹ invocations, ≈ 6 × 10⁶ expiries
+//! pending under the ten-minute TTL) without materializing the request
+//! vector.
 
-use crate::cluster::ClusterConfig;
+use crate::cluster::{ClusterConfig, Refused};
 use crate::index::{QueuedReq, Sandbox};
 use crate::keepalive::KeepAlivePolicy;
 use crate::lifecycle::{Armed, Lifecycle, Timer};
 use crate::metrics::SimMetrics;
+use crate::queue::{Due, EventQueue};
 use crate::scheduler::LoadBalancer;
 use faasrail_core::{Arrival, ArrivalCursor, ScheduleSource};
 use faasrail_stats::rng::{seeded_rng, Xoshiro256pp};
@@ -30,8 +35,6 @@ use faasrail_telemetry::{
     EventSink, InvocationSpan, NullSink, OutcomeClass, RunInfo, RunSummary, TelemetryEvent,
 };
 use faasrail_workloads::WorkloadPool;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A node-level fault injected into the virtual cluster — the simulator's
 /// counterpart of the gateway's seeded connection faults. Crashes model a
@@ -78,12 +81,39 @@ impl Default for SimOptions {
     }
 }
 
-/// Internal (non-arrival) events. Arrivals never enter the heap: they are
+impl SimOptions {
+    /// Validate the options: a finite jitter sigma of at least 0, and for
+    /// every fault a finite slow factor above 0 and a crash instant whose
+    /// microseconds fit in a `u64`.
+    pub fn validate(&self) -> Result<(), Refused> {
+        let sigma = self.service_jitter_sigma;
+        if !(sigma.is_finite() && sigma >= 0.0) {
+            return Err(Refused {
+                field: "service_jitter_sigma",
+                why: "must be finite and at least 0",
+            });
+        }
+        for f in &self.node_faults {
+            if !(f.slow_factor.is_finite() && f.slow_factor > 0.0) {
+                return Err(Refused { field: "slow_factor", why: "must be finite and above 0" });
+            }
+            if f.crash_at_ms.is_some_and(|ms| ms.checked_mul(1_000).is_none()) {
+                return Err(Refused {
+                    field: "crash_at_ms",
+                    why: "must fit in a u64 as microseconds",
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Internal (non-arrival) events. Arrivals never enter the queue: they are
 /// pulled from the schedule cursor and interleaved by timestamp, with
 /// arrivals winning ties — the same order the historic all-arrivals-in-heap
 /// implementation produced, where every arrival's sequence number preceded
 /// every dynamically scheduled event's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     /// An invocation finished on `node`; `key` identifies the slab entry.
     Finish { node: u32, key: u64 },
@@ -91,13 +121,6 @@ enum EventKind {
     Lifecycle(Timer),
     /// `node` crashes: in-flight and queued work is lost, warm state gone.
     Crash { node: u32 },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Event {
-    at_us: u64,
-    seq: u64,
-    kind: EventKind,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -204,24 +227,18 @@ struct Engine<'a> {
     /// cluster state a balancer can see). The engine itself moves only
     /// cores and queues there.
     life: Lifecycle,
-    heap: BinaryHeap<Reverse<Event>>,
-    /// Internal event sequence; crashes are pushed first so that, among
-    /// equal timestamps, a crash fires before any Finish/Expire/Prewarm —
-    /// exactly the historic ordering.
-    seq: u64,
+    /// Crashes are filed first so that, among equal timestamps, a crash
+    /// fires before any Finish/Expire/Prewarm — exactly the historic
+    /// ordering.
+    queue: EventQueue<EventKind>,
     running: RunSlab,
     metrics: SimMetrics,
 }
 
 impl Engine<'_> {
-    fn push_event(&mut self, at_us: u64, kind: EventKind) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event { at_us, seq: self.seq, kind }));
-    }
-
-    fn arm(&mut self, timer: Option<Armed>) {
-        if let Some((at_us, timer)) = timer {
-            self.push_event(at_us, EventKind::Lifecycle(timer));
+    fn arm(&mut self, now_us: u64, timer: Option<Armed>) {
+        if let Some((due, timer)) = timer {
+            self.queue.push(now_us, due, EventKind::Lifecycle(timer));
         }
     }
 
@@ -252,7 +269,7 @@ impl Engine<'_> {
         let total_ms = service_ms + if cold { sandbox.init_cost_ms } else { 0.0 };
         self.metrics.busy_core_ms += total_ms;
         self.metrics.per_node_busy_ms[node_idx] += total_ms;
-        let finish_us = now_us + (total_ms * 1_000.0) as u64;
+        let finish_us = now_us.saturating_add((total_ms * 1_000.0) as u64);
         let run_key = self.running.insert(Running {
             node: node_idx as u32,
             sandbox,
@@ -263,7 +280,8 @@ impl Engine<'_> {
             service_ms,
             started_cold: cold,
         });
-        self.push_event(finish_us, EventKind::Finish { node: node_idx as u32, key: run_key });
+        let finish = EventKind::Finish { node: node_idx as u32, key: run_key };
+        self.queue.push(now_us, Due::At(finish_us), finish);
         true
     }
 
@@ -336,6 +354,7 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
     sink: &dyn EventSink,
 ) -> SimMetrics {
     cluster.validate().expect("invalid cluster");
+    opts.validate().expect("invalid simulation options");
     sink.emit(&TelemetryEvent::RunStart(RunInfo {
         requests: source.arrivals_hint(),
         duration_minutes: source.duration_minutes() as u64,
@@ -356,11 +375,9 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
         rng: seeded_rng(opts.seed),
         slow: vec![1.0f64; cluster.nodes],
         life: Lifecycle::new(cluster, pool),
-        // The heap holds the *active horizon* only — at most one Finish
-        // per busy core, plus scheduled faults and a bounded population of
-        // expiry/prewarm timers — never the whole schedule.
-        heap: BinaryHeap::with_capacity(total_cores + opts.node_faults.len() + 64),
-        seq: 0,
+        // Sized for the keys that need no lane: a Finish per core, the
+        // faults, a few prewarms and lane fronts.
+        queue: EventQueue::with_capacity(total_cores + opts.node_faults.len() + 64),
         running: RunSlab::with_capacity(total_cores),
         metrics,
     };
@@ -370,7 +387,8 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
         let Some(s) = engine.slow.get_mut(f.node as usize) else { continue };
         *s *= f.slow_factor;
         if let Some(crash_ms) = f.crash_at_ms {
-            engine.push_event(crash_ms * 1_000, EventKind::Crash { node: f.node });
+            let crash = EventKind::Crash { node: f.node };
+            engine.queue.push(0, Due::At(crash_ms.saturating_mul(1_000)), crash);
         }
     }
 
@@ -381,10 +399,10 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
 
     loop {
         engine.audit();
-        // Interleave the arrival stream with the internal event heap;
+        // Interleave the arrival stream with the internal event queue;
         // arrivals win ties (see `EventKind`).
-        let take_arrival = match (&pending, engine.heap.peek()) {
-            (Some(a), Some(&Reverse(ev))) => a.at_ms * 1_000 <= ev.at_us,
+        let take_arrival = match (&pending, engine.queue.peek()) {
+            (Some(a), Some((at_us, _))) => a.at_ms * 1_000 <= at_us,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => break,
@@ -411,10 +429,9 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
             continue;
         }
 
-        let Reverse(ev) = engine.heap.pop().expect("checked above");
-        let now_us = ev.at_us;
+        let (now_us, kind) = engine.queue.pop().expect("checked above");
         last_us = last_us.max(now_us);
-        match ev.kind {
+        match kind {
             EventKind::Finish { node, key } => {
                 // A missing entry is a tombstone: the invocation was killed
                 // by a node crash before its finish event fired.
@@ -430,14 +447,14 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
                     sink.emit(&span(&run, now_us, OutcomeClass::Ok));
                 }
                 let expiry = engine.life.release(node as usize, run.sandbox, now_us, policy);
-                engine.arm(expiry);
+                engine.arm(now_us, expiry);
 
                 // Drain the node's queue (FIFO head-of-line).
                 engine.drain_queue(node as usize, now_us, policy);
             }
             EventKind::Lifecycle(timer) => {
                 let fired = engine.life.fire(timer, now_us, policy);
-                engine.arm(fired.arm);
+                engine.arm(now_us, fired.arm);
                 if let Some(node) = fired.freed {
                     // Freed memory may unblock the head of the queue.
                     engine.drain_queue(node, now_us, policy);
@@ -995,6 +1012,35 @@ mod tests {
         assert_eq!(m.completions, 2);
         assert_eq!(m.killed, 0);
         assert_eq!(m.sandboxes_lost, 0);
+    }
+
+    #[test]
+    fn options_validation_names_the_refused_field() {
+        assert_eq!(SimOptions::default().validate(), Ok(()));
+        let refused = |opts: SimOptions| opts.validate().unwrap_err().field;
+        for sigma in [f64::INFINITY, f64::NAN, -1.0] {
+            let opts = SimOptions { service_jitter_sigma: sigma, ..Default::default() };
+            assert_eq!(refused(opts), "service_jitter_sigma", "{sigma}");
+        }
+        let faulty =
+            |fault: NodeFault| SimOptions { node_faults: vec![fault], ..Default::default() };
+        for slow_factor in [f64::INFINITY, f64::NAN, -2.0, 0.0] {
+            let opts = faulty(NodeFault { slow_factor, ..Default::default() });
+            assert_eq!(refused(opts), "slow_factor", "{slow_factor}");
+        }
+        let late = NodeFault { crash_at_ms: Some(u64::MAX / 1_000 + 1), ..Default::default() };
+        assert_eq!(refused(faulty(late)), "crash_at_ms");
+        let latest = NodeFault { crash_at_ms: Some(u64::MAX / 1_000), ..Default::default() };
+        assert_eq!(faulty(latest).validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid simulation options")]
+    fn simulate_refuses_options_validate_refuses() {
+        let opts = SimOptions { service_jitter_sigma: -1.0, ..Default::default() };
+        let (mut lb, mut ka) = (RoundRobin::default(), FixedTtl::ten_minutes());
+        let cluster = ClusterConfig::single_node(4, 4_096.0);
+        simulate(&trace_of(vec![(0, 7)]), &pool(), &cluster, &mut lb, &mut ka, &opts);
     }
 
     #[test]

@@ -20,11 +20,12 @@ mod index;
 pub mod keepalive;
 mod lifecycle;
 pub mod metrics;
+mod queue;
 pub mod registry;
 pub mod rt_backend;
 pub mod scheduler;
 
-pub use cluster::{ClusterConfig, ColdStartModel};
+pub use cluster::{ClusterConfig, ColdStartModel, Refused};
 pub use engine::{simulate, simulate_observed, NodeFault, SimOptions};
 pub use index::ClusterIndex;
 pub use keepalive::{

@@ -44,15 +44,19 @@
 //! as an *uncached* cold start — created, run, torn down, holding no node
 //! memory and never parked.
 //!
-//! **What the tiers add.** The engine: cores, FIFO queues, service-time
-//! draws, spans, node crashes, and one heap in which these timers share a
-//! sequence with its own `Finish` events. The wall-clock node: one mutex, a
-//! run-epoch clock read under it, a small timer heap drained before every
-//! entry, the cold-start delay and the kernel.
+//! **What the tiers add.** Both file these timers in one
+//! [`EventQueue`](crate::queue::EventQueue): expiries wait in a FIFO lane
+//! per TTL, prewarms in its heap. The engine: cores, FIFO request queues,
+//! service-time draws, spans, node crashes, and its `Finish` and `Crash`
+//! events, which share the queue's sequence with the timers. The wall-clock
+//! node: one mutex, a run-epoch clock read under it (so the instants it files
+//! timers at never run back), the queue drained before every entry, the
+//! cold-start delay and the kernel.
 
 use crate::cluster::{ClusterConfig, ColdStartModel};
 use crate::index::{ClusterIndex, Sandbox};
 use crate::keepalive::{IdleSandbox, KeepAlivePolicy};
+use crate::queue::Due;
 use faasrail_workloads::{WorkloadId, WorkloadPool};
 
 /// What the lifecycle counted; the simulator copies it into
@@ -73,7 +77,7 @@ pub struct LifecycleStats {
     pub idle_mb_ms: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Timer {
     /// TTL check for the idle sandbox parked under `stamp`.
     Expire { node: u32, workload: WorkloadId, stamp: u64 },
@@ -81,8 +85,10 @@ pub(crate) enum Timer {
     Prewarm { node: u32, workload: WorkloadId },
 }
 
-/// A timer for the executor to arm: `(at_us, what)`.
-pub(crate) type Armed = (u64, Timer);
+/// A timer for the executor to file in its [`EventQueue`](crate::queue::EventQueue)
+/// at the instant it was armed: an expiry is due [`Due::After`] its TTL, a
+/// prewarm [`Due::At`] an instant of its own.
+pub(crate) type Armed = (Due, Timer);
 
 /// What [`Lifecycle::fire`] did.
 #[derive(Default)]
@@ -170,7 +176,7 @@ impl Lifecycle {
         self.next_stamp += 1;
         s.last_used_us = now_us;
         s.stamp = self.next_stamp;
-        self.park(node, s, now_us, policy)
+        self.park(node, s, policy)
     }
 
     /// A timer this core armed has come due.
@@ -189,7 +195,7 @@ impl Lifecycle {
                     .filter(|_| s.uses > 0)
                     .map(|after_ms| s.last_used_us.saturating_add(after_ms * 1_000))
                     .filter(|&at_us| at_us > now_us)
-                    .map(|at_us| (at_us, Timer::Prewarm { node, workload }));
+                    .map(|at_us| (Due::At(at_us), Timer::Prewarm { node, workload }));
                 Fired { freed: Some(node as usize), arm }
             }
             Timer::Prewarm { node, workload } => {
@@ -201,7 +207,7 @@ impl Lifecycle {
                 }
                 let s = self.create(n, workload, now_us, 0);
                 self.stats.prewarms += 1;
-                Fired { freed: None, arm: self.park(n, s, now_us, policy) }
+                Fired { freed: None, arm: self.park(n, s, policy) }
             }
         }
     }
@@ -241,17 +247,12 @@ impl Lifecycle {
     }
 
     /// Park `s` and arm its expiry under the stamp it carries.
-    fn park(
-        &mut self,
-        node: usize,
-        s: Sandbox,
-        now_us: u64,
-        policy: &mut dyn KeepAlivePolicy,
-    ) -> Option<Armed> {
+    fn park(&mut self, node: usize, s: Sandbox, policy: &mut dyn KeepAlivePolicy) -> Option<Armed> {
         let (workload, stamp) = (s.workload, s.stamp);
         self.index.push_idle(node, s);
         let ttl_ms = policy.idle_ttl_ms(workload)?;
-        Some((now_us + ttl_ms * 1_000, Timer::Expire { node: node as u32, workload, stamp }))
+        let due = Due::After(ttl_ms.saturating_mul(1_000));
+        Some((due, Timer::Expire { node: node as u32, workload, stamp }))
     }
 
     /// Tear down the idle sandbox at `pos` of `workload`'s on `node`.

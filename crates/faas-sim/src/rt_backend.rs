@@ -1,7 +1,7 @@
 //! Real-time backend: one FaaS node serving the load generator.
 //!
 //! Where [`crate::engine`] drives the sandbox lifecycle (`lifecycle.rs`) in
-//! virtual time from its event heap, this backend drives the same lines on
+//! virtual time from its event queue, this backend drives the same lines on
 //! the *wall clock*: every concurrent invocation gets its own sandbox,
 //! eviction, TTLs and prewarming follow the [`KeepAlivePolicy`] it was built
 //! with, misses sleep a (scaled) cold-start delay, and then the workload
@@ -11,10 +11,9 @@ use crate::cluster::{ClusterConfig, ColdStartModel};
 use crate::index::Sandbox;
 use crate::keepalive::KeepAlivePolicy;
 use crate::lifecycle::{Armed, Lifecycle, LifecycleStats, Timer};
+use crate::queue::EventQueue;
 use faasrail_loadgen::{Backend, InvocationRequest, InvocationResult};
 use faasrail_workloads::{WorkloadId, WorkloadPool};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -50,17 +49,17 @@ impl Default for WarmCacheConfig {
 struct Node {
     life: Lifecycle,
     policy: Box<dyn KeepAlivePolicy>,
-    /// `(at_us, arming order, timer)`, earliest first: the order the
-    /// simulator's heap fires them in.
-    timers: BinaryHeap<Reverse<(u64, u64, Timer)>>,
-    armed: u64,
+    /// Popped in `(at_us, arming order)`, the order the simulator fires
+    /// them in. The queue asserts that the instants timers are armed at
+    /// never run back: each is the wall clock read under the lock, or the
+    /// instant of a timer that fired.
+    timers: EventQueue<Timer>,
 }
 
 impl Node {
-    fn arm(&mut self, timer: Option<Armed>) {
-        if let Some((at_us, timer)) = timer {
-            self.armed += 1;
-            self.timers.push(Reverse((at_us, self.armed, timer)));
+    fn arm(&mut self, now_us: u64, timer: Option<Armed>) {
+        if let Some((due, timer)) = timer {
+            self.timers.push(now_us, due, timer);
         }
     }
 
@@ -69,13 +68,10 @@ impl Node {
     /// `now_us` among the first `armed` armed. Each fires at its own
     /// instant, so that popping lazily equals having fired on time.
     fn advance(&mut self, now_us: u64, armed: u64) {
-        while let Some(&Reverse((at_us, order, timer))) = self.timers.peek() {
-            if (at_us, order) > (now_us, armed) {
-                break;
-            }
-            self.timers.pop();
+        while self.timers.peek().is_some_and(|due| due <= (now_us, armed)) {
+            let (at_us, timer) = self.timers.pop().expect("peeked");
             let fired = self.life.fire(timer, at_us, self.policy.as_mut());
-            self.arm(fired.arm);
+            self.arm(at_us, fired.arm);
         }
     }
 
@@ -87,7 +83,7 @@ impl Node {
         self.advance(now_us, 0);
         self.policy.on_arrival(workload, now_us / 1_000);
         match self.life.acquire(0, workload, now_us, self.policy.as_mut()) {
-            Some((sandbox, cold)) => (Some(Running { sandbox, armed: self.armed }), cold),
+            Some((sandbox, cold)) => (Some(Running { sandbox, armed: self.timers.filed() }), cold),
             None => {
                 self.life.stats.cold_starts += 1;
                 (None, true)
@@ -101,7 +97,7 @@ impl Node {
     fn end(&mut self, run: Running, now_us: u64) {
         self.advance(now_us, run.armed);
         let expiry = self.life.release(0, run.sandbox, now_us, self.policy.as_mut());
-        self.arm(expiry);
+        self.arm(now_us, expiry);
     }
 }
 
@@ -146,8 +142,7 @@ impl WarmCacheBackend {
         let node = Node {
             life: Lifecycle::new(&cluster, &pool),
             policy,
-            timers: BinaryHeap::new(),
-            armed: 0,
+            timers: EventQueue::with_capacity(0),
         };
         WarmCacheBackend { pool, cfg, epoch: Instant::now(), node: Mutex::new(node) }
     }

@@ -10,7 +10,9 @@
 # in crates/fleet/src/session.rs, as free of IO, and agent.rs is its executor; the
 # link's timeouts are armed in wire.rs for both ends. And the sandbox lifecycle: warm or
 # cold, eviction, TTL and idle accounting live in crates/faas-sim/src/lifecycle.rs,
-# which names no clock, lock or thread; engine.rs and rt_backend.rs execute it.
+# which names no clock, lock or thread; engine.rs and rt_backend.rs execute it,
+# filing their events and timers in one queue (crates/faas-sim/src/queue.rs,
+# the only binary heap in the crate).
 # And the paper's four properties: each statistic is stated once (stats/timeseries.rs,
 # stats/summary.rs, core/evaluate.rs; core/tests/diff_mapping.rs keeps the replaced
 # constructions as oracles) and the reproduction is one program over them.
@@ -178,6 +180,10 @@ refuse crates/faas-sim/src/lifecycle.rs 'its executors (engine.rs, rt_backend.rs
 for executor in crates/faas-sim/src/engine.rs crates/faas-sim/src/rt_backend.rs; do
     refuse "$executor" crates/faas-sim/src/lifecycle.rs \
         'take_idle(' 'push_idle(' 'pick_victim(' 'HashMap'
+done
+for file in crates/faas-sim/src/*.rs; do
+    [ "$file" = crates/faas-sim/src/queue.rs ] && continue
+    refuse "$file" 'crates/faas-sim/src/queue.rs, the one event queue of both executors' 'BinaryHeap'
 done
 for gone in 'WarmEntry' 'CacheState' 'fn admit'; do
     if grep -rnF -- "$gone" crates/faas-sim/src; then
