@@ -26,13 +26,20 @@ pub use report::{
 
 /// A lab run's wall-clock stats, plus this process's peak RSS, in the
 /// shared trajectory schema, so `BENCH_sim_day1.json` and
-/// `BENCH_gateway.json` diff with the same tool.
-pub fn sim_report(name: &str, scale: &str, stats: &faasrail_lab::LabRunStats) -> BenchReport {
+/// `BENCH_gateway.json` diff with the same tool. `seed` is the seed the
+/// day's trace was generated from; the workload's duration is the run's
+/// wall time.
+pub fn sim_report(
+    name: &str,
+    scale: &str,
+    seed: u64,
+    stats: &faasrail_lab::LabRunStats,
+) -> BenchReport {
     let workload = BenchWorkload {
         arrivals: "grid".to_string(),
-        duration_s: 0.0,
+        duration_s: stats.wall_ms as f64 / 1_000.0,
         workers: stats.workers as u64,
-        seed: 0,
+        seed,
         target: format!("sim {scale}"),
     };
     let mut r = BenchReport::new(name, "sim", workload);
@@ -62,10 +69,12 @@ mod tests {
             events: 1_000_000,
             arrivals: 400_000,
         };
-        let r = sim_report("sim-day1", "small", &stats);
+        let r = sim_report("sim-day1", "small", 1234, &stats);
         assert_eq!(r.schema, SCHEMA);
         assert_eq!(r.tier, "sim");
         assert_eq!((r.name.as_str(), r.workload.workers), ("sim-day1", 2));
+        // The record says what ran: the trace's seed, for the run's wall time.
+        assert_eq!((r.workload.seed, r.workload.duration_s), (1234, 2.0));
         let sim = r.sim.as_ref().unwrap();
         assert_eq!((sim.scale.as_str(), sim.cells, sim.parallel), ("small", 4, 2));
         assert_eq!((sim.arrivals, sim.events, sim.wall_ms), (400_000, 1_000_000, 2_000));

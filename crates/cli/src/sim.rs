@@ -243,7 +243,7 @@ fn cmd_lab_run(args: &Args) -> Result<(), String> {
         // Re-emitted through the shared trajectory schema so the sim and
         // gateway BENCH files diff with the same `bench diff` gate.
         let report =
-            faasrail_bench::harness::sim_report(args.str("bench-name"), scale.name(), &stats);
+            faasrail_bench::harness::sim_report(args.str("bench-name"), scale.name(), seed, &stats);
         write_file(bench, report.to_json())?;
         eprintln!("lab: wrote bench report {bench} ({})", report.schema);
     }

@@ -55,6 +55,10 @@ pub struct Arrival {
 
 /// A stream of time-ordered arrivals. Implementations must yield
 /// non-decreasing `at_ms`.
+///
+/// The simulator may open and expand a [`ScheduleSource`]'s cursor on a
+/// helper thread and hand its arrivals to the engine in batches, so a
+/// cursor must yield the same arrivals on whichever thread it runs.
 pub trait ArrivalCursor {
     /// The next arrival, or `None` when the schedule is exhausted.
     fn next_arrival(&mut self) -> Option<Arrival>;
@@ -65,7 +69,12 @@ pub trait ArrivalCursor {
 /// Two implementations ship: the materialized [`RequestTrace`] (exact
 /// requests, O(invocations) memory) and the lazy [`ArrivalStream`]
 /// (generated on demand, O(functions) memory).
-pub trait ScheduleSource {
+///
+/// A source is `Sync`: the simulator opens its cursor on a helper thread
+/// that runs ahead of the engine, so that the cursor's memory is allocated
+/// and freed by the thread that uses it. Both shipped sources are read-only
+/// once built.
+pub trait ScheduleSource: Sync {
     /// The cursor type produced by [`ScheduleSource::cursor`].
     type Cursor<'a>: ArrivalCursor
     where

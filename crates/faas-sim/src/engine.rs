@@ -20,8 +20,16 @@
 //! machine simulate a full Azure day (~10⁹ invocations, ≈ 6 × 10⁶ expiries
 //! pending under the ten-minute TTL) without materializing the request
 //! vector.
+//!
+//! Arrivals come in through the hand-off ([`crate::handoff`]): when a core
+//! is free, the source's cursor runs on a helper thread ahead of the
+//! engine and passes its arrivals over in batches; otherwise the engine
+//! expands the cursor itself. The event loop reads one stream of arrivals
+//! either way, in the same order, so no result can depend on which way
+//! they came.
 
 use crate::cluster::{ClusterConfig, Refused};
+use crate::handoff;
 use crate::index::{QueuedReq, Sandbox};
 use crate::keepalive::KeepAlivePolicy;
 use crate::lifecycle::{Armed, Lifecycle, Timer};
@@ -300,6 +308,107 @@ impl Engine<'_> {
         }
     }
 
+    /// The event loop: interleave `cursor`'s arrivals with the event queue
+    /// until both are empty. Returns the last instant anything happened.
+    fn run(
+        &mut self,
+        cursor: &mut impl ArrivalCursor,
+        balancer: &mut dyn LoadBalancer,
+        policy: &mut dyn KeepAlivePolicy,
+        sink: &dyn EventSink,
+    ) -> u64 {
+        let spans_enabled = sink.enabled();
+        let mut pending = cursor.next_arrival();
+        let mut arrival_seq: u64 = 0;
+        let mut last_us = 0u64;
+
+        loop {
+            self.audit();
+            // Interleave the arrival stream with the internal event queue;
+            // arrivals win ties (see `EventKind`).
+            let take_arrival = match (&pending, self.queue.peek()) {
+                (Some(a), Some((at_us, _))) => a.at_ms * 1_000 <= at_us,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            self.metrics.sim_events += 1;
+
+            if take_arrival {
+                let Arrival { at_ms, workload, function_index } =
+                    pending.take().expect("checked above");
+                pending = cursor.next_arrival();
+                let now_us = at_ms * 1_000;
+                last_us = last_us.max(now_us);
+
+                self.metrics.arrivals += 1;
+                policy.on_arrival(workload, now_us / 1_000);
+                let target = balancer.pick(workload, &self.life.index).min(self.cluster.nodes - 1);
+                let req = QueuedReq { arrival_seq, function_index, arrived_us: now_us, workload };
+                arrival_seq += 1;
+                if !self.try_start(target, req, now_us, policy) {
+                    self.life.index.update(target, |n| n.queue.push_back(req));
+                    self.metrics.max_queue =
+                        self.metrics.max_queue.max(self.life.index.queued_total());
+                }
+                continue;
+            }
+
+            let (now_us, kind) = self.queue.pop().expect("checked above");
+            last_us = last_us.max(now_us);
+            match kind {
+                EventKind::Finish { node, key } => {
+                    // A missing entry is a tombstone: the invocation was killed
+                    // by a node crash before its finish event fired.
+                    let Some(run) = self.running.remove(key) else { continue };
+                    debug_assert_eq!(run.node, node);
+                    debug_assert!(run.started_cold || run.sandbox.uses >= 1);
+                    self.life.index.update(node as usize, |n| n.busy_cores -= 1);
+                    self.metrics.completions += 1;
+                    // Response includes queueing and (for cold starts) the
+                    // sandbox creation delay by construction.
+                    self.metrics
+                        .response
+                        .record(((now_us - run.arrived_us) as f64 / 1e6).max(1e-9));
+                    if spans_enabled {
+                        sink.emit(&span(&run, now_us, OutcomeClass::Ok));
+                    }
+                    let expiry = self.life.release(node as usize, run.sandbox, now_us, policy);
+                    self.arm(now_us, expiry);
+
+                    // Drain the node's queue (FIFO head-of-line).
+                    self.drain_queue(node as usize, now_us, policy);
+                }
+                EventKind::Lifecycle(timer) => {
+                    let fired = self.life.fire(timer, now_us, policy);
+                    self.arm(now_us, fired.arm);
+                    if let Some(node) = fired.freed {
+                        // Freed memory may unblock the head of the queue.
+                        self.drain_queue(node, now_us, policy);
+                    }
+                }
+                EventKind::Crash { node } => {
+                    if node as usize >= self.cluster.nodes {
+                        continue;
+                    }
+                    // In-flight invocations die with the node; their Finish
+                    // events become tombstones (the Finish arm tolerates a
+                    // dead slab generation).
+                    for run in self.running.take_node(node) {
+                        self.metrics.killed += 1;
+                        if spans_enabled {
+                            sink.emit(&span(&run, now_us, OutcomeClass::Transport));
+                        }
+                    }
+                    // Warm state is gone: account idle time up to the crash,
+                    // then drop every sandbox. Queued work is lost too.
+                    self.metrics.killed += self.life.crash(node as usize, now_us);
+                }
+            }
+        }
+        last_us
+    }
+
     /// Start as many queued requests as now fit (FIFO head-of-line).
     fn drain_queue(&mut self, node_idx: usize, now_us: u64, policy: &mut dyn KeepAlivePolicy) {
         while let Some(&front) = self.life.index.node(node_idx).queue.front() {
@@ -362,8 +471,6 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
         pacing: "simulated".to_string(),
         compression: 1.0,
     }));
-    let spans_enabled = sink.enabled();
-
     let mut metrics = SimMetrics::new(policy.name(), balancer.name());
     metrics.per_node_busy_ms = vec![0.0; cluster.nodes];
     let total_cores = cluster.nodes * cluster.cores_per_node;
@@ -392,93 +499,13 @@ pub fn simulate_observed<S: ScheduleSource + ?Sized>(
         }
     }
 
-    let mut cursor = source.cursor();
-    let mut pending = cursor.next_arrival();
-    let mut arrival_seq: u64 = 0;
-    let mut last_us = 0u64;
-
-    loop {
-        engine.audit();
-        // Interleave the arrival stream with the internal event queue;
-        // arrivals win ties (see `EventKind`).
-        let take_arrival = match (&pending, engine.queue.peek()) {
-            (Some(a), Some((at_us, _))) => a.at_ms * 1_000 <= at_us,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        engine.metrics.sim_events += 1;
-
-        if take_arrival {
-            let Arrival { at_ms, workload, function_index } =
-                pending.take().expect("checked above");
-            pending = cursor.next_arrival();
-            let now_us = at_ms * 1_000;
-            last_us = last_us.max(now_us);
-
-            engine.metrics.arrivals += 1;
-            policy.on_arrival(workload, now_us / 1_000);
-            let target = balancer.pick(workload, &engine.life.index).min(cluster.nodes - 1);
-            let req = QueuedReq { arrival_seq, function_index, arrived_us: now_us, workload };
-            arrival_seq += 1;
-            if !engine.try_start(target, req, now_us, policy) {
-                engine.life.index.update(target, |n| n.queue.push_back(req));
-                engine.metrics.max_queue =
-                    engine.metrics.max_queue.max(engine.life.index.queued_total());
-            }
-            continue;
-        }
-
-        let (now_us, kind) = engine.queue.pop().expect("checked above");
-        last_us = last_us.max(now_us);
-        match kind {
-            EventKind::Finish { node, key } => {
-                // A missing entry is a tombstone: the invocation was killed
-                // by a node crash before its finish event fired.
-                let Some(run) = engine.running.remove(key) else { continue };
-                debug_assert_eq!(run.node, node);
-                debug_assert!(run.started_cold || run.sandbox.uses >= 1);
-                engine.life.index.update(node as usize, |n| n.busy_cores -= 1);
-                engine.metrics.completions += 1;
-                // Response includes queueing and (for cold starts) the
-                // sandbox creation delay by construction.
-                engine.metrics.response.record(((now_us - run.arrived_us) as f64 / 1e6).max(1e-9));
-                if spans_enabled {
-                    sink.emit(&span(&run, now_us, OutcomeClass::Ok));
-                }
-                let expiry = engine.life.release(node as usize, run.sandbox, now_us, policy);
-                engine.arm(now_us, expiry);
-
-                // Drain the node's queue (FIFO head-of-line).
-                engine.drain_queue(node as usize, now_us, policy);
-            }
-            EventKind::Lifecycle(timer) => {
-                let fired = engine.life.fire(timer, now_us, policy);
-                engine.arm(now_us, fired.arm);
-                if let Some(node) = fired.freed {
-                    // Freed memory may unblock the head of the queue.
-                    engine.drain_queue(node, now_us, policy);
-                }
-            }
-            EventKind::Crash { node } => {
-                if node as usize >= cluster.nodes {
-                    continue;
-                }
-                // In-flight invocations die with the node; their Finish
-                // events become tombstones (the Finish arm tolerates a
-                // dead slab generation).
-                for run in engine.running.take_node(node) {
-                    engine.metrics.killed += 1;
-                    if spans_enabled {
-                        sink.emit(&span(&run, now_us, OutcomeClass::Transport));
-                    }
-                }
-                // Warm state is gone: account idle time up to the crash,
-                // then drop every sandbox. Queued work is lost too.
-                engine.metrics.killed += engine.life.crash(node as usize, now_us);
-            }
-        }
-    }
+    // Arrivals come from the schedule's cursor, expanded here or on a
+    // helper (`handoff`); the engine sees the same stream either way.
+    let _engine_core = handoff::engine_core();
+    let last_us = match handoff::helper_core() {
+        Some(core) => handoff::feed(source, core, |feed| engine.run(feed, balancer, policy, sink)),
+        None => engine.run(&mut source.cursor(), balancer, policy, sink),
+    };
 
     // What the lifecycle counted, with the sandboxes still warm at the end
     // charged for their idle memory up to it.

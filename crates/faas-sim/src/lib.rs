@@ -16,6 +16,7 @@
 
 pub mod cluster;
 pub mod engine;
+pub mod handoff;
 mod index;
 pub mod keepalive;
 mod lifecycle;
@@ -27,6 +28,7 @@ pub mod scheduler;
 
 pub use cluster::{ClusterConfig, ColdStartModel, Refused};
 pub use engine::{simulate, simulate_observed, NodeFault, SimOptions};
+pub use handoff::SimWorkers;
 pub use index::ClusterIndex;
 pub use keepalive::{
     FixedTtl, GreedyDual, HybridHistogram, IdleSandbox, KeepAlivePolicy, LruPolicy,

@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use faasrail_core::{ArrivalStream, ScheduleModel};
-use faasrail_faas_sim::{BalancerKind, ClusterConfig, PolicyKind, SimOptions};
+use faasrail_faas_sim::{BalancerKind, ClusterConfig, PolicyKind, SimOptions, SimWorkers};
 use faasrail_workloads::WorkloadPool;
 use serde::{Deserialize, Serialize};
 
@@ -241,19 +241,23 @@ pub fn run_lab(
 
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, CellResult)>> = Mutex::new(Vec::with_capacity(cells.len()));
+    // Counted before any starts, so that no cell hands its arrival stream
+    // to a helper on a core another worker is about to take.
+    let counted = SimWorkers::count(workers);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
                 let mut local = Vec::new();
-                loop {
+                counted.run(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = cells.get(i) else { break };
                     local.push((i, run_cell(model, pool, cfg, spec)));
-                }
+                });
                 done.lock().unwrap().extend(local);
             });
         }
     });
+    drop(counted);
 
     let mut results = done.into_inner().unwrap();
     results.sort_unstable_by_key(|&(i, _)| i);

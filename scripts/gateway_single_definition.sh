@@ -52,6 +52,9 @@
 # And a replay has one worker body: whether the pacer hands a worker its jobs
 # (real time) or the worker claims them straight from the trace (a drain), one
 # function invokes, records and emits each request.
+# And a simulation runs its engine on the caller's thread: the one thread the
+# core and the simulator start is the arrival hand-off's helper
+# (crates/faas-sim/src/handoff.rs), one scope per simulation.
 # Then print what each file weighs (lines above its first `#[cfg(test)]`), and
 # each crate and the workspace.
 set -euo pipefail
@@ -185,6 +188,14 @@ for file in crates/faas-sim/src/*.rs; do
     [ "$file" = crates/faas-sim/src/queue.rs ] && continue
     refuse "$file" 'crates/faas-sim/src/queue.rs, the one event queue of both executors' 'BinaryHeap'
 done
+for file in crates/core/src/*.rs crates/faas-sim/src/*.rs; do
+    [ "$file" = crates/faas-sim/src/handoff.rs ] && continue
+    refuse "$file" 'crates/faas-sim/src/handoff.rs, the one arrival hand-off' \
+        'thread::spawn' 'thread::scope'
+done
+once crates/faas-sim/src/handoff.rs 'one helper thread per simulation (feed)' \
+    'thread::scope(' 'scope.spawn('
+refuse crates/faas-sim/src/handoff.rs 'feed, whose scope joins the helper' 'thread::spawn'
 for gone in 'WarmEntry' 'CacheState' 'fn admit'; do
     if grep -rnF -- "$gone" crates/faas-sim/src; then
         echo "error: crates/faas-sim/src: \`$gone\` is back: the wall-clock node has no cache model of its own" >&2
