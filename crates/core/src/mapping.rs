@@ -10,11 +10,9 @@
 //! (evaluated in paper §4.4 / Fig. 12).
 
 use crate::aggregate::Aggregation;
-#[cfg(test)]
-use faasrail_workloads::WorkloadKind;
 use faasrail_workloads::{WorkloadId, WorkloadPool};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
+use std::hint::select_unpredictable;
 use std::ops::Range;
 
 /// How the selection pass balances candidates.
@@ -122,23 +120,60 @@ impl FunctionMapping {
 /// which must not be empty. The selection rule both execution modes share:
 /// least-loaded candidate first, `score` among equally loaded ones, and the
 /// earliest (shortest-runtime) position among full ties.
-pub(crate) fn first_min<L: PartialOrd>(
+///
+/// Non-negative `f64`s (infinity included) order the same way as their bits
+/// read as `u64`s, so each candidate is one integer key, `(load bits, score
+/// bits)`, and the scan is a strict `<` over keys whose outcome picks the
+/// minimum with conditional moves rather than a branch per candidate (the
+/// key is a pair, not a `u128`, because LLVM turns a `u128` select back
+/// into a branch). `-0.0` is folded into `+0.0` first (the two compare equal
+/// as floats). A NaN or negative load or score would sort above every valid
+/// key; the scan keeps the largest bits of each half it saw and panics after
+/// the loop if one was invalid.
+pub(crate) fn first_min<L: LoadBits>(
     band: Range<usize>,
     load: impl Fn(usize) -> L,
     score: impl Fn(usize) -> f64,
 ) -> usize {
-    band.reduce(|best, pos| {
-        let ord = load(pos)
-            .partial_cmp(&load(best))
-            .expect("finite")
-            .then_with(|| score(pos).partial_cmp(&score(best)).expect("finite"));
-        if ord == Ordering::Less {
-            pos
-        } else {
-            best
-        }
-    })
-    .expect("non-empty candidate band")
+    assert!(!band.is_empty(), "empty candidate band");
+    let (mut best, mut best_key) = (band.start, (u64::MAX, u64::MAX));
+    let (mut max_load, mut max_score) = (0u64, 0u64);
+    for pos in band {
+        let key = (load(pos).bits(), score(pos).bits());
+        max_load = max_load.max(key.0);
+        max_score = max_score.max(key.1);
+        let less = key < best_key;
+        best = select_unpredictable(less, pos, best);
+        best_key = select_unpredictable(less, key, best_key);
+    }
+    assert!(
+        max_load <= L::MAX_BITS && max_score <= f64::MAX_BITS,
+        "candidate load or score is negative or NaN"
+    );
+    best
+}
+
+/// A candidate load [`first_min`] can order by its bits.
+pub(crate) trait LoadBits: Copy {
+    /// The largest bit pattern of a valid load.
+    const MAX_BITS: u64;
+    /// Bits that order as the load does, for every valid load.
+    fn bits(self) -> u64;
+}
+
+impl LoadBits for u64 {
+    const MAX_BITS: u64 = u64::MAX;
+    fn bits(self) -> u64 {
+        self
+    }
+}
+
+impl LoadBits for f64 {
+    const MAX_BITS: u64 = f64::INFINITY.to_bits();
+    fn bits(self) -> u64 {
+        // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+        (self + 0.0).to_bits()
+    }
 }
 
 /// What the mapping reads of one Function.
@@ -260,7 +295,7 @@ mod tests {
     use super::*;
     use crate::aggregate::{aggregate, DurationResolution};
     use faasrail_trace::azure::{generate, AzureTraceConfig};
-    use faasrail_workloads::CostModel;
+    use faasrail_workloads::{CostModel, WorkloadKind};
 
     fn azure_parts() -> (Aggregation, WorkloadPool) {
         let trace = generate(&AzureTraceConfig::small(21));
@@ -280,7 +315,7 @@ mod tests {
 
         // Tied loads and tied scores at several positions, under a `u64` load
         // (Smirnov's request counts) and an `f64` one (Spec mode's weights).
-        fn ties<L: PartialOrd + Copy>(load: &[L; 8]) {
+        fn ties<L: LoadBits>(load: &[L; 8]) {
             let score = [0.0, 0.4, 0.1, 0.3, 0.1, 0.1, 0.2, 0.1];
             let pick = |band: Range<usize>| first_min(band, |p| load[p], |p| score[p]);
             assert_eq!(pick(0..8), 2, "the earliest of the full ties at 2, 4, 5 and 7");
@@ -298,6 +333,74 @@ mod tests {
         assert_eq!(first_min(0..6, |p| load[p], |p| score[p]), 3);
         let load = [1u64, 1, 0, 0, 0, 1];
         assert_eq!(first_min(0..6, |p| load[p], |p| score[p]), 3);
+    }
+
+    /// The scan `first_min` replaced: a `reduce` over `partial_cmp`.
+    fn first_min_by_reduce<L: PartialOrd>(
+        band: Range<usize>,
+        load: impl Fn(usize) -> L,
+        score: impl Fn(usize) -> f64,
+    ) -> usize {
+        band.reduce(|best, pos| {
+            let ord = load(pos)
+                .partial_cmp(&load(best))
+                .expect("finite")
+                .then_with(|| score(pos).partial_cmp(&score(best)).expect("finite"));
+            if ord.is_lt() {
+                pos
+            } else {
+                best
+            }
+        })
+        .expect("non-empty candidate band")
+    }
+
+    #[test]
+    fn first_min_matches_the_reduce_it_replaced() {
+        use faasrail_stats::rng::{cases, Rng};
+        cases("first_min_matches_the_reduce_it_replaced", 512, |rng| {
+            // Loads from a handful of levels, so most candidates tie on load;
+            // scores are distances of a duration to runtimes from a handful
+            // of levels, so many tie on score as well, signed zeros included.
+            let n = rng.range(1..64usize);
+            let levels = rng.range(1..5u64);
+            let loads: Vec<u64> = (0..n).map(|_| rng.range(0..levels)).collect();
+            let weights: Vec<f64> = loads.iter().map(|&l| l as f64 * 0.5).collect();
+            let d = rng.range(0..4u32) as f64;
+            let scores: Vec<f64> = (0..n)
+                .map(|_| match rng.range(0..6u32) {
+                    0 => -0.0,
+                    1 => f64::INFINITY,
+                    _ => (rng.range(0..4u32) as f64 - d).abs() * 0.3,
+                })
+                .collect();
+            let start = rng.range(0..n);
+            let end = rng.range(start + 1..n + 1);
+            let score = |p: usize| scores[p];
+            assert_eq!(
+                first_min(start..end, |p| loads[p], score),
+                first_min_by_reduce(start..end, |p| loads[p], score),
+                "u64 loads {loads:?}, scores {scores:?}, band {start}..{end}"
+            );
+            let weight =
+                |p: usize| if weights[p] == 0.0 && p.is_multiple_of(2) { -0.0 } else { weights[p] };
+            assert_eq!(
+                first_min(start..end, weight, score),
+                first_min_by_reduce(start..end, weight, score),
+                "f64 loads {weights:?}, scores {scores:?}, band {start}..{end}"
+            );
+        });
+    }
+
+    #[test]
+    fn first_min_refuses_a_nan_or_negative_input() {
+        let refused = |f: fn() -> usize| std::panic::catch_unwind(f).is_err();
+        assert!(refused(|| first_min(0..3, |_| 0u64, |p| [0.0, f64::NAN, 1.0][p])));
+        assert!(refused(|| first_min(0..3, |_| 0u64, |p| [0.0, 2.0, -1.0][p])));
+        assert!(refused(|| first_min(0..2, |p| [f64::NAN, 0.0][p], |_| 0.0)));
+        assert!(refused(|| first_min(0..2, |p| [1.0, -0.5][p], |_| 0.0)));
+        assert!(refused(|| first_min(3..3, |_| 0u64, |_| 0.0)));
+        assert_eq!(first_min(0..2, |p| [0.0, -0.0][p], |p| [1.0, 0.5][p]), 1);
     }
 
     #[test]

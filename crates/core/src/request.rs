@@ -11,7 +11,7 @@ use crate::spec::ExperimentSpec;
 use faasrail_stats::ecdf::WeightedEcdf;
 use faasrail_workloads::{WorkloadId, WorkloadKind, WorkloadPool};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Milliseconds per experiment minute.
 pub const MS_PER_MINUTE: u64 = 60_000;
@@ -77,12 +77,26 @@ impl RequestTrace {
 
     /// Requests per originating Function that has any, in no particular
     /// order: the counts behind the popularity curves (paper Figs. 1c, 10).
+    ///
+    /// Counts into a table indexed by `function_index` when the largest
+    /// index is small next to the request count (a trace's Functions are
+    /// numbered densely); a sparse numbering is sorted and counted by runs
+    /// instead, so no index can size the table.
     pub fn counts_by_function(&self) -> Vec<u64> {
-        let mut by_fn: HashMap<u32, u64> = HashMap::new();
-        for r in &self.requests {
-            *by_fn.entry(r.function_index).or_insert(0) += 1;
+        let ids = self.requests.iter().map(|r| r.function_index as usize);
+        let Some(largest) = ids.clone().max() else { return Vec::new() };
+        if largest <= 4 * self.requests.len() + 1_024 {
+            let mut counts = vec![0u64; largest + 1];
+            for id in ids {
+                counts[id] += 1;
+            }
+            counts.retain(|&n| n > 0);
+            counts
+        } else {
+            let mut ids: Vec<u32> = self.requests.iter().map(|r| r.function_index).collect();
+            ids.sort_unstable();
+            ids.chunk_by(|a, b| a == b).map(|run| run.len() as u64).collect()
         }
-        by_fn.into_values().collect()
     }
 
     /// Requests per pool Workload: one `(workload, count)` for every
@@ -229,6 +243,36 @@ mod tests {
         let gaps: Vec<i64> =
             t.requests.windows(2).map(|w| w[1].at_ms as i64 - w[0].at_ms as i64).collect();
         assert!(gaps.iter().all(|&g| g == 1_000), "{gaps:?}");
+    }
+
+    #[test]
+    fn counts_by_function_over_dense_and_sparse_indices() {
+        let trace = |ids: &[u32]| RequestTrace {
+            duration_minutes: 1,
+            requests: ids
+                .iter()
+                .map(|&function_index| Request {
+                    at_ms: 0,
+                    workload: WorkloadId(0),
+                    function_index,
+                })
+                .collect(),
+        };
+        let sorted = |ids: &[u32]| {
+            let mut counts = trace(ids).counts_by_function();
+            counts.sort_unstable();
+            counts
+        };
+        assert!(trace(&[]).counts_by_function().is_empty());
+        assert_eq!(sorted(&[3, 0, 3, 7, 3, 0]), [1, 2, 3], "dense, with unused indices");
+        // Huge indices on a short trace are counted by runs: a table indexed
+        // by `u32::MAX` would take 32 GiB.
+        assert_eq!(sorted(&[u32::MAX, 5, u32::MAX, 1 << 31, 5, u32::MAX]), [1, 2, 3]);
+        assert_eq!(sorted(&[u32::MAX]), [1]);
+        // Both paths agree where the table stops being used.
+        let edge: Vec<u32> = (0..100).map(|i| if i % 3 == 0 { 1_424 } else { i % 7 }).collect();
+        let past: Vec<u32> = edge.iter().map(|&i| if i == 1_424 { 1_425 } else { i }).collect();
+        assert_eq!(sorted(&edge), sorted(&past));
     }
 
     #[test]

@@ -13,6 +13,15 @@
 //! running clock, or an index), so the final ordering only sorts the
 //! requests that share a millisecond; UniformRandom draws each instant
 //! independently and is sorted whole.
+//!
+//! The mode maps every request on its own, so the per-request path bounds
+//! how large a run it can generate. The draw is [`WeightedEcdf::inverse`],
+//! whose guide table starts the search next to the answer (O(1) expected
+//! steps, no binary search); the band cache's key is rounded by
+//! `round_to_u64`, with no libm call; and the band's candidate is
+//! `mapping::first_min`, a scan over packed integer keys with no branch per
+//! candidate. Besides the scan, what is left is the cache's SipHash probe,
+//! the exponential gap's logarithm and the output's ordering.
 
 use crate::mapping::{first_min, BalanceStrategy, MappingConfig};
 use crate::request::{Request, RequestTrace};
@@ -113,7 +122,7 @@ pub fn generate(
         let d = wecdf.inverse(rng.next_f64());
 
         // 2. Map the sampled duration to a Workload.
-        let key = (d * 10.0).round() as u64;
+        let key = round_to_u64(d * 10.0);
         let band = range_cache
             .entry(key)
             .or_insert_with(|| index.band(d, cfg.mapping.error_threshold))
@@ -182,13 +191,73 @@ pub fn generate(
     (RequestTrace { duration_minutes, requests }, report)
 }
 
+/// `x.round() as u64` without `round`, which the baseline x86-64 target
+/// (no SSE4.1 `roundsd`) makes a libm call. The truncation saturates as the
+/// cast does (NaN and negatives to 0, at or above 2^64 to `u64::MAX`), and
+/// the fraction it drops is exact below 2^52; from 2^52 up every `f64` is a
+/// whole number and the fraction is 0, or, from 2^64, the sum saturates.
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add((x - whole as f64 >= 0.5) as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use faasrail_stats::ks_distance_weighted;
+    use faasrail_stats::rng::cases;
     use faasrail_trace::azure::{generate as gen_azure, AzureTraceConfig};
     use faasrail_trace::huawei::{generate as gen_huawei, HuaweiTraceConfig};
     use faasrail_workloads::CostModel;
+
+    #[test]
+    fn round_to_u64_is_round_then_cast() {
+        let two52 = (1u64 << 52) as f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            1.4999999999999998,
+            two52 - 0.5,
+            two52 + 0.5,
+            two52 - 1.5,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0,
+            two52 * 2.0 + 2.0,
+            two52 * 2.0 - 0.5,
+            (1u128 << 64) as f64,
+            ((1u128 << 64) as f64).next_down(),
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+            -0.4,
+            -0.5,
+            -2.5,
+            -1e30,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ];
+        xs.extend((0..4_000).map(|i| i as f64 * 0.25));
+        xs.extend((1..200).map(|i| (i as f64 + 0.5).next_down()));
+        xs.extend((1..200).map(|i| (i as f64 + 0.5).next_up()));
+        xs.extend((0..64).map(|e| (1u64 << e) as f64 + 0.5));
+        for x in xs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        // Any bit pattern, and the scale of sampled durations.
+        cases("round_to_u64_is_round_then_cast", 256, |rng| {
+            for x in [f64::from_bits(rng.next_u64()), rng.uniform(0.0..1e6)] {
+                assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+            }
+        });
+    }
 
     fn small_cfg(seed: u64) -> SmirnovConfig {
         SmirnovConfig {

@@ -244,19 +244,27 @@ pub fn run_lab(
     // Counted before any starts, so that no cell hands its arrival stream
     // to a helper on a core another worker is about to take.
     let counted = SimWorkers::count(workers);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                counted.run(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = cells.get(i) else { break };
-                    local.push((i, run_cell(model, pool, cfg, spec)));
-                });
-                done.lock().unwrap().extend(local);
-            });
-        }
-    });
+    let work = || {
+        let mut local = Vec::new();
+        counted.run(|| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(spec) = cells.get(i) else { break };
+            local.push((i, run_cell(model, pool, cfg, spec)));
+        });
+        done.lock().unwrap().extend(local);
+    };
+    // A lone worker runs on the calling thread: its engines then allocate
+    // from the main arena, where a spawned thread's would leave a glibc
+    // thread arena's freed pages resident.
+    if workers == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
     drop(counted);
 
     let mut results = done.into_inner().unwrap();

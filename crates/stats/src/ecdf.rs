@@ -101,12 +101,20 @@ impl Ecdf {
 /// Duplicated values are merged by summing their weights; weights are
 /// normalized internally. For FaaSRail, `value` is a Function's average warm
 /// execution time and `weight` its number of invocations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedEcdf {
     /// Distinct ascending values.
     values: Vec<f64>,
     /// `cum[i]` = normalized cumulative weight of `values[..=i]`; `cum.last() == 1`.
     cum: Vec<f64>,
+    /// Guide table of the inverse: `guide[j]` is the first index whose
+    /// `cum` reaches `j / G`, for `G = guide.len()` buckets, `G` the power
+    /// of two at or above `2 × len`. A power of two makes `u × G` and `j / G`
+    /// exact (only the exponent moves), so the bucket [`Self::inverse`]
+    /// reads for `u` never starts past the index a binary search finds.
+    /// With at most half a support point per bucket on average, the walk
+    /// from there takes O(1) expected steps.
+    guide: Vec<u32>,
     /// Total (un-normalized) weight.
     total_weight: f64,
 }
@@ -148,7 +156,8 @@ impl WeightedEcdf {
         }
         // Guard against floating-point drift at the top.
         *cum.last_mut().expect("non-empty") = 1.0;
-        WeightedEcdf { values, cum, total_weight }
+        let guide = guide_table(&cum);
+        WeightedEcdf { values, cum, guide, total_weight }
     }
 
     /// Number of distinct values.
@@ -209,9 +218,15 @@ impl WeightedEcdf {
         if u <= self.cum[0] {
             return self.values[0];
         }
-        // First index with cum[idx] >= u; idx >= 1 here.
-        let idx = self.cum.partition_point(|&c| c < u);
-        let idx = idx.min(self.values.len() - 1);
+        // First index with cum[idx] >= u; idx >= 1 here. Bucket `j` starts
+        // at or before it, as `j / G <= u`, and `cum.last() == 1 >= u` ends
+        // the walk.
+        let buckets = self.guide.len();
+        let j = ((u * buckets as f64) as usize).min(buckets - 1);
+        let mut idx = self.guide[j] as usize;
+        while self.cum[idx] < u {
+            idx += 1;
+        }
         let (c0, c1) = (self.cum[idx - 1], self.cum[idx]);
         let (v0, v1) = (self.values[idx - 1], self.values[idx]);
         if c1 <= c0 {
@@ -234,6 +249,22 @@ impl WeightedEcdf {
     pub fn support(&self) -> (f64, f64) {
         (self.values[0], *self.values.last().expect("non-empty"))
     }
+}
+
+/// [`WeightedEcdf::guide`] for a non-decreasing `cum` that ends at 1.
+fn guide_table(cum: &[f64]) -> Vec<u32> {
+    assert!(cum.len() <= u32::MAX as usize, "WeightedEcdf support too large");
+    let buckets = (2 * cum.len()).next_power_of_two();
+    let mut idx = 0;
+    (0..buckets)
+        .map(|j| {
+            let edge = j as f64 / buckets as f64;
+            while cum[idx] < edge {
+                idx += 1;
+            }
+            idx as u32
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -396,6 +427,89 @@ mod tests {
             let idx = idx.min(w.len() - 1);
             assert!(w.cumulative()[idx] >= u - 1e-9);
         });
+    }
+
+    /// The inverse as a binary search over `cum`, which the guide table
+    /// replaced: the guided walk must find the same index.
+    fn inverse_by_search(w: &WeightedEcdf, u: f64) -> f64 {
+        let (cum, values) = (w.cumulative(), w.values());
+        if u <= cum[0] {
+            return values[0];
+        }
+        let idx = cum.partition_point(|&c| c < u).min(values.len() - 1);
+        let (c0, c1) = (cum[idx - 1], cum[idx]);
+        let (v0, v1) = (values[idx - 1], values[idx]);
+        if c1 <= c0 {
+            return v1;
+        }
+        v0 + (v1 - v0) * ((u - c0) / (c1 - c0))
+    }
+
+    /// Every `u` where the guided inverse could part from the search: each
+    /// cumulative level and its neighbours one ulp away, each bucket edge and
+    /// its neighbours, 0, 1 and `random` uniform draws.
+    fn probes(w: &WeightedEcdf, rng: &mut impl Rng, random: usize) -> Vec<f64> {
+        let buckets = w.guide.len();
+        let edges = (0..=buckets).map(|j| j as f64 / buckets as f64);
+        let mut us: Vec<f64> = Vec::new();
+        for c in w.cumulative().iter().copied().chain(edges) {
+            us.extend([c.next_down(), c, c.next_up()]);
+        }
+        us.extend([0.0, 1.0]);
+        us.extend((0..random).map(|_| rng.next_f64()));
+        us.retain(|u| (0.0..=1.0).contains(u));
+        us
+    }
+
+    fn assert_guided_matches_search(w: &WeightedEcdf, rng: &mut impl Rng) {
+        assert!(w.guide.len().is_power_of_two() && w.guide.len() >= 2 * w.len());
+        for u in probes(w, rng, 200) {
+            let (got, want) = (w.inverse(u), inverse_by_search(w, u));
+            assert_eq!(got.to_bits(), want.to_bits(), "inverse({u:e}) over {} points", w.len());
+        }
+    }
+
+    #[test]
+    fn guided_inverse_matches_binary_search() {
+        cases("guided_inverse_matches_binary_search", 256, |rng| {
+            let len = match rng.range(0..4u32) {
+                0 => 1,
+                1 => rng.range(2..8usize),
+                _ => rng.range(2..400usize),
+            };
+            // Few distinct values, so some merge; a weight far below the
+            // others leaves its step flat (`cum[i] == cum[i - 1]`).
+            let distinct = rng.range(1..len + 1) as f64;
+            let anchor = (rng.uniform(0.0..1e3), 1.0);
+            let pairs: Vec<(f64, f64)> = (0..len)
+                .map(|_| {
+                    let v = (rng.next_f64() * distinct).floor() * 3.5;
+                    let w = match rng.range(0..8u32) {
+                        0 => 1e-30,
+                        1 => 0.0,
+                        _ => rng.uniform(0.1..10.0),
+                    };
+                    (v, w)
+                })
+                .chain([anchor])
+                .collect();
+            assert_guided_matches_search(&WeightedEcdf::new(pairs), rng);
+        });
+    }
+
+    #[test]
+    fn guided_inverse_matches_binary_search_on_a_large_support() {
+        let mut rng = seeded_rng(42);
+        let pairs: Vec<(f64, f64)> = (0..100_000)
+            .map(|i| (i as f64 * 0.25 + rng.next_f64() * 0.1, rng.uniform(0.0..5.0)))
+            .collect();
+        let w = WeightedEcdf::new(pairs);
+        assert_eq!(w.len(), 100_000);
+        assert_guided_matches_search(&w, &mut rng);
+        // One point: every argument is its value.
+        let one = WeightedEcdf::new([(7.5, 2.0)]);
+        assert_guided_matches_search(&one, &mut rng);
+        assert_eq!(one.inverse(0.3), 7.5);
     }
 
     #[test]

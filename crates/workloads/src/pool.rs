@@ -108,7 +108,9 @@ pub mod reference {
             .sum()
     }
 
-    /// Quantile of the mixture restricted to `[lo, hi]`, by bisection.
+    /// Quantile of the mixture restricted to `[lo, hi]`, by bisection: at
+    /// most 80 halvings, and none after one that leaves the bracket as it
+    /// was, since every later one would repeat it.
     pub fn restricted_quantile(u: f64, lo: f64, hi: f64) -> f64 {
         assert!((0.0..=1.0).contains(&u) && lo > 0.0 && lo < hi);
         let (c_lo, c_hi) = (mixture_cdf(lo), mixture_cdf(hi));
@@ -116,10 +118,14 @@ pub mod reference {
         let (mut a, mut b) = (lo, hi);
         for _ in 0..80 {
             let mid = (a * b).sqrt(); // geometric bisection over log-space
+            let before = (a, b);
             if mixture_cdf(mid) < target {
                 a = mid;
             } else {
                 b = mid;
+            }
+            if (a, b) == before {
+                break;
             }
         }
         (a * b).sqrt()
@@ -536,6 +542,84 @@ mod tests {
         assert_eq!(index.nearest(1.0), 0, "below the first entry");
         assert_eq!(index.nearest(1e9), 3, "above the last entry");
         assert_eq!(pool_of(&[42.0]).runtime_index().nearest(7.0), 0);
+    }
+
+    /// `restricted_quantile` as it bisected before it stopped at a fixed
+    /// bracket: always 80 times.
+    fn restricted_quantile_80(u: f64, lo: f64, hi: f64) -> f64 {
+        use super::reference::mixture_cdf;
+        let (c_lo, c_hi) = (mixture_cdf(lo), mixture_cdf(hi));
+        let target = c_lo + u * (c_hi - c_lo);
+        let (mut a, mut b) = (lo, hi);
+        for _ in 0..80 {
+            let mid = (a * b).sqrt();
+            if mixture_cdf(mid) < target {
+                a = mid;
+            } else {
+                b = mid;
+            }
+        }
+        (a * b).sqrt()
+    }
+
+    #[test]
+    fn pools_equal_the_pools_of_eighty_bisections() {
+        let model = CostModel::default_calibration();
+        let oracle = |grids: &[GridSpec]| {
+            let mut workloads = Vec::new();
+            let mut seen = BTreeSet::new();
+            let mut push = |input: WorkloadInput| {
+                if seen.insert(input) {
+                    workloads.push(Workload {
+                        id: WorkloadId(0),
+                        input,
+                        mean_ms: model.predict_ms(&input),
+                        memory_mb: input.memory_mb(),
+                    });
+                }
+            };
+            CNN_VARIANTS.into_iter().for_each(&mut push);
+            for spec in grids {
+                let half = spec.count / 2;
+                for i in 0..half {
+                    let u = (i as f64 + 0.5) / half as f64;
+                    let target = spec.lo_ms * (spec.hi_ms / spec.lo_ms).powf(u);
+                    let units = model.units_for_ms(spec.kind, target);
+                    if let Some(input) = WorkloadInput::for_work_units(spec.kind, units) {
+                        push(input);
+                    }
+                }
+                for i in 0..(spec.count - half) {
+                    let u = (i as f64 + 0.5) / (spec.count - half) as f64;
+                    let target = restricted_quantile_80(u, spec.lo_ms, spec.hi_ms);
+                    let units = model.units_for_ms(spec.kind, target);
+                    if let Some(input) = WorkloadInput::for_work_units(spec.kind, units) {
+                        push(input);
+                    }
+                }
+            }
+            WorkloadPool::from_workloads(workloads)
+        };
+        assert_eq!(WorkloadPool::build_modelled(&model), oracle(&GRID));
+        let extended: Vec<GridSpec> = GRID.iter().chain(&AUX_GRID).copied().collect();
+        assert_eq!(WorkloadPool::build_modelled_extended(&model), oracle(&extended));
+        // And the quantiles themselves, bit for bit, over every grid's range.
+        for spec in &extended {
+            for i in 0..200 {
+                let u = i as f64 / 199.0;
+                let (got, want) = (
+                    reference::restricted_quantile(u, spec.lo_ms, spec.hi_ms),
+                    restricted_quantile_80(u, spec.lo_ms, spec.hi_ms),
+                );
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "u = {u} over {}..{}",
+                    spec.lo_ms,
+                    spec.hi_ms
+                );
+            }
+        }
     }
 
     #[test]

@@ -55,6 +55,10 @@
 # And a simulation runs its engine on the caller's thread: the one thread the
 # core and the simulator start is the arrival hand-off's helper
 # (crates/faas-sim/src/handoff.rs), one scope per simulation.
+# And Smirnov mode maps each request through one definition per step: a band's
+# candidate is picked by mapping::first_min alone (no scan of its own in
+# smirnov.rs), and a CDF is searched by WeightedEcdf::inverse alone (no
+# partition_point over `cum` outside crates/stats/src/ecdf.rs).
 # Then print what each file weighs (lines above its first `#[cfg(test)]`), and
 # each crate and the workspace.
 set -euo pipefail
@@ -232,6 +236,10 @@ only_in crates/core/src/evaluate.rs 'expect("mapped")'
 only_in 'RequestTrace::duration_wecdf, which builds it from counts' '.map(|d| (d, 1.0))'
 once crates/stats/src/timeseries.rs 'one load-shape MAE (load_shape_mae)' 'abs()).sum::<f64>()'
 once crates/core/src/evaluate.rs 'one mapped-workload ECDF (mapped_wecdf)' 'expect("mapped")'
+refuse crates/core/src/smirnov.rs 'crates/core/src/mapping.rs (first_min)' '.reduce(' 'min_by'
+across 1 'one band selection rule (mapping::first_min)' 'fn first_min' crates/core/src/*.rs
+only_in crates/stats/src/ecdf.rs 'cum.partition_point('
+only_in crates/stats/src/ecdf.rs 'cumulative().partition_point('
 if [ "$(cat crates/bench/src/bin/*.rs | grep -c '^fn main')" -ne 1 ] || grep -q 'BINS=' scripts/reproduce.sh; then
     echo 'error: a figure is a row of figures::FIGURES under the one `fn main` of' \
         'crates/bench/src/bin, and reproduce.sh is a build and one `repro all`' >&2
