@@ -253,18 +253,15 @@ pub fn run_lab(
         });
         done.lock().unwrap().extend(local);
     };
-    // A lone worker runs on the calling thread: its engines then allocate
-    // from the main arena, where a spawned thread's would leave a glibc
-    // thread arena's freed pages resident.
-    if workers == 1 {
+    // The calling thread is one of the workers, so a lone worker spawns no
+    // thread: its engines allocate from the main arena, where a spawned
+    // thread's would leave a glibc thread arena's freed pages resident.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
         work();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(work);
-            }
-        });
-    }
+    });
     drop(counted);
 
     let mut results = done.into_inner().unwrap();

@@ -562,51 +562,16 @@ mod tests {
         (a * b).sqrt()
     }
 
+    /// The builder's pools are those of the 80-bisection loop: at every
+    /// `u` a grid asks for, and over a sweep of each grid's range, the
+    /// quantile is the loop's, bit for bit.
     #[test]
-    fn pools_equal_the_pools_of_eighty_bisections() {
-        let model = CostModel::default_calibration();
-        let oracle = |grids: &[GridSpec]| {
-            let mut workloads = Vec::new();
-            let mut seen = BTreeSet::new();
-            let mut push = |input: WorkloadInput| {
-                if seen.insert(input) {
-                    workloads.push(Workload {
-                        id: WorkloadId(0),
-                        input,
-                        mean_ms: model.predict_ms(&input),
-                        memory_mb: input.memory_mb(),
-                    });
-                }
-            };
-            CNN_VARIANTS.into_iter().for_each(&mut push);
-            for spec in grids {
-                let half = spec.count / 2;
-                for i in 0..half {
-                    let u = (i as f64 + 0.5) / half as f64;
-                    let target = spec.lo_ms * (spec.hi_ms / spec.lo_ms).powf(u);
-                    let units = model.units_for_ms(spec.kind, target);
-                    if let Some(input) = WorkloadInput::for_work_units(spec.kind, units) {
-                        push(input);
-                    }
-                }
-                for i in 0..(spec.count - half) {
-                    let u = (i as f64 + 0.5) / (spec.count - half) as f64;
-                    let target = restricted_quantile_80(u, spec.lo_ms, spec.hi_ms);
-                    let units = model.units_for_ms(spec.kind, target);
-                    if let Some(input) = WorkloadInput::for_work_units(spec.kind, units) {
-                        push(input);
-                    }
-                }
-            }
-            WorkloadPool::from_workloads(workloads)
-        };
-        assert_eq!(WorkloadPool::build_modelled(&model), oracle(&GRID));
-        let extended: Vec<GridSpec> = GRID.iter().chain(&AUX_GRID).copied().collect();
-        assert_eq!(WorkloadPool::build_modelled_extended(&model), oracle(&extended));
-        // And the quantiles themselves, bit for bit, over every grid's range.
-        for spec in &extended {
-            for i in 0..200 {
-                let u = i as f64 / 199.0;
+    fn restricted_quantile_equals_eighty_bisections() {
+        for spec in GRID.iter().chain(&AUX_GRID) {
+            let quantile_points = spec.count - spec.count / 2;
+            let asked = (0..quantile_points).map(|i| (i as f64 + 0.5) / quantile_points as f64);
+            let sweep = (0..200).map(|i| i as f64 / 199.0);
+            for u in asked.chain(sweep) {
                 let (got, want) = (
                     reference::restricted_quantile(u, spec.lo_ms, spec.hi_ms),
                     restricted_quantile_80(u, spec.lo_ms, spec.hi_ms),
