@@ -88,9 +88,8 @@ pub fn generate(trace: &Trace, cfg: &InVitroConfig) -> InVitroSample {
             trace.functions[i]
                 .minutes
                 .entries()
-                .iter()
-                .filter(|&&(m, _)| window.contains(&(m as usize)))
-                .map(|&(_, c)| c as u64)
+                .filter(|&(m, _)| window.contains(&(m as usize)))
+                .map(|(_, c)| c as u64)
                 .sum::<u64>()
         })
         .sum();
@@ -100,7 +99,7 @@ pub fn generate(trace: &Trace, cfg: &InVitroConfig) -> InVitroSample {
     let mut requests = Vec::new();
     for &i in &sampled {
         let f = &trace.functions[i];
-        for &(minute, count) in f.minutes.entries() {
+        for (minute, count) in f.minutes.entries() {
             if !window.contains(&(minute as usize)) {
                 continue;
             }

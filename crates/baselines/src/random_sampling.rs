@@ -65,7 +65,7 @@ pub fn generate(trace: &Trace, pool: &WorkloadPool, cfg: &RandomSamplingConfig) 
     for &i in &indices {
         let f = &trace.functions[i];
         let workload = index.entries()[index.nearest(f.avg_duration_ms)].id;
-        for &(minute, count) in f.minutes.entries() {
+        for (minute, count) in f.minutes.entries() {
             // Stochastic rounding of the scaled count.
             let scaled = count as f64 * factor;
             let mut n = scaled.floor() as u64;

@@ -254,7 +254,7 @@ fn shrink_refuses_a_minute_range_without_invocations() {
     let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
     let mut trace = faasrail_trace::azure::generate(&AzureTraceConfig::small(9));
     for f in &mut trace.functions {
-        let early = f.minutes.entries().iter().copied().filter(|&(m, _)| m < 600);
+        let early = f.minutes.entries().filter(|&(m, _)| m < 600);
         f.minutes = faasrail_trace::MinuteSeries::new(early.collect());
         f.daily.clear();
     }

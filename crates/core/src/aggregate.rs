@@ -235,12 +235,13 @@ pub fn aggregate(trace: &Trace, resolution: DurationResolution) -> Aggregation {
 fn summed_series(trace: &Trace, members: &[u32], day: &mut [u64; MINUTES_PER_DAY]) -> MinuteSeries {
     let (mut first, mut last) = (MINUTES_PER_DAY, 0);
     for &i in members {
-        let entries = trace.functions[i as usize].minutes.entries();
-        if let (Some(&(lo, _)), Some(&(hi, _))) = (entries.first(), entries.last()) {
-            first = first.min(lo as usize);
-            last = last.max(hi as usize);
+        let series = &trace.functions[i as usize].minutes;
+        let mut ends = series.entries().map(|(m, _)| m as usize);
+        if let Some(lo) = ends.next() {
+            first = first.min(lo);
+            last = last.max(ends.next_back().unwrap_or(lo));
         }
-        for &(m, c) in entries {
+        for (m, c) in series.entries() {
             day[m as usize] += c as u64;
         }
     }

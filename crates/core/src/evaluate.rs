@@ -106,22 +106,8 @@ pub fn kind_shares(counts: &BTreeMap<WorkloadKind, u64>) -> BTreeMap<WorkloadKin
 pub fn evaluate(trace: &Trace, requests: &RequestTrace, pool: &WorkloadPool) -> Representativity {
     assert!(!requests.is_empty(), "cannot evaluate an empty request trace");
 
-    // The trace's sparse minute entries are by far the largest input; walk
-    // them once for every figure below that is drawn from them.
-    let mut trace_day = vec![0u64; MINUTES_PER_DAY];
-    let fn_totals: Vec<u64> = trace
-        .functions
-        .iter()
-        .map(|f| {
-            let mut total = 0u64;
-            for &(m, c) in f.minutes.entries() {
-                trace_day[m as usize] += c as u64;
-                total += c as u64;
-            }
-            total
-        })
-        .collect();
-    let invoked = || trace.functions.iter().zip(&fn_totals).filter(|&(_, &t)| t > 0);
+    let trace_day = trace.aggregate_minutes();
+    let invoked = || trace.functions.iter().filter(|f| f.total_invocations() > 0);
 
     // Requests per pool Workload: both duration properties need only these
     // counts, not one value per request.
@@ -138,12 +124,13 @@ pub fn evaluate(trace: &Trace, requests: &RequestTrace, pool: &WorkloadPool) -> 
 
     // (iii) invocation durations.
     let generated = mapped_wecdf(pool, per_workload, |w| w.mean_ms);
-    let in_trace = WeightedEcdf::new(invoked().map(|(f, &t)| (f.avg_duration_ms, t as f64)));
+    let in_trace =
+        WeightedEcdf::new(invoked().map(|f| (f.avg_duration_ms, f.total_invocations() as f64)));
     let ks_invocation_durations = ks_distance_weighted(&in_trace, &generated);
 
     // (ii) popularity by originating function.
     let mut gen_counts = requests.counts_by_function();
-    let mut trace_counts: Vec<u64> = invoked().map(|(_, &t)| t).collect();
+    let mut trace_counts: Vec<u64> = invoked().map(|f| f.total_invocations()).collect();
     let top1_share_error =
         (top_share(&mut trace_counts, 0.01) - top_share(&mut gen_counts, 0.01)).abs();
     let top10_share_error =
@@ -158,7 +145,7 @@ pub fn evaluate(trace: &Trace, requests: &RequestTrace, pool: &WorkloadPool) -> 
     let gen_fano = fano_factor(&generated_minutes);
     // Compare relative overdispersion (Fano scales with the mean, so
     // normalize each by its mean rate first).
-    let trace_total: u64 = fn_totals.iter().sum();
+    let trace_total = trace.total_invocations();
     let trace_rel = trace_fano / (trace_total as f64 / MINUTES_PER_DAY as f64).max(1e-9);
     let gen_rel = gen_fano / (requests.len() as f64 / minutes.max(1) as f64).max(1e-9);
     let burstiness_ratio = gen_rel / trace_rel.max(1e-12);

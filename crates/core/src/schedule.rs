@@ -242,7 +242,7 @@ impl ScheduleModel {
                     .workload_for(g as u32)
                     .expect("every aggregated function is mapped"),
                 alternates: Vec::new(),
-                minutes: f.minutes.entries().iter().map(|&(m, c)| (m as u32, c as u64)).collect(),
+                minutes: f.minutes.entries().map(|(m, c)| (m as u32, c as u64)).collect(),
             })
             .collect();
         Ok(ScheduleModel { duration_minutes: faasrail_trace::MINUTES_PER_DAY, iat, entries })

@@ -142,7 +142,7 @@ pub fn shrink(
     let mut cells = vec![0u64; grouping.len() * minutes];
     let functions = grouping.walk(trace, |g, f| {
         let row = &mut cells[g * minutes..(g + 1) * minutes];
-        for &(m, c) in f.minutes.entries() {
+        for (m, c) in f.minutes.entries() {
             if let Some(b) = bin_of[m as usize] {
                 row[b as usize] += c as u64;
             }
@@ -328,7 +328,7 @@ mod tests {
     fn minute_range_window_without_invocations_is_an_error() {
         let mut trace = generate(&AzureTraceConfig::small(55));
         for f in &mut trace.functions {
-            let outside = f.minutes.entries().iter().copied().filter(|&(m, _)| m < 600);
+            let outside = f.minutes.entries().filter(|&(m, _)| m < 600);
             f.minutes = faasrail_trace::MinuteSeries::new(outside.collect());
             f.daily.clear(); // no roll-up left to disagree with the edit
         }

@@ -69,7 +69,7 @@ mod oracle {
                 weight: 0.0,
             });
             acc.members.push(i as u32);
-            for &(m, c) in f.minutes.entries() {
+            for (m, c) in f.minutes.entries() {
                 acc.minutes[m as usize] += c as u64;
             }
             let mem = trace.app(f.app).map(|a| a.memory_mb).unwrap_or(170.0);
@@ -202,12 +202,7 @@ mod oracle {
                     function_index: member,
                     workload,
                     alternates: Vec::new(),
-                    minutes: f
-                        .minutes
-                        .entries()
-                        .iter()
-                        .map(|&(m, c)| (m as u32, c as u64))
-                        .collect(),
+                    minutes: f.minutes.entries().map(|(m, c)| (m as u32, c as u64)).collect(),
                 });
             }
         }

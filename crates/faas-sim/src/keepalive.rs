@@ -325,7 +325,12 @@ mod tests {
                 })
             })
             .collect();
-        let feed = |mut p: HybridHistogram| {
+        // Each fresh policy passes through `black_box`: without it, rustc
+        // 1.95's MIR GVN pass miscompiles this body at opt-level 2 and up
+        // (the third policy reads the second's prewarming TTL, and the test
+        // aborts on a double free). EXPERIMENTS.md has the reproduction.
+        let feed = |p: HybridHistogram| {
+            let mut p = std::hint::black_box(p);
             for &(w, at) in &arrivals {
                 p.on_arrival(w, at);
             }

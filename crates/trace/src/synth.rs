@@ -225,7 +225,7 @@ mod tests {
         let s = periodic_series(&mut rng, 60, 240);
         assert_eq!(s.total(), 240);
         assert_eq!(s.active_minutes(), 24);
-        let minutes: Vec<u16> = s.entries().iter().map(|&(m, _)| m).collect();
+        let minutes: Vec<u16> = s.entries().map(|(m, _)| m).collect();
         for w in minutes.windows(2) {
             assert_eq!(w[1] - w[0], 60);
         }

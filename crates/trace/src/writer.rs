@@ -98,7 +98,7 @@ mod tests {
                     (
                         (f.avg_duration_ms * 1_000.0) as u64,
                         f.total_invocations(),
-                        f.minutes.entries().to_vec(),
+                        f.minutes.entries().collect(),
                     )
                 })
                 .collect();

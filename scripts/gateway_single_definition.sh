@@ -59,12 +59,23 @@
 # candidate is picked by mapping::first_min alone (no scan of its own in
 # smirnov.rs), and a CDF is searched by WeightedEcdf::inverse alone (no
 # partition_point over `cum` outside crates/stats/src/ecdf.rs).
-# Then print what each file weighs (lines above its first `#[cfg(test)]`), and
+# Then print what each file weighs (lines above its inline test module), and
 # each crate and the workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+# A file's non-test lines: all of it above its inline test module. A
+# `#[cfg(test)] mod name;` declaration (one line or two) names a test file of
+# its own, so it is skipped and the reading goes on.
+nontest() {
+    awk '
+        held && /^[[:space:]]*mod [A-Za-z0-9_]+;/ { held = 0; next }
+        held { exit }
+        /#\[cfg\(test\)\][[:space:]]*mod [A-Za-z0-9_]+;/ { next }
+        /#\[cfg\(test\)\]/ { held = 1; next }
+        { print }
+    ' "$1"
+}
 
 fail=0
 refuse() { # file, owner, patterns...
