@@ -6,12 +6,12 @@
 //! returns) silently slows its own offered rate when the server queues —
 //! the coordinated-omission mistake — so its "p99 at N RPS" is really
 //! "p99 at whatever rate the server allowed". The driver here reuses the
-//! replayer's open-loop pacer: requests fire on schedule regardless of
-//! outstanding responses, and when the pacer itself falls behind the
-//! deficit is *booked* as dispatch lateness (its own measured stage with
-//! a p99 acceptance bound), never hidden. A rung whose pacer lagged past
-//! the bound is rejected as unsustained even if the server looked fine,
-//! because the offered rate wasn't actually offered.
+//! replayer's open-loop schedule: requests fall due on schedule regardless
+//! of outstanding responses, and when the generator itself falls behind
+//! the deficit is *booked* as dispatch lateness (its own measured stage
+//! with a p99 acceptance bound), never hidden. A rung whose generator
+//! lagged past the bound is rejected as unsustained even if the server
+//! looked fine, because the offered rate wasn't actually offered.
 //!
 //! ## Saturation search
 //!

@@ -111,7 +111,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     }
 
     // Observability: optional JSONL event log, optional live windowed
-    // metrics (one shard per worker plus one for the pacer).
+    // metrics (one shard per worker).
     let sink: Box<dyn EventSink> = match events_path {
         Some(path) => {
             Box::new(JsonlSink::create(path).map_err(|e| format!("creating {path}: {e}"))?)
@@ -119,7 +119,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         None => Box::new(NullSink),
     };
     let live = args.flag("live-metrics");
-    let recorder = live.then(|| Arc::new(Recorder::new(workers + 1)));
+    let recorder = live.then(|| Arc::new(Recorder::new(workers)));
     let stop = Arc::new(AtomicBool::new(false));
     let printer = recorder.as_ref().map(|recorder| {
         spawn_progress_printer(

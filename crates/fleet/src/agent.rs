@@ -73,9 +73,9 @@ pub struct AgentRun {
 /// Contiguous-completion tracker for one work item, interposed as the
 /// replay's [`EventSink`].
 ///
-/// Invocation spans carry their dispatch sequence number (`seq` equals
-/// the request's index in the work's trace, because the pacer dispatches
-/// in order); the tracker advances a watermark over the *contiguous*
+/// Invocation spans carry their sequence number (`seq` equals the
+/// request's index in the work's trace: every worker claims through one
+/// cursor); the tracker advances a watermark over the *contiguous*
 /// finished prefix, buffering out-of-order completions until the gap
 /// closes, and counts outcomes within the prefix. The resulting
 /// [`WorkPrefix`] is what `Progress` ships to the coordinator — exactly
@@ -230,7 +230,7 @@ impl Run {
         let ring = assignment.capture_events.then(|| {
             Arc::new(RingSink::with_capacity(assignment.event_capacity.max(own + 16) as usize))
         });
-        let recorder = Recorder::new(cfg.workers + 1);
+        let recorder = Recorder::new(cfg.workers);
         let (gauge, stop) = (PaceGauge::new(), AtomicBool::new(false));
         Run { assignment, backend, cfg, recorder, gauge, ring, stop }
     }

@@ -8,7 +8,7 @@
 //! * **open-loop** dispatch — the schedule never waits for the backend, so
 //!   overload manifests as queueing latency rather than a silently reduced
 //!   request rate;
-//! * hybrid sleep/spin pacing with recorded dispatch lateness, so pacing
+//! * hybrid sleep/yield pacing with recorded dispatch lateness, so pacing
 //!   accuracy is itself a measured quantity;
 //! * pluggable [`backend::Backend`]; the in-process backend executes the
 //!   actual workload kernels, and `faasrail-faas-sim` provides a simulated

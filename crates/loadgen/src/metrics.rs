@@ -40,7 +40,7 @@ pub struct RunMetrics {
     /// Backend-reported pure service time, seconds.
     pub service: LogHistogram,
     /// Dispatch lateness (actual fire − scheduled fire), seconds — the
-    /// pacer's accuracy.
+    /// real-time schedule's accuracy.
     pub lateness: LogHistogram,
     /// Completed requests per benchmark kind.
     pub per_kind: BTreeMap<WorkloadKind, u64>,

@@ -1,14 +1,30 @@
 //! The open-loop replayer.
 //!
-//! Under [`Pacing::RealTime`] a pacer thread walks the time-ordered request
-//! trace and dispatches each request at its scheduled instant (hybrid
-//! sleep/spin for sub-millisecond accuracy) to a pool of worker threads,
-//! which serve the dispatched requests against the [`Backend`]. The
+//! A pool of worker threads replays a time-ordered request trace against a
+//! [`Backend`]. Under every [`Pacing`] the job source is the trace itself:
+//! each worker claims the next request through one atomic cursor, waits
+//! for the request's due instant if it has not come, and serves it. The
 //! generator is *open-loop*: a slow backend never delays the schedule —
-//! requests queue, and the queueing shows up in response times, exactly
-//! like load on a saturated FaaS gateway. A drain ([`Pacing::Unpaced`] or
-//! [`Pacing::ClosedLoop`]) has no schedule to keep and so no pacer: each
-//! worker claims the next request straight from the trace.
+//! a request nobody is free to claim waits, and the wait shows up in its
+//! response time, exactly like load on a saturated FaaS gateway.
+//!
+//! The claim rules:
+//!
+//! * **due instant** — `start + offset / compression` under
+//!   [`Pacing::RealTime`], the offset clamped at 0 for a resumed replay;
+//!   the replay's start under [`Pacing::Unpaced`]; the claim instant under
+//!   [`Pacing::ClosedLoop`];
+//! * **claimed before it is due** — the worker waits (sleeping, then
+//!   yielding its CPU for the last stretch), and the request is dispatched
+//!   and picked up at the wake instant; its lateness is wake − due;
+//! * **claimed at or after it is due** — it was dispatched at the due
+//!   instant and picked up at the claim, so its response time still runs
+//!   from when it was due and the time it waited for a busy worker is
+//!   queue wait; its lateness is the resumed schedule's deficit, 0 for a
+//!   request that was not overdue when the replay began.
+//!
+//! Under real-time pacing a claimant holds a turn while it waits, so at
+//! most one idle worker sleeps or yields at a time; a drain takes no lock.
 //!
 //! Two hardening properties matter for replaying against research FaaS
 //! stacks that crash and stall mid-experiment:
@@ -17,9 +33,9 @@
 //!   caught per-invocation and recorded as an application error; the worker
 //!   survives, the replay keeps draining, and the run still reports
 //!   complete metrics instead of deadlocking or aborting;
-//! * **graceful drain** — [`replay_observed`]'s `stop` flag: once set, no
-//!   request is dispatched (paced) or claimed (drained) any more, the
-//!   workers finish every request already dispatched, and the partial
+//! * **graceful stop** — [`replay_observed`]'s `stop` flag: once set, no
+//!   request is claimed any more and a claimant's wait is cut short, the
+//!   workers finish the requests in their hands, and the partial
 //!   [`RunMetrics`] (marked [`aborted`](RunMetrics::aborted)) are still
 //!   merged and returned, so an interrupted experiment reports what
 //!   actually happened.
@@ -32,10 +48,10 @@ use faasrail_telemetry::{
 };
 use faasrail_workloads::WorkloadPool;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How dispatch instants are derived from the trace timestamps.
+/// How due instants are derived from the trace timestamps.
 /// Serializable so a fleet coordinator can ship the pacing mode to its
 /// agents inside a shard assignment.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -44,7 +60,7 @@ pub enum Pacing {
     /// (`compression: 2.0` replays a 2-hour trace in 1 hour).
     RealTime { compression: f64 },
     /// Drain: the whole trace is due, and dispatched, at the replay's
-    /// start, and the workers serve it in trace order as fast as they
+    /// start, and the workers claim it in trace order as fast as they
     /// finish — for tests, throughput runs and simulators with their own
     /// clock. A span's `target_us` and `dispatched_us` are 0, so its queue
     /// wait is its pickup instant and its response time runs from the
@@ -79,16 +95,14 @@ impl Default for ReplayConfig {
 /// a couple of branch tests per invocation.
 pub struct ReplayInstruments<'a> {
     /// Destination for the run's event stream: one `run_start`, one
-    /// `invocation` span per dispatched request, one `run_end`.
+    /// `invocation` span per issued request, one `run_end`.
     pub sink: &'a dyn EventSink,
-    /// Optional live-metrics recorder. Worker `i` records into shard `i`;
-    /// under [`Pacing::RealTime`] the pacer counts what it issues into
-    /// shard `workers`, and in a drain each worker counts its own claims.
-    /// A recorder with `workers + 1` shards is thus contention-free under
-    /// every pacing (any shard count still works — indices wrap).
+    /// Optional live-metrics recorder. Worker `i` counts what it issues
+    /// and serves into shard `i`, so a recorder with `workers` shards is
+    /// contention-free (any shard count still works — indices wrap).
     pub recorder: Option<&'a Recorder>,
-    /// Optional live pacing-lag gauge, updated by the pacer on every
-    /// real-time dispatch. Lets a supervisor (e.g. a fleet agent's
+    /// Optional live pacing-lag gauge, updated by the claiming worker on
+    /// every real-time dispatch. Lets a supervisor (e.g. a fleet agent's
     /// progress pump) report how far behind schedule the replay runs
     /// without touching the lateness histogram mid-run.
     pub pace: Option<&'a PaceGauge>,
@@ -102,9 +116,9 @@ impl Default for ReplayInstruments<'_> {
     }
 }
 
-/// Lock-free view of the pacer's current schedule lag. The pacer stores
-/// each dispatch's lateness; readers poll the most recent and the maximum
-/// seen. Microsecond granularity, saturating at `u64::MAX`.
+/// Lock-free view of a real-time replay's current schedule lag. Each
+/// dispatch stores its lateness; readers poll the most recent and the
+/// maximum seen. Microsecond granularity, saturating at `u64::MAX`.
 #[derive(Debug, Default)]
 pub struct PaceGauge {
     lag_us: std::sync::atomic::AtomicU64,
@@ -147,16 +161,19 @@ pub struct ResumeSpec {
     pub elapsed_ms: u64,
 }
 
-/// One request in a worker's hands.
+/// One claimed request in a worker's hands.
 struct Job {
     req: InvocationRequest,
-    /// The instant the request was dispatched; its response time runs
-    /// from here.
-    dispatched: Instant,
-    /// Dispatch sequence number, for span identity.
+    /// Sequence number (the request's index in the trace), for span
+    /// identity.
     seq: u64,
-    /// Scheduled fire instant, µs from run start.
+    /// Due instant, µs from run start.
     target_us: u64,
+    /// The instant the request counts as dispatched; its response time
+    /// runs from here.
+    dispatched: Instant,
+    /// The instant its worker took it up.
+    picked_up: Instant,
 }
 
 /// Microseconds from `t0` to `t`, clamped at zero.
@@ -164,9 +181,11 @@ fn us_since(t0: Instant, t: Instant) -> u64 {
     t.saturating_duration_since(t0).as_micros() as u64
 }
 
-/// Hybrid wait: coarse sleep until ~1 ms before the target, then spin.
-/// Sleeps are chunked so a raised stop flag is noticed within ~20 ms even
-/// mid-gap; returns `false` if the wait was interrupted by the flag.
+/// Hybrid wait: coarse sleep until ~1 ms before the target, then yield.
+/// The waiting worker may share its CPU with one serving the previous
+/// request, so the last stretch hands the CPU over instead of spinning on
+/// it. Sleeps are chunked so a raised stop flag is noticed within ~20 ms
+/// even mid-gap; returns `false` if the wait was interrupted by the flag.
 fn wait_until(target: Instant, stop: &AtomicBool) -> bool {
     loop {
         if stop.load(Ordering::Relaxed) {
@@ -182,24 +201,23 @@ fn wait_until(target: Instant, stop: &AtomicBool) -> bool {
                 (remaining - Duration::from_millis(1)).min(Duration::from_millis(20)),
             );
         } else {
-            std::hint::spin_loop();
+            std::thread::yield_now();
         }
     }
 }
 
-/// The one worker body, whichever source its jobs come from: serve each
-/// job `next` yields (with the instant the worker picked it up), record it
-/// into the worker's own metrics and recorder shard, and emit its span.
-/// `next` gets the worker's metrics to count what it claims.
+/// The worker body: serve each job `next` yields, record it into the
+/// worker's own metrics and recorder shard, and emit its span. `next` gets
+/// the worker's metrics to count what it claims.
 fn serve<B: Backend>(
     backend: &B,
     inst: &ReplayInstruments<'_>,
     start: Instant,
     worker: usize,
-    mut next: impl FnMut(&mut RunMetrics) -> Option<(Job, Instant)>,
+    mut next: impl FnMut(&mut RunMetrics) -> Option<Job>,
 ) -> RunMetrics {
     let mut local = RunMetrics::new();
-    while let Some((job, picked_up)) = next(&mut local) {
+    while let Some(job) = next(&mut local) {
         let result = invoke_isolated(backend, &job.req);
         let completed = Instant::now();
         let response_s = completed.duration_since(job.dispatched).as_secs_f64();
@@ -222,7 +240,7 @@ fn serve<B: Backend>(
             scheduled_ms: job.req.scheduled_at_ms,
             target_us: job.target_us,
             dispatched_us: us_since(start, job.dispatched),
-            picked_up_us: us_since(start, picked_up),
+            picked_up_us: us_since(start, job.picked_up),
             completed_us: us_since(start, completed),
             service_ms: result.service_ms,
             outcome: result.outcome(),
@@ -266,15 +284,15 @@ pub fn replay<B: Backend>(
 /// [`replay`], with a graceful-stop flag and observability.
 ///
 /// When `stop` becomes `true` (set from any thread — a signal handler, a
-/// watchdog, an experiment controller), no new request is dispatched: the
-/// pacer stops, and in a drain every worker checks the flag before it
-/// claims its next request. The workers finish what was dispatched, and
-/// the metrics for that prefix are merged and returned with
-/// [`RunMetrics::aborted`] set exactly when requests were left undispatched.
-/// Nothing already dispatched is lost: `completed + errors == issued`
-/// holds for the partial run too.
+/// watchdog, an experiment controller), no new request is issued: every
+/// worker checks the flag before it claims its next request, and a worker
+/// waiting for its claimed request to come due gives it up unissued. The
+/// workers finish the requests in their hands, and the metrics for that
+/// prefix are merged and returned with [`RunMetrics::aborted`] set exactly
+/// when requests were left unissued. Nothing issued is lost:
+/// `completed + errors == issued` holds for the partial run too.
 ///
-/// Every dispatched request is emitted as an [`InvocationSpan`] (bracketed
+/// Every issued request is emitted as an [`InvocationSpan`] (bracketed
 /// by `run_start`/`run_end` events) through `inst.sink`, and, when present,
 /// `inst.recorder` is updated on the hot path for live windowed metrics.
 /// The returned [`RunMetrics`] are identical to an un-instrumented run's.
@@ -291,7 +309,7 @@ pub fn replay_observed<B: Backend>(
 
 /// [`replay_observed`], resuming mid-schedule. With `resume.elapsed_ms ==
 /// 0` this is exactly `replay_observed`. With a positive elapsed time,
-/// requests already due dispatch immediately and record their true
+/// requests already due are dispatched at the start and record their true
 /// lateness (their schedule deficit divided by the compression factor),
 /// and requests still in the future fire at original schedule positions —
 /// the pacing a fleet survivor needs to take over a dead agent's
@@ -341,113 +359,72 @@ pub fn replay_resumed<B: Backend>(
         trace_id: faasrail_telemetry::derive_trace_id(run_id, seq),
     };
 
-    // A drain's cursor: the next request no worker has claimed.
-    let next = AtomicUsize::new(0);
+    // The cursor (the next request no worker has claimed) and, under
+    // real-time pacing, the turn a claimant holds while it waits for its
+    // request to come due, so at most one idle worker sleeps or yields.
+    // Raising `stop` closes the trace (the cursor jumps to its end), so
+    // the run is cut short exactly when something was left to claim.
+    let (next, n, turn) = (AtomicUsize::new(0), trace.requests.len(), Mutex::new(()));
     let start = Instant::now();
-    let metrics = std::thread::scope(|scope| {
-        let mut run = RunMetrics::new();
-        let workers = 0..cfg.workers;
-        let handles: Vec<_> = match cfg.pacing {
+    let claim = |worker: usize, local: &mut RunMetrics| {
+        let _turn = matches!(cfg.pacing, Pacing::RealTime { .. })
+            .then(|| turn.lock().unwrap_or_else(PoisonError::into_inner));
+        if stop.load(Ordering::Relaxed) {
+            local.aborted |= next.swap(n, Ordering::Relaxed) < n;
+            return None;
+        }
+        let seq = next.fetch_add(1, Ordering::Relaxed);
+        let r = trace.requests.get(seq)?;
+        let mut picked_up = Instant::now();
+        let (target_us, dispatched) = match cfg.pacing {
+            Pacing::Unpaced => (0, start),
+            Pacing::ClosedLoop => (us_since(start, picked_up), picked_up),
             Pacing::RealTime { compression } => {
-                // The workers own the receiver between them, so once the
-                // last is gone `send` fails.
-                let (tx, rx) = mpsc::channel::<Job>();
-                let rx = Arc::new(Mutex::new(rx));
-                let handles = workers
-                    .map(|worker| {
-                        let rx = Arc::clone(&rx);
-                        scope.spawn(move || {
-                            serve(backend, inst, start, worker, |_| {
-                                let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                                Some((job.ok()?, Instant::now()))
-                            })
-                        })
-                    })
-                    .collect();
-                drop(rx);
-                // Pacer (this thread). `issued` counts only what was
-                // actually dispatched, so a stopped run reports its true
-                // prefix.
-                let pacer_shard = cfg.workers;
-                for (seq, r) in trace.requests.iter().enumerate() {
-                    if stop.load(Ordering::Relaxed) {
-                        run.aborted = true;
-                        break;
-                    }
-                    // Offset from the replay's own start on the *resumed*
-                    // timeline; non-positive means the request was already
-                    // due when this replay began.
-                    let offset_ms = r.at_ms as i64 - resume.elapsed_ms as i64;
-                    let (target_us, lateness_s) = if offset_ms > 0 {
-                        let target = start
-                            + Duration::from_secs_f64(offset_ms as f64 / 1_000.0 / compression);
-                        if !wait_until(target, stop) {
-                            run.aborted = true;
-                            break;
-                        }
-                        let lateness = Instant::now().saturating_duration_since(target);
-                        (us_since(start, target), lateness.as_secs_f64())
-                    } else {
-                        // Catch-up dispatch: fire now, but account the full
-                        // deficit as lateness — never silently re-time the
-                        // schedule.
-                        let deficit_s = (-offset_ms) as f64 / 1_000.0 / compression;
-                        (0, deficit_s + start.elapsed().as_secs_f64())
-                    };
-                    run.lateness.record(lateness_s);
-                    if let Some(gauge) = inst.pace {
-                        gauge.record_secs(lateness_s);
-                    }
-                    run.record_issued(r.at_ms);
-                    if let Some(recorder) = inst.recorder {
-                        recorder.record_issued(pacer_shard);
-                    }
-                    let seq = seq as u64;
-                    let job =
-                        Job { req: request(seq, r), seq, target_us, dispatched: Instant::now() };
-                    if tx.send(job).is_err() {
-                        break; // all workers died; stop issuing
-                    }
-                }
-                drop(tx); // workers drain everything dispatched, then exit
-                handles
-            }
-            Pacing::Unpaced | Pacing::ClosedLoop => {
-                // No pacer: each worker claims the next unclaimed request.
-                // Raising `stop` closes the trace (the cursor jumps to its
-                // end), so the run is cut short exactly when something was
-                // left to claim.
-                let closed_loop = cfg.pacing == Pacing::ClosedLoop;
-                let (next, n, request) = (&next, trace.requests.len(), &request);
-                let claim = move |worker: usize, local: &mut RunMetrics| {
-                    if stop.load(Ordering::Relaxed) {
-                        local.aborted |= next.swap(n, Ordering::Relaxed) < n;
+                // Offset from the replay's own start on the *resumed*
+                // timeline; non-positive means the request was already due
+                // when this replay began.
+                let offset_s = (r.at_ms as f64 - resume.elapsed_ms as f64) / 1_000.0 / compression;
+                let due = start + Duration::from_secs_f64(offset_s.max(0.0));
+                let (dispatched, lateness_s) = if picked_up < due {
+                    if !wait_until(due, stop) {
+                        local.aborted = true; // claimed, but never issued
                         return None;
                     }
-                    let seq = next.fetch_add(1, Ordering::Relaxed);
-                    let r = trace.requests.get(seq)?;
-                    local.record_issued(r.at_ms);
-                    if let Some(recorder) = inst.recorder {
-                        recorder.record_issued(worker);
-                    }
-                    let req = request(seq as u64, r);
-                    let picked_up = Instant::now();
-                    let (target_us, dispatched) = if closed_loop {
-                        (us_since(start, picked_up), picked_up)
-                    } else {
-                        (0, start)
-                    };
-                    Some((Job { req, seq: seq as u64, target_us, dispatched }, picked_up))
+                    picked_up = Instant::now();
+                    (picked_up, picked_up.duration_since(due).as_secs_f64())
+                } else {
+                    // Claimed late: it was dispatched when due and has
+                    // waited for a worker since. Its lateness is the
+                    // resumed schedule's deficit — never silently re-time
+                    // the schedule.
+                    (due, (-offset_s).max(0.0))
                 };
-                workers
-                    .map(|worker| {
-                        scope.spawn(move || {
-                            serve(backend, inst, start, worker, |local| claim(worker, local))
-                        })
-                    })
-                    .collect()
+                local.lateness.record(lateness_s);
+                if let Some(gauge) = inst.pace {
+                    gauge.record_secs(lateness_s);
+                }
+                (us_since(start, due), dispatched)
             }
         };
+        local.record_issued(r.at_ms);
+        if let Some(recorder) = inst.recorder {
+            recorder.record_issued(worker);
+        }
+        let seq = seq as u64;
+        let req = request(seq, r);
+        Some(Job { req, seq, target_us, dispatched, picked_up })
+    };
+    // The calling thread only spawns the workers and joins them.
+    let metrics = std::thread::scope(|scope| {
+        let claim = &claim;
+        let handles: Vec<_> = (0..cfg.workers)
+            .map(|worker| {
+                scope.spawn(move || {
+                    serve(backend, inst, start, worker, |local| claim(worker, local))
+                })
+            })
+            .collect();
+        let mut run = RunMetrics::new();
         for h in handles {
             run.merge(&h.join().expect("worker panicked"));
         }
@@ -703,6 +680,66 @@ mod tests {
         assert!(m.aborted, "requests were left unclaimed");
         assert!(m.issued < 5_000, "issued {}", m.issued);
         assert_eq!(m.completed + m.errors, m.issued, "every claimed request is served");
+    }
+
+    #[test]
+    fn a_stopped_realtime_replay_does_not_serve_its_overdue_backlog() {
+        // One 5 ms worker against a request every 0.5 ms: by the stop at
+        // 50 ms about 90 requests are overdue, 450 ms of work. A replay
+        // that served them would return after ~500 ms; one that stops
+        // claiming returns after the request in hand.
+        let trace = tiny_trace(2_000, 1);
+        let pool = vanilla_pool();
+        let stop = AtomicBool::new(false);
+        let start = Instant::now();
+        let m = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                stop.store(true, Ordering::SeqCst);
+            });
+            replay_observed(
+                &trace,
+                &pool,
+                &Sleeps(Duration::from_millis(5)),
+                &ReplayConfig { pacing: Pacing::RealTime { compression: 2.0 }, workers: 1 },
+                &stop,
+                &ReplayInstruments::default(),
+            )
+        });
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(250), "served the backlog: {elapsed:?}");
+        assert!(m.aborted, "requests were left unclaimed");
+        assert!(m.issued < 50, "issued {}", m.issued);
+        assert_eq!(m.completed + m.errors, m.issued, "every issued request is served");
+    }
+
+    #[test]
+    fn a_claim_whose_wait_the_stop_cuts_short_is_not_issued() {
+        // The last request is due 10 s in; the one worker claims it (the
+        // cursor is then at the end of the trace) and waits until the stop.
+        let requests = [0, 10_000]
+            .map(|at_ms| Request { at_ms, workload: WorkloadId(7), function_index: 0 })
+            .to_vec();
+        let trace = RequestTrace { duration_minutes: 1, requests };
+        let pool = vanilla_pool();
+        let stop = AtomicBool::new(false);
+        let m = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                stop.store(true, Ordering::SeqCst);
+            });
+            replay_observed(
+                &trace,
+                &pool,
+                &NoopBackend,
+                &ReplayConfig { pacing: Pacing::RealTime { compression: 1.0 }, workers: 1 },
+                &stop,
+                &ReplayInstruments::default(),
+            )
+        });
+        assert_eq!(m.issued, 1, "the request whose wait was cut is not issued");
+        assert_eq!(m.completed, 1);
+        assert!(m.aborted, "a claimed request was left unissued");
     }
 
     #[test]
@@ -1045,7 +1082,7 @@ mod tests {
         use faasrail_telemetry::Recorder;
         let trace = tiny_trace(120, 0);
         let pool = vanilla_pool();
-        let recorder = Recorder::new(3); // workers + 1
+        let recorder = Recorder::new(2); // one shard per worker
         let inst = ReplayInstruments {
             sink: &faasrail_telemetry::NullSink,
             recorder: Some(&recorder),
@@ -1090,7 +1127,7 @@ mod tests {
             let (n, err_mod) = (rng.range(1..150), rng.range(2..6));
             let trace = tiny_trace(n, 0);
             let pool = vanilla_pool();
-            let recorder = Arc::new(Recorder::new(3));
+            let recorder = Arc::new(Recorder::new(2));
             let sampling = Arc::new(AtomicBool::new(true));
 
             let sampler = {

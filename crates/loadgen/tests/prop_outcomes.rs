@@ -1,8 +1,9 @@
 //! Property: the per-class outcome breakdown in [`RunMetrics`] is a true
 //! partition of the error count, and completions plus errors account for
 //! every recorded outcome — under any randomized sequence of outcomes,
-//! including merged (multi-worker) metrics. And a drain, however many
-//! workers claim from the trace, counts what a serial walk of it counts.
+//! including merged (multi-worker) metrics. And a replay, under any pacing
+//! and however many workers claim from the trace, counts what a serial walk
+//! of it counts.
 
 use faasrail_core::{Request, RequestTrace};
 use faasrail_loadgen::{
@@ -98,12 +99,12 @@ impl Backend for Keyed {
 }
 
 #[test]
-fn a_drain_counts_what_a_serial_walk_counts() {
+fn a_replay_counts_what_a_serial_walk_counts() {
     let pool = WorkloadPool::vanilla(&CostModel::default_calibration());
-    cases("a_drain_counts_what_a_serial_walk_counts", 64, |rng| {
+    cases("a_replay_counts_what_a_serial_walk_counts", 64, |rng| {
         let n = rng.range(0..500usize);
         let workers = rng.range(1..6usize);
-        let pacing = if rng.below(2) == 0 { Pacing::Unpaced } else { Pacing::ClosedLoop };
+        let pacing = rng.below(3);
         let mut at_ms = 0;
         let requests: Vec<Request> = (0..n)
             .map(|_| {
@@ -113,6 +114,12 @@ fn a_drain_counts_what_a_serial_walk_counts() {
             })
             .collect();
         let trace = RequestTrace { duration_minutes: (at_ms / 60_000) as usize + 1, requests };
+        let pacing = match pacing {
+            0 => Pacing::Unpaced,
+            1 => Pacing::ClosedLoop,
+            // Compressed to span 20 ms at most.
+            _ => Pacing::RealTime { compression: (at_ms as f64 / 20.0).max(1.0) },
+        };
 
         let mut want = RunMetrics::new();
         for r in &trace.requests {
@@ -163,6 +170,15 @@ fn a_drain_counts_what_a_serial_walk_counts() {
                     && s.picked_up_us <= s.completed_us,
                 "{pacing:?}: {s:?}"
             );
+            // A real-time request either waited for its due instant (it
+            // was dispatched when picked up) or was claimed late (it was
+            // dispatched when due).
+            if let Pacing::RealTime { .. } = pacing {
+                assert!(
+                    s.dispatched_us == s.picked_up_us || s.dispatched_us == s.target_us,
+                    "{s:?}"
+                );
+            }
         }
     });
 }

@@ -22,8 +22,8 @@ use crate::span::OutcomeClass;
 
 /// Live metrics recorder shared between replay workers and a monitor.
 ///
-/// Create with one shard per writer thread (workers plus the pacer) and
-/// pass each writer its own shard index; indices are reduced modulo the
+/// Create with one shard per writer thread (a replay's workers) and pass
+/// each writer its own shard index; indices are reduced modulo the
 /// shard count, so an out-of-range index degrades to sharing rather than
 /// panicking.
 pub struct Recorder {
@@ -48,7 +48,7 @@ impl Recorder {
         lock(&self.shards[shard % self.shards.len()].0)
     }
 
-    /// Count one dispatched request (pacer side).
+    /// Count one issued request (by the worker that claimed it).
     pub fn record_issued(&self, shard: usize) {
         self.shard(shard).issued += 1;
     }

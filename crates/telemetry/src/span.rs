@@ -136,10 +136,12 @@ pub struct InvocationSpan {
     /// under real-time pacing, 0 in an unpaced drain (the whole trace is
     /// due at the start), and `picked_up_us` in a closed loop.
     pub target_us: u64,
-    /// Actual dispatch instant, µs from run start: when the pacer sent the
-    /// request under real-time pacing, 0 in an unpaced drain, and
-    /// `picked_up_us` in a closed loop (a request is dispatched when a
-    /// worker claims it).
+    /// Actual dispatch instant, µs from run start. Under real-time pacing
+    /// a request claimed before it was due is dispatched when its worker's
+    /// wait ends (`picked_up_us`), and one claimed late was dispatched when
+    /// due (`target_us`; it has waited for a worker since). 0 in an unpaced
+    /// drain, and `picked_up_us` in a closed loop (a request is dispatched
+    /// when a worker claims it).
     pub dispatched_us: u64,
     /// Worker pickup instant (end of queue wait), µs from run start.
     pub picked_up_us: u64,

@@ -1,9 +1,11 @@
 //! Real-time replay: actually *running* the workload kernels under
 //! FaaSRail pacing against a warm-cache FaaS node.
 //!
-//! Everything here is wall-clock real: the open-loop pacer dispatches at
-//! the scheduled instants (time-compressed 10×), the backend executes the
-//! mapped kernel (AES, matmul, JSON, …) and charges real cold-start delays.
+//! Everything here is wall-clock real: each worker claims the next request
+//! from the trace and sends it at its scheduled instant (time-compressed
+//! 4×), or at once if it is already due, so the schedule stays open-loop;
+//! the backend executes the mapped kernel (AES, matmul, JSON, …) and
+//! charges real cold-start delays.
 //!
 //! Run with: `cargo run --release --example replay_realtime`
 

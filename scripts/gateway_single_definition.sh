@@ -49,9 +49,10 @@
 # schedule), a half-open breaker sends one probe (no probe count, no
 # fast-fail counter), the connect budget and pool capacity are constants, and
 # outcomes are counted by the replayer alone.
-# And a replay has one worker body: whether the pacer hands a worker its jobs
-# (real time) or the worker claims them straight from the trace (a drain), one
-# function invokes, records and emits each request.
+# And a replay has one job source and one worker body: under every pacing a
+# worker claims the next request from the trace through one cursor (no pacer
+# thread, no channel, no spinning wait), and one function invokes, records and
+# emits each request.
 # And a simulation runs its engine on the caller's thread: the one thread the
 # core and the simulator start is the arrival hand-off's helper
 # (crates/faas-sim/src/handoff.rs), one scope per simulation.
@@ -282,6 +283,9 @@ fi
 
 once crates/loadgen/src/replay.rs 'one worker body (serve) for paced and drained jobs' \
     'invoke_isolated(' 'TelemetryEvent::Invocation('
+refuse crates/loadgen/src/replay.rs 'nowhere: every pacing claims from the trace' \
+    'mpsc' '.recv(' 'spin_loop'
+once crates/loadgen/src/replay.rs 'one job source for every pacing' 'fetch_add('
 
 weigh() { # label, files...
     local label=$1 total=0 file lines

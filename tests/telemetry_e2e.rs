@@ -106,7 +106,7 @@ fn gateway_metrics_and_recorder_snapshot_are_valid_prometheus() {
     // Drive real traffic through the gateway with a live recorder attached.
     let client = HttpBackend::connect(&handle.addr().to_string(), HttpBackendConfig::default())
         .expect("resolve gateway address");
-    let recorder = Recorder::new(3);
+    let recorder = Recorder::new(2);
     let inst = ReplayInstruments { recorder: Some(&recorder), ..Default::default() };
     let m = replay_observed(
         &reqs,
