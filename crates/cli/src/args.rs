@@ -292,6 +292,15 @@ impl Args {
         Ok(x)
     }
 
+    /// A finite number at or above zero.
+    pub fn non_negative(&self, name: &str) -> Result<f64, String> {
+        let x: f64 = self.num(name)?;
+        if !(x.is_finite() && x >= 0.0) {
+            return Err(self.invalid(name, x, "must be finite and at least 0"));
+        }
+        Ok(x)
+    }
+
     /// A number in `[0, 1]`.
     pub fn fraction(&self, name: &str) -> Result<f64, String> {
         let x: f64 = self.num(name)?;
@@ -457,9 +466,13 @@ mod tests {
         assert!(a.count::<u32>("shards").unwrap_err().contains("at least 1"));
         assert!(a.positive("max-rps").unwrap_err().contains("above 0"));
         assert!(a.fraction("max-rps").unwrap_err().contains("[0, 1]"));
+        assert!(a.non_negative("max-rps").unwrap_err().contains("at least 0"));
         let a = shrink(&["--max-rps", "NaN"]).unwrap();
         assert!(a.positive("max-rps").is_err() && a.fraction("max-rps").is_err());
+        assert!(a.non_negative("max-rps").is_err());
+        assert!(shrink(&["--max-rps", "inf"]).unwrap().non_negative("max-rps").is_err());
         assert_eq!(shrink(&["--max-rps", "1"]).unwrap().fraction("max-rps").unwrap(), 1.0);
+        assert_eq!(shrink(&["--max-rps", "0"]).unwrap().non_negative("max-rps").unwrap(), 0.0);
     }
 
     #[test]

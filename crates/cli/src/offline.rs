@@ -80,17 +80,23 @@ fn build_pool(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-pub fn parse_iat(s: &str) -> Result<IatModel, String> {
+/// The arrival model `--iat` names; a name or cv it refuses exits 2.
+pub fn iat_model(args: &Args) -> Result<IatModel, String> {
+    let s = args.str("iat");
+    parse_iat(s).map_err(|why| args.invalid("iat", s, why))
+}
+
+/// An arrival model by name, or why the name is refused.
+pub fn parse_iat(s: &str) -> Result<IatModel, &'static str> {
     match s {
         "poisson" => Ok(IatModel::Poisson),
         "uniform" => Ok(IatModel::UniformRandom),
         "equidistant" => Ok(IatModel::Equidistant),
         "bursty" => Ok(IatModel::Bursty { cv: 1.5 }),
         _ => match s.strip_prefix("bursty:").map(str::parse::<f64>) {
-            Some(Ok(cv)) if cv >= 0.0 => Ok(IatModel::Bursty { cv }),
-            _ => {
-                Err(format!("unknown iat model {s} (try poisson|uniform|equidistant|bursty[:cv])"))
-            }
+            Some(Ok(cv)) if cv.is_finite() && cv >= 0.0 => Ok(IatModel::Bursty { cv }),
+            Some(_) => Err("a bursty cv must be finite and at least 0"),
+            None => Err("unknown model (try poisson|uniform|equidistant|bursty[:cv])"),
         },
     }
 }
@@ -120,9 +126,11 @@ pub fn shrink_config(args: &Args) -> Result<ShrinkRayConfig, String> {
         cfg.time_scaling = TimeScaling::MinuteRange { start, experiment_minutes: minutes };
     }
     cfg.target_peak_per_minute().map_err(|e| args.invalid("max-rps", max_rps, e))?;
-    cfg.iat = parse_iat(args.str("iat"))?;
-    cfg.mapping =
-        MappingConfig { error_threshold: args.num("threshold")?, ..MappingConfig::default() };
+    cfg.iat = iat_model(args)?;
+    cfg.mapping = MappingConfig {
+        error_threshold: args.non_negative("threshold")?,
+        ..MappingConfig::default()
+    };
     Ok(cfg)
 }
 
@@ -189,7 +197,7 @@ pub fn smirnov_config(args: &Args) -> Result<SmirnovConfig, String> {
     Ok(SmirnovConfig {
         num_invocations: args.count("invocations")?,
         rate_rps: args.positive("rate")?,
-        iat: parse_iat(args.str("iat"))?,
+        iat: iat_model(args)?,
         mapping: MappingConfig::default(),
         seed: args.num("seed")?,
     })

@@ -2,7 +2,7 @@
 //! lab's (policy x balancer x seed) grid over a full-fidelity day.
 
 use crate::args::{Args, Command, Opt};
-use crate::offline::{parse_iat, IAT, POOL, REQUESTS_FILE};
+use crate::offline::{iat_model, IAT, POOL, REQUESTS_FILE};
 use crate::{read_json, read_requests, write_file};
 use faasrail_core::MappingConfig;
 use faasrail_faas_sim::{simulate, BalancerKind, ClusterConfig, NodeFault, PolicyKind, SimOptions};
@@ -172,7 +172,7 @@ fn cmd_lab_run(args: &Args) -> Result<(), String> {
     };
     let seed = args.num("seed")?;
     let trace_cfg = scale.azure(seed);
-    let iat = parse_iat(args.str("iat"))?;
+    let iat = iat_model(args)?;
     let cfg = lab_config(args, scale)?;
     let pool = match args.get("pool") {
         Some(path) => read_json(path)?,

@@ -198,8 +198,12 @@ fn parse_iat_all_forms() {
     assert_eq!(parse_iat("equidistant").unwrap(), IatModel::Equidistant);
     assert_eq!(parse_iat("bursty").unwrap(), IatModel::Bursty { cv: 1.5 });
     assert_eq!(parse_iat("bursty:2.5").unwrap(), IatModel::Bursty { cv: 2.5 });
-    assert!(parse_iat("bursty:-1").is_err());
-    assert!(parse_iat("gaussian").is_err());
+    assert_eq!(parse_iat("bursty:0").unwrap(), IatModel::Bursty { cv: 0.0 });
+    for cv in ["-1", "inf", "-inf", "nan", "1e309", "x"] {
+        let refused = parse_iat(&format!("bursty:{cv}")).unwrap_err();
+        assert!(refused.contains("finite"), "bursty:{cv}: {refused}");
+    }
+    assert!(parse_iat("gaussian").unwrap_err().contains("unknown model"));
 }
 
 #[test]

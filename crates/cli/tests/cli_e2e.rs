@@ -310,6 +310,19 @@ fn usage_errors_are_refused_before_any_work() {
     for rate in ["inf", "nan", "1e18"] {
         refused(&format!("shrink-rate-{rate}"), &[&shrink, &["--max-rps", rate]], "--max-rps");
     }
+    // A mapping threshold the mapping asserts on (negative, NaN) or that is
+    // no finite number, and an arrival model no later command could read.
+    for threshold in ["-0.5", "nan", "inf"] {
+        let case = format!("shrink-threshold-{threshold}");
+        let code = refused(&case, &[&shrink, &["--threshold", threshold]], "--threshold");
+        assert_eq!(code, Some(2), "{case}");
+    }
+    for iat in ["bursty:inf", "bursty:nan", "bursty:-1", "gaussian"] {
+        for (command, args) in [("shrink", &shrink), ("smirnov", &smirnov)] {
+            let case = format!("{command}-iat-{iat}");
+            assert_eq!(refused(&case, &[args, &["--iat", iat]], "--iat"), Some(2), "{case}");
+        }
+    }
     // Cluster, fault and jitter numbers the simulator's validate rules
     // refuse, before a request is read or a trace is built.
     let simulate = [&["simulate"][..], &FILES].concat();

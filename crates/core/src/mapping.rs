@@ -185,6 +185,12 @@ pub(crate) struct MappingInput {
     pub total: u64,
 }
 
+/// Refuses an error threshold both modes cannot map with: a negative one,
+/// or NaN, which `RuntimeIndex::band` would silently read as "no band".
+pub(crate) fn check_threshold(error_threshold: f64) {
+    assert!(error_threshold >= 0.0, "error threshold {error_threshold} is negative or NaN");
+}
+
 /// Map every aggregated Function to one pool Workload.
 pub fn map_functions(
     agg: &Aggregation,
@@ -206,7 +212,7 @@ pub(crate) fn map_each(
     pool: &WorkloadPool,
     cfg: &MappingConfig,
 ) -> FunctionMapping {
-    assert!(cfg.error_threshold >= 0.0, "negative error threshold");
+    check_threshold(cfg.error_threshold);
     assert!(!pool.is_empty(), "empty workload pool");
     let functions: Vec<MappingInput> = functions.into_iter().collect();
 

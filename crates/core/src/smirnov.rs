@@ -17,13 +17,13 @@
 //! The mode maps every request on its own, so the per-request path bounds
 //! how large a run it can generate. The draw is [`WeightedEcdf::inverse`],
 //! whose guide table starts the search next to the answer (O(1) expected
-//! steps, no binary search); the band cache's key is rounded by
-//! `round_to_u64`, with no libm call; and the band's candidate is
-//! `mapping::first_min`, a scan over packed integer keys with no branch per
-//! candidate. Besides the scan, what is left is the cache's SipHash probe,
-//! the exponential gap's logarithm and the output's ordering.
+//! steps, no binary search); the band's key is rounded by `round_to_u64`,
+//! with no libm call, and indexes a [`BandTable`] directly, with no hash;
+//! and the band's candidate is `mapping::first_min`, a scan over packed
+//! integer keys with no branch per candidate. Besides the scan, what is left
+//! is the exponential gap's logarithm and the output's ordering.
 
-use crate::mapping::{first_min, BalanceStrategy, MappingConfig};
+use crate::mapping::{check_threshold, first_min, BalanceStrategy, MappingConfig};
 use crate::request::{Request, RequestTrace};
 use crate::spec::IatModel;
 use faasrail_stats::ecdf::WeightedEcdf;
@@ -33,7 +33,7 @@ use faasrail_trace::summarize::invocations_duration_wecdf;
 use faasrail_trace::Trace;
 use faasrail_workloads::{WorkloadKind, WorkloadPool};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Configuration for a Smirnov-mode run.
@@ -82,6 +82,7 @@ pub fn generate(
 ) -> (RequestTrace, SmirnovReport) {
     assert!(cfg.num_invocations > 0, "need at least one invocation");
     assert!(cfg.rate_rps > 0.0, "rate must be positive");
+    check_threshold(cfg.mapping.error_threshold);
     let wecdf: WeightedEcdf = invocations_duration_wecdf(trace);
     let mut rng = seeded_rng(cfg.seed);
 
@@ -89,12 +90,10 @@ pub fn generate(
     let by_ms = index.entries();
     let nearest_only = cfg.mapping.balance == BalanceStrategy::NearestOnly;
 
-    // Candidate-band cache keyed by the sampled duration quantized to 0.1 ms
-    // (the ECDF's inverse is piecewise linear, so nearby samples share
+    // Candidate bands keyed by the sampled duration quantized to 0.1 ms (the
+    // ECDF's inverse is piecewise linear, so nearby samples share
     // candidates). A band is that of the first duration seen in its bucket.
-    // It keeps std's randomly keyed SipHash: its keys come from a user's
-    // trace, which must not be able to drive it into collisions (DESIGN.md).
-    let mut range_cache: HashMap<u64, Range<usize>> = HashMap::new();
+    let mut bands = BandTable::new(round_to_u64(wecdf.support().1 * 10.0), by_ms.len());
     // Requests per Workload *variant* (see `mapping::BalanceStrategy`), by
     // position in `by_ms`.
     let mut variant_load = vec![0u64; by_ms.len()];
@@ -122,11 +121,8 @@ pub fn generate(
         let d = wecdf.inverse(rng.next_f64());
 
         // 2. Map the sampled duration to a Workload.
-        let key = round_to_u64(d * 10.0);
-        let band = range_cache
-            .entry(key)
-            .or_insert_with(|| index.band(d, cfg.mapping.error_threshold))
-            .clone();
+        let band =
+            bands.band(round_to_u64(d * 10.0), || index.band(d, cfg.mapping.error_threshold));
         let pos = if band.is_empty() {
             index.nearest(d)
         } else {
@@ -189,6 +185,62 @@ pub fn generate(
         mean_rel_error: err_sum / cfg.num_invocations as f64,
     };
     (RequestTrace { duration_minutes, requests }, report)
+}
+
+/// Slots in one [`BandTable`] page.
+const PAGE: usize = 1 << 10;
+/// Most pages a [`BandTable`] indexes: keys from `PAGE × MAX_PAGES`
+/// (6 710 886.4 ms, about 1.9 h) up go to its ordered overflow map.
+const MAX_PAGES: u64 = 1 << 16;
+/// Most pages a [`BandTable`] allocates, 32 MiB of them: a key on a page it
+/// may no longer allocate goes to the overflow map too.
+const PAGE_BUDGET: usize = 1 << 12;
+
+/// The first-seen candidate band of each 0.1 ms duration key, found without
+/// a hash a trace could flood: a key the top level covers indexes a page of
+/// [`PAGE`] packed slots, allocated on first touch; any other key goes to an
+/// ordered map. Its memory bound and overflow rule are in DESIGN.md §4.
+struct BandTable {
+    pages: Vec<Option<Box<[u64; PAGE]>>>,
+    /// Pages it may still allocate. It only falls, so a key that once went
+    /// to the overflow map always does.
+    spare: usize,
+    overflow: BTreeMap<u64, Range<usize>>,
+}
+
+impl BandTable {
+    /// A table whose top level covers the keys up to `top_key + 1` (an
+    /// interpolated draw may round one past the support's top key), capped
+    /// at [`MAX_PAGES`], for a band over `entries` positions.
+    fn new(top_key: u64, entries: usize) -> Self {
+        assert!(entries < u32::MAX as usize, "pool too large for packed bands");
+        let pages = (top_key.saturating_add(1) / PAGE as u64 + 1).min(MAX_PAGES) as usize;
+        BandTable {
+            pages: (0..pages).map(|_| None).collect(),
+            spare: PAGE_BUDGET,
+            overflow: BTreeMap::new(),
+        }
+    }
+
+    /// The band filed under `key`, filing `band()` first if there is none.
+    fn band(&mut self, key: u64, band: impl FnOnce() -> Range<usize>) -> Range<usize> {
+        let page = match usize::try_from(key / PAGE as u64).ok().and_then(|p| self.pages.get_mut(p))
+        {
+            Some(Some(page)) => page,
+            Some(unallocated) if self.spare > 0 => {
+                self.spare -= 1;
+                unallocated.insert(Box::new([0; PAGE]))
+            }
+            _ => return self.overflow.entry(key).or_insert_with(band).clone(),
+        };
+        let slot = &mut page[key as usize % PAGE];
+        if *slot == 0 {
+            // `end + 1` keeps a filed slot, even `0..0`, off the empty 0.
+            let band = band();
+            *slot = (band.start as u64) << 32 | (band.end as u64 + 1);
+        }
+        (*slot >> 32) as usize..(*slot as u32 - 1) as usize
+    }
 }
 
 /// `x.round() as u64` without `round`, which the baseline x86-64 target
@@ -257,6 +309,49 @@ mod tests {
                 assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
             }
         });
+    }
+
+    #[test]
+    fn a_band_table_files_each_keys_first_band_wherever_the_key_lands() {
+        let cap = PAGE as u64 * MAX_PAGES;
+        let edges = |top: u64| {
+            let near = |k: u64| (0..3).map(move |i| k.saturating_add(i).saturating_sub(1));
+            [0, 1_023, 1_024, 1_025, top, top + 1, top + 2, cap - 1, cap, cap + 1, u64::MAX]
+                .into_iter()
+                .flat_map(near)
+                .collect::<Vec<u64>>()
+        };
+        let tops = [0, 1_022, 1_023, 1_024, 2_047, 2_048, cap - 2, cap - 1, cap, 1 << 40];
+        // With no spare page left after the first, every later page's keys
+        // go to the overflow map.
+        for (top, spare) in tops.into_iter().flat_map(|top| [(top, PAGE_BUDGET), (top, 1)]) {
+            let mut table = BandTable::new(top, 100);
+            table.spare = spare;
+            let mut first_seen = BTreeMap::new();
+            let keys = edges(top).into_iter().chain(edges(top).into_iter().rev());
+            for (i, key) in keys.enumerate() {
+                // Bands that differ by request, empty ones included.
+                let band = i % 50..i % 50 + i % 3;
+                let want = first_seen.entry(key).or_insert(band.clone()).clone();
+                assert_eq!(table.band(key, || band), want, "top {top}, key {key}");
+            }
+            assert!(table.pages.len() as u64 <= MAX_PAGES, "top {top}");
+            assert!(table.pages.len() as u64 * PAGE as u64 > top.min(cap - 1), "top {top}");
+            let allocated = table.pages.iter().filter(|p| p.is_some()).count();
+            assert_eq!(allocated + table.spare, spare, "top {top}");
+        }
+    }
+
+    #[test]
+    fn a_negative_or_nan_threshold_is_refused() {
+        let trace = gen_huawei(&HuaweiTraceConfig::small(3));
+        let pool = WorkloadPool::build_modelled(&CostModel::default_calibration());
+        for threshold in [-0.5, f64::NAN] {
+            let mut cfg = small_cfg(1);
+            cfg.mapping.error_threshold = threshold;
+            let run = std::panic::catch_unwind(|| generate(&trace, &pool, &cfg));
+            assert!(run.is_err(), "threshold {threshold}");
+        }
     }
 
     fn small_cfg(seed: u64) -> SmirnovConfig {

@@ -109,6 +109,11 @@ impl ExperimentSpec {
         if self.target_max_rps <= 0.0 {
             return Err("non-positive target rate".into());
         }
+        if let IatModel::Bursty { cv } = self.iat {
+            if !(cv.is_finite() && cv >= 0.0) {
+                return Err(format!("bursty cv {cv} is not finite and at least 0"));
+            }
+        }
         for e in &self.entries {
             if e.per_minute.len() != self.duration_minutes {
                 return Err(format!(
@@ -230,6 +235,17 @@ mod tests {
         let mut s = demo_spec();
         s.entries[0].per_minute = vec![0, 0, 0];
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_a_bursty_cv_that_is_not_finite_or_is_negative() {
+        let mut s = demo_spec();
+        for cv in [f64::INFINITY, f64::NAN, -0.5] {
+            s.iat = IatModel::Bursty { cv };
+            assert!(s.validate().is_err(), "cv {cv}");
+        }
+        s.iat = IatModel::Bursty { cv: 0.0 };
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

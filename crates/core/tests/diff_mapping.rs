@@ -2,7 +2,9 @@
 //! replaced: `oracle` holds the `BTreeMap`-keyed selection loops of
 //! `map_functions` and `smirnov::generate`, and the per-request `evaluate`,
 //! as they stood before the pool's `RuntimeIndex` existed. Every output must
-//! stay bit-identical, over arbitrary pools and both trace profiles.
+//! stay bit-identical, over arbitrary pools and both trace profiles. The
+//! Smirnov oracle keeps each 0.1 ms key's first-seen band in a `HashMap`,
+//! the cache `smirnov::BandTable` replaced.
 
 use faasrail_core::mapping::{map_functions, BalanceStrategy, MappingConfig};
 use faasrail_core::smirnov::{self, SmirnovConfig};
@@ -10,7 +12,7 @@ use faasrail_core::{aggregate, evaluate, DurationResolution, IatModel, RequestTr
 use faasrail_stats::rng::{cases, Rng};
 use faasrail_trace::azure::{self, AzureTraceConfig};
 use faasrail_trace::huawei::{self, HuaweiTraceConfig};
-use faasrail_trace::Trace;
+use faasrail_trace::{MinuteSeries, Trace};
 use faasrail_workloads::{Workload, WorkloadId, WorkloadInput, WorkloadKind, WorkloadPool};
 
 /// The replaced implementations, verbatim.
@@ -473,6 +475,101 @@ fn smirnov_generate_matches_the_replaced_loop() {
         }
     });
     assert!(mixed_ties.iter().all(|&n| n > 1_000), "{mixed_ties:?}");
+}
+
+/// A trace whose invocation-weighted support is exactly `durations`, each
+/// point carrying `weight` invocations in minute 0.
+fn with_support(durations: &[f64], weight: u32) -> Trace {
+    let mut trace = huawei::generate(&HuaweiTraceConfig {
+        num_functions: durations.len(),
+        daily_invocations: 1_000,
+        num_days: 1,
+        ..HuaweiTraceConfig::paper_scale(7)
+    });
+    assert_eq!(trace.functions.len(), durations.len());
+    for (f, &d) in trace.functions.iter_mut().zip(durations) {
+        f.avg_duration_ms = d;
+        f.minutes = MinuteSeries::new(vec![(0, weight)]);
+    }
+    trace
+}
+
+/// Runtimes every 0.013 ms where the band edges of the keys 1 023 – 1 025
+/// fall at a 10 % and a 50 % threshold (d × 0.9, d × 1.1, d × 0.5, d × 1.5
+/// for d in 102.25 – 102.55 ms), so a band moves within one 0.1 ms key: a
+/// band filed under the wrong key, or not the first one seen, changes
+/// requests.
+fn dense_pool() -> WorkloadPool {
+    let edges = [(92.0, 92.32), (112.45, 112.83), (51.1, 51.3), (153.35, 153.85)];
+    let runtimes = edges.into_iter().flat_map(|(lo, hi)| {
+        (0..).map(move |i| lo + 0.013 * i as f64).take_while(move |&ms| ms <= hi)
+    });
+    WorkloadPool::from_workloads(
+        runtimes
+            .enumerate()
+            .map(|(i, mean_ms)| {
+                let kind = WorkloadKind::ALL[i % WorkloadKind::ALL.len()];
+                Workload {
+                    id: WorkloadId(0),
+                    input: WorkloadInput::vanilla(kind),
+                    mean_ms,
+                    memory_mb: 128.0,
+                }
+            })
+            .collect(),
+    )
+}
+
+/// `smirnov::generate` files each 0.1 ms key's band in a table indexed by
+/// the key; the oracle's `HashMap` keeps the first band seen per key. The
+/// hand-built supports put keys at 0, at the first page's last slot and
+/// the second's first (1 023, 1 024, 1 025), at the top key, and past the
+/// table's cap (10⁷ ms, and 1e300 ms, whose key saturates).
+#[test]
+fn smirnov_band_table_matches_the_first_seen_cache() {
+    let supports: [&[f64]; 6] = [
+        &[0.01, 102.3, 102.4, 102.5],
+        &[0.04, 102.3, 102.34],
+        &[102.35, 102.45, 204.75],
+        &[0.01, 102.4, 1e7],
+        &[0.01, 102.5, 1e7, 1e300],
+        &[6_710_886.3, 6_710_886.45, 1e7],
+    ];
+    let dense = dense_pool();
+    cases("smirnov_band_table_matches_the_first_seen_cache", 16, |rng| {
+        let (pool, seed) = (arb_pool(rng), rng.range(0..1_000));
+        let mapping = MappingConfig {
+            error_threshold: [0.0, 0.1, 0.5][rng.range(0..3usize)],
+            balance: [
+                BalanceStrategy::ByInvocations,
+                BalanceStrategy::ByFunctionCount,
+                BalanceStrategy::NearestOnly,
+            ][rng.range(0..3usize)],
+            memory_weight: 0.0,
+        };
+        let cfg = SmirnovConfig {
+            num_invocations: 2_000,
+            rate_rps: 100.0,
+            iat: IatModel::Poisson,
+            mapping,
+            seed,
+        };
+        for trace in traces(seed) {
+            smirnov_matches_oracle(&trace, &pool, &cfg);
+        }
+        for support in supports {
+            let trace = with_support(support, rng.range(1..50u32));
+            for pool in [&pool, &dense] {
+                smirnov_matches_oracle(&trace, pool, &cfg);
+            }
+        }
+        // Keys spread over 58 594 pages: the 5 000-odd requests drawn above
+        // the first point touch more pages than the table may allocate, and
+        // the keys of the pages it could not allocate go to its overflow map.
+        let spread = with_support(&[0.01, 6_000_000.0], 1);
+        let cfg = SmirnovConfig { num_invocations: 10_000, ..cfg };
+        smirnov_matches_oracle(&spread, &pool, &cfg);
+    });
 }
 
 #[test]

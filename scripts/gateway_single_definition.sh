@@ -58,8 +58,9 @@
 # (crates/faas-sim/src/handoff.rs), one scope per simulation.
 # And Smirnov mode maps each request through one definition per step: a band's
 # candidate is picked by mapping::first_min alone (no scan of its own in
-# smirnov.rs), and a CDF is searched by WeightedEcdf::inverse alone (no
-# partition_point over `cum` outside crates/stats/src/ecdf.rs).
+# smirnov.rs), a CDF is searched by WeightedEcdf::inverse alone (no
+# partition_point over `cum` outside crates/stats/src/ecdf.rs), and a band is
+# found by its key in smirnov.rs's BandTable (no HashMap probe there).
 # Then print what each file weighs (lines above its inline test module), and
 # each crate and the workspace.
 set -euo pipefail
@@ -249,6 +250,7 @@ only_in 'RequestTrace::duration_wecdf, which builds it from counts' '.map(|d| (d
 once crates/stats/src/timeseries.rs 'one load-shape MAE (load_shape_mae)' 'abs()).sum::<f64>()'
 once crates/core/src/evaluate.rs 'one mapped-workload ECDF (mapped_wecdf)' 'expect("mapped")'
 refuse crates/core/src/smirnov.rs 'crates/core/src/mapping.rs (first_min)' '.reduce(' 'min_by'
+refuse crates/core/src/smirnov.rs 'nowhere: a band is found by its key in BandTable' 'HashMap'
 across 1 'one band selection rule (mapping::first_min)' 'fn first_min' crates/core/src/*.rs
 only_in crates/stats/src/ecdf.rs 'cum.partition_point('
 only_in crates/stats/src/ecdf.rs 'cumulative().partition_point('
