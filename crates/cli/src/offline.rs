@@ -94,8 +94,8 @@ pub fn parse_iat(s: &str) -> Result<IatModel, &'static str> {
         "equidistant" => Ok(IatModel::Equidistant),
         "bursty" => Ok(IatModel::Bursty { cv: 1.5 }),
         _ => match s.strip_prefix("bursty:").map(str::parse::<f64>) {
-            Some(Ok(cv)) if cv.is_finite() && cv >= 0.0 => Ok(IatModel::Bursty { cv }),
-            Some(_) => Err("a bursty cv must be finite and at least 0"),
+            Some(Ok(cv)) if IatModel::bursty_cv_ok(cv) => Ok(IatModel::Bursty { cv }),
+            Some(_) => Err(IatModel::BURSTY_CV_BOUND),
             None => Err("unknown model (try poisson|uniform|equidistant|bursty[:cv])"),
         },
     }

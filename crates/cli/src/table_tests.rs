@@ -199,7 +199,11 @@ fn parse_iat_all_forms() {
     assert_eq!(parse_iat("bursty").unwrap(), IatModel::Bursty { cv: 1.5 });
     assert_eq!(parse_iat("bursty:2.5").unwrap(), IatModel::Bursty { cv: 2.5 });
     assert_eq!(parse_iat("bursty:0").unwrap(), IatModel::Bursty { cv: 0.0 });
-    for cv in ["-1", "inf", "-inf", "nan", "1e309", "x"] {
+    assert_eq!(parse_iat("bursty:1e150").unwrap(), IatModel::Bursty { cv: 1e150 });
+    assert_eq!(parse_iat("bursty:1e-150").unwrap(), IatModel::Bursty { cv: 1e-150 });
+    // `cv²` overflows past 1e154 and underflows below 1e-154: the Gamma
+    // modulator would panic on either.
+    for cv in ["-1", "inf", "-inf", "nan", "1e309", "x", "1e200", "1e-200", "2e150", "5e-324"] {
         let refused = parse_iat(&format!("bursty:{cv}")).unwrap_err();
         assert!(refused.contains("finite"), "bursty:{cv}: {refused}");
     }

@@ -317,7 +317,9 @@ fn usage_errors_are_refused_before_any_work() {
         let code = refused(&case, &[&shrink, &["--threshold", threshold]], "--threshold");
         assert_eq!(code, Some(2), "{case}");
     }
-    for iat in ["bursty:inf", "bursty:nan", "bursty:-1", "gaussian"] {
+    for iat in
+        ["bursty:inf", "bursty:nan", "bursty:-1", "bursty:1e200", "bursty:1e-200", "gaussian"]
+    {
         for (command, args) in [("shrink", &shrink), ("smirnov", &smirnov)] {
             let case = format!("{command}-iat-{iat}");
             assert_eq!(refused(&case, &[args, &["--iat", iat]], "--iat"), Some(2), "{case}");

@@ -35,6 +35,22 @@ pub enum IatModel {
     },
 }
 
+impl IatModel {
+    /// What [`Self::bursty_cv_ok`] accepts, in words.
+    pub const BURSTY_CV_BOUND: &'static str =
+        "a bursty cv must be finite, and 0 or from 1e-150 to 1e150";
+
+    /// Whether `cv` can modulate [`IatModel::Bursty`]: 0 (plain Poisson) or
+    /// a value from 1e-150 to 1e150, where the Gamma multiplier's shape
+    /// `1/cv²` and scale `cv²` are both finite and non-zero. Outside that
+    /// range `cv²` overflows or underflows and the Gamma constructor
+    /// panics. The one bound the CLI and [`ExperimentSpec::validate`]
+    /// apply.
+    pub fn bursty_cv_ok(cv: f64) -> bool {
+        cv == 0.0 || (1e-150..=1e150).contains(&cv)
+    }
+}
+
 /// One Function's line in the spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpecEntry {
@@ -110,8 +126,8 @@ impl ExperimentSpec {
             return Err("non-positive target rate".into());
         }
         if let IatModel::Bursty { cv } = self.iat {
-            if !(cv.is_finite() && cv >= 0.0) {
-                return Err(format!("bursty cv {cv} is not finite and at least 0"));
+            if !IatModel::bursty_cv_ok(cv) {
+                return Err(format!("bursty cv {cv:?}: {}", IatModel::BURSTY_CV_BOUND));
             }
         }
         for e in &self.entries {
@@ -240,12 +256,22 @@ mod tests {
     #[test]
     fn rejects_a_bursty_cv_that_is_not_finite_or_is_negative() {
         let mut s = demo_spec();
-        for cv in [f64::INFINITY, f64::NAN, -0.5] {
+        // Past either end of the bound `cv²` overflows or underflows, and
+        // the Gamma modulator would panic on the spec.
+        for cv in [f64::INFINITY, f64::NAN, -0.5, 1e200, 1.1e150, 1e-200, 0.9e-150, 5e-324] {
             s.iat = IatModel::Bursty { cv };
             assert!(s.validate().is_err(), "cv {cv}");
         }
-        s.iat = IatModel::Bursty { cv: 0.0 };
-        assert_eq!(s.validate(), Ok(()));
+        for cv in [0.0, -0.0, 1e-150, 0.5, 1.5, 1e150] {
+            s.iat = IatModel::Bursty { cv };
+            assert_eq!(s.validate(), Ok(()), "cv {cv}");
+            if cv > 0.0 {
+                let gamma = faasrail_stats::sampler::Gamma::unit_mean_with_cv(cv);
+                let mut rng = faasrail_stats::rng::seeded_rng(7);
+                let draw = faasrail_stats::sampler::Sampler::sample(&gamma, &mut rng);
+                assert!(draw.is_finite() && draw >= 0.0, "cv {cv}: {draw}");
+            }
+        }
     }
 
     #[test]

@@ -383,52 +383,43 @@ pub enum TelemetryEvent {
 impl TelemetryEvent {
     /// Append this event's JSONL line, `\n` included, to `out`: the bytes
     /// of `serde_json::to_vec(self)` and a newline. The derive above pins
-    /// the format and is the only decoder; an error-free invocation span,
-    /// every line of a clean replay, is written here field by field in the
-    /// derive's key order, and every other event through the derive. On an
-    /// error, `out` is left as it was.
+    /// the format and is the only decoder. A per-request line, an
+    /// error-free invocation span (every line of a clean replay) or a server
+    /// span, is encoded field by field into a fixed stack buffer, and every
+    /// other event goes through the derive. On an error, `out` is left as
+    /// it was.
     pub fn write_jsonl(&self, out: &mut Vec<u8>) -> serde_json::Result<()> {
-        let span = match self {
-            TelemetryEvent::Invocation(span) if span.error.is_none() => span,
-            other => {
-                let start = out.len();
-                return match serde_json::to_writer(&mut *out, other) {
-                    Ok(()) => {
-                        out.push(b'\n');
-                        Ok(())
-                    }
-                    Err(e) => {
-                        out.truncate(start);
-                        Err(e)
-                    }
-                };
-            }
-        };
-        out.extend_from_slice(b"{\"event\":\"invocation\",\"trace_id\":");
-        write_u64(out, span.trace_id);
-        for (key, value) in [
-            (&b",\"seq\":"[..], span.seq),
-            (b",\"workload\":", span.workload),
-            (b",\"function_index\":", span.function_index as u64),
-            (b",\"scheduled_ms\":", span.scheduled_ms),
-            (b",\"target_us\":", span.target_us),
-            (b",\"dispatched_us\":", span.dispatched_us),
-            (b",\"picked_up_us\":", span.picked_up_us),
-            (b",\"completed_us\":", span.completed_us),
-        ] {
-            out.extend_from_slice(key);
-            write_u64(out, value);
+        let mut line = [0; LINE_MAX];
+        if let Some(len) = self.encode_line(&mut line) {
+            out.extend_from_slice(&line[..len]);
+            return Ok(());
         }
-        out.extend_from_slice(b",\"service_ms\":");
-        write_f64(out, span.service_ms);
-        out.extend_from_slice(b",\"outcome\":\"");
-        out.extend_from_slice(span.outcome.variant().as_bytes());
-        out.extend_from_slice(if span.cold_start {
-            b"\",\"cold_start\":true}\n"
-        } else {
-            b"\",\"cold_start\":false}\n"
-        });
-        Ok(())
+        let start = out.len();
+        match serde_json::to_writer(&mut *out, self) {
+            Ok(()) => {
+                out.push(b'\n');
+                Ok(())
+            }
+            Err(e) => {
+                out.truncate(start);
+                Err(e)
+            }
+        }
+    }
+
+    /// Encode a per-request line, an error-free invocation span (every
+    /// line of a clean replay) or a server span, into the front of `buf`
+    /// and return its length: the derive's bytes and a newline, written
+    /// field by field in the derive's key order. `None` for every other
+    /// event, which only the derive writes.
+    pub(crate) fn encode_line(&self, buf: &mut [u8; LINE_MAX]) -> Option<usize> {
+        let mut line = Line { buf, len: 0 };
+        match self {
+            TelemetryEvent::Invocation(span) if span.error.is_none() => line.invocation(span),
+            TelemetryEvent::ServerSpan(span) => line.server_span(span),
+            _ => return None,
+        }
+        Some(line.len)
     }
 }
 
@@ -445,28 +436,141 @@ impl OutcomeClass {
     }
 }
 
-/// `value` in decimal.
-fn write_u64(out: &mut Vec<u8>, mut value: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
+/// Room for the longest line [`TelemetryEvent::encode_line`] writes: a
+/// server span's keys, nine 20-digit integers, a 24-byte `{:?}` float and
+/// its longest fault and outcome come to 425 bytes.
+pub(crate) const LINE_MAX: usize = 512;
+
+/// `"00"` to `"99"`, back to back: two decimal digits per lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-    out.extend_from_slice(&buf[at..]);
+    pairs
+};
+
+/// One per-request line, encoded into a fixed buffer: keys are constant
+/// copies and integers are written two digits at a time straight into
+/// place, so the line costs no allocation and no formatter.
+struct Line<'a> {
+    buf: &'a mut [u8; LINE_MAX],
+    len: usize,
 }
 
-/// What the derive writes for an `f64`: `{:?}` when finite, else `null`.
-fn write_f64(out: &mut Vec<u8>, value: f64) {
-    use std::io::Write as _;
-    if value.is_finite() {
-        write!(out, "{value:?}").expect("writing to a Vec cannot fail");
-    } else {
-        out.extend_from_slice(b"null");
+impl Line<'_> {
+    fn invocation(&mut self, s: &InvocationSpan) {
+        self.fields([
+            (&b"{\"event\":\"invocation\",\"trace_id\":"[..], s.trace_id),
+            (b",\"seq\":", s.seq),
+            (b",\"workload\":", s.workload),
+            (b",\"function_index\":", s.function_index as u64),
+            (b",\"scheduled_ms\":", s.scheduled_ms),
+            (b",\"target_us\":", s.target_us),
+            (b",\"dispatched_us\":", s.dispatched_us),
+            (b",\"picked_up_us\":", s.picked_up_us),
+            (b",\"completed_us\":", s.completed_us),
+        ]);
+        self.tail(s.service_ms, s.outcome, None, s.cold_start);
+    }
+
+    fn server_span(&mut self, s: &ServerSpan) {
+        self.fields([
+            (&b"{\"event\":\"server_span\",\"trace_id\":"[..], s.trace_id),
+            (b",\"seq\":", s.seq),
+            (b",\"worker\":", s.worker),
+            (b",\"accepted_us\":", s.accepted_us),
+            (b",\"dequeued_us\":", s.dequeued_us),
+            (b",\"handler_start_us\":", s.handler_start_us),
+            (b",\"handler_end_us\":", s.handler_end_us),
+            (b",\"flushed_us\":", s.flushed_us),
+            (b",\"queue_depth\":", s.queue_depth),
+        ]);
+        self.tail(s.service_ms, s.outcome, s.fault, s.cold_start);
+    }
+
+    /// Each key, then its value. Inlined, so every key is a constant copy.
+    #[inline(always)]
+    fn fields(&mut self, fields: [(&[u8], u64); 9]) {
+        for (key, value) in fields {
+            self.put(key);
+            self.put_u64(value);
+        }
+    }
+
+    /// The keys both spans end with, in the derive's order.
+    fn tail(
+        &mut self,
+        service_ms: f64,
+        outcome: OutcomeClass,
+        fault: Option<ServerFault>,
+        cold_start: bool,
+    ) {
+        self.put(b",\"service_ms\":");
+        self.put_f64(service_ms);
+        self.put(b",\"outcome\":\"");
+        self.put(outcome.variant().as_bytes());
+        if let Some(fault) = fault {
+            // `rename_all = "snake_case"`: the derive's names are `name()`.
+            self.put(b"\",\"fault\":\"");
+            self.put(fault.name().as_bytes());
+        }
+        self.put(if cold_start {
+            b"\",\"cold_start\":true}\n"
+        } else {
+            b"\",\"cold_start\":false}\n"
+        });
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// `value` in decimal.
+    fn put_u64(&mut self, mut value: u64) {
+        let end = self.len + value.checked_ilog10().map_or(1, |l| l as usize + 1);
+        let digits = &mut self.buf[self.len..end];
+        let mut at = digits.len();
+        while value >= 100 {
+            let pair = 2 * (value % 100) as usize;
+            value /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if value >= 10 {
+            let pair = 2 * value as usize;
+            digits[..2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            digits[0] = b'0' + value as u8;
+        }
+        self.len = end;
+    }
+
+    /// What the derive writes for an `f64`: `{:?}` when finite, else
+    /// `null`. `{:?}` of an integral value below 1e16, what the noop and
+    /// warm-cache backends report, is its integer digits and `.0` (a `-`
+    /// first when negative, `-0.0` included); from 1e16 on it takes the
+    /// exponent form, so those and every fraction go to the formatter.
+    fn put_f64(&mut self, value: f64) {
+        let magnitude = value.abs();
+        if magnitude < 1e16 && (magnitude as u64) as f64 == magnitude {
+            if value.is_sign_negative() {
+                self.put(b"-");
+            }
+            self.put_u64(magnitude as u64);
+            self.put(b".0");
+        } else if value.is_finite() {
+            use std::io::Write as _;
+            let mut rest = &mut self.buf[self.len..];
+            write!(rest, "{value:?}").expect("a float's {:?} fits the line");
+            self.len = LINE_MAX - rest.len();
+        } else {
+            self.put(b"null");
+        }
     }
 }
 
@@ -668,17 +772,20 @@ mod tests {
         match rng.below(4) {
             0 => [0, 1, 9, 10, 99, 100, 999_999, u32::MAX as u64, u64::MAX - 1, u64::MAX]
                 [rng.below(10) as usize],
-            1 => 10u64.pow(rng.range(0u32..20)).wrapping_sub(rng.below(2)),
+            // 10^k - 1, 10^k or 10^k + 1.
+            1 => 10u64.pow(rng.range(0u32..20)).wrapping_add(rng.below(3)).wrapping_sub(1),
             2 => rng.below(10_000_000),
             _ => rng.next_u64(),
         }
     }
 
     /// An `f64` that is often one the derive writes unusually: non-finite,
-    /// signed zero, extreme, integral at the edge of exactness, or any bits.
+    /// signed zero, subnormal, extreme, integral at the edge of exactness or
+    /// of the exponent form (1e16), or any bits.
     fn any_f64(rng: &mut impl Rng) -> f64 {
         let two53 = (1u64 << 53) as f64;
-        match rng.below(5) {
+        let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+        match rng.below(7) {
             0 => [
                 0.0,
                 -0.0,
@@ -702,8 +809,11 @@ mod tests {
                 2.5,
             ][rng.below(20) as usize],
             1 => f64::from_bits(rng.next_u64()),
-            2 => rng.below(1 << 20) as f64 * if rng.below(2) == 0 { 1.0 } else { -1.0 },
+            2 => rng.below(1 << 20) as f64 * sign,
             3 => rng.uniform(0.0..5_000.0),
+            // Integral around 1e15 and 1e16, and any integral below 2^54.
+            4 => sign * ([1e15, 1e16][rng.below(2) as usize] + 2.0 * (rng.below(9) as f64 - 4.0)),
+            5 => sign * rng.below(1 << 54) as f64,
             _ => (rng.below(1 << 53) as f64).max(1.0) * 2f64.powi(rng.range(0u32..80) as i32 - 40),
         }
     }
@@ -752,8 +862,13 @@ mod tests {
                 queue_depth: any_u64(rng),
                 service_ms: any_f64(rng),
                 outcome,
-                fault: [None, Some(ServerFault::Drop), Some(ServerFault::Delay)]
-                    [rng.below(3) as usize],
+                fault: [
+                    None,
+                    Some(ServerFault::Drop),
+                    Some(ServerFault::Error),
+                    Some(ServerFault::Stall),
+                    Some(ServerFault::Delay),
+                ][rng.below(5) as usize],
                 cold_start: rng.below(2) == 0,
             }),
             // Invocations are most of a log: two draws in six.
@@ -800,6 +915,146 @@ mod tests {
                 assert_eq!(back, events);
             }
         });
+    }
+
+    /// Both encoded lines against the derive at every edge the fixed-buffer
+    /// encoder has: each digit-count boundary of an integer, `u64::MAX`,
+    /// integral floats on both sides of 1e15 and of the exponent form at
+    /// 1e16, signed zeros, subnormals and non-finite floats, every outcome,
+    /// every fault and both cold-start values.
+    #[test]
+    fn per_request_lines_are_the_derive_at_every_edge() {
+        let mut ints = vec![0, 1, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        for k in 1..20 {
+            ints.extend([10u64.pow(k) - 1, 10u64.pow(k), 10u64.pow(k) + 1]);
+        }
+        let mut floats = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            30.0,
+            0.5,
+            5e-324,
+            -5e-324,
+            2.2e-310,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            (1u64 << 53) as f64,
+            (1u64 << 54) as f64,
+        ];
+        for at in [1e15, 1e16] {
+            for step in -3..=3 {
+                floats.extend([at + 2.0 * step as f64, -(at + 2.0 * step as f64)]);
+            }
+        }
+        floats.extend([1e17, 123e20, 1e300, 9_999_999_999_999_998.0]);
+        let check = |event: TelemetryEvent| {
+            let mut line = Vec::new();
+            event.write_jsonl(&mut line).unwrap();
+            let mut want = serde_json::to_vec(&event).unwrap();
+            want.push(b'\n');
+            assert_eq!(String::from_utf8(line).unwrap(), String::from_utf8(want).unwrap());
+        };
+        let faults = [
+            None,
+            Some(ServerFault::Drop),
+            Some(ServerFault::Error),
+            Some(ServerFault::Stall),
+            Some(ServerFault::Delay),
+        ];
+        for (i, &value) in ints.iter().enumerate() {
+            let service_ms = floats[i % floats.len()];
+            let outcome = OutcomeClass::ALL[i % 5];
+            let cold_start = i % 2 == 0;
+            check(TelemetryEvent::Invocation(InvocationSpan {
+                trace_id: value,
+                seq: value,
+                workload: value,
+                function_index: value as u32,
+                scheduled_ms: value,
+                target_us: value,
+                dispatched_us: value,
+                picked_up_us: value,
+                completed_us: value,
+                service_ms,
+                outcome,
+                cold_start,
+                error: None,
+            }));
+            check(TelemetryEvent::ServerSpan(ServerSpan {
+                trace_id: value,
+                seq: value,
+                worker: value,
+                accepted_us: value,
+                dequeued_us: value,
+                handler_start_us: value,
+                handler_end_us: value,
+                flushed_us: value,
+                queue_depth: value,
+                service_ms,
+                outcome,
+                fault: faults[i % 5],
+                cold_start,
+            }));
+        }
+        for (i, &service_ms) in floats.iter().enumerate() {
+            for outcome in OutcomeClass::ALL {
+                for cold_start in [false, true] {
+                    let mut s = span();
+                    (s.service_ms, s.outcome, s.cold_start) = (service_ms, outcome, cold_start);
+                    check(TelemetryEvent::Invocation(s));
+                    let mut s = server_span();
+                    (s.service_ms, s.outcome, s.cold_start) = (service_ms, outcome, cold_start);
+                    s.fault = faults[i % 5];
+                    check(TelemetryEvent::ServerSpan(s));
+                }
+            }
+        }
+    }
+
+    /// The longest line either encoder can write fits its fixed buffer.
+    #[test]
+    fn the_longest_per_request_line_fits_the_buffer() {
+        let longest_float = -2.2250738585072014e-308;
+        assert_eq!(format!("{longest_float:?}").len(), 24);
+        let server = TelemetryEvent::ServerSpan(ServerSpan {
+            trace_id: u64::MAX,
+            seq: u64::MAX,
+            worker: u64::MAX,
+            accepted_us: u64::MAX,
+            dequeued_us: u64::MAX,
+            handler_start_us: u64::MAX,
+            handler_end_us: u64::MAX,
+            flushed_us: u64::MAX,
+            queue_depth: u64::MAX,
+            service_ms: longest_float,
+            outcome: OutcomeClass::Transport,
+            fault: Some(ServerFault::Error),
+            cold_start: false,
+        });
+        let invocation = TelemetryEvent::Invocation(InvocationSpan {
+            trace_id: u64::MAX,
+            seq: u64::MAX,
+            workload: u64::MAX,
+            function_index: u32::MAX,
+            scheduled_ms: u64::MAX,
+            target_us: u64::MAX,
+            dispatched_us: u64::MAX,
+            picked_up_us: u64::MAX,
+            completed_us: u64::MAX,
+            service_ms: longest_float,
+            outcome: OutcomeClass::Transport,
+            cold_start: false,
+            error: None,
+        });
+        let mut buf = [0; LINE_MAX];
+        assert_eq!(server.encode_line(&mut buf), Some(425));
+        assert_eq!(invocation.encode_line(&mut buf), Some(399));
     }
 
     /// The error-free invocation line, spelt out: the derive's key order,
