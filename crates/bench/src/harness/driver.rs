@@ -28,7 +28,7 @@ use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use faasrail_loadgen::{
-    fixed_rate_trace, replay_observed, ArrivalProcess, Backend, PaceGauge, Pacing, ReplayConfig,
+    fixed_rate_trace, replay_observed, ArrivalProcess, Backend, Pacing, ReplayConfig,
     ReplayInstruments,
 };
 use faasrail_telemetry::{RingSink, RunReport};
@@ -80,10 +80,9 @@ pub fn run_fixed_rate<B: Backend>(
     let n = trace.requests.len();
     // run_start + n invocation spans + run_end must all be retained.
     let sink = RingSink::with_capacity(n + 8);
-    let pace = PaceGauge::new();
     let cfg = ReplayConfig { pacing: Pacing::RealTime { compression: 1.0 }, workers: spec.workers };
     let stop = AtomicBool::new(false);
-    let inst = ReplayInstruments { sink: &sink, recorder: None, pace: Some(&pace) };
+    let inst = ReplayInstruments { sink: &sink, recorder: None, pace: None };
 
     let started = Instant::now();
     let metrics = replay_observed(&trace, pool, backend, &cfg, &stop, &inst);

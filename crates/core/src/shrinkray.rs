@@ -38,9 +38,6 @@ pub struct ShrinkRayConfig {
     pub time_scaling: TimeScaling,
     /// Function→Workload mapping parameters.
     pub mapping: MappingConfig,
-    /// Duration-aggregation resolution; `None` picks the trace's natural
-    /// resolution (1 ms for Azure, 0.1 ms for Huawei).
-    pub resolution: Option<DurationResolution>,
     /// Sub-minute arrival model recorded in the spec.
     pub iat: IatModel,
     /// Minimum fraction of cross-day-stable functions required by the
@@ -63,7 +60,6 @@ impl ShrinkRayConfig {
             max_rps,
             time_scaling: TimeScaling::Thumbnails { experiment_minutes },
             mapping: MappingConfig::default(),
-            resolution: None,
             iat: IatModel::Poisson,
             day_safety_fraction: 0.8,
             max_alternates: 0,
@@ -132,13 +128,12 @@ pub fn shrink(
     let target_peak_per_minute = cfg.target_peak_per_minute()?;
 
     let day = select_day(trace, cfg.day_safety_fraction);
-    let resolution = cfg.resolution.unwrap_or_else(|| DurationResolution::for_trace(trace));
 
     // Row `g` of `cells` is Function `g`'s experiment minutes. The walk bins
     // each trace function's entries straight into its Function's row.
     let minutes = cfg.time_scaling.experiment_minutes();
     let bin_of = cfg.time_scaling.minute_bins();
-    let grouping = Grouping::new(trace, resolution);
+    let grouping = Grouping::new(trace, DurationResolution::for_trace(trace));
     let mut cells = vec![0u64; grouping.len() * minutes];
     let functions = grouping.walk(trace, |g, f| {
         let row = &mut cells[g * minutes..(g + 1) * minutes];

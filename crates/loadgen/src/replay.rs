@@ -14,17 +14,14 @@
 //!   [`Pacing::RealTime`], the offset clamped at 0 for a resumed replay;
 //!   the replay's start under [`Pacing::Unpaced`]; the claim instant under
 //!   [`Pacing::ClosedLoop`];
-//! * **claimed before it is due** — the worker waits (sleeping, then
-//!   yielding its CPU for the last stretch), and the request is dispatched
-//!   and picked up at the wake instant; its lateness is wake − due;
+//! * **claimed before it is due** — the worker sleeps until it is due (no
+//!   lock held, no CPU), and the request is dispatched and picked up at the
+//!   wake instant; its lateness is wake − due;
 //! * **claimed at or after it is due** — it was dispatched at the due
 //!   instant and picked up at the claim, so its response time still runs
 //!   from when it was due and the time it waited for a busy worker is
 //!   queue wait; its lateness is the resumed schedule's deficit, 0 for a
 //!   request that was not overdue when the replay began.
-//!
-//! Under real-time pacing a claimant holds a turn while it waits, so at
-//! most one idle worker sleeps or yields at a time; a drain takes no lock.
 //!
 //! Two hardening properties matter for replaying against research FaaS
 //! stacks that crash and stall mid-experiment:
@@ -48,7 +45,6 @@ use faasrail_telemetry::{
 };
 use faasrail_workloads::WorkloadPool;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How due instants are derived from the trace timestamps.
@@ -181,11 +177,10 @@ fn us_since(t0: Instant, t: Instant) -> u64 {
     t.saturating_duration_since(t0).as_micros() as u64
 }
 
-/// Hybrid wait: coarse sleep until ~1 ms before the target, then yield.
-/// The waiting worker may share its CPU with one serving the previous
-/// request, so the last stretch hands the CPU over instead of spinning on
-/// it. Sleeps are chunked so a raised stop flag is noticed within ~20 ms
-/// even mid-gap; returns `false` if the wait was interrupted by the flag.
+/// Sleep until `target`, at most 20 ms at a time so a raised stop flag is
+/// noticed within 20 ms even mid-gap; returns `false` if the flag cut the
+/// wait short. The waiting worker never holds its CPU, and its timer slack
+/// ([`tighten_timer_slack`]) wakes it at the instant asked for.
 fn wait_until(target: Instant, stop: &AtomicBool) -> bool {
     loop {
         if stop.load(Ordering::Relaxed) {
@@ -195,14 +190,22 @@ fn wait_until(target: Instant, stop: &AtomicBool) -> bool {
         if now >= target {
             return true;
         }
-        let remaining = target - now;
-        if remaining > Duration::from_millis(2) {
-            std::thread::sleep(
-                (remaining - Duration::from_millis(1)).min(Duration::from_millis(20)),
-            );
-        } else {
-            std::thread::yield_now();
+        std::thread::sleep((target - now).min(Duration::from_millis(20)));
+    }
+}
+
+/// Lower the calling thread's timer slack to 1 ns, so its timed sleeps end
+/// when due instead of up to the default 50 µs later (0 would restore the
+/// default). It acts on the calling thread alone; off Linux it does nothing.
+fn tighten_timer_slack() {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::raw::{c_int, c_ulong};
+        extern "C" {
+            fn prctl(option: c_int, ...) -> c_int;
         }
+        // SAFETY: PR_SET_TIMERSLACK (29) reads one integer and sets no memory.
+        unsafe { prctl(29, 1 as c_ulong) };
     }
 }
 
@@ -359,16 +362,12 @@ pub fn replay_resumed<B: Backend>(
         trace_id: faasrail_telemetry::derive_trace_id(run_id, seq),
     };
 
-    // The cursor (the next request no worker has claimed) and, under
-    // real-time pacing, the turn a claimant holds while it waits for its
-    // request to come due, so at most one idle worker sleeps or yields.
-    // Raising `stop` closes the trace (the cursor jumps to its end), so
-    // the run is cut short exactly when something was left to claim.
-    let (next, n, turn) = (AtomicUsize::new(0), trace.requests.len(), Mutex::new(()));
+    // The cursor: the next request no worker has claimed. Raising `stop`
+    // closes the trace (the cursor jumps to its end), so the run is cut
+    // short exactly when something was left to claim.
+    let (next, n) = (AtomicUsize::new(0), trace.requests.len());
     let start = Instant::now();
     let claim = |worker: usize, local: &mut RunMetrics| {
-        let _turn = matches!(cfg.pacing, Pacing::RealTime { .. })
-            .then(|| turn.lock().unwrap_or_else(PoisonError::into_inner));
         if stop.load(Ordering::Relaxed) {
             local.aborted |= next.swap(n, Ordering::Relaxed) < n;
             return None;
@@ -420,6 +419,9 @@ pub fn replay_resumed<B: Backend>(
         let handles: Vec<_> = (0..cfg.workers)
             .map(|worker| {
                 scope.spawn(move || {
+                    if matches!(cfg.pacing, Pacing::RealTime { .. }) {
+                        tighten_timer_slack();
+                    }
                     serve(backend, inst, start, worker, |local| claim(worker, local))
                 })
             })

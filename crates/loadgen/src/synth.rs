@@ -61,9 +61,6 @@ pub fn fixed_rate_trace(
         let at_ms = (at_s * 1e3).min(duration_s * 1e3) as u64;
         requests.push(Request { at_ms, workload, function_index: i as u32 });
     }
-    // A Poisson draw can land slightly out of order after clamping only in
-    // degenerate cases; arrival order is an invariant of RequestTrace.
-    requests.sort_by_key(|r| r.at_ms);
     RequestTrace { duration_minutes: (duration_s / 60.0).ceil().max(1.0) as usize, requests }
 }
 

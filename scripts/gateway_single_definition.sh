@@ -52,7 +52,8 @@
 # And a replay has one job source and one worker body: under every pacing a
 # worker claims the next request from the trace through one cursor (no pacer
 # thread, no channel, no spinning wait), and one function invokes, records and
-# emits each request.
+# emits each request. A real-time wait is one timed sleep: nothing in loadgen
+# yields its CPU, and one line sets a real-time worker's timer slack.
 # And a simulation runs its engine on the caller's thread: the one thread the
 # core and the simulator start is the arrival hand-off's helper
 # (crates/faas-sim/src/handoff.rs), one scope per simulation.
@@ -288,6 +289,11 @@ once crates/loadgen/src/replay.rs 'one worker body (serve) for paced and drained
 refuse crates/loadgen/src/replay.rs 'nowhere: every pacing claims from the trace' \
     'mpsc' '.recv(' 'spin_loop'
 once crates/loadgen/src/replay.rs 'one job source for every pacing' 'fetch_add('
+for file in crates/loadgen/src/*.rs; do
+    refuse "$file" 'nowhere: a real-time wait sleeps (replay.rs::wait_until)' 'yield_now'
+done
+across 1 'one timer-slack setting (replay.rs::tighten_timer_slack)' 'PR_SET_TIMERSLACK' \
+    crates/loadgen/src/*.rs
 
 weigh() { # label, files...
     local label=$1 total=0 file lines
