@@ -241,9 +241,7 @@ fn summed_series(trace: &Trace, members: &[u32], day: &mut [u64; MINUTES_PER_DAY
             first = first.min(lo);
             last = last.max(ends.next_back().unwrap_or(lo));
         }
-        for (m, c) in series.entries() {
-            day[m as usize] += c as u64;
-        }
+        series.entries().for_each(|(m, c)| day[m as usize] += c as u64);
     }
     if first > last {
         return MinuteSeries::default();

@@ -236,13 +236,18 @@ impl ScheduleModel {
             .zip(group_of)
             .enumerate()
             .filter(|(_, (f, _))| !f.minutes.is_empty())
-            .map(|(i, (f, g))| ModelEntry {
-                function_index: i as u32,
-                workload: mapping
-                    .workload_for(g as u32)
-                    .expect("every aggregated function is mapped"),
-                alternates: Vec::new(),
-                minutes: f.minutes.entries().map(|(m, c)| (m as u32, c as u64)).collect(),
+            .map(|(i, (f, g))| {
+                // `for_each` walks the series at its one width.
+                let mut minutes = Vec::with_capacity(f.minutes.active_minutes());
+                f.minutes.entries().for_each(|(m, c)| minutes.push((m as u32, c as u64)));
+                ModelEntry {
+                    function_index: i as u32,
+                    workload: mapping
+                        .workload_for(g as u32)
+                        .expect("every aggregated function is mapped"),
+                    alternates: Vec::new(),
+                    minutes,
+                }
             })
             .collect();
         Ok(ScheduleModel { duration_minutes: faasrail_trace::MINUTES_PER_DAY, iat, entries })

@@ -137,11 +137,11 @@ pub fn shrink(
     let mut cells = vec![0u64; grouping.len() * minutes];
     let functions = grouping.walk(trace, |g, f| {
         let row = &mut cells[g * minutes..(g + 1) * minutes];
-        for (m, c) in f.minutes.entries() {
+        f.minutes.entries().for_each(|(m, c)| {
             if let Some(b) = bin_of[m as usize] {
                 row[b as usize] += c as u64;
             }
-        }
+        });
     });
     let mapping = map_each(functions.iter().map(Group::mapping_input), pool, &cfg.mapping);
 

@@ -43,7 +43,7 @@ use faasrail_core::{Request, RequestTrace};
 use faasrail_telemetry::{
     EventSink, InvocationSpan, NullSink, Recorder, RunInfo, RunSummary, TelemetryEvent,
 };
-use faasrail_workloads::WorkloadPool;
+use faasrail_workloads::{WorkloadKind, WorkloadPool};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -220,6 +220,9 @@ fn serve<B: Backend>(
     mut next: impl FnMut(&mut RunMetrics) -> Option<Job>,
 ) -> RunMetrics {
     let mut local = RunMetrics::new();
+    // Requests per kind, at each kind's index in `ALL_SUITES`; folded into
+    // `per_kind` once, when the worker ends.
+    let mut per_kind = [0u64; WorkloadKind::ALL_SUITES.len()];
     while let Some(job) = next(&mut local) {
         let result = invoke_isolated(backend, &job.req);
         let completed = Instant::now();
@@ -231,7 +234,7 @@ fn serve<B: Backend>(
         }
         local.response.record(response_recorded);
         local.service.record(result.service_ms / 1_000.0);
-        *local.per_kind.entry(job.req.input.kind()).or_insert(0) += 1;
+        per_kind[job.req.input.kind() as usize] += 1;
         if let Some(recorder) = inst.recorder {
             recorder.record_outcome(worker, result.outcome(), response_recorded, result.cold_start);
         }
@@ -250,6 +253,11 @@ fn serve<B: Backend>(
             cold_start: result.cold_start,
             error: result.error,
         }));
+    }
+    for (kind, n) in WorkloadKind::ALL_SUITES.into_iter().zip(per_kind) {
+        if n > 0 {
+            *local.per_kind.entry(kind).or_insert(0) += n;
+        }
     }
     local
 }

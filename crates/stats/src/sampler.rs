@@ -209,17 +209,22 @@ impl Poisson {
         }
     }
 
+    /// Knuth's product method. Its first product is the first uniform
+    /// itself, and `e^{-λ} ≥ 1 − λ`: a uniform below `1 − λ`, shaved by
+    /// `1e-12` so rounding cannot lift the bound past the computed `exp`,
+    /// is 0 without one. The draws and the result are the plain loop's.
     fn sample_knuth<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let mut p = rng.next_f64();
+        if p < (1.0 - self.lambda) * (1.0 - 1e-12) {
+            return 0;
+        }
         let l = (-self.lambda).exp();
         let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
+        while p > l {
             p *= rng.next_f64();
-            if p <= l {
-                return k;
-            }
             k += 1;
         }
+        k
     }
 
     /// Hörmann (1993), "The transformed rejection method for generating
@@ -409,6 +414,36 @@ mod tests {
         let s = Summary::from_slice(&xs);
         assert!((s.mean() - 3.5).abs() < 0.08, "mean = {}", s.mean());
         assert!((s.variance() - 3.5).abs() < 0.2, "var = {}", s.variance());
+    }
+
+    #[test]
+    fn knuth_draws_as_the_plain_product_loop() {
+        fn plain(lambda: f64, rng: &mut impl Rng) -> u64 {
+            let l = (-lambda).exp();
+            let mut k = 0u64;
+            let mut p = 1.0;
+            loop {
+                p *= rng.next_f64();
+                if p <= l {
+                    return k;
+                }
+                k += 1;
+            }
+        }
+        // Rates from the tiniest to the edge of the Knuth path, dense where
+        // the early return can fire (below 1).
+        let tiny = [f64::MIN_POSITIVE, 1e-300, 1e-16, 1e-12, 1e-9, 1e-6, 1e-3];
+        let grid = (1..400).map(|i| i as f64 / 400.0).chain((1..300).map(|i| i as f64 / 10.0));
+        for lambda in tiny.into_iter().chain(grid).chain([1.0 - 1e-12, 29.999]) {
+            let d = Poisson::new(lambda);
+            for seed in [1, 2, 42, 0xDEAD_BEEF] {
+                let (mut a, mut b) = (seeded_rng(seed), seeded_rng(seed));
+                for _ in 0..200 {
+                    assert_eq!(d.sample_knuth(&mut a), plain(lambda, &mut b), "lambda {lambda}");
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "lambda {lambda}: same draws");
+            }
+        }
     }
 
     #[test]

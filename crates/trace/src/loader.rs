@@ -92,12 +92,15 @@ fn parse_invocations<R: BufRead>(reader: R) -> Result<Vec<InvocationRow>, LoadEr
                 format!("expected {} fields, found {}", 4 + MINUTES_PER_DAY, fields.len()),
             ));
         }
+        // A series holds `u32` counts: a wider one is refused here, by line
+        // and minute.
         let mut counts = vec![0u64; MINUTES_PER_DAY];
         for (m, field) in fields[4..4 + MINUTES_PER_DAY].iter().enumerate() {
             counts[m] = field
                 .trim()
-                .parse::<u64>()
-                .map_err(|e| LoadError::Malformed(lineno + 1, format!("minute {}: {e}", m + 1)))?;
+                .parse::<u32>()
+                .map_err(|e| LoadError::Malformed(lineno + 1, format!("minute {}: {e}", m + 1)))?
+                .into();
         }
         rows.push(InvocationRow {
             key: (fields[0].clone(), fields[1].clone(), fields[2].clone()),
@@ -298,11 +301,11 @@ pub fn load_huawei_day<R1: BufRead, R2: BufRead>(
     requests_minute: R1,
     function_delay: R2,
 ) -> Result<Trace, LoadError> {
-    // Parse a transposed matrix: (function names, per-function minute vectors).
-    fn parse_transposed<R: BufRead>(
-        reader: R,
-        what: &str,
-    ) -> Result<(Vec<String>, Vec<Vec<f64>>), LoadError> {
+    /// A transposed matrix: function names, per-function minute vectors,
+    /// and each minute's line number.
+    type Transposed = (Vec<String>, Vec<Vec<f64>>, Vec<usize>);
+
+    fn parse_transposed<R: BufRead>(reader: R, what: &str) -> Result<Transposed, LoadError> {
         let mut lines = reader.lines().enumerate();
         let (_, header) =
             lines.next().ok_or_else(|| LoadError::Malformed(1, format!("{what}: empty file")))?;
@@ -313,6 +316,7 @@ pub fn load_huawei_day<R1: BufRead, R2: BufRead>(
             return Err(LoadError::Malformed(1, format!("{what}: no function columns")));
         }
         let mut columns: Vec<Vec<f64>> = vec![Vec::new(); names.len()];
+        let mut line_of = Vec::new();
         for (lineno, line) in lines {
             let line = line?;
             if line.trim().is_empty() {
@@ -337,12 +341,13 @@ pub fn load_huawei_day<R1: BufRead, R2: BufRead>(
                 })?;
                 columns[col].push(v);
             }
+            line_of.push(lineno + 1);
         }
-        Ok((names, columns))
+        Ok((names, columns, line_of))
     }
 
-    let (req_names, req_cols) = parse_transposed(requests_minute, "requests_minute")?;
-    let (delay_names, delay_cols) = parse_transposed(function_delay, "function_delay")?;
+    let (req_names, req_cols, req_lines) = parse_transposed(requests_minute, "requests_minute")?;
+    let (delay_names, delay_cols, _) = parse_transposed(function_delay, "function_delay")?;
     let delay_by_name: HashMap<&str, &Vec<f64>> =
         delay_names.iter().map(String::as_str).zip(delay_cols.iter()).collect();
 
@@ -365,6 +370,14 @@ pub fn load_huawei_day<R1: BufRead, R2: BufRead>(
             continue; // never invoked with a reported delay
         }
         let dense: Vec<u64> = counts.iter().map(|&c| c.max(0.0) as u64).collect();
+        // A series holds `u32` counts: a wider one is refused here, by line
+        // and minute.
+        if let Some(m) = dense.iter().position(|&c| c > u32::MAX as u64) {
+            return Err(LoadError::Malformed(
+                req_lines[m],
+                format!("requests_minute: {name} minute {m}: count {} exceeds u32", counts[m]),
+            ));
+        }
         let minutes = MinuteSeries::from_dense(&dense);
         let total = minutes.total();
         let id = FunctionId(functions.len() as u32);
@@ -449,6 +462,24 @@ mod tests {
     }
 
     #[test]
+    fn a_count_past_u32_is_malformed_not_a_panic() {
+        let inv = minutes_row("o1", "a1", "f1", 1, u32::MAX as u64 + 1);
+        let inv = format!("{}\n{}\n{inv}\n", minutes_header(), minutes_row("o1", "a1", "f0", 1, 0));
+        let dur = "header\no1,a1,f1,100,1,100,100\n";
+        let err = load_azure_day(inv.as_bytes(), dur.as_bytes(), "h\n".as_bytes());
+        let Err(LoadError::Malformed(3, msg)) = err else { panic!("{err:?}") };
+        assert!(msg.starts_with("minute 1440: "), "{msg}");
+        // The widest count a series holds still loads.
+        let inv = format!(
+            "{}\n{}\n",
+            minutes_header(),
+            minutes_row("o1", "a1", "f1", 1, u32::MAX as u64)
+        );
+        let t = load_azure_day(inv.as_bytes(), dur.as_bytes(), "h\n".as_bytes()).unwrap();
+        assert_eq!(t.functions[0].minutes.get(1439), u32::MAX);
+    }
+
+    #[test]
     fn short_row_errors() {
         let inv = format!("{}\no1,a1,f1,http,1,2,3\n", minutes_header());
         let err = load_azure_day(inv.as_bytes(), "h\n".as_bytes(), "h\n".as_bytes());
@@ -529,6 +560,19 @@ mod tests {
         assert!((t.functions[1].avg_duration_ms - 250.5).abs() < 1e-9);
         assert_eq!(t.functions[1].total_invocations(), 2);
         crate::validate(&t).expect("valid huawei trace");
+    }
+
+    #[test]
+    fn huawei_count_past_u32_is_malformed_not_a_panic() {
+        // Line 4 is minute 1: the blank line 3 holds no minute.
+        let reqs = "time,f0,f1\n0,1,2\n\n1,3,4294967296\n";
+        let delays = "time,f0,f1\n0,1,1\n1,1,1\n";
+        let err = load_huawei_day(reqs.as_bytes(), delays.as_bytes());
+        let Err(LoadError::Malformed(4, msg)) = err else { panic!("{err:?}") };
+        assert_eq!(msg, "requests_minute: f1 minute 1: count 4294967296 exceeds u32");
+        let reqs = "time,f0,f1\n0,1,2\n1,3,4294967295\n";
+        let t = load_huawei_day(reqs.as_bytes(), delays.as_bytes()).unwrap();
+        assert_eq!(t.functions[1].minutes.get(1), u32::MAX);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 
 use serde::json::{Error, Parser};
 use serde::{Deserialize, Serialize};
+use std::iter::{Copied, Zip};
+use std::slice;
 
 /// Minutes in a trace day (both released traces report 1440-minute days).
 pub const MINUTES_PER_DAY: usize = 1440;
@@ -68,16 +70,20 @@ impl TriggerKind {
 /// Entries are `(minute, count)` with `minute < 1440`, strictly ascending,
 /// and `count > 0`. Most trace functions are idle most minutes (90 % of
 /// Azure functions are invoked at most once per minute), so the day is kept
-/// sparse, and its minutes and counts sit side by side without padding: 6
-/// bytes an entry, where a `(u16, u32)` pair takes 8. The `shrink_spec_azure`
-/// benchmark's day (seed 42) has 5 015 081 entries: 28.7 MiB in this layout,
-/// 38.3 MiB as pairs. The paper-scale synthetic Azure day (seed 42) has
-/// 13 282 031: 76.0 MiB, against 101.3.
+/// sparse, and its minutes and counts sit side by side without padding.
+/// Most series are also small everywhere, so each settles its counts' width
+/// once, when it is built: a byte a count while its widest count fits one,
+/// a `u32` a count otherwise. An entry takes 3 bytes in a narrow series and
+/// 6 in a wide one, where a `(u16, u32)` pair takes 8. The
+/// `shrink_spec_azure` benchmark's day (seed 42) has 5 015 081 entries,
+/// 4 867 463 of them in narrow series: 14.8 MiB in this layout, 28.7 MiB
+/// at 6 bytes an entry, 38.3 MiB as pairs.
 ///
-/// Every constructor settles the day's total and whether the entries keep
-/// the invariants above, so [`total`](Self::total) and
-/// [`checked_total`](Self::checked_total) cost nothing. [`new`](Self::new)
-/// and [`from_dense_window`](Self::from_dense_window) refuse what breaks the
+/// Every constructor settles the day's total, the counts' width and whether
+/// the entries keep the invariants above, so [`total`](Self::total) and
+/// [`checked_total`](Self::checked_total) cost nothing and two series with
+/// the same entries are equal. [`new`](Self::new) and
+/// [`from_dense_window`](Self::from_dense_window) refuse what breaks the
 /// invariants; deserialization keeps it and records the verdict, which
 /// [`crate::validate`] reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,11 +91,31 @@ pub struct MinuteSeries {
     /// The entries' minutes.
     minutes: Box<[u16]>,
     /// The entries' counts, one per minute in `minutes`.
-    counts: Box<[u32]>,
+    counts: Counts,
     /// The sum of `counts`.
     total: u64,
     /// Whether the entries keep the type's invariants.
     sound: bool,
+}
+
+/// A series' counts at the one width its widest count needs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Counts {
+    /// Every count is at most 255.
+    Narrow(Box<[u8]>),
+    /// Some count is above 255.
+    Wide(Box<[u32]>),
+}
+
+impl Counts {
+    /// The narrowest width that holds `counts`.
+    fn fit(counts: Vec<u32>) -> Counts {
+        if counts.iter().fold(0, |widest, &c| widest | c) <= u8::MAX as u32 {
+            Counts::Narrow(counts.into_iter().map(|c| c as u8).collect())
+        } else {
+            Counts::Wide(counts.into_boxed_slice())
+        }
+    }
 }
 
 impl MinuteSeries {
@@ -107,7 +133,7 @@ impl MinuteSeries {
         if let Some(&m) = minutes.last() {
             assert!((m as usize) < MINUTES_PER_DAY, "minute {m} out of range");
         }
-        Self::settle(minutes, counts)
+        Self::settle(minutes, Counts::fit(counts))
     }
 
     /// Build from a dense 1440-length (or shorter) count array.
@@ -122,38 +148,42 @@ impl MinuteSeries {
     /// Panics if the window ends past the day or a count exceeds `u32`.
     pub fn from_dense_window(first: usize, counts: &[u64]) -> Self {
         assert!(first + counts.len() <= MINUTES_PER_DAY, "more than {MINUTES_PER_DAY} minutes");
-        let active = counts.iter().filter(|&&c| c > 0).count();
-        // Every cell is written at the cursor and only a non-zero one moves
-        // it: on a half-empty day a `c > 0` branch mispredicts every other
-        // cell. The spare slot is where the cursor rests after the last one.
-        let mut minutes = vec![0u16; active + 1];
-        let mut sparse = vec![0u32; active + 1];
-        let mut at = 0;
-        let mut widest = 0u64;
-        for (minute, &c) in (first..).zip(counts) {
-            minutes[at] = minute as u16;
-            sparse[at] = c as u32;
-            at += (c > 0) as usize;
-            widest |= c;
-        }
+        // One pass counts the active minutes and ORs every count: the OR
+        // fits a width exactly when every count does.
+        let (active, widest) = counts
+            .iter()
+            .fold((0, 0u64), |(active, widest), &c| (active + (c > 0) as usize, widest | c));
         u32::try_from(widest).expect("per-minute count fits u32");
-        minutes.truncate(active);
-        sparse.truncate(active);
-        Self::settle(minutes, sparse)
+        let (minutes, counts) = if widest <= u8::MAX as u64 {
+            let (minutes, sparse) = compact(first, counts, active, |c| c as u8);
+            (minutes, Counts::Narrow(sparse.into_boxed_slice()))
+        } else {
+            let (minutes, sparse) = compact(first, counts, active, |c| c as u32);
+            (minutes, Counts::Wide(sparse.into_boxed_slice()))
+        };
+        Self::settle(minutes, counts)
     }
 
     /// The one place a series is assembled: its total and its verdict are
     /// taken here, from the entries it will hold.
-    fn settle(minutes: Vec<u16>, counts: Vec<u32>) -> Self {
-        debug_assert_eq!(minutes.len(), counts.len());
+    fn settle(minutes: Vec<u16>, counts: Counts) -> Self {
+        /// The counts' sum, and whether every count is positive.
+        fn sum_positive<T: Copy + Into<u64>>(counts: &[T]) -> (u64, bool) {
+            let total = counts.iter().map(|&c| c.into()).sum();
+            (total, counts.iter().fold(true, |ok, &c| ok & (c.into() > 0)))
+        }
         let ascending = minutes.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
         let in_day = minutes.last().is_none_or(|&m| (m as usize) < MINUTES_PER_DAY);
-        let positive = counts.iter().fold(true, |ok, &c| ok & (c > 0));
+        let ((total, positive), len) = match &counts {
+            Counts::Narrow(c) => (sum_positive(c), c.len()),
+            Counts::Wide(c) => (sum_positive(c), c.len()),
+        };
+        debug_assert_eq!(minutes.len(), len);
         MinuteSeries {
-            total: counts.iter().map(|&c| c as u64).sum(),
+            total,
             sound: ascending & in_day & positive,
             minutes: minutes.into_boxed_slice(),
-            counts: counts.into_boxed_slice(),
+            counts,
         }
     }
 
@@ -165,17 +195,26 @@ impl MinuteSeries {
     }
 
     /// The sparse `(minute, count)` entries, in the order they were given.
+    ///
+    /// The iterator branches on the counts' width at every `next`, and once
+    /// per walk in `fold` and `for_each`: a walk over a whole series should
+    /// use those.
     pub fn entries(
         &self,
     ) -> impl ExactSizeIterator<Item = (u16, u32)> + DoubleEndedIterator + Clone + '_ {
-        self.minutes.iter().copied().zip(self.counts.iter().copied())
+        let minutes = self.minutes.iter().copied();
+        match &self.counts {
+            Counts::Narrow(c) => Entries::Narrow(minutes.zip(c.iter().copied())),
+            Counts::Wide(c) => Entries::Wide(minutes.zip(c.iter().copied())),
+        }
     }
 
     /// Count at a specific minute.
     pub fn get(&self, minute: u16) -> u32 {
-        match self.minutes.binary_search(&minute) {
-            Ok(i) => self.counts[i],
-            Err(_) => 0,
+        match (self.minutes.binary_search(&minute), &self.counts) {
+            (Ok(i), Counts::Narrow(c)) => c[i] as u32,
+            (Ok(i), Counts::Wide(c)) => c[i],
+            (Err(_), _) => 0,
         }
     }
 
@@ -192,9 +231,7 @@ impl MinuteSeries {
     /// Expand to a dense 1440-length array.
     pub fn dense(&self) -> Vec<u64> {
         let mut out = vec![0u64; MINUTES_PER_DAY];
-        for (m, c) in self.entries() {
-            out[m as usize] = c as u64;
-        }
+        self.entries().for_each(|(m, c)| out[m as usize] = c as u64);
         out
     }
 
@@ -206,9 +243,91 @@ impl MinuteSeries {
 
 impl Default for MinuteSeries {
     fn default() -> Self {
-        Self::settle(Vec::new(), Vec::new())
+        Self::settle(Vec::new(), Counts::Narrow(Box::default()))
     }
 }
+
+/// The window's `active` non-zero counts at width `T`, with their minutes.
+fn compact<T: Copy + Default>(
+    first: usize,
+    counts: &[u64],
+    active: usize,
+    narrow: impl Fn(u64) -> T,
+) -> (Vec<u16>, Vec<T>) {
+    // Every cell is written at the cursor and only a non-zero one moves
+    // it: on a half-empty day a `c > 0` branch mispredicts every other
+    // cell. The spare slot is where the cursor rests after the last one.
+    let mut minutes = vec![0u16; active + 1];
+    let mut sparse = vec![T::default(); active + 1];
+    let mut at = 0;
+    for (minute, &c) in (first..).zip(counts) {
+        minutes[at] = minute as u16;
+        sparse[at] = narrow(c);
+        at += (c > 0) as usize;
+    }
+    minutes.truncate(active);
+    sparse.truncate(active);
+    (minutes, sparse)
+}
+
+/// Minutes zipped with counts of one width.
+type Zipped<'a, T> = Zip<Copied<slice::Iter<'a, u16>>, Copied<slice::Iter<'a, T>>>;
+
+/// [`MinuteSeries::entries`]: the zip of the width the series holds.
+#[derive(Clone)]
+enum Entries<'a> {
+    Narrow(Zipped<'a, u8>),
+    Wide(Zipped<'a, u32>),
+}
+
+impl Iterator for Entries<'_> {
+    type Item = (u16, u32);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u16, u32)> {
+        match self {
+            Entries::Narrow(it) => it.next().map(|(m, c)| (m, c as u32)),
+            Entries::Wide(it) => it.next(),
+        }
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Entries::Narrow(it) => it.size_hint(),
+            Entries::Wide(it) => it.size_hint(),
+        }
+    }
+
+    /// One branch on the width, then the walk over that width alone.
+    #[inline]
+    fn fold<B, F: FnMut(B, (u16, u32)) -> B>(self, init: B, mut f: F) -> B {
+        match self {
+            Entries::Narrow(it) => it.fold(init, |acc, (m, c)| f(acc, (m, c as u32))),
+            Entries::Wide(it) => it.fold(init, f),
+        }
+    }
+}
+
+impl DoubleEndedIterator for Entries<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<(u16, u32)> {
+        match self {
+            Entries::Narrow(it) => it.next_back().map(|(m, c)| (m, c as u32)),
+            Entries::Wide(it) => it.next_back(),
+        }
+    }
+
+    #[inline]
+    fn rfold<B, F: FnMut(B, (u16, u32)) -> B>(self, init: B, mut f: F) -> B {
+        match self {
+            Entries::Narrow(it) => it.rfold(init, |acc, (m, c)| f(acc, (m, c as u32))),
+            Entries::Wide(it) => it.rfold(init, f),
+        }
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
 
 /// `{"entries":[[minute,count],…]}`, the layout of a struct holding the
 /// entries as a `Vec<(u16, u32)>`.
@@ -247,7 +366,7 @@ impl Deserialize for MinuteSeries {
             read = Some((minutes, counts));
         }
         let (minutes, counts) = read.ok_or_else(|| Error::missing_field("entries"))?;
-        Ok(Self::settle(minutes, counts))
+        Ok(Self::settle(minutes, Counts::fit(counts)))
     }
 }
 
@@ -327,9 +446,7 @@ impl Trace {
     pub fn aggregate_minutes(&self) -> Vec<u64> {
         let mut out = vec![0u64; MINUTES_PER_DAY];
         for f in &self.functions {
-            for (m, c) in f.minutes.entries() {
-                out[m as usize] += c as u64;
-            }
+            f.minutes.entries().for_each(|(m, c)| out[m as usize] += c as u64);
         }
         out
     }
@@ -399,6 +516,23 @@ mod tests {
     #[should_panic(expected = "per-minute count fits u32")]
     fn minute_series_rejects_counts_past_u32() {
         MinuteSeries::from_dense(&[1, u32::MAX as u64 + 1, 0]);
+    }
+
+    #[test]
+    fn a_narrow_series_holds_a_byte_a_count() {
+        let bytes = |s: &MinuteSeries| match &s.counts {
+            Counts::Narrow(c) => std::mem::size_of_val(&**c),
+            Counts::Wide(c) => std::mem::size_of_val(&**c),
+        };
+        let narrow = MinuteSeries::from_dense(&[255, 0, 1, 7]);
+        assert!(matches!(narrow.counts, Counts::Narrow(_)));
+        assert_eq!(bytes(&narrow), 3);
+        assert_eq!(narrow, MinuteSeries::new(vec![(0, 255), (2, 1), (3, 7)]));
+        let wide = MinuteSeries::from_dense(&[255, 0, 256]);
+        assert!(matches!(wide.counts, Counts::Wide(_)));
+        assert_eq!(bytes(&wide), 8);
+        assert_eq!(wide, MinuteSeries::new(vec![(0, 255), (2, 256)]));
+        assert!(matches!(MinuteSeries::default().counts, Counts::Narrow(_)));
     }
 
     #[test]

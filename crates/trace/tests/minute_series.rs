@@ -1,8 +1,10 @@
-//! `MinuteSeries` keeps minutes and counts side by side and settles its
-//! total and verdict when it is built. These tests hold it to the series it
-//! replaced, a `Vec<(u16, u32)>` whose every figure was a walk over the
-//! entries, on lists that `new` accepts and on lists only JSON can carry;
-//! and they pin the trace's JSON text to a digest taken before the change.
+//! `MinuteSeries` keeps minutes and counts side by side, a byte a count
+//! while every count fits one, and settles its total and verdict when it is
+//! built. These tests hold it to the series it replaced, a `Vec<(u16, u32)>`
+//! whose every figure was a walk over the entries, on lists that `new`
+//! accepts and on lists only JSON can carry, with counts of either width and
+//! at the edge between them; and they pin the trace's JSON text to a digest
+//! taken before the change.
 
 use faasrail_stats::rng::{cases, Rng};
 use faasrail_trace::azure::{self, AzureTraceConfig};
@@ -52,24 +54,33 @@ impl Replaced {
     }
 }
 
-/// A count: mostly small, sometimes the widest `u32`, zero only if allowed.
-fn count(rng: &mut impl Rng, zeros: bool) -> u32 {
+/// A count, zero only if allowed: in a wide day mostly small and sometimes
+/// the widest `u32`; in a narrow one up to 255, often exactly 255.
+fn count(rng: &mut impl Rng, zeros: bool, narrow: bool) -> u32 {
     match rng.below(16) {
         0 if zeros => 0,
+        1 if narrow => 255,
         1 => u32::MAX - rng.below(3) as u32,
+        2 if narrow => rng.range(1..256),
         2 => rng.range(1..1_000_000),
         _ => rng.range(1..12),
     }
 }
 
-/// Ascending minutes of the day, from a handful to every one.
+/// Ascending minutes of the day, from a handful to every one, with counts
+/// of any width, counts that all fit a byte, or those and a single 256.
 fn ascending(rng: &mut impl Rng, zeros: bool) -> Vec<(u16, u32)> {
     let density = [0.0, 0.003, 0.03, 0.4, 1.0][rng.below(5) as usize];
+    let regime = rng.below(3);
     let mut entries = Vec::new();
     for m in 0..MINUTES_PER_DAY as u16 {
         if rng.next_f64() < density {
-            entries.push((m, count(rng, zeros)));
+            entries.push((m, count(rng, zeros, regime > 0)));
         }
+    }
+    if regime == 2 && !entries.is_empty() {
+        let i = rng.range(0..entries.len());
+        entries[i].1 = 256;
     }
     entries
 }
@@ -95,7 +106,8 @@ fn carried_by_json(rng: &mut impl Rng) -> Vec<(u16, u32)> {
         }
         3 => {
             let past = rng.range(MINUTES_PER_DAY as u16..u16::MAX);
-            entries.push((past, count(rng, false)));
+            let narrow = entries.iter().all(|&(_, c)| c <= 255);
+            entries.push((past, count(rng, false, narrow)));
         }
         _ => {}
     }
@@ -146,6 +158,41 @@ fn the_series_reads_as_the_vector_it_replaced() {
         }
         assert_eq!(MinuteSeries::from_dense_window(first, &window), series);
     });
+}
+
+#[test]
+fn both_widths_read_the_same_at_their_edge() {
+    let rng = &mut faasrail_stats::seeded_rng(256);
+    for entries in [
+        vec![(0, 255)],
+        vec![(0, 256)],
+        vec![(3, 1), (9, 255), (1439, 255)],
+        vec![(3, 1), (9, 256), (1439, 255)],
+        vec![(0, 255), (1, u32::MAX)],
+    ] {
+        let oracle = Replaced::new(entries.clone());
+        let series = MinuteSeries::new(entries);
+        assert_same(&series, &oracle, rng);
+        assert_eq!(MinuteSeries::from_dense(&oracle.dense()), series);
+        let text = serde_json::to_string(&oracle).unwrap();
+        assert_eq!(serde_json::from_str::<MinuteSeries>(&text).unwrap(), series);
+    }
+    // Unsound lists JSON carries, at each width: a zero, a repeat, a
+    // minute past the day.
+    for entries in [
+        vec![(1, 255), (2, 0)],
+        vec![(1, 256), (2, 0)],
+        vec![(5, 7), (5, 7)],
+        vec![(5, 7), (5, 70_000)],
+        vec![(1439, 1), (1440, 255)],
+        vec![(1439, 1), (1440, 256)],
+    ] {
+        let oracle = Replaced { entries };
+        let text = serde_json::to_string(&oracle).unwrap();
+        let series: MinuteSeries = serde_json::from_str(&text).unwrap();
+        assert_eq!(series.checked_total(), None, "{text}");
+        assert_same(&series, &oracle, rng);
+    }
 }
 
 #[test]

@@ -92,7 +92,8 @@ impl WorkloadKind {
         WorkloadKind::WordCount,
     ];
 
-    /// Every kind across all suites.
+    /// Every kind across all suites, in declaration order: `kind as usize`
+    /// is a kind's index here.
     pub const ALL_SUITES: [WorkloadKind; 16] = [
         WorkloadKind::Chameleon,
         WorkloadKind::CnnServing,
@@ -214,6 +215,9 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 16);
+        for (i, k) in WorkloadKind::ALL_SUITES.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "{k}");
+        }
         for k in WorkloadKind::ALL {
             assert_eq!(k.suite(), Suite::FunctionBench);
         }
